@@ -14,12 +14,13 @@ from .simnet import Scenario, SimResult, TagSpec, run_scenario
 from .solver import Fix, TrackerConfig, ls_solve, track
 from .timebase import TdoaSet, assemble_tdoa_set, select_time_base
 from .topology import AnchorConfig, NetworkTopology
-from .wcs import SyncedTdoa, multi_master_sync, scale_coefficient, sync_tdoa
+from .wcs import Arrival, SyncedTdoa, multi_master_sync, scale_coefficient, sync_tdoa, synced_pairs
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AnchorConfig",
+    "Arrival",
     "ClockModel",
     "ConfigError",
     "EngineParams",
@@ -49,6 +50,7 @@ __all__ = [
     "scale_coefficient",
     "select_time_base",
     "sync_tdoa",
+    "synced_pairs",
     "track",
     "ts_diff",
     "__version__",

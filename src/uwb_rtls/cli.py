@@ -17,7 +17,7 @@ import json
 import logging
 import sys
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Iterable, Sequence, TypeVar
 
 from .config import ConfigError, ScenarioConfig, load_config
 from .deploy import build_deployment_report, grid_to_csv
@@ -27,9 +27,11 @@ from .protocol import ReportDecodeError, ToaReport, decode_report, encode_report
 from .simnet import ScenarioError, SimResult, TruthBlink, decode_truth, encode_truth, run_scenario
 from .solver import Fix
 from .topology import TopologyError
-from .wcs import SyncedTdoa
+from .wcs import SyncedTdoa, synced_pairs
 
 log = logging.getLogger(__name__)
+
+T = TypeVar("T")
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -53,49 +55,62 @@ def fixes_to_csv(fixes: Sequence[Fix]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def read_fixes_csv(path: Path) -> list[Fix]:
-    fixes = []
+def _read_csv_rows(
+    path: Path, header: str, parse: Callable[[list[str]], T]
+) -> tuple[list[T], int]:
+    """Parse the rows of a CSV file written under ``header``.
+
+    ``parse`` turns one row's fields into a value and raises ``ValueError``
+    on a wrong field count or an unparsable field; such rows are skipped
+    with a warning and counted.  Blank lines are ignored.
+    """
+    fields = header.split(",")
+    rows: list[T] = []
+    skipped = 0
     with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            fixes.append(
-                Fix(
-                    tag_id=row["tag_id"],
-                    blink_seq=int(row["blink_seq"]),
-                    x=float(row["x"]),
-                    y=float(row["y"]),
-                    vx=float(row["vx"]),
-                    vy=float(row["vy"]),
-                    pos_std=float(row["pos_std"]),
-                    residual_norm=0.0,
-                )
-            )
-    return fixes
+        reader = csv.reader(fh)
+        for row in reader:
+            if not row or (reader.line_num == 1 and row == fields):
+                continue
+            try:
+                rows.append(parse(row))
+            except ValueError as exc:
+                skipped += 1
+                log.warning("%s line %d skipped: %s", path.name, reader.line_num, exc)
+    if skipped:
+        log.warning("skipped %d malformed row(s) in %s", skipped, path)
+    return rows, skipped
 
 
-def synced_to_csv(synced: Sequence[SyncedTdoa]) -> str:
+def _fix_row(row: list[str]) -> Fix:
+    tag_id, blink_seq, x, y, vx, vy, pos_std = row
+    return Fix(tag_id, int(blink_seq), float(x), float(y), float(vx), float(vy),
+               float(pos_std), residual_norm=0.0)
+
+
+def read_fixes_csv(path: Path) -> tuple[list[Fix], int]:
+    """Parse a fixes.csv file, skipping malformed rows with a count."""
+    return _read_csv_rows(path, FIXES_HEADER, _fix_row)
+
+
+def synced_to_csv(synced: Iterable[SyncedTdoa]) -> str:
     lines = [SYNCED_HEADER]
-    for s in synced:
-        lines.append(
-            f"{s.anchor_a},{s.anchor_b},{s.tag_id},{s.blink_seq},{s.tdoa_sync!r},{s.k_used!r}"
-        )
+    for a, b, tag_id, blink_seq, tdoa, k in synced:
+        lines.append(f"{a},{b},{tag_id},{blink_seq},{tdoa!r},{k!r}")
     return "\n".join(lines) + "\n"
 
 
-def read_synced_csv(path: Path) -> list[SyncedTdoa]:
-    synced = []
-    with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            synced.append(
-                SyncedTdoa(
-                    anchor_a=row["anchor_a"],
-                    anchor_b=row["anchor_b"],
-                    tag_id=row["tag_id"],
-                    blink_seq=int(row["blink_seq"]),
-                    tdoa_sync=float(row["tdoa_sync"]),
-                    k_used=float(row["k_used"]),
-                )
-            )
-    return synced
+def _synced_row(row: list[str]) -> SyncedTdoa:
+    a, b, tag_id, blink_seq, tdoa, k = row
+    # Ids repeat on every row: interned, each is stored once.
+    return SyncedTdoa(
+        sys.intern(a), sys.intern(b), sys.intern(tag_id), int(blink_seq), float(tdoa), float(k)
+    )
+
+
+def read_synced_csv(path: Path) -> tuple[list[SyncedTdoa], int]:
+    """Parse a synced.csv file, skipping malformed rows with a count."""
+    return _read_csv_rows(path, SYNCED_HEADER, _synced_row)
 
 
 def read_reports(path: Path) -> tuple[list[ToaReport], int]:
@@ -165,7 +180,8 @@ def _engine_params(cfg: ScenarioConfig) -> EngineParams:
 def _locate(cfg: ScenarioConfig, reports: Sequence[ToaReport], out: Path) -> LocateResult:
     result = locate_reports(reports, cfg.scenario.topology, _engine_params(cfg))
     _write(out / "fixes.csv", fixes_to_csv(result.fixes))
-    _write(out / "synced.csv", synced_to_csv(result.synced))
+    # Rendered straight from the per-blink arrivals, without a pair list.
+    _write(out / "synced.csv", synced_to_csv(synced_pairs(result.blinks, result.ccp_period)))
     return result
 
 
@@ -173,7 +189,7 @@ def _eval(
     cfg: ScenarioConfig,
     fixes: Sequence[Fix],
     truth: Sequence[TruthBlink],
-    synced: Sequence[SyncedTdoa],
+    synced: Iterable[SyncedTdoa],
     out: Path,
 ) -> str:
     summary = evaluate(
@@ -212,9 +228,9 @@ def cmd_locate(args: argparse.Namespace) -> int:
 
 def cmd_eval(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
-    fixes = read_fixes_csv(Path(args.fixes))
+    fixes, _ = read_fixes_csv(Path(args.fixes))
     truth = read_truth(Path(args.truth))
-    synced = read_synced_csv(Path(args.synced)) if args.synced else []
+    synced, _ = read_synced_csv(Path(args.synced)) if args.synced else ([], 0)
     try:
         text = _eval(cfg, fixes, truth, synced, Path(args.out))
     except EmptyEvalError as exc:

@@ -26,8 +26,10 @@ from .topology import NetworkTopology
 from .wcs import (
     DEFAULT_K_BAND,
     DEFAULT_STALE_INTERVALS,
+    SyncedBlinks,
     SyncedTdoa,
     multi_master_sync,
+    synced_pairs,
 )
 
 
@@ -44,10 +46,22 @@ class EngineParams:
 
 @dataclass
 class LocateResult:
+    """Fixes plus what they were made from.
+
+    ``blinks`` is the sync output: per blink, each synchronized receiver's
+    corrected ``Arrival``.  ``synced`` derives the pair stream from it.
+    """
+
     fixes: list[Fix]
-    synced: list[SyncedTdoa]
+    blinks: SyncedBlinks
     tdoa_sets: list[TdoaSet]
     diagnostics: dict
+    ccp_period: float
+
+    @property
+    def synced(self) -> list[SyncedTdoa]:
+        """Every anchor pair of every synced blink; a new list on each access."""
+        return list(synced_pairs(self.blinks, self.ccp_period))
 
 
 def locate_reports(
@@ -62,7 +76,7 @@ def locate_reports(
     becomes one fix per blink per tag.
     """
     diagnostics: dict = {}
-    synced = multi_master_sync(
+    blinks = multi_master_sync(
         reports,
         topo,
         ccp_period=params.ccp_period,
@@ -72,22 +86,18 @@ def locate_reports(
         diagnostics=diagnostics,
     )
 
-    per_blink: dict[tuple[str, int], list[SyncedTdoa]] = defaultdict(list)
-    for s in synced:
-        per_blink[(s.tag_id, s.blink_seq)].append(s)
-
     sets_per_tag: dict[str, list[TdoaSet]] = defaultdict(list)
-    for tag_id, blink_seq in sorted(per_blink):
-        group = per_blink[(tag_id, blink_seq)]
-        receivers = {s.anchor_a for s in group} | {s.anchor_b for s in group}
-        if len(receivers) < MIN_RECEIVERS:
+    for (tag_id, blink_seq), arrivals in blinks.items():
+        if len(arrivals) < MIN_RECEIVERS:
             diagnostics["blinks_too_few_receivers"] = (
                 diagnostics.get("blinks_too_few_receivers", 0) + 1
             )
             continue
         try:
-            reference = select_time_base(receivers, topo)
-            tdoa_set = assemble_tdoa_set(group, reference)
+            reference = select_time_base(arrivals, topo)
+            tdoa_set = assemble_tdoa_set(
+                tag_id, blink_seq, arrivals, reference, params.ccp_period
+            )
         except (NoTimeBaseError, InsufficientAnchorsError) as exc:
             key = (
                 "blinks_no_time_base"
@@ -105,4 +115,4 @@ def locate_reports(
         tag_sets = sets_per_tag[tag_id]
         tdoa_sets.extend(tag_sets)
         fixes.extend(track(tag_sets, anchors, params.tracker))
-    return LocateResult(fixes, synced, tdoa_sets, diagnostics)
+    return LocateResult(fixes, blinks, tdoa_sets, diagnostics, params.ccp_period)

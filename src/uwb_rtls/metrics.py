@@ -11,7 +11,8 @@ import json
 import math
 import statistics
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from operator import attrgetter
+from typing import Iterable, Mapping, Sequence
 
 from .simnet import TruthBlink
 from .solver import Fix
@@ -19,8 +20,7 @@ from .wcs import (
     DEFAULT_MEASUREMENT_VAR,
     DEFAULT_PROCESS_VAR,
     SyncedTdoa,
-    TdoaKalman,
-    kalman_smooth,
+    kalman_step,
 )
 
 DEFAULT_WARMUP = 50  # samples dropped from the front of every stream
@@ -79,31 +79,33 @@ def _percentile(values: Sequence[float], q: float) -> float:
 
 
 def smoothed_tdoa_streams(
-    synced: Sequence[SyncedTdoa],
+    synced: Iterable[SyncedTdoa],
     *,
     process_var: float = DEFAULT_PROCESS_VAR,
     measurement_var: float = DEFAULT_MEASUREMENT_VAR,
 ) -> dict[str, list[float]]:
     """Per-pair smoother output, keyed "A|B", in blink order."""
-    by_pair: dict[str, list[SyncedTdoa]] = {}
+    by_pair: dict[tuple[str, str], list[SyncedTdoa]] = {}
     for s in synced:
-        by_pair.setdefault(pair_key(s.anchor_a, s.anchor_b), []).append(s)
+        by_pair.setdefault((s.anchor_a, s.anchor_b), []).append(s)
     streams: dict[str, list[float]] = {}
-    for key, entries in sorted(by_pair.items()):
-        entries.sort(key=lambda s: (s.tag_id, s.blink_seq))
-        f = TdoaKalman(process_var=process_var, measurement_var=measurement_var)
+    for key in sorted(by_pair, key=lambda pair: pair_key(*pair)):
+        entries = sorted(by_pair[key], key=attrgetter("tag_id", "blink_seq"))
+        state, variance = 0.0, math.inf  # TdoaKalman's prior: adopt the first sample
         out = []
         for s in entries:
-            f = kalman_smooth(f, s.tdoa_sync)
-            out.append(f.state)
-        streams[key] = out
+            state, variance = kalman_step(
+                state, variance, s.tdoa_sync, process_var, measurement_var
+            )
+            out.append(state)
+        streams[pair_key(*key)] = out
     return streams
 
 
 def evaluate(
     fixes: Sequence[Fix],
     truth_blinks: Sequence[TruthBlink],
-    synced: Sequence[SyncedTdoa] = (),
+    synced: Iterable[SyncedTdoa] = (),
     *,
     warmup: int = DEFAULT_WARMUP,
     process_var: float = DEFAULT_PROCESS_VAR,

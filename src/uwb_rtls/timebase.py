@@ -9,11 +9,11 @@ in play, a bridging slave when the receivers span several masters' cells.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping
 
 from .constants import SPEED_OF_LIGHT
 from .topology import NetworkTopology, ROLE_SLAVE
-from .wcs import SyncedTdoa
+from .wcs import Arrival, arrival_tdoa
 
 # A planar position needs three independent range differences, so a usable
 # blink involves the reference plus at least three more receivers.
@@ -92,30 +92,32 @@ def select_time_base(blink_receivers: Iterable[str], topo: NetworkTopology) -> s
     )
 
 
-def assemble_tdoa_set(synced: Sequence[SyncedTdoa], reference: str) -> TdoaSet:
-    """Turn one blink's pairwise TDoAs into range differences vs a reference.
+def assemble_tdoa_set(
+    tag_id: str,
+    blink_seq: int,
+    arrivals: Mapping[str, Arrival],
+    reference: str,
+    ccp_period: float,
+) -> TdoaSet:
+    """Turn one blink's corrected arrivals into range differences vs a reference.
 
-    All entries must belong to the same blink.  Each measurement is
-    ``c * tdoa_sync(anchor, reference)`` in meters; fewer than three usable
-    measurements (or a reference absent from every pair) is an error.
+    Each measurement is ``c * (arrival at anchor - arrival at reference)``
+    in meters, taken with ``arrival_tdoa`` in the orientation of the anchor
+    pair (lower id first) so it matches the pair stream to the last bit.  A
+    reference without an arrival, or fewer than three other arrivals, is an
+    error.
     """
-    if not synced:
-        raise InsufficientAnchorsError("no synchronized measurements for this blink")
-    blink = {(s.tag_id, s.blink_seq) for s in synced}
-    if len(blink) != 1:
-        raise ValueError(f"measurements from multiple blinks: {sorted(blink)}")
-    ((tag_id, blink_seq),) = blink
-
-    diffs: dict[str, float] = {}
-    for s in synced:
-        if s.anchor_a == reference:
-            diffs[s.anchor_b] = -s.tdoa_sync * SPEED_OF_LIGHT
-        elif s.anchor_b == reference:
-            diffs[s.anchor_a] = s.tdoa_sync * SPEED_OF_LIGHT
-    if not diffs:
+    ref = arrivals.get(reference)
+    if ref is None:
         raise InsufficientAnchorsError(
-            f"reference {reference!r} does not appear in any synchronized pair"
+            f"reference {reference!r} has no synchronized arrival for this blink"
         )
+    diffs: dict[str, float] = {}
+    for anchor, arrival in arrivals.items():
+        if anchor < reference:
+            diffs[anchor] = arrival_tdoa(arrival, ref, ccp_period) * SPEED_OF_LIGHT
+        elif anchor > reference:
+            diffs[anchor] = -arrival_tdoa(ref, arrival, ccp_period) * SPEED_OF_LIGHT
     if len(diffs) < MIN_MEASUREMENTS:
         raise InsufficientAnchorsError(
             f"only {len(diffs)} range differences against {reference!r}, "

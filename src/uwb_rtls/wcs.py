@@ -15,9 +15,13 @@ timescale.  Multi-master cascades compose these per-hop corrections along
 the follow chain, so any two anchors in a connected topology can be
 differenced.
 
-The output is one ``SyncedTdoa`` per anchor pair per blink, in seconds on
-the common timescale, with CCP propagation between anchors (a known baseline
-over c) already removed.
+The output is one ``Arrival`` per receiving anchor per blink: the blink's
+arrival on the common timescale, as an offset after a numbered CCP of the
+primary master's schedule, with CCP propagation between anchors (a known
+baseline over c) already removed.  A time difference between two anchors
+(``arrival_tdoa``) is derived from two arrivals only where it is needed:
+against the blink's time base for positioning, and for every anchor pair in
+``synced_pairs`` when a pair stream (``synced.csv``) is the output.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ import bisect
 import logging
 import math
 from dataclasses import dataclass, replace
-from typing import Iterable
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .clock import TICK_SECONDS, Timestamp, ts_diff
 from .constants import SPEED_OF_LIGHT
@@ -80,8 +84,7 @@ class CcpPairWindow:
     r_s2: Timestamp
 
 
-@dataclass(frozen=True)
-class SyncedTdoa:
+class SyncedTdoa(NamedTuple):
     """Corrected arrival-time difference of one blink between two anchors.
 
     ``tdoa_sync`` is (arrival at ``anchor_a``) minus (arrival at
@@ -103,6 +106,53 @@ class SyncedTdoa:
         if (first, second) == (self.anchor_b, self.anchor_a):
             return -self.tdoa_sync
         raise KeyError(f"pair ({first}, {second}) not covered by this measurement")
+
+
+class Arrival(NamedTuple):
+    """One blink's arrival at one anchor on the common timescale.
+
+    The arrival is ``offset`` seconds after the ``ccp_seq``-th CCP of the
+    primary master's schedule; ``rate`` is the anchor's clock rate (device
+    seconds per schedule second) used for the correction.  Offset and seq
+    stay apart: a difference of two arrivals subtracts the offsets and adds
+    the seq difference times the CCP period, so long absolute times never
+    enter the arithmetic.
+    """
+
+    offset: float
+    ccp_seq: int
+    rate: float
+
+
+# Sync output: (tag_id, blink_seq) -> {receiving anchor: its Arrival}.
+SyncedBlinks = dict[tuple[str, int], dict[str, Arrival]]
+
+
+def arrival_tdoa(a: Arrival, b: Arrival, ccp_period: float) -> float:
+    """Arrival ``a`` minus arrival ``b`` in seconds on the common timescale."""
+    return (a.offset - b.offset) + (a.ccp_seq - b.ccp_seq) * ccp_period
+
+
+def synced_pairs(
+    blinks: Mapping[tuple[str, int], Mapping[str, Arrival]], ccp_period: float
+) -> Iterator[SyncedTdoa]:
+    """Every unordered anchor pair of every blink, as ``SyncedTdoa``.
+
+    Blinks come in (tag_id, blink_seq) order and pairs (a, b) with a < b in
+    anchor-id order, so the stream is deterministic for a given input.
+    """
+    for tag_id, blink_seq in sorted(blinks):
+        arrivals = blinks[(tag_id, blink_seq)]
+        ids = sorted(arrivals)
+        for i, a in enumerate(ids):
+            arr_a = arrivals[a]
+            rate_a = arr_a.rate
+            for b in ids[i + 1 :]:
+                arr_b = arrivals[b]
+                yield SyncedTdoa(
+                    a, b, tag_id, blink_seq,
+                    arrival_tdoa(arr_a, arr_b, ccp_period), arr_b.rate / rate_a,
+                )
 
 
 def scale_coefficient(window: CcpPairWindow, k_band: float = DEFAULT_K_BAND) -> float:
@@ -229,17 +279,29 @@ class TdoaKalman:
     measurement_var: float = DEFAULT_MEASUREMENT_VAR
 
 
-def kalman_smooth(f: TdoaKalman, measurement: float) -> TdoaKalman:
-    """One predict/update step; non-finite measurements are rejected unchanged."""
+def kalman_step(
+    state: float, variance: float, measurement: float, process_var: float, measurement_var: float
+) -> tuple[float, float]:
+    """One predict/update step on bare floats, returning (state, variance).
+
+    Non-finite measurements are rejected and leave the filter unchanged.
+    """
     if not math.isfinite(measurement):
-        return f
-    variance = f.variance + f.process_var
+        return state, variance
+    variance = variance + process_var
     if math.isinf(variance):
         # Limit of gain -> 1: adopt the measurement, keep its own variance.
-        return replace(f, state=measurement, variance=f.measurement_var)
-    gain = variance / (variance + f.measurement_var)
-    state = f.state + gain * (measurement - f.state)
-    return replace(f, state=state, variance=(1.0 - gain) * variance)
+        return measurement, measurement_var
+    gain = variance / (variance + measurement_var)
+    return state + gain * (measurement - state), (1.0 - gain) * variance
+
+
+def kalman_smooth(f: TdoaKalman, measurement: float) -> TdoaKalman:
+    """One predict/update step; non-finite measurements are rejected unchanged."""
+    state, variance = kalman_step(
+        f.state, f.variance, measurement, f.process_var, f.measurement_var
+    )
+    return replace(f, state=state, variance=variance)
 
 
 # ---------------------------------------------------------------------------
@@ -310,17 +372,19 @@ def multi_master_sync(
     k_band: float = DEFAULT_K_BAND,
     stale_intervals: float = DEFAULT_STALE_INTERVALS,
     diagnostics: dict | None = None,
-) -> list[SyncedTdoa]:
+) -> SyncedBlinks:
     """Correct every blink in a report stream onto the common timescale.
 
     Works for single-master and cascaded multi-master topologies alike: each
     receiving anchor's blink timestamp is mapped through its own CCP windows
-    (nearest window wins), lower-level masters are chained to the primary
-    through their own CCP receive/transmit pairs, and one ``SyncedTdoa`` is
-    emitted per unordered anchor pair per blink.  Anchors without a usable
-    window are skipped and counted in ``diagnostics``.  ``blink_period`` is
-    only a search hint pairing blinks with nearby CCP rounds; correction
-    itself never assumes when tags transmit.
+    (nearest window wins), and lower-level masters are chained to the
+    primary through their own CCP receive/transmit pairs.  The result maps
+    each blink, as (tag_id, blink_seq) in sorted order, to one ``Arrival``
+    per synchronized receiver, in anchor-id order.  Anchors without a usable
+    window are skipped and counted in ``diagnostics``; a blink left with
+    fewer than two synchronized receivers carries no time difference and is
+    left out.  ``blink_period`` is only a search hint pairing blinks with
+    nearby CCP rounds; correction itself never assumes when tags transmit.
 
     Results depend only on the multiset of reports, not their order.
     """
@@ -437,8 +501,8 @@ def multi_master_sync(
 
     def anchor_offset(
         anchor_id: str, tag_id: str, stamp: Timestamp, seq_hint: int
-    ) -> tuple[float, int, float] | None:
-        """(offset after the used CCP seq, that seq, clock rate) or None."""
+    ) -> Arrival | None:
+        """The anchor's corrected arrival, or None when it cannot be synced."""
         if roles[anchor_id] == ROLE_MASTER:
             track = tx_tracks.get(anchor_id)
             if track is None:
@@ -453,7 +517,7 @@ def multi_master_sync(
             if abs(ts_diff(stamp, epoch)) * TICK_SECONDS > stale_intervals * ccp_period:
                 _bump("stale_blinks")
                 return None
-            return ts_diff(stamp, epoch) * TICK_SECONDS / rate + base, seq, rate
+            return Arrival(ts_diff(stamp, epoch) * TICK_SECONDS / rate + base, seq, rate)
 
         saw_window = saw_fresh = False
         for master in sorted(topo.follow.get(anchor_id, frozenset())):
@@ -472,36 +536,22 @@ def multi_master_sync(
                 _receiver_offset(stamp, window, ccp_period, topo.baseline(master, anchor_id))
                 + base
             )
-            return offset, seq, _rx_rate(window, ccp_period)
+            return Arrival(offset, seq, _rx_rate(window, ccp_period))
         if saw_window and not saw_fresh:
             _bump("stale_blinks")
         else:
             _bump("unsynchronized_blinks")
         return None
 
-    synced: list[SyncedTdoa] = []
+    synced: SyncedBlinks = {}
     for (tag_id, seq) in sorted(blink_rx):
         arrivals = blink_rx[(tag_id, seq)]
         seq_hint = int(seq * blink_period / ccp_period) if blink_period else 0
-        corrected: dict[str, tuple[float, int, float]] = {}
+        corrected: dict[str, Arrival] = {}
         for anchor_id in sorted(arrivals):
             got = anchor_offset(anchor_id, tag_id, arrivals[anchor_id], seq_hint)
             if got is not None:
                 corrected[anchor_id] = got
-        ids = sorted(corrected)
-        for i, a in enumerate(ids):
-            off_a, seq_a, rate_a = corrected[a]
-            for b in ids[i + 1 :]:
-                off_b, seq_b, rate_b = corrected[b]
-                tdoa = (off_a - off_b) + (seq_a - seq_b) * ccp_period
-                synced.append(
-                    SyncedTdoa(
-                        anchor_a=a,
-                        anchor_b=b,
-                        tag_id=tag_id,
-                        blink_seq=seq,
-                        tdoa_sync=tdoa,
-                        k_used=rate_b / rate_a,
-                    )
-                )
+        if len(corrected) >= 2:
+            synced[(tag_id, seq)] = corrected
     return synced

@@ -61,7 +61,7 @@ def test_fixes_csv_round_trips_exactly(tmp_path):
     ]
     path = tmp_path / "fixes.csv"
     path.write_text(fixes_to_csv(fixes))
-    assert read_fixes_csv(path) == fixes
+    assert read_fixes_csv(path) == (fixes, 0)
 
 
 def test_synced_csv_round_trips_exactly(tmp_path):
@@ -71,7 +71,7 @@ def test_synced_csv_round_trips_exactly(tmp_path):
     ]
     path = tmp_path / "synced.csv"
     path.write_text(synced_to_csv(synced))
-    assert read_synced_csv(path) == synced
+    assert read_synced_csv(path) == (synced, 0)
 
 
 def test_simulate_locate_eval_pipeline(tmp_path, config_path, capsys):
@@ -104,10 +104,20 @@ def test_file_pipeline_matches_the_library_exactly(tmp_path, config_path):
 
     cfg = load_config(config_path)
     sim = run_scenario(cfg.scenario)
-    from uwb_rtls.cli import _engine_params
+    from uwb_rtls.cli import _engine_params, _eval
 
     result = locate_reports(sim.reports, cfg.scenario.topology, _engine_params(cfg))
     assert (out / "fixes.csv").read_text() == fixes_to_csv(result.fixes)
+    assert (out / "synced.csv").read_text() == synced_to_csv(result.synced)
+
+    # Eval from the files and eval from the in-memory pair view agree.
+    main(["eval", "--config", str(config_path), "--out", str(out),
+          "--fixes", str(out / "fixes.csv"), "--truth", str(out / "truth.jsonl"),
+          "--synced", str(out / "synced.csv")])
+    lib = tmp_path / "lib"
+    _eval(cfg, result.fixes, sim.truth_blinks, result.synced, lib)
+    assert (out / "summary.json").read_bytes() == (lib / "summary.json").read_bytes()
+    assert (out / "errors.csv").read_bytes() == (lib / "errors.csv").read_bytes()
 
 
 def test_seed_override_changes_the_traffic(tmp_path, config_path):
@@ -132,6 +142,34 @@ def test_malformed_report_lines_are_skipped(tmp_path, config_path, caplog):
 
     code = main(["locate", "--config", str(config_path), "--out", str(out),
                  "--reports", str(reports_path)])
+    assert code == EXIT_OK
+
+
+@pytest.mark.parametrize("name, reader", [("synced.csv", read_synced_csv),
+                                          ("fixes.csv", read_fixes_csv)])
+def test_malformed_csv_rows_are_skipped(tmp_path, config_path, caplog, name, reader):
+    out = tmp_path / "run"
+    main(["simulate", "--config", str(config_path), "--out", str(out)])
+    main(["locate", "--config", str(config_path), "--out", str(out),
+          "--reports", str(out / "reports.jsonl")])
+    path = out / name
+    lines = path.read_text().splitlines()
+    rows = len(lines) - 1
+    lines[3] = lines[3].rsplit(",", 2)[0]  # truncated: two fields short
+    fields = lines[7].split(",")
+    fields[3] = "seven"  # unparsable number: blink_seq in synced.csv, y in fixes.csv
+    lines[7] = ",".join(fields)
+    lines.insert(9, "")  # blank lines are not rows
+    path.write_text("\n".join(lines) + "\n")
+
+    parsed, skipped = reader(path)
+    assert skipped == 2
+    assert len(parsed) == rows - 2
+    assert sum("skipped" in r.getMessage() for r in caplog.records) == 3
+
+    code = main(["eval", "--config", str(config_path), "--out", str(out),
+                 "--fixes", str(out / "fixes.csv"), "--truth", str(out / "truth.jsonl"),
+                 "--synced", str(out / "synced.csv")])
     assert code == EXIT_OK
 
 

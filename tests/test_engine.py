@@ -82,3 +82,15 @@ def test_fixes_carry_tag_and_sequence_metadata():
     assert all(f.tag_id == "T1" for f in result.fixes)
     seqs = [f.blink_seq for f in result.fixes]
     assert seqs == sorted(seqs)
+
+
+def test_blinks_below_two_synchronized_receivers_carry_no_pairs_and_no_count():
+    # One receiver: no time difference at all, so the blink is dropped by the
+    # sync without a too-few count.  Two receivers: one pair, counted as too few.
+    topo = build_ideal_rect_topology()
+    for heard, pairs, too_few in (({"MA1"}, 0, 0), ({"MA1", "SA2"}, 10, 10)):
+        sim = _run(topo, duration=1.0, blink_links={"T1": frozenset(heard)})
+        result = locate_reports(sim.reports, topo)
+        assert result.fixes == []
+        assert len(result.synced) == pairs
+        assert result.diagnostics.get("blinks_too_few_receivers", 0) == too_few

@@ -14,7 +14,7 @@ from uwb_rtls.timebase import (
     select_time_base,
 )
 from uwb_rtls.topology import AnchorConfig, NetworkTopology
-from uwb_rtls.wcs import SyncedTdoa
+from uwb_rtls.wcs import Arrival, synced_pairs
 
 from conftest import build_rect_topology
 
@@ -126,24 +126,26 @@ def test_unknown_receiver_rejected():
 # Assembly
 
 
-def _synced(a: str, b: str, tdoa: float, seq: int = 3) -> SyncedTdoa:
-    return SyncedTdoa(anchor_a=a, anchor_b=b, tag_id="T1", blink_seq=seq,
-                      tdoa_sync=tdoa, k_used=1.0)
+CCP_PERIOD = 0.15
+
+
+def _arrivals(offsets: dict[str, float], ccp_seq: int = 0) -> dict[str, Arrival]:
+    """One blink's arrivals, ``offsets`` seconds after CCP ``ccp_seq``."""
+    return {a: Arrival(offset=t, ccp_seq=ccp_seq, rate=1.0) for a, t in sorted(offsets.items())}
+
+
+def _assemble(arrivals: dict[str, Arrival], reference: str) -> TdoaSet:
+    return assemble_tdoa_set("T1", 3, arrivals, reference, CCP_PERIOD)
 
 
 def test_assembly_orients_measurements_toward_the_reference():
-    synced = [
-        _synced("MA1", "SA2", -2.0e-9),
-        _synced("MA1", "SA3", 1.0e-9),
-        _synced("SA3", "SA4", 0.5e-9),
-        _synced("MA1", "SA4", 1.5e-9),
-    ]
-    ts = assemble_tdoa_set(synced, "MA1")
+    arrivals = _arrivals({"MA1": 0.0, "SA2": 2.0e-9, "SA3": -1.0e-9, "SA4": -1.5e-9})
+    ts = _assemble(arrivals, "MA1")
     assert ts.reference_anchor == "MA1"
     assert ts.tag_id == "T1" and ts.blink_seq == 3
     assert ts.anchor_ids() == ("SA2", "SA3", "SA4")
     want = {
-        "SA2": 2.0e-9 * SPEED_OF_LIGHT,   # tdoa(MA1, SA2) = -2 ns -> SA2 is 2 ns late
+        "SA2": 2.0e-9 * SPEED_OF_LIGHT,   # SA2 heard the blink 2 ns after MA1
         "SA3": -1.0e-9 * SPEED_OF_LIGHT,
         "SA4": -1.5e-9 * SPEED_OF_LIGHT,
     }
@@ -152,50 +154,48 @@ def test_assembly_orients_measurements_toward_the_reference():
 
 
 def test_assembly_reference_on_either_side():
-    synced = [
-        _synced("SA2", "MA1", 2.0e-9),
-        _synced("MA1", "SA3", 1.0e-9),
-        _synced("SA4", "MA1", -1.5e-9),
-    ]
-    ts = assemble_tdoa_set(synced, "MA1")
+    # SA3 as reference has anchors below (MA1, SA2) and above (SA4) it in id
+    # order, and the arrivals hang off different CCPs.  Every measurement is
+    # bit-identical to the pair stream's TDoA, oriented toward the reference.
+    arrivals = {
+        "MA1": Arrival(offset=0.1 + 2.0e-9, ccp_seq=4, rate=1.00001),
+        "SA2": Arrival(offset=0.1 - 1.0e-9, ccp_seq=4, rate=0.99999),
+        "SA3": Arrival(offset=0.1 + CCP_PERIOD, ccp_seq=3, rate=1.00002),
+        "SA4": Arrival(offset=0.1 + 3.5e-9, ccp_seq=4, rate=0.99998),
+    }
+    ts = _assemble(arrivals, "SA3")
     by_anchor = dict(ts.measurements)
-    assert by_anchor["SA2"] == pytest.approx(2.0e-9 * SPEED_OF_LIGHT)
-    assert by_anchor["SA3"] == pytest.approx(-1.0e-9 * SPEED_OF_LIGHT)
-    assert by_anchor["SA4"] == pytest.approx(-1.5e-9 * SPEED_OF_LIGHT)
+    assert by_anchor["MA1"] == pytest.approx(2.0e-9 * SPEED_OF_LIGHT, rel=1e-6)
+    assert by_anchor["SA2"] == pytest.approx(-1.0e-9 * SPEED_OF_LIGHT, rel=1e-6)
+    assert by_anchor["SA4"] == pytest.approx(3.5e-9 * SPEED_OF_LIGHT, rel=1e-6)
+
+    pairs = synced_pairs({("T1", 3): arrivals}, CCP_PERIOD)
+    by_pair = {(s.anchor_a, s.anchor_b): s for s in pairs}
+    for anchor, value in ts.measurements:
+        pair = by_pair[tuple(sorted((anchor, "SA3")))]
+        assert value == pair.signed(anchor, "SA3") * SPEED_OF_LIGHT
 
 
 def test_assembly_needs_the_reference_in_some_pair():
-    synced = [_synced("SA2", "SA3", 1e-9), _synced("SA3", "SA4", 1e-9)]
+    """A reference without a synchronized arrival cannot anchor the blink."""
+    arrivals = _arrivals({"SA2": 1e-9, "SA3": 0.0, "SA4": 2e-9, "MA2": 0.0})
     with pytest.raises(InsufficientAnchorsError):
-        assemble_tdoa_set(synced, "MA1")
+        _assemble(arrivals, "MA1")
 
 
 def test_assembly_needs_three_measurements():
-    synced = [_synced("MA1", "SA2", 1e-9), _synced("MA1", "SA3", 1e-9)]
     with pytest.raises(InsufficientAnchorsError):
-        assemble_tdoa_set(synced, "MA1")
+        _assemble(_arrivals({"MA1": 0.0, "SA2": 1e-9, "SA3": 1e-9}), "MA1")
     with pytest.raises(InsufficientAnchorsError):
-        assemble_tdoa_set([], "MA1")
-
-
-def test_assembly_rejects_mixed_blinks():
-    synced = [_synced("MA1", "SA2", 1e-9, seq=3), _synced("MA1", "SA3", 1e-9, seq=4)]
-    with pytest.raises(ValueError):
-        assemble_tdoa_set(synced, "MA1")
+        _assemble({}, "MA1")
 
 
 def test_changing_reference_shifts_all_measurements_consistently():
     # d_i - d_ref2 = (d_i - d_ref1) - (d_ref2 - d_ref1): re-assembly against
     # another reference is an affine shift of the same geometry.
-    tdoas = {"SA2": 2.0e-9, "SA3": -0.7e-9, "SA4": 1.1e-9}
-    synced = [_synced("MA1", sa, -t) for sa, t in tdoas.items()]
-    synced += [
-        _synced("SA2", "SA3", tdoas["SA2"] - tdoas["SA3"]),
-        _synced("SA2", "SA4", tdoas["SA2"] - tdoas["SA4"]),
-        _synced("SA3", "SA4", tdoas["SA3"] - tdoas["SA4"]),
-    ]
-    via_ma1 = dict(assemble_tdoa_set(synced, "MA1").measurements)
-    via_sa2 = dict(assemble_tdoa_set(synced, "SA2").measurements)
+    arrivals = _arrivals({"MA1": 0.0, "SA2": 2.0e-9, "SA3": -0.7e-9, "SA4": 1.1e-9})
+    via_ma1 = dict(_assemble(arrivals, "MA1").measurements)
+    via_sa2 = dict(_assemble(arrivals, "SA2").measurements)
     shift = via_ma1["SA2"]
     assert via_sa2["MA1"] == pytest.approx(-shift)
     for anchor in ("SA3", "SA4"):

@@ -28,6 +28,7 @@ from uwb_rtls.wcs import (
     multi_master_sync,
     scale_coefficient,
     sync_tdoa,
+    synced_pairs,
 )
 
 from conftest import RECT_CLOCKS, RECT_POSITIONS, build_rect_topology
@@ -265,7 +266,7 @@ def test_stream_sync_matches_single_pair_sync_bitwise():
     """The stream corrector on a single-master net must agree exactly with
     the one-window primitive fed the same timestamps."""
     topo, reports = _rect_reports()
-    synced = multi_master_sync(reports, topo, ccp_period=CCP_PERIOD)
+    synced = synced_pairs(multi_master_sync(reports, topo, ccp_period=CCP_PERIOD), CCP_PERIOD)
     by_key = {(s.anchor_a, s.anchor_b, s.blink_seq): s for s in synced}
 
     # Blink seq 1 fires at 0.100 s; its nearest CCP epoch is seq 1 at 0.150 s.
@@ -285,7 +286,10 @@ def test_stream_sync_matches_single_pair_sync_bitwise():
 
 def test_stream_sync_emits_every_pair_and_cycles_close():
     topo, reports = _rect_reports()
-    synced = multi_master_sync(reports, topo, ccp_period=CCP_PERIOD)
+    blinks = multi_master_sync(reports, topo, ccp_period=CCP_PERIOD)
+    # One arrival per synchronized receiver, in anchor-id order.
+    assert list(blinks[("T1", 7)]) == ["MA1", "SA2", "SA3", "SA4"]
+    synced = list(synced_pairs(blinks, CCP_PERIOD))
     one_blink = [s for s in synced if s.blink_seq == 7]
     assert len(one_blink) == 6  # all unordered pairs of 4 anchors
     by_pair = {(s.anchor_a, s.anchor_b): s for s in one_blink}
@@ -299,7 +303,8 @@ def test_stream_sync_is_order_independent():
     topo, reports = _rect_reports()
     forward = multi_master_sync(reports, topo, ccp_period=CCP_PERIOD)
     backward = multi_master_sync(list(reversed(reports)), topo, ccp_period=CCP_PERIOD)
-    assert forward == backward
+    assert list(forward.items()) == list(backward.items())
+    assert list(synced_pairs(forward, CCP_PERIOD)) == list(synced_pairs(backward, CCP_PERIOD))
 
 
 def test_duplicate_reports_are_counted_and_harmless():
@@ -308,7 +313,7 @@ def test_duplicate_reports_are_counted_and_harmless():
     base = multi_master_sync(reports, topo, ccp_period=CCP_PERIOD)
     doubled = multi_master_sync(list(reports) + [reports[5]], topo,
                                 ccp_period=CCP_PERIOD, diagnostics=diag)
-    assert doubled == base
+    assert list(doubled.items()) == list(base.items())
     assert diag["duplicate_reports"] == 1
 
 
@@ -316,7 +321,9 @@ def test_anchor_without_ccp_coverage_is_skipped_and_counted():
     topo, reports = _rect_reports()
     pruned = [r for r in reports if not (r.anchor_id == "SA4" and r.kind == "ccp_rx")]
     diag: dict = {}
-    synced = multi_master_sync(pruned, topo, ccp_period=CCP_PERIOD, diagnostics=diag)
+    blinks = multi_master_sync(pruned, topo, ccp_period=CCP_PERIOD, diagnostics=diag)
+    assert all("SA4" not in arrivals for arrivals in blinks.values())
+    synced = list(synced_pairs(blinks, CCP_PERIOD))
     assert all("SA4" not in (s.anchor_a, s.anchor_b) for s in synced)
     assert diag["unsynchronized_blinks"] > 0
     # Remaining three anchors still produce their three pairs per blink.
@@ -327,7 +334,8 @@ def test_anchor_without_ccp_coverage_is_skipped_and_counted():
 
 def test_zero_noise_stream_sync_is_geometric_truth():
     topo, reports = _rect_reports(duration=3.0, tag_xy=(4.1, 0.7))
-    synced = multi_master_sync(reports, topo, ccp_period=CCP_PERIOD)
+    synced = list(synced_pairs(multi_master_sync(reports, topo, ccp_period=CCP_PERIOD),
+                               CCP_PERIOD))
     assert synced
     for s in synced:
         want = (
