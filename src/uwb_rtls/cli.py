@@ -15,6 +15,7 @@ import csv
 import dataclasses
 import json
 import logging
+import math
 import sys
 from pathlib import Path
 from typing import Callable, Iterable, Sequence, TypeVar
@@ -23,7 +24,7 @@ from .config import ConfigError, ScenarioConfig, load_config
 from .deploy import build_deployment_report, grid_to_csv
 from .engine import EngineParams, LocateResult, locate_reports
 from .metrics import EmptyEvalError, errors_csv, evaluate
-from .protocol import ReportDecodeError, ToaReport, decode_report, encode_report
+from .protocol import ToaReport, decode_report, encode_report
 from .simnet import ScenarioError, SimResult, TruthBlink, decode_truth, encode_truth, run_scenario
 from .solver import Fix
 from .topology import TopologyError
@@ -82,6 +83,26 @@ def _read_csv_rows(
     return rows, skipped
 
 
+def _read_json_lines(path: Path, decode: Callable[[str], T]) -> tuple[list[T], int]:
+    """Decode the non-blank lines of a JSON-lines file; a line on which ``decode``
+    raises ``ValueError`` is skipped with a warning and counted."""
+    records: list[T] = []
+    skipped = 0
+    with open(path) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                records.append(decode(line))
+            except ValueError as exc:
+                skipped += 1
+                log.warning("%s line %d skipped: %s", path.name, lineno, exc)
+    if skipped:
+        log.warning("skipped %d malformed line(s) in %s", skipped, path)
+    return records, skipped
+
+
 def _fix_row(row: list[str]) -> Fix:
     tag_id, blink_seq, x, y, vx, vy, pos_std = row
     return Fix(tag_id, int(blink_seq), float(x), float(y), float(vx), float(vy),
@@ -115,34 +136,13 @@ def read_synced_csv(path: Path) -> tuple[list[SyncedTdoa], int]:
 
 def read_reports(path: Path) -> tuple[list[ToaReport], int]:
     """Parse a reports.jsonl file, skipping malformed lines with a count."""
-    reports = []
-    skipped = 0
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                reports.append(decode_report(line))
-            except ReportDecodeError as exc:
-                skipped += 1
-                log.warning("reports line %d skipped: %s", lineno, exc)
-    if skipped:
-        log.warning("skipped %d malformed report line(s)", skipped)
-    return reports, skipped
+    return _read_json_lines(path, decode_report)
 
 
-def read_truth(path: Path) -> list[TruthBlink]:
-    blinks = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            record = decode_truth(line)
-            if isinstance(record, TruthBlink):
-                blinks.append(record)
-    return blinks
+def read_truth(path: Path) -> tuple[list[TruthBlink], int]:
+    """Parse the blinks of a truth.jsonl file, skipping malformed lines with a count."""
+    records, skipped = _read_json_lines(path, decode_truth)
+    return [r for r in records if isinstance(r, TruthBlink)], skipped
 
 
 def _write(path: Path, text: str) -> None:
@@ -229,7 +229,7 @@ def cmd_locate(args: argparse.Namespace) -> int:
 def cmd_eval(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
     fixes, _ = read_fixes_csv(Path(args.fixes))
-    truth = read_truth(Path(args.truth))
+    truth, _ = read_truth(Path(args.truth))
     synced, _ = read_synced_csv(Path(args.synced)) if args.synced else ([], 0)
     try:
         text = _eval(cfg, fixes, truth, synced, Path(args.out))
@@ -313,6 +313,13 @@ def cmd_demo(args: argparse.Namespace) -> int:
 # Parser
 
 
+def _grid_step(text: str) -> float:
+    value = float(text)
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be a positive finite number, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="uwb-rtls",
@@ -342,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("deploy-check", parents=[common], help="audit anchor placement and HDoP")
     p.add_argument("--config", required=True, help="scenario config JSON")
-    p.add_argument("--resolution", type=float, default=0.5, help="HDoP grid step in metres")
+    p.add_argument("--resolution", type=_grid_step, default=0.5, help="HDoP grid step in metres")
     p.set_defaults(handler=cmd_deploy_check)
 
     p = sub.add_parser("demo", parents=[common], help="simulate, locate, and eval a sample room")

@@ -4,7 +4,8 @@ The rule checks codify anchor placement guidance; rules that need a human
 (radio environment, mounting surfaces when no geometry is given) come back
 as ``manual`` with instructions instead of a verdict.  The HDoP functions
 quantify how anchor geometry amplifies ranging noise into position noise at
-each point of the service area.
+each point of the service area; their geometry matrix comes from
+``solver.range_diffs``, the kernel the EKF and the least squares use.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from .solver import GEOMETRY_BLOCK, range_diffs, sum_over_anchors
 from .topology import NetworkTopology, ROLE_MASTER, ROLE_SLAVE
 
 STATUS_PASS = "pass"
@@ -254,6 +256,27 @@ def check_rules(
 # Dilution of precision
 
 
+def _hdop(px, py, anchors: Mapping[str, tuple[float, float]], reference: str):
+    """HDoP at each point (px[n], py[n]), ``inf`` on an anchor or where the
+    geometry is degenerate (everywhere, with fewer than three anchors), and
+    the mask of points on an anchor.  G^T G is 2x2, so trace((G^T G)^-1) is
+    (a + c) / det in closed form."""
+    others = sorted(a for a in anchors if a != reference)
+    xy = np.array([anchors[a] for a in [reference, *others]], dtype=float)
+    hdop = np.empty(px.size)
+    on_anchor = np.empty(px.size, dtype=bool)
+    for start in range(0, px.size, GEOMETRY_BLOCK):
+        block = slice(start, start + GEOMETRY_BLOCK)
+        _, (gx, gy), near = range_diffs(px[block], py[block], xy, gradient=True)
+        a, b, c = (sum_over_anchors(u * v) for u, v in ((gx, gx), (gx, gy), (gy, gy)))
+        det = a * c - b * b
+        trace = a + c
+        on_anchor[block] = near.any(axis=0)
+        ok = ~on_anchor[block] & (det > 1e-12 * (trace * trace + 1.0))
+        hdop[block] = np.where(ok, np.sqrt(trace / np.where(ok, det, 1.0)), math.inf)
+    return hdop, on_anchor
+
+
 def hdop_at(
     point: tuple[float, float],
     anchors: Mapping[str, tuple[float, float]],
@@ -263,29 +286,16 @@ def hdop_at(
 
     Rows of the geometry matrix are unit-vector differences against the
     reference anchor; the value is sqrt(trace((G^T G)^-1)).  Degenerate
-    geometry (all anchors collinear with the point) returns ``inf``.
+    geometry (all anchors collinear with the point) returns ``inf``; a point
+    within 1e-12 m of an anchor raises ``ValueError``.
     """
-    px, py = point
-    others = [a for a in sorted(anchors) if a != reference]
-    if len(others) < 2:
+    if sum(a != reference for a in anchors) < 2:
         raise ValueError("need the reference plus at least two more anchors")
-
-    def unit(to):
-        dx, dy = px - to[0], py - to[1]
-        d = math.hypot(dx, dy)
-        if d == 0.0:
-            raise ValueError(f"point coincides with anchor at {to}")
-        return dx / d, dy / d
-
-    ux_r, uy_r = unit(anchors[reference])
-    g = np.array([[u[0] - ux_r, u[1] - uy_r] for u in (unit(anchors[a]) for a in others)])
-    gtg = g.T @ g
-    det = float(np.linalg.det(gtg))
-    trace = float(np.trace(gtg))
-    if det <= 1e-12 * (trace * trace + 1.0):
-        return math.inf
-    inv = np.linalg.inv(gtg)
-    return float(math.sqrt(inv[0, 0] + inv[1, 1]))
+    px, py = np.asarray(point, dtype=float).reshape(2, 1)
+    hdop, on_anchor = _hdop(px, py, anchors, reference)
+    if on_anchor[0]:
+        raise ValueError(f"point {tuple(point)} coincides with an anchor")
+    return float(hdop[0])
 
 
 def hdop_grid(
@@ -296,23 +306,18 @@ def hdop_grid(
 ) -> list[tuple[float, float, float]]:
     """HDoP sampled on a regular grid over ``area`` (inclusive edges).
 
-    Rows come back x-major: (x, y, hdop); points sitting exactly on an
-    anchor are reported as ``inf``.
+    Rows come back x-major: (x, y, hdop); points within 1e-12 m of an
+    anchor, and every point when there are fewer than three anchors, are
+    reported as ``inf``.
     """
-    if resolution <= 0:
-        raise ValueError("resolution must be > 0")
+    if not 0 < resolution < math.inf:
+        raise ValueError("resolution must be a positive finite number")
     (x0, y0), (x1, y1) = area
     xs = np.arange(x0, x1 + resolution / 2, resolution)
     ys = np.arange(y0, y1 + resolution / 2, resolution)
-    rows = []
-    for x in xs:
-        for y in ys:
-            try:
-                value = hdop_at((float(x), float(y)), anchors, reference)
-            except ValueError:
-                value = math.inf
-            rows.append((float(x), float(y), value))
-    return rows
+    px, py = np.repeat(xs, ys.size), np.tile(ys, xs.size)  # x-major
+    hdop, _ = _hdop(px, py, anchors, reference)
+    return list(zip(px.tolist(), py.tolist(), hdop.tolist()))
 
 
 def grid_to_csv(rows: Sequence[tuple[float, float, float]]) -> str:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -221,38 +221,26 @@ class SimResult:
     truth_clocks: tuple[TruthClock, ...]
 
 
+_TRUTH_RECORDS = {"blink": TruthBlink, "clock": TruthClock}
+_TRUTH_FIELDS = {kind: [f.name for f in fields(cls)] for kind, cls in _TRUTH_RECORDS.items()}
+
+
 def encode_truth(record: TruthBlink | TruthClock) -> str:
-    """One ground-truth record as a compact JSON line."""
-    if isinstance(record, TruthBlink):
-        payload = {
-            "kind": "blink",
-            "tag_id": record.tag_id,
-            "seq": record.seq,
-            "time": record.time,
-            "x": record.x,
-            "y": record.y,
-        }
-    else:
-        payload = {
-            "kind": "clock",
-            "anchor_id": record.anchor_id,
-            "offset": record.offset,
-            "skew": record.skew,
-            "drift_rate": record.drift_rate,
-            "jitter_std": record.jitter_std,
-        }
-    return json.dumps(payload, separators=(",", ":"))
+    """One ground-truth record as a compact JSON line: its kind, then its fields."""
+    kind = "blink" if isinstance(record, TruthBlink) else "clock"
+    return json.dumps({"kind": kind, **vars(record)}, separators=(",", ":"))
 
 
 def decode_truth(line: str) -> TruthBlink | TruthClock:
+    """Parse one truth line; a malformed line raises ``ValueError``."""
     raw = json.loads(line)
-    if raw.get("kind") == "blink":
-        return TruthBlink(raw["tag_id"], raw["seq"], raw["time"], raw["x"], raw["y"])
-    if raw.get("kind") == "clock":
-        return TruthClock(
-            raw["anchor_id"], raw["offset"], raw["skew"], raw["drift_rate"], raw["jitter_std"]
-        )
-    raise ValueError(f"unknown truth record kind: {raw.get('kind')!r}")
+    if not isinstance(raw, dict) or raw.get("kind") not in ("blink", "clock"):
+        raise ValueError(f"not a blink or clock truth record: {line[:80]!r}")
+    try:
+        values = [raw[name] for name in _TRUTH_FIELDS[raw["kind"]]]
+    except KeyError as exc:
+        raise ValueError(f"missing field {exc}") from None
+    return _TRUTH_RECORDS[raw["kind"]](*values)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,11 @@ velocity model does the real-time tracking, and a grid-seeded nonlinear
 least-squares solver provides cold starts plus an independent check on the
 filter (both minimize the same range-difference residuals, so on static,
 noise-free input they must agree).
+
+Both read their geometry from one kernel, ``range_diffs``: range
+differences against the reference anchor and their gradients (unit-vector
+differences) over a block of points, anchor-major.  ``deploy``'s HDoP uses
+the same kernel.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ DEFAULT_SIGMA_T = 1e-10  # s, per-timestamp noise driving measurement covariance
 _GRID_STEP = 0.1  # m, coarse search resolution
 _REFINE_TOL = 1e-6  # m, local refinement stops below this step size
 _EPS_DIST = 1e-12  # m, guards unit vectors at anchor positions
+GEOMETRY_BLOCK = 4096  # points per kernel call on grids, bounding temporaries
 
 
 class SolverError(RuntimeError):
@@ -124,30 +130,41 @@ def ekf_predict(state: EkfState) -> EkfState:
     return EkfState(x=x, P=p, Q=state.Q, dt=state.dt, sigma_t=state.sigma_t)
 
 
-def _range_diff_rows(
-    pos: np.ndarray,
-    meas: TdoaSet,
-    anchors: Mapping[str, tuple[float, float]],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-    """Predicted range differences, their Jacobian rows (wrt x, y), and the
-    measured values; rows with a coincident anchor are dropped."""
-    ref = np.asarray(anchors[meas.reference_anchor], dtype=float)
-    d_ref = float(np.hypot(*(pos - ref)))
-    if d_ref < _EPS_DIST:
-        return None
-    u_ref = (pos - ref) / d_ref
-    h, rows, z = [], [], []
-    for anchor_id, diff in meas.measurements:
-        p_i = np.asarray(anchors[anchor_id], dtype=float)
-        d_i = float(np.hypot(*(pos - p_i)))
-        if d_i < _EPS_DIST:
-            continue
-        h.append(d_i - d_ref)
-        rows.append((pos - p_i) / d_i - u_ref)
-        z.append(diff)
-    if not h:
-        return None
-    return np.array(h), np.array(rows), np.array(z)
+def range_diffs(px, py, xy, gradient=False):
+    """Range differences against the reference anchor at N points (px, py).
+
+    ``xy`` (M+1, 2) holds the reference anchor first, then M others.  Returns
+    anchor-major (M, N) arrays: h[i, n] = |p_n - xy[i+1]| - |p_n - xy[0]|;
+    with ``gradient`` also dh/dx and dh/dy (2, M, N), the unit-vector
+    differences u_i - u_ref, and ``near`` (M, N), set where anchor i or the
+    reference is within _EPS_DIST of the point (the divisor is floored there).
+    """
+    dx = px - xy[:, 0:1]
+    dy = py - xy[:, 1:2]
+    d = np.hypot(dx, dy)
+    h = d[1:] - d[0]
+    if not gradient:
+        return h
+    near = d < _EPS_DIST
+    d = np.maximum(d, _EPS_DIST)
+    ux, uy = dx / d, dy / d
+    return h, np.stack((ux[1:] - ux[0], uy[1:] - uy[0])), near[1:] | near[0]
+
+
+def sum_over_anchors(a: np.ndarray) -> np.ndarray:
+    """Sum (M, N) over anchors in their order, for any N (numpy's own
+    reduction turns pairwise at N = 1, so one point would not match a block)."""
+    total = np.zeros(a.shape[1])
+    for row in a:
+        total += row
+    return total
+
+
+def _measurement_arrays(meas: TdoaSet, anchors: Mapping[str, tuple[float, float]]):
+    """Anchor positions (M+1, 2), reference first, and measured differences (M,)."""
+    ids = [meas.reference_anchor] + [a for a, _ in meas.measurements]
+    xy = np.array([anchors[a] for a in ids], dtype=float)
+    return xy, np.array([d for _, d in meas.measurements], dtype=float)
 
 
 def ekf_update(
@@ -157,21 +174,23 @@ def ekf_update(
 ) -> tuple[EkfState, Fix]:
     """Fold one TDoA set into the state and emit the resulting fix.
 
-    A singular innovation covariance (or a tag sitting exactly on the
-    reference anchor) skips the update and reports the predicted state.
+    A singular innovation covariance, or no row left once anchors within
+    _EPS_DIST of the tag are dropped (the reference among them), skips the
+    update and reports the predicted state.
     """
-    parts = _range_diff_rows(state.x[:2], meas, anchors)
-    if parts is None:
+    xy, z = _measurement_arrays(meas, anchors)
+    h, grad, near = range_diffs(state.x[:1], state.x[1:2], xy, gradient=True)
+    keep = ~near[:, 0]  # rows whose anchor (or the reference) sits on the tag go
+    m = int(keep.sum())
+    if m == 0:
         log.warning(
             "update skipped for %s #%d: no usable measurement rows",
             meas.tag_id, meas.blink_seq,
         )
         return state, _fix_from_state(state, meas, math.nan)
-    h, rows, z = parts
-    m = len(h)
     jac = np.zeros((m, 4))
-    jac[:, :2] = rows
-    innovation = z - h
+    jac[:, :2] = grad[:, keep, 0].T
+    innovation = z[keep] - h[keep, 0]
     s = jac @ state.P @ jac.T + measurement_covariance(m, state.sigma_t)
     try:
         gain = np.linalg.solve(s, jac @ state.P).T
@@ -206,39 +225,28 @@ def _fix_from_state(state: EkfState, meas: TdoaSet, residual: float) -> Fix:
 # Independent nonlinear least squares
 
 
-def _objective_terms(
-    meas: TdoaSet, anchors: Mapping[str, tuple[float, float]]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    ref = np.asarray(anchors[meas.reference_anchor], dtype=float)
-    others = np.array([anchors[a] for a, _ in meas.measurements], dtype=float)
-    diffs = np.array([d for _, d in meas.measurements], dtype=float)
-    return ref, others, diffs
+def _objective_grid(xs, ys, xy, diffs):
+    """Sum of squared residuals at every (xs[i], ys[j]), GEOMETRY_BLOCK points
+    per kernel call, summed over the anchors in their order."""
+    px, py = np.repeat(xs, ys.size), np.tile(ys, xs.size)  # x-major, as meshgrid "ij"
+    total = np.empty(px.size)
+    for start in range(0, px.size, GEOMETRY_BLOCK):
+        block = slice(start, start + GEOMETRY_BLOCK)
+        r = range_diffs(px[block], py[block], xy) - diffs[:, None]
+        total[block] = sum_over_anchors(np.square(r, out=r))
+    return total.reshape(xs.size, ys.size)
 
 
-def _objective_grid(xs, ys, ref, others, diffs):
-    gx, gy = np.meshgrid(xs, ys, indexing="ij")
-    d_ref = np.hypot(gx - ref[0], gy - ref[1])
-    total = np.zeros_like(gx)
-    for p_i, d in zip(others, diffs):
-        r = np.hypot(gx - p_i[0], gy - p_i[1]) - d_ref - d
-        total += r * r
-    return total
+def _residuals_and_jacobian(pos, xy, diffs):
+    h, grad, _ = range_diffs(pos[:1], pos[1:], xy, gradient=True)
+    # C-ordered copy: on the transposed view _refine's products round differently.
+    return h[:, 0] - diffs, grad[:, :, 0].T.copy()
 
 
-def _residuals_and_jacobian(pos, ref, others, diffs):
-    delta_ref = pos - ref
-    d_ref = max(float(np.hypot(*delta_ref)), _EPS_DIST)
-    delta = pos - others
-    d_i = np.maximum(np.hypot(delta[:, 0], delta[:, 1]), _EPS_DIST)
-    res = d_i - d_ref - diffs
-    jac = delta / d_i[:, None] - delta_ref / d_ref
-    return res, jac
-
-
-def _refine(pos, ref, others, diffs, tol=_REFINE_TOL, max_iter=80):
+def _refine(pos, xy, diffs, tol=_REFINE_TOL, max_iter=80):
     """Damped Gauss-Newton descent on the sum of squared residuals."""
     p = np.asarray(pos, dtype=float).copy()
-    res, jac = _residuals_and_jacobian(p, ref, others, diffs)
+    res, jac = _residuals_and_jacobian(p, xy, diffs)
     obj = float(res @ res)
     lam = 0.0
     for _ in range(max_iter):
@@ -252,7 +260,7 @@ def _refine(pos, ref, others, diffs, tol=_REFINE_TOL, max_iter=80):
         if not np.all(np.isfinite(step)):
             break
         cand = p + step
-        cand_res, cand_jac = _residuals_and_jacobian(cand, ref, others, diffs)
+        cand_res, cand_jac = _residuals_and_jacobian(cand, xy, diffs)
         cand_obj = float(cand_res @ cand_res)
         if cand_obj <= obj:
             p, res, jac, obj = cand, cand_res, cand_jac, cand_obj
@@ -283,19 +291,18 @@ def ls_solve(
     """
     if len(meas.measurements) < 3:
         raise ValueError("need at least 3 range differences for a planar fix")
-    ref, others, diffs = _objective_terms(meas, anchors)
+    xy, diffs = _measurement_arrays(meas, anchors)
 
     if init is not None:
-        pos, _ = _refine(np.asarray(init, dtype=float), ref, others, diffs)
+        pos, _ = _refine(np.asarray(init, dtype=float), xy, diffs)
         return pos
 
-    pts = np.vstack([others, ref[None, :]])
-    lo = pts.min(axis=0)
-    hi = pts.max(axis=0)
+    lo = xy.min(axis=0)
+    hi = xy.max(axis=0)
     pad = max(1.0, 0.25 * float(np.hypot(*(hi - lo))))
     xs = np.arange(lo[0] - pad, hi[0] + pad + grid_step / 2, grid_step)
     ys = np.arange(lo[1] - pad, hi[1] + pad + grid_step / 2, grid_step)
-    grid = _objective_grid(xs, ys, ref, others, diffs)
+    grid = _objective_grid(xs, ys, xy, diffs)
 
     # Local minima of the coarse grid seed the refinement.
     interior = grid[1:-1, 1:-1]
@@ -310,11 +317,11 @@ def ls_solve(
     order = np.argsort(interior[ii, jj])[:8]
     seeds = [(xs[i + 1], ys[j + 1]) for i, j in zip(ii[order], jj[order])]
     if not seeds:
-        seeds = [tuple(pts.mean(axis=0))]
+        seeds = [tuple(np.roll(xy, -1, axis=0).mean(axis=0))]  # reference last: same rounding
 
     candidates: list[tuple[np.ndarray, float]] = []
     for seed in seeds:
-        pos, obj = _refine(np.asarray(seed, dtype=float), ref, others, diffs)
+        pos, obj = _refine(np.asarray(seed, dtype=float), xy, diffs)
         merged = False
         for idx, (held, held_obj) in enumerate(candidates):
             if float(np.hypot(*(held - pos))) < 1e-3:

@@ -31,7 +31,7 @@ from uwb_rtls.simnet import (
     run_scenario,
     schedule_ccp_cascade,
 )
-from uwb_rtls.solver import TrackerConfig, _range_diff_rows, ls_solve, track
+from uwb_rtls.solver import TrackerConfig, ls_solve, range_diffs, track
 from uwb_rtls.timebase import TdoaSet, select_time_base
 from uwb_rtls.topology import AnchorConfig, NetworkTopology, UnsyncableAnchorError
 
@@ -368,6 +368,12 @@ def test_criterion_7_solver_correctness(verdict):
     # Analytic Jacobian against central differences at 100 random states,
     # least squares recovering clean truth to 0.1 mm, and the filter with
     # zero process noise settling onto the least-squares point to < 1 mm.
+    xy = np.array([RECT_POSITIONS[a] for a in ["MA1", "SA2", "SA3", "SA4"]])
+
+    def geometry(q):
+        h, grad, _ = range_diffs(q[:1], q[1:], xy, gradient=True)
+        return h[:, 0], grad[:, :, 0].T
+
     rng = np.random.default_rng(42)
     eps = 1e-6
     jac_worst = 0.0
@@ -377,13 +383,12 @@ def test_criterion_7_solver_correctness(verdict):
         if min(math.dist(p, q) for q in RECT_POSITIONS.values()) < 0.05:
             continue
         checked += 1
-        meas = tdoa_set_at(tuple(p))
-        _, rows, _ = _range_diff_rows(np.asarray(p), meas, RECT_POSITIONS)
+        _, rows = geometry(p)
         for axis in range(2):
             step = np.zeros(2)
             step[axis] = eps
-            hp, _, _ = _range_diff_rows(np.asarray(p) + step, meas, RECT_POSITIONS)
-            hm, _, _ = _range_diff_rows(np.asarray(p) - step, meas, RECT_POSITIONS)
+            hp, _ = geometry(p + step)
+            hm, _ = geometry(p - step)
             numeric = (hp - hm) / (2 * eps)
             scale = np.maximum(np.abs(rows[:, axis]), 1.0)
             jac_worst = max(jac_worst, float(np.max(np.abs(rows[:, axis] - numeric) / scale)))

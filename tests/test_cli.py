@@ -17,6 +17,7 @@ from uwb_rtls.cli import (
     read_fixes_csv,
     read_reports,
     read_synced_csv,
+    read_truth,
     synced_to_csv,
 )
 from uwb_rtls.config import load_config
@@ -171,6 +172,41 @@ def test_malformed_csv_rows_are_skipped(tmp_path, config_path, caplog, name, rea
                  "--fixes", str(out / "fixes.csv"), "--truth", str(out / "truth.jsonl"),
                  "--synced", str(out / "synced.csv")])
     assert code == EXIT_OK
+
+
+def test_malformed_truth_lines_are_skipped(tmp_path, config_path, caplog):
+    out = tmp_path / "run"
+    main(["simulate", "--config", str(config_path), "--out", str(out)])
+    main(["locate", "--config", str(config_path), "--out", str(out),
+          "--reports", str(out / "reports.jsonl")])
+    path = out / "truth.jsonl"
+    blinks, skipped = read_truth(path)
+    assert skipped == 0
+    lines = path.read_text().splitlines()
+    lines[2] = '{"kind": "blink", "tag_id": "T1"}'  # a blink without seq, time, x, y
+    lines.insert(6, "not json at all")
+    lines.insert(9, "")  # blank lines are not records
+    path.write_text("\n".join(lines) + "\n")
+
+    parsed, skipped = read_truth(path)
+    assert skipped == 2
+    assert len(parsed) == len(blinks) - 1
+    assert sum("skipped" in r.getMessage() for r in caplog.records) == 3
+
+    code = main(["eval", "--config", str(config_path), "--out", str(out),
+                 "--fixes", str(out / "fixes.csv"), "--truth", str(path)])
+    assert code == EXIT_OK
+
+
+@pytest.mark.parametrize("resolution", ["0", "-0.5", "nan", "inf", "half"])
+def test_deploy_check_rejects_a_bad_resolution(tmp_path, config_path, capsys, resolution):
+    with pytest.raises(SystemExit) as exc:
+        main(["deploy-check", "--config", str(config_path), "--out", str(tmp_path / "d"),
+              "--resolution", resolution])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err and "--resolution" in err
+    assert not (tmp_path / "d").exists()
 
 
 def test_bad_config_exits_2(tmp_path):

@@ -19,6 +19,7 @@ from uwb_rtls.deploy import (
     hdop_grid,
     worst_hdop_in_hull,
 )
+from uwb_rtls.solver import GEOMETRY_BLOCK
 from uwb_rtls.topology import AnchorConfig, NetworkTopology
 
 from conftest import RECT_POSITIONS, build_rect_topology
@@ -121,6 +122,38 @@ def test_hdop_grid_covers_the_area_x_major():
     assert rows[0][2] == math.inf
     center = next(r for r in rows if r[:2] == (3.0, 2.0))
     assert math.isfinite(center[2])
+
+
+def test_hdop_grid_in_blocks_is_infinite_exactly_at_the_anchors():
+    # 97 x 65 points: more than one block and not a whole number of them.
+    rows = hdop_grid(((0.0, 0.0), (6.0, 4.0)), 0.0625, RECT_POSITIONS, "MA1")
+    assert len(rows) == 97 * 65
+    assert len(rows) > GEOMETRY_BLOCK and len(rows) % GEOMETRY_BLOCK
+    assert {(x, y) for x, y, v in rows if not math.isfinite(v)} == set(RECT_POSITIONS.values())
+    # The last points of the first block and the first of the second agree
+    # bit for bit with one-point evaluation.
+    for x, y, value in rows[GEOMETRY_BLOCK - 3 : GEOMETRY_BLOCK + 3]:
+        assert value == hdop_at((x, y), RECT_POSITIONS, "MA1")
+
+
+def test_hdop_grid_along_collinear_anchors_is_infinite_everywhere():
+    line = {"A0": (0.0, 0.0), "A1": (1.0, 0.0), "A2": (2.0, 0.0), "A3": (3.0, 0.0)}
+    rows = hdop_grid(((-2.0, 0.0), (5.0, 0.0)), 0.25, line, "A0")
+    assert len(rows) == 29
+    assert all(v == math.inf for _, _, v in rows)
+
+
+@pytest.mark.parametrize("anchors", [{"A": (0.0, 0.0)}, {"A": (0.0, 0.0), "B": (6.0, 0.0)}])
+def test_hdop_grid_with_too_few_anchors_is_infinite_everywhere(anchors):
+    rows = hdop_grid(((0.0, 0.0), (6.0, 4.0)), 1.0, anchors, "A")
+    assert len(rows) == 7 * 5
+    assert all(v == math.inf for _, _, v in rows)
+
+
+@pytest.mark.parametrize("resolution", [0.0, -0.5, math.nan, math.inf])
+def test_hdop_grid_rejects_a_bad_resolution(resolution):
+    with pytest.raises(ValueError):
+        hdop_grid(((0.0, 0.0), (6.0, 4.0)), resolution, RECT_POSITIONS, "MA1")
 
 
 def test_grid_csv_has_header_and_reparses_exactly():

@@ -9,16 +9,20 @@ import pytest
 
 from uwb_rtls.constants import SPEED_OF_LIGHT
 from uwb_rtls.solver import (
+    GEOMETRY_BLOCK,
     AmbiguityError,
     EkfState,
+    _measurement_arrays,
+    _objective_grid,
     TrackerConfig,
-    _range_diff_rows,
     ekf_predict,
     ekf_update,
     ls_solve,
     make_tracker_state,
     measurement_covariance,
     process_noise,
+    range_diffs,
+    sum_over_anchors,
     track,
     transition_matrix,
 )
@@ -111,6 +115,27 @@ def test_tag_on_reference_anchor_skips_update():
     assert math.isnan(fix.residual_norm)
 
 
+XY = np.array([RECT[a] for a in ["MA1", "SA2", "SA3", "SA4"]])
+
+
+def geometry(pos):
+    """Range differences (M,) and gradient rows (M, 2) at one point."""
+    h, grad, _ = range_diffs(pos[:1], pos[1:], XY, gradient=True)
+    return h[:, 0], grad[:, :, 0].T
+
+
+def test_tag_on_another_anchor_drops_only_that_row():
+    state = make_tracker_state(RECT["SA3"], dt=0.1)
+    meas = tdoa_set(RECT["SA3"])
+    rest = TdoaSet(tag_id="T1", blink_seq=0, reference_anchor="MA1",
+                   measurements=tuple(m for m in meas.measurements if m[0] != "SA3"))
+    out, fix = ekf_update(state, meas, RECT)
+    want, want_fix = ekf_update(state, rest, RECT)
+    assert np.array_equal(out.x, want.x) and np.array_equal(out.P, want.P)
+    assert fix == want_fix
+    assert float(np.trace(out.P)) < float(np.trace(state.P))
+
+
 def test_jacobian_matches_central_differences():
     rng = np.random.default_rng(42)
     eps = 1e-6
@@ -118,13 +143,12 @@ def test_jacobian_matches_central_differences():
         pos = rng.uniform((-2.0, -2.0), (8.0, 6.0))
         if min(math.dist(pos, p) for p in RECT.values()) < 0.05:
             continue
-        meas = tdoa_set(tuple(pos))
-        h, rows, _ = _range_diff_rows(np.asarray(pos), meas, RECT)
+        h, rows = geometry(pos)
         for axis in range(2):
             step = np.zeros(2)
             step[axis] = eps
-            hp, _, _ = _range_diff_rows(np.asarray(pos) + step, meas, RECT)
-            hm, _, _ = _range_diff_rows(np.asarray(pos) - step, meas, RECT)
+            hp, _ = geometry(pos + step)
+            hm, _ = geometry(pos - step)
             numeric = (hp - hm) / (2 * eps)
             scale = np.maximum(np.abs(rows[:, axis]), 1.0)
             assert np.all(np.abs(rows[:, axis] - numeric) / scale <= 1e-6)
@@ -132,6 +156,35 @@ def test_jacobian_matches_central_differences():
 
 # ---------------------------------------------------------------------------
 # Least squares
+
+def test_sum_over_anchors_is_the_same_for_one_point_and_a_block():
+    a = np.random.default_rng(5).random((35, 64))
+    block = sum_over_anchors(a)
+    for n in range(a.shape[1]):
+        assert sum_over_anchors(a[:, n : n + 1].copy())[0] == block[n]
+
+
+RING = {f"R{i:02d}": (10.0 * math.cos(i / 2.0), 7.0 * math.sin(i / 2.0)) for i in range(12)}
+
+
+@pytest.mark.parametrize("anchors,ref", [(RECT, "MA1"), (RING, "R03")])
+@pytest.mark.parametrize("nx,ny,last_block", [(81, 61, 845), (17, 241, 1)])
+def test_grid_objective_is_the_sequential_per_anchor_sum_across_blocks(
+    anchors, ref, nx, ny, last_block
+):
+    assert nx * ny > GEOMETRY_BLOCK and nx * ny % GEOMETRY_BLOCK == last_block
+    xy, diffs = _measurement_arrays(tdoa_set((2.0, 1.5), anchors, ref), anchors)
+    xs = np.arange(nx) * 0.1 - 1.0
+    ys = np.arange(ny) * 0.025 - 1.0
+    # The single-pass reference: one full-grid residual per anchor, in order.
+    gx, gy = np.meshgrid(xs, ys, indexing="ij")
+    d_ref = np.hypot(gx - xy[0, 0], gy - xy[0, 1])
+    want = np.zeros_like(gx)
+    for p_i, d in zip(xy[1:], diffs):
+        r = np.hypot(gx - p_i[0], gy - p_i[1]) - d_ref - d
+        want += r * r
+    assert np.array_equal(_objective_grid(xs, ys, xy, diffs), want)
+
 
 
 def test_ls_recovers_truth_on_clean_data():
