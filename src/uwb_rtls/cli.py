@@ -4,8 +4,8 @@ Each subcommand reads a JSON scenario config and writes flat files
 (JSON lines for radio traffic and ground truth, CSV for fixes and grids,
 JSON for summaries) so runs diff cleanly and compose through the shell.
 
-Exit codes: 0 success, 2 configuration or validation error, 3 empty
-result, 4 I/O failure.
+Exit codes: 0 success, 2 configuration or validation error (including an
+input CSV without its expected header), 3 empty result, 4 I/O failure.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import logging
 import math
 import sys
 from pathlib import Path
-from typing import Callable, Iterable, Sequence, TypeVar
+from typing import Callable, Mapping, Sequence, TypeVar
 
 from .config import ConfigError, ScenarioConfig, load_config
 from .deploy import build_deployment_report, grid_to_csv
@@ -28,7 +28,7 @@ from .protocol import ToaReport, decode_report, encode_report
 from .simnet import ScenarioError, SimResult, TruthBlink, decode_truth, encode_truth, run_scenario
 from .solver import Fix
 from .topology import TopologyError
-from .wcs import SyncedTdoa, synced_pairs
+from .wcs import Arrival, SyncedBlinks
 
 log = logging.getLogger(__name__)
 
@@ -40,7 +40,11 @@ EXIT_EMPTY = 3
 EXIT_IO = 4
 
 FIXES_HEADER = "tag_id,blink_seq,x,y,vx,vy,pos_std"
-SYNCED_HEADER = "anchor_a,anchor_b,tag_id,blink_seq,tdoa_sync,k_used"
+SYNCED_HEADER = "anchor_id,tag_id,blink_seq,ccp_seq,offset,rate"
+
+
+class CsvHeaderError(ValueError):
+    """An input CSV whose first line is not the header its reader expects."""
 
 
 # ---------------------------------------------------------------------------
@@ -61,17 +65,20 @@ def _read_csv_rows(
 ) -> tuple[list[T], int]:
     """Parse the rows of a CSV file written under ``header``.
 
-    ``parse`` turns one row's fields into a value and raises ``ValueError``
-    on a wrong field count or an unparsable field; such rows are skipped
-    with a warning and counted.  Blank lines are ignored.
+    A file whose first line is not ``header`` (another format, or an older
+    one) raises ``CsvHeaderError``.  ``parse`` turns one row's fields into a
+    value and raises ``ValueError`` on a wrong field count or an unparsable
+    field; such rows are skipped with a warning and counted.  Blank lines
+    are ignored.
     """
-    fields = header.split(",")
     rows: list[T] = []
     skipped = 0
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
+        if next(reader, None) != header.split(","):
+            raise CsvHeaderError(f"{path}: the first line is not the header {header!r}")
         for row in reader:
-            if not row or (reader.line_num == 1 and row == fields):
+            if not row:
                 continue
             try:
                 rows.append(parse(row))
@@ -114,24 +121,45 @@ def read_fixes_csv(path: Path) -> tuple[list[Fix], int]:
     return _read_csv_rows(path, FIXES_HEADER, _fix_row)
 
 
-def synced_to_csv(synced: Iterable[SyncedTdoa]) -> str:
+def synced_to_csv(blinks: Mapping[tuple[str, int], Mapping[str, Arrival]]) -> str:
+    """One row per synchronized arrival, blinks in (tag_id, blink_seq) order
+    and anchors in id order.  Floats are written as ``repr``, which reads
+    back exactly, so every pair's TDoA and rate ratio can be rebuilt bit for
+    bit from the file."""
     lines = [SYNCED_HEADER]
-    for a, b, tag_id, blink_seq, tdoa, k in synced:
-        lines.append(f"{a},{b},{tag_id},{blink_seq},{tdoa!r},{k!r}")
+    for tag_id, blink_seq in sorted(blinks):
+        arrivals = blinks[(tag_id, blink_seq)]
+        for anchor_id in sorted(arrivals):
+            offset, ccp_seq, rate = arrivals[anchor_id]
+            lines.append(f"{anchor_id},{tag_id},{blink_seq},{ccp_seq},{offset!r},{rate!r}")
     return "\n".join(lines) + "\n"
 
 
-def _synced_row(row: list[str]) -> SyncedTdoa:
-    a, b, tag_id, blink_seq, tdoa, k = row
+def _arrival_row(row: list[str]) -> tuple[tuple[str, int], str, Arrival]:
+    anchor_id, tag_id, blink_seq, ccp_seq, offset, rate = row
     # Ids repeat on every row: interned, each is stored once.
-    return SyncedTdoa(
-        sys.intern(a), sys.intern(b), sys.intern(tag_id), int(blink_seq), float(tdoa), float(k)
+    return (
+        (sys.intern(tag_id), int(blink_seq)),
+        sys.intern(anchor_id),
+        Arrival(float(offset), int(ccp_seq), float(rate)),
     )
 
 
-def read_synced_csv(path: Path) -> tuple[list[SyncedTdoa], int]:
-    """Parse a synced.csv file, skipping malformed rows with a count."""
-    return _read_csv_rows(path, SYNCED_HEADER, _synced_row)
+def read_synced_csv(path: Path) -> tuple[SyncedBlinks, int]:
+    """Parse a synced.csv file back into the sync output's per-blink map,
+    skipping malformed rows, and repeats of an anchor's arrival for a blink
+    already read, with a count."""
+    rows, skipped = _read_csv_rows(path, SYNCED_HEADER, _arrival_row)
+    blinks: SyncedBlinks = {}
+    for (tag_id, blink_seq), anchor_id, arrival in rows:
+        arrivals = blinks.setdefault((tag_id, blink_seq), {})
+        if anchor_id in arrivals:
+            skipped += 1
+            log.warning("%s: repeated arrival of %s#%d at %s skipped",
+                        path.name, tag_id, blink_seq, anchor_id)
+            continue
+        arrivals[anchor_id] = arrival
+    return blinks, skipped
 
 
 def read_reports(path: Path) -> tuple[list[ToaReport], int]:
@@ -180,8 +208,7 @@ def _engine_params(cfg: ScenarioConfig) -> EngineParams:
 def _locate(cfg: ScenarioConfig, reports: Sequence[ToaReport], out: Path) -> LocateResult:
     result = locate_reports(reports, cfg.scenario.topology, _engine_params(cfg))
     _write(out / "fixes.csv", fixes_to_csv(result.fixes))
-    # Rendered straight from the per-blink arrivals, without a pair list.
-    _write(out / "synced.csv", synced_to_csv(synced_pairs(result.blinks, result.ccp_period)))
+    _write(out / "synced.csv", synced_to_csv(result.blinks))
     return result
 
 
@@ -189,13 +216,14 @@ def _eval(
     cfg: ScenarioConfig,
     fixes: Sequence[Fix],
     truth: Sequence[TruthBlink],
-    synced: Iterable[SyncedTdoa],
+    blinks: SyncedBlinks,
     out: Path,
 ) -> str:
     summary = evaluate(
         fixes,
         truth,
-        synced,
+        blinks,
+        cfg.scenario.ccp_period,
         warmup=cfg.warmup,
         process_var=cfg.wcs.process_var,
         measurement_var=cfg.wcs.measurement_var,
@@ -230,9 +258,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
     fixes, _ = read_fixes_csv(Path(args.fixes))
     truth, _ = read_truth(Path(args.truth))
-    synced, _ = read_synced_csv(Path(args.synced)) if args.synced else ([], 0)
+    blinks, _ = read_synced_csv(Path(args.synced)) if args.synced else ({}, 0)
     try:
-        text = _eval(cfg, fixes, truth, synced, Path(args.out))
+        text = _eval(cfg, fixes, truth, blinks, Path(args.out))
     except EmptyEvalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_EMPTY
@@ -304,7 +332,7 @@ def cmd_demo(args: argparse.Namespace) -> int:
     if not result.fixes:
         print("error: demo produced no fixes", file=sys.stderr)
         return EXIT_EMPTY
-    text = _eval(cfg, result.fixes, sim.truth_blinks, result.synced, out)
+    text = _eval(cfg, result.fixes, sim.truth_blinks, result.blinks, out)
     sys.stdout.write(text)
     return EXIT_OK
 
@@ -366,7 +394,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     )
     try:
         return args.handler(args)
-    except (ConfigError, ScenarioError, TopologyError) as exc:
+    except (ConfigError, ScenarioError, TopologyError, CsvHeaderError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:

@@ -117,14 +117,6 @@ def _convex_hull(points: Sequence[tuple[float, float]]) -> list[tuple[float, flo
     return lower[:-1] + upper[:-1]
 
 
-def _inside_hull(p: tuple[float, float], hull: Sequence[tuple[float, float]]) -> bool:
-    if len(hull) < 3:
-        return False
-    return all(
-        _orientation(hull[i], hull[(i + 1) % len(hull)], p) > 0 for i in range(len(hull))
-    )
-
-
 # ---------------------------------------------------------------------------
 # Placement rules
 
@@ -331,10 +323,19 @@ def worst_hdop_in_hull(
     rows: Sequence[tuple[float, float, float]],
     anchors: Mapping[str, tuple[float, float]],
 ) -> float:
-    """Largest finite grid HDoP strictly inside the anchors' convex hull."""
+    """Largest finite grid HDoP strictly inside the anchors' convex hull.
+
+    A point is inside when it lies strictly left of every counter-clockwise
+    hull edge; points on an edge or a vertex are not.
+    """
     hull = _convex_hull(list(anchors.values()))
-    inside = [v for x, y, v in rows if _inside_hull((x, y), hull) and math.isfinite(v)]
-    return max(inside) if inside else math.inf
+    if len(hull) < 3:
+        return math.inf
+    x, y, hdop = np.array(rows, dtype=float).reshape(-1, 3).T
+    inside = np.isfinite(hdop)
+    for p, q in zip(hull, hull[1:] + hull[:1]):
+        inside &= _orientation(p, q, (x, y)) > 0
+    return float(hdop[inside].max()) if inside.any() else math.inf
 
 
 def build_deployment_report(

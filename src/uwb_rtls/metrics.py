@@ -2,7 +2,8 @@
 
 Compares engine output against simulator ground truth.  TDoA stability is
 judged on smoothed per-pair streams (the smoother output is what a live
-system would monitor); position accuracy on per-blink Euclidean errors.
+system would monitor), built from the sync output's per-blink arrivals;
+position accuracy on per-blink Euclidean errors.
 """
 
 from __future__ import annotations
@@ -11,15 +12,17 @@ import json
 import math
 import statistics
 from dataclasses import dataclass
-from operator import attrgetter
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
+
+import numpy as np
 
 from .simnet import TruthBlink
 from .solver import Fix
 from .wcs import (
     DEFAULT_MEASUREMENT_VAR,
     DEFAULT_PROCESS_VAR,
-    SyncedTdoa,
+    Arrival,
+    arrival_tdoa,
     kalman_step,
 )
 
@@ -78,43 +81,81 @@ def _percentile(values: Sequence[float], q: float) -> float:
     return ordered[lo] * (1.0 - frac) + ordered[hi] * frac
 
 
+def _arrival_rows(
+    blinks: Mapping[tuple[str, int], Mapping[str, Arrival]],
+) -> tuple[list[str], np.ndarray, list[Arrival]]:
+    """The arrivals laid out per anchor over the blinks in (tag_id, blink_seq)
+    order: the anchor ids in order, an (anchors x blinks) mask of which
+    anchor heard which blink, and per anchor an ``Arrival`` of arrays over
+    the blinks, zero where the anchor did not hear the blink."""
+    keys = sorted(blinks)
+    anchors = sorted({a for arrivals in blinks.values() for a in arrivals})
+    start = {a: i * len(keys) for i, a in enumerate(anchors)}  # flat index of a row
+    at, offsets, seqs, rates = [], [], [], []
+    for n, key in enumerate(keys):
+        for anchor_id, (offset, ccp_seq, rate) in blinks[key].items():
+            at.append(start[anchor_id] + n)
+            offsets.append(offset)
+            seqs.append(ccp_seq)
+            rates.append(rate)
+    shape = (len(anchors), len(keys))
+    heard = np.zeros(shape, dtype=bool)
+    columns = Arrival(np.zeros(shape), np.zeros(shape, dtype=np.int64), np.zeros(shape))
+    heard.flat[at] = True
+    for column, values in zip(columns, (offsets, seqs, rates)):
+        column.flat[at] = values
+    rows = [Arrival(*(column[i] for column in columns)) for i in range(len(anchors))]
+    return anchors, heard, rows
+
+
 def smoothed_tdoa_streams(
-    synced: Iterable[SyncedTdoa],
+    blinks: Mapping[tuple[str, int], Mapping[str, Arrival]],
+    ccp_period: float,
     *,
     process_var: float = DEFAULT_PROCESS_VAR,
     measurement_var: float = DEFAULT_MEASUREMENT_VAR,
 ) -> dict[str, list[float]]:
-    """Per-pair smoother output, keyed "A|B", in blink order."""
-    by_pair: dict[tuple[str, str], list[SyncedTdoa]] = {}
-    for s in synced:
-        by_pair.setdefault((s.anchor_a, s.anchor_b), []).append(s)
+    """Per-pair smoother output, keyed "A|B" with A < B, in blink order.
+
+    A pair's stream is its TDoA (arrival at A minus arrival at B) over the
+    blinks both anchors heard, in (tag_id, blink_seq) order.
+    """
+    anchors, heard, rows = _arrival_rows(blinks)
     streams: dict[str, list[float]] = {}
-    for key in sorted(by_pair, key=lambda pair: pair_key(*pair)):
-        entries = sorted(by_pair[key], key=attrgetter("tag_id", "blink_seq"))
-        state, variance = 0.0, math.inf  # TdoaKalman's prior: adopt the first sample
-        out = []
-        for s in entries:
-            state, variance = kalman_step(
-                state, variance, s.tdoa_sync, process_var, measurement_var
-            )
-            out.append(state)
-        streams[pair_key(*key)] = out
-    return streams
+    for i, a in enumerate(anchors):
+        for j in range(i + 1, len(anchors)):
+            both = heard[i] & heard[j]
+            if not both.any():
+                continue
+            tdoa = arrival_tdoa(rows[i], rows[j], ccp_period)
+            state, variance = 0.0, math.inf  # TdoaKalman's prior: adopt the first sample
+            out = []
+            for measurement in tdoa[both].tolist():
+                state, variance = kalman_step(
+                    state, variance, measurement, process_var, measurement_var
+                )
+                out.append(state)
+            streams[pair_key(a, anchors[j])] = out
+    return dict(sorted(streams.items()))
 
 
 def evaluate(
     fixes: Sequence[Fix],
     truth_blinks: Sequence[TruthBlink],
-    synced: Iterable[SyncedTdoa] = (),
+    blinks: Mapping[tuple[str, int], Mapping[str, Arrival]] | None = None,
+    ccp_period: float | None = None,
     *,
     warmup: int = DEFAULT_WARMUP,
     process_var: float = DEFAULT_PROCESS_VAR,
     measurement_var: float = DEFAULT_MEASUREMENT_VAR,
 ) -> EvalSummary:
-    """Score fixes (and optionally sync streams) against ground truth.
+    """Score fixes (and optionally the sync output) against ground truth.
 
-    Inputs may arrive in any order; everything is matched by (tag, blink
-    seq).  Raises ``EmptyEvalError`` when no fix lines up with the truth.
+    ``blinks`` is the sync output, per blink each synchronized anchor's
+    ``Arrival``; differencing two arrivals needs the CCP period they are
+    counted in.  Inputs may arrive in any order; everything is matched by
+    (tag, blink seq).  Raises ``EmptyEvalError`` when no fix lines up with
+    the truth.
     """
     truth = {(t.tag_id, t.seq): (t.x, t.y) for t in truth_blinks}
     matched: list[tuple[str, int, float]] = []
@@ -139,12 +180,16 @@ def evaluate(
         return math.sqrt(sum(e * e for e in errs) / len(errs))
 
     stds: dict[str, float] = {}
-    for key, stream in smoothed_tdoa_streams(
-        synced, process_var=process_var, measurement_var=measurement_var
-    ).items():
-        tail = stream[warmup:]
-        if len(tail) >= 2:
-            stds[key] = statistics.pstdev(tail)
+    if blinks:
+        if ccp_period is None:
+            raise ValueError("differencing arrivals needs the CCP period")
+        streams = smoothed_tdoa_streams(
+            blinks, ccp_period, process_var=process_var, measurement_var=measurement_var
+        )
+        for key, stream in streams.items():
+            tail = stream[warmup:]
+            if len(tail) >= 2:
+                stds[key] = statistics.pstdev(tail)
     return EvalSummary(
         tdoa_std_per_pair=stds,
         fix_rmse=rmse(settled),

@@ -20,8 +20,9 @@ arrival on the common timescale, as an offset after a numbered CCP of the
 primary master's schedule, with CCP propagation between anchors (a known
 baseline over c) already removed.  A time difference between two anchors
 (``arrival_tdoa``) is derived from two arrivals only where it is needed:
-against the blink's time base for positioning, and for every anchor pair in
-``synced_pairs`` when a pair stream (``synced.csv``) is the output.
+against the blink's time base for positioning, per anchor pair over all
+blinks for eval's stability streams, and for every anchor pair in
+``synced_pairs`` when the pair view is asked for.
 """
 
 from __future__ import annotations
@@ -129,7 +130,11 @@ SyncedBlinks = dict[tuple[str, int], dict[str, Arrival]]
 
 
 def arrival_tdoa(a: Arrival, b: Arrival, ccp_period: float) -> float:
-    """Arrival ``a`` minus arrival ``b`` in seconds on the common timescale."""
+    """Arrival ``a`` minus arrival ``b`` in seconds on the common timescale.
+
+    Elementwise, with the same arithmetic, when the fields of ``a`` and
+    ``b`` are numpy arrays (float offsets, integer seqs).
+    """
     return (a.offset - b.offset) + (a.ccp_seq - b.ccp_seq) * ccp_period
 
 

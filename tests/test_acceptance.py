@@ -156,7 +156,7 @@ def test_criterion_2_sync_stability_under_jitter(verdict):
     start = time.perf_counter()
     sim = run_scenario(static_scenario(topo, (2.0, 1.5), duration=600.0, seed=5))
     res = locate_reports(sim.reports, topo)
-    summary = evaluate(res.fixes, sim.truth_blinks, res.synced)
+    summary = evaluate(res.fixes, sim.truth_blinks, res.blinks, res.ccp_period)
     wall = time.perf_counter() - start
     stds = summary.tdoa_std_per_pair
     worst = max(stds.values())
@@ -490,7 +490,8 @@ def test_criterion_9_bitwise_determinism(verdict):
         cfg = parse_config(json.loads(json.dumps(DETERMINISM_CONFIG)))
         sim = run_scenario(cfg.scenario)
         res = locate_reports(sim.reports, cfg.scenario.topology)
-        summary = evaluate(res.fixes, sim.truth_blinks, res.synced, warmup=cfg.warmup)
+        summary = evaluate(res.fixes, sim.truth_blinks, res.blinks, res.ccp_period,
+                           warmup=cfg.warmup)
         reports_text = "".join(encode_report(r) + "\n" for r in sim.reports)
         return reports_text, fixes_to_csv(res.fixes), summary.to_json()
 

@@ -25,7 +25,7 @@ from uwb_rtls.engine import locate_reports
 from uwb_rtls.protocol import encode_report
 from uwb_rtls.simnet import run_scenario
 from uwb_rtls.solver import Fix
-from uwb_rtls.wcs import SyncedTdoa
+from uwb_rtls.wcs import Arrival, synced_pairs
 
 CONFIG = {
     "anchors": [
@@ -66,13 +66,30 @@ def test_fixes_csv_round_trips_exactly(tmp_path):
 
 
 def test_synced_csv_round_trips_exactly(tmp_path):
-    synced = [
-        SyncedTdoa(anchor_a="MA1", anchor_b="SA2", tag_id="T1", blink_seq=9,
-                   tdoa_sync=1.0000251204e-9, k_used=0.9999901),
-    ]
+    blinks = {
+        ("T1", 9): {"MA1": Arrival(0.0123456789012345, 41, 1.0000080000001),
+                    "SA2": Arrival(-1.0000251204e-9, 42, 0.9999901)},
+    }
     path = tmp_path / "synced.csv"
-    path.write_text(synced_to_csv(synced))
-    assert read_synced_csv(path) == (synced, 0)
+    path.write_text(synced_to_csv(blinks))
+    assert read_synced_csv(path) == (blinks, 0)
+
+
+def test_synced_csv_holds_one_row_per_arrival_and_every_pair_exactly(tmp_path, config_path):
+    cfg = load_config(config_path)
+    sim = run_scenario(cfg.scenario)
+    from uwb_rtls.cli import _engine_params
+
+    result = locate_reports(sim.reports, cfg.scenario.topology, _engine_params(cfg))
+    path = tmp_path / "synced.csv"
+    path.write_text(synced_to_csv(result.blinks))
+    rows = path.read_text().splitlines()[1:]
+    assert len(rows) == sum(len(arrivals) for arrivals in result.blinks.values())
+
+    blinks, skipped = read_synced_csv(path)
+    assert skipped == 0
+    assert blinks == result.blinks  # offsets and rates compare bit for bit
+    assert list(synced_pairs(blinks, result.ccp_period)) == result.synced
 
 
 def test_simulate_locate_eval_pipeline(tmp_path, config_path, capsys):
@@ -109,14 +126,14 @@ def test_file_pipeline_matches_the_library_exactly(tmp_path, config_path):
 
     result = locate_reports(sim.reports, cfg.scenario.topology, _engine_params(cfg))
     assert (out / "fixes.csv").read_text() == fixes_to_csv(result.fixes)
-    assert (out / "synced.csv").read_text() == synced_to_csv(result.synced)
+    assert (out / "synced.csv").read_text() == synced_to_csv(result.blinks)
 
-    # Eval from the files and eval from the in-memory pair view agree.
+    # Eval from the files and eval from the in-memory sync output agree.
     main(["eval", "--config", str(config_path), "--out", str(out),
           "--fixes", str(out / "fixes.csv"), "--truth", str(out / "truth.jsonl"),
           "--synced", str(out / "synced.csv")])
     lib = tmp_path / "lib"
-    _eval(cfg, result.fixes, sim.truth_blinks, result.synced, lib)
+    _eval(cfg, result.fixes, sim.truth_blinks, result.blinks, lib)
     assert (out / "summary.json").read_bytes() == (lib / "summary.json").read_bytes()
     assert (out / "errors.csv").read_bytes() == (lib / "errors.csv").read_bytes()
 
@@ -158,13 +175,15 @@ def test_malformed_csv_rows_are_skipped(tmp_path, config_path, caplog, name, rea
     rows = len(lines) - 1
     lines[3] = lines[3].rsplit(",", 2)[0]  # truncated: two fields short
     fields = lines[7].split(",")
-    fields[3] = "seven"  # unparsable number: blink_seq in synced.csv, y in fixes.csv
+    fields[3] = "seven"  # unparsable number: ccp_seq in synced.csv, y in fixes.csv
     lines[7] = ",".join(fields)
     lines.insert(9, "")  # blank lines are not rows
     path.write_text("\n".join(lines) + "\n")
 
     parsed, skipped = reader(path)
     assert skipped == 2
+    if name == "synced.csv":  # a map of blinks: count its arrivals
+        parsed = [a for arrivals in parsed.values() for a in arrivals]
     assert len(parsed) == rows - 2
     assert sum("skipped" in r.getMessage() for r in caplog.records) == 3
 
@@ -172,6 +191,47 @@ def test_malformed_csv_rows_are_skipped(tmp_path, config_path, caplog, name, rea
                  "--fixes", str(out / "fixes.csv"), "--truth", str(out / "truth.jsonl"),
                  "--synced", str(out / "synced.csv")])
     assert code == EXIT_OK
+
+
+def test_repeated_synced_arrival_is_skipped(tmp_path, caplog):
+    blinks = {("T1", 9): {"MA1": Arrival(0.5, 41, 1.0), "SA2": Arrival(0.25, 41, 1.0)}}
+    path = tmp_path / "synced.csv"
+    text = synced_to_csv(blinks)
+    path.write_text(text + "SA2,T1,9,41,0.75,1.0\n")
+    assert read_synced_csv(path) == (blinks, 1)
+    assert "repeated arrival of T1#9 at SA2" in caplog.text
+
+
+PAIR_FORMAT_SYNCED = """anchor_a,anchor_b,tag_id,blink_seq,tdoa_sync,k_used
+MA1,SA2,T1,0,-1.5e-09,0.99999
+MA1,SA3,T1,0,2.5e-09,1.00002
+"""
+
+
+@pytest.mark.parametrize("name", ["synced.csv", "fixes.csv"])
+def test_csv_without_its_header_is_rejected(tmp_path, config_path, capsys, name):
+    run = tmp_path / "run"
+    main(["simulate", "--config", str(config_path), "--out", str(run)])
+    main(["locate", "--config", str(config_path), "--out", str(run),
+          "--reports", str(run / "reports.jsonl")])
+    path = run / name
+    if name == "synced.csv":  # the pair format of earlier builds
+        path.write_text(PAIR_FORMAT_SYNCED)
+        expected = "anchor_id,tag_id,blink_seq,ccp_seq,offset,rate"
+    else:  # rows without their header line
+        expected, *rows = path.read_text().splitlines()
+        path.write_text("\n".join(rows) + "\n")
+    capsys.readouterr()
+
+    out = tmp_path / "eval"
+    code = main(["eval", "--config", str(config_path), "--out", str(out),
+                 "--fixes", str(run / "fixes.csv"), "--truth", str(run / "truth.jsonl"),
+                 "--synced", str(run / "synced.csv")])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert name in err and repr(expected) in err
+    assert not out.exists()
 
 
 def test_malformed_truth_lines_are_skipped(tmp_path, config_path, caplog):

@@ -9,6 +9,8 @@ import pytest
 
 from uwb_rtls.deploy import (
     MIN_LOS_SLAVES,
+    _convex_hull,
+    _orientation,
     STATUS_FAIL,
     STATUS_MANUAL,
     STATUS_PASS,
@@ -171,6 +173,45 @@ def test_worst_hdop_inside_hull_beats_far_outside():
     worst = worst_hdop_in_hull(rows, RECT_POSITIONS)
     assert math.isfinite(worst)
     assert worst < hdop_at((30.0, 20.0), RECT_POSITIONS, "MA1")
+
+
+def _worst_in_hull_point_by_point(rows, anchors, inside_edge=lambda d: d > 0):
+    """Reference: each point against each counter-clockwise hull edge."""
+    hull = _convex_hull(list(anchors.values()))
+    edges = list(zip(hull, hull[1:] + hull[:1]))
+    inside = [
+        v for x, y, v in rows
+        if len(hull) >= 3 and math.isfinite(v)
+        and all(inside_edge(_orientation(p, q, (x, y))) for p, q in edges)
+    ]
+    return max(inside) if inside else math.inf
+
+
+@pytest.mark.parametrize("anchors", [
+    RECT_POSITIONS,
+    {"A": (0.0, 0.0), "B": (4.0, 0.0), "C": (0.0, 4.0), "D": (1.0, 1.0)},  # a diagonal edge
+    {"A": (0.0, 0.0), "B": (3.0, 0.0), "C": (6.0, 0.0), "D": (0.0, 4.0)},  # B on an edge
+])
+def test_worst_hdop_in_hull_matches_the_point_by_point_loop(anchors):
+    # Values grow away from the origin, so a point on a far edge or vertex,
+    # or outside, would beat every point strictly inside if it were counted.
+    rng = np.random.default_rng(8)
+    rows = [
+        (x, y, x * x + y * y + 0.01 * rng.random())
+        for x in np.arange(-1.0, 7.25, 0.25).tolist()
+        for y in np.arange(-1.0, 5.25, 0.25).tolist()
+    ]
+    rows[len(rows) // 2] = rows[len(rows) // 2][:2] + (math.inf,)
+    worst = worst_hdop_in_hull(rows, anchors)
+    assert worst == _worst_in_hull_point_by_point(rows, anchors)
+    assert worst < _worst_in_hull_point_by_point(rows, anchors, lambda d: d >= 0)
+    assert worst_hdop_in_hull([], anchors) == math.inf
+
+
+def test_worst_hdop_without_a_hull_is_infinite():
+    rows = [(0.5, 0.0, 1.0), (1.0, 1.0, 2.0)]
+    assert worst_hdop_in_hull(rows, {"A": (0.0, 0.0), "B": (1.0, 0.0)}) == math.inf
+    assert worst_hdop_in_hull(rows, {"A": (0.0, 0.0), "B": (1.0, 0.0), "C": (2.0, 0.0)}) == math.inf
 
 
 # ---------------------------------------------------------------------------

@@ -19,9 +19,17 @@ from uwb_rtls.metrics import (
 )
 from uwb_rtls.simnet import Scenario, StaticTrajectory, TagSpec, TruthBlink, run_scenario
 from uwb_rtls.solver import Fix
-from uwb_rtls.wcs import SyncedTdoa
+from uwb_rtls.wcs import (
+    DEFAULT_MEASUREMENT_VAR,
+    DEFAULT_PROCESS_VAR,
+    Arrival,
+    kalman_step,
+    synced_pairs,
+)
 
 from conftest import build_rect_topology
+
+CCP_PERIOD = 0.15
 
 
 def _fix(tag, seq, x, y):
@@ -83,31 +91,67 @@ def test_input_order_does_not_change_the_summary():
     fixes = [_fix("T1", i, 0.01 * rng.random(), 0.0) for i in range(40)]
     truth = [_truth("T1", i, 0.0, 0.0) for i in range(40)]
     synced = [
-        SyncedTdoa(anchor_a="MA1", anchor_b="SA2", tag_id="T1", blink_seq=i,
-                   tdoa_sync=1e-9 + 1e-12 * rng.random(), k_used=1.0)
+        (("T1", i), {"MA1": Arrival(1e-9 + 1e-12 * rng.random(), 0, 1.0),
+                     "SA2": Arrival(0.0, 0, 1.0)})
         for i in range(40)
     ]
-    base = evaluate(fixes, truth, synced, warmup=10)
+    base = evaluate(fixes, truth, dict(synced), CCP_PERIOD, warmup=10)
     for seq in (fixes, truth, synced):
         rng.shuffle(seq)
-    shuffled = evaluate(fixes, truth, synced, warmup=10)
+    shuffled = evaluate(fixes, truth, dict(synced), CCP_PERIOD, warmup=10)
     assert shuffled == base
 
 
 def test_smoothing_tightens_a_noisy_stream():
     rng = np.random.default_rng(11)
     raw = 5e-9 + rng.normal(0.0, 2e-10, size=400)
-    synced = [
-        SyncedTdoa(anchor_a="MA1", anchor_b="SA2", tag_id="T1", blink_seq=i,
-                   tdoa_sync=float(v), k_used=1.0)
+    blinks = {
+        ("T1", i): {"MA1": Arrival(float(v), 0, 1.0), "SA2": Arrival(0.0, 0, 1.0)}
         for i, v in enumerate(raw)
-    ]
-    streams = smoothed_tdoa_streams(synced)
+    }
+    streams = smoothed_tdoa_streams(blinks, CCP_PERIOD)
     key = pair_key("MA1", "SA2")
     assert set(streams) == {key}
     smoothed = np.array(streams[key][50:])
     assert smoothed.std() < 0.2 * raw[50:].std()
     assert abs(smoothed.mean() - 5e-9) < 5e-11
+
+
+def test_streams_equal_smoothing_each_pair_of_the_pair_view():
+    # Reference: the pair view's TDoAs grouped by pair, in (tag_id,
+    # blink_seq) order, through the scalar step.  Anchors drop out of
+    # blinks and arrivals straddle CCP seqs, on two tags.
+    rng = random.Random(9)
+    anchors = ["MA1", "SA10", "SA2", "SA3"]
+    items = []
+    for tag in ("T1", "T2"):
+        for seq in range(80):
+            heard = [a for a in anchors if rng.random() < 0.7]
+            if len(heard) >= 2:
+                items.append(((tag, seq), {
+                    a: Arrival(rng.uniform(-0.07, 0.07), seq + rng.randint(0, 1),
+                               1.0 + 1e-5 * rng.random())
+                    for a in heard
+                }))
+    rng.shuffle(items)
+    blinks = dict(items)
+
+    by_pair: dict[str, list[float]] = {}
+    for s in synced_pairs(blinks, CCP_PERIOD):
+        by_pair.setdefault(pair_key(s.anchor_a, s.anchor_b), []).append(s.tdoa_sync)
+    want = {}
+    for key, tdoas in sorted(by_pair.items()):
+        state, variance, out = 0.0, math.inf, []
+        for tdoa in tdoas:
+            state, variance = kalman_step(
+                state, variance, tdoa, DEFAULT_PROCESS_VAR, DEFAULT_MEASUREMENT_VAR
+            )
+            out.append(state)
+        want[key] = out
+
+    streams = smoothed_tdoa_streams(blinks, CCP_PERIOD)
+    assert list(streams.items()) == list(want.items())  # bit for bit, in key order
+    assert len(want) == 6
 
 
 def test_errors_csv_lists_matched_fixes_in_order():
@@ -145,7 +189,7 @@ def test_full_pipeline_regression_is_frozen():
     )
     sim = run_scenario(scn)
     res = locate_reports(sim.reports, topo)
-    s = evaluate(res.fixes, sim.truth_blinks, res.synced)
+    s = evaluate(res.fixes, sim.truth_blinks, res.blinks, res.ccp_period)
     assert s.availability == 1.0
     assert s.fix_rmse == pytest.approx(0.036098648304548904, rel=1e-6)
     assert s.fix_p95_error == pytest.approx(0.06205463538251252, rel=1e-6)
