@@ -128,7 +128,7 @@ def smoothed_tdoa_streams(
             if not both.any():
                 continue
             tdoa = arrival_tdoa(rows[i], rows[j], ccp_period)
-            state, variance = 0.0, math.inf  # TdoaKalman's prior: adopt the first sample
+            state, variance = 0.0, math.inf  # infinite prior: adopt the first sample
             out = []
             for measurement in tdoa[both].tolist():
                 state, variance = kalman_step(

@@ -15,6 +15,15 @@ timescale.  Multi-master cascades compose these per-hop corrections along
 the follow chain, so any two anchors in a connected topology can be
 differenced.
 
+Masters and slaves are corrected the same way.  A blink timestamp is placed
+after the CCP epoch nearest to it on the receiving anchor's own clock and
+scaled by that clock's rate over the window that starts there.  A slave's
+epochs are its receptions of a master's CCPs, and the CCP's flight time over
+the known baseline is added back; a master's epochs are its own CCP
+transmissions.  ``CcpPairWindow`` and ``scale_coefficient`` are the paper's
+K view of a slave's window, and every such window is checked through them
+when it is built.
+
 The output is one ``Arrival`` per receiving anchor per blink: the blink's
 arrival on the common timescale, as an offset after a numbered CCP of the
 primary master's schedule, with CCP propagation between anchors (a known
@@ -30,7 +39,7 @@ from __future__ import annotations
 import bisect
 import logging
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .clock import TICK_SECONDS, Timestamp, ts_diff
@@ -61,14 +70,6 @@ class DegenerateWindowError(SyncError):
 
 class DriftAnomalyError(SyncError):
     """Window implies a clock rate outside the sanity band."""
-
-
-class UnsynchronizedAnchorError(SyncError):
-    """No usable CCP window exists for an anchor."""
-
-
-class StaleSyncError(SyncError):
-    """Nearest CCP window is too old (or too far ahead) to trust."""
 
 
 @dataclass(frozen=True)
@@ -188,100 +189,14 @@ def scale_coefficient(window: CcpPairWindow, k_band: float = DEFAULT_K_BAND) -> 
     return k
 
 
-def _tx_rate(window: CcpPairWindow, ccp_period: float) -> float:
-    """Master device-seconds per schedule second over the window."""
-    return ts_diff(window.t_s2, window.t_s1) * TICK_SECONDS / ccp_period
-
-
-def _rx_rate(window: CcpPairWindow, ccp_period: float) -> float:
-    """Receiver device-seconds per schedule second over the window."""
-    return ts_diff(window.r_s2, window.r_s1) * TICK_SECONDS / ccp_period
-
-
-def _receiver_offset(
-    blink_rx: Timestamp, window: CcpPairWindow, ccp_period: float, baseline_m: float
-) -> float:
-    """Blink arrival at the window's receiver, in seconds after the master's
-    ``seq``-th CCP transmission on the common timescale."""
-    gap = ts_diff(blink_rx, window.r_s1) * TICK_SECONDS
-    return gap / _rx_rate(window, ccp_period) + baseline_m / SPEED_OF_LIGHT
-
-
-def _master_offset(blink_rx: Timestamp, window: CcpPairWindow, ccp_period: float) -> float:
-    """Blink arrival at the master itself, in seconds after its own
-    ``seq``-th CCP transmission on the common timescale."""
-    gap = ts_diff(blink_rx, window.t_s1) * TICK_SECONDS
-    return gap / _tx_rate(window, ccp_period)
-
-
-def _check_stale(
-    blink_rx: Timestamp,
-    epoch: Timestamp,
-    ccp_period: float,
-    stale_intervals: float,
-    what: str,
-) -> None:
-    age = abs(ts_diff(blink_rx, epoch)) * TICK_SECONDS
-    if age > stale_intervals * ccp_period:
-        raise StaleSyncError(
-            f"{what}: window is {age:.3f} s from the blink "
-            f"(limit {stale_intervals} CCP intervals)"
-        )
-
-
-def sync_tdoa(
-    raw_rx_sa: Timestamp,
-    raw_rx_ma: Timestamp,
-    window: CcpPairWindow,
-    *,
-    baseline_m: float,
-    ccp_period: float,
-    tag_id: str = "",
-    blink_seq: int = 0,
-    k_band: float = DEFAULT_K_BAND,
-    stale_intervals: float = DEFAULT_STALE_INTERVALS,
-) -> SyncedTdoa:
-    """Correct one blink's raw timestamps on a slave/master pair into a TDoA.
-
-    ``window`` must belong to the same pair: master transmit timestamps and
-    the slave's receive timestamps of two consecutive CCPs.  ``baseline_m``
-    is the known distance between the two anchors, used to remove the CCP's
-    own time of flight.  The result is in seconds on the common timescale:
-    positive when the blink reached the slave later than the master.
-    """
-    k = scale_coefficient(window, k_band)
-    _check_stale(
-        raw_rx_sa, window.r_s1, ccp_period, stale_intervals,
-        f"blink {tag_id!r}#{blink_seq} at {window.sa_id}",
-    )
-    rel_sa = _receiver_offset(raw_rx_sa, window, ccp_period, baseline_m)
-    rel_ma = _master_offset(raw_rx_ma, window, ccp_period)
-    return SyncedTdoa(
-        anchor_a=window.sa_id,
-        anchor_b=window.master_id,
-        tag_id=tag_id,
-        blink_seq=blink_seq,
-        tdoa_sync=rel_sa - rel_ma,
-        k_used=k,
-    )
+def _clock_rate(first: Timestamp, second: Timestamp, ccp_period: float) -> float:
+    """Device seconds per schedule second between one clock's readings of two
+    consecutive CCPs."""
+    return ts_diff(second, first) * TICK_SECONDS / ccp_period
 
 
 # ---------------------------------------------------------------------------
 # Scalar per-pair smoothing
-
-
-@dataclass(frozen=True)
-class TdoaKalman:
-    """Scalar constant-state Kalman filter tracking one anchor pair's TDoA.
-
-    The default infinite prior variance makes the first update adopt the
-    measurement outright.
-    """
-
-    state: float = 0.0
-    variance: float = math.inf
-    process_var: float = DEFAULT_PROCESS_VAR
-    measurement_var: float = DEFAULT_MEASUREMENT_VAR
 
 
 def kalman_step(
@@ -289,7 +204,9 @@ def kalman_step(
 ) -> tuple[float, float]:
     """One predict/update step on bare floats, returning (state, variance).
 
-    Non-finite measurements are rejected and leave the filter unchanged.
+    An infinite prior ``variance`` makes the step adopt the measurement
+    outright.  Non-finite measurements are rejected and leave the filter
+    unchanged.
     """
     if not math.isfinite(measurement):
         return state, variance
@@ -301,37 +218,37 @@ def kalman_step(
     return state + gain * (measurement - state), (1.0 - gain) * variance
 
 
-def kalman_smooth(f: TdoaKalman, measurement: float) -> TdoaKalman:
-    """One predict/update step; non-finite measurements are rejected unchanged."""
-    state, variance = kalman_step(
-        f.state, f.variance, measurement, f.process_var, f.measurement_var
-    )
-    return replace(f, state=state, variance=variance)
-
-
 # ---------------------------------------------------------------------------
 # Full-report synchronization across a (possibly multi-master) topology
 
 
 class _EpochTrack:
-    """Nearest-epoch lookup over a seq-ordered list of (seq, Timestamp, item).
+    """One anchor's CCP epochs against one master it follows, in seq order.
 
-    Tick comparisons are only trustworthy within the wrap-safe range, so the
-    search is seeded from the nominal schedule (CCP seq near a given blink
-    seq) and refined locally; per-tag cursors then advance monotonically as
-    each tag's blinks are processed in time order.
+    Each entry is (seq, the anchor's reading of that CCP, the anchor's clock
+    rate over the window that starts there, or None without a valid one).
+    ``delay`` is the CCP's flight time from the master to the anchor; on a
+    master's track against itself it is zero.
+
+    Tick comparisons are only trustworthy within half a counter wrap, so
+    every lookup starts at the epoch the nominal schedule puts next to the
+    blink (the first one at or after ``seq_hint``) and walks from there to
+    the nearest by tick distance.  No state carries over between lookups: a
+    tag that was out of range for longer than half a wrap is looked up the
+    same way as one that never left.
     """
 
-    def __init__(self, entries: list[tuple[int, Timestamp, object]]) -> None:
+    def __init__(
+        self, master: str, delay: float, entries: list[tuple[int, Timestamp, float | None]]
+    ) -> None:
+        self.master = master
+        self.delay = delay
         self.entries = entries
         self.seqs = [seq for seq, _, _ in entries]
-        self.cursors: dict[str, int] = {}
 
-    def nearest(self, tag_id: str, stamp: Timestamp, seq_hint: int) -> tuple[int, Timestamp, object]:
+    def nearest(self, stamp: Timestamp, seq_hint: int) -> tuple[int, Timestamp, float | None]:
         entries = self.entries
-        i = self.cursors.get(tag_id)
-        if i is None:
-            i = min(bisect.bisect_left(self.seqs, seq_hint), len(entries) - 1)
+        i = min(bisect.bisect_left(self.seqs, seq_hint), len(entries) - 1)
         best = abs(ts_diff(stamp, entries[i][1]))
         moved = True
         while moved:
@@ -345,7 +262,6 @@ class _EpochTrack:
                 behind = abs(ts_diff(stamp, entries[i - 1][1]))
                 if behind < best:
                     i, best, moved = i - 1, behind, True
-        self.cursors[tag_id] = i
         return entries[i]
 
 
@@ -380,19 +296,25 @@ def multi_master_sync(
 ) -> SyncedBlinks:
     """Correct every blink in a report stream onto the common timescale.
 
-    Works for single-master and cascaded multi-master topologies alike: each
-    receiving anchor's blink timestamp is mapped through its own CCP windows
-    (nearest window wins), and lower-level masters are chained to the
-    primary through their own CCP receive/transmit pairs.  The result maps
-    each blink, as (tag_id, blink_seq) in sorted order, to one ``Arrival``
-    per synchronized receiver, in anchor-id order.  Anchors without a usable
-    window are skipped and counted in ``diagnostics``; a blink left with
-    fewer than two synchronized receivers carries no time difference and is
-    left out.  ``blink_period`` is only a search hint pairing blinks with
-    nearby CCP rounds; correction itself never assumes when tags transmit.
+    Works for single-master and cascaded multi-master topologies alike, and
+    for masters and slaves alike: each receiving anchor's blink timestamp is
+    mapped through the CCP epoch nearest to it on the anchor's own clock
+    (a slave's reception of a master's CCP, or a master's own transmission),
+    scaled by the anchor's clock rate over the window that starts there,
+    and lower-level masters are chained to the primary through their own CCP
+    receive/transmit pairs.  The result maps each blink, as (tag_id,
+    blink_seq) in sorted order, to one ``Arrival`` per synchronized
+    receiver, in anchor-id order.  Anchors without a usable window, or whose
+    nearest one is more than ``stale_intervals`` CCP periods from the blink,
+    are skipped and counted in ``diagnostics``; a blink left with fewer than
+    two synchronized receivers carries no time difference and is left out.
+    ``blink_period`` (> 0) is only a search hint pairing blinks with nearby
+    CCP rounds; correction itself never assumes when tags transmit.
 
     Results depend only on the multiset of reports, not their order.
     """
+    if not blink_period > 0:
+        raise ValueError(f"blink_period must be > 0, got {blink_period!r}")
     diag = diagnostics if diagnostics is not None else {}
     topo.validate()
 
@@ -445,16 +367,14 @@ def multi_master_sync(
         if built:
             windows[(rx_anchor, master)] = built
 
-    # Master transmit-side rate windows: (seq, own tx stamps of seq and seq+1).
+    # Master transmit-side rates, per seq s over the master's own stamps of
+    # CCPs s and s + 1.
     tx_rates: dict[str, dict[int, float]] = {}
-    tx_epochs: dict[str, list[tuple[int, Timestamp]]] = {}
     for master, stamps in ccp_tx.items():
-        seqs = sorted(stamps)
-        tx_epochs[master] = [(s, stamps[s]) for s in seqs]
         rates = {}
-        for s in seqs:
+        for s in sorted(stamps):
             if s + 1 in stamps:
-                rate = ts_diff(stamps[s + 1], stamps[s]) * TICK_SECONDS / ccp_period
+                rate = _clock_rate(stamps[s], stamps[s + 1], ccp_period)
                 if rate <= 0.0 or abs(rate - 1.0) > k_band:
                     diag["rejected_windows"] = diag.get("rejected_windows", 0) + 1
                     continue
@@ -491,70 +411,57 @@ def multi_master_sync(
         delta_cache[key] = result
         return result
 
-    # Cursors for nearest-window lookup, keyed per (anchor, master).
-    rx_tracks = {
-        pair: _EpochTrack([(w.seq, w.r_s1, w) for w in ws]) for pair, ws in windows.items()
-    }
-    tx_tracks = {
-        m: _EpochTrack([(s, stamp, None) for s, stamp in eps])
-        for m, eps in tx_epochs.items()
-        if eps
-    }
-
-    def _bump(key: str) -> None:
-        diag[key] = diag.get(key, 0) + 1
-
-    def anchor_offset(
-        anchor_id: str, tag_id: str, stamp: Timestamp, seq_hint: int
-    ) -> Arrival | None:
-        """The anchor's corrected arrival, or None when it cannot be synced."""
+    # Each anchor's epoch tracks, one per master it follows, in master-id
+    # order.  A slave's epochs are its receptions of the master's CCPs that
+    # open a valid window; a master follows itself through its own CCP
+    # transmissions, with no flight time.
+    tracks: dict[str, list[_EpochTrack]] = {}
+    for anchor_id in topo.ids():
         if roles[anchor_id] == ROLE_MASTER:
-            track = tx_tracks.get(anchor_id)
-            if track is None:
-                _bump("unsynchronized_blinks")
-                return None
-            seq, epoch, _ = track.nearest(tag_id, stamp, seq_hint)
-            rate = master_rate(anchor_id, seq)
-            base = cascade_delta(anchor_id, seq)
-            if rate is None or base is None:
-                _bump("unsynchronized_blinks")
-                return None
-            if abs(ts_diff(stamp, epoch)) * TICK_SECONDS > stale_intervals * ccp_period:
-                _bump("stale_blinks")
-                return None
-            return Arrival(ts_diff(stamp, epoch) * TICK_SECONDS / rate + base, seq, rate)
+            stamps = ccp_tx.get(anchor_id, {})
+            own = [(s, stamps[s], master_rate(anchor_id, s)) for s in sorted(stamps)]
+            tracks[anchor_id] = [_EpochTrack(anchor_id, 0.0, own)] if own else []
+        else:
+            tracks[anchor_id] = [
+                _EpochTrack(
+                    master,
+                    topo.baseline(master, anchor_id) / SPEED_OF_LIGHT,
+                    [(w.seq, w.r_s1, _clock_rate(w.r_s1, w.r_s2, ccp_period)) for w in ws],
+                )
+                for master in sorted(topo.follow.get(anchor_id, frozenset()))
+                if (ws := windows.get((anchor_id, master)))
+            ]
 
-        saw_window = saw_fresh = False
-        for master in sorted(topo.follow.get(anchor_id, frozenset())):
-            track = rx_tracks.get((anchor_id, master))
-            if track is None:
-                continue
-            saw_window = True
-            seq, epoch, window = track.nearest(tag_id, stamp, seq_hint)
-            if abs(ts_diff(stamp, epoch)) * TICK_SECONDS > stale_intervals * ccp_period:
+    stale_limit = stale_intervals * ccp_period
+
+    def anchor_offset(anchor_id: str, stamp: Timestamp, seq_hint: int) -> Arrival | None:
+        """The anchor's corrected arrival, or None when it cannot be synced.
+
+        The first track whose nearest epoch is fresh and placed on the
+        primary's timescale wins.
+        """
+        saw_fresh = False
+        for track in tracks[anchor_id]:
+            seq, epoch, rate = track.nearest(stamp, seq_hint)
+            gap = ts_diff(stamp, epoch) * TICK_SECONDS
+            if abs(gap) > stale_limit:
                 continue
             saw_fresh = True
-            base = cascade_delta(master, seq)
-            if base is None:
+            base = cascade_delta(track.master, seq)
+            if rate is None or base is None:
                 continue
-            offset = (
-                _receiver_offset(stamp, window, ccp_period, topo.baseline(master, anchor_id))
-                + base
-            )
-            return Arrival(offset, seq, _rx_rate(window, ccp_period))
-        if saw_window and not saw_fresh:
-            _bump("stale_blinks")
-        else:
-            _bump("unsynchronized_blinks")
+            return Arrival(gap / rate + track.delay + base, seq, rate)
+        key = "stale_blinks" if tracks[anchor_id] and not saw_fresh else "unsynchronized_blinks"
+        diag[key] = diag.get(key, 0) + 1
         return None
 
     synced: SyncedBlinks = {}
     for (tag_id, seq) in sorted(blink_rx):
         arrivals = blink_rx[(tag_id, seq)]
-        seq_hint = int(seq * blink_period / ccp_period) if blink_period else 0
+        seq_hint = int(seq * blink_period / ccp_period)
         corrected: dict[str, Arrival] = {}
         for anchor_id in sorted(arrivals):
-            got = anchor_offset(anchor_id, tag_id, arrivals[anchor_id], seq_hint)
+            got = anchor_offset(anchor_id, arrivals[anchor_id], seq_hint)
             if got is not None:
                 corrected[anchor_id] = got
         if len(corrected) >= 2:

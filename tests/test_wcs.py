@@ -3,7 +3,8 @@
 The oracles here are closed-form: timestamps are generated from explicit
 clock laws with read_clock, and the expected TDoA is pure geometry
 ((d_a - d_b) / c), so any systematic error in the correction shows up
-directly.
+directly.  Every correction goes through the stream corrector,
+``multi_master_sync``, the one sync path.
 """
 
 from __future__ import annotations
@@ -13,25 +14,24 @@ import math
 import numpy as np
 import pytest
 
-from uwb_rtls.clock import ClockModel, IDEAL_CLOCK, Timestamp, read_clock, ts_diff
+from uwb_rtls.clock import ClockModel, IDEAL_CLOCK, Timestamp, read_clock
 from uwb_rtls.constants import SPEED_OF_LIGHT
+from uwb_rtls.protocol import KIND_BLINK_RX, KIND_CCP_RX, KIND_CCP_TX, ToaReport
 from uwb_rtls.simnet import Scenario, StaticTrajectory, TagSpec, run_scenario
 from uwb_rtls.wcs import (
     CcpPairWindow,
     DEFAULT_MEASUREMENT_VAR,
+    DEFAULT_PROCESS_VAR,
+    DEFAULT_STALE_INTERVALS,
     DegenerateWindowError,
     DriftAnomalyError,
-    StaleSyncError,
-    SyncedTdoa,
-    TdoaKalman,
-    kalman_smooth,
+    kalman_step,
     multi_master_sync,
     scale_coefficient,
-    sync_tdoa,
     synced_pairs,
 )
 
-from conftest import RECT_CLOCKS, RECT_POSITIONS, build_rect_topology
+from conftest import RECT_POSITIONS, build_rect_topology
 
 CCP_PERIOD = 0.15
 
@@ -114,74 +114,115 @@ def test_k_spans_the_counter_wrap():
 
 
 # ---------------------------------------------------------------------------
-# Single-pair TDoA correction
+# One blink through one CCP window
 
 
-def _synced_for_tag(tag_xy, master_clock, slave_clock, *, epoch_time=0.15, blink_time=0.2):
+def _sync_one_blink(
+    tag_xy,
+    master_clock,
+    slave_clock,
+    *,
+    epoch_time=0.15,
+    blink_time=0.2,
+    tag_id="T1",
+    blink_seq=None,
+    stale_intervals=DEFAULT_STALE_INTERVALS,
+):
+    """Stream-sync one blink heard by MA1 and SA2 through one CCP window.
+
+    The reports are MA1's transmissions of CCPs 1 and 2 (at ``epoch_time``
+    and one CCP period later), SA2's receptions of them, and both anchors'
+    receptions of the blink sent at ``blink_time``.  Returns the sync
+    output, its diagnostics, the window of those CCP stamps and the
+    geometric SA2-minus-MA1 TDoA.
+    """
     ma_pos, sa_pos = RECT_POSITIONS["MA1"], RECT_POSITIONS["SA2"]
-    baseline = math.dist(ma_pos, sa_pos)
-    d_ma = math.dist(tag_xy, ma_pos)
-    d_sa = math.dist(tag_xy, sa_pos)
-    w = make_window(master_clock, slave_clock, epoch_time=epoch_time, baseline_m=baseline)
-    raw_sa = read_clock(slave_clock, blink_time + d_sa / SPEED_OF_LIGHT)
-    raw_ma = read_clock(master_clock, blink_time + d_ma / SPEED_OF_LIGHT)
-    s = sync_tdoa(raw_sa, raw_ma, w, baseline_m=baseline, ccp_period=CCP_PERIOD)
-    return s, (d_sa - d_ma) / SPEED_OF_LIGHT
+    w = make_window(master_clock, slave_clock, epoch_time=epoch_time,
+                    baseline_m=math.dist(ma_pos, sa_pos))
+    if blink_seq is None:
+        blink_seq = round(blink_time / 0.1)  # the default blink period
+    reports = [
+        ToaReport("MA1", KIND_CCP_TX, "MA1", w.seq, w.t_s1),
+        ToaReport("MA1", KIND_CCP_TX, "MA1", w.seq + 1, w.t_s2),
+        ToaReport("SA2", KIND_CCP_RX, "MA1", w.seq, w.r_s1),
+        ToaReport("SA2", KIND_CCP_RX, "MA1", w.seq + 1, w.r_s2),
+    ]
+    for anchor, clock in (("MA1", master_clock), ("SA2", slave_clock)):
+        flight = math.dist(tag_xy, RECT_POSITIONS[anchor]) / SPEED_OF_LIGHT
+        reports.append(ToaReport(anchor, KIND_BLINK_RX, tag_id, blink_seq,
+                                 read_clock(clock, blink_time + flight)))
+    diag: dict = {}
+    blinks = multi_master_sync(reports, build_rect_topology(), ccp_period=CCP_PERIOD,
+                               stale_intervals=stale_intervals, diagnostics=diag)
+    want = (math.dist(tag_xy, sa_pos) - math.dist(tag_xy, ma_pos)) / SPEED_OF_LIGHT
+    return blinks, diag, w, want
+
+
+def _synced_for_tag(tag_xy, master_clock, slave_clock, **kwargs):
+    """The stream's SA2-minus-MA1 TDoA of the one blink, and its geometric truth."""
+    blinks, _, _, want = _sync_one_blink(tag_xy, master_clock, slave_clock, **kwargs)
+    (pair,) = synced_pairs(blinks, CCP_PERIOD)
+    return pair.signed("SA2", "MA1"), want
 
 
 def test_equidistant_tag_syncs_to_zero():
-    s, want = _synced_for_tag((3.0, 2.0), IDEAL_CLOCK, IDEAL_CLOCK)
+    tdoa, want = _synced_for_tag((3.0, 2.0), IDEAL_CLOCK, IDEAL_CLOCK)
     assert want == 0.0
-    assert abs(s.tdoa_sync) < 1e-15
+    assert abs(tdoa) < 1e-15
 
 
 def test_range_difference_of_0_2998_m_is_one_nanosecond():
     # Tag on the MA1-SA2 segment, 0.2998 m farther from the slave:
     # d_sa - d_ma = 6 - 2x = 0.2998 at x = 2.8501.
-    s, want = _synced_for_tag((2.8501, 0.0), IDEAL_CLOCK, IDEAL_CLOCK)
+    tdoa, want = _synced_for_tag((2.8501, 0.0), IDEAL_CLOCK, IDEAL_CLOCK)
     assert want == pytest.approx(1.000025e-9, rel=1e-6)
-    assert s.tdoa_sync == pytest.approx(want, abs=1e-14)
-    assert s.tdoa_sync == pytest.approx(1.0e-9, rel=1e-4)
+    assert tdoa == pytest.approx(want, abs=1e-14)
+    assert tdoa == pytest.approx(1.0e-9, rel=1e-4)
 
 
 def test_offsets_and_skews_cancel_to_sub_picosecond():
     master = ClockModel(offset=0.0071, skew=37e-6)
     slave = ClockModel(offset=-0.0043, skew=-29e-6)
-    s, want = _synced_for_tag((1.7, 2.9), master, slave)
-    assert abs(s.tdoa_sync - want) < 1e-12
+    blinks, _, w, want = _sync_one_blink((1.7, 2.9), master, slave)
+    (s,) = synced_pairs(blinks, CCP_PERIOD)
+    assert abs(s.signed("SA2", "MA1") - want) < 1e-12
     # The raw timestamps alone are useless: the offsets differ by 11.4 ms.
     assert abs(want) < 1e-8
+    # The pair's rate ratio (SA2's rate over MA1's) is the paper's K over
+    # the same window, inverted.
+    assert s.k_used == pytest.approx(1.0 / scale_coefficient(w), rel=1e-14)
 
 
 def test_blink_before_the_window_epoch_is_fine():
-    s, want = _synced_for_tag((2.0, 1.0), IDEAL_CLOCK, ClockModel(skew=4e-5),
-                              epoch_time=0.15, blink_time=0.1)
-    assert abs(s.tdoa_sync - want) < 1e-12
+    tdoa, want = _synced_for_tag((2.0, 1.0), IDEAL_CLOCK, ClockModel(skew=4e-5),
+                                 epoch_time=0.15, blink_time=0.1)
+    assert abs(tdoa - want) < 1e-12
 
 
 def test_orientation_and_metadata():
     slave = ClockModel(offset=0.001, skew=1e-5)
-    ma_pos, sa_pos = RECT_POSITIONS["MA1"], RECT_POSITIONS["SA2"]
-    baseline = math.dist(ma_pos, sa_pos)
-    w = make_window(IDEAL_CLOCK, slave, epoch_time=0.15, baseline_m=baseline)
-    raw_sa = read_clock(slave, 0.2 + 1.0 / SPEED_OF_LIGHT)
-    raw_ma = read_clock(IDEAL_CLOCK, 0.2 + 5.0 / SPEED_OF_LIGHT)
-    s = sync_tdoa(raw_sa, raw_ma, w, baseline_m=baseline, ccp_period=CCP_PERIOD,
-                  tag_id="T9", blink_seq=4)
-    assert (s.anchor_a, s.anchor_b) == ("SA2", "MA1")
+    # On the MA1-SA2 segment, 5 m from the master and 1 m from the slave.
+    blinks, _, _, _ = _sync_one_blink((5.0, 0.0), IDEAL_CLOCK, slave,
+                                      epoch_time=0.15, blink_time=0.2,
+                                      tag_id="T9", blink_seq=4)
+    (s,) = synced_pairs(blinks, CCP_PERIOD)
+    assert (s.anchor_a, s.anchor_b) == ("MA1", "SA2")
     assert (s.tag_id, s.blink_seq) == ("T9", 4)
     # Blink is 4 m closer to the slave: it arrives earlier there.
-    assert s.tdoa_sync == pytest.approx(-4.0 / SPEED_OF_LIGHT, abs=1e-12)
-    assert s.signed("SA2", "MA1") == s.tdoa_sync
-    assert s.signed("MA1", "SA2") == -s.tdoa_sync
+    assert s.signed("SA2", "MA1") == pytest.approx(-4.0 / SPEED_OF_LIGHT, abs=1e-12)
+    assert s.signed("MA1", "SA2") == s.tdoa_sync
+    assert s.signed("SA2", "MA1") == -s.tdoa_sync
     with pytest.raises(KeyError):
         s.signed("MA1", "SA9")
 
 
 def test_stale_window_rejected():
-    with pytest.raises(StaleSyncError):
-        _synced_for_tag((2.0, 1.0), IDEAL_CLOCK, IDEAL_CLOCK,
-                        epoch_time=0.15, blink_time=0.8)
+    # The nearest epochs (0.15 s at SA2, 0.30 s at MA1) are over two CCP
+    # intervals (0.3 s) from the blink at 0.8 s.
+    blinks, diag, _, _ = _sync_one_blink((2.0, 1.0), IDEAL_CLOCK, IDEAL_CLOCK,
+                                         epoch_time=0.15, blink_time=0.8)
+    assert diag["stale_blinks"] == 2
+    assert blinks == {}
 
 
 def test_drifting_clock_needs_a_nearby_window():
@@ -190,43 +231,43 @@ def test_drifting_clock_needs_a_nearby_window():
     slave = ClockModel(offset=-0.002, skew=-1e-5, drift_rate=1e-10)
     near, want = _synced_for_tag((1.0, 3.0), IDEAL_CLOCK, slave,
                                  epoch_time=0.15, blink_time=0.2)
-    near_err = abs(near.tdoa_sync - want)
+    near_err = abs(near - want)
     assert near_err < 1e-12
 
-    ma_pos, sa_pos = RECT_POSITIONS["MA1"], RECT_POSITIONS["SA2"]
-    baseline = math.dist(ma_pos, sa_pos)
-    d_ma = math.dist((1.0, 3.0), ma_pos)
-    d_sa = math.dist((1.0, 3.0), sa_pos)
-    old_window = make_window(IDEAL_CLOCK, slave, epoch_time=0.15, baseline_m=baseline)
-    raw_sa = read_clock(slave, 3.2 + d_sa / SPEED_OF_LIGHT)
-    raw_ma = read_clock(IDEAL_CLOCK, 3.2 + d_ma / SPEED_OF_LIGHT)
-    stale = sync_tdoa(raw_sa, raw_ma, old_window, baseline_m=baseline,
-                      ccp_period=CCP_PERIOD, stale_intervals=25.0)
-    assert abs(stale.tdoa_sync - want) > 10 * near_err
+    stale, _ = _synced_for_tag((1.0, 3.0), IDEAL_CLOCK, slave,
+                               epoch_time=0.15, blink_time=3.2, stale_intervals=25.0)
+    assert abs(stale - want) > 10 * near_err
 
 
 # ---------------------------------------------------------------------------
 # Scalar smoothing
 
+PRIOR = (0.0, math.inf)  # infinite variance: the first update adopts the measurement
+
+
+def _smooth(f, measurement):
+    return kalman_step(*f, measurement, DEFAULT_PROCESS_VAR, DEFAULT_MEASUREMENT_VAR)
+
 
 def test_first_update_adopts_the_measurement():
-    f = kalman_smooth(TdoaKalman(), 3.3e-9)
-    assert f.state == 3.3e-9
-    assert f.variance == DEFAULT_MEASUREMENT_VAR
+    state, variance = _smooth(PRIOR, 3.3e-9)
+    assert state == 3.3e-9
+    assert variance == DEFAULT_MEASUREMENT_VAR
 
 
 def test_constant_input_is_a_fixed_point():
-    f = TdoaKalman()
+    f = PRIOR
     for _ in range(10):
-        f = kalman_smooth(f, 2.0e-9)
-    assert f.state == 2.0e-9
-    assert f.variance < DEFAULT_MEASUREMENT_VAR
+        f = _smooth(f, 2.0e-9)
+    state, variance = f
+    assert state == 2.0e-9
+    assert variance < DEFAULT_MEASUREMENT_VAR
 
 
 def test_non_finite_measurement_is_skipped():
-    f = kalman_smooth(TdoaKalman(), 1.0e-9)
-    assert kalman_smooth(f, float("nan")) == f
-    assert kalman_smooth(f, float("inf")) == f
+    f = _smooth(PRIOR, 1.0e-9)
+    assert _smooth(f, float("nan")) == f
+    assert _smooth(f, float("inf")) == f
 
 
 def test_smoother_attenuates_white_noise_tenfold():
@@ -237,11 +278,11 @@ def test_smoother_attenuates_white_noise_tenfold():
     rng = np.random.default_rng(1234)
     truth = 5.0e-9
     sigma_in = math.sqrt(2.0) * 1e-10
-    f = TdoaKalman()
+    f = PRIOR
     out = []
     for z in truth + rng.normal(0.0, sigma_in, size=5000):
-        f = kalman_smooth(f, float(z))
-        out.append(f.state)
+        f = _smooth(f, float(z))
+        out.append(f[0])
     settled = np.asarray(out[500:])
     assert abs(float(settled.mean()) - truth) < 5e-12
     assert 5e-12 < float(settled.std()) < 3e-11
@@ -260,28 +301,6 @@ def _rect_reports(duration=2.0, tag_xy=(2.0, 1.5)):
         seed=9,
     )
     return topo, run_scenario(scenario).reports
-
-
-def test_stream_sync_matches_single_pair_sync_bitwise():
-    """The stream corrector on a single-master net must agree exactly with
-    the one-window primitive fed the same timestamps."""
-    topo, reports = _rect_reports()
-    synced = synced_pairs(multi_master_sync(reports, topo, ccp_period=CCP_PERIOD), CCP_PERIOD)
-    by_key = {(s.anchor_a, s.anchor_b, s.blink_seq): s for s in synced}
-
-    # Blink seq 1 fires at 0.100 s; its nearest CCP epoch is seq 1 at 0.150 s.
-    tag_xy = (2.0, 1.5)
-    ma_clock, sa_clock = RECT_CLOCKS["MA1"], RECT_CLOCKS["SA2"]
-    baseline = 6.0
-    w = make_window(ma_clock, sa_clock, epoch_time=0.15, baseline_m=baseline, seq=1)
-    raw_sa = read_clock(sa_clock, 0.1 + math.dist(tag_xy, RECT_POSITIONS["SA2"]) / SPEED_OF_LIGHT)
-    raw_ma = read_clock(ma_clock, 0.1 + math.dist(tag_xy, RECT_POSITIONS["MA1"]) / SPEED_OF_LIGHT)
-    single = sync_tdoa(raw_sa, raw_ma, w, baseline_m=baseline, ccp_period=CCP_PERIOD,
-                       tag_id="T1", blink_seq=1)
-
-    stream = by_key[("MA1", "SA2", 1)]
-    assert stream.signed("SA2", "MA1") == single.tdoa_sync
-    assert stream.k_used == pytest.approx(1.0 / single.k_used, rel=1e-14)
 
 
 def test_stream_sync_emits_every_pair_and_cycles_close():
@@ -343,3 +362,33 @@ def test_zero_noise_stream_sync_is_geometric_truth():
             - math.dist((4.1, 0.7), RECT_POSITIONS[s.anchor_b])
         ) / SPEED_OF_LIGHT
         assert abs(s.tdoa_sync - want) < 1e-12
+
+
+def test_anchor_back_after_half_a_wrap_away_is_exact():
+    """SA2 hears no blink for 9.5 s, over half a counter wrap (8.6 s), late in
+    a run longer than one wrap (17.2 s).  Its blinks after that must go
+    through the CCP epoch next to them, not one a wrap earlier whose tick
+    reading is just as near."""
+    topo, reports = _rect_reports(duration=20.0, tag_xy=(4.1, 0.7))
+    away = range(80, 175)  # blinks sent from 8.0 s to 17.4 s
+    kept = [r for r in reports
+            if not (r.anchor_id == "SA2" and r.kind == KIND_BLINK_RX and r.seq in away)]
+    diag: dict = {}
+    blinks = multi_master_sync(kept, topo, ccp_period=CCP_PERIOD, diagnostics=diag)
+    assert "stale_blinks" not in diag
+    back = [s for s in synced_pairs(blinks, CCP_PERIOD)
+            if "SA2" in (s.anchor_a, s.anchor_b) and s.blink_seq >= away.stop]
+    assert len(back) == 3 * (200 - away.stop)  # three pairs per blink through SA2
+    for s in back:
+        want = (
+            math.dist((4.1, 0.7), RECT_POSITIONS[s.anchor_a])
+            - math.dist((4.1, 0.7), RECT_POSITIONS[s.anchor_b])
+        ) / SPEED_OF_LIGHT
+        assert abs(s.tdoa_sync - want) < 1e-12
+
+
+@pytest.mark.parametrize("blink_period", [0.0, -0.1])
+def test_blink_period_must_be_positive(blink_period):
+    topo, reports = _rect_reports(duration=0.5)
+    with pytest.raises(ValueError, match="blink_period"):
+        multi_master_sync(reports, topo, ccp_period=CCP_PERIOD, blink_period=blink_period)
