@@ -14,7 +14,7 @@ from .simnet import Scenario, SimResult, TagSpec, run_scenario
 from .solver import Fix, TrackerConfig, ls_solve, track
 from .timebase import TdoaSet, assemble_tdoa_set, select_time_base
 from .topology import AnchorConfig, NetworkTopology
-from .wcs import Arrival, SyncedTdoa, multi_master_sync, scale_coefficient, synced_pairs
+from .wcs import Arrival, SyncedTdoa, multi_master_sync, synced_pairs
 
 __version__ = "0.1.0"
 
@@ -47,7 +47,6 @@ __all__ = [
     "multi_master_sync",
     "read_clock",
     "run_scenario",
-    "scale_coefficient",
     "select_time_base",
     "synced_pairs",
     "track",

@@ -43,10 +43,6 @@ class Timestamp:
         if not 0 <= self.ticks < TICK_WRAP:
             raise ValueError(f"ticks must lie in [0, 2**40), got {self.ticks!r}")
 
-    def seconds(self) -> float:
-        """The raw counter value expressed in seconds (not unwrapped)."""
-        return self.ticks * TICK_SECONDS
-
 
 @dataclass(frozen=True)
 class ClockModel:

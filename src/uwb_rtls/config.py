@@ -30,6 +30,7 @@ from .wcs import (
     DEFAULT_MEASUREMENT_VAR,
     DEFAULT_PROCESS_VAR,
     DEFAULT_STALE_INTERVALS,
+    check_sync_params,
 )
 
 
@@ -301,6 +302,10 @@ def parse_config(raw: Mapping[str, Any]) -> ScenarioConfig:
         process_var=_number(wcs_raw, "process_var", "config.wcs", DEFAULT_PROCESS_VAR),
         measurement_var=_number(wcs_raw, "measurement_var", "config.wcs", DEFAULT_MEASUREMENT_VAR),
     )
+    try:
+        check_sync_params(wcs.k_band, wcs.stale_intervals)
+    except ValueError as exc:
+        raise ConfigError(f"config.wcs: {exc}") from exc
 
     eval_raw = _require_mapping(raw.get("eval", {}), "config.eval")
     _check_keys(eval_raw, _ALLOWED_EVAL, "config.eval")

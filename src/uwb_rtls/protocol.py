@@ -1,4 +1,4 @@
-"""Air-interface messages and the JSON-lines ToA report format.
+"""The JSON-lines ToA report format anchors send to the engine.
 
 Anchors do not exchange clock state; they only forward timestamped events to
 the localization engine.  A report line carries who timestamped what:
@@ -44,24 +44,6 @@ class TicksRangeError(ReportDecodeError):
 
 class SeqRangeError(ReportDecodeError):
     """``seq`` is negative or beyond the 32-bit counter range."""
-
-
-@dataclass(frozen=True)
-class BlinkMsg:
-    """Positioning packet sent by a tag; the tx time never leaves the simulator."""
-
-    tag_id: str
-    seq_num: int
-    tx_true_time: float
-
-
-@dataclass(frozen=True)
-class CcpMsg:
-    """Clock calibration packet sent by a master anchor."""
-
-    master_id: str
-    seq_num: int
-    tx_true_time: float
 
 
 @dataclass(frozen=True)

@@ -1,28 +1,24 @@
 """Wireless clock synchronization.
 
 Anchors never adjust their counters; the engine removes clock disagreement
-after the fact using clock calibration packets (CCPs).  A pair of consecutive
-CCPs seen on both the master's transmit side and a receiver's side gives the
-scale coefficient
+after the fact using clock calibration packets (CCPs).  One clock's
+readings of two consecutive CCPs span one nominal CCP interval of the
+primary master's schedule, so that window gives the clock's rate (device
+seconds per schedule second), and a tag blink timestamped on several
+free-running counters can be mapped onto one common timescale.
+Multi-master cascades compose these per-hop corrections along the follow
+chain, so any two anchors in a connected topology can be differenced.
 
-    K = (T_s1 - T_s2) / (R_s1 - R_s2)
-
-the ratio of the two clock rates over one CCP interval.  Because the CCP
-round schedule is periodic with a known nominal interval, the same window
-also calibrates each clock against that schedule, which is what lets a tag
-blink timestamped on several free-running counters be mapped onto one common
-timescale.  Multi-master cascades compose these per-hop corrections along
-the follow chain, so any two anchors in a connected topology can be
-differenced.
-
-Masters and slaves are corrected the same way.  A blink timestamp is placed
-after the CCP epoch nearest to it on the receiving anchor's own clock and
-scaled by that clock's rate over the window that starts there.  A slave's
-epochs are its receptions of a master's CCPs, and the CCP's flight time over
-the known baseline is added back; a master's epochs are its own CCP
-transmissions.  ``CcpPairWindow`` and ``scale_coefficient`` are the paper's
-K view of a slave's window, and every such window is checked through them
-when it is built.
+Every clock is calibrated by one window rule.  A clock's reading of CCP
+``s`` is an epoch if the same clock also read CCP ``s + 1`` and its rate
+over that window lies within ``1 +/- k_band``; a window that fails is
+counted and dropped.  A slave's epochs are its receptions of a master's
+CCPs, and the CCP's flight time over the known baseline is added back; a
+master's epochs are its own CCP transmissions.  A blink timestamp is placed
+after the epoch nearest to it on the receiving anchor's own clock and
+scaled by that epoch's rate.  The paper's scale coefficient K = ΔT/ΔR
+between a master and a receiver is the ratio of their two rates over one
+window; ``SyncedTdoa.k_used`` derives it for any anchor pair of a blink.
 
 The output is one ``Arrival`` per receiving anchor per blink: the blink's
 arrival on the common timescale, as an offset after a numbered CCP of the
@@ -37,9 +33,7 @@ blinks for eval's stability streams, and for every anchor pair in
 from __future__ import annotations
 
 import bisect
-import logging
 import math
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .clock import TICK_SECONDS, Timestamp, ts_diff
@@ -47,9 +41,7 @@ from .constants import SPEED_OF_LIGHT
 from .protocol import KIND_BLINK_RX, KIND_CCP_RX, KIND_CCP_TX, ToaReport
 from .topology import NetworkTopology, ROLE_MASTER
 
-log = logging.getLogger(__name__)
-
-# Reject windows implying more than 100 ppm of relative rate error.
+# Reject windows implying a clock rate more than 100 ppm from nominal.
 DEFAULT_K_BAND = 1e-4
 # Windows farther than this many CCP intervals from the blink are stale.
 DEFAULT_STALE_INTERVALS = 2.0
@@ -60,38 +52,14 @@ DEFAULT_PROCESS_VAR = 1e-22  # s^2 added per step
 DEFAULT_MEASUREMENT_VAR = (0.5e-9) ** 2  # s^2
 
 
-class SyncError(RuntimeError):
-    """Raised when raw timestamps cannot be placed on the common timescale."""
-
-
-class DegenerateWindowError(SyncError):
-    """CCP window with repeated or non-advancing timestamps."""
-
-
-class DriftAnomalyError(SyncError):
-    """Window implies a clock rate outside the sanity band."""
-
-
-@dataclass(frozen=True)
-class CcpPairWindow:
-    """Timestamps of two consecutive CCPs (sequence ``seq`` and ``seq + 1``):
-    the master's transmit readings and one receiver's arrival readings."""
-
-    master_id: str
-    sa_id: str
-    seq: int
-    t_s1: Timestamp
-    t_s2: Timestamp
-    r_s1: Timestamp
-    r_s2: Timestamp
-
-
 class SyncedTdoa(NamedTuple):
     """Corrected arrival-time difference of one blink between two anchors.
 
     ``tdoa_sync`` is (arrival at ``anchor_a``) minus (arrival at
     ``anchor_b``) in seconds on the common timescale; ``k_used`` is the
-    rate ratio applied between the two anchors' clocks.
+    rate ratio rate_b / rate_a applied between the two anchors' clocks, the
+    inverse of the paper's K = ΔT/ΔR when ``anchor_a`` is the master whose
+    CCP window ``anchor_b`` read.
     """
 
     anchor_a: str
@@ -161,40 +129,6 @@ def synced_pairs(
                 )
 
 
-def scale_coefficient(window: CcpPairWindow, k_band: float = DEFAULT_K_BAND) -> float:
-    """Clock-rate ratio master/receiver measured over one CCP window.
-
-    Both tick differences are taken first-minus-second, so numerator and
-    denominator are negative for consecutive CCPs and K comes out positive,
-    within ``1 +/- k_band`` for healthy crystals.
-    """
-    num = ts_diff(window.t_s1, window.t_s2)
-    den = ts_diff(window.r_s1, window.r_s2)
-    if den == 0.0:
-        raise DegenerateWindowError(
-            f"window {window.master_id}->{window.sa_id} seq {window.seq}: "
-            "receiver timestamps do not advance"
-        )
-    if num >= 0.0 or den >= 0.0:
-        raise DegenerateWindowError(
-            f"window {window.master_id}->{window.sa_id} seq {window.seq}: "
-            "timestamps are not consecutive"
-        )
-    k = num / den
-    if abs(k - 1.0) > k_band:
-        raise DriftAnomalyError(
-            f"window {window.master_id}->{window.sa_id} seq {window.seq}: "
-            f"K = {k!r} outside 1 +/- {k_band}"
-        )
-    return k
-
-
-def _clock_rate(first: Timestamp, second: Timestamp, ccp_period: float) -> float:
-    """Device seconds per schedule second between one clock's readings of two
-    consecutive CCPs."""
-    return ts_diff(second, first) * TICK_SECONDS / ccp_period
-
-
 # ---------------------------------------------------------------------------
 # Scalar per-pair smoothing
 
@@ -223,12 +157,13 @@ def kalman_step(
 
 
 class _EpochTrack:
-    """One anchor's CCP epochs against one master it follows, in seq order.
+    """One clock's CCP epochs against one master's schedule, in seq order.
 
-    Each entry is (seq, the anchor's reading of that CCP, the anchor's clock
-    rate over the window that starts there, or None without a valid one).
-    ``delay`` is the CCP's flight time from the master to the anchor; on a
-    master's track against itself it is zero.
+    Each entry is (seq, the clock's reading of CCP ``seq``, the clock's rate
+    over the window from CCP ``seq`` to ``seq + 1``); ``_epoch_track``
+    builds every track, a master's own and a slave's alike, with the one
+    window rule.  ``delay`` is the CCP's flight time from the master to the
+    anchor; on a master's own track it is zero.
 
     Tick comparisons are only trustworthy within half a counter wrap, so
     every lookup starts at the epoch the nominal schedule puts next to the
@@ -239,14 +174,21 @@ class _EpochTrack:
     """
 
     def __init__(
-        self, master: str, delay: float, entries: list[tuple[int, Timestamp, float | None]]
+        self, master: str, delay: float, entries: list[tuple[int, Timestamp, float]]
     ) -> None:
         self.master = master
         self.delay = delay
         self.entries = entries
         self.seqs = [seq for seq, _, _ in entries]
 
-    def nearest(self, stamp: Timestamp, seq_hint: int) -> tuple[int, Timestamp, float | None]:
+    def at(self, seq: int) -> tuple[int, Timestamp, float] | None:
+        """The entry of CCP ``seq``, or None if that reading is no epoch."""
+        i = bisect.bisect_left(self.seqs, seq)
+        if i < len(self.seqs) and self.seqs[i] == seq:
+            return self.entries[i]
+        return None
+
+    def nearest(self, stamp: Timestamp, seq_hint: int) -> tuple[int, Timestamp, float]:
         entries = self.entries
         i = min(bisect.bisect_left(self.seqs, seq_hint), len(entries) - 1)
         best = abs(ts_diff(stamp, entries[i][1]))
@@ -265,23 +207,44 @@ class _EpochTrack:
         return entries[i]
 
 
-def _dedupe(reports: Iterable[ToaReport], diag: dict) -> dict:
-    """Index reports by (anchor, kind, src, seq), keeping the smallest tick
-    value when duplicates conflict so results stay order-independent."""
-    index: dict[tuple, Timestamp] = {}
-    count = 0
-    for r in reports:
-        count += 1
-        key = (r.anchor_id, r.kind, r.src_id, r.seq)
-        held = index.get(key)
-        if held is None or r.timestamp.ticks < held.ticks:
-            if held is not None:
-                diag["duplicate_reports"] = diag.get("duplicate_reports", 0) + 1
-            index[key] = r.timestamp
-        elif held is not None:
-            diag["duplicate_reports"] = diag.get("duplicate_reports", 0) + 1
-    diag["reports"] = diag.get("reports", 0) + count
-    return index
+def _epoch_track(
+    master: str,
+    delay: float,
+    readings: Mapping[int, Timestamp],
+    ccp_period: float,
+    k_band: float,
+    diag: dict,
+) -> _EpochTrack | None:
+    """The epochs among one clock's readings of ``master``'s CCPs, by seq.
+
+    The reading of CCP s is an epoch if the clock also read CCP s + 1 and
+    its rate over that window (device seconds per nominal CCP period) lies
+    within 1 +/- ``k_band``; with ``k_band`` < 1, a stuck or backwards clock
+    (rate <= 0) fails too.  Failed windows are counted in
+    ``rejected_windows``; None if no epoch is left.
+    """
+    entries = []
+    for seq in sorted(readings):
+        following = readings.get(seq + 1)
+        if following is None:
+            continue
+        rate = ts_diff(following, readings[seq]) * TICK_SECONDS / ccp_period
+        if abs(rate - 1.0) <= k_band:
+            entries.append((seq, readings[seq], rate))
+        else:
+            diag["rejected_windows"] = diag.get("rejected_windows", 0) + 1
+    return _EpochTrack(master, delay, entries) if entries else None
+
+
+def check_sync_params(k_band: float, stale_intervals: float) -> None:
+    """Raise ValueError unless 0 < ``k_band`` < 1 and ``stale_intervals`` > 0.
+
+    NaN fails both.
+    """
+    if not 0.0 < k_band < 1.0:
+        raise ValueError(f"k_band must lie in (0, 1), got {k_band!r}")
+    if not stale_intervals > 0.0:
+        raise ValueError(f"stale_intervals must be > 0, got {stale_intervals!r}")
 
 
 def multi_master_sync(
@@ -304,90 +267,81 @@ def multi_master_sync(
     and lower-level masters are chained to the primary through their own CCP
     receive/transmit pairs.  The result maps each blink, as (tag_id,
     blink_seq) in sorted order, to one ``Arrival`` per synchronized
-    receiver, in anchor-id order.  Anchors without a usable window, or whose
+    receiver, in anchor-id order.  Anchors without an epoch, or whose
     nearest one is more than ``stale_intervals`` CCP periods from the blink,
     are skipped and counted in ``diagnostics``; a blink left with fewer than
     two synchronized receivers carries no time difference and is left out.
     ``blink_period`` (> 0) is only a search hint pairing blinks with nearby
     CCP rounds; correction itself never assumes when tags transmit.
+    ``k_band`` must lie in (0, 1) and ``stale_intervals`` be positive.
 
     Results depend only on the multiset of reports, not their order.
     """
     if not blink_period > 0:
         raise ValueError(f"blink_period must be > 0, got {blink_period!r}")
+    check_sync_params(k_band, stale_intervals)
     diag = diagnostics if diagnostics is not None else {}
     topo.validate()
 
-    roles = {a.id: a.role for a in topo.anchors}
-    known = set(topo.ids())
-    index = _dedupe(reports, diag)
+    def count(key: str) -> None:
+        diag[key] = diag.get(key, 0) + 1
 
+    # One pass files each reading under its kind; where a reading repeats,
+    # the smallest tick value wins so results stay order-independent.
+    roles = {a.id: a.role for a in topo.anchors}
     ccp_tx: dict[str, dict[int, Timestamp]] = {}
     ccp_rx: dict[tuple[str, str], dict[int, Timestamp]] = {}
     blink_rx: dict[tuple[str, int], dict[str, Timestamp]] = {}
-    for (anchor_id, kind, src_id, seq), stamp in index.items():
-        if anchor_id not in known:
-            diag["unknown_anchor_reports"] = diag.get("unknown_anchor_reports", 0) + 1
+    n_reports = 0
+    for r in reports:
+        n_reports += 1
+        anchor_id, src_id = r.anchor_id, r.src_id
+        role = roles.get(anchor_id)
+        if role is None:
+            count("unknown_anchor_reports")
             continue
-        if kind == KIND_CCP_TX:
-            if roles.get(anchor_id) != ROLE_MASTER or src_id != anchor_id:
-                diag["ccp_tx_from_non_master"] = diag.get("ccp_tx_from_non_master", 0) + 1
+        if r.kind == KIND_CCP_TX:
+            if role != ROLE_MASTER or src_id != anchor_id:
+                count("ccp_tx_from_non_master")
                 continue
-            ccp_tx.setdefault(anchor_id, {})[seq] = stamp
-        elif kind == KIND_CCP_RX:
-            if src_id not in known or roles.get(src_id) != ROLE_MASTER:
-                diag["ccp_rx_unknown_master"] = diag.get("ccp_rx_unknown_master", 0) + 1
+            held, key = ccp_tx.setdefault(anchor_id, {}), r.seq
+        elif r.kind == KIND_CCP_RX:
+            if roles.get(src_id) != ROLE_MASTER:
+                count("ccp_rx_unknown_master")
                 continue
-            ccp_rx.setdefault((anchor_id, src_id), {})[seq] = stamp
+            held, key = ccp_rx.setdefault((anchor_id, src_id), {}), r.seq
         else:
-            blink_rx.setdefault((src_id, seq), {})[anchor_id] = stamp
+            held, key = blink_rx.setdefault((src_id, r.seq), {}), anchor_id
+        stamp = held.get(key)
+        if stamp is not None:
+            count("duplicate_reports")
+            if stamp.ticks <= r.timestamp.ticks:
+                continue
+        held[key] = r.timestamp
+    diag["reports"] = diag.get("reports", 0) + n_reports
 
-    # CCP windows per (receiver, master): consecutive sequence numbers only.
-    windows: dict[tuple[str, str], list[CcpPairWindow]] = {}
-    for (rx_anchor, master), arrivals in ccp_rx.items():
-        tx = ccp_tx.get(master, {})
-        built = []
-        for seq in sorted(arrivals):
-            if seq + 1 in arrivals and seq in tx and seq + 1 in tx:
-                w = CcpPairWindow(
-                    master_id=master,
-                    sa_id=rx_anchor,
-                    seq=seq,
-                    t_s1=tx[seq],
-                    t_s2=tx[seq + 1],
-                    r_s1=arrivals[seq],
-                    r_s2=arrivals[seq + 1],
-                )
-                try:
-                    scale_coefficient(w, k_band)
-                except SyncError:
-                    diag["rejected_windows"] = diag.get("rejected_windows", 0) + 1
-                    continue
-                built.append(w)
-        if built:
-            windows[(rx_anchor, master)] = built
-
-    # Master transmit-side rates, per seq s over the master's own stamps of
-    # CCPs s and s + 1.
-    tx_rates: dict[str, dict[int, float]] = {}
-    for master, stamps in ccp_tx.items():
-        rates = {}
-        for s in sorted(stamps):
-            if s + 1 in stamps:
-                rate = _clock_rate(stamps[s], stamps[s + 1], ccp_period)
-                if rate <= 0.0 or abs(rate - 1.0) > k_band:
-                    diag["rejected_windows"] = diag.get("rejected_windows", 0) + 1
-                    continue
-                rates[s] = rate
-        tx_rates[master] = rates
-
-    def master_rate(master: str, seq: int) -> float | None:
-        rates = tx_rates.get(master, {})
-        return rates.get(seq, rates.get(seq - 1))
+    # Each anchor's epoch tracks, one per master it follows, in master-id
+    # order.  A master follows itself through its own CCP transmissions,
+    # with no flight time.
+    tracks: dict[str, list[_EpochTrack]] = {}
+    for anchor_id in topo.ids():
+        if roles[anchor_id] == ROLE_MASTER:
+            sources = [(anchor_id, 0.0, ccp_tx.get(anchor_id, {}))]
+        else:
+            sources = [
+                (master, topo.baseline(master, anchor_id) / SPEED_OF_LIGHT,
+                 ccp_rx.get((anchor_id, master), {}))
+                for master in sorted(topo.follow.get(anchor_id, frozenset()))
+            ]
+        tracks[anchor_id] = [
+            track for source in sources
+            if (track := _epoch_track(*source, ccp_period, k_band, diag)) is not None
+        ]
 
     # Offset of each master's seq-s CCP transmission from the primary's, on
-    # the common timescale.  Chained through the master's own reception of
-    # its upper master's CCP; the chain bottoms out at the primary (0.0).
+    # the common timescale.  Chained through the master's own epoch s and
+    # its reception of its upper master's CCP s; the chain bottoms out at
+    # the primary (0.0).
     primary = topo.primary_master()
     delta_cache: dict[tuple[str, int], float | None] = {}
 
@@ -399,38 +353,17 @@ def multi_master_sync(
             return delta_cache[key]
         result = None
         upper_set = topo.follow.get(master, frozenset())
-        if len(upper_set) == 1:
+        own = tracks[master][0].at(seq) if tracks[master] else None
+        if len(upper_set) == 1 and own is not None:
             (upper,) = upper_set
-            own_tx = ccp_tx.get(master, {}).get(seq)
             upper_rx = ccp_rx.get((master, upper), {}).get(seq)
-            rate = master_rate(master, seq)
             up = cascade_delta(upper, seq)
-            if own_tx is not None and upper_rx is not None and rate is not None and up is not None:
+            if upper_rx is not None and up is not None:
+                _, own_tx, rate = own
                 turnaround = ts_diff(own_tx, upper_rx) * TICK_SECONDS / rate
                 result = turnaround + topo.baseline(upper, master) / SPEED_OF_LIGHT + up
         delta_cache[key] = result
         return result
-
-    # Each anchor's epoch tracks, one per master it follows, in master-id
-    # order.  A slave's epochs are its receptions of the master's CCPs that
-    # open a valid window; a master follows itself through its own CCP
-    # transmissions, with no flight time.
-    tracks: dict[str, list[_EpochTrack]] = {}
-    for anchor_id in topo.ids():
-        if roles[anchor_id] == ROLE_MASTER:
-            stamps = ccp_tx.get(anchor_id, {})
-            own = [(s, stamps[s], master_rate(anchor_id, s)) for s in sorted(stamps)]
-            tracks[anchor_id] = [_EpochTrack(anchor_id, 0.0, own)] if own else []
-        else:
-            tracks[anchor_id] = [
-                _EpochTrack(
-                    master,
-                    topo.baseline(master, anchor_id) / SPEED_OF_LIGHT,
-                    [(w.seq, w.r_s1, _clock_rate(w.r_s1, w.r_s2, ccp_period)) for w in ws],
-                )
-                for master in sorted(topo.follow.get(anchor_id, frozenset()))
-                if (ws := windows.get((anchor_id, master)))
-            ]
 
     stale_limit = stale_intervals * ccp_period
 
@@ -448,11 +381,10 @@ def multi_master_sync(
                 continue
             saw_fresh = True
             base = cascade_delta(track.master, seq)
-            if rate is None or base is None:
+            if base is None:
                 continue
             return Arrival(gap / rate + track.delay + base, seq, rate)
-        key = "stale_blinks" if tracks[anchor_id] and not saw_fresh else "unsynchronized_blinks"
-        diag[key] = diag.get(key, 0) + 1
+        count("stale_blinks" if tracks[anchor_id] and not saw_fresh else "unsynchronized_blinks")
         return None
 
     synced: SyncedBlinks = {}

@@ -278,6 +278,11 @@ def test_bad_config_exits_2(tmp_path):
     typo.write_text(json.dumps(dict(CONFIG, durration=5.0)))
     assert main(["simulate", "--config", str(typo), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
 
+    band = tmp_path / "band.json"
+    band.write_text(json.dumps(dict(CONFIG, wcs={"k_band": -1e-4})))
+    assert main(["locate", "--config", str(band), "--out", str(tmp_path / "o"),
+                 "--reports", str(tmp_path / "nowhere.jsonl")]) == EXIT_CONFIG
+
 
 def test_reports_without_blinks_exit_3(tmp_path, config_path, capsys):
     out = tmp_path / "run"

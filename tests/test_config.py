@@ -84,6 +84,15 @@ def test_wrong_types_are_rejected():
         parse_config(raw)
 
 
+@pytest.mark.parametrize("key, value", [
+    ("k_band", 0.0), ("k_band", -1e-4), ("k_band", 1.0), ("k_band", 2.0), ("k_band", float("nan")),
+    ("stale_intervals", 0.0), ("stale_intervals", -1.0), ("stale_intervals", float("nan")),
+])
+def test_sync_params_out_of_range_are_rejected(key, value):
+    with pytest.raises(ConfigError, match=f"config.wcs.*{key}"):
+        parse_config(_tweaked(wcs={key: value}))
+
+
 def test_missing_required_fields():
     raw = copy.deepcopy(BASE)
     del raw["duration"]

@@ -1,4 +1,4 @@
-"""Clock synchronization: scale coefficients, TDoA correction, smoothing.
+"""Clock synchronization: the CCP window rule, TDoA correction, smoothing.
 
 The oracles here are closed-form: timestamps are generated from explicit
 clock laws with read_clock, and the expected TDoA is pure geometry
@@ -10,30 +10,40 @@ directly.  Every correction goes through the stream corrector,
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 
-from uwb_rtls.clock import ClockModel, IDEAL_CLOCK, Timestamp, read_clock
+from uwb_rtls.clock import TICK_SECONDS, ClockModel, IDEAL_CLOCK, Timestamp, read_clock
 from uwb_rtls.constants import SPEED_OF_LIGHT
 from uwb_rtls.protocol import KIND_BLINK_RX, KIND_CCP_RX, KIND_CCP_TX, ToaReport
 from uwb_rtls.simnet import Scenario, StaticTrajectory, TagSpec, run_scenario
 from uwb_rtls.wcs import (
-    CcpPairWindow,
     DEFAULT_MEASUREMENT_VAR,
     DEFAULT_PROCESS_VAR,
     DEFAULT_STALE_INTERVALS,
-    DegenerateWindowError,
-    DriftAnomalyError,
     kalman_step,
     multi_master_sync,
-    scale_coefficient,
     synced_pairs,
 )
 
 from conftest import RECT_POSITIONS, build_rect_topology
 
 CCP_PERIOD = 0.15
+# Ticks of one nominal CCP interval.
+CCP_TICKS = CCP_PERIOD / TICK_SECONDS
+
+
+class Window(NamedTuple):
+    """MA1's transmit readings and SA2's receive readings of CCPs ``seq``
+    and ``seq + 1``."""
+
+    seq: int
+    t_s1: Timestamp
+    t_s2: Timestamp
+    r_s1: Timestamp
+    r_s2: Timestamp
 
 
 def make_window(
@@ -44,12 +54,10 @@ def make_window(
     baseline_m: float,
     seq: int = 1,
     ccp_period: float = CCP_PERIOD,
-) -> CcpPairWindow:
+) -> Window:
     """Window over CCPs ``seq`` (at epoch_time) and ``seq + 1``."""
     prop = baseline_m / SPEED_OF_LIGHT
-    return CcpPairWindow(
-        master_id="MA1",
-        sa_id="SA2",
+    return Window(
         seq=seq,
         t_s1=read_clock(master_clock, epoch_time),
         t_s2=read_clock(master_clock, epoch_time + ccp_period),
@@ -58,63 +66,26 @@ def make_window(
     )
 
 
-# ---------------------------------------------------------------------------
-# Scale coefficient
+def _sync_window(w: Window, ma_blink: Timestamp, sa_blink: Timestamp, *,
+                 tag_id="T1", blink_seq=2, stale_intervals=DEFAULT_STALE_INTERVALS):
+    """Stream-sync one blink heard by MA1 and SA2 through one CCP window.
 
-
-def test_identical_clocks_give_k_one():
-    clock = ClockModel(offset=0.002, skew=1.5e-5)
-    # Co-located pair: identical sampling instants, so the tick differences
-    # are bit-identical and K is exactly 1.
-    assert scale_coefficient(make_window(clock, clock, epoch_time=1.0, baseline_m=0.0)) == 1.0
-    # With a real baseline the readings differ by the propagation delay and
-    # K is 1 only to rounding.
-    w = make_window(clock, clock, epoch_time=1.0, baseline_m=6.0)
-    assert scale_coefficient(w) == pytest.approx(1.0, rel=1e-12)
-
-
-def test_receiver_10ppm_fast_gives_k_inverse():
-    # The receiver counts 1 + 1e-5 device seconds per true second, so the
-    # same true interval spans more receiver ticks: K = 1 / (1 + 1e-5).
-    w = make_window(IDEAL_CLOCK, ClockModel(skew=1e-5), epoch_time=1.0, baseline_m=6.0)
-    k = scale_coefficient(w)
-    assert k == pytest.approx(1.0 / (1.0 + 1e-5), rel=1e-12)
-    assert k < 1.0
-
-
-def test_stuck_receiver_is_degenerate():
-    w = CcpPairWindow("MA1", "SA2", 0, Timestamp(100.0), Timestamp(9700.0),
-                      Timestamp(500.0), Timestamp(500.0))
-    with pytest.raises(DegenerateWindowError):
-        scale_coefficient(w)
-
-
-def test_non_consecutive_timestamps_are_degenerate():
-    # Later CCP recorded an earlier tick value without an actual wrap.
-    w = CcpPairWindow("MA1", "SA2", 0, Timestamp(9700.0), Timestamp(100.0),
-                      Timestamp(500.0), Timestamp(10100.0))
-    with pytest.raises(DegenerateWindowError):
-        scale_coefficient(w)
-
-
-def test_k_outside_band_is_a_drift_anomaly():
-    # 300 ppm apparent rate difference, three times the allowed band.
-    w = CcpPairWindow("MA1", "SA2", 0, Timestamp(1000.0), Timestamp(2000.0),
-                      Timestamp(1000.0), Timestamp(2000.3))
-    with pytest.raises(DriftAnomalyError):
-        scale_coefficient(w)
-
-
-def test_k_spans_the_counter_wrap():
-    # Window placed so the receiver's counter wraps between the two CCPs.
-    wrap_time = 2**40 * (1.0 / (128 * 499.2e6))
-    w = make_window(IDEAL_CLOCK, IDEAL_CLOCK, epoch_time=wrap_time - 0.07, baseline_m=6.0)
-    assert w.r_s2.ticks < w.r_s1.ticks  # wrapped
-    assert scale_coefficient(w) == pytest.approx(1.0, rel=1e-12)
-
-
-# ---------------------------------------------------------------------------
-# One blink through one CCP window
+    The reports are MA1's transmissions of CCPs ``w.seq`` and ``w.seq + 1``,
+    SA2's receptions of them, and the two anchors' receptions of the blink.
+    Returns the sync output and its diagnostics.
+    """
+    reports = [
+        ToaReport("MA1", KIND_CCP_TX, "MA1", w.seq, w.t_s1),
+        ToaReport("MA1", KIND_CCP_TX, "MA1", w.seq + 1, w.t_s2),
+        ToaReport("SA2", KIND_CCP_RX, "MA1", w.seq, w.r_s1),
+        ToaReport("SA2", KIND_CCP_RX, "MA1", w.seq + 1, w.r_s2),
+        ToaReport("MA1", KIND_BLINK_RX, tag_id, blink_seq, ma_blink),
+        ToaReport("SA2", KIND_BLINK_RX, tag_id, blink_seq, sa_blink),
+    ]
+    diag: dict = {}
+    blinks = multi_master_sync(reports, build_rect_topology(), ccp_period=CCP_PERIOD,
+                               stale_intervals=stale_intervals, diagnostics=diag)
+    return blinks, diag
 
 
 def _sync_one_blink(
@@ -128,34 +99,129 @@ def _sync_one_blink(
     blink_seq=None,
     stale_intervals=DEFAULT_STALE_INTERVALS,
 ):
-    """Stream-sync one blink heard by MA1 and SA2 through one CCP window.
-
-    The reports are MA1's transmissions of CCPs 1 and 2 (at ``epoch_time``
-    and one CCP period later), SA2's receptions of them, and both anchors'
-    receptions of the blink sent at ``blink_time``.  Returns the sync
-    output, its diagnostics, the window of those CCP stamps and the
-    geometric SA2-minus-MA1 TDoA.
+    """``_sync_window`` over CCPs 1 and 2, sent at ``epoch_time`` and one
+    CCP period later, and a blink sent from ``tag_xy`` at ``blink_time``,
+    all read from the given clock laws.  Returns the sync output, its
+    diagnostics, the window of those CCP stamps and the geometric
+    SA2-minus-MA1 TDoA.
     """
     ma_pos, sa_pos = RECT_POSITIONS["MA1"], RECT_POSITIONS["SA2"]
     w = make_window(master_clock, slave_clock, epoch_time=epoch_time,
                     baseline_m=math.dist(ma_pos, sa_pos))
     if blink_seq is None:
         blink_seq = round(blink_time / 0.1)  # the default blink period
-    reports = [
-        ToaReport("MA1", KIND_CCP_TX, "MA1", w.seq, w.t_s1),
-        ToaReport("MA1", KIND_CCP_TX, "MA1", w.seq + 1, w.t_s2),
-        ToaReport("SA2", KIND_CCP_RX, "MA1", w.seq, w.r_s1),
-        ToaReport("SA2", KIND_CCP_RX, "MA1", w.seq + 1, w.r_s2),
-    ]
-    for anchor, clock in (("MA1", master_clock), ("SA2", slave_clock)):
-        flight = math.dist(tag_xy, RECT_POSITIONS[anchor]) / SPEED_OF_LIGHT
-        reports.append(ToaReport(anchor, KIND_BLINK_RX, tag_id, blink_seq,
-                                 read_clock(clock, blink_time + flight)))
-    diag: dict = {}
-    blinks = multi_master_sync(reports, build_rect_topology(), ccp_period=CCP_PERIOD,
-                               stale_intervals=stale_intervals, diagnostics=diag)
+    ma_blink, sa_blink = (
+        read_clock(clock, blink_time + math.dist(tag_xy, pos) / SPEED_OF_LIGHT)
+        for clock, pos in ((master_clock, ma_pos), (slave_clock, sa_pos))
+    )
+    blinks, diag = _sync_window(w, ma_blink, sa_blink, tag_id=tag_id, blink_seq=blink_seq,
+                                stale_intervals=stale_intervals)
     want = (math.dist(tag_xy, sa_pos) - math.dist(tag_xy, ma_pos)) / SPEED_OF_LIGHT
     return blinks, diag, w, want
+
+
+# ---------------------------------------------------------------------------
+# The CCP window rule: a clock's rate over two consecutive CCPs, and the
+# paper's K as the rate ratio k_used
+
+
+def _healthy_window() -> Window:
+    """Both clocks read CCPs 1 and 2 exactly one nominal interval apart."""
+    return Window(1, Timestamp(1e6), Timestamp(1e6 + CCP_TICKS),
+                  Timestamp(7e6), Timestamp(7e6 + CCP_TICKS))
+
+
+def _sync_stamped(w: Window):
+    """``_sync_window`` with the blink read 1e6 ticks after each clock's
+    first CCP reading."""
+    return _sync_window(w, Timestamp(2e6), Timestamp(8e6))
+
+
+def test_identical_clocks_give_k_one():
+    # Readings the same number of ticks apart on both clocks: the two window
+    # rates are the same float, so k_used is exactly 1.
+    blinks, diag = _sync_stamped(_healthy_window())
+    (s,) = synced_pairs(blinks, CCP_PERIOD)
+    assert s.k_used == 1.0
+    assert "rejected_windows" not in diag
+    # Two clocks with one law, over a real baseline: the readings differ by
+    # the propagation delay and k_used is 1 only to rounding.
+    clock = ClockModel(offset=0.002, skew=1.5e-5)
+    blinks, _, _, want = _sync_one_blink((1.7, 2.9), clock, clock)
+    (s,) = synced_pairs(blinks, CCP_PERIOD)
+    assert s.k_used == pytest.approx(1.0, rel=1e-12)
+    assert abs(s.signed("SA2", "MA1") - want) < 1e-12
+
+
+def test_receiver_10ppm_fast_gives_k_inverse():
+    # The receiver counts 1 + 1e-5 device seconds per true second, so the
+    # same true interval spans more receiver ticks: the paper's K is
+    # 1 / (1 + 1e-5), and k_used, SA2's rate over MA1's, is its inverse.
+    blinks, _, _, want = _sync_one_blink((2.0, 1.0), IDEAL_CLOCK, ClockModel(skew=1e-5))
+    (s,) = synced_pairs(blinks, CCP_PERIOD)
+    assert (s.anchor_a, s.anchor_b) == ("MA1", "SA2")
+    assert s.k_used == pytest.approx(1.0 + 1e-5, rel=1e-12)
+    assert abs(s.signed("SA2", "MA1") - want) < 1e-12
+
+
+def _assert_window_rejected(w: Window, anchor: str) -> None:
+    """``anchor``'s window is rejected and counted, so its blink reception
+    cannot be synced and the blink, left with one arrival, is dropped.  With
+    that window healthy again the same blink syncs."""
+    blinks, diag = _sync_stamped(w)
+    assert diag["rejected_windows"] == 1
+    assert diag["unsynchronized_blinks"] == 1
+    assert blinks == {}
+    healthy = _healthy_window()
+    if anchor == "MA1":
+        w = w._replace(t_s1=healthy.t_s1, t_s2=healthy.t_s2)
+    else:
+        w = w._replace(r_s1=healthy.r_s1, r_s2=healthy.r_s2)
+    blinks, diag = _sync_stamped(w)
+    assert "rejected_windows" not in diag
+    assert list(blinks[("T1", 2)]) == ["MA1", "SA2"]
+
+
+def test_stuck_receiver_is_degenerate():
+    # A clock that reads the same tick for two consecutive CCPs has rate 0,
+    # on a slave's receptions and on a master's own transmissions alike.
+    w = _healthy_window()
+    _assert_window_rejected(w._replace(r_s2=w.r_s1), "SA2")
+    _assert_window_rejected(w._replace(t_s2=w.t_s1), "MA1")
+
+
+def test_non_consecutive_timestamps_are_degenerate():
+    # The later CCP recorded an earlier tick value without an actual wrap:
+    # the rate is negative.
+    w = _healthy_window()
+    _assert_window_rejected(w._replace(r_s1=w.r_s2, r_s2=w.r_s1), "SA2")
+    _assert_window_rejected(w._replace(t_s1=w.t_s2, t_s2=w.t_s1), "MA1")
+
+
+def test_k_outside_band_is_a_drift_anomaly():
+    # 300 ppm apparent rate error, three times the allowed band.
+    w = _healthy_window()
+    _assert_window_rejected(w._replace(r_s2=Timestamp(7e6 + CCP_TICKS * (1 + 3e-4))), "SA2")
+    _assert_window_rejected(w._replace(t_s2=Timestamp(1e6 + CCP_TICKS * (1 + 3e-4))), "MA1")
+
+
+def test_k_spans_the_counter_wrap():
+    # Window placed so the receiver's counter wraps between the two CCPs.
+    wrap_time = 2**40 * TICK_SECONDS
+    blinks, diag, w, want = _sync_one_blink(
+        (2.0, 1.0), IDEAL_CLOCK, IDEAL_CLOCK,
+        epoch_time=wrap_time - 0.07, blink_time=wrap_time - 0.02, blink_seq=1)
+    assert w.r_s2.ticks < w.r_s1.ticks  # wrapped
+    assert "rejected_windows" not in diag
+    arrivals = blinks[("T1", 1)]
+    assert arrivals["SA2"].rate == pytest.approx(1.0, rel=1e-12)
+    assert arrivals["MA1"].rate == pytest.approx(1.0, rel=1e-12)
+    (s,) = synced_pairs(blinks, CCP_PERIOD)
+    assert abs(s.signed("SA2", "MA1") - want) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# One blink through one CCP window
 
 
 def _synced_for_tag(tag_xy, master_clock, slave_clock, **kwargs):
@@ -183,14 +249,14 @@ def test_range_difference_of_0_2998_m_is_one_nanosecond():
 def test_offsets_and_skews_cancel_to_sub_picosecond():
     master = ClockModel(offset=0.0071, skew=37e-6)
     slave = ClockModel(offset=-0.0043, skew=-29e-6)
-    blinks, _, w, want = _sync_one_blink((1.7, 2.9), master, slave)
+    blinks, _, _, want = _sync_one_blink((1.7, 2.9), master, slave)
     (s,) = synced_pairs(blinks, CCP_PERIOD)
     assert abs(s.signed("SA2", "MA1") - want) < 1e-12
     # The raw timestamps alone are useless: the offsets differ by 11.4 ms.
     assert abs(want) < 1e-8
-    # The pair's rate ratio (SA2's rate over MA1's) is the paper's K over
-    # the same window, inverted.
-    assert s.k_used == pytest.approx(1.0 / scale_coefficient(w), rel=1e-14)
+    # The pair's rate ratio (SA2's rate over MA1's, the inverse of the
+    # paper's K over the same window) is the ratio of the two clock laws.
+    assert s.k_used == pytest.approx((1.0 - 29e-6) / (1.0 + 37e-6), rel=1e-14)
 
 
 def test_blink_before_the_window_epoch_is_fine():
@@ -217,8 +283,8 @@ def test_orientation_and_metadata():
 
 
 def test_stale_window_rejected():
-    # The nearest epochs (0.15 s at SA2, 0.30 s at MA1) are over two CCP
-    # intervals (0.3 s) from the blink at 0.8 s.
+    # The only epoch of each anchor, its reading of the CCP sent at 0.15 s,
+    # is over two CCP intervals (0.3 s) from the blink at 0.8 s.
     blinks, diag, _, _ = _sync_one_blink((2.0, 1.0), IDEAL_CLOCK, IDEAL_CLOCK,
                                          epoch_time=0.15, blink_time=0.8)
     assert diag["stale_blinks"] == 2
@@ -303,6 +369,13 @@ def _rect_reports(duration=2.0, tag_xy=(2.0, 1.5)):
     return topo, run_scenario(scenario).reports
 
 
+def _geometric_tdoa(tag_xy, anchor_a, anchor_b):
+    """Arrival at ``anchor_a`` minus arrival at ``anchor_b`` from geometry alone."""
+    return (
+        math.dist(tag_xy, RECT_POSITIONS[anchor_a]) - math.dist(tag_xy, RECT_POSITIONS[anchor_b])
+    ) / SPEED_OF_LIGHT
+
+
 def test_stream_sync_emits_every_pair_and_cycles_close():
     topo, reports = _rect_reports()
     blinks = multi_master_sync(reports, topo, ccp_period=CCP_PERIOD)
@@ -336,6 +409,18 @@ def test_duplicate_reports_are_counted_and_harmless():
     assert diag["duplicate_reports"] == 1
 
 
+def test_conflicting_duplicate_keeps_the_smallest_reading():
+    topo, reports = _rect_reports()
+    base = multi_master_sync(reports, topo, ccp_period=CCP_PERIOD)
+    r = next(r for r in reports if r.kind == KIND_BLINK_RX)
+    late = ToaReport(r.anchor_id, r.kind, r.src_id, r.seq, Timestamp(r.timestamp.ticks + 1e4))
+    for stream in ([late] + list(reports), list(reports) + [late]):
+        diag: dict = {}
+        got = multi_master_sync(stream, topo, ccp_period=CCP_PERIOD, diagnostics=diag)
+        assert list(got.items()) == list(base.items())
+        assert diag["duplicate_reports"] == 1
+
+
 def test_anchor_without_ccp_coverage_is_skipped_and_counted():
     topo, reports = _rect_reports()
     pruned = [r for r in reports if not (r.anchor_id == "SA4" and r.kind == "ccp_rx")]
@@ -357,11 +442,7 @@ def test_zero_noise_stream_sync_is_geometric_truth():
                                CCP_PERIOD))
     assert synced
     for s in synced:
-        want = (
-            math.dist((4.1, 0.7), RECT_POSITIONS[s.anchor_a])
-            - math.dist((4.1, 0.7), RECT_POSITIONS[s.anchor_b])
-        ) / SPEED_OF_LIGHT
-        assert abs(s.tdoa_sync - want) < 1e-12
+        assert abs(s.tdoa_sync - _geometric_tdoa((4.1, 0.7), s.anchor_a, s.anchor_b)) < 1e-12
 
 
 def test_anchor_back_after_half_a_wrap_away_is_exact():
@@ -380,11 +461,23 @@ def test_anchor_back_after_half_a_wrap_away_is_exact():
             if "SA2" in (s.anchor_a, s.anchor_b) and s.blink_seq >= away.stop]
     assert len(back) == 3 * (200 - away.stop)  # three pairs per blink through SA2
     for s in back:
-        want = (
-            math.dist((4.1, 0.7), RECT_POSITIONS[s.anchor_a])
-            - math.dist((4.1, 0.7), RECT_POSITIONS[s.anchor_b])
-        ) / SPEED_OF_LIGHT
-        assert abs(s.tdoa_sync - want) < 1e-12
+        assert abs(s.tdoa_sync - _geometric_tdoa((4.1, 0.7), s.anchor_a, s.anchor_b)) < 1e-12
+
+
+def test_slaves_sync_through_lost_master_transmit_reports():
+    """MA1's ccp_tx reports of CCPs 20-40 are lost.  A slave's epochs are
+    its own receptions of the CCPs, so SA2-SA4 still sync every blink in the
+    gap; only MA1, which has no epoch there, is counted stale."""
+    topo, reports = _rect_reports(duration=8.0, tag_xy=(4.1, 0.7))
+    kept = [r for r in reports if not (r.kind == KIND_CCP_TX and 20 <= r.seq <= 40)]
+    diag: dict = {}
+    blinks = multi_master_sync(kept, topo, ccp_period=CCP_PERIOD, diagnostics=diag)
+    assert len(blinks) == len({(r.src_id, r.seq) for r in reports if r.kind == KIND_BLINK_RX})
+    gap = {key: arrivals for key, arrivals in blinks.items() if "MA1" not in arrivals}
+    assert len(gap) == diag["stale_blinks"] > 0
+    assert all(list(arrivals) == ["SA2", "SA3", "SA4"] for arrivals in gap.values())
+    for s in synced_pairs(gap, CCP_PERIOD):
+        assert abs(s.tdoa_sync - _geometric_tdoa((4.1, 0.7), s.anchor_a, s.anchor_b)) < 1e-12
 
 
 @pytest.mark.parametrize("blink_period", [0.0, -0.1])
@@ -392,3 +485,13 @@ def test_blink_period_must_be_positive(blink_period):
     topo, reports = _rect_reports(duration=0.5)
     with pytest.raises(ValueError, match="blink_period"):
         multi_master_sync(reports, topo, ccp_period=CCP_PERIOD, blink_period=blink_period)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("k_band", 0.0), ("k_band", -1e-4), ("k_band", 1.0), ("k_band", 2.0), ("k_band", math.nan),
+    ("stale_intervals", 0.0), ("stale_intervals", -1.0), ("stale_intervals", math.nan),
+])
+def test_window_params_must_be_in_range(key, value):
+    topo, reports = _rect_reports(duration=0.5)
+    with pytest.raises(ValueError, match=key):
+        multi_master_sync(reports, topo, ccp_period=CCP_PERIOD, **{key: value})
