@@ -22,7 +22,7 @@ from typing import Callable, Mapping, Sequence, TypeVar
 
 from .config import ConfigError, ScenarioConfig, load_config
 from .deploy import build_deployment_report, grid_to_csv
-from .engine import EngineParams, LocateResult, locate_reports
+from .engine import LocateResult, locate_reports
 from .metrics import EmptyEvalError, errors_csv, evaluate
 from .protocol import ToaReport, decode_report, encode_report
 from .simnet import ScenarioError, SimResult, TruthBlink, decode_truth, encode_truth, run_scenario
@@ -195,18 +195,8 @@ def _simulate(cfg: ScenarioConfig, out: Path, seed: int | None) -> SimResult:
     return result
 
 
-def _engine_params(cfg: ScenarioConfig) -> EngineParams:
-    return EngineParams(
-        ccp_period=cfg.scenario.ccp_period,
-        blink_period=cfg.scenario.blink_period,
-        tracker=cfg.tracker,
-        k_band=cfg.wcs.k_band,
-        stale_intervals=cfg.wcs.stale_intervals,
-    )
-
-
 def _locate(cfg: ScenarioConfig, reports: Sequence[ToaReport], out: Path) -> LocateResult:
-    result = locate_reports(reports, cfg.scenario.topology, _engine_params(cfg))
+    result = locate_reports(reports, cfg.scenario.topology, cfg.engine_params())
     _write(out / "fixes.csv", fixes_to_csv(result.fixes))
     _write(out / "synced.csv", synced_to_csv(result.blinks))
     return result

@@ -14,6 +14,7 @@ from pathlib import Path
 from typing import Any, Mapping, Sequence
 
 from .clock import ClockModel, IDEAL_CLOCK
+from .engine import EngineParams
 from .metrics import DEFAULT_WARMUP
 from .simnet import (
     ConstantVelocityTrajectory,
@@ -30,6 +31,7 @@ from .wcs import (
     DEFAULT_MEASUREMENT_VAR,
     DEFAULT_PROCESS_VAR,
     DEFAULT_STALE_INTERVALS,
+    check_smoother_params,
     check_sync_params,
 )
 
@@ -56,6 +58,16 @@ class ScenarioConfig:
     warmup: int = DEFAULT_WARMUP
     area: tuple[tuple[float, float], tuple[float, float]] | None = None
 
+    def engine_params(self) -> EngineParams:
+        """The engine's view of this config: periods, tracker and sync settings."""
+        return EngineParams(
+            ccp_period=self.scenario.ccp_period,
+            blink_period=self.scenario.blink_period,
+            tracker=self.tracker,
+            k_band=self.wcs.k_band,
+            stale_intervals=self.wcs.stale_intervals,
+        )
+
 
 _ALLOWED_TOP = {
     "anchors", "tags", "blink_period", "ccp_period", "lag", "duration",
@@ -64,7 +76,7 @@ _ALLOWED_TOP = {
 }
 _ALLOWED_ANCHOR = {"id", "role", "position", "level", "lag_slot", "follows", "clock"}
 _ALLOWED_CLOCK = {"offset", "skew", "drift_rate", "jitter_std"}
-_ALLOWED_SOLVER = {"dt", "sigma_accel", "sigma_t", "init_pos_var", "init_vel_var", "gap_reset"}
+_ALLOWED_SOLVER = {"sigma_accel", "sigma_t", "init_pos_var", "init_vel_var", "gap_reset"}
 _ALLOWED_WCS = {"k_band", "stale_intervals", "process_var", "measurement_var"}
 _ALLOWED_EVAL = {"warmup"}
 
@@ -285,14 +297,15 @@ def parse_config(raw: Mapping[str, Any]) -> ScenarioConfig:
 
     solver_raw = _require_mapping(raw.get("solver", {}), "config.solver")
     _check_keys(solver_raw, _ALLOWED_SOLVER, "config.solver")
-    tracker = TrackerConfig(
-        dt=_number(solver_raw, "dt", "config.solver", scenario.blink_period),
-        sigma_accel=_number(solver_raw, "sigma_accel", "config.solver", TrackerConfig.sigma_accel),
-        sigma_t=_number(solver_raw, "sigma_t", "config.solver", TrackerConfig.sigma_t),
-        init_pos_var=_number(solver_raw, "init_pos_var", "config.solver", TrackerConfig.init_pos_var),
-        init_vel_var=_number(solver_raw, "init_vel_var", "config.solver", TrackerConfig.init_vel_var),
-        gap_reset=_integer(solver_raw, "gap_reset", "config.solver", TrackerConfig.gap_reset),
-    )
+    solver = {
+        key: _number(solver_raw, key, "config.solver", getattr(TrackerConfig, key))
+        for key in ("sigma_accel", "sigma_t", "init_pos_var", "init_vel_var")
+    }
+    solver["gap_reset"] = _integer(solver_raw, "gap_reset", "config.solver", TrackerConfig.gap_reset)
+    try:
+        tracker = TrackerConfig(**solver)
+    except ValueError as exc:
+        raise ConfigError(f"config.solver: {exc}") from exc
 
     wcs_raw = _require_mapping(raw.get("wcs", {}), "config.wcs")
     _check_keys(wcs_raw, _ALLOWED_WCS, "config.wcs")
@@ -304,6 +317,7 @@ def parse_config(raw: Mapping[str, Any]) -> ScenarioConfig:
     )
     try:
         check_sync_params(wcs.k_band, wcs.stale_intervals)
+        check_smoother_params(wcs.process_var, wcs.measurement_var)
     except ValueError as exc:
         raise ConfigError(f"config.wcs: {exc}") from exc
 

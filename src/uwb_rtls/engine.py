@@ -35,7 +35,8 @@ from .wcs import (
 
 @dataclass(frozen=True)
 class EngineParams:
-    """Shared nominal parameters the engine needs about the deployment."""
+    """Shared nominal parameters the engine needs about the deployment;
+    ``blink_period`` is both the sync's search hint and the tracker's step."""
 
     ccp_period: float = 0.15
     blink_period: float = 0.1
@@ -114,5 +115,5 @@ def locate_reports(
     for tag_id in sorted(sets_per_tag):
         tag_sets = sets_per_tag[tag_id]
         tdoa_sets.extend(tag_sets)
-        fixes.extend(track(tag_sets, anchors, params.tracker))
+        fixes.extend(track(tag_sets, anchors, params.blink_period, params.tracker))
     return LocateResult(fixes, blinks, tdoa_sets, diagnostics, params.ccp_period)

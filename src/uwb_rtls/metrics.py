@@ -23,6 +23,7 @@ from .wcs import (
     DEFAULT_PROCESS_VAR,
     Arrival,
     arrival_tdoa,
+    check_smoother_params,
     kalman_step,
 )
 
@@ -118,8 +119,10 @@ def smoothed_tdoa_streams(
     """Per-pair smoother output, keyed "A|B" with A < B, in blink order.
 
     A pair's stream is its TDoA (arrival at A minus arrival at B) over the
-    blinks both anchors heard, in (tag_id, blink_seq) order.
+    blinks both anchors heard, in (tag_id, blink_seq) order.  Smoother
+    parameters out of range raise ValueError (``check_smoother_params``).
     """
+    check_smoother_params(process_var, measurement_var)
     anchors, heard, rows = _arrival_rows(blinks)
     streams: dict[str, list[float]] = {}
     for i, a in enumerate(anchors):

@@ -6,6 +6,9 @@ least-squares solver provides cold starts plus an independent check on the
 filter (both minimize the same range-difference residuals, so on static,
 noise-free input they must agree).
 
+The filter steps by the blink period and updates in information form
+(``ekf_update``), so no m x m matrix is built for m range differences.
+
 Both read their geometry from one kernel, ``range_diffs``: range
 differences against the reference anchor and their gradients (unit-vector
 differences) over a block of points, anchor-major.  ``deploy``'s HDoP uses
@@ -67,18 +70,10 @@ class Fix:
 
 @dataclass
 class EkfState:
-    """Constant-velocity filter state: x = [x, y, vx, vy].
-
-    ``Q`` is the per-step process noise; measurement noise is built per
-    update from ``sigma_t`` because the number of range differences varies
-    blink to blink.
-    """
+    """Constant-velocity filter state x = [x, y, vx, vy] and its covariance P."""
 
     x: np.ndarray
     P: np.ndarray
-    Q: np.ndarray
-    dt: float
-    sigma_t: float = DEFAULT_SIGMA_T
 
 
 def transition_matrix(dt: float) -> np.ndarray:
@@ -99,35 +94,11 @@ def process_noise(dt: float, sigma_accel: float = DEFAULT_SIGMA_ACCEL) -> np.nda
     return out
 
 
-def measurement_covariance(m: int, sigma_t: float) -> np.ndarray:
-    """Covariance of m range differences sharing the reference's arrival
-    noise: (c * sigma_t)^2 * (I + 1 1^T)."""
-    v = (SPEED_OF_LIGHT * sigma_t) ** 2
-    return v * (np.eye(m) + np.ones((m, m)))
-
-
-def make_tracker_state(
-    position: Sequence[float],
-    *,
-    dt: float,
-    sigma_accel: float = DEFAULT_SIGMA_ACCEL,
-    sigma_t: float = DEFAULT_SIGMA_T,
-    pos_var: float = 0.25,
-    vel_var: float = 1.0,
-) -> EkfState:
-    """Fresh filter state at a known position with zero velocity."""
-    x = np.array([position[0], position[1], 0.0, 0.0], dtype=float)
-    p = np.diag([pos_var, pos_var, vel_var, vel_var]).astype(float)
-    return EkfState(x=x, P=p, Q=process_noise(dt, sigma_accel), dt=dt, sigma_t=sigma_t)
-
-
-def ekf_predict(state: EkfState) -> EkfState:
-    """Propagate the state one blink period ahead (no control input)."""
-    f = transition_matrix(state.dt)
-    x = f @ state.x
-    p = f @ state.P @ f.T + state.Q
-    p = 0.5 * (p + p.T)
-    return EkfState(x=x, P=p, Q=state.Q, dt=state.dt, sigma_t=state.sigma_t)
+def ekf_predict(state: EkfState, f: np.ndarray, q: np.ndarray) -> EkfState:
+    """Propagate the state one step through transition ``f`` with process
+    noise ``q`` (no control input)."""
+    p = f @ state.P @ f.T + q
+    return EkfState(x=f @ state.x, P=0.5 * (p + p.T))
 
 
 def range_diffs(px, py, xy, gradient=False):
@@ -171,11 +142,18 @@ def ekf_update(
     state: EkfState,
     meas: TdoaSet,
     anchors: Mapping[str, tuple[float, float]],
+    sigma_t: float,
 ) -> tuple[EkfState, Fix]:
     """Fold one TDoA set into the state and emit the resulting fix.
 
-    A singular innovation covariance, or no row left once anchors within
-    _EPS_DIST of the tag are dropped (the reference among them), skips the
+    Information form: the m range differences share the reference's noise,
+    R = v (I + 1 1^T) with v = (c sigma_t)^2, so R^-1 = (I - 1 1^T/(m+1)) / v.
+    With G the 2 x m gradient rows, s = G 1 and r the innovation, the
+    position information is A = (G G^T - s s^T/(m+1)) / v, b = (G r -
+    s sum(r)/(m+1)) / v, and P+ = P - P[:, :2] (I + A P11)^-1 A P[:2, :],
+    x+ = x + P+[:, :2] b.  I + A P11 has eigenvalues >= 1, so it is never
+    singular for ``sigma_t`` > 0.  No row left once anchors within
+    _EPS_DIST of the tag are dropped (the reference among them) skips the
     update and reports the predicted state.
     """
     xy, z = _measurement_arrays(meas, anchors)
@@ -188,22 +166,16 @@ def ekf_update(
             meas.tag_id, meas.blink_seq,
         )
         return state, _fix_from_state(state, meas, math.nan)
-    jac = np.zeros((m, 4))
-    jac[:, :2] = grad[:, keep, 0].T
+    g = grad[:, keep, 0]
     innovation = z[keep] - h[keep, 0]
-    s = jac @ state.P @ jac.T + measurement_covariance(m, state.sigma_t)
-    try:
-        gain = np.linalg.solve(s, jac @ state.P).T
-    except np.linalg.LinAlgError:
-        log.warning(
-            "update skipped for %s #%d: singular innovation covariance",
-            meas.tag_id, meas.blink_seq,
-        )
-        return state, _fix_from_state(state, meas, float(np.linalg.norm(innovation)))
-    x = state.x + gain @ innovation
-    p = (np.eye(4) - gain @ jac) @ state.P
+    v = (SPEED_OF_LIGHT * sigma_t) ** 2
+    s = g.sum(axis=1)
+    info = (g @ g.T - np.outer(s, s) / (m + 1)) / v
+    b = (g @ innovation - s * (innovation.sum() / (m + 1))) / v
+    p = state.P
+    p = p - p[:, :2] @ np.linalg.solve(np.eye(2) + info @ p[:2, :2], info) @ p[:2, :]
     p = 0.5 * (p + p.T)
-    new_state = EkfState(x=x, P=p, Q=state.Q, dt=state.dt, sigma_t=state.sigma_t)
+    new_state = EkfState(x=state.x + p[:, :2] @ b, P=p)
     return new_state, _fix_from_state(new_state, meas, float(np.linalg.norm(innovation)))
 
 
@@ -349,35 +321,45 @@ def ls_solve(
 
 @dataclass(frozen=True)
 class TrackerConfig:
-    """Knobs for the blink-to-blink tracker."""
+    """Knobs for the blink-to-blink tracker; a value outside the range noted
+    by its field (NaN too) raises ValueError naming the field."""
 
-    dt: float = 0.1  # nominal blink period, seconds
-    sigma_accel: float = DEFAULT_SIGMA_ACCEL
-    sigma_t: float = DEFAULT_SIGMA_T
-    init_pos_var: float = 0.25  # m^2
-    init_vel_var: float = 1.0  # (m/s)^2
-    gap_reset: int = 10  # missed blinks before the track is abandoned
+    sigma_accel: float = DEFAULT_SIGMA_ACCEL  # m/s^2, >= 0 and finite
+    sigma_t: float = DEFAULT_SIGMA_T  # s, > 0 and finite
+    init_pos_var: float = 0.25  # m^2, > 0 and finite
+    init_vel_var: float = 1.0  # (m/s)^2, > 0 and finite
+    gap_reset: int = 10  # missed blinks before the track is abandoned, >= 0
+
+    def __post_init__(self) -> None:
+        for name, value in vars(self).items():
+            zero_ok = name in ("sigma_accel", "gap_reset")
+            if not ((value >= 0 if zero_ok else value > 0) and value < math.inf):
+                bound = ">= 0" if zero_ok else "> 0"
+                raise ValueError(f"{name} must be {bound} and finite, got {value!r}")
 
 
 def track(
     sets: Sequence[TdoaSet],
     anchors: Mapping[str, tuple[float, float]],
+    blink_period: float,
     cfg: TrackerConfig = TrackerConfig(),
 ) -> list[Fix]:
     """Run the EKF over one tag's TDoA sets (ascending blink_seq).
 
     Tracks initialize from ``ls_solve`` with zero velocity, predict once per
-    elapsed blink period, and re-initialize after a gap of more than
-    ``gap_reset`` blinks.  Sets whose cold start is ambiguous are skipped.
+    elapsed ``blink_period`` (seconds, the time step of the motion model),
+    and re-initialize after a gap of more than ``gap_reset`` blinks.  Sets
+    whose cold start is ambiguous are skipped.
     """
+    f = transition_matrix(blink_period)
+    q = process_noise(blink_period, cfg.sigma_accel)
+    p0 = np.diag([cfg.init_pos_var, cfg.init_pos_var, cfg.init_vel_var, cfg.init_vel_var])
     fixes: list[Fix] = []
     state: EkfState | None = None
     last_seq: int | None = None
     for meas in sets:
-        if state is not None and last_seq is not None:
-            gap = meas.blink_seq - last_seq
-            if gap > cfg.gap_reset:
-                state = None
+        if state is not None and meas.blink_seq - last_seq > cfg.gap_reset:
+            state = None
         if state is None:
             try:
                 pos = ls_solve(meas, anchors)
@@ -386,20 +368,13 @@ def track(
                     "track init skipped for %s #%d: %s", meas.tag_id, meas.blink_seq, exc
                 )
                 continue
-            state = make_tracker_state(
-                pos,
-                dt=cfg.dt,
-                sigma_accel=cfg.sigma_accel,
-                sigma_t=cfg.sigma_t,
-                pos_var=cfg.init_pos_var,
-                vel_var=cfg.init_vel_var,
-            )
+            state = EkfState(x=np.array([pos[0], pos[1], 0.0, 0.0]), P=p0)
             last_seq = meas.blink_seq
             fixes.append(_fix_from_state(state, meas, 0.0))
             continue
         for _ in range(meas.blink_seq - last_seq):
-            state = ekf_predict(state)
-        state, fix = ekf_update(state, meas, anchors)
+            state = ekf_predict(state, f, q)
+        state, fix = ekf_update(state, meas, anchors, cfg.sigma_t)
         last_seq = meas.blink_seq
         fixes.append(fix)
     return fixes

@@ -102,8 +102,8 @@ def assemble_tdoa_set(
     """Turn one blink's corrected arrivals into range differences vs a reference.
 
     Each measurement is ``c * (arrival at anchor - arrival at reference)``
-    in meters, taken with ``arrival_tdoa`` in the orientation of the anchor
-    pair (lower id first) so it matches the pair stream to the last bit.  A
+    in meters.  ``arrival_tdoa`` is sign-symmetric to the last bit (IEEE
+    rounding is), so it matches the pair stream whichever id is lower.  A
     reference without an arrival, or fewer than three other arrivals, is an
     error.
     """
@@ -112,12 +112,11 @@ def assemble_tdoa_set(
         raise InsufficientAnchorsError(
             f"reference {reference!r} has no synchronized arrival for this blink"
         )
-    diffs: dict[str, float] = {}
-    for anchor, arrival in arrivals.items():
-        if anchor < reference:
-            diffs[anchor] = arrival_tdoa(arrival, ref, ccp_period) * SPEED_OF_LIGHT
-        elif anchor > reference:
-            diffs[anchor] = -arrival_tdoa(ref, arrival, ccp_period) * SPEED_OF_LIGHT
+    diffs = {
+        anchor: arrival_tdoa(arrival, ref, ccp_period) * SPEED_OF_LIGHT
+        for anchor, arrival in arrivals.items()
+        if anchor != reference
+    }
     if len(diffs) < MIN_MEASUREMENTS:
         raise InsufficientAnchorsError(
             f"only {len(diffs)} range differences against {reference!r}, "

@@ -36,7 +36,7 @@ import bisect
 import math
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
-from .clock import TICK_SECONDS, Timestamp, ts_diff
+from .clock import HALF_WRAP, TICK_SECONDS, Timestamp, ts_diff
 from .constants import SPEED_OF_LIGHT
 from .protocol import KIND_BLINK_RX, KIND_CCP_RX, KIND_CCP_TX, ToaReport
 from .topology import NetworkTopology, ROLE_MASTER
@@ -150,6 +150,14 @@ def kalman_step(
         return measurement, measurement_var
     gain = variance / (variance + measurement_var)
     return state + gain * (measurement - state), (1.0 - gain) * variance
+
+
+def check_smoother_params(process_var: float, measurement_var: float) -> None:
+    """Raise ValueError unless 0 <= ``process_var`` and 0 < ``measurement_var``, both finite."""
+    if not 0.0 <= process_var < math.inf:
+        raise ValueError(f"process_var must be >= 0 and finite, got {process_var!r}")
+    if not 0.0 < measurement_var < math.inf:
+        raise ValueError(f"measurement_var must be positive and finite, got {measurement_var!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -268,9 +276,10 @@ def multi_master_sync(
     receive/transmit pairs.  The result maps each blink, as (tag_id,
     blink_seq) in sorted order, to one ``Arrival`` per synchronized
     receiver, in anchor-id order.  Anchors without an epoch, or whose
-    nearest one is more than ``stale_intervals`` CCP periods from the blink,
-    are skipped and counted in ``diagnostics``; a blink left with fewer than
-    two synchronized receivers carries no time difference and is left out.
+    nearest one is more than ``stale_intervals`` CCP periods from the blink
+    or scheduled more than half a counter wrap from it, are skipped and
+    counted in ``diagnostics``; a blink left with fewer than two
+    synchronized receivers carries no time difference and is left out.
     ``blink_period`` (> 0) is only a search hint pairing blinks with nearby
     CCP rounds; correction itself never assumes when tags transmit.
     ``k_band`` must lie in (0, 1) and ``stale_intervals`` be positive.
@@ -366,18 +375,21 @@ def multi_master_sync(
         return result
 
     stale_limit = stale_intervals * ccp_period
+    schedule_limit = HALF_WRAP * TICK_SECONDS  # tick distances alias beyond this
 
     def anchor_offset(anchor_id: str, stamp: Timestamp, seq_hint: int) -> Arrival | None:
         """The anchor's corrected arrival, or None when it cannot be synced.
 
         The first track whose nearest epoch is fresh and placed on the
-        primary's timescale wins.
+        primary's timescale wins.  An epoch is stale if its reading lies
+        more than ``stale_intervals`` CCP periods from the blink's, or its
+        seq more than half a counter wrap of schedule from the blink's hint.
         """
         saw_fresh = False
         for track in tracks[anchor_id]:
             seq, epoch, rate = track.nearest(stamp, seq_hint)
             gap = ts_diff(stamp, epoch) * TICK_SECONDS
-            if abs(gap) > stale_limit:
+            if abs(gap) > stale_limit or abs(seq - seq_hint) * ccp_period > schedule_limit:
                 continue
             saw_fresh = True
             base = cascade_delta(track.master, seq)

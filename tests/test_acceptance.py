@@ -402,7 +402,7 @@ def test_criterion_7_solver_correctness(verdict):
 
     truth = (3.2, 1.7)
     sets = [tdoa_set_at(truth, seq=i) for i in range(200)]
-    fixes = track(sets, RECT_POSITIONS, TrackerConfig(sigma_accel=0.0))
+    fixes = track(sets, RECT_POSITIONS, 0.1, TrackerConfig(sigma_accel=0.0))
     anchor_point = ls_solve(sets[0], RECT_POSITIONS)
     ekf_gap = math.dist((fixes[-1].x, fixes[-1].y), anchor_point)
     ekf_ok = ekf_gap <= 1e-3

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+from pathlib import Path
 
 import pytest
 
@@ -78,9 +79,7 @@ def test_synced_csv_round_trips_exactly(tmp_path):
 def test_synced_csv_holds_one_row_per_arrival_and_every_pair_exactly(tmp_path, config_path):
     cfg = load_config(config_path)
     sim = run_scenario(cfg.scenario)
-    from uwb_rtls.cli import _engine_params
-
-    result = locate_reports(sim.reports, cfg.scenario.topology, _engine_params(cfg))
+    result = locate_reports(sim.reports, cfg.scenario.topology, cfg.engine_params())
     path = tmp_path / "synced.csv"
     path.write_text(synced_to_csv(result.blinks))
     rows = path.read_text().splitlines()[1:]
@@ -122,9 +121,9 @@ def test_file_pipeline_matches_the_library_exactly(tmp_path, config_path):
 
     cfg = load_config(config_path)
     sim = run_scenario(cfg.scenario)
-    from uwb_rtls.cli import _engine_params, _eval
+    from uwb_rtls.cli import _eval
 
-    result = locate_reports(sim.reports, cfg.scenario.topology, _engine_params(cfg))
+    result = locate_reports(sim.reports, cfg.scenario.topology, cfg.engine_params())
     assert (out / "fixes.csv").read_text() == fixes_to_csv(result.fixes)
     assert (out / "synced.csv").read_text() == synced_to_csv(result.blinks)
 
@@ -136,6 +135,28 @@ def test_file_pipeline_matches_the_library_exactly(tmp_path, config_path):
     _eval(cfg, result.fixes, sim.truth_blinks, result.blinks, lib)
     assert (out / "summary.json").read_bytes() == (lib / "summary.json").read_bytes()
     assert (out / "errors.csv").read_bytes() == (lib / "errors.csv").read_bytes()
+
+
+def test_readme_library_example_gets_the_cli_fixes(tmp_path, monkeypatch, capsys):
+    # Both periods off their defaults: the library path must read them from
+    # the config, as the CLI does.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    example = readme.split("```python\n", 1)[1].split("```", 1)[0]
+    monkeypatch.chdir(tmp_path)
+    Path("room.json").write_text(
+        json.dumps(dict(CONFIG, duration=20.0, blink_period=0.2, ccp_period=0.2))
+    )
+    namespace: dict = {}
+    exec(example, namespace)
+    summary = json.loads(capsys.readouterr().out)
+    assert summary["availability"] == 1.0
+
+    assert main(["simulate", "--config", "room.json", "--out", "run"]) == EXIT_OK
+    assert main(["locate", "--config", "room.json", "--out", "run",
+                 "--reports", "run/reports.jsonl"]) == EXIT_OK
+    fixes = namespace["result"].fixes
+    assert len(fixes) == 100
+    assert Path("run/fixes.csv").read_text() == fixes_to_csv(fixes)
 
 
 def test_seed_override_changes_the_traffic(tmp_path, config_path):
@@ -281,6 +302,11 @@ def test_bad_config_exits_2(tmp_path):
     band = tmp_path / "band.json"
     band.write_text(json.dumps(dict(CONFIG, wcs={"k_band": -1e-4})))
     assert main(["locate", "--config", str(band), "--out", str(tmp_path / "o"),
+                 "--reports", str(tmp_path / "nowhere.jsonl")]) == EXIT_CONFIG
+
+    sigma = tmp_path / "sigma.json"
+    sigma.write_text(json.dumps(dict(CONFIG, solver={"sigma_t": 0})))
+    assert main(["locate", "--config", str(sigma), "--out", str(tmp_path / "o"),
                  "--reports", str(tmp_path / "nowhere.jsonl")]) == EXIT_CONFIG
 
 

@@ -46,18 +46,25 @@ def test_minimal_config_parses_with_defaults():
     assert scn.topology.ids() == ("MA1", "SA2", "SA3", "SA4")
     assert scn.topology.anchor("MA1").clock.offset == 0.0012
     assert scn.tags[0].trajectory == StaticTrajectory((2.0, 1.5))
-    assert cfg.tracker.dt == scn.blink_period
     assert cfg.tracker.gap_reset == 10
     assert cfg.wcs.k_band == 1e-4
     assert cfg.warmup == 50
     assert cfg.area is None
 
 
-def test_solver_dt_defaults_to_the_blink_period():
-    cfg = parse_config(_tweaked(blink_period=0.25))
-    assert cfg.tracker.dt == 0.25
-    cfg = parse_config(_tweaked(solver={"dt": 0.05}))
-    assert cfg.tracker.dt == 0.05
+def test_solver_dt_is_rejected():
+    # The tracker steps by the top-level blink_period; there is no second copy.
+    with pytest.raises(ConfigError, match=r"config.solver.*\bdt\b"):
+        parse_config(_tweaked(solver={"dt": 0.05}))
+
+
+def test_engine_params_carry_the_config():
+    cfg = parse_config(_tweaked(blink_period=0.2, ccp_period=0.25, solver={"sigma_accel": 0.5},
+                                wcs={"k_band": 2e-4, "stale_intervals": 3.0}))
+    params = cfg.engine_params()
+    assert (params.blink_period, params.ccp_period) == (0.2, 0.25)
+    assert params.tracker == cfg.tracker and params.tracker.sigma_accel == 0.5
+    assert (params.k_band, params.stale_intervals) == (2e-4, 3.0)
 
 
 def test_unknown_keys_are_named_in_the_error():
@@ -91,6 +98,35 @@ def test_wrong_types_are_rejected():
 def test_sync_params_out_of_range_are_rejected(key, value):
     with pytest.raises(ConfigError, match=f"config.wcs.*{key}"):
         parse_config(_tweaked(wcs={key: value}))
+
+
+@pytest.mark.parametrize("key, value", [
+    ("process_var", -1e-22), ("process_var", float("inf")), ("process_var", float("nan")),
+    ("measurement_var", 0.0), ("measurement_var", -1.0), ("measurement_var", float("inf")),
+    ("measurement_var", float("nan")),
+])
+def test_smoother_params_out_of_range_are_rejected(key, value):
+    with pytest.raises(ConfigError, match=f"config.wcs.*{key}"):
+        parse_config(_tweaked(wcs={key: value}))
+
+
+@pytest.mark.parametrize("key, value", [
+    ("sigma_t", 0.0), ("sigma_t", -1e-10), ("sigma_t", float("inf")), ("sigma_t", float("nan")),
+    ("sigma_accel", -1.0), ("sigma_accel", float("inf")), ("sigma_accel", float("nan")),
+    ("init_pos_var", 0.0), ("init_pos_var", -0.25), ("init_pos_var", float("nan")),
+    ("init_vel_var", 0.0), ("init_vel_var", -1.0), ("init_vel_var", float("inf")),
+    ("gap_reset", -1),
+])
+def test_solver_params_out_of_range_are_rejected(key, value):
+    with pytest.raises(ConfigError, match=f"config.solver.*{key}"):
+        parse_config(_tweaked(solver={key: value}))
+
+
+def test_solver_params_at_their_bounds_are_accepted():
+    cfg = parse_config(_tweaked(solver={"sigma_accel": 0.0, "gap_reset": 0}))
+    assert (cfg.tracker.sigma_accel, cfg.tracker.gap_reset) == (0.0, 0)
+    cfg = parse_config(_tweaked(wcs={"process_var": 0.0}))
+    assert cfg.wcs.process_var == 0.0
 
 
 def test_missing_required_fields():

@@ -4,9 +4,16 @@ from __future__ import annotations
 
 import math
 import random
+import statistics
 
 from uwb_rtls.engine import EngineParams, locate_reports
-from uwb_rtls.simnet import Scenario, StaticTrajectory, TagSpec, run_scenario
+from uwb_rtls.simnet import (
+    ConstantVelocityTrajectory,
+    Scenario,
+    StaticTrajectory,
+    TagSpec,
+    run_scenario,
+)
 from uwb_rtls.solver import TrackerConfig
 
 from conftest import build_ideal_rect_topology, build_rect_topology
@@ -65,6 +72,23 @@ def test_tracker_config_is_honored():
     )
     assert len(pinned.fixes) == len(loose.fixes)
     assert pinned.fixes != loose.fixes
+
+
+def test_tracker_steps_by_the_engine_blink_period():
+    # A tag at 0.2 m/s blinking every 0.2 s: the motion model must step by
+    # that period, or the filter reads every move as twice as fast.
+    topo = build_rect_topology(jitter_std=1e-10)
+    scn = Scenario(
+        topology=topo,
+        tags=(TagSpec("T1", ConstantVelocityTrajectory((1.0, 2.0), (0.2, 0.0))),),
+        duration=20.0,
+        blink_period=0.2,
+        seed=5,
+    )
+    result = locate_reports(run_scenario(scn).reports, topo, EngineParams(blink_period=0.2))
+    assert len(result.fixes) == 100
+    second_half = [f.vx for f in result.fixes[50:]]
+    assert abs(statistics.median(second_half) - 0.2) <= 0.05
 
 
 def test_diagnostics_count_every_report():

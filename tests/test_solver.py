@@ -9,6 +9,7 @@ import pytest
 
 from uwb_rtls.constants import SPEED_OF_LIGHT
 from uwb_rtls.solver import (
+    DEFAULT_SIGMA_T,
     GEOMETRY_BLOCK,
     AmbiguityError,
     EkfState,
@@ -18,8 +19,6 @@ from uwb_rtls.solver import (
     ekf_predict,
     ekf_update,
     ls_solve,
-    make_tracker_state,
-    measurement_covariance,
     process_noise,
     range_diffs,
     sum_over_anchors,
@@ -45,6 +44,15 @@ def tdoa_set(tag_xy, anchors=RECT, ref="MA1", seq=0, jitter=None):
     return TdoaSet(tag_id="T1", blink_seq=seq, reference_anchor=ref, measurements=tuple(meas))
 
 
+def fresh_state(position):
+    """Filter state at rest at ``position`` with the tracker's default prior."""
+    cfg = TrackerConfig()
+    return EkfState(
+        x=np.array([position[0], position[1], 0.0, 0.0]),
+        P=np.diag([cfg.init_pos_var, cfg.init_pos_var, cfg.init_vel_var, cfg.init_vel_var]),
+    )
+
+
 # ---------------------------------------------------------------------------
 # Model matrices
 
@@ -68,49 +76,73 @@ def test_process_noise_is_discrete_white_acceleration():
     assert np.all(np.linalg.eigvalsh(q) > -1e-12 * q.max())
 
 
-def test_measurement_covariance_shares_reference_noise():
-    r = measurement_covariance(3, 1e-10)
-    unit = (SPEED_OF_LIGHT * 1e-10) ** 2
-    assert r[0, 0] == pytest.approx(2 * unit)
-    assert r[0, 1] == pytest.approx(unit)
-    assert np.array_equal(r, r.T)
-
-
 def test_predict_from_zero_covariance_gains_q():
-    state = EkfState(x=np.zeros(4), P=np.zeros((4, 4)), Q=process_noise(0.1), dt=0.1)
-    out = ekf_predict(state)
-    assert np.allclose(out.P, state.Q)
+    q = process_noise(0.1)
+    state = EkfState(x=np.zeros(4), P=np.zeros((4, 4)))
+    out = ekf_predict(state, transition_matrix(0.1), q)
+    assert np.allclose(out.P, q)
     assert np.array_equal(out.P, out.P.T)
 
 
 def test_predict_moves_with_velocity():
     x = np.array([1.0, 2.0, 0.5, -0.25])
-    state = EkfState(x=x, P=np.eye(4), Q=process_noise(0.1), dt=0.1)
-    out = ekf_predict(state)
+    state = EkfState(x=x, P=np.eye(4))
+    out = ekf_predict(state, transition_matrix(0.1), process_noise(0.1))
     assert out.x == pytest.approx([1.05, 1.975, 0.5, -0.25])
+
+
+@pytest.mark.parametrize("m", [3, 5, 21])
+def test_closed_form_update_matches_the_textbook_update(m):
+    # The textbook EKF update with the full m x m measurement covariance
+    # R = v (I + 1 1^T): range differences share the reference's noise.
+    rng = np.random.default_rng(m)
+    v = (SPEED_OF_LIGHT * DEFAULT_SIGMA_T) ** 2
+    for _ in range(25):
+        anchors = {f"A{i:02d}": tuple(rng.uniform(-10.0, 10.0, 2)) for i in range(m + 1)}
+        tag = rng.uniform(-5.0, 5.0, 2)
+        meas = tdoa_set(tag, anchors, ref="A00", jitter=rng.normal(0.0, 0.05, m))
+        root = rng.normal(size=(4, 4))
+        p = 0.1 * root @ root.T + np.diag([1e-3, 1e-3, 1e-2, 1e-2])
+        x = np.concatenate([tag + rng.normal(0.0, 0.2, 2), rng.normal(0.0, 1.0, 2)])
+        state = EkfState(x=x, P=p)
+
+        xy, z = _measurement_arrays(meas, anchors)
+        h, grad, _ = range_diffs(x[:1], x[1:2], xy, gradient=True)
+        jac = np.zeros((m, 4))
+        jac[:, :2] = grad[:, :, 0].T
+        r = v * (np.eye(m) + np.ones((m, m)))
+        s = jac @ p @ jac.T + r
+        gain = np.linalg.solve(s, jac @ p).T
+        want_x = x + gain @ (z - h[:, 0])
+        want_p = (np.eye(4) - gain @ jac) @ p
+        want_p = 0.5 * (want_p + want_p.T)
+
+        got, _ = ekf_update(state, meas, anchors, DEFAULT_SIGMA_T)
+        assert np.max(np.abs(got.x - want_x)) <= 1e-9
+        assert np.max(np.abs(got.P - want_p)) <= 1e-12 * np.max(np.abs(want_p))
 
 
 def test_update_with_perfect_measurement_keeps_position():
     truth = (2.5, 1.5)
-    state = make_tracker_state(truth, dt=0.1)
+    state = fresh_state(truth)
     trace_before = float(np.trace(state.P))
-    out, fix = ekf_update(state, tdoa_set(truth), RECT)
+    out, fix = ekf_update(state, tdoa_set(truth), RECT, DEFAULT_SIGMA_T)
     assert (fix.x, fix.y) == pytest.approx(truth, abs=1e-12)
     assert float(np.trace(out.P)) < trace_before
     assert fix.residual_norm == pytest.approx(0.0, abs=1e-12)
 
 
 def test_update_pulls_toward_the_measurement():
-    state = make_tracker_state((3.2, 2.2), dt=0.1)
-    _, fix = ekf_update(state, tdoa_set((3.0, 2.0)), RECT)
+    state = fresh_state((3.2, 2.2))
+    _, fix = ekf_update(state, tdoa_set((3.0, 2.0)), RECT, DEFAULT_SIGMA_T)
     before = math.dist((3.2, 2.2), (3.0, 2.0))
     after = math.dist((fix.x, fix.y), (3.0, 2.0))
     assert after < before
 
 
 def test_tag_on_reference_anchor_skips_update():
-    state = make_tracker_state(RECT["MA1"], dt=0.1)
-    out, fix = ekf_update(state, tdoa_set((0.5, 0.5)), RECT)
+    state = fresh_state(RECT["MA1"])
+    out, fix = ekf_update(state, tdoa_set((0.5, 0.5)), RECT, DEFAULT_SIGMA_T)
     assert np.array_equal(out.x, state.x)
     assert math.isnan(fix.residual_norm)
 
@@ -125,12 +157,12 @@ def geometry(pos):
 
 
 def test_tag_on_another_anchor_drops_only_that_row():
-    state = make_tracker_state(RECT["SA3"], dt=0.1)
+    state = fresh_state(RECT["SA3"])
     meas = tdoa_set(RECT["SA3"])
     rest = TdoaSet(tag_id="T1", blink_seq=0, reference_anchor="MA1",
                    measurements=tuple(m for m in meas.measurements if m[0] != "SA3"))
-    out, fix = ekf_update(state, meas, RECT)
-    want, want_fix = ekf_update(state, rest, RECT)
+    out, fix = ekf_update(state, meas, RECT, DEFAULT_SIGMA_T)
+    want, want_fix = ekf_update(state, rest, RECT, DEFAULT_SIGMA_T)
     assert np.array_equal(out.x, want.x) and np.array_equal(out.P, want.P)
     assert fix == want_fix
     assert float(np.trace(out.P)) < float(np.trace(state.P))
@@ -236,7 +268,7 @@ def test_ls_translation_equivariance():
 def test_track_converges_on_static_clean_data():
     truth = (2.0, 1.5)
     sets = [tdoa_set(truth, seq=i) for i in range(50)]
-    fixes = track(sets, RECT)
+    fixes = track(sets, RECT, 0.1)
     assert len(fixes) == 50
     last = fixes[-1]
     assert math.dist((last.x, last.y), truth) <= 1e-3
@@ -250,7 +282,7 @@ def test_track_without_process_noise_settles_on_ls_solution():
     truth = (4.4, 1.2)
     sets = [tdoa_set(truth, seq=i) for i in range(200)]
     cfg = TrackerConfig(sigma_accel=0.0)
-    last = track(sets, RECT, cfg)[-1]
+    last = track(sets, RECT, 0.1, cfg)[-1]
     ls = ls_solve(tdoa_set(truth), RECT)
     assert math.dist((last.x, last.y), ls) <= 1e-3
 
@@ -258,7 +290,7 @@ def test_track_without_process_noise_settles_on_ls_solution():
 def test_track_resets_after_a_long_gap():
     sets = [tdoa_set((2.0, 1.5), seq=i) for i in range(20)]
     sets += [tdoa_set((5.0, 3.0), seq=40 + i) for i in range(20)]
-    fixes = track(sets, RECT)
+    fixes = track(sets, RECT, 0.1)
     assert len(fixes) == 40
     # First fix after the gap is a fresh cold start at the new position.
     post_gap = fixes[20]
@@ -270,7 +302,7 @@ def test_track_resets_after_a_long_gap():
 def test_track_rides_through_a_short_gap():
     sets = [tdoa_set((2.0, 1.5), seq=i) for i in range(10)]
     sets += [tdoa_set((2.0, 1.5), seq=15 + i) for i in range(10)]
-    fixes = track(sets, RECT)
+    fixes = track(sets, RECT, 0.1)
     assert len(fixes) == 20
     assert fixes[10].residual_norm > 0.0 or fixes[10].pos_std < fixes[0].pos_std
 
@@ -278,13 +310,13 @@ def test_track_rides_through_a_short_gap():
 def test_track_skips_unsolvable_cold_start():
     line = {"A1": (0.0, 0.0), "A2": (3.0, 0.0), "A3": (6.0, 0.0), "A4": (9.0, 0.0)}
     ambiguous = [tdoa_set((4.0, 2.0), anchors=line, ref="A1", seq=i) for i in range(3)]
-    assert track(ambiguous, line) == []
+    assert track(ambiguous, line, 0.1) == []
 
 
 def test_track_follows_a_moving_tag():
     # 1 m/s along x, fixes every 0.1 s.
     sets = [tdoa_set((1.0 + 0.1 * i, 2.0), seq=i) for i in range(60)]
-    fixes = track(sets, RECT)
+    fixes = track(sets, RECT, 0.1)
     last = fixes[-1]
     assert (last.x, last.y) == pytest.approx((6.9, 2.0), abs=0.05)
     assert last.vx == pytest.approx(1.0, abs=0.1)

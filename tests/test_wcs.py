@@ -464,6 +464,25 @@ def test_anchor_back_after_half_a_wrap_away_is_exact():
         assert abs(s.tdoa_sync - _geometric_tdoa((4.1, 0.7), s.anchor_a, s.anchor_b)) < 1e-12
 
 
+def test_anchor_without_epochs_for_over_half_a_wrap_is_stale_not_aliased():
+    """SA2 loses every CCP after seq 60 (9 s) but keeps hearing blinks to
+    20 s.  Past half a wrap of schedule, the nearest-looking epoch is one
+    wrap early: those blinks must be counted stale, and every pair through
+    SA2 that is kept must match geometry."""
+    topo, reports = _rect_reports(duration=20.0, tag_xy=(4.1, 0.7))
+    kept = [r for r in reports
+            if not (r.anchor_id == "SA2" and r.kind == KIND_CCP_RX and r.seq > 60)]
+    diag: dict = {}
+    blinks = multi_master_sync(kept, topo, ccp_period=CCP_PERIOD, diagnostics=diag)
+    through_sa2 = [s for s in synced_pairs(blinks, CCP_PERIOD)
+                   if "SA2" in (s.anchor_a, s.anchor_b)]
+    assert len(through_sa2) == 276
+    for s in through_sa2:
+        assert abs(s.tdoa_sync - _geometric_tdoa((4.1, 0.7), s.anchor_a, s.anchor_b)) < 1e-12
+    # Three pairs per synced SA2 blink; each of its other blinks is stale.
+    assert diag["stale_blinks"] == 200 - len(through_sa2) // 3
+
+
 def test_slaves_sync_through_lost_master_transmit_reports():
     """MA1's ccp_tx reports of CCPs 20-40 are lost.  A slave's epochs are
     its own receptions of the CCPs, so SA2-SA4 still sync every blink in the
