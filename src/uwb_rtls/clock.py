@@ -52,6 +52,8 @@ class ClockModel:
     skew        fractional frequency error (10e-6 is "+10 ppm")
     drift_rate  change of skew per second of true time (temperature wander)
     jitter_std  white phase noise per reading, seconds
+
+    All four must be finite; a broken rule raises ValueError naming the field.
     """
 
     offset: float = 0.0
@@ -60,6 +62,9 @@ class ClockModel:
     jitter_std: float = 0.0
 
     def __post_init__(self) -> None:
+        for name, value in vars(self).items():
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if abs(self.skew) > MAX_ABS_SKEW:
             raise ValueError(f"skew {self.skew!r} exceeds +/-{MAX_ABS_SKEW} sanity bound")
         if self.jitter_std < 0:

@@ -4,16 +4,22 @@ One file describes everything a run needs: the anchor network, the tags and
 their motion, radio timing, clock imperfections, and evaluation knobs.  The
 loader is strict; unknown or ill-typed fields raise ``ConfigError`` naming
 the offending key so a typo cannot silently fall back to a default.
+
+The ``clock``, ``solver`` and ``wcs`` blocks are read from the dataclasses
+they fill (``ClockModel``, ``TrackerConfig``, ``WcsParams``): the keys are
+their fields, a missing key takes the field's default, and the range rules
+are the dataclass's own.  Top-level defaults are ``Scenario``'s.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any, Mapping, Sequence
 
-from .clock import ClockModel, IDEAL_CLOCK
+from .clock import ClockModel
 from .engine import EngineParams
 from .metrics import DEFAULT_WARMUP
 from .simnet import (
@@ -42,10 +48,17 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class WcsParams:
+    """Sync and smoother settings; a value out of range raises ValueError
+    (``check_sync_params``, ``check_smoother_params``)."""
+
     k_band: float = DEFAULT_K_BAND
     stale_intervals: float = DEFAULT_STALE_INTERVALS
     process_var: float = DEFAULT_PROCESS_VAR
     measurement_var: float = DEFAULT_MEASUREMENT_VAR
+
+    def __post_init__(self) -> None:
+        check_sync_params(self.k_band, self.stale_intervals)
+        check_smoother_params(self.process_var, self.measurement_var)
 
 
 @dataclass(frozen=True)
@@ -75,9 +88,6 @@ _ALLOWED_TOP = {
     "wcs", "eval", "area",
 }
 _ALLOWED_ANCHOR = {"id", "role", "position", "level", "lag_slot", "follows", "clock"}
-_ALLOWED_CLOCK = {"offset", "skew", "drift_rate", "jitter_std"}
-_ALLOWED_SOLVER = {"sigma_accel", "sigma_t", "init_pos_var", "init_vel_var", "gap_reset"}
-_ALLOWED_WCS = {"k_band", "stale_intervals", "process_var", "measurement_var"}
 _ALLOWED_EVAL = {"warmup"}
 
 
@@ -93,15 +103,21 @@ def _check_keys(obj: Mapping[str, Any], allowed: set[str], where: str) -> None:
         raise ConfigError(f"{where}: unknown field(s) {', '.join(unknown)}")
 
 
+def _real(v: Any, where: str) -> float:
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise ConfigError(f"{where}: expected a number, got {type(v).__name__}")
+    try:
+        return float(v)
+    except OverflowError:
+        raise ConfigError(f"{where}: number out of float range") from None
+
+
 def _number(obj: Mapping[str, Any], key: str, where: str, default: float | None = None) -> float:
     if key not in obj:
         if default is None:
             raise ConfigError(f"{where}: missing required field '{key}'")
         return default
-    v = obj[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ConfigError(f"{where}.{key}: expected a number, got {type(v).__name__}")
-    return float(v)
+    return _real(obj[key], f"{where}.{key}")
 
 
 def _integer(obj: Mapping[str, Any], key: str, where: str, default: int | None = None) -> int:
@@ -129,23 +145,26 @@ def _point(value: Any, where: str, dims: tuple[int, ...] = (2, 3)) -> tuple[floa
         raise ConfigError(f"{where}: expected a coordinate list")
     if len(value) not in dims:
         raise ConfigError(f"{where}: expected {' or '.join(map(str, dims))} coordinates, got {len(value)}")
-    out = []
-    for i, c in enumerate(value):
-        if isinstance(c, bool) or not isinstance(c, (int, float)):
-            raise ConfigError(f"{where}[{i}]: expected a number, got {type(c).__name__}")
-        out.append(float(c))
-    return tuple(out)
+    out = tuple(_real(c, f"{where}[{i}]") for i, c in enumerate(value))
+    if not all(map(math.isfinite, out)):
+        raise ConfigError(f"{where}: coordinates must be finite, got {list(out)}")
+    return out
 
 
-def _parse_clock(obj: Any, where: str) -> ClockModel:
+def _block(cls: type, obj: Any, where: str) -> Any:
+    """Build dataclass ``cls`` from a JSON object whose keys are its fields.
+
+    A missing key takes the field's default; a field whose default is an
+    int takes an integer, any other a number.  A ValueError from ``cls``
+    becomes a ConfigError naming ``where``.
+    """
     m = _require_mapping(obj, where)
-    _check_keys(m, _ALLOWED_CLOCK, where)
-    return ClockModel(
-        offset=_number(m, "offset", where, 0.0),
-        skew=_number(m, "skew", where, 0.0),
-        drift_rate=_number(m, "drift_rate", where, 0.0),
-        jitter_std=_number(m, "jitter_std", where, 0.0),
-    )
+    read = {f.name: _integer if isinstance(f.default, int) else _number for f in fields(cls)}
+    _check_keys(m, set(read), where)
+    try:
+        return cls(**{key: read[key](m, key, where) for key in read if key in m})
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
 def _parse_anchor(obj: Any, index: int) -> tuple[AnchorConfig, int | None, int | None, list[str]]:
@@ -159,10 +178,10 @@ def _parse_anchor(obj: Any, index: int) -> tuple[AnchorConfig, int | None, int |
     position = _point(m["position"], f"{where}.position") if "position" in m else None
     if position is None:
         raise ConfigError(f"{where}: missing required field 'position'")
-    clock = _parse_clock(m["clock"], f"{where}.clock") if "clock" in m else IDEAL_CLOCK
+    clock = _block(ClockModel, m.get("clock", {}), f"{where}.clock")
 
-    level = _integer(m, "level", where, default=0) if "level" in m else None
-    lag_slot = _integer(m, "lag_slot", where, default=0) if "lag_slot" in m else None
+    level = _integer(m, "level", where) if "level" in m else None
+    lag_slot = _integer(m, "lag_slot", where) if "lag_slot" in m else None
     follows_raw = m.get("follows", [])
     if isinstance(follows_raw, str):
         follows = [follows_raw]
@@ -279,47 +298,25 @@ def parse_config(raw: Mapping[str, Any]) -> ScenarioConfig:
     ccp_links = _parse_links(raw["ccp_links"], "config.ccp_links") if "ccp_links" in raw else None
     blink_links = _parse_links(raw["blink_links"], "config.blink_links") if "blink_links" in raw else None
 
+    # Defaults are Scenario's; duration has none, so it is required.
+    periods = {key: _number(raw, key, "config", getattr(Scenario, key, None))
+               for key in ("duration", "blink_period", "ccp_period", "lag")}
+    seed = _integer(raw, "seed", "config", Scenario.seed)
     try:
         scenario = Scenario(
             topology=topo,
             tags=tuple(tags),
-            duration=_number(raw, "duration", "config"),
-            blink_period=_number(raw, "blink_period", "config", 0.1),
-            ccp_period=_number(raw, "ccp_period", "config", 0.15),
-            lag=_number(raw, "lag", "config", 0.01),
-            seed=_integer(raw, "seed", "config", 0),
+            seed=seed,
             reception_radius=radius,
             ccp_links=ccp_links,
             blink_links=blink_links,
+            **periods,
         )
     except ValueError as exc:
         raise ConfigError(f"config: {exc}") from exc
 
-    solver_raw = _require_mapping(raw.get("solver", {}), "config.solver")
-    _check_keys(solver_raw, _ALLOWED_SOLVER, "config.solver")
-    solver = {
-        key: _number(solver_raw, key, "config.solver", getattr(TrackerConfig, key))
-        for key in ("sigma_accel", "sigma_t", "init_pos_var", "init_vel_var")
-    }
-    solver["gap_reset"] = _integer(solver_raw, "gap_reset", "config.solver", TrackerConfig.gap_reset)
-    try:
-        tracker = TrackerConfig(**solver)
-    except ValueError as exc:
-        raise ConfigError(f"config.solver: {exc}") from exc
-
-    wcs_raw = _require_mapping(raw.get("wcs", {}), "config.wcs")
-    _check_keys(wcs_raw, _ALLOWED_WCS, "config.wcs")
-    wcs = WcsParams(
-        k_band=_number(wcs_raw, "k_band", "config.wcs", DEFAULT_K_BAND),
-        stale_intervals=_number(wcs_raw, "stale_intervals", "config.wcs", DEFAULT_STALE_INTERVALS),
-        process_var=_number(wcs_raw, "process_var", "config.wcs", DEFAULT_PROCESS_VAR),
-        measurement_var=_number(wcs_raw, "measurement_var", "config.wcs", DEFAULT_MEASUREMENT_VAR),
-    )
-    try:
-        check_sync_params(wcs.k_band, wcs.stale_intervals)
-        check_smoother_params(wcs.process_var, wcs.measurement_var)
-    except ValueError as exc:
-        raise ConfigError(f"config.wcs: {exc}") from exc
+    tracker = _block(TrackerConfig, raw.get("solver", {}), "config.solver")
+    wcs = _block(WcsParams, raw.get("wcs", {}), "config.wcs")
 
     eval_raw = _require_mapping(raw.get("eval", {}), "config.eval")
     _check_keys(eval_raw, _ALLOWED_EVAL, "config.eval")

@@ -135,14 +135,13 @@ class Scenario:
 
     def validate(self) -> None:
         self.topology.validate()
-        if self.duration <= 0:
-            raise ScenarioError("duration must be > 0")
-        if self.blink_period <= 0 or self.ccp_period <= 0:
-            raise ScenarioError("blink_period and ccp_period must be > 0")
-        if self.lag <= 0:
-            raise ScenarioError("lag must be > 0")
-        if self.reception_radius is not None and self.reception_radius <= 0:
-            raise ScenarioError("reception_radius must be > 0 when given")
+        for name in ("duration", "blink_period", "ccp_period", "lag"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:  # NaN fails too
+                raise ScenarioError(f"{name} must be > 0 and finite, got {value!r}")
+        radius = self.reception_radius
+        if radius is not None and not 0 < radius < math.inf:
+            raise ScenarioError(f"reception_radius must be > 0 and finite when given, got {radius!r}")
         tag_ids = [t.id for t in self.tags]
         if len(set(tag_ids)) != len(tag_ids):
             raise ScenarioError("duplicate tag ids")

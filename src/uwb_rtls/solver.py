@@ -34,6 +34,8 @@ DEFAULT_SIGMA_T = 1e-10  # s, per-timestamp noise driving measurement covariance
 
 _GRID_STEP = 0.1  # m, coarse search resolution
 _REFINE_TOL = 1e-6  # m, local refinement stops below this step size
+_REFINE_MAX_ITER = 80
+_AMBIGUITY_RATIO = 2.0  # minima within this factor of the best one are rivals
 _EPS_DIST = 1e-12  # m, guards unit vectors at anchor positions
 GEOMETRY_BLOCK = 4096  # points per kernel call on grids, bounding temporaries
 
@@ -215,13 +217,13 @@ def _residuals_and_jacobian(pos, xy, diffs):
     return h[:, 0] - diffs, grad[:, :, 0].T.copy()
 
 
-def _refine(pos, xy, diffs, tol=_REFINE_TOL, max_iter=80):
+def _refine(pos, xy, diffs):
     """Damped Gauss-Newton descent on the sum of squared residuals."""
     p = np.asarray(pos, dtype=float).copy()
     res, jac = _residuals_and_jacobian(p, xy, diffs)
     obj = float(res @ res)
     lam = 0.0
-    for _ in range(max_iter):
+    for _ in range(_REFINE_MAX_ITER):
         jtj = jac.T @ jac
         g = jac.T @ res
         try:
@@ -237,7 +239,7 @@ def _refine(pos, xy, diffs, tol=_REFINE_TOL, max_iter=80):
         if cand_obj <= obj:
             p, res, jac, obj = cand, cand_res, cand_jac, cand_obj
             lam = 0.0
-            if float(np.hypot(*step)) < tol:
+            if float(np.hypot(*step)) < _REFINE_TOL:
                 break
         else:
             lam = max(lam * 10.0, 1e-9)
@@ -250,9 +252,6 @@ def ls_solve(
     meas: TdoaSet,
     anchors: Mapping[str, tuple[float, float]],
     init: Sequence[float] | None = None,
-    *,
-    grid_step: float = _GRID_STEP,
-    ambiguity_ratio: float = 2.0,
 ) -> np.ndarray:
     """Minimize the squared range-difference error over the plane.
 
@@ -272,8 +271,8 @@ def ls_solve(
     lo = xy.min(axis=0)
     hi = xy.max(axis=0)
     pad = max(1.0, 0.25 * float(np.hypot(*(hi - lo))))
-    xs = np.arange(lo[0] - pad, hi[0] + pad + grid_step / 2, grid_step)
-    ys = np.arange(lo[1] - pad, hi[1] + pad + grid_step / 2, grid_step)
+    xs = np.arange(lo[0] - pad, hi[0] + pad + _GRID_STEP / 2, _GRID_STEP)
+    ys = np.arange(lo[1] - pad, hi[1] + pad + _GRID_STEP / 2, _GRID_STEP)
     grid = _objective_grid(xs, ys, xy, diffs)
 
     # Local minima of the coarse grid seed the refinement.
@@ -308,7 +307,7 @@ def ls_solve(
     rivals = [
         (float(p[0]), float(p[1]), o)
         for p, o in candidates
-        if o <= ambiguity_ratio * best_obj + 1e-12
+        if o <= _AMBIGUITY_RATIO * best_obj + 1e-12
     ]
     if len(rivals) > 1:
         raise AmbiguityError(rivals)

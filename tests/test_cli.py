@@ -309,6 +309,37 @@ def test_bad_config_exits_2(tmp_path):
     assert main(["locate", "--config", str(sigma), "--out", str(tmp_path / "o"),
                  "--reports", str(tmp_path / "nowhere.jsonl")]) == EXIT_CONFIG
 
+    skew = tmp_path / "skew.json"
+    anchors = [dict(CONFIG["anchors"][0], clock={"skew": 2e-4}), *CONFIG["anchors"][1:]]
+    skew.write_text(json.dumps(dict(CONFIG, anchors=anchors)))
+    assert main(["simulate", "--config", str(skew), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+
+
+def _with_first_anchor(**fields):
+    return dict(CONFIG, anchors=[dict(CONFIG["anchors"][0], **fields), *CONFIG["anchors"][1:]])
+
+
+@pytest.mark.parametrize("config, key", [
+    (dict(CONFIG, duration=float("inf")), "duration"),
+    (dict(CONFIG, blink_period=float("nan")), "blink_period"),
+    (dict(CONFIG, reception_radius=float("nan")), "reception_radius"),
+    (_with_first_anchor(clock={"offset": float("nan")}), "offset"),
+    (_with_first_anchor(clock={"drift_rate": float("inf")}), "drift_rate"),
+    (_with_first_anchor(clock={"jitter_std": -1e-10}), "jitter_std"),
+    (_with_first_anchor(position=[0.0, float("nan")]), "anchors[0].position"),
+    (dict(CONFIG, tags=[{"id": "T1", "trajectory": {"kind": "static", "position": [float("nan"), 1.5]}}]),
+     "tags[0].trajectory.position"),
+    (dict(CONFIG, area=[[0.0, 0.0], [float("inf"), 4.0]]), "area[1]"),
+])
+def test_non_finite_config_exits_2_with_one_error_line(tmp_path, capsys, config, key):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(config))  # NaN and Infinity, as Python's json reads them
+    code = main(["locate", "--config", str(path), "--out", str(tmp_path / "o"),
+                 "--reports", str(tmp_path / "nowhere.jsonl")])
+    err = capsys.readouterr().err.splitlines()
+    assert code == EXIT_CONFIG
+    assert len(err) == 1 and err[0].startswith("error: ") and key in err[0]
+
 
 def test_reports_without_blinks_exit_3(tmp_path, config_path, capsys):
     out = tmp_path / "run"

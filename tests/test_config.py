@@ -7,6 +7,7 @@ import json
 
 import pytest
 
+from uwb_rtls.clock import ClockModel
 from uwb_rtls.config import ConfigError, load_config, parse_config
 from uwb_rtls.simnet import (
     ConstantVelocityTrajectory,
@@ -85,6 +86,8 @@ def test_wrong_types_are_rejected():
         parse_config(_tweaked(seed=1.5))
     with pytest.raises(ConfigError, match="seed"):
         parse_config(_tweaked(seed=True))
+    with pytest.raises(ConfigError, match="duration: number out of float range"):
+        parse_config(_tweaked(duration=10**400))
     raw = copy.deepcopy(BASE)
     raw["anchors"][1]["position"] = [6.0]
     with pytest.raises(ConfigError, match="position"):
@@ -127,6 +130,79 @@ def test_solver_params_at_their_bounds_are_accepted():
     assert (cfg.tracker.sigma_accel, cfg.tracker.gap_reset) == (0.0, 0)
     cfg = parse_config(_tweaked(wcs={"process_var": 0.0}))
     assert cfg.wcs.process_var == 0.0
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("key, value", [
+    (key, value)
+    for key in ("duration", "blink_period", "ccp_period", "lag")
+    for value in (0.0, -1.0, NAN, INF, -INF)
+] + [("reception_radius", value) for value in (0.0, NAN, INF)])
+def test_periods_and_radius_must_be_positive_and_finite(key, value):
+    # parse_config only: at a loader without the rule, simulate would not end.
+    with pytest.raises(ConfigError, match=f"config: {key}"):
+        parse_config(_tweaked(**{key: value}))
+
+
+def test_null_reception_radius_means_unlimited():
+    assert parse_config(_tweaked(reception_radius=None)).scenario.reception_radius is None
+    assert parse_config(_tweaked(reception_radius=12.5)).scenario.reception_radius == 12.5
+
+
+@pytest.mark.parametrize("key, value", [
+    ("offset", NAN), ("offset", INF), ("skew", NAN), ("skew", -INF), ("drift_rate", INF),
+    ("drift_rate", NAN), ("jitter_std", INF), ("jitter_std", NAN),
+    ("skew", 2e-4), ("skew", -2e-4), ("jitter_std", -1e-10),
+])
+def test_clock_params_out_of_range_are_rejected(key, value):
+    raw = copy.deepcopy(BASE)
+    raw["anchors"][0]["clock"] = {key: value}
+    with pytest.raises(ConfigError, match=rf"anchors\[0\]\.clock: {key}"):
+        parse_config(raw)
+
+
+def test_clock_defaults_come_from_the_clock_model():
+    raw = copy.deepcopy(BASE)
+    raw["anchors"][0]["clock"] = {"skew": 1e-5}
+    cfg = parse_config(raw)
+    assert cfg.scenario.topology.anchor("MA1").clock == ClockModel(skew=1e-5)
+    assert cfg.scenario.topology.anchor("SA2").clock == ClockModel()
+    raw["anchors"][0]["clock"] = {"skew": "fast"}
+    with pytest.raises(ConfigError, match=r"anchors\[0\]\.clock\.skew: expected a number"):
+        parse_config(raw)
+
+
+def _with_tag_trajectory(trajectory):
+    return _tweaked(tags=[{"id": "T1", "trajectory": trajectory}])
+
+
+def _with_anchor_position(position):
+    raw = copy.deepcopy(BASE)
+    raw["anchors"][1]["position"] = position
+    return raw
+
+
+@pytest.mark.parametrize("raw, where", [
+    (_with_tag_trajectory({"kind": "static", "position": [NAN, 1.5]}), r"tags\[0\].trajectory.position"),
+    (_with_tag_trajectory({"kind": "static", "position": [2.0, -INF]}), r"tags\[0\].trajectory.position"),
+    (_with_tag_trajectory({"kind": "constant_velocity", "start": [1.0, INF], "velocity": [0.5, 0.0]}),
+     r"tags\[0\].trajectory.start"),
+    (_with_tag_trajectory({"kind": "constant_velocity", "start": [1.0, 1.0], "velocity": [NAN, 0.0]}),
+     r"tags\[0\].trajectory.velocity"),
+    (_with_tag_trajectory({"kind": "waypoints", "points": [[0.0, 0.0, 0.0], [INF, 4.0, 0.0]]}),
+     r"tags\[0\].trajectory.points\[1\]"),
+    (_with_tag_trajectory({"kind": "waypoints", "points": [[0.0, NAN, 0.0], [5.0, 4.0, 0.0]]}),
+     r"tags\[0\].trajectory.points\[0\]"),
+    (_with_anchor_position([6.0, NAN]), r"anchors\[1\].position"),
+    (_tweaked(area=[[0.0, 0.0], [INF, 4.0]]), r"config.area\[1\]"),
+    (_tweaked(area=[[-INF, 0.0], [6.0, 4.0]]), r"config.area\[0\]"),
+    (_tweaked(area=[[0.0, 0.0], [6.0, NAN]]), r"config.area\[1\]"),
+])
+def test_non_finite_coordinates_are_rejected(raw, where):
+    with pytest.raises(ConfigError, match=f"{where}: coordinates must be finite"):
+        parse_config(raw)
 
 
 def test_missing_required_fields():
