@@ -5,7 +5,7 @@ the resulting timestamps in software, solves tag positions, and audits
 anchor deployments.
 """
 
-from .clock import ClockModel, Timestamp, read_clock, ts_diff
+from .clock import ClockModel, read_clock, ts_diff
 from .config import ConfigError, ScenarioConfig, load_config
 from .engine import EngineParams, LocateResult, locate_reports
 from .metrics import EvalSummary, evaluate
@@ -34,7 +34,6 @@ __all__ = [
     "SyncedTdoa",
     "TagSpec",
     "TdoaSet",
-    "Timestamp",
     "ToaReport",
     "TrackerConfig",
     "assemble_tdoa_set",

@@ -6,6 +6,12 @@ it wraps about every 17.2 s, and every anchor's counter runs on its own
 crystal with its own phase offset, frequency error, and drift.  This module
 models that behaviour for the simulator and provides the modular arithmetic
 the synchronization engine needs to difference raw counter readings.
+
+A reading is a plain float: device ticks modulo ``TICK_WRAP``, in
+[0, 2**40), with a fractional part.  The counter quantum is
+``TICK_SECONDS``, but readings keep sub-tick resolution so that
+synchronization error budgets are set by the clock models, not by
+representation rounding.
 """
 
 from __future__ import annotations
@@ -25,23 +31,6 @@ HALF_WRAP = 2**39
 # Crystals are specified to +/-100 ppm; a model outside that band is a bug,
 # not a plausible clock.
 MAX_ABS_SKEW = 100e-6
-
-
-@dataclass(frozen=True)
-class Timestamp:
-    """One reading of a device tick counter.
-
-    ``ticks`` counts device ticks modulo ``TICK_WRAP`` and may carry a
-    fractional part: the counter quantum is ``TICK_SECONDS`` but readings
-    keep sub-tick resolution so that synchronization error budgets are set
-    by the clock models, not by representation rounding.
-    """
-
-    ticks: float
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.ticks < TICK_WRAP:
-            raise ValueError(f"ticks must lie in [0, 2**40), got {self.ticks!r}")
 
 
 @dataclass(frozen=True)
@@ -85,15 +74,16 @@ def device_time(model: ClockModel, true_time: float) -> float:
 
 def read_clock(
     model: ClockModel, true_time: float, rng: np.random.Generator | None = None
-) -> Timestamp:
+) -> float:
     """Sample the device timer at ``true_time`` as a wrapped tick count.
 
     The reading is ``offset + (1 + skew) * t + drift_rate / 2 * t**2`` plus
-    Gaussian jitter, converted to ticks and wrapped modulo 2**40.  Jittery
-    models need an ``rng``; deterministic models do not.
+    Gaussian jitter, converted to ticks and wrapped into [0, 2**40).
+    ``true_time`` must be finite and >= 0.  Jittery models need an ``rng``;
+    deterministic models do not.
     """
-    if true_time < 0:
-        raise ValueError("true_time must be >= 0")
+    if not 0 <= true_time < math.inf:  # NaN fails too
+        raise ValueError(f"true_time must be >= 0 and finite, got {true_time!r}")
     seconds = device_time(model, true_time)
     if model.jitter_std > 0.0:
         if rng is None:
@@ -104,16 +94,16 @@ def read_clock(
         ticks += TICK_WRAP
     if ticks >= TICK_WRAP:  # fmod(-eps) + TICK_WRAP can round up to the modulus
         ticks = 0.0
-    return Timestamp(ticks)
+    return ticks
 
 
-def ts_diff(a: Timestamp, b: Timestamp) -> float:
+def ts_diff(a: float, b: float) -> float:
     """Signed tick delta ``a - b`` on the wrapping counter.
 
     Valid while the true separation is under 2**39 ticks (about 8.6 s): in
     that regime wrap crossings cancel and ``ts_diff(a, b) == -ts_diff(b, a)``.
     """
-    delta = math.fmod(a.ticks - b.ticks, TICK_WRAP)
+    delta = math.fmod(a - b, TICK_WRAP)
     if delta >= HALF_WRAP:
         delta -= TICK_WRAP
     elif delta < -HALF_WRAP:

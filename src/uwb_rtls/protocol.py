@@ -13,9 +13,9 @@ transmission timestamp).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from typing import NamedTuple
 
-from .clock import TICK_WRAP, Timestamp
+from .clock import TICK_WRAP
 
 KIND_BLINK_RX = "blink_rx"
 KIND_CCP_RX = "ccp_rx"
@@ -27,43 +27,27 @@ SEQ_WRAP = 2**32
 
 
 class ReportDecodeError(ValueError):
-    """A report line that cannot be turned into a ToaReport."""
+    """A report line that cannot be turned into a ToaReport; the message says why."""
 
 
-class MalformedReportError(ReportDecodeError):
-    """Line is not a JSON object with the expected fields."""
-
-
-class UnknownKindError(ReportDecodeError):
-    """``kind`` is not one of the report kinds."""
-
-
-class TicksRangeError(ReportDecodeError):
-    """``ticks`` is outside [0, 2**40)."""
-
-
-class SeqRangeError(ReportDecodeError):
-    """``seq`` is negative or beyond the 32-bit counter range."""
-
-
-@dataclass(frozen=True)
-class ToaReport:
+class ToaReport(NamedTuple):
     """One timestamped event reported by an anchor to the engine.
 
     ``src_id`` is the tag for ``blink_rx``, the transmitting master for
-    ``ccp_rx``, and the anchor itself for ``ccp_tx``.
+    ``ccp_rx``, and the anchor itself for ``ccp_tx``.  ``ticks`` is the
+    anchor's counter reading, a float in [0, 2**40) (see ``clock``).
     """
 
     anchor_id: str
     kind: str
     src_id: str
     seq: int
-    timestamp: Timestamp
+    ticks: float
 
 
 def encode_report(report: ToaReport) -> str:
     """Render a report as one compact JSON line (no trailing newline)."""
-    ticks = report.timestamp.ticks
+    ticks = report.ticks
     if isinstance(ticks, float) and ticks.is_integer():
         ticks = int(ticks)
     return json.dumps(
@@ -83,13 +67,13 @@ def decode_report(line: str) -> ToaReport:
     try:
         raw = json.loads(line)
     except json.JSONDecodeError as exc:
-        raise MalformedReportError(f"not valid JSON: {exc}") from exc
+        raise ReportDecodeError(f"not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
-        raise MalformedReportError("report line must be a JSON object")
+        raise ReportDecodeError("report line must be a JSON object")
 
-    missing = [k for k in ("anchor_id", "kind", "src_id", "seq", "ticks") if k not in raw]
+    missing = [k for k in ToaReport._fields if k not in raw]
     if missing:
-        raise MalformedReportError(f"missing fields: {', '.join(missing)}")
+        raise ReportDecodeError(f"missing fields: {', '.join(missing)}")
 
     anchor_id = raw["anchor_id"]
     kind = raw["kind"]
@@ -98,16 +82,16 @@ def decode_report(line: str) -> ToaReport:
     ticks = raw["ticks"]
 
     if not isinstance(anchor_id, str) or not isinstance(src_id, str):
-        raise MalformedReportError("anchor_id and src_id must be strings")
+        raise ReportDecodeError("anchor_id and src_id must be strings")
     if kind not in REPORT_KINDS:
-        raise UnknownKindError(f"unknown report kind {kind!r}")
+        raise ReportDecodeError(f"unknown report kind {kind!r}")
     if not isinstance(seq, int) or isinstance(seq, bool):
-        raise MalformedReportError("seq must be an integer")
+        raise ReportDecodeError("seq must be an integer")
     if seq < 0 or seq >= SEQ_WRAP:
-        raise SeqRangeError(f"seq {seq} outside [0, 2**32)")
+        raise ReportDecodeError(f"seq {seq} outside [0, 2**32)")
     if isinstance(ticks, bool) or not isinstance(ticks, (int, float)):
-        raise MalformedReportError("ticks must be a number")
+        raise ReportDecodeError("ticks must be a number")
     if not 0 <= ticks < TICK_WRAP:
-        raise TicksRangeError(f"ticks {ticks!r} outside [0, 2**40)")
+        raise ReportDecodeError(f"ticks {ticks!r} outside [0, 2**40)")
 
-    return ToaReport(anchor_id, kind, src_id, seq, Timestamp(float(ticks)))
+    return ToaReport(anchor_id, kind, src_id, seq, float(ticks))

@@ -139,6 +139,8 @@ class Scenario:
             value = getattr(self, name)
             if not 0 < value < math.inf:  # NaN fails too
                 raise ScenarioError(f"{name} must be > 0 and finite, got {value!r}")
+        if self.seed < 0:
+            raise ScenarioError(f"seed must be >= 0, got {self.seed!r}")
         radius = self.reception_radius
         if radius is not None and not 0 < radius < math.inf:
             raise ScenarioError(f"reception_radius must be > 0 and finite when given, got {radius!r}")

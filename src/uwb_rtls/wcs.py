@@ -9,6 +9,10 @@ free-running counters can be mapped onto one common timescale.
 Multi-master cascades compose these per-hop corrections along the follow
 chain, so any two anchors in a connected topology can be differenced.
 
+Readings are the anchors' raw tick counts, plain floats (see ``clock``);
+a report whose reading lies outside [0, 2**40) is counted and skipped
+before anything else looks at it.
+
 Every clock is calibrated by one window rule.  A clock's reading of CCP
 ``s`` is an epoch if the same clock also read CCP ``s + 1`` and its rate
 over that window lies within ``1 +/- k_band``; a window that fails is
@@ -36,7 +40,7 @@ import bisect
 import math
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
-from .clock import HALF_WRAP, TICK_SECONDS, Timestamp, ts_diff
+from .clock import HALF_WRAP, TICK_SECONDS, TICK_WRAP, ts_diff
 from .constants import SPEED_OF_LIGHT
 from .protocol import KIND_BLINK_RX, KIND_CCP_RX, KIND_CCP_TX, ToaReport
 from .topology import NetworkTopology, ROLE_MASTER
@@ -182,21 +186,21 @@ class _EpochTrack:
     """
 
     def __init__(
-        self, master: str, delay: float, entries: list[tuple[int, Timestamp, float]]
+        self, master: str, delay: float, entries: list[tuple[int, float, float]]
     ) -> None:
         self.master = master
         self.delay = delay
         self.entries = entries
         self.seqs = [seq for seq, _, _ in entries]
 
-    def at(self, seq: int) -> tuple[int, Timestamp, float] | None:
+    def at(self, seq: int) -> tuple[int, float, float] | None:
         """The entry of CCP ``seq``, or None if that reading is no epoch."""
         i = bisect.bisect_left(self.seqs, seq)
         if i < len(self.seqs) and self.seqs[i] == seq:
             return self.entries[i]
         return None
 
-    def nearest(self, stamp: Timestamp, seq_hint: int) -> tuple[int, Timestamp, float]:
+    def nearest(self, stamp: float, seq_hint: int) -> tuple[int, float, float]:
         entries = self.entries
         i = min(bisect.bisect_left(self.seqs, seq_hint), len(entries) - 1)
         best = abs(ts_diff(stamp, entries[i][1]))
@@ -218,7 +222,7 @@ class _EpochTrack:
 def _epoch_track(
     master: str,
     delay: float,
-    readings: Mapping[int, Timestamp],
+    readings: Mapping[int, float],
     ccp_period: float,
     k_band: float,
     diag: dict,
@@ -278,7 +282,8 @@ def multi_master_sync(
     receiver, in anchor-id order.  Anchors without an epoch, or whose
     nearest one is more than ``stale_intervals`` CCP periods from the blink
     or scheduled more than half a counter wrap from it, are skipped and
-    counted in ``diagnostics``; a blink left with fewer than two
+    counted in ``diagnostics``, as is any report whose ticks lie outside
+    [0, 2**40) (``ticks_out_of_range``); a blink left with fewer than two
     synchronized receivers carries no time difference and is left out.
     ``blink_period`` (> 0) is only a search hint pairing blinks with nearby
     CCP rounds; correction itself never assumes when tags transmit.
@@ -298,13 +303,16 @@ def multi_master_sync(
     # One pass files each reading under its kind; where a reading repeats,
     # the smallest tick value wins so results stay order-independent.
     roles = {a.id: a.role for a in topo.anchors}
-    ccp_tx: dict[str, dict[int, Timestamp]] = {}
-    ccp_rx: dict[tuple[str, str], dict[int, Timestamp]] = {}
-    blink_rx: dict[tuple[str, int], dict[str, Timestamp]] = {}
+    ccp_tx: dict[str, dict[int, float]] = {}
+    ccp_rx: dict[tuple[str, str], dict[int, float]] = {}
+    blink_rx: dict[tuple[str, int], dict[str, float]] = {}
     n_reports = 0
     for r in reports:
         n_reports += 1
-        anchor_id, src_id = r.anchor_id, r.src_id
+        anchor_id, src_id, ticks = r.anchor_id, r.src_id, r.ticks
+        if not 0 <= ticks < TICK_WRAP:
+            count("ticks_out_of_range")
+            continue
         role = roles.get(anchor_id)
         if role is None:
             count("unknown_anchor_reports")
@@ -324,9 +332,9 @@ def multi_master_sync(
         stamp = held.get(key)
         if stamp is not None:
             count("duplicate_reports")
-            if stamp.ticks <= r.timestamp.ticks:
+            if stamp <= ticks:
                 continue
-        held[key] = r.timestamp
+        held[key] = ticks
     diag["reports"] = diag.get("reports", 0) + n_reports
 
     # Each anchor's epoch tracks, one per master it follows, in master-id
@@ -377,7 +385,7 @@ def multi_master_sync(
     stale_limit = stale_intervals * ccp_period
     schedule_limit = HALF_WRAP * TICK_SECONDS  # tick distances alias beyond this
 
-    def anchor_offset(anchor_id: str, stamp: Timestamp, seq_hint: int) -> Arrival | None:
+    def anchor_offset(anchor_id: str, stamp: float, seq_hint: int) -> Arrival | None:
         """The anchor's corrected arrival, or None when it cannot be synced.
 
         The first track whose nearest epoch is fresh and placed on the

@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -164,6 +167,15 @@ def test_seed_override_changes_the_traffic(tmp_path, config_path):
     main(["simulate", "--config", str(config_path), "--out", str(a), "--seed", "1"])
     main(["simulate", "--config", str(config_path), "--out", str(b), "--seed", "2"])
     assert (a / "reports.jsonl").read_text() != (b / "reports.jsonl").read_text()
+
+
+def test_negative_seed_override_exits_2_and_writes_nothing(tmp_path, config_path, capsys):
+    out = tmp_path / "run"
+    code = main(["simulate", "--config", str(config_path), "--out", str(out), "--seed", "-1"])
+    err = capsys.readouterr().err.splitlines()
+    assert code == EXIT_CONFIG
+    assert len(err) == 1 and err[0].startswith("error: ") and "seed" in err[0]
+    assert not out.exists()
 
 
 def test_malformed_report_lines_are_skipped(tmp_path, config_path, caplog):
@@ -383,3 +395,58 @@ def test_demo_runs_the_whole_pipeline(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["availability"] == 1.0
     assert payload["fix_rmse"] < 0.2
+
+
+# Two cells: MA2 follows MA1 one lag slot later, SA2 bridges both cells, and
+# the tags sit in each cell and across the boundary.
+TWO_CELL_CONFIG = {
+    "anchors": [
+        {"id": "MA1", "role": "master", "position": [0.0, 0.0], "level": 1,
+         "clock": {"offset": 0.0012, "skew": 8e-6, "jitter_std": 1e-10}},
+        {"id": "MA2", "role": "master", "position": [20.0, 0.0], "level": 2, "lag_slot": 1,
+         "follows": "MA1", "clock": {"offset": 0.0041, "skew": -5e-6, "jitter_std": 1e-10}},
+        {"id": "SA1", "role": "slave", "position": [2.0, 6.0], "follows": "MA1",
+         "clock": {"offset": -0.0034, "skew": -1.2e-5, "jitter_std": 1e-10}},
+        {"id": "SA2", "role": "slave", "position": [10.0, -2.0], "follows": ["MA1", "MA2"],
+         "clock": {"offset": 0.0075, "skew": 2.1e-5, "jitter_std": 1e-10}},
+        {"id": "SA3", "role": "slave", "position": [10.0, 6.0], "follows": ["MA1", "MA2"],
+         "clock": {"offset": -0.0006, "skew": -3.3e-5, "jitter_std": 1e-10}},
+        {"id": "SA5", "role": "slave", "position": [18.0, 6.0], "follows": "MA2",
+         "clock": {"offset": 0.0021, "skew": 1.5e-5, "jitter_std": 1e-10}},
+        {"id": "SA6", "role": "slave", "position": [22.0, -4.0], "follows": "MA2",
+         "clock": {"offset": -0.0052, "skew": 6e-6, "jitter_std": 1e-10}},
+    ],
+    "tags": [
+        {"id": "T1", "trajectory": {"kind": "static", "position": [4.0, 2.0]}},
+        {"id": "T2", "trajectory": {"kind": "static", "position": [16.0, 1.0]}},
+        {"id": "T3", "trajectory": {"kind": "waypoints",
+                                     "points": [[0.0, 6.0, 2.0], [2.0, 14.0, 3.0]]}},
+    ],
+    "duration": 2.0,
+    "seed": 11,
+    "area": [[0.0, -4.0], [22.0, 6.0]],
+}
+
+
+def test_outputs_do_not_depend_on_the_hash_seed(tmp_path):
+    config = tmp_path / "two_cell.json"
+    config.write_text(json.dumps(TWO_CELL_CONFIG))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    outputs = []
+    for hash_seed in ("0", "1"):
+        out = tmp_path / f"hash{hash_seed}"
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        for argv in (
+            ["simulate", "--config", str(config), "--out", str(out)],
+            ["locate", "--config", str(config), "--out", str(out),
+             "--reports", str(out / "reports.jsonl")],
+            ["eval", "--config", str(config), "--out", str(out), "--fixes", str(out / "fixes.csv"),
+             "--truth", str(out / "truth.jsonl"), "--synced", str(out / "synced.csv")],
+            ["deploy-check", "--config", str(config), "--out", str(out), "--resolution", "1.0"],
+        ):
+            subprocess.run([sys.executable, "-m", "uwb_rtls.cli", *argv], env=env, check=True)
+        outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+    assert sorted(outputs[0]) == ["deploy_report.json", "errors.csv", "fixes.csv", "hdop.csv",
+                                  "reports.jsonl", "summary.json", "synced.csv", "truth.jsonl"]
+    assert outputs[0] == outputs[1]

@@ -15,7 +15,6 @@ from uwb_rtls.clock import (
     TICK_SECONDS,
     TICK_WRAP,
     ClockModel,
-    Timestamp,
     device_time,
     read_clock,
     ts_diff,
@@ -33,7 +32,7 @@ def test_counter_wraps_after_about_17_seconds():
 
 def test_ideal_clock_reads_true_time():
     ts = read_clock(IDEAL_CLOCK, 1.0)
-    assert ts.ticks == pytest.approx(1.0 / TICK_SECONDS, rel=1e-15)
+    assert ts == pytest.approx(1.0 / TICK_SECONDS, rel=1e-15)
 
 
 def test_device_time_applies_offset_skew_and_drift():
@@ -53,8 +52,8 @@ def test_read_clock_wraps_modulo_2_40():
     ts = read_clock(IDEAL_CLOCK, 18.0)
     raw = 18.0 / TICK_SECONDS
     assert raw > TICK_WRAP
-    assert ts.ticks == pytest.approx(raw - TICK_WRAP, rel=1e-12)
-    assert 0 <= ts.ticks < TICK_WRAP
+    assert ts == pytest.approx(raw - TICK_WRAP, rel=1e-12)
+    assert 0 <= ts < TICK_WRAP
 
 
 def test_read_clock_negative_true_time_rejected():
@@ -62,12 +61,18 @@ def test_read_clock_negative_true_time_rejected():
         read_clock(IDEAL_CLOCK, -0.1)
 
 
+@pytest.mark.parametrize("true_time", [math.nan, math.inf, -math.inf, -1.0])
+def test_read_clock_rejects_true_time_that_is_negative_or_not_finite(true_time):
+    with pytest.raises(ValueError, match="true_time"):
+        read_clock(IDEAL_CLOCK, true_time)
+
+
 def test_read_clock_negative_device_time_folds_into_range():
     # A negative offset models a counter whose phase predates t = 0; the
     # reading stays a valid wrapped tick count.
     model = ClockModel(offset=-1.0)
     ts = read_clock(model, 0.5)
-    assert ts.ticks == pytest.approx(TICK_WRAP - 0.5 / TICK_SECONDS, rel=1e-12)
+    assert ts == pytest.approx(TICK_WRAP - 0.5 / TICK_SECONDS, rel=1e-12)
 
 
 def test_read_clock_jitter_needs_rng():
@@ -77,16 +82,7 @@ def test_read_clock_jitter_needs_rng():
     rng = np.random.default_rng(0)
     a = read_clock(model, 1.0, rng)
     b = read_clock(model, 1.0, rng)
-    assert a.ticks != b.ticks
-
-
-def test_timestamp_range_validated():
-    Timestamp(0.0)
-    Timestamp(float(TICK_WRAP - 1))
-    with pytest.raises(ValueError):
-        Timestamp(-1.0)
-    with pytest.raises(ValueError):
-        Timestamp(float(TICK_WRAP))
+    assert a != b
 
 
 def test_skew_limited_to_100_ppm():
@@ -98,14 +94,14 @@ def test_skew_limited_to_100_ppm():
 
 
 def test_ts_diff_simple_and_wrapped():
-    a = Timestamp(100.0)
-    b = Timestamp(40.0)
+    a = 100.0
+    b = 40.0
     assert ts_diff(a, b) == 60.0
     assert ts_diff(b, a) == -60.0
     # Counter wrapped between b and a: a is "earlier" numerically but later
     # in time.
-    near_top = Timestamp(float(TICK_WRAP - 10))
-    past_wrap = Timestamp(5.0)
+    near_top = float(TICK_WRAP - 10)
+    past_wrap = 5.0
     assert ts_diff(past_wrap, near_top) == 15.0
     assert ts_diff(near_top, past_wrap) == -15.0
 
@@ -115,8 +111,8 @@ def test_ts_diff_simple_and_wrapped():
     delta=st.integers(min_value=-(HALF_WRAP - 1), max_value=HALF_WRAP - 1),
 )
 def test_ts_diff_recovers_separation_across_wrap(base: int, delta: int):
-    later = Timestamp(float((base + delta) % TICK_WRAP))
-    earlier = Timestamp(float(base))
+    later = float((base + delta) % TICK_WRAP)
+    earlier = float(base)
     assert ts_diff(later, earlier) == float(delta)
 
 
@@ -125,10 +121,10 @@ def test_ts_diff_recovers_separation_across_wrap(base: int, delta: int):
     b=st.integers(min_value=0, max_value=TICK_WRAP - 1),
 )
 def test_ts_diff_antisymmetric_off_the_boundary(a: int, b: int):
-    d = ts_diff(Timestamp(float(a)), Timestamp(float(b)))
+    d = ts_diff(float(a), float(b))
     assert -HALF_WRAP <= d < HALF_WRAP
     if d != -HALF_WRAP:
-        assert ts_diff(Timestamp(float(b)), Timestamp(float(a))) == -d
+        assert ts_diff(float(b), float(a)) == -d
 
 
 @given(

@@ -79,6 +79,11 @@ def test_unknown_keys_are_named_in_the_error():
         parse_config(_tweaked(solver={"sigma_tt": 1.0}))
 
 
+def test_negative_seed_is_rejected():
+    with pytest.raises(ConfigError, match="seed must be >= 0"):
+        parse_config(_tweaked(seed=-1))
+
+
 def test_wrong_types_are_rejected():
     with pytest.raises(ConfigError, match="duration"):
         parse_config(_tweaked(duration="long"))

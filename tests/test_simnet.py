@@ -133,7 +133,7 @@ def test_zero_noise_arrival_spacing_is_time_of_flight(ideal_rect_topology):
     blink0 = {r.anchor_id: r for r in sim.reports if r.kind == KIND_BLINK_RX and r.seq == 0}
     assert set(blink0) == set(RECT_POSITIONS)
     for a, b in [("MA1", "SA2"), ("SA3", "SA4"), ("MA1", "SA3")]:
-        got = (blink0[a].timestamp.ticks - blink0[b].timestamp.ticks) * TICK_SECONDS
+        got = (blink0[a].ticks - blink0[b].ticks) * TICK_SECONDS
         want = (math.dist(tag, RECT_POSITIONS[a]) - math.dist(tag, RECT_POSITIONS[b])) / SPEED_OF_LIGHT
         assert got == pytest.approx(want, abs=1e-13)
 
@@ -143,7 +143,7 @@ def test_ccp_receptions_lag_transmissions_by_propagation(ideal_rect_topology):
     tx = {r.seq: r for r in sim.reports if r.kind == KIND_CCP_TX}
     rx = {(r.anchor_id, r.seq): r for r in sim.reports if r.kind == KIND_CCP_RX}
     for (anchor, seq), r in rx.items():
-        flight = (r.timestamp.ticks - tx[seq].timestamp.ticks) * TICK_SECONDS
+        flight = (r.ticks - tx[seq].ticks) * TICK_SECONDS
         assert flight == pytest.approx(
             math.dist(RECT_POSITIONS[anchor], RECT_POSITIONS["MA1"]) / SPEED_OF_LIGHT,
             abs=1e-13,
@@ -272,14 +272,14 @@ def test_different_seed_changes_jittered_timestamps():
     noisy = build_rect_topology(jitter_std=1e-10)
     a = run_scenario(_scenario(duration=1.0, topo=noisy, seed=1))
     b = run_scenario(_scenario(duration=1.0, topo=noisy, seed=2))
-    assert [r.timestamp for r in a.reports] != [r.timestamp for r in b.reports]
+    assert [r.ticks for r in a.reports] != [r.ticks for r in b.reports]
 
 
 def test_reports_are_sorted_and_within_range():
     sim = run_scenario(_scenario(duration=2.0))
     keys = [(r.anchor_id, r.kind, r.src_id, r.seq) for r in sim.reports]
     assert len(set(keys)) == len(keys)
-    assert all(0 <= r.timestamp.ticks < 2**40 for r in sim.reports)
+    assert all(0 <= r.ticks < 2**40 for r in sim.reports)
 
 
 def test_truth_records_round_trip():

@@ -15,7 +15,7 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
-from uwb_rtls.clock import TICK_SECONDS, ClockModel, IDEAL_CLOCK, Timestamp, read_clock
+from uwb_rtls.clock import TICK_SECONDS, ClockModel, IDEAL_CLOCK, read_clock
 from uwb_rtls.constants import SPEED_OF_LIGHT
 from uwb_rtls.protocol import KIND_BLINK_RX, KIND_CCP_RX, KIND_CCP_TX, ToaReport
 from uwb_rtls.simnet import Scenario, StaticTrajectory, TagSpec, run_scenario
@@ -40,10 +40,10 @@ class Window(NamedTuple):
     and ``seq + 1``."""
 
     seq: int
-    t_s1: Timestamp
-    t_s2: Timestamp
-    r_s1: Timestamp
-    r_s2: Timestamp
+    t_s1: float
+    t_s2: float
+    r_s1: float
+    r_s2: float
 
 
 def make_window(
@@ -66,7 +66,7 @@ def make_window(
     )
 
 
-def _sync_window(w: Window, ma_blink: Timestamp, sa_blink: Timestamp, *,
+def _sync_window(w: Window, ma_blink: float, sa_blink: float, *,
                  tag_id="T1", blink_seq=2, stale_intervals=DEFAULT_STALE_INTERVALS):
     """Stream-sync one blink heard by MA1 and SA2 through one CCP window.
 
@@ -127,14 +127,13 @@ def _sync_one_blink(
 
 def _healthy_window() -> Window:
     """Both clocks read CCPs 1 and 2 exactly one nominal interval apart."""
-    return Window(1, Timestamp(1e6), Timestamp(1e6 + CCP_TICKS),
-                  Timestamp(7e6), Timestamp(7e6 + CCP_TICKS))
+    return Window(1, 1e6, 1e6 + CCP_TICKS, 7e6, 7e6 + CCP_TICKS)
 
 
 def _sync_stamped(w: Window):
     """``_sync_window`` with the blink read 1e6 ticks after each clock's
     first CCP reading."""
-    return _sync_window(w, Timestamp(2e6), Timestamp(8e6))
+    return _sync_window(w, 2e6, 8e6)
 
 
 def test_identical_clocks_give_k_one():
@@ -201,8 +200,8 @@ def test_non_consecutive_timestamps_are_degenerate():
 def test_k_outside_band_is_a_drift_anomaly():
     # 300 ppm apparent rate error, three times the allowed band.
     w = _healthy_window()
-    _assert_window_rejected(w._replace(r_s2=Timestamp(7e6 + CCP_TICKS * (1 + 3e-4))), "SA2")
-    _assert_window_rejected(w._replace(t_s2=Timestamp(1e6 + CCP_TICKS * (1 + 3e-4))), "MA1")
+    _assert_window_rejected(w._replace(r_s2=7e6 + CCP_TICKS * (1 + 3e-4)), "SA2")
+    _assert_window_rejected(w._replace(t_s2=1e6 + CCP_TICKS * (1 + 3e-4)), "MA1")
 
 
 def test_k_spans_the_counter_wrap():
@@ -211,7 +210,7 @@ def test_k_spans_the_counter_wrap():
     blinks, diag, w, want = _sync_one_blink(
         (2.0, 1.0), IDEAL_CLOCK, IDEAL_CLOCK,
         epoch_time=wrap_time - 0.07, blink_time=wrap_time - 0.02, blink_seq=1)
-    assert w.r_s2.ticks < w.r_s1.ticks  # wrapped
+    assert w.r_s2 < w.r_s1  # wrapped
     assert "rejected_windows" not in diag
     arrivals = blinks[("T1", 1)]
     assert arrivals["SA2"].rate == pytest.approx(1.0, rel=1e-12)
@@ -413,12 +412,24 @@ def test_conflicting_duplicate_keeps_the_smallest_reading():
     topo, reports = _rect_reports()
     base = multi_master_sync(reports, topo, ccp_period=CCP_PERIOD)
     r = next(r for r in reports if r.kind == KIND_BLINK_RX)
-    late = ToaReport(r.anchor_id, r.kind, r.src_id, r.seq, Timestamp(r.timestamp.ticks + 1e4))
+    late = r._replace(ticks=r.ticks + 1e4)
     for stream in ([late] + list(reports), list(reports) + [late]):
         diag: dict = {}
         got = multi_master_sync(stream, topo, ccp_period=CCP_PERIOD, diagnostics=diag)
         assert list(got.items()) == list(base.items())
         assert diag["duplicate_reports"] == 1
+
+
+def test_readings_outside_the_counter_range_are_counted_and_skipped():
+    topo, reports = _rect_reports()
+    base = multi_master_sync(reports, topo, ccp_period=CCP_PERIOD)
+    r = next(r for r in reports if r.kind == KIND_BLINK_RX)
+    bad = [r._replace(ticks=ticks) for ticks in (math.nan, -1.0, float(2**40))]
+    diag: dict = {}
+    got = multi_master_sync(list(reports) + bad, topo, ccp_period=CCP_PERIOD, diagnostics=diag)
+    assert list(got.items()) == list(base.items())
+    assert diag["ticks_out_of_range"] == 3
+    assert "duplicate_reports" not in diag
 
 
 def test_anchor_without_ccp_coverage_is_skipped_and_counted():
