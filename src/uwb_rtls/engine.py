@@ -8,7 +8,6 @@ measurement.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -73,8 +72,9 @@ def locate_reports(
     """Run the whole pipeline over a report stream.
 
     Blinks that cannot be used (too few synchronized receivers, no valid
-    time base) are skipped and counted in ``diagnostics``; everything else
-    becomes one fix per blink per tag.
+    time base) are skipped and counted in ``diagnostics``, and so are the
+    cold starts and updates the tracker skips; everything else becomes one
+    fix per blink per tag.  One ``track`` call steps every tag.
     """
     diagnostics: dict = {}
     blinks = multi_master_sync(
@@ -87,7 +87,7 @@ def locate_reports(
         diagnostics=diagnostics,
     )
 
-    sets_per_tag: dict[str, list[TdoaSet]] = defaultdict(list)
+    tdoa_sets: list[TdoaSet] = []
     for (tag_id, blink_seq), arrivals in blinks.items():
         if len(arrivals) < MIN_RECEIVERS:
             diagnostics["blinks_too_few_receivers"] = (
@@ -107,13 +107,9 @@ def locate_reports(
             )
             diagnostics[key] = diagnostics.get(key, 0) + 1
             continue
-        sets_per_tag[tag_id].append(tdoa_set)
+        tdoa_sets.append(tdoa_set)
 
-    anchors = topo.positions()
-    fixes: list[Fix] = []
-    tdoa_sets: list[TdoaSet] = []
-    for tag_id in sorted(sets_per_tag):
-        tag_sets = sets_per_tag[tag_id]
-        tdoa_sets.extend(tag_sets)
-        fixes.extend(track(tag_sets, anchors, params.blink_period, params.tracker))
+    fixes = track(
+        tdoa_sets, topo.positions(), params.blink_period, params.tracker, diagnostics
+    )
     return LocateResult(fixes, blinks, tdoa_sets, diagnostics, params.ccp_period)

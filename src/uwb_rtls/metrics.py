@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import math
-import statistics
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -80,6 +79,12 @@ def _percentile(values: Sequence[float], q: float) -> float:
     hi = min(lo + 1, len(ordered) - 1)
     frac = rank - lo
     return ordered[lo] * (1.0 - frac) + ordered[hi] * frac
+
+
+def _pstdev(values: Sequence[float]) -> float:
+    """Population standard deviation: two passes of ``math.fsum``."""
+    mean = math.fsum(values) / len(values)
+    return math.sqrt(math.fsum((v - mean) ** 2 for v in values) / len(values))
 
 
 def _arrival_rows(
@@ -192,7 +197,7 @@ def evaluate(
         for key, stream in streams.items():
             tail = stream[warmup:]
             if len(tail) >= 2:
-                stds[key] = statistics.pstdev(tail)
+                stds[key] = _pstdev(tail)
     return EvalSummary(
         tdoa_std_per_pair=stds,
         fix_rmse=rmse(settled),

@@ -6,8 +6,14 @@ least-squares solver provides cold starts plus an independent check on the
 filter (both minimize the same range-difference residuals, so on static,
 noise-free input they must agree).
 
-The filter steps by the blink period and updates in information form
-(``ekf_update``), so no m x m matrix is built for m range differences.
+The filter is batched.  ``track`` steps every tag that blinked at one
+blink epoch together: ``ekf_predict`` and ``ekf_update`` work on stacked
+(B, 4) states and (B, 4, 4) covariances, and the update is in information
+form, so no m x m matrix is built for m range differences.  Each tag's
+receiver rows are padded to the epoch's widest set and masked.  Sums over
+receivers and matrix products run in one fixed order with elementwise
+operations, so a tag's fixes are the same bits whatever other tags share
+its epochs.  Cold starts, gap resets and skips stay per tag.
 
 Both read their geometry from one kernel, ``range_diffs``: range
 differences against the reference anchor and their gradients (unit-vector
@@ -17,6 +23,7 @@ the same kernel.
 
 from __future__ import annotations
 
+import itertools
 import logging
 import math
 from dataclasses import dataclass
@@ -70,14 +77,6 @@ class Fix:
     residual_norm: float  # meters, innovation magnitude at update time
 
 
-@dataclass
-class EkfState:
-    """Constant-velocity filter state x = [x, y, vx, vy] and its covariance P."""
-
-    x: np.ndarray
-    P: np.ndarray
-
-
 def transition_matrix(dt: float) -> np.ndarray:
     f = np.eye(4)
     f[0, 2] = dt
@@ -96,25 +95,41 @@ def process_noise(dt: float, sigma_accel: float = DEFAULT_SIGMA_ACCEL) -> np.nda
     return out
 
 
-def ekf_predict(state: EkfState, f: np.ndarray, q: np.ndarray) -> EkfState:
-    """Propagate the state one step through transition ``f`` with process
-    noise ``q`` (no control input)."""
-    p = f @ state.P @ f.T + q
-    return EkfState(x=f @ state.x, P=0.5 * (p + p.T))
+def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Stacked matrix product a @ b, its inner sum in index order by
+    elementwise operations, so no product's bits depend on the batch around
+    it (numpy's matmul may hand stacked products to BLAS)."""
+    out = a[..., :, :1] * b[..., :1, :]
+    for k in range(1, a.shape[-1]):
+        out = out + a[..., :, k : k + 1] * b[..., k : k + 1, :]
+    return out
+
+
+def ekf_predict(
+    x: np.ndarray, p: np.ndarray, f: np.ndarray, q: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Propagate B states x = [x, y, vx, vy] (B, 4) and their covariances
+    p (B, 4, 4) one step through transition ``f`` with process noise ``q``
+    (no control input)."""
+    p = _matmul(_matmul(f, p), f.T) + q
+    return _matmul(f, x[..., None])[..., 0], 0.5 * (p + p.swapaxes(-1, -2))
 
 
 def range_diffs(px, py, xy, gradient=False):
     """Range differences against the reference anchor at N points (px, py).
 
-    ``xy`` (M+1, 2) holds the reference anchor first, then M others.  Returns
+    ``xy`` (M+1, 2) holds the reference anchor first, then M others, for all
+    points; (M+1, 2, N) holds one such layout per point.  Returns
     anchor-major (M, N) arrays: h[i, n] = |p_n - xy[i+1]| - |p_n - xy[0]|;
     with ``gradient`` also dh/dx and dh/dy (2, M, N), the unit-vector
     differences u_i - u_ref, and ``near`` (M, N), set where anchor i or the
     reference is within _EPS_DIST of the point (the divisor is floored there).
     """
-    dx = px - xy[:, 0:1]
-    dy = py - xy[:, 1:2]
-    d = np.hypot(dx, dy)
+    if xy.ndim == 2:
+        xy = xy[:, :, None]
+    dx = px - xy[:, 0]
+    dy = py - xy[:, 1]
+    d = np.sqrt(dx * dx + dy * dy)
     h = d[1:] - d[0]
     if not gradient:
         return h
@@ -140,59 +155,90 @@ def _measurement_arrays(meas: TdoaSet, anchors: Mapping[str, tuple[float, float]
     return xy, np.array([d for _, d in meas.measurements], dtype=float)
 
 
+def _padded_rows(batch: Sequence[TdoaSet], anchors: Mapping[str, tuple[float, float]]):
+    """One layout per set, padded to the widest: anchor positions
+    (M+1, 2, B), reference first; measured differences (M, B); and which
+    rows hold a measurement (M, B).  Padding repeats the set's reference
+    anchor, so its range difference and gradient are exactly zero."""
+    width = max(len(s.measurements) for s in batch)
+    coords, diffs = [], []
+    for s in batch:
+        ref = anchors[s.reference_anchor]
+        pad = width - len(s.measurements)
+        coords.append([ref] + [anchors[a] for a, _ in s.measurements] + [ref] * pad)
+        diffs.append([d for _, d in s.measurements] + [0.0] * pad)
+    counts = np.array([len(s.measurements) for s in batch])
+    xy = np.array(coords, dtype=float).transpose(1, 2, 0)
+    return xy, np.array(diffs, dtype=float).T, np.arange(width)[:, None] < counts
+
+
 def ekf_update(
-    state: EkfState,
-    meas: TdoaSet,
+    x: np.ndarray,
+    p: np.ndarray,
+    batch: Sequence[TdoaSet],
     anchors: Mapping[str, tuple[float, float]],
     sigma_t: float,
-) -> tuple[EkfState, Fix]:
-    """Fold one TDoA set into the state and emit the resulting fix.
+) -> tuple[np.ndarray, np.ndarray, list[Fix]]:
+    """Fold one TDoA set per tag into B predicted states and emit the fixes.
 
-    Information form: the m range differences share the reference's noise,
-    R = v (I + 1 1^T) with v = (c sigma_t)^2, so R^-1 = (I - 1 1^T/(m+1)) / v.
-    With G the 2 x m gradient rows, s = G 1 and r the innovation, the
-    position information is A = (G G^T - s s^T/(m+1)) / v, b = (G r -
-    s sum(r)/(m+1)) / v, and P+ = P - P[:, :2] (I + A P11)^-1 A P[:2, :],
-    x+ = x + P+[:, :2] b.  I + A P11 has eigenvalues >= 1, so it is never
-    singular for ``sigma_t`` > 0.  No row left once anchors within
-    _EPS_DIST of the tag are dropped (the reference among them) skips the
-    update and reports the predicted state.
+    ``x`` (B, 4) and ``p`` (B, 4, 4) are the states of the tags whose sets
+    ``batch`` holds, in its order; returns the updated states and one
+    ``Fix`` per set.
+
+    Information form, per tag: the m range differences share the
+    reference's noise, R = v (I + 1 1^T) with v = (c sigma_t)^2, so R^-1 =
+    (I - 1 1^T/(m+1)) / v.  With G the 2 x m gradient rows, s = G 1 and r
+    the innovation, the position information is A = (G G^T - s s^T/(m+1)) /
+    v, b = (G r - s sum(r)/(m+1)) / v, and P+ = P - P[:, :2] (I + A P11)^-1
+    A P[:2, :], x+ = x + P+[:, :2] b.  I + A P11 has eigenvalues >= 1, so
+    its determinant is too for ``sigma_t`` > 0.  Padded rows and rows whose
+    anchor is within _EPS_DIST of the tag are zeroed; m counts the rest.  A
+    tag with no row left (its reference on the tag, say) skips the update
+    and reports its predicted state with a NaN residual.
     """
-    xy, z = _measurement_arrays(meas, anchors)
-    h, grad, near = range_diffs(state.x[:1], state.x[1:2], xy, gradient=True)
-    keep = ~near[:, 0]  # rows whose anchor (or the reference) sits on the tag go
-    m = int(keep.sum())
-    if m == 0:
-        log.warning(
-            "update skipped for %s #%d: no usable measurement rows",
-            meas.tag_id, meas.blink_seq,
-        )
-        return state, _fix_from_state(state, meas, math.nan)
-    g = grad[:, keep, 0]
-    innovation = z[keep] - h[keep, 0]
+    xy, z, keep = _padded_rows(batch, anchors)
+    h, grad, near = range_diffs(x[:, 0], x[:, 1], xy, gradient=True)
+    keep &= ~near  # rows whose anchor (or the reference) sits on the tag go
+    r = np.where(keep, z - h, 0.0)
+    gx, gy = np.where(keep, grad, 0.0)
+    terms = np.stack((gx * gx, gx * gy, gy * gy, gx, gy, gx * r, gy * r, r, r * r), axis=1)
+    gxx, gxy, gyy, sx, sy, bx, by, rs, rr = sum_over_anchors(
+        terms.reshape(len(r), 9 * len(batch))
+    ).reshape(9, len(batch))
+    w = keep.sum(axis=0) + 1.0  # m + 1
     v = (SPEED_OF_LIGHT * sigma_t) ** 2
-    s = g.sum(axis=1)
-    info = (g @ g.T - np.outer(s, s) / (m + 1)) / v
-    b = (g @ innovation - s * (innovation.sum() / (m + 1))) / v
-    p = state.P
-    p = p - p[:, :2] @ np.linalg.solve(np.eye(2) + info @ p[:2, :2], info) @ p[:2, :]
-    p = 0.5 * (p + p.T)
-    new_state = EkfState(x=state.x + p[:, :2] @ b, P=p)
-    return new_state, _fix_from_state(new_state, meas, float(np.linalg.norm(innovation)))
+    cross = gxy - sx * sy / w
+    info = np.stack((gxx - sx * sx / w, cross, cross, gyy - sy * sy / w), axis=-1)
+    info = info.reshape(-1, 2, 2) / v
+    b = np.stack((bx - sx * (rs / w), by - sy * (rs / w)), axis=-1)[..., None] / v
+    a = np.eye(2) + _matmul(info, p[:, :2, :2])
+    adjugate = np.stack((a[:, 1, 1], -a[:, 0, 1], -a[:, 1, 0], a[:, 0, 0]), axis=-1)
+    det = a[:, 0, 0] * a[:, 1, 1] - a[:, 0, 1] * a[:, 1, 0]
+    solved = _matmul(adjugate.reshape(-1, 2, 2) / det[:, None, None], info)
+    p_new = p - _matmul(_matmul(p[:, :, :2], solved), p[:, :2, :])
+    p_new = 0.5 * (p_new + p_new.swapaxes(-1, -2))
+    x_new = x + _matmul(p_new[:, :, :2], b)[..., 0]
+    ok = keep.any(axis=0)
+    for meas, usable in zip(batch, ok.tolist()):
+        if not usable:
+            log.warning(
+                "update skipped for %s #%d: no usable measurement rows",
+                meas.tag_id, meas.blink_seq,
+            )
+    x = np.where(ok[:, None], x_new, x)
+    p = np.where(ok[:, None, None], p_new, p)
+    return x, p, _fixes(batch, x, p, np.where(ok, np.sqrt(rr), math.nan).tolist())
 
 
-def _fix_from_state(state: EkfState, meas: TdoaSet, residual: float) -> Fix:
-    pos_var = max(float(state.P[0, 0] + state.P[1, 1]), 0.0)
-    return Fix(
-        tag_id=meas.tag_id,
-        blink_seq=meas.blink_seq,
-        x=float(state.x[0]),
-        y=float(state.x[1]),
-        vx=float(state.x[2]),
-        vy=float(state.x[3]),
-        pos_std=math.sqrt(pos_var),
-        residual_norm=residual,
-    )
+def _fixes(
+    batch: Sequence[TdoaSet], x: np.ndarray, p: np.ndarray, residuals: Sequence[float]
+) -> list[Fix]:
+    """One ``Fix`` per set from the stacked states after its blink."""
+    pos_std = np.sqrt(np.maximum(p[:, 0, 0] + p[:, 1, 1], 0.0))
+    return [
+        Fix(meas.tag_id, meas.blink_seq, *state, std, residual)
+        for meas, state, std, residual in zip(batch, x.tolist(), pos_std.tolist(), residuals)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -342,38 +388,61 @@ def track(
     anchors: Mapping[str, tuple[float, float]],
     blink_period: float,
     cfg: TrackerConfig = TrackerConfig(),
+    diagnostics: dict | None = None,
 ) -> list[Fix]:
-    """Run the EKF over one tag's TDoA sets (ascending blink_seq).
+    """Run the EKF over the TDoA sets of any number of tags, in any order, at
+    most one set per (tag_id, blink_seq); fixes come back in that order.
 
-    Tracks initialize from ``ls_solve`` with zero velocity, predict once per
-    elapsed ``blink_period`` (seconds, the time step of the motion model),
-    and re-initialize after a gap of more than ``gap_reset`` blinks.  Sets
-    whose cold start is ambiguous are skipped.
+    The tags step together, one blink epoch (``blink_seq``) at a time: each
+    tag with a set there predicts once per ``blink_period`` (seconds, the
+    time step of the motion model) elapsed since its last set, and one
+    ``ekf_update`` folds in the epoch's sets.  Per tag, a track initializes
+    from ``ls_solve`` with zero velocity and re-initializes after a gap of
+    more than ``gap_reset`` blinks.  Sets whose cold start fails or is
+    ambiguous are skipped and counted in ``diagnostics`` under
+    ``tracks_not_started``; updates left with no usable row, under
+    ``updates_no_usable_rows``.
     """
+    if len({(s.tag_id, s.blink_seq) for s in sets}) < len(sets):
+        raise ValueError("track takes at most one set per (tag_id, blink_seq)")
+    diag = {} if diagnostics is None else diagnostics
     f = transition_matrix(blink_period)
     q = process_noise(blink_period, cfg.sigma_accel)
     p0 = np.diag([cfg.init_pos_var, cfg.init_pos_var, cfg.init_vel_var, cfg.init_vel_var])
+    index = {tag_id: i for i, tag_id in enumerate(sorted({s.tag_id for s in sets}))}
+    xs, ps = np.zeros((len(index), 4)), np.zeros((len(index), 4, 4))
+    last = np.zeros(len(index), dtype=np.int64)  # blink_seq of each tag's last fix
+    live = np.zeros(len(index), dtype=bool)
     fixes: list[Fix] = []
-    state: EkfState | None = None
-    last_seq: int | None = None
-    for meas in sets:
-        if state is not None and meas.blink_seq - last_seq > cfg.gap_reset:
-            state = None
-        if state is None:
+    by_epoch = sorted(sets, key=lambda s: (s.blink_seq, s.tag_id))
+    for seq, epoch in itertools.groupby(by_epoch, key=lambda s: s.blink_seq):
+        batch: list[TdoaSet] = []
+        for meas in epoch:
+            i = index[meas.tag_id]
+            if live[i] and seq - last[i] <= cfg.gap_reset:
+                batch.append(meas)
+                continue
+            live[i] = False
             try:
                 pos = ls_solve(meas, anchors)
             except (AmbiguityError, ValueError) as exc:
-                log.warning(
-                    "track init skipped for %s #%d: %s", meas.tag_id, meas.blink_seq, exc
-                )
+                log.warning("track init skipped for %s #%d: %s", meas.tag_id, seq, exc)
+                diag["tracks_not_started"] = diag.get("tracks_not_started", 0) + 1
                 continue
-            state = EkfState(x=np.array([pos[0], pos[1], 0.0, 0.0]), P=p0)
-            last_seq = meas.blink_seq
-            fixes.append(_fix_from_state(state, meas, 0.0))
+            xs[i], ps[i], last[i], live[i] = (pos[0], pos[1], 0.0, 0.0), p0, seq, True
+            fixes.extend(_fixes([meas], xs[i : i + 1], ps[i : i + 1], [0.0]))
+        if not batch:
             continue
-        for _ in range(meas.blink_seq - last_seq):
-            state = ekf_predict(state, f, q)
-        state, fix = ekf_update(state, meas, anchors, cfg.sigma_t)
-        last_seq = meas.blink_seq
-        fixes.append(fix)
+        rows = np.array([index[m.tag_id] for m in batch])
+        x, p = xs[rows], ps[rows]
+        steps = seq - last[rows]
+        for k in range(int(steps.max())):
+            due = steps > k
+            x[due], p[due] = ekf_predict(x[due], p[due], f, q)
+        xs[rows], ps[rows], new = ekf_update(x, p, batch, anchors, cfg.sigma_t)
+        last[rows] = seq
+        if skipped := sum(math.isnan(fix.residual_norm) for fix in new):
+            diag["updates_no_usable_rows"] = diag.get("updates_no_usable_rows", 0) + skipped
+        fixes.extend(new)
+    fixes.sort(key=lambda fix: (fix.tag_id, fix.blink_seq))
     return fixes

@@ -12,7 +12,6 @@ from uwb_rtls.solver import (
     DEFAULT_SIGMA_T,
     GEOMETRY_BLOCK,
     AmbiguityError,
-    EkfState,
     _measurement_arrays,
     _objective_grid,
     TrackerConfig,
@@ -30,7 +29,7 @@ from uwb_rtls.timebase import TdoaSet
 RECT = {"MA1": (0.0, 0.0), "SA2": (6.0, 0.0), "SA3": (6.0, 4.0), "SA4": (0.0, 4.0)}
 
 
-def tdoa_set(tag_xy, anchors=RECT, ref="MA1", seq=0, jitter=None):
+def tdoa_set(tag_xy, anchors=RECT, ref="MA1", seq=0, jitter=None, tag="T1"):
     """Range differences (meters) for a tag at ``tag_xy``; optional additive
     per-measurement noise array."""
     d = {a: math.dist(tag_xy, p) for a, p in anchors.items()}
@@ -41,16 +40,16 @@ def tdoa_set(tag_xy, anchors=RECT, ref="MA1", seq=0, jitter=None):
         if jitter is not None:
             v += jitter[i]
         meas.append((a, v))
-    return TdoaSet(tag_id="T1", blink_seq=seq, reference_anchor=ref, measurements=tuple(meas))
+    return TdoaSet(tag_id=tag, blink_seq=seq, reference_anchor=ref, measurements=tuple(meas))
 
 
 def fresh_state(position):
-    """Filter state at rest at ``position`` with the tracker's default prior."""
+    """Filter state at rest at ``position`` with the tracker's default prior,
+    as a batch of one: x (1, 4) and P (1, 4, 4)."""
     cfg = TrackerConfig()
-    return EkfState(
-        x=np.array([position[0], position[1], 0.0, 0.0]),
-        P=np.diag([cfg.init_pos_var, cfg.init_pos_var, cfg.init_vel_var, cfg.init_vel_var]),
-    )
+    x = np.array([[position[0], position[1], 0.0, 0.0]])
+    p = np.diag([cfg.init_pos_var, cfg.init_pos_var, cfg.init_vel_var, cfg.init_vel_var])
+    return x, p[None]
 
 
 # ---------------------------------------------------------------------------
@@ -78,33 +77,32 @@ def test_process_noise_is_discrete_white_acceleration():
 
 def test_predict_from_zero_covariance_gains_q():
     q = process_noise(0.1)
-    state = EkfState(x=np.zeros(4), P=np.zeros((4, 4)))
-    out = ekf_predict(state, transition_matrix(0.1), q)
-    assert np.allclose(out.P, q)
-    assert np.array_equal(out.P, out.P.T)
+    _, p = ekf_predict(np.zeros((1, 4)), np.zeros((1, 4, 4)), transition_matrix(0.1), q)
+    assert np.allclose(p[0], q)
+    assert np.array_equal(p[0], p[0].T)
 
 
 def test_predict_moves_with_velocity():
-    x = np.array([1.0, 2.0, 0.5, -0.25])
-    state = EkfState(x=x, P=np.eye(4))
-    out = ekf_predict(state, transition_matrix(0.1), process_noise(0.1))
-    assert out.x == pytest.approx([1.05, 1.975, 0.5, -0.25])
+    x = np.array([[1.0, 2.0, 0.5, -0.25]])
+    out, _ = ekf_predict(x, np.eye(4)[None], transition_matrix(0.1), process_noise(0.1))
+    assert out[0] == pytest.approx([1.05, 1.975, 0.5, -0.25])
 
 
 @pytest.mark.parametrize("m", [3, 5, 21])
 def test_closed_form_update_matches_the_textbook_update(m):
     # The textbook EKF update with the full m x m measurement covariance
     # R = v (I + 1 1^T): range differences share the reference's noise.
+    # The 25 draws go through one batched update, each on its own layout.
     rng = np.random.default_rng(m)
     v = (SPEED_OF_LIGHT * DEFAULT_SIGMA_T) ** 2
-    for _ in range(25):
-        anchors = {f"A{i:02d}": tuple(rng.uniform(-10.0, 10.0, 2)) for i in range(m + 1)}
+    xs, ps, batch, layouts, wants = [], [], [], {}, []
+    for n in range(25):
+        anchors = {f"D{n}A{i:02d}": tuple(rng.uniform(-10.0, 10.0, 2)) for i in range(m + 1)}
         tag = rng.uniform(-5.0, 5.0, 2)
-        meas = tdoa_set(tag, anchors, ref="A00", jitter=rng.normal(0.0, 0.05, m))
+        meas = tdoa_set(tag, anchors, ref=f"D{n}A00", jitter=rng.normal(0.0, 0.05, m))
         root = rng.normal(size=(4, 4))
         p = 0.1 * root @ root.T + np.diag([1e-3, 1e-3, 1e-2, 1e-2])
         x = np.concatenate([tag + rng.normal(0.0, 0.2, 2), rng.normal(0.0, 1.0, 2)])
-        state = EkfState(x=x, P=p)
 
         xy, z = _measurement_arrays(meas, anchors)
         h, grad, _ = range_diffs(x[:1], x[1:2], xy, gradient=True)
@@ -116,34 +114,40 @@ def test_closed_form_update_matches_the_textbook_update(m):
         want_x = x + gain @ (z - h[:, 0])
         want_p = (np.eye(4) - gain @ jac) @ p
         want_p = 0.5 * (want_p + want_p.T)
+        xs.append(x)
+        ps.append(p)
+        batch.append(meas)
+        layouts.update(anchors)
+        wants.append((want_x, want_p))
 
-        got, _ = ekf_update(state, meas, anchors, DEFAULT_SIGMA_T)
-        assert np.max(np.abs(got.x - want_x)) <= 1e-9
-        assert np.max(np.abs(got.P - want_p)) <= 1e-12 * np.max(np.abs(want_p))
+    got_x, got_p, _ = ekf_update(np.array(xs), np.array(ps), batch, layouts, DEFAULT_SIGMA_T)
+    for got_xn, got_pn, (want_x, want_p) in zip(got_x, got_p, wants):
+        assert np.max(np.abs(got_xn - want_x)) <= 1e-9
+        assert np.max(np.abs(got_pn - want_p)) <= 1e-12 * np.max(np.abs(want_p))
 
 
 def test_update_with_perfect_measurement_keeps_position():
     truth = (2.5, 1.5)
-    state = fresh_state(truth)
-    trace_before = float(np.trace(state.P))
-    out, fix = ekf_update(state, tdoa_set(truth), RECT, DEFAULT_SIGMA_T)
+    x, p = fresh_state(truth)
+    trace_before = float(np.trace(p[0]))
+    _, out_p, (fix,) = ekf_update(x, p, [tdoa_set(truth)], RECT, DEFAULT_SIGMA_T)
     assert (fix.x, fix.y) == pytest.approx(truth, abs=1e-12)
-    assert float(np.trace(out.P)) < trace_before
+    assert float(np.trace(out_p[0])) < trace_before
     assert fix.residual_norm == pytest.approx(0.0, abs=1e-12)
 
 
 def test_update_pulls_toward_the_measurement():
-    state = fresh_state((3.2, 2.2))
-    _, fix = ekf_update(state, tdoa_set((3.0, 2.0)), RECT, DEFAULT_SIGMA_T)
+    x, p = fresh_state((3.2, 2.2))
+    _, _, (fix,) = ekf_update(x, p, [tdoa_set((3.0, 2.0))], RECT, DEFAULT_SIGMA_T)
     before = math.dist((3.2, 2.2), (3.0, 2.0))
     after = math.dist((fix.x, fix.y), (3.0, 2.0))
     assert after < before
 
 
 def test_tag_on_reference_anchor_skips_update():
-    state = fresh_state(RECT["MA1"])
-    out, fix = ekf_update(state, tdoa_set((0.5, 0.5)), RECT, DEFAULT_SIGMA_T)
-    assert np.array_equal(out.x, state.x)
+    x, p = fresh_state(RECT["MA1"])
+    out, _, (fix,) = ekf_update(x, p, [tdoa_set((0.5, 0.5))], RECT, DEFAULT_SIGMA_T)
+    assert np.array_equal(out, x)
     assert math.isnan(fix.residual_norm)
 
 
@@ -157,15 +161,15 @@ def geometry(pos):
 
 
 def test_tag_on_another_anchor_drops_only_that_row():
-    state = fresh_state(RECT["SA3"])
+    x, p = fresh_state(RECT["SA3"])
     meas = tdoa_set(RECT["SA3"])
     rest = TdoaSet(tag_id="T1", blink_seq=0, reference_anchor="MA1",
                    measurements=tuple(m for m in meas.measurements if m[0] != "SA3"))
-    out, fix = ekf_update(state, meas, RECT, DEFAULT_SIGMA_T)
-    want, want_fix = ekf_update(state, rest, RECT, DEFAULT_SIGMA_T)
-    assert np.array_equal(out.x, want.x) and np.array_equal(out.P, want.P)
+    out_x, out_p, (fix,) = ekf_update(x, p, [meas], RECT, DEFAULT_SIGMA_T)
+    want_x, want_p, (want_fix,) = ekf_update(x, p, [rest], RECT, DEFAULT_SIGMA_T)
+    assert np.array_equal(out_x, want_x) and np.array_equal(out_p, want_p)
     assert fix == want_fix
-    assert float(np.trace(out.P)) < float(np.trace(state.P))
+    assert float(np.trace(out_p[0])) < float(np.trace(p[0]))
 
 
 def test_jacobian_matches_central_differences():
@@ -210,10 +214,14 @@ def test_grid_objective_is_the_sequential_per_anchor_sum_across_blocks(
     ys = np.arange(ny) * 0.025 - 1.0
     # The single-pass reference: one full-grid residual per anchor, in order.
     gx, gy = np.meshgrid(xs, ys, indexing="ij")
-    d_ref = np.hypot(gx - xy[0, 0], gy - xy[0, 1])
+    def dist(ax, ay):
+        dx, dy = gx - ax, gy - ay
+        return np.sqrt(dx * dx + dy * dy)
+
+    d_ref = dist(*xy[0])
     want = np.zeros_like(gx)
     for p_i, d in zip(xy[1:], diffs):
-        r = np.hypot(gx - p_i[0], gy - p_i[1]) - d_ref - d
+        r = dist(*p_i) - d_ref - d
         want += r * r
     assert np.array_equal(_objective_grid(xs, ys, xy, diffs), want)
 
@@ -321,3 +329,83 @@ def test_track_follows_a_moving_tag():
     assert (last.x, last.y) == pytest.approx((6.9, 2.0), abs=0.05)
     assert last.vx == pytest.approx(1.0, abs=0.1)
     assert last.vy == pytest.approx(0.0, abs=0.1)
+
+
+# ---------------------------------------------------------------------------
+# Batched tracking
+
+LINE = {"A1": (0.0, 0.0), "A2": (3.0, 0.0), "A3": (6.0, 0.0), "A4": (9.0, 0.0)}
+EVERY_ANCHOR = {**RECT, **RING, **LINE}
+
+
+def _mixed_fleet():
+    """Sets of tags that differ in all the ways a batch is ragged."""
+    rng = np.random.default_rng(11)
+    sets = {
+        # 3 receivers, moving, noisy: the tag the others must not disturb.
+        "T1": [tdoa_set((1.0 + 0.05 * i, 2.0 - 0.02 * i), seq=i, tag="T1",
+                        jitter=rng.normal(0.0, 0.02, 3)) for i in range(40)],
+        # 11 receivers, a short gap (ridden through) and a long one (reset).
+        "T2": [tdoa_set((1.0, -0.5), RING, "R03", seq=i, tag="T2",
+                        jitter=rng.normal(0.0, 0.02, 11))
+               for i in [*range(0, 10), *range(14, 20), *range(35, 45)]],
+        # Collinear anchors: every cold start is ambiguous.
+        "T3": [tdoa_set((4.0, 2.0), LINE, "A1", seq=i, tag="T3") for i in range(0, 40, 3)],
+        # Starts late, after T1 and T2 are tracking.
+        "T4": [tdoa_set((5.0, 1.0), seq=i, tag="T4") for i in range(25, 40)],
+    }
+    return sets
+
+
+def test_a_tags_fixes_do_not_depend_on_the_batch_it_is_stepped_in():
+    sets = _mixed_fleet()
+    everything = [s for tag_sets in sets.values() for s in tag_sets]
+    diagnostics: dict = {}
+    together = track(everything, EVERY_ANCHOR, 0.1, diagnostics=diagnostics)
+    assert diagnostics == {"tracks_not_started": len(sets["T3"])}
+    assert [(f.tag_id, f.blink_seq) for f in together] == sorted(
+        (s.tag_id, s.blink_seq) for s in everything if s.tag_id != "T3"
+    )
+    for tag_id, tag_sets in sets.items():
+        alone = track(tag_sets, EVERY_ANCHOR, 0.1)
+        mine = [f for f in together if f.tag_id == tag_id]
+        assert repr(mine) == repr(alone)  # repr round-trips: bit for bit
+    # The order the sets come in does not matter either.
+    shuffled = [everything[i] for i in np.random.default_rng(3).permutation(len(everything))]
+    assert repr(track(shuffled, EVERY_ANCHOR, 0.1)) == repr(together)
+    # T2 restarted after its long gap and rode through its short one.
+    t2 = [f for f in together if f.tag_id == "T2"]
+    assert [f.blink_seq for f in t2 if f.residual_norm == 0.0] == [0, 35]
+
+
+def test_an_update_with_no_usable_row_is_skipped_counted_and_alone():
+    t1 = [tdoa_set((1.0 + 0.05 * i, 2.0), seq=i, tag="T1") for i in range(12)]
+    t2 = [tdoa_set((4.0, 3.0), seq=i, tag="T2") for i in range(12)]
+    # Make T2's blink 6 reference an anchor at exactly the filter's
+    # predicted position for it, so every row of that update is unusable.
+    before = track(t2[:6], RECT, 0.1)[-1]
+    here = (before.x + 0.1 * before.vx, before.y + 0.1 * before.vy)
+    anchors = {**RECT, "HERE": here}
+    t2[6] = tdoa_set((4.0, 3.0), {**RECT, "HERE": here}, "HERE", seq=6, tag="T2")
+
+    diagnostics: dict = {}
+    fixes = track(t1 + t2, anchors, 0.1, diagnostics=diagnostics)
+    assert diagnostics == {"updates_no_usable_rows": 1}
+    skipped = next(f for f in fixes if (f.tag_id, f.blink_seq) == ("T2", 6))
+    assert math.isnan(skipped.residual_norm)
+    assert (skipped.x, skipped.y) == here  # the predicted state
+    assert repr([f for f in fixes if f.tag_id == "T1"]) == repr(track(t1, anchors, 0.1))
+    after = [f for f in fixes if f.tag_id == "T2" and f.blink_seq > 6]
+    assert len(after) == 5 and all(f.residual_norm >= 0.0 for f in after)
+    # A set with no range difference at all is skipped the same way.
+    t2[9] = TdoaSet(tag_id="T2", blink_seq=9, reference_anchor="MA1", measurements=())
+    diagnostics = {}
+    fixes = track(t1 + t2, anchors, 0.1, diagnostics=diagnostics)
+    assert diagnostics == {"updates_no_usable_rows": 2}
+    assert repr([f for f in fixes if f.tag_id == "T1"]) == repr(track(t1, anchors, 0.1))
+
+
+def test_track_takes_one_set_per_tag_and_blink():
+    sets = [tdoa_set((2.0, 1.5), seq=0), tdoa_set((2.0, 1.5), seq=0)]
+    with pytest.raises(ValueError):
+        track(sets, RECT, 0.1)
