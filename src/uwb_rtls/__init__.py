@@ -14,7 +14,7 @@ from .simnet import Scenario, SimResult, TagSpec, run_scenario
 from .solver import Fix, TrackerConfig, ls_solve, track
 from .timebase import TdoaSet, assemble_tdoa_set, select_time_base
 from .topology import AnchorConfig, NetworkTopology
-from .wcs import Arrival, SyncedTdoa, multi_master_sync, synced_pairs
+from .wcs import Arrival, multi_master_sync
 
 __version__ = "0.1.0"
 
@@ -31,7 +31,6 @@ __all__ = [
     "Scenario",
     "ScenarioConfig",
     "SimResult",
-    "SyncedTdoa",
     "TagSpec",
     "TdoaSet",
     "ToaReport",
@@ -47,7 +46,6 @@ __all__ = [
     "read_clock",
     "run_scenario",
     "select_time_base",
-    "synced_pairs",
     "track",
     "ts_diff",
     "__version__",

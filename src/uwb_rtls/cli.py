@@ -117,8 +117,18 @@ def _fix_row(row: list[str]) -> Fix:
 
 
 def read_fixes_csv(path: Path) -> tuple[list[Fix], int]:
-    """Parse a fixes.csv file, skipping malformed rows with a count."""
-    return _read_csv_rows(path, FIXES_HEADER, _fix_row)
+    """Parse a fixes.csv file, skipping malformed rows, and repeats of a
+    (tag_id, blink_seq) fix already read, with a count."""
+    rows, skipped = _read_csv_rows(path, FIXES_HEADER, _fix_row)
+    fixes: dict[tuple[str, int], Fix] = {}
+    for fix in rows:
+        key = (fix.tag_id, fix.blink_seq)
+        if key in fixes:
+            skipped += 1
+            log.warning("%s: repeated fix of %s#%d skipped", path.name, *key)
+            continue
+        fixes[key] = fix
+    return list(fixes.values()), skipped
 
 
 def synced_to_csv(blinks: Mapping[tuple[str, int], Mapping[str, Arrival]]) -> str:
@@ -248,7 +258,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
     fixes, _ = read_fixes_csv(Path(args.fixes))
     truth, _ = read_truth(Path(args.truth))
-    blinks, _ = read_synced_csv(Path(args.synced)) if args.synced else ({}, 0)
+    blinks, _ = read_synced_csv(Path(args.synced_csv)) if args.synced_csv else ({}, 0)
     try:
         text = _eval(cfg, fixes, truth, blinks, Path(args.out))
     except EmptyEvalError as exc:
@@ -362,7 +372,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True, help="scenario config JSON")
     p.add_argument("--fixes", required=True, help="fixes.csv from locate")
     p.add_argument("--truth", required=True, help="truth.jsonl from simulate")
-    p.add_argument("--synced", default=None, help="synced.csv from locate (optional)")
+    p.add_argument("--synced", dest="synced_csv", default=None,
+                   help="synced.csv from locate (optional)")
     p.set_defaults(handler=cmd_eval)
 
     p = sub.add_parser("deploy-check", parents=[common], help="audit anchor placement and HDoP")

@@ -22,14 +22,7 @@ from .timebase import (
     select_time_base,
 )
 from .topology import NetworkTopology
-from .wcs import (
-    DEFAULT_K_BAND,
-    DEFAULT_STALE_INTERVALS,
-    SyncedBlinks,
-    SyncedTdoa,
-    multi_master_sync,
-    synced_pairs,
-)
+from .wcs import DEFAULT_K_BAND, DEFAULT_STALE_INTERVALS, SyncedBlinks, multi_master_sync
 
 
 @dataclass(frozen=True)
@@ -49,19 +42,14 @@ class LocateResult:
     """Fixes plus what they were made from.
 
     ``blinks`` is the sync output: per blink, each synchronized receiver's
-    corrected ``Arrival``.  ``synced`` derives the pair stream from it.
+    corrected ``Arrival``.  The time difference between any two receivers
+    of a blink is ``wcs.arrival_tdoa`` of their arrivals.  ``diagnostics``
+    holds every stage's counters.
     """
 
     fixes: list[Fix]
     blinks: SyncedBlinks
-    tdoa_sets: list[TdoaSet]
     diagnostics: dict
-    ccp_period: float
-
-    @property
-    def synced(self) -> list[SyncedTdoa]:
-        """Every anchor pair of every synced blink; a new list on each access."""
-        return list(synced_pairs(self.blinks, self.ccp_period))
 
 
 def locate_reports(
@@ -87,29 +75,23 @@ def locate_reports(
         diagnostics=diagnostics,
     )
 
-    tdoa_sets: list[TdoaSet] = []
+    def count(key: str) -> None:
+        diagnostics[key] = diagnostics.get(key, 0) + 1
+
+    sets: list[TdoaSet] = []
     for (tag_id, blink_seq), arrivals in blinks.items():
         if len(arrivals) < MIN_RECEIVERS:
-            diagnostics["blinks_too_few_receivers"] = (
-                diagnostics.get("blinks_too_few_receivers", 0) + 1
-            )
+            count("blinks_too_few_receivers")
             continue
         try:
             reference = select_time_base(arrivals, topo)
-            tdoa_set = assemble_tdoa_set(
-                tag_id, blink_seq, arrivals, reference, params.ccp_period
+            sets.append(
+                assemble_tdoa_set(tag_id, blink_seq, arrivals, reference, params.ccp_period)
             )
-        except (NoTimeBaseError, InsufficientAnchorsError) as exc:
-            key = (
-                "blinks_no_time_base"
-                if isinstance(exc, NoTimeBaseError)
-                else "blinks_insufficient_anchors"
-            )
-            diagnostics[key] = diagnostics.get(key, 0) + 1
-            continue
-        tdoa_sets.append(tdoa_set)
+        except NoTimeBaseError:
+            count("blinks_no_time_base")
+        except InsufficientAnchorsError:
+            count("blinks_insufficient_anchors")
 
-    fixes = track(
-        tdoa_sets, topo.positions(), params.blink_period, params.tracker, diagnostics
-    )
-    return LocateResult(fixes, blinks, tdoa_sets, diagnostics, params.ccp_period)
+    fixes = track(sets, topo.positions(), params.blink_period, params.tracker, diagnostics)
+    return LocateResult(fixes, blinks, diagnostics)

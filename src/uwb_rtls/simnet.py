@@ -147,8 +147,8 @@ class Scenario:
         tag_ids = [t.id for t in self.tags]
         if len(set(tag_ids)) != len(tag_ids):
             raise ScenarioError("duplicate tag ids")
-        anchor_ids = set(self.topology.ids())
-        if set(tag_ids) & anchor_ids:
+        known_anchors = set(self.topology.ids())
+        if set(tag_ids) & known_anchors:
             raise ScenarioError("tag ids must not collide with anchor ids")
 
         slots = [self.topology.lag_slots.get(m, 0) for m in self.topology.masters()]
@@ -162,7 +162,7 @@ class Scenario:
             if links is None:
                 continue
             for src, receivers in links.items():
-                unknown = set(receivers) - anchor_ids
+                unknown = set(receivers) - known_anchors
                 if unknown:
                     raise ScenarioError(
                         f"{kind}[{src!r}] references unknown anchors: {', '.join(sorted(unknown))}"

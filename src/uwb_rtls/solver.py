@@ -148,18 +148,12 @@ def sum_over_anchors(a: np.ndarray) -> np.ndarray:
     return total
 
 
-def _measurement_arrays(meas: TdoaSet, anchors: Mapping[str, tuple[float, float]]):
-    """Anchor positions (M+1, 2), reference first, and measured differences (M,)."""
-    ids = [meas.reference_anchor] + [a for a, _ in meas.measurements]
-    xy = np.array([anchors[a] for a in ids], dtype=float)
-    return xy, np.array([d for _, d in meas.measurements], dtype=float)
-
-
 def _padded_rows(batch: Sequence[TdoaSet], anchors: Mapping[str, tuple[float, float]]):
     """One layout per set, padded to the widest: anchor positions
     (M+1, 2, B), reference first; measured differences (M, B); and which
     rows hold a measurement (M, B).  Padding repeats the set's reference
-    anchor, so its range difference and gradient are exactly zero."""
+    anchor, so its range difference and gradient are exactly zero.  A
+    one-set batch is that set's own layout, (M+1, 2, 1) and (M, 1)."""
     width = max(len(s.measurements) for s in batch)
     coords, diffs = [], []
     for s in batch:
@@ -308,7 +302,8 @@ def ls_solve(
     """
     if len(meas.measurements) < 3:
         raise ValueError("need at least 3 range differences for a planar fix")
-    xy, diffs = _measurement_arrays(meas, anchors)
+    xy, diffs, _ = _padded_rows([meas], anchors)
+    xy, diffs = xy[..., 0], diffs[:, 0]
 
     if init is not None:
         pos, _ = _refine(np.asarray(init, dtype=float), xy, diffs)

@@ -42,9 +42,6 @@ class TdoaSet:
     reference_anchor: str
     measurements: tuple[tuple[str, float], ...]
 
-    def anchor_ids(self) -> tuple[str, ...]:
-        return tuple(a for a, _ in self.measurements)
-
 
 def select_time_base(blink_receivers: Iterable[str], topo: NetworkTopology) -> str:
     """Pick the reference anchor for a blink heard by ``blink_receivers``.
@@ -103,9 +100,9 @@ def assemble_tdoa_set(
 
     Each measurement is ``c * (arrival at anchor - arrival at reference)``
     in meters.  ``arrival_tdoa`` is sign-symmetric to the last bit (IEEE
-    rounding is), so it matches the pair stream whichever id is lower.  A
-    reference without an arrival, or fewer than three other arrivals, is an
-    error.
+    rounding is), so a measurement is the exact negation of the reference's
+    difference against that anchor.  A reference without an arrival, or
+    fewer than three other arrivals, is an error.
     """
     ref = arrivals.get(reference)
     if ref is None:

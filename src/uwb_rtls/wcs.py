@@ -22,23 +22,22 @@ master's epochs are its own CCP transmissions.  A blink timestamp is placed
 after the epoch nearest to it on the receiving anchor's own clock and
 scaled by that epoch's rate.  The paper's scale coefficient K = ΔT/ΔR
 between a master and a receiver is the ratio of their two rates over one
-window; ``SyncedTdoa.k_used`` derives it for any anchor pair of a blink.
+window: the master's ``Arrival.rate`` over the receiver's.
 
 The output is one ``Arrival`` per receiving anchor per blink: the blink's
 arrival on the common timescale, as an offset after a numbered CCP of the
 primary master's schedule, with CCP propagation between anchors (a known
 baseline over c) already removed.  A time difference between two anchors
 (``arrival_tdoa``) is derived from two arrivals only where it is needed:
-against the blink's time base for positioning, per anchor pair over all
-blinks for eval's stability streams, and for every anchor pair in
-``synced_pairs`` when the pair view is asked for.
+against the blink's time base for positioning, and per anchor pair over all
+blinks for eval's stability streams.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
-from typing import Iterable, Iterator, Mapping, NamedTuple
+from typing import Iterable, Mapping, NamedTuple
 
 from .clock import HALF_WRAP, TICK_SECONDS, TICK_WRAP, ts_diff
 from .constants import SPEED_OF_LIGHT
@@ -54,32 +53,6 @@ DEFAULT_STALE_INTERVALS = 2.0
 # residuals), while a single measurement is good to about half a nanosecond.
 DEFAULT_PROCESS_VAR = 1e-22  # s^2 added per step
 DEFAULT_MEASUREMENT_VAR = (0.5e-9) ** 2  # s^2
-
-
-class SyncedTdoa(NamedTuple):
-    """Corrected arrival-time difference of one blink between two anchors.
-
-    ``tdoa_sync`` is (arrival at ``anchor_a``) minus (arrival at
-    ``anchor_b``) in seconds on the common timescale; ``k_used`` is the
-    rate ratio rate_b / rate_a applied between the two anchors' clocks, the
-    inverse of the paper's K = ΔT/ΔR when ``anchor_a`` is the master whose
-    CCP window ``anchor_b`` read.
-    """
-
-    anchor_a: str
-    anchor_b: str
-    tag_id: str
-    blink_seq: int
-    tdoa_sync: float
-    k_used: float
-
-    def signed(self, first: str, second: str) -> float:
-        """The TDoA oriented as (first minus second)."""
-        if (first, second) == (self.anchor_a, self.anchor_b):
-            return self.tdoa_sync
-        if (first, second) == (self.anchor_b, self.anchor_a):
-            return -self.tdoa_sync
-        raise KeyError(f"pair ({first}, {second}) not covered by this measurement")
 
 
 class Arrival(NamedTuple):
@@ -109,28 +82,6 @@ def arrival_tdoa(a: Arrival, b: Arrival, ccp_period: float) -> float:
     ``b`` are numpy arrays (float offsets, integer seqs).
     """
     return (a.offset - b.offset) + (a.ccp_seq - b.ccp_seq) * ccp_period
-
-
-def synced_pairs(
-    blinks: Mapping[tuple[str, int], Mapping[str, Arrival]], ccp_period: float
-) -> Iterator[SyncedTdoa]:
-    """Every unordered anchor pair of every blink, as ``SyncedTdoa``.
-
-    Blinks come in (tag_id, blink_seq) order and pairs (a, b) with a < b in
-    anchor-id order, so the stream is deterministic for a given input.
-    """
-    for tag_id, blink_seq in sorted(blinks):
-        arrivals = blinks[(tag_id, blink_seq)]
-        ids = sorted(arrivals)
-        for i, a in enumerate(ids):
-            arr_a = arrivals[a]
-            rate_a = arr_a.rate
-            for b in ids[i + 1 :]:
-                arr_b = arrivals[b]
-                yield SyncedTdoa(
-                    a, b, tag_id, blink_seq,
-                    arrival_tdoa(arr_a, arr_b, ccp_period), arr_b.rate / rate_a,
-                )
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ still shows every criterion's measured numbers.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import math
 import time
@@ -20,7 +21,7 @@ from uwb_rtls.clock import ClockModel
 from uwb_rtls.config import parse_config
 from uwb_rtls.constants import SPEED_OF_LIGHT
 from uwb_rtls.deploy import hdop_at
-from uwb_rtls.engine import locate_reports
+from uwb_rtls.engine import EngineParams, locate_reports
 from uwb_rtls.metrics import evaluate
 from uwb_rtls.protocol import encode_report
 from uwb_rtls.simnet import (
@@ -34,6 +35,7 @@ from uwb_rtls.simnet import (
 from uwb_rtls.solver import TrackerConfig, ls_solve, range_diffs, track
 from uwb_rtls.timebase import TdoaSet, select_time_base
 from uwb_rtls.topology import AnchorConfig, NetworkTopology, UnsyncableAnchorError
+from uwb_rtls.wcs import arrival_tdoa
 
 RECT_POSITIONS = {
     "MA1": (0.0, 0.0),
@@ -41,6 +43,8 @@ RECT_POSITIONS = {
     "SA3": (6.0, 4.0),
     "SA4": (0.0, 4.0),
 }
+
+CCP_PERIOD = EngineParams().ccp_period  # what locate_reports runs with by default
 
 RECT_IMPERFECTIONS = {
     "MA1": (0.0012, 8e-6),
@@ -138,7 +142,11 @@ def test_criterion_1_sync_exactness_without_jitter(verdict):
     def true_tdoa(a, b):
         return (math.dist(RECT_POSITIONS[a], tag) - math.dist(RECT_POSITIONS[b], tag)) / SPEED_OF_LIGHT
 
-    worst_t = max(abs(s.tdoa_sync - true_tdoa(s.anchor_a, s.anchor_b)) for s in res.synced)
+    worst_t = max(
+        abs(arrival_tdoa(arrivals[a], arrivals[b], CCP_PERIOD) - true_tdoa(a, b))
+        for arrivals in res.blinks.values()
+        for a, b in itertools.combinations(sorted(arrivals), 2)
+    )
     worst_p = max(math.dist((f.x, f.y), tag) for f in res.fixes)
     ok = worst_t < 1e-12 and worst_p < 1e-3 and wall < 5.0 and len(res.fixes) >= 290
     verdict(
@@ -156,7 +164,7 @@ def test_criterion_2_sync_stability_under_jitter(verdict):
     start = time.perf_counter()
     sim = run_scenario(static_scenario(topo, (2.0, 1.5), duration=600.0, seed=5))
     res = locate_reports(sim.reports, topo)
-    summary = evaluate(res.fixes, sim.truth_blinks, res.blinks, res.ccp_period)
+    summary = evaluate(res.fixes, sim.truth_blinks, res.blinks, CCP_PERIOD)
     wall = time.perf_counter() - start
     stds = summary.tdoa_std_per_pair
     worst = max(stds.values())
@@ -293,12 +301,13 @@ def test_criterion_5_multi_master_cascade(verdict):
     cell = {"SA1": 1, "SA2": 0, "SA5": 2, "SA6": 2}  # 0 = hears both masters
     worst_cross = worst_any = 0.0
     n_cross = 0
-    for s in res.synced:
-        err = abs(s.tdoa_sync - true_tdoa(s.anchor_a, s.anchor_b))
-        worst_any = max(worst_any, err)
-        if 0 not in (cell[s.anchor_a], cell[s.anchor_b]) and cell[s.anchor_a] != cell[s.anchor_b]:
-            worst_cross = max(worst_cross, err)
-            n_cross += 1
+    for arrivals in res.blinks.values():
+        for a, b in itertools.combinations(sorted(arrivals), 2):
+            err = abs(arrival_tdoa(arrivals[a], arrivals[b], CCP_PERIOD) - true_tdoa(a, b))
+            worst_any = max(worst_any, err)
+            if 0 not in (cell[a], cell[b]) and cell[a] != cell[b]:
+                worst_cross = max(worst_cross, err)
+                n_cross += 1
 
     try:
         NetworkTopology(
@@ -490,7 +499,7 @@ def test_criterion_9_bitwise_determinism(verdict):
         cfg = parse_config(json.loads(json.dumps(DETERMINISM_CONFIG)))
         sim = run_scenario(cfg.scenario)
         res = locate_reports(sim.reports, cfg.scenario.topology)
-        summary = evaluate(res.fixes, sim.truth_blinks, res.blinks, res.ccp_period,
+        summary = evaluate(res.fixes, sim.truth_blinks, res.blinks, CCP_PERIOD,
                            warmup=cfg.warmup)
         reports_text = "".join(encode_report(r) + "\n" for r in sim.reports)
         return reports_text, fixes_to_csv(res.fixes), summary.to_json()

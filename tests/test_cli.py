@@ -29,7 +29,7 @@ from uwb_rtls.engine import locate_reports
 from uwb_rtls.protocol import encode_report
 from uwb_rtls.simnet import run_scenario
 from uwb_rtls.solver import Fix
-from uwb_rtls.wcs import Arrival, synced_pairs
+from uwb_rtls.wcs import Arrival
 
 CONFIG = {
     "anchors": [
@@ -91,7 +91,6 @@ def test_synced_csv_holds_one_row_per_arrival_and_every_pair_exactly(tmp_path, c
     blinks, skipped = read_synced_csv(path)
     assert skipped == 0
     assert blinks == result.blinks  # offsets and rates compare bit for bit
-    assert list(synced_pairs(blinks, result.ccp_period)) == result.synced
 
 
 def test_simulate_locate_eval_pipeline(tmp_path, config_path, capsys):
@@ -233,6 +232,32 @@ def test_repeated_synced_arrival_is_skipped(tmp_path, caplog):
     path.write_text(text + "SA2,T1,9,41,0.75,1.0\n")
     assert read_synced_csv(path) == (blinks, 1)
     assert "repeated arrival of T1#9 at SA2" in caplog.text
+
+
+def test_repeated_fix_is_skipped_and_counted(tmp_path, config_path, capsys, caplog):
+    # A fixes.csv with its first rows appended again, the first of them
+    # altered: eval must count each blink once and keep the first row read.
+    out = tmp_path / "run"
+    main(["simulate", "--config", str(config_path), "--out", str(out)])
+    main(["locate", "--config", str(config_path), "--out", str(out),
+          "--reports", str(out / "reports.jsonl")])
+    path = out / "fixes.csv"
+    text = path.read_text()
+    repeats = text.splitlines()[1:31]
+    fields = repeats[0].split(",")
+    fields[2] = "99.0"  # x
+    repeats[0] = ",".join(fields)
+    path.write_text(text + "\n".join(repeats) + "\n")
+
+    fixes, skipped = read_fixes_csv(path)
+    assert skipped == 30
+    assert fixes_to_csv(fixes) == text
+    assert f"repeated fix of {fixes[0].tag_id}#{fixes[0].blink_seq}" in caplog.text
+
+    capsys.readouterr()
+    assert main(["eval", "--config", str(config_path), "--out", str(out),
+                 "--fixes", str(path), "--truth", str(out / "truth.jsonl")]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["availability"] == 1.0
 
 
 PAIR_FORMAT_SYNCED = """anchor_a,anchor_b,tag_id,blink_seq,tdoa_sync,k_used

@@ -48,9 +48,7 @@ def test_report_order_does_not_matter():
     random.Random(7).shuffle(shuffled)
     scrambled = locate_reports(shuffled, topo)
     assert scrambled.fixes == forward.fixes
-    assert sorted(scrambled.synced, key=lambda s: (s.blink_seq, s.anchor_a, s.anchor_b)) == sorted(
-        forward.synced, key=lambda s: (s.blink_seq, s.anchor_a, s.anchor_b)
-    )
+    assert list(scrambled.blinks.items()) == list(forward.blinks.items())
 
 
 def test_three_receivers_yield_no_fix_but_a_diagnostic():
@@ -112,9 +110,9 @@ def test_blinks_below_two_synchronized_receivers_carry_no_pairs_and_no_count():
     # One receiver: no time difference at all, so the blink is dropped by the
     # sync without a too-few count.  Two receivers: one pair, counted as too few.
     topo = build_ideal_rect_topology()
-    for heard, pairs, too_few in (({"MA1"}, 0, 0), ({"MA1", "SA2"}, 10, 10)):
+    for heard, synced, too_few in (({"MA1"}, [], 0), ({"MA1", "SA2"}, [["MA1", "SA2"]] * 10, 10)):
         sim = _run(topo, duration=1.0, blink_links={"T1": frozenset(heard)})
         result = locate_reports(sim.reports, topo)
         assert result.fixes == []
-        assert len(result.synced) == pairs
+        assert [list(arrivals) for arrivals in result.blinks.values()] == synced
         assert result.diagnostics.get("blinks_too_few_receivers", 0) == too_few

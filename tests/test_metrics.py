@@ -23,8 +23,8 @@ from uwb_rtls.wcs import (
     DEFAULT_MEASUREMENT_VAR,
     DEFAULT_PROCESS_VAR,
     Arrival,
+    arrival_tdoa,
     kalman_step,
-    synced_pairs,
 )
 
 from conftest import build_rect_topology
@@ -118,7 +118,7 @@ def test_smoothing_tightens_a_noisy_stream():
 
 
 def test_streams_equal_smoothing_each_pair_of_the_pair_view():
-    # Reference: the pair view's TDoAs grouped by pair, in (tag_id,
+    # Reference: every anchor pair's scalar TDoA, blink by blink in (tag_id,
     # blink_seq) order, through the scalar step.  Anchors drop out of
     # blinks and arrivals straddle CCP seqs, on two tags.
     rng = random.Random(9)
@@ -137,8 +137,13 @@ def test_streams_equal_smoothing_each_pair_of_the_pair_view():
     blinks = dict(items)
 
     by_pair: dict[str, list[float]] = {}
-    for s in synced_pairs(blinks, CCP_PERIOD):
-        by_pair.setdefault(pair_key(s.anchor_a, s.anchor_b), []).append(s.tdoa_sync)
+    for key in sorted(blinks):
+        arrivals = blinks[key]
+        ids = sorted(arrivals)
+        for i, a in enumerate(ids):
+            for b in ids[i + 1 :]:
+                tdoa = arrival_tdoa(arrivals[a], arrivals[b], CCP_PERIOD)
+                by_pair.setdefault(pair_key(a, b), []).append(tdoa)
     want = {}
     for key, tdoas in sorted(by_pair.items()):
         state, variance, out = 0.0, math.inf, []
@@ -189,7 +194,7 @@ def test_full_pipeline_regression_is_frozen():
     )
     sim = run_scenario(scn)
     res = locate_reports(sim.reports, topo)
-    s = evaluate(res.fixes, sim.truth_blinks, res.blinks, res.ccp_period)
+    s = evaluate(res.fixes, sim.truth_blinks, res.blinks, scn.ccp_period)
     assert s.availability == 1.0
     assert s.fix_rmse == pytest.approx(0.036098648304548904, rel=1e-6)
     assert s.fix_p95_error == pytest.approx(0.06205463538251252, rel=1e-6)

@@ -12,8 +12,8 @@ from uwb_rtls.solver import (
     DEFAULT_SIGMA_T,
     GEOMETRY_BLOCK,
     AmbiguityError,
-    _measurement_arrays,
     _objective_grid,
+    _padded_rows,
     TrackerConfig,
     ekf_predict,
     ekf_update,
@@ -104,7 +104,8 @@ def test_closed_form_update_matches_the_textbook_update(m):
         p = 0.1 * root @ root.T + np.diag([1e-3, 1e-3, 1e-2, 1e-2])
         x = np.concatenate([tag + rng.normal(0.0, 0.2, 2), rng.normal(0.0, 1.0, 2)])
 
-        xy, z = _measurement_arrays(meas, anchors)
+        xy, z, _ = _padded_rows([meas], anchors)
+        xy, z = xy[..., 0], z[:, 0]
         h, grad, _ = range_diffs(x[:1], x[1:2], xy, gradient=True)
         jac = np.zeros((m, 4))
         jac[:, :2] = grad[:, :, 0].T
@@ -209,7 +210,8 @@ def test_grid_objective_is_the_sequential_per_anchor_sum_across_blocks(
     anchors, ref, nx, ny, last_block
 ):
     assert nx * ny > GEOMETRY_BLOCK and nx * ny % GEOMETRY_BLOCK == last_block
-    xy, diffs = _measurement_arrays(tdoa_set((2.0, 1.5), anchors, ref), anchors)
+    xy, diffs, _ = _padded_rows([tdoa_set((2.0, 1.5), anchors, ref)], anchors)
+    xy, diffs = xy[..., 0], diffs[:, 0]
     xs = np.arange(nx) * 0.1 - 1.0
     ys = np.arange(ny) * 0.025 - 1.0
     # The single-pass reference: one full-grid residual per anchor, in order.

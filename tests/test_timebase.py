@@ -14,7 +14,7 @@ from uwb_rtls.timebase import (
     select_time_base,
 )
 from uwb_rtls.topology import AnchorConfig, NetworkTopology
-from uwb_rtls.wcs import Arrival, synced_pairs
+from uwb_rtls.wcs import Arrival, arrival_tdoa
 
 from conftest import build_rect_topology
 
@@ -143,7 +143,7 @@ def test_assembly_orients_measurements_toward_the_reference():
     ts = _assemble(arrivals, "MA1")
     assert ts.reference_anchor == "MA1"
     assert ts.tag_id == "T1" and ts.blink_seq == 3
-    assert ts.anchor_ids() == ("SA2", "SA3", "SA4")
+    assert [a for a, _ in ts.measurements] == ["SA2", "SA3", "SA4"]
     want = {
         "SA2": 2.0e-9 * SPEED_OF_LIGHT,   # SA2 heard the blink 2 ns after MA1
         "SA3": -1.0e-9 * SPEED_OF_LIGHT,
@@ -156,7 +156,8 @@ def test_assembly_orients_measurements_toward_the_reference():
 def test_assembly_reference_on_either_side():
     # SA3 as reference has anchors below (MA1, SA2) and above (SA4) it in id
     # order, and the arrivals hang off different CCPs.  Every measurement is
-    # bit-identical to the pair stream's TDoA, oriented toward the reference.
+    # the exact negation of the reference's difference against that anchor:
+    # ``arrival_tdoa`` is sign-symmetric to the last bit.
     arrivals = {
         "MA1": Arrival(offset=0.1 + 2.0e-9, ccp_seq=4, rate=1.00001),
         "SA2": Arrival(offset=0.1 - 1.0e-9, ccp_seq=4, rate=0.99999),
@@ -169,11 +170,9 @@ def test_assembly_reference_on_either_side():
     assert by_anchor["SA2"] == pytest.approx(-1.0e-9 * SPEED_OF_LIGHT, rel=1e-6)
     assert by_anchor["SA4"] == pytest.approx(3.5e-9 * SPEED_OF_LIGHT, rel=1e-6)
 
-    pairs = synced_pairs({("T1", 3): arrivals}, CCP_PERIOD)
-    by_pair = {(s.anchor_a, s.anchor_b): s for s in pairs}
     for anchor, value in ts.measurements:
-        pair = by_pair[tuple(sorted((anchor, "SA3")))]
-        assert value == pair.signed(anchor, "SA3") * SPEED_OF_LIGHT
+        flipped = arrival_tdoa(arrivals["SA3"], arrivals[anchor], CCP_PERIOD)
+        assert value == -flipped * SPEED_OF_LIGHT
 
 
 def test_assembly_needs_the_reference_in_some_pair():

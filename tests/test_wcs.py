@@ -9,6 +9,7 @@ directly.  Every correction goes through the stream corrector,
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import NamedTuple
 
@@ -23,9 +24,9 @@ from uwb_rtls.wcs import (
     DEFAULT_MEASUREMENT_VAR,
     DEFAULT_PROCESS_VAR,
     DEFAULT_STALE_INTERVALS,
+    arrival_tdoa,
     kalman_step,
     multi_master_sync,
-    synced_pairs,
 )
 
 from conftest import RECT_POSITIONS, build_rect_topology
@@ -120,9 +121,30 @@ def _sync_one_blink(
     return blinks, diag, w, want
 
 
+def _tdoa(blinks, first: str, second: str) -> float:
+    """The one synced blink's arrival at ``first`` minus its arrival at ``second``."""
+    (arrivals,) = blinks.values()
+    return arrival_tdoa(arrivals[first], arrivals[second], CCP_PERIOD)
+
+
+def _rate_ratio(blinks) -> float:
+    """SA2's rate over MA1's for the one synced blink: the inverse of the
+    paper's K = ΔT/ΔR over the same window."""
+    (arrivals,) = blinks.values()
+    return arrivals["SA2"].rate / arrivals["MA1"].rate
+
+
+def _pairs(blinks):
+    """(blink_seq, a, b, arrival at a minus arrival at b) for every anchor
+    pair a < b of every synced blink, blinks in (tag_id, blink_seq) order."""
+    for (_, blink_seq), arrivals in sorted(blinks.items()):
+        for a, b in itertools.combinations(sorted(arrivals), 2):
+            yield blink_seq, a, b, arrival_tdoa(arrivals[a], arrivals[b], CCP_PERIOD)
+
+
 # ---------------------------------------------------------------------------
 # The CCP window rule: a clock's rate over two consecutive CCPs, and the
-# paper's K as the rate ratio k_used
+# paper's K as the ratio of two arrivals' rates
 
 
 def _healthy_window() -> Window:
@@ -138,29 +160,26 @@ def _sync_stamped(w: Window):
 
 def test_identical_clocks_give_k_one():
     # Readings the same number of ticks apart on both clocks: the two window
-    # rates are the same float, so k_used is exactly 1.
+    # rates are the same float, so their ratio is exactly 1.
     blinks, diag = _sync_stamped(_healthy_window())
-    (s,) = synced_pairs(blinks, CCP_PERIOD)
-    assert s.k_used == 1.0
+    assert _rate_ratio(blinks) == 1.0
     assert "rejected_windows" not in diag
     # Two clocks with one law, over a real baseline: the readings differ by
-    # the propagation delay and k_used is 1 only to rounding.
+    # the propagation delay and the ratio is 1 only to rounding.
     clock = ClockModel(offset=0.002, skew=1.5e-5)
     blinks, _, _, want = _sync_one_blink((1.7, 2.9), clock, clock)
-    (s,) = synced_pairs(blinks, CCP_PERIOD)
-    assert s.k_used == pytest.approx(1.0, rel=1e-12)
-    assert abs(s.signed("SA2", "MA1") - want) < 1e-12
+    assert _rate_ratio(blinks) == pytest.approx(1.0, rel=1e-12)
+    assert abs(_tdoa(blinks, "SA2", "MA1") - want) < 1e-12
 
 
 def test_receiver_10ppm_fast_gives_k_inverse():
     # The receiver counts 1 + 1e-5 device seconds per true second, so the
     # same true interval spans more receiver ticks: the paper's K is
-    # 1 / (1 + 1e-5), and k_used, SA2's rate over MA1's, is its inverse.
+    # 1 / (1 + 1e-5), and SA2's rate over MA1's is its inverse.
     blinks, _, _, want = _sync_one_blink((2.0, 1.0), IDEAL_CLOCK, ClockModel(skew=1e-5))
-    (s,) = synced_pairs(blinks, CCP_PERIOD)
-    assert (s.anchor_a, s.anchor_b) == ("MA1", "SA2")
-    assert s.k_used == pytest.approx(1.0 + 1e-5, rel=1e-12)
-    assert abs(s.signed("SA2", "MA1") - want) < 1e-12
+    assert [list(arrivals) for arrivals in blinks.values()] == [["MA1", "SA2"]]
+    assert _rate_ratio(blinks) == pytest.approx(1.0 + 1e-5, rel=1e-12)
+    assert abs(_tdoa(blinks, "SA2", "MA1") - want) < 1e-12
 
 
 def _assert_window_rejected(w: Window, anchor: str) -> None:
@@ -215,8 +234,7 @@ def test_k_spans_the_counter_wrap():
     arrivals = blinks[("T1", 1)]
     assert arrivals["SA2"].rate == pytest.approx(1.0, rel=1e-12)
     assert arrivals["MA1"].rate == pytest.approx(1.0, rel=1e-12)
-    (s,) = synced_pairs(blinks, CCP_PERIOD)
-    assert abs(s.signed("SA2", "MA1") - want) < 1e-12
+    assert abs(_tdoa(blinks, "SA2", "MA1") - want) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -226,8 +244,7 @@ def test_k_spans_the_counter_wrap():
 def _synced_for_tag(tag_xy, master_clock, slave_clock, **kwargs):
     """The stream's SA2-minus-MA1 TDoA of the one blink, and its geometric truth."""
     blinks, _, _, want = _sync_one_blink(tag_xy, master_clock, slave_clock, **kwargs)
-    (pair,) = synced_pairs(blinks, CCP_PERIOD)
-    return pair.signed("SA2", "MA1"), want
+    return _tdoa(blinks, "SA2", "MA1"), want
 
 
 def test_equidistant_tag_syncs_to_zero():
@@ -249,13 +266,12 @@ def test_offsets_and_skews_cancel_to_sub_picosecond():
     master = ClockModel(offset=0.0071, skew=37e-6)
     slave = ClockModel(offset=-0.0043, skew=-29e-6)
     blinks, _, _, want = _sync_one_blink((1.7, 2.9), master, slave)
-    (s,) = synced_pairs(blinks, CCP_PERIOD)
-    assert abs(s.signed("SA2", "MA1") - want) < 1e-12
+    assert abs(_tdoa(blinks, "SA2", "MA1") - want) < 1e-12
     # The raw timestamps alone are useless: the offsets differ by 11.4 ms.
     assert abs(want) < 1e-8
-    # The pair's rate ratio (SA2's rate over MA1's, the inverse of the
-    # paper's K over the same window) is the ratio of the two clock laws.
-    assert s.k_used == pytest.approx((1.0 - 29e-6) / (1.0 + 37e-6), rel=1e-14)
+    # SA2's rate over MA1's (the inverse of the paper's K over the same
+    # window) is the ratio of the two clock laws.
+    assert _rate_ratio(blinks) == pytest.approx((1.0 - 29e-6) / (1.0 + 37e-6), rel=1e-14)
 
 
 def test_blink_before_the_window_epoch_is_fine():
@@ -270,15 +286,11 @@ def test_orientation_and_metadata():
     blinks, _, _, _ = _sync_one_blink((5.0, 0.0), IDEAL_CLOCK, slave,
                                       epoch_time=0.15, blink_time=0.2,
                                       tag_id="T9", blink_seq=4)
-    (s,) = synced_pairs(blinks, CCP_PERIOD)
-    assert (s.anchor_a, s.anchor_b) == ("MA1", "SA2")
-    assert (s.tag_id, s.blink_seq) == ("T9", 4)
+    assert list(blinks) == [("T9", 4)]
+    assert list(blinks[("T9", 4)]) == ["MA1", "SA2"]
     # Blink is 4 m closer to the slave: it arrives earlier there.
-    assert s.signed("SA2", "MA1") == pytest.approx(-4.0 / SPEED_OF_LIGHT, abs=1e-12)
-    assert s.signed("MA1", "SA2") == s.tdoa_sync
-    assert s.signed("SA2", "MA1") == -s.tdoa_sync
-    with pytest.raises(KeyError):
-        s.signed("MA1", "SA9")
+    assert _tdoa(blinks, "SA2", "MA1") == pytest.approx(-4.0 / SPEED_OF_LIGHT, abs=1e-12)
+    assert _tdoa(blinks, "SA2", "MA1") == -_tdoa(blinks, "MA1", "SA2")
 
 
 def test_stale_window_rejected():
@@ -380,13 +392,12 @@ def test_stream_sync_emits_every_pair_and_cycles_close():
     blinks = multi_master_sync(reports, topo, ccp_period=CCP_PERIOD)
     # One arrival per synchronized receiver, in anchor-id order.
     assert list(blinks[("T1", 7)]) == ["MA1", "SA2", "SA3", "SA4"]
-    synced = list(synced_pairs(blinks, CCP_PERIOD))
-    one_blink = [s for s in synced if s.blink_seq == 7]
+    one_blink = [(a, b) for seq, a, b, _ in _pairs(blinks) if seq == 7]
     assert len(one_blink) == 6  # all unordered pairs of 4 anchors
-    by_pair = {(s.anchor_a, s.anchor_b): s for s in one_blink}
-    ab = by_pair[("MA1", "SA2")].signed("MA1", "SA2")
-    bc = by_pair[("SA2", "SA3")].signed("SA2", "SA3")
-    ac = by_pair[("MA1", "SA3")].signed("MA1", "SA3")
+    arrivals = blinks[("T1", 7)]
+    ab = arrival_tdoa(arrivals["MA1"], arrivals["SA2"], CCP_PERIOD)
+    bc = arrival_tdoa(arrivals["SA2"], arrivals["SA3"], CCP_PERIOD)
+    ac = arrival_tdoa(arrivals["MA1"], arrivals["SA3"], CCP_PERIOD)
     assert ab + bc == pytest.approx(ac, abs=1e-15)
 
 
@@ -395,7 +406,6 @@ def test_stream_sync_is_order_independent():
     forward = multi_master_sync(reports, topo, ccp_period=CCP_PERIOD)
     backward = multi_master_sync(list(reversed(reports)), topo, ccp_period=CCP_PERIOD)
     assert list(forward.items()) == list(backward.items())
-    assert list(synced_pairs(forward, CCP_PERIOD)) == list(synced_pairs(backward, CCP_PERIOD))
 
 
 def test_duplicate_reports_are_counted_and_harmless():
@@ -438,22 +448,19 @@ def test_anchor_without_ccp_coverage_is_skipped_and_counted():
     diag: dict = {}
     blinks = multi_master_sync(pruned, topo, ccp_period=CCP_PERIOD, diagnostics=diag)
     assert all("SA4" not in arrivals for arrivals in blinks.values())
-    synced = list(synced_pairs(blinks, CCP_PERIOD))
-    assert all("SA4" not in (s.anchor_a, s.anchor_b) for s in synced)
     assert diag["unsynchronized_blinks"] > 0
     # Remaining three anchors still produce their three pairs per blink.
-    assert {(s.anchor_a, s.anchor_b) for s in synced if s.blink_seq == 3} == {
+    assert {(a, b) for seq, a, b, _ in _pairs(blinks) if seq == 3} == {
         ("MA1", "SA2"), ("MA1", "SA3"), ("SA2", "SA3"),
     }
 
 
 def test_zero_noise_stream_sync_is_geometric_truth():
     topo, reports = _rect_reports(duration=3.0, tag_xy=(4.1, 0.7))
-    synced = list(synced_pairs(multi_master_sync(reports, topo, ccp_period=CCP_PERIOD),
-                               CCP_PERIOD))
+    synced = list(_pairs(multi_master_sync(reports, topo, ccp_period=CCP_PERIOD)))
     assert synced
-    for s in synced:
-        assert abs(s.tdoa_sync - _geometric_tdoa((4.1, 0.7), s.anchor_a, s.anchor_b)) < 1e-12
+    for _, a, b, tdoa in synced:
+        assert abs(tdoa - _geometric_tdoa((4.1, 0.7), a, b)) < 1e-12
 
 
 def test_anchor_back_after_half_a_wrap_away_is_exact():
@@ -468,11 +475,11 @@ def test_anchor_back_after_half_a_wrap_away_is_exact():
     diag: dict = {}
     blinks = multi_master_sync(kept, topo, ccp_period=CCP_PERIOD, diagnostics=diag)
     assert "stale_blinks" not in diag
-    back = [s for s in synced_pairs(blinks, CCP_PERIOD)
-            if "SA2" in (s.anchor_a, s.anchor_b) and s.blink_seq >= away.stop]
+    back = [(a, b, tdoa) for seq, a, b, tdoa in _pairs(blinks)
+            if "SA2" in (a, b) and seq >= away.stop]
     assert len(back) == 3 * (200 - away.stop)  # three pairs per blink through SA2
-    for s in back:
-        assert abs(s.tdoa_sync - _geometric_tdoa((4.1, 0.7), s.anchor_a, s.anchor_b)) < 1e-12
+    for a, b, tdoa in back:
+        assert abs(tdoa - _geometric_tdoa((4.1, 0.7), a, b)) < 1e-12
 
 
 def test_anchor_without_epochs_for_over_half_a_wrap_is_stale_not_aliased():
@@ -485,11 +492,10 @@ def test_anchor_without_epochs_for_over_half_a_wrap_is_stale_not_aliased():
             if not (r.anchor_id == "SA2" and r.kind == KIND_CCP_RX and r.seq > 60)]
     diag: dict = {}
     blinks = multi_master_sync(kept, topo, ccp_period=CCP_PERIOD, diagnostics=diag)
-    through_sa2 = [s for s in synced_pairs(blinks, CCP_PERIOD)
-                   if "SA2" in (s.anchor_a, s.anchor_b)]
+    through_sa2 = [(a, b, tdoa) for _, a, b, tdoa in _pairs(blinks) if "SA2" in (a, b)]
     assert len(through_sa2) == 276
-    for s in through_sa2:
-        assert abs(s.tdoa_sync - _geometric_tdoa((4.1, 0.7), s.anchor_a, s.anchor_b)) < 1e-12
+    for a, b, tdoa in through_sa2:
+        assert abs(tdoa - _geometric_tdoa((4.1, 0.7), a, b)) < 1e-12
     # Three pairs per synced SA2 blink; each of its other blinks is stale.
     assert diag["stale_blinks"] == 200 - len(through_sa2) // 3
 
@@ -506,8 +512,8 @@ def test_slaves_sync_through_lost_master_transmit_reports():
     gap = {key: arrivals for key, arrivals in blinks.items() if "MA1" not in arrivals}
     assert len(gap) == diag["stale_blinks"] > 0
     assert all(list(arrivals) == ["SA2", "SA3", "SA4"] for arrivals in gap.values())
-    for s in synced_pairs(gap, CCP_PERIOD):
-        assert abs(s.tdoa_sync - _geometric_tdoa((4.1, 0.7), s.anchor_a, s.anchor_b)) < 1e-12
+    for _, a, b, tdoa in _pairs(gap):
+        assert abs(tdoa - _geometric_tdoa((4.1, 0.7), a, b)) < 1e-12
 
 
 @pytest.mark.parametrize("blink_period", [0.0, -0.1])
