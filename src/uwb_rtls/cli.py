@@ -60,6 +60,16 @@ def fixes_to_csv(fixes: Sequence[Fix]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _check_utf8(text: str) -> None:
+    """Raise ``ValueError`` if ``text``, read with ``errors="surrogateescape"``,
+    holds a byte that is not UTF-8: such a byte reads as a lone surrogate."""
+    if not text.isascii():
+        try:
+            text.encode("utf-8")
+        except UnicodeEncodeError:
+            raise ValueError("not valid UTF-8") from None
+
+
 def _read_csv_rows(
     path: Path, header: str, parse: Callable[[list[str]], T]
 ) -> tuple[list[T], int]:
@@ -68,12 +78,12 @@ def _read_csv_rows(
     A file whose first line is not ``header`` (another format, or an older
     one) raises ``CsvHeaderError``.  ``parse`` turns one row's fields into a
     value and raises ``ValueError`` on a wrong field count or an unparsable
-    field; such rows are skipped with a warning and counted.  Blank lines
-    are ignored.
+    field; such rows, and rows that are not UTF-8, are skipped with a
+    warning and counted.  Blank lines are ignored.
     """
     rows: list[T] = []
     skipped = 0
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
         reader = csv.reader(fh)
         if next(reader, None) != header.split(","):
             raise CsvHeaderError(f"{path}: the first line is not the header {header!r}")
@@ -81,6 +91,7 @@ def _read_csv_rows(
             if not row:
                 continue
             try:
+                _check_utf8(",".join(row))
                 rows.append(parse(row))
             except ValueError as exc:
                 skipped += 1
@@ -91,16 +102,18 @@ def _read_csv_rows(
 
 
 def _read_json_lines(path: Path, decode: Callable[[str], T]) -> tuple[list[T], int]:
-    """Decode the non-blank lines of a JSON-lines file; a line on which ``decode``
-    raises ``ValueError`` is skipped with a warning and counted."""
+    """Decode the non-blank lines of a UTF-8 JSON-lines file; a line that is
+    not UTF-8, or on which ``decode`` raises ``ValueError``, is skipped with
+    a warning and counted."""
     records: list[T] = []
     skipped = 0
-    with open(path) as fh:
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
+                _check_utf8(line)
                 records.append(decode(line))
             except ValueError as exc:
                 skipped += 1
@@ -185,7 +198,7 @@ def read_truth(path: Path) -> tuple[list[TruthBlink], int]:
 
 def _write(path: Path, text: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text)
+    path.write_text(text, encoding="utf-8")
     log.info("wrote %s", path)
 
 

@@ -17,7 +17,8 @@ representation rounding.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -63,7 +64,24 @@ class ClockModel:
 IDEAL_CLOCK = ClockModel()
 
 
-def device_time(model: ClockModel, true_time: float) -> float:
+class ClockArrays(NamedTuple):
+    """The ``ClockModel`` fields of many readings, one array entry per reading."""
+
+    offset: np.ndarray
+    skew: np.ndarray
+    drift_rate: np.ndarray
+    jitter_std: np.ndarray
+
+    @classmethod
+    def gather(cls, models: Sequence[ClockModel], index: np.ndarray) -> ClockArrays:
+        """The fields of ``models[index[i]]`` for every reading ``i``."""
+        table = np.array([astuple(m) for m in models], dtype=float).reshape(-1, 4)
+        return cls(*table[index].T)
+
+
+def device_time(
+    model: ClockModel | ClockArrays, true_time: float | np.ndarray
+) -> float | np.ndarray:
     """Noise-free device seconds shown by ``model`` at a given true time."""
     return (
         model.offset
@@ -73,28 +91,38 @@ def device_time(model: ClockModel, true_time: float) -> float:
 
 
 def read_clock(
-    model: ClockModel, true_time: float, rng: np.random.Generator | None = None
-) -> float:
+    model: ClockModel | ClockArrays,
+    true_time: float | np.ndarray,
+    rng: np.random.Generator | None = None,
+) -> float | np.ndarray:
     """Sample the device timer at ``true_time`` as a wrapped tick count.
 
     The reading is ``offset + (1 + skew) * t + drift_rate / 2 * t**2`` plus
     Gaussian jitter, converted to ticks and wrapped into [0, 2**40).
     ``true_time`` must be finite and >= 0.  Jittery models need an ``rng``;
     deterministic models do not.
+
+    Given an array of true times and a ``ClockArrays`` of matching
+    per-reading fields, it returns the array of readings.  They are bit for
+    bit the scalar readings taken one at a time in array order: the jitter
+    of the readings with ``jitter_std > 0`` is drawn in one call, in order.
     """
-    if not 0 <= true_time < math.inf:  # NaN fails too
-        raise ValueError(f"true_time must be >= 0 and finite, got {true_time!r}")
-    seconds = device_time(model, true_time)
-    if model.jitter_std > 0.0:
+    times = np.atleast_1d(np.asarray(true_time, dtype=float))
+    valid = (times >= 0.0) & (times < math.inf)  # NaN fails too
+    if not valid.all():
+        bad = float(times[~valid][0])
+        raise ValueError(f"true_time must be >= 0 and finite, got {bad!r}")
+    seconds = device_time(model, times)
+    jitter = np.broadcast_to(model.jitter_std, times.shape)
+    jittery = jitter > 0.0
+    if jittery.any():
         if rng is None:
             raise ValueError("model has jitter_std > 0 but no rng was provided")
-        seconds += rng.normal(0.0, model.jitter_std)
-    ticks = math.fmod(seconds / TICK_SECONDS, TICK_WRAP)
-    if ticks < 0.0:
-        ticks += TICK_WRAP
-    if ticks >= TICK_WRAP:  # fmod(-eps) + TICK_WRAP can round up to the modulus
-        ticks = 0.0
-    return ticks
+        seconds[jittery] += rng.normal(0.0, jitter[jittery])
+    ticks = np.fmod(seconds / TICK_SECONDS, TICK_WRAP)
+    ticks[ticks < 0.0] += TICK_WRAP
+    ticks[ticks >= TICK_WRAP] = 0.0  # fmod(-eps) + TICK_WRAP can round up to the modulus
+    return ticks if np.ndim(true_time) else float(ticks[0])
 
 
 def ts_diff(a: float, b: float) -> float:

@@ -339,12 +339,14 @@ def parse_config(raw: Mapping[str, Any]) -> ScenarioConfig:
 
 
 def load_config(path: str | Path) -> ScenarioConfig:
-    """Read and parse a JSON configuration file."""
+    """Read and parse a UTF-8 JSON configuration file."""
     p = Path(path)
     try:
-        text = p.read_text()
+        text = p.read_text(encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"cannot read config file {p}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{p}: not UTF-8: {exc.reason} at byte {exc.start}") from exc
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:

@@ -8,11 +8,18 @@ the localization engine.  A report line carries who timestamped what:
 ``kind`` is one of ``blink_rx`` (tag blink reception), ``ccp_rx`` (clock
 calibration packet reception), or ``ccp_tx`` (a master anchor's own CCP
 transmission timestamp).
+
+Lines are written in that one canonical form, which one compiled pattern
+parses; any other JSON object line with the same fields reads the same.
 """
 
 from __future__ import annotations
 
+import functools
 import json
+import math
+import re
+import sys
 from typing import NamedTuple
 
 from .clock import TICK_WRAP
@@ -45,25 +52,77 @@ class ToaReport(NamedTuple):
     ticks: float
 
 
+# Ids are JSON-quoted by json.dumps itself, so their escaping is the json
+# module's; the cache makes that a dict lookup per id after the first.
+json_string = functools.lru_cache(maxsize=4096)(json.dumps)
+
+
+def json_number(value: float) -> str:
+    """A finite int or float as ``json.dumps`` writes it.
+
+    ``float.__repr__`` and ``int.__repr__`` are called directly, so a numpy
+    scalar is written as its value.  Non-finite floats raise ``ValueError``:
+    the JSON they would need is not standard, and no reader here accepts it.
+    """
+    if isinstance(value, float):
+        if not math.isfinite(value):
+            raise ValueError(f"cannot write non-finite number {value!r}")
+        return float.__repr__(value)
+    return int.__repr__(value)
+
+
+# Regex sources: a JSON string with no escape or control character, and a
+# JSON number of at most 20 integer digits (a longer one is left to
+# json.loads).  STRING_PATTERN and NUMBER_PATTERN are one group each.
+STRING_PATTERN = r'"([^"\\\x00-\x1f]*)"'
+_UNSIGNED = r"(?:0|[1-9][0-9]{0,19})(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?"
+NUMBER_PATTERN = rf"(-?{_UNSIGNED})"
+
+
+def number_value(text: str) -> int | float:
+    """The value ``json.loads`` gives a JSON number: an int unless the text
+    has a fraction or an exponent."""
+    return int(text) if text.lstrip("-").isdigit() else float(text)
+
+
+# The line encode_report writes: fields in order, no whitespace, a known
+# kind, seq an unsigned JSON integer and ticks an unsigned JSON number.
+_CANONICAL = re.compile(
+    rf'\{{"anchor_id":{STRING_PATTERN},"kind":"({"|".join(REPORT_KINDS)})",'
+    rf'"src_id":{STRING_PATTERN},"seq":(0|[1-9][0-9]{{0,19}}),"ticks":({_UNSIGNED})\}}'
+)
+
+
 def encode_report(report: ToaReport) -> str:
-    """Render a report as one compact JSON line (no trailing newline)."""
-    ticks = report.ticks
+    """Render a report as one compact JSON line (no trailing newline).
+
+    The line is what ``json.dumps`` writes for the fields in order, with
+    integer-valued ticks written as an int.
+    """
+    anchor_id, kind, src_id, seq, ticks = report
     if isinstance(ticks, float) and ticks.is_integer():
         ticks = int(ticks)
-    return json.dumps(
-        {
-            "anchor_id": report.anchor_id,
-            "kind": report.kind,
-            "src_id": report.src_id,
-            "seq": report.seq,
-            "ticks": ticks,
-        },
-        separators=(",", ":"),
+    return (
+        f'{{"anchor_id":{json_string(anchor_id)},"kind":{json_string(kind)},'
+        f'"src_id":{json_string(src_id)},"seq":{json_number(seq)},"ticks":{json_number(ticks)}}}'
     )
 
 
 def decode_report(line: str) -> ToaReport:
-    """Parse one JSON report line, validating kind, seq, and tick range."""
+    """Parse one JSON report line, validating kind, seq, and tick range.
+
+    A canonical line whose seq and ticks are in range is parsed by one
+    compiled pattern.  Every other line goes through ``json.loads`` and the
+    checks below, which also word every error.
+    """
+    match = _CANONICAL.fullmatch(line)
+    if match is not None:
+        anchor_id, kind, src_id, seq_text, ticks_text = match.groups()
+        seq = int(seq_text)
+        ticks = float(ticks_text)  # rounds as float(int(ticks_text)) would
+        if seq < SEQ_WRAP and ticks < TICK_WRAP:
+            return _report(anchor_id, kind, src_id, seq, ticks)
+
     try:
         raw = json.loads(line)
     except json.JSONDecodeError as exc:
@@ -94,4 +153,9 @@ def decode_report(line: str) -> ToaReport:
     if not 0 <= ticks < TICK_WRAP:
         raise ReportDecodeError(f"ticks {ticks!r} outside [0, 2**40)")
 
-    return ToaReport(anchor_id, kind, src_id, seq, float(ticks))
+    return _report(anchor_id, kind, src_id, seq, float(ticks))
+
+
+def _report(anchor_id: str, kind: str, src_id: str, seq: int, ticks: float) -> ToaReport:
+    # Ids and kinds repeat on every line: interned, each is stored once.
+    return ToaReport(sys.intern(anchor_id), sys.intern(kind), sys.intern(src_id), seq, ticks)

@@ -12,20 +12,27 @@ from __future__ import annotations
 
 import json
 import math
+import re
+import sys
 from bisect import bisect_right
-from dataclasses import dataclass, field, fields
-from typing import Mapping, Sequence
+from dataclasses import dataclass, field
+from typing import Mapping, get_type_hints
 
 import numpy as np
 
-from .clock import read_clock
+from .clock import ClockArrays, read_clock
 from .constants import SPEED_OF_LIGHT
 from .protocol import (
+    NUMBER_PATTERN,
+    STRING_PATTERN,
     KIND_BLINK_RX,
     KIND_CCP_RX,
     KIND_CCP_TX,
     SEQ_WRAP,
     ToaReport,
+    json_number,
+    json_string,
+    number_value,
 )
 from .topology import NetworkTopology
 
@@ -223,25 +230,78 @@ class SimResult:
 
 
 _TRUTH_RECORDS = {"blink": TruthBlink, "clock": TruthClock}
-_TRUTH_FIELDS = {kind: [f.name for f in fields(cls)] for kind, cls in _TRUTH_RECORDS.items()}
+_TRUTH_FIELDS = {kind: get_type_hints(cls) for kind, cls in _TRUTH_RECORDS.items()}
+# The lines encode_truth writes: kind, then the fields in order, no whitespace.
+_TRUTH_LINES = {
+    kind: re.compile(
+        re.escape(f'{{"kind":"{kind}",')
+        + ",".join(
+            f'"{name}":{STRING_PATTERN if hint is str else NUMBER_PATTERN}'
+            for name, hint in _TRUTH_FIELDS[kind].items()
+        )
+        + re.escape("}")
+    )
+    for kind in _TRUTH_RECORDS
+}
 
 
 def encode_truth(record: TruthBlink | TruthClock) -> str:
-    """One ground-truth record as a compact JSON line: its kind, then its fields."""
-    kind = "blink" if isinstance(record, TruthBlink) else "clock"
-    return json.dumps({"kind": kind, **vars(record)}, separators=(",", ":"))
+    """One ground-truth record as a compact JSON line: its kind, then its
+    fields, as ``json.dumps`` writes them."""
+    if isinstance(record, TruthBlink):
+        return (
+            f'{{"kind":"blink","tag_id":{json_string(record.tag_id)},'
+            f'"seq":{json_number(record.seq)},"time":{json_number(record.time)},'
+            f'"x":{json_number(record.x)},"y":{json_number(record.y)}}}'
+        )
+    return (
+        f'{{"kind":"clock","anchor_id":{json_string(record.anchor_id)},'
+        f'"offset":{json_number(record.offset)},"skew":{json_number(record.skew)},'
+        f'"drift_rate":{json_number(record.drift_rate)},'
+        f'"jitter_std":{json_number(record.jitter_std)}}}'
+    )
 
 
 def decode_truth(line: str) -> TruthBlink | TruthClock:
-    """Parse one truth line; a malformed line raises ``ValueError``."""
-    raw = json.loads(line)
-    if not isinstance(raw, dict) or raw.get("kind") not in ("blink", "clock"):
-        raise ValueError(f"not a blink or clock truth record: {line[:80]!r}")
-    try:
-        values = [raw[name] for name in _TRUTH_FIELDS[raw["kind"]]]
-    except KeyError as exc:
-        raise ValueError(f"missing field {exc}") from None
-    return _TRUTH_RECORDS[raw["kind"]](*values)
+    """Parse one truth line; a malformed line raises ``ValueError``.
+
+    Ids must be strings, ``seq`` an int in [0, 2**32) and every other field
+    a finite number.  A canonical line is parsed by its kind's compiled
+    pattern, any other line by ``json.loads``; the same checks follow.
+    """
+    for kind, pattern in _TRUTH_LINES.items():
+        match = pattern.fullmatch(line)
+        if match is not None:
+            values = [
+                text if hint is str else number_value(text)
+                for hint, text in zip(_TRUTH_FIELDS[kind].values(), match.groups())
+            ]
+            break
+    else:
+        raw = json.loads(line)
+        if not isinstance(raw, dict) or raw.get("kind") not in ("blink", "clock"):
+            raise ValueError(f"not a blink or clock truth record: {line[:80]!r}")
+        kind = raw["kind"]
+        try:
+            values = [raw[name] for name in _TRUTH_FIELDS[kind]]
+        except KeyError as exc:
+            raise ValueError(f"missing field {exc}") from None
+    for (name, hint), value in zip(_TRUTH_FIELDS[kind].items(), values):
+        _check_truth_field(name, hint, value)
+    return _TRUTH_RECORDS[kind](*values)
+
+
+def _check_truth_field(name: str, hint: type, value: object) -> None:
+    if hint is str:
+        if not isinstance(value, str):
+            raise ValueError(f"{name} must be a string, got {value!r}")
+    elif isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    elif hint is int:
+        if not isinstance(value, int) or not 0 <= value < SEQ_WRAP:
+            raise ValueError(f"{name} must be an integer in [0, 2**32), got {value!r}")
+    elif not -sys.float_info.max <= value <= sys.float_info.max:  # NaN fails too
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +346,7 @@ def run_scenario(scenario: Scenario) -> SimResult:
     """
     topo = scenario.topology
     rng = np.random.default_rng(scenario.seed)
-    clocks = {a.id: a.clock for a in topo.anchors}
+    anchor_ids = topo.ids()
     positions = topo.positions()
 
     # (true_event_time, anchor, kind, src, seq) for every report to emit.
@@ -302,7 +362,7 @@ def run_scenario(scenario: Scenario) -> SimResult:
             pos = tag.trajectory.position_at(t)
             seq = k % SEQ_WRAP
             truth_blinks.append(TruthBlink(tag.id, seq, t, pos[0], pos[1]))
-            for anchor_id in topo.ids():
+            for anchor_id in anchor_ids:
                 if not scenario._receives_blink(tag.id, anchor_id, pos):
                     continue
                 ax, ay = positions[anchor_id]
@@ -318,7 +378,7 @@ def run_scenario(scenario: Scenario) -> SimResult:
         seq = j % SEQ_WRAP
         for master, tx_time in schedule_ccp_cascade(topo, round_start, scenario.lag):
             events.append((tx_time, master, KIND_CCP_TX, master, seq))
-            for anchor_id in topo.ids():
+            for anchor_id in anchor_ids:
                 if not scenario._receives_ccp(master, anchor_id):
                     continue
                 arrival = tx_time + topo.baseline(master, anchor_id) / SPEED_OF_LIGHT
@@ -326,9 +386,14 @@ def run_scenario(scenario: Scenario) -> SimResult:
         j += 1
 
     events.sort()
+    anchor_index = {anchor_id: i for i, anchor_id in enumerate(anchor_ids)}
+    true_times = np.fromiter((e[0] for e in events), float, len(events))
+    receivers = np.fromiter((anchor_index[e[1]] for e in events), np.intp, len(events))
+    clocks = ClockArrays.gather([a.clock for a in topo.anchors], receivers)
+    ticks = read_clock(clocks, true_times, rng).tolist()
     reports = tuple(
-        ToaReport(anchor_id, kind, src, seq, read_clock(clocks[anchor_id], t, rng))
-        for t, anchor_id, kind, src, seq in events
+        ToaReport(anchor_id, kind, src, seq, tick)
+        for (_, anchor_id, kind, src, seq), tick in zip(events, ticks)
     )
     truth_clocks = tuple(
         TruthClock(a.id, a.clock.offset, a.clock.skew, a.clock.drift_rate, a.clock.jitter_std)

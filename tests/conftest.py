@@ -1,14 +1,20 @@
 """Shared builders for the test suite.
 
 Most tests exercise a 6 m x 4 m rectangular room with a master anchor at
-the origin and slaves on the remaining corners, so those pieces live here.
+the origin and slaves on the remaining corners, so those pieces live here,
+with a large multi-master hall for the tests that want much varied traffic.
 """
 
 from __future__ import annotations
 
+import math
+import random
+
 import pytest
 
 from uwb_rtls.clock import ClockModel, IDEAL_CLOCK
+from uwb_rtls.config import parse_config
+from uwb_rtls.simnet import SimResult, run_scenario
 from uwb_rtls.topology import AnchorConfig, NetworkTopology
 
 RECT_POSITIONS = {
@@ -64,3 +70,45 @@ def rect_topology() -> NetworkTopology:
 @pytest.fixture
 def ideal_rect_topology() -> NetworkTopology:
     return build_ideal_rect_topology()
+
+
+# A 40 m x 40 m hall: 36 anchors on an 8 m grid, a primary master in the
+# middle and three level-2 masters around it, a 24 m reception radius and
+# four tags touring the quadrants.  Clock phases lie anywhere in one counter
+# wrap, so the tick readings cover the whole [0, 2**40) range.
+HALL_MASTERS = {(16.0, 16.0): "MA01", (32.0, 16.0): "MB01", (16.0, 32.0): "MB02",
+                (32.0, 32.0): "MB03"}
+HALL_RADIUS = 24.0
+
+
+def hall_config(duration: float = 20.0, seed: int = 1) -> dict:
+    """The hall as a scenario config, its clocks and paths drawn from ``seed``."""
+    rng = random.Random(seed)
+    anchors = []
+    for k, pos in enumerate((8.0 * i, 8.0 * j) for j in range(6) for i in range(6)):
+        entry: dict = {"position": list(pos)}
+        master = HALL_MASTERS.get(pos)
+        if master == "MA01":
+            entry.update(id=master, role="master", level=1)
+        elif master is not None:
+            entry.update(id=master, role="master", level=2,
+                         lag_slot=int(master[-1]), follows=["MA01"])
+        else:
+            heard = sorted(m for mpos, m in HALL_MASTERS.items()
+                           if math.dist(mpos, pos) <= HALL_RADIUS)
+            entry.update(id=f"SA{k:02d}", role="slave", follows=heard)
+        entry["clock"] = {"offset": rng.uniform(0.0, 17.2), "skew": rng.uniform(-2e-5, 2e-5),
+                          "jitter_std": 1e-10}
+        anchors.append(entry)
+    corners = [(10.0, 10.0), (30.0, 10.0), (30.0, 30.0), (10.0, 30.0)]
+    tags = []
+    for n in range(4):
+        points = [[duration * i / 4, *corners[(n + i) % 4]] for i in range(5)]
+        tags.append({"id": f"T{n:03d}", "trajectory": {"kind": "waypoints", "points": points}})
+    return {"anchors": anchors, "tags": tags, "duration": duration, "seed": seed,
+            "reception_radius": HALL_RADIUS, "area": [[0.0, 0.0], [40.0, 40.0]]}
+
+
+@pytest.fixture(scope="session")
+def hall_run() -> SimResult:
+    return run_scenario(parse_config(hall_config()).scenario)

@@ -475,3 +475,67 @@ def test_outputs_do_not_depend_on_the_hash_seed(tmp_path):
     assert sorted(outputs[0]) == ["deploy_report.json", "errors.csv", "fixes.csv", "hdop.csv",
                                   "reports.jsonl", "summary.json", "synced.csv", "truth.jsonl"]
     assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("name", ["reports.jsonl", "truth.jsonl", "fixes.csv", "synced.csv"])
+def test_a_line_that_is_not_utf8_is_skipped_and_counted(tmp_path, config_path, caplog, name):
+    out = tmp_path / "run"
+    main(["simulate", "--config", str(config_path), "--out", str(out)])
+    main(["locate", "--config", str(config_path), "--out", str(out),
+          "--reports", str(out / "reports.jsonl")])
+    path = out / name
+    lines = path.read_bytes().splitlines(keepends=True)
+    lines[4] = lines[4].replace(b"1", b"\xff", 1)  # one stray byte on line 5
+    path.write_bytes(b"".join(lines))
+
+    reader = {"reports.jsonl": read_reports, "truth.jsonl": read_truth,
+              "fixes.csv": read_fixes_csv, "synced.csv": read_synced_csv}[name]
+    assert reader(path)[1] == 1
+    assert f"{name} line 5 skipped: not valid UTF-8" in caplog.text
+
+    if name == "reports.jsonl":
+        argv = ["locate", "--config", str(config_path), "--out", str(tmp_path / "again"),
+                "--reports", str(path)]
+    else:
+        argv = ["eval", "--config", str(config_path), "--out", str(out),
+                "--fixes", str(out / "fixes.csv"), "--truth", str(out / "truth.jsonl"),
+                "--synced", str(out / "synced.csv")]
+    assert main(argv) == EXIT_OK
+
+
+def test_config_that_is_not_utf8_exits_2_naming_the_file(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(json.dumps(CONFIG).replace('"T1"', '"T\xfc1"').encode("latin-1"))
+    code = main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err.splitlines()
+    assert code == EXIT_CONFIG
+    assert len(err) == 1 and str(path) in err[0] and "not UTF-8" in err[0]
+    assert not (tmp_path / "o").exists()
+
+
+def test_outputs_do_not_depend_on_the_locale(tmp_path):
+    # Under LC_ALL=C without UTF-8 mode, Python's default file encoding is
+    # ASCII; a non-ASCII tag id must still be read and written as UTF-8.
+    config = tmp_path / "utf8.json"
+    tags = [dict(CONFIG["tags"][0], id="TüT1")]
+    config.write_bytes(json.dumps(dict(CONFIG, tags=tags), ensure_ascii=False).encode("utf-8"))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    outputs = []
+    for locale_env in ({}, {"LC_ALL": "C", "PYTHONUTF8": "0"}):
+        out = tmp_path / ("c" if locale_env else "default")
+        env = dict(os.environ, **locale_env,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        for argv in (
+            ["simulate", "--config", str(config), "--out", str(out)],
+            ["locate", "--config", str(config), "--out", str(out),
+             "--reports", str(out / "reports.jsonl")],
+            ["eval", "--config", str(config), "--out", str(out), "--fixes", str(out / "fixes.csv"),
+             "--truth", str(out / "truth.jsonl"), "--synced", str(out / "synced.csv")],
+        ):
+            subprocess.run([sys.executable, "-m", "uwb_rtls.cli", *argv], env=env, check=True,
+                           stdout=subprocess.DEVNULL)
+        outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+    assert sorted(outputs[0]) == ["errors.csv", "fixes.csv", "reports.jsonl", "summary.json",
+                                  "synced.csv", "truth.jsonl"]
+    assert "TüT1,".encode() in outputs[0]["fixes.csv"]
+    assert outputs[0] == outputs[1]

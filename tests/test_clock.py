@@ -14,6 +14,7 @@ from uwb_rtls.clock import (
     MAX_ABS_SKEW,
     TICK_SECONDS,
     TICK_WRAP,
+    ClockArrays,
     ClockModel,
     device_time,
     read_clock,
@@ -143,3 +144,57 @@ def test_short_interval_measured_in_ticks_matches_truth():
     t0, t1 = 2.0, 2.15
     d = ts_diff(read_clock(model, t1), read_clock(model, t0)) * TICK_SECONDS
     assert d == pytest.approx(0.15 * (1 + 25e-6), abs=1e-12)
+
+
+def _scalar_reading(model: ClockModel, t: float, rng: np.random.Generator) -> float:
+    """The reading in plain Python floats, one draw per jittery model."""
+    seconds = model.offset + (1.0 + model.skew) * t + 0.5 * model.drift_rate * t * t
+    if model.jitter_std > 0.0:
+        seconds += rng.normal(0.0, model.jitter_std)
+    ticks = math.fmod(seconds / TICK_SECONDS, TICK_WRAP)
+    if ticks < 0.0:
+        ticks += TICK_WRAP
+    if ticks >= TICK_WRAP:
+        ticks = 0.0
+    return ticks
+
+
+MIXED_CLOCKS = [
+    ClockModel(offset=0.0012, skew=8e-6, jitter_std=1e-10),
+    ClockModel(offset=-0.0034, skew=-1.2e-5),
+    ClockModel(offset=16.9, skew=2.1e-5, drift_rate=3e-9, jitter_std=3e-10),
+    ClockModel(offset=-1.0, skew=-9e-5, drift_rate=-2e-9),
+    IDEAL_CLOCK,
+    ClockModel(offset=-1e-30),  # at t = 0, fmod(-eps) + TICK_WRAP rounds up to TICK_WRAP
+]
+
+
+def test_array_reading_is_the_scalar_loop_bit_for_bit():
+    gen = np.random.default_rng(5)
+    index = gen.integers(0, len(MIXED_CLOCKS), 3000)
+    times = np.sort(gen.uniform(0.0, 40.0, 3000))
+    times[:2] = 0.0, 5e-324
+    index[0] = len(MIXED_CLOCKS) - 1
+    readings = read_clock(ClockArrays.gather(MIXED_CLOCKS, index), times, np.random.default_rng(9))
+
+    loop_rng = np.random.default_rng(9)
+    loop = [read_clock(MIXED_CLOCKS[i], t, loop_rng) for i, t in zip(index, times.tolist())]
+    oracle_rng = np.random.default_rng(9)
+    oracle = [_scalar_reading(MIXED_CLOCKS[i], t, oracle_rng)
+              for i, t in zip(index, times.tolist())]
+    assert readings.tobytes() == np.array(loop).tobytes() == np.array(oracle).tobytes()
+    assert readings[0] == 0.0
+    assert all(type(x) is float for x in loop)
+    # The same number of draws on every path: the generators are in step.
+    assert loop_rng.random() == oracle_rng.random()
+
+
+def test_array_reading_checks_every_time_and_the_rng():
+    clocks = ClockArrays.gather(MIXED_CLOCKS, np.array([1, 3, 4]))
+    with pytest.raises(ValueError, match=r"true_time .* got nan"):
+        read_clock(clocks, np.array([1.0, math.nan, 2.0]))
+    with pytest.raises(ValueError, match=r"true_time .* got -1\.0"):
+        read_clock(clocks, np.array([1.0, 2.0, -1.0]))
+    assert read_clock(clocks, np.array([1.0, 2.0, 3.0])).shape == (3,)  # no jitter, no rng
+    with pytest.raises(ValueError, match="rng"):
+        read_clock(ClockArrays.gather(MIXED_CLOCKS, np.array([1, 0])), np.array([1.0, 2.0]))

@@ -3,10 +3,14 @@
 from __future__ import annotations
 
 import json
+import math
+import re
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from uwb_rtls import protocol
 from uwb_rtls.clock import TICK_WRAP
 from uwb_rtls.protocol import (
     KIND_BLINK_RX,
@@ -92,3 +96,164 @@ def test_seq_out_of_range():
 
 def test_every_decode_error_is_a_report_decode_error():
     assert issubclass(ReportDecodeError, ValueError)
+
+
+# ---------------------------------------------------------------------------
+# The template encoder and the canonical-line parser against json itself
+
+
+def _json_line(r: ToaReport) -> str:
+    """The report line as json.dumps writes it, whole ticks as an int."""
+    ticks = int(r.ticks) if r.ticks.is_integer() else r.ticks
+    fields = {"anchor_id": r.anchor_id, "kind": r.kind, "src_id": r.src_id, "seq": r.seq,
+              "ticks": ticks}
+    return json.dumps(fields, separators=(",", ":"))
+
+
+def _json_report(line: str) -> ToaReport:
+    raw = json.loads(line)
+    return ToaReport(raw["anchor_id"], raw["kind"], raw["src_id"], raw["seq"], float(raw["ticks"]))
+
+
+def _outcome(line: str) -> str:
+    """What decode_report makes of a line: the report's repr (which tells
+    -0.0 from 0.0) or the error's message."""
+    try:
+        return repr(decode_report(line))
+    except ValueError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _json_path_outcome(line: str) -> str:
+    """The outcome with the canonical-line pattern matching nothing, so
+    that every line takes the json.loads path."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(protocol, "_CANONICAL", re.compile("(?!)"))
+        return _outcome(line)
+
+
+def test_hall_run_lines_are_json_dumps_and_decode_as_json_loads(hall_run):
+    for r in hall_run.reports:
+        line = encode_report(r)
+        assert line == _json_line(r)
+        assert _outcome(line) == repr(_json_report(line)) == repr(r)
+        assert _outcome(line) == _json_path_outcome(line)
+
+
+def test_simulated_lines_decode_without_json_loads(hall_run, monkeypatch):
+    lines = [encode_report(r) for r in hall_run.reports]
+    monkeypatch.setattr(json, "loads", None)
+    assert [decode_report(line) for line in lines] == list(hall_run.reports)
+
+
+JUST_BELOW_WRAP = float(np.nextafter(float(TICK_WRAP), 0.0))
+
+
+@pytest.mark.parametrize("anchor_id, src_id", [
+    ("SA2", "T1"), ('S"A', "T1"), ("SA\\2", "T\\"), ("SA\n2", "T\t1"), ("SAü", "Tü1"),
+    ("", "T1"), ("SA\x7f", "T "),
+])
+@pytest.mark.parametrize("ticks", [
+    0.0, 5e-324, 1e-05, 0.5, 12345.625, 12345.0, float(TICK_WRAP - 1), JUST_BELOW_WRAP,
+    987654321012.4567,
+])
+def test_edge_case_lines_are_json_dumps_and_round_trip(anchor_id, src_id, ticks):
+    r = ToaReport(anchor_id, KIND_CCP_RX, src_id, SEQ_WRAP - 1, ticks)
+    line = encode_report(r)
+    assert line == _json_line(r)
+    assert _outcome(line) == repr(_json_report(line)) == repr(r)
+    assert _outcome(line) == _json_path_outcome(line)
+
+
+def test_numpy_scalars_are_written_as_their_values():
+    r = ToaReport("SA2", KIND_BLINK_RX, "T1", 7, np.float64(12345.5))
+    assert encode_report(r).endswith('"seq":7,"ticks":12345.5}')
+    r = ToaReport("SA2", KIND_BLINK_RX, "T1", 7, np.float64(12345.0))
+    assert encode_report(r).endswith('"ticks":12345}')
+
+
+def test_non_finite_ticks_are_not_written():
+    with pytest.raises(ValueError, match="non-finite"):
+        encode_report(ToaReport("SA2", KIND_BLINK_RX, "T1", 7, math.nan))
+
+
+GOOD = '{"anchor_id":"A","kind":"blink_rx","src_id":"T","seq":7,"ticks":12345.5}'
+NEAR_CANONICAL = [
+    GOOD.replace('"seq":7', '"seq":07'),
+    GOOD.replace("12345.5", "012345.5"),
+    GOOD.replace('"seq":7', '"seq":-7'),
+    GOOD.replace('"seq":7', '"seq":-0'),
+    GOOD.replace("12345.5", "-12345.5"),
+    GOOD.replace("12345.5", "-0"),
+    GOOD.replace("12345.5", "-0.0"),
+    GOOD.replace("12345.5", "0e0"),
+    GOOD.replace("12345.5", "1e-400"),
+    GOOD.replace("12345.5", str(TICK_WRAP)),
+    GOOD.replace("12345.5", f"{TICK_WRAP}.0"),
+    GOOD.replace("12345.5", "1.099511627776e12"),
+    GOOD.replace("12345.5", "1099511627775.99999999"),
+    GOOD.replace("12345.5", "1e400"),
+    GOOD.replace("12345.5", "1" + "0" * 30),
+    GOOD.replace('"seq":7', f'"seq":{SEQ_WRAP}'),
+    GOOD.replace('"seq":7', '"seq":' + "9" * 25),
+    GOOD.replace('"seq":7', '"seq":7.0'),
+    GOOD.replace('"seq":7', '"seq":7e0'),
+    GOOD.replace('"seq":7', '"seq":true'),
+    GOOD.replace("12345.5", "NaN"),
+    GOOD.replace("12345.5", "Infinity"),
+    GOOD.replace("12345.5", "-Infinity"),
+    GOOD.replace("12345.5", "true"),
+    GOOD.replace("12345.5", '"12345.5"'),
+    GOOD.replace("12345.5", "12345."),
+    GOOD.replace("12345.5", ".5"),
+    GOOD.replace("12345.5", "1e"),
+    GOOD.replace("12345.5", "12345.5E+3"),
+    GOOD.replace('"A"', '"\\u0041"'),
+    GOOD.replace('"A"', '"A\\"B"'),
+    GOOD.replace('"T"', '"T\\\\"'),
+    GOOD.replace('"A"', '"A\x01"'),
+    GOOD.replace('"A"', "5"),
+    GOOD.replace("blink_rx", "sync_rx"),
+    GOOD.replace("blink_rx", "BLINK_RX"),
+    GOOD + "x",
+    GOOD + "}",
+    GOOD[:-1],
+    "x" + GOOD,
+    GOOD.replace(":", ": "),
+    '{"kind":"blink_rx","anchor_id":"A","src_id":"T","seq":7,"ticks":12345.5}',
+    GOOD.replace('"ticks":12345.5', '"ticks":12345.5,"extra":1'),
+    GOOD.replace('"anchor_id":"A"', '"anchor_id":"A","anchor_id":"B"'),
+    GOOD.replace(',"ticks":12345.5', ""),
+    "[" + GOOD + "]",
+    "",
+]
+
+
+@pytest.mark.parametrize("line", NEAR_CANONICAL)
+def test_near_canonical_lines_decode_as_the_json_path_does(line):
+    assert _outcome(line) == _json_path_outcome(line)
+
+
+json_values = st.one_of(
+    st.integers(min_value=-(2**70), max_value=2**70),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.text(max_size=4),
+    st.booleans(),
+    st.none(),
+)
+
+
+@given(
+    anchor_id=st.one_of(st.text(max_size=6), json_values),
+    kind=st.one_of(st.sampled_from(REPORT_KINDS), st.text(max_size=9)),
+    src_id=st.text(max_size=6),
+    seq=st.one_of(st.integers(min_value=-5, max_value=SEQ_WRAP + 5), json_values),
+    ticks=st.one_of(st.floats(min_value=-1.0, max_value=TICK_WRAP * 1.5), json_values),
+    ensure_ascii=st.booleans(),
+)
+def test_any_json_report_line_decodes_as_the_json_path_does(
+    anchor_id, kind, src_id, seq, ticks, ensure_ascii
+):
+    fields = {"anchor_id": anchor_id, "kind": kind, "src_id": src_id, "seq": seq, "ticks": ticks}
+    line = json.dumps(fields, separators=(",", ":"), ensure_ascii=ensure_ascii)
+    assert _outcome(line) == _json_path_outcome(line)

@@ -2,9 +2,14 @@
 
 from __future__ import annotations
 
+import json
 import math
+import re
 
 import pytest
+from hypothesis import given, strategies as st
+
+from uwb_rtls import simnet
 
 from uwb_rtls.clock import TICK_SECONDS, ClockModel
 from uwb_rtls.constants import SPEED_OF_LIGHT
@@ -295,3 +300,149 @@ def test_truth_clock_records_match_the_scenario():
     clocks = {c.anchor_id: c for c in sim.truth_clocks}
     assert clocks["SA3"].offset == 0.0075
     assert clocks["SA3"].skew == 2.1e-5
+
+
+# ---------------------------------------------------------------------------
+# Truth lines against json itself
+
+
+def _json_truth_line(record) -> str:
+    kind = "blink" if isinstance(record, TruthBlink) else "clock"
+    return json.dumps({"kind": kind, **vars(record)}, separators=(",", ":"))
+
+
+def _truth_outcome(line: str) -> str:
+    """What decode_truth makes of a line: the record's repr, or the error's
+    type and message."""
+    try:
+        return repr(decode_truth(line))
+    except ValueError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _json_path_truth_outcome(line: str) -> str:
+    """The outcome with the canonical-line patterns matching nothing."""
+    never = re.compile("(?!)")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simnet, "_TRUTH_LINES", {"blink": never, "clock": never})
+        return _truth_outcome(line)
+
+
+def test_hall_truth_lines_are_json_dumps_and_decode_as_json_loads(hall_run):
+    for record in hall_run.truth_blinks + hall_run.truth_clocks:
+        line = encode_truth(record)
+        assert line == _json_truth_line(record)
+        assert _truth_outcome(line) == repr(record) == _json_path_truth_outcome(line)
+
+
+def test_simulated_truth_lines_decode_without_json_loads(hall_run, monkeypatch):
+    records = hall_run.truth_blinks + hall_run.truth_clocks
+    lines = [encode_truth(r) for r in records]
+    monkeypatch.setattr(json, "loads", None)
+    assert tuple(decode_truth(line) for line in lines) == records
+
+
+@pytest.mark.parametrize("record", [
+    TruthBlink('T"1', 0, 0.0, 5e-324, -0.0),
+    TruthBlink("T\\1\n", 2**32 - 1, 1e-05, -3, 2),
+    TruthBlink("Tü1", 7, 0.30000000000000004, 1e300, -1e-300),
+    TruthClock("SAü", -0.0034, 0, -1e-9, 1e-10),
+])
+def test_edge_case_truth_lines_are_json_dumps_and_round_trip(record):
+    line = encode_truth(record)
+    assert line == _json_truth_line(record)
+    assert _truth_outcome(line) == repr(record) == _json_path_truth_outcome(line)
+
+
+BLINK = '{"kind":"blink","tag_id":"T1","seq":3,"time":0.3,"x":2.0,"y":-1.5}'
+
+
+@pytest.mark.parametrize("line, message", [
+    (BLINK.replace('"x":2.0', '"x":"abc"'), "x must be a number"),
+    (BLINK.replace('"x":2.0', '"x":null'), "x must be a number"),
+    (BLINK.replace('"x":2.0', '"x":true'), "x must be a number"),
+    (BLINK.replace('"x":2.0', '"x":NaN'), "x must be a finite number"),
+    (BLINK.replace('"x":2.0', '"x":1e400'), "x must be a finite number"),
+    (BLINK.replace('"x":2.0', '"x":1' + "0" * 400), "x must be a finite number"),
+    (BLINK.replace('"seq":3', '"seq":"3"'), "seq must be a number"),
+    (BLINK.replace('"seq":3', '"seq":true'), "seq must be a number"),
+    (BLINK.replace('"seq":3', '"seq":3.0'), "seq must be an integer"),
+    (BLINK.replace('"seq":3', '"seq":-1'), "seq must be an integer"),
+    (BLINK.replace('"seq":3', f'"seq":{2**32}'), "seq must be an integer"),
+    (BLINK.replace('"T1"', "5"), "tag_id must be a string"),
+    (BLINK.replace('"T1"', "null"), "tag_id must be a string"),
+])
+def test_truth_fields_of_the_wrong_type_are_malformed(line, message):
+    with pytest.raises(ValueError, match=message):
+        decode_truth(line)
+    assert _truth_outcome(line) == _json_path_truth_outcome(line)
+
+
+CLOCK = ('{"kind":"clock","anchor_id":"SA2","offset":-0.0034,"skew":-1.2e-05,'
+         '"drift_rate":0.0,"jitter_std":1e-10}')
+NEAR_CANONICAL_TRUTH = [
+    BLINK.replace('"seq":3', '"seq":03'),
+    BLINK.replace('"seq":3', '"seq":-0'),
+    BLINK.replace('"x":2.0', '"x":-0'),
+    BLINK.replace('"x":2.0', '"x":2'),
+    BLINK.replace('"x":2.0', '"x":02.0'),
+    BLINK.replace('"x":2.0', '"x":2.'),
+    BLINK.replace('"x":2.0', '"x":Infinity'),
+    BLINK.replace('"x":2.0', '"x":1' + "0" * 25),
+    BLINK.replace('"T1"', '"T\\u00fc1"'),
+    BLINK.replace('"T1"', '"T\x011"'),
+    BLINK.replace('"blink"', '"clock"'),
+    BLINK.replace('"blink"', '"fix"'),
+    BLINK.replace(',"y":-1.5', ""),
+    BLINK.replace('"kind":"blink",', "") + "",
+    '{"tag_id":"T1","kind":"blink","seq":3,"time":0.3,"x":2.0,"y":-1.5}',
+    BLINK.replace(":", ": "),
+    BLINK + "x",
+    BLINK[:-1],
+    "[" + BLINK + "]",
+    CLOCK,
+    CLOCK.replace("-0.0034", "-0.0034e-3"),
+    CLOCK.replace('"SA2"', "2"),
+    CLOCK + "}",
+    '{"kind":["blink"],"tag_id":"T1"}',
+    '{"kind":{"blink":1}}',
+]
+
+
+@pytest.mark.parametrize("line", NEAR_CANONICAL_TRUTH)
+def test_near_canonical_truth_lines_decode_as_the_json_path_does(line):
+    assert _truth_outcome(line) == _json_path_truth_outcome(line)
+
+
+truth_values = st.one_of(
+    st.integers(min_value=-(2**70), max_value=2**70),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.text(max_size=4),
+    st.booleans(),
+    st.none(),
+)
+truth_ids = st.one_of(st.text(max_size=6), truth_values)
+truth_seqs = st.one_of(st.integers(min_value=-3, max_value=2**32 + 3), truth_values)
+truth_numbers = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False), st.integers(-10**6, 10**6), truth_values
+)
+
+
+@given(
+    kind=st.one_of(st.sampled_from(["blink", "clock", "other"]), truth_values,
+                   st.lists(st.just("blink"), max_size=1)),
+    record_id=truth_ids,
+    seq=truth_seqs,
+    numbers=st.lists(truth_numbers, min_size=4, max_size=4),
+    ensure_ascii=st.booleans(),
+)
+def test_any_json_truth_line_decodes_as_the_json_path_does(
+    kind, record_id, seq, numbers, ensure_ascii
+):
+    if kind == "clock":
+        fields = {"anchor_id": record_id, **dict(zip(["offset", "skew", "drift_rate",
+                                                      "jitter_std"], numbers))}
+    else:
+        fields = {"tag_id": record_id, "seq": seq, **dict(zip(["time", "x", "y"], numbers))}
+    line = json.dumps({"kind": kind, **fields}, separators=(",", ":"), ensure_ascii=ensure_ascii)
+    assert _truth_outcome(line) == _json_path_truth_outcome(line)
