@@ -3,6 +3,8 @@
 Each subcommand reads a JSON scenario config and writes flat files
 (JSON lines for radio traffic and ground truth, CSV for fixes and grids,
 JSON for summaries) so runs diff cleanly and compose through the shell.
+Every id is a plain id (``protocol.is_plain_id``), so no CSV field is ever
+quoted and the readers split CSV lines on commas.
 
 Exit codes: 0 success, 2 configuration or validation error (including an
 input CSV without its expected header), 3 empty result, 4 I/O failure.
@@ -11,7 +13,6 @@ input CSV without its expected header), 3 empty result, 4 I/O failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import json
 import logging
@@ -70,51 +71,28 @@ def _check_utf8(text: str) -> None:
             raise ValueError("not valid UTF-8") from None
 
 
-def _read_csv_rows(
-    path: Path, header: str, parse: Callable[[list[str]], T]
+def _read_lines(
+    path: Path, parse: Callable[[str], T], header: str | None = None
 ) -> tuple[list[T], int]:
-    """Parse the rows of a CSV file written under ``header``.
+    """Parse the non-blank lines of a UTF-8 text file, each stripped.
 
-    A file whose first line is not ``header`` (another format, or an older
-    one) raises ``CsvHeaderError``.  ``parse`` turns one row's fields into a
-    value and raises ``ValueError`` on a wrong field count or an unparsable
-    field; such rows, and rows that are not UTF-8, are skipped with a
-    warning and counted.  Blank lines are ignored.
+    With ``header``, a file whose first line is not ``header`` (another
+    format, or an older one) raises ``CsvHeaderError``.  A line that is not
+    UTF-8, or on which ``parse`` raises ``ValueError`` (a wrong field count,
+    an unparsable field), is skipped with a warning and counted.
     """
-    rows: list[T] = []
-    skipped = 0
-    with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
-        reader = csv.reader(fh)
-        if next(reader, None) != header.split(","):
-            raise CsvHeaderError(f"{path}: the first line is not the header {header!r}")
-        for row in reader:
-            if not row:
-                continue
-            try:
-                _check_utf8(",".join(row))
-                rows.append(parse(row))
-            except ValueError as exc:
-                skipped += 1
-                log.warning("%s line %d skipped: %s", path.name, reader.line_num, exc)
-    if skipped:
-        log.warning("skipped %d malformed row(s) in %s", skipped, path)
-    return rows, skipped
-
-
-def _read_json_lines(path: Path, decode: Callable[[str], T]) -> tuple[list[T], int]:
-    """Decode the non-blank lines of a UTF-8 JSON-lines file; a line that is
-    not UTF-8, or on which ``decode`` raises ``ValueError``, is skipped with
-    a warning and counted."""
     records: list[T] = []
     skipped = 0
     with open(path, encoding="utf-8", errors="surrogateescape") as fh:
-        for lineno, line in enumerate(fh, start=1):
+        if header is not None and fh.readline().strip() != header:
+            raise CsvHeaderError(f"{path}: the first line is not the header {header!r}")
+        for lineno, line in enumerate(fh, start=1 if header is None else 2):
             line = line.strip()
             if not line:
                 continue
             try:
                 _check_utf8(line)
-                records.append(decode(line))
+                records.append(parse(line))
             except ValueError as exc:
                 skipped += 1
                 log.warning("%s line %d skipped: %s", path.name, lineno, exc)
@@ -123,8 +101,8 @@ def _read_json_lines(path: Path, decode: Callable[[str], T]) -> tuple[list[T], i
     return records, skipped
 
 
-def _fix_row(row: list[str]) -> Fix:
-    tag_id, blink_seq, x, y, vx, vy, pos_std = row
+def _fix_row(line: str) -> Fix:
+    tag_id, blink_seq, x, y, vx, vy, pos_std = line.split(",")
     return Fix(tag_id, int(blink_seq), float(x), float(y), float(vx), float(vy),
                float(pos_std), residual_norm=0.0)
 
@@ -132,7 +110,7 @@ def _fix_row(row: list[str]) -> Fix:
 def read_fixes_csv(path: Path) -> tuple[list[Fix], int]:
     """Parse a fixes.csv file, skipping malformed rows, and repeats of a
     (tag_id, blink_seq) fix already read, with a count."""
-    rows, skipped = _read_csv_rows(path, FIXES_HEADER, _fix_row)
+    rows, skipped = _read_lines(path, _fix_row, FIXES_HEADER)
     fixes: dict[tuple[str, int], Fix] = {}
     for fix in rows:
         key = (fix.tag_id, fix.blink_seq)
@@ -158,8 +136,8 @@ def synced_to_csv(blinks: Mapping[tuple[str, int], Mapping[str, Arrival]]) -> st
     return "\n".join(lines) + "\n"
 
 
-def _arrival_row(row: list[str]) -> tuple[tuple[str, int], str, Arrival]:
-    anchor_id, tag_id, blink_seq, ccp_seq, offset, rate = row
+def _arrival_row(line: str) -> tuple[tuple[str, int], str, Arrival]:
+    anchor_id, tag_id, blink_seq, ccp_seq, offset, rate = line.split(",")
     # Ids repeat on every row: interned, each is stored once.
     return (
         (sys.intern(tag_id), int(blink_seq)),
@@ -172,7 +150,7 @@ def read_synced_csv(path: Path) -> tuple[SyncedBlinks, int]:
     """Parse a synced.csv file back into the sync output's per-blink map,
     skipping malformed rows, and repeats of an anchor's arrival for a blink
     already read, with a count."""
-    rows, skipped = _read_csv_rows(path, SYNCED_HEADER, _arrival_row)
+    rows, skipped = _read_lines(path, _arrival_row, SYNCED_HEADER)
     blinks: SyncedBlinks = {}
     for (tag_id, blink_seq), anchor_id, arrival in rows:
         arrivals = blinks.setdefault((tag_id, blink_seq), {})
@@ -187,12 +165,12 @@ def read_synced_csv(path: Path) -> tuple[SyncedBlinks, int]:
 
 def read_reports(path: Path) -> tuple[list[ToaReport], int]:
     """Parse a reports.jsonl file, skipping malformed lines with a count."""
-    return _read_json_lines(path, decode_report)
+    return _read_lines(path, decode_report)
 
 
 def read_truth(path: Path) -> tuple[list[TruthBlink], int]:
     """Parse the blinks of a truth.jsonl file, skipping malformed lines with a count."""
-    records, skipped = _read_json_lines(path, decode_truth)
+    records, skipped = _read_lines(path, decode_truth)
     return [r for r in records if isinstance(r, TruthBlink)], skipped
 
 
@@ -238,8 +216,7 @@ def _eval(
         blinks,
         cfg.scenario.ccp_period,
         warmup=cfg.warmup,
-        process_var=cfg.wcs.process_var,
-        measurement_var=cfg.wcs.measurement_var,
+        params=cfg.wcs,
     )
     text = summary.to_json()
     _write(out / "summary.json", text)

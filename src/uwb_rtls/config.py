@@ -8,7 +8,8 @@ the offending key so a typo cannot silently fall back to a default.
 The ``clock``, ``solver`` and ``wcs`` blocks are read from the dataclasses
 they fill (``ClockModel``, ``TrackerConfig``, ``WcsParams``): the keys are
 their fields, a missing key takes the field's default, and the range rules
-are the dataclass's own.  Top-level defaults are ``Scenario``'s.
+are the dataclass's own.  Top-level defaults are ``Scenario``'s.  Anchor
+and tag ids must be plain ids (``protocol.is_plain_id``).
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from typing import Any, Mapping, Sequence
 from .clock import ClockModel
 from .engine import EngineParams
 from .metrics import DEFAULT_WARMUP
+from .protocol import PLAIN_ID_RULE, is_plain_id
 from .simnet import (
     ConstantVelocityTrajectory,
     Scenario,
@@ -32,33 +34,11 @@ from .simnet import (
 )
 from .solver import TrackerConfig
 from .topology import AnchorConfig, NetworkTopology, ROLE_MASTER, ROLE_SLAVE
-from .wcs import (
-    DEFAULT_K_BAND,
-    DEFAULT_MEASUREMENT_VAR,
-    DEFAULT_PROCESS_VAR,
-    DEFAULT_STALE_INTERVALS,
-    check_smoother_params,
-    check_sync_params,
-)
+from .wcs import WcsParams
 
 
 class ConfigError(ValueError):
     """Configuration file is missing, malformed, or inconsistent."""
-
-
-@dataclass(frozen=True)
-class WcsParams:
-    """Sync and smoother settings; a value out of range raises ValueError
-    (``check_sync_params``, ``check_smoother_params``)."""
-
-    k_band: float = DEFAULT_K_BAND
-    stale_intervals: float = DEFAULT_STALE_INTERVALS
-    process_var: float = DEFAULT_PROCESS_VAR
-    measurement_var: float = DEFAULT_MEASUREMENT_VAR
-
-    def __post_init__(self) -> None:
-        check_sync_params(self.k_band, self.stale_intervals)
-        check_smoother_params(self.process_var, self.measurement_var)
 
 
 @dataclass(frozen=True)
@@ -77,8 +57,7 @@ class ScenarioConfig:
             ccp_period=self.scenario.ccp_period,
             blink_period=self.scenario.blink_period,
             tracker=self.tracker,
-            k_band=self.wcs.k_band,
-            stale_intervals=self.wcs.stale_intervals,
+            wcs=self.wcs,
         )
 
 
@@ -140,6 +119,13 @@ def _string(obj: Mapping[str, Any], key: str, where: str) -> str:
     return v
 
 
+def _id(obj: Mapping[str, Any], where: str) -> str:
+    value = _string(obj, "id", where)
+    if not is_plain_id(value):
+        raise ConfigError(f"{where}.id: {PLAIN_ID_RULE}, got {value!r}")
+    return value
+
+
 def _point(value: Any, where: str, dims: tuple[int, ...] = (2, 3)) -> tuple[float, ...]:
     if not isinstance(value, Sequence) or isinstance(value, str):
         raise ConfigError(f"{where}: expected a coordinate list")
@@ -171,7 +157,7 @@ def _parse_anchor(obj: Any, index: int) -> tuple[AnchorConfig, int | None, int |
     where = f"anchors[{index}]"
     m = _require_mapping(obj, where)
     _check_keys(m, _ALLOWED_ANCHOR, where)
-    anchor_id = _string(m, "id", where)
+    anchor_id = _id(m, where)
     role = _string(m, "role", where)
     if role not in (ROLE_MASTER, ROLE_SLAVE):
         raise ConfigError(f"{where}.role: expected '{ROLE_MASTER}' or '{ROLE_SLAVE}', got '{role}'")
@@ -286,7 +272,7 @@ def parse_config(raw: Mapping[str, Any]) -> ScenarioConfig:
         where = f"tags[{i}]"
         m = _require_mapping(entry, where)
         _check_keys(m, {"id", "trajectory"}, where)
-        tag_id = _string(m, "id", where)
+        tag_id = _id(m, where)
         if "trajectory" not in m:
             raise ConfigError(f"{where}: missing required field 'trajectory'")
         tags.append(TagSpec(id=tag_id, trajectory=_parse_trajectory(m["trajectory"], f"{where}.trajectory")))

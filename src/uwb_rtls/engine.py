@@ -22,19 +22,19 @@ from .timebase import (
     select_time_base,
 )
 from .topology import NetworkTopology
-from .wcs import DEFAULT_K_BAND, DEFAULT_STALE_INTERVALS, SyncedBlinks, multi_master_sync
+from .wcs import SyncedBlinks, WcsParams, multi_master_sync
 
 
 @dataclass(frozen=True)
 class EngineParams:
     """Shared nominal parameters the engine needs about the deployment;
-    ``blink_period`` is both the sync's search hint and the tracker's step."""
+    ``blink_period`` is both the sync's search hint and the tracker's step,
+    and ``wcs`` holds the sync settings."""
 
     ccp_period: float = 0.15
     blink_period: float = 0.1
     tracker: TrackerConfig = field(default_factory=TrackerConfig)
-    k_band: float = DEFAULT_K_BAND
-    stale_intervals: float = DEFAULT_STALE_INTERVALS
+    wcs: WcsParams = field(default_factory=WcsParams)
 
 
 @dataclass
@@ -70,8 +70,7 @@ def locate_reports(
         topo,
         ccp_period=params.ccp_period,
         blink_period=params.blink_period,
-        k_band=params.k_band,
-        stale_intervals=params.stale_intervals,
+        params=params.wcs,
         diagnostics=diagnostics,
     )
 

@@ -17,14 +17,7 @@ import numpy as np
 
 from .simnet import TruthBlink
 from .solver import Fix
-from .wcs import (
-    DEFAULT_MEASUREMENT_VAR,
-    DEFAULT_PROCESS_VAR,
-    Arrival,
-    arrival_tdoa,
-    check_smoother_params,
-    kalman_step,
-)
+from .wcs import Arrival, WcsParams, arrival_tdoa, kalman_step
 
 DEFAULT_WARMUP = 50  # samples dropped from the front of every stream
 
@@ -117,17 +110,15 @@ def _arrival_rows(
 def smoothed_tdoa_streams(
     blinks: Mapping[tuple[str, int], Mapping[str, Arrival]],
     ccp_period: float,
-    *,
-    process_var: float = DEFAULT_PROCESS_VAR,
-    measurement_var: float = DEFAULT_MEASUREMENT_VAR,
+    params: WcsParams = WcsParams(),
 ) -> dict[str, list[float]]:
     """Per-pair smoother output, keyed "A|B" with A < B, in blink order.
 
     A pair's stream is its TDoA (arrival at A minus arrival at B) over the
-    blinks both anchors heard, in (tag_id, blink_seq) order.  Smoother
-    parameters out of range raise ValueError (``check_smoother_params``).
+    blinks both anchors heard, in (tag_id, blink_seq) order, smoothed with
+    ``params.process_var`` and ``params.measurement_var``.
     """
-    check_smoother_params(process_var, measurement_var)
+    process_var, measurement_var = params.process_var, params.measurement_var
     anchors, heard, rows = _arrival_rows(blinks)
     streams: dict[str, list[float]] = {}
     for i, a in enumerate(anchors):
@@ -147,6 +138,21 @@ def smoothed_tdoa_streams(
     return dict(sorted(streams.items()))
 
 
+def fix_errors(
+    fixes: Sequence[Fix], truth_blinks: Sequence[TruthBlink]
+) -> list[tuple[str, int, float]]:
+    """(tag_id, blink_seq, planar error in metres) of every fix that has a
+    ground-truth blink, sorted."""
+    truth = {(t.tag_id, t.seq): (t.x, t.y) for t in truth_blinks}
+    matched = []
+    for f in fixes:
+        pos = truth.get((f.tag_id, f.blink_seq))
+        if pos is not None:
+            matched.append((f.tag_id, f.blink_seq, math.hypot(f.x - pos[0], f.y - pos[1])))
+    matched.sort()
+    return matched
+
+
 def evaluate(
     fixes: Sequence[Fix],
     truth_blinks: Sequence[TruthBlink],
@@ -154,27 +160,19 @@ def evaluate(
     ccp_period: float | None = None,
     *,
     warmup: int = DEFAULT_WARMUP,
-    process_var: float = DEFAULT_PROCESS_VAR,
-    measurement_var: float = DEFAULT_MEASUREMENT_VAR,
+    params: WcsParams = WcsParams(),
 ) -> EvalSummary:
     """Score fixes (and optionally the sync output) against ground truth.
 
     ``blinks`` is the sync output, per blink each synchronized anchor's
     ``Arrival``; differencing two arrivals needs the CCP period they are
-    counted in.  Inputs may arrive in any order; everything is matched by
-    (tag, blink seq).  Raises ``EmptyEvalError`` when no fix lines up with
-    the truth.
+    counted in, and ``params`` holds the smoother's settings.  Inputs may
+    arrive in any order; everything is matched by (tag, blink seq).  Raises
+    ``EmptyEvalError`` when no fix lines up with the truth.
     """
-    truth = {(t.tag_id, t.seq): (t.x, t.y) for t in truth_blinks}
-    matched: list[tuple[str, int, float]] = []
-    for f in fixes:
-        pos = truth.get((f.tag_id, f.blink_seq))
-        if pos is None:
-            continue
-        matched.append((f.tag_id, f.blink_seq, math.hypot(f.x - pos[0], f.y - pos[1])))
+    matched = fix_errors(fixes, truth_blinks)
     if not matched:
         raise EmptyEvalError("no fixes match any ground-truth blink")
-    matched.sort()
 
     by_tag: dict[str, list[float]] = {}
     for tag_id, _, err in matched:
@@ -191,9 +189,7 @@ def evaluate(
     if blinks:
         if ccp_period is None:
             raise ValueError("differencing arrivals needs the CCP period")
-        streams = smoothed_tdoa_streams(
-            blinks, ccp_period, process_var=process_var, measurement_var=measurement_var
-        )
+        streams = smoothed_tdoa_streams(blinks, ccp_period, params)
         for key, stream in streams.items():
             tail = stream[warmup:]
             if len(tail) >= 2:
@@ -203,18 +199,12 @@ def evaluate(
         fix_rmse=rmse(settled),
         fix_p95_error=_percentile(settled, 95.0),
         track_rmse=rmse(all_errs),
-        availability=len(matched) / len(truth) if truth else 0.0,
+        availability=len(matched) / len({(t.tag_id, t.seq) for t in truth_blinks}),
     )
 
 
 def errors_csv(fixes: Sequence[Fix], truth_blinks: Sequence[TruthBlink]) -> str:
     """Per-fix error time series as CSV (tag_id, blink_seq, err_m)."""
-    truth = {(t.tag_id, t.seq): (t.x, t.y) for t in truth_blinks}
     lines = ["tag_id,blink_seq,err_m"]
-    for f in sorted(fixes, key=lambda f: (f.tag_id, f.blink_seq)):
-        pos = truth.get((f.tag_id, f.blink_seq))
-        if pos is None:
-            continue
-        err = math.hypot(f.x - pos[0], f.y - pos[1])
-        lines.append(f"{f.tag_id},{f.blink_seq},{err!r}")
+    lines += [f"{tag_id},{seq},{err!r}" for tag_id, seq, err in fix_errors(fixes, truth_blinks)]
     return "\n".join(lines) + "\n"

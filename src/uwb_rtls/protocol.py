@@ -9,8 +9,11 @@ the localization engine.  A report line carries who timestamped what:
 calibration packet reception), or ``ccp_tx`` (a master anchor's own CCP
 transmission timestamp).
 
-Lines are written in that one canonical form, which one compiled pattern
-parses; any other JSON object line with the same fields reads the same.
+Both ids are plain ids (``is_plain_id``), the rule every anchor and tag id
+meets where it enters the program, so no CSV field that holds one needs
+quoting.  Lines are written in that one canonical form, which one compiled
+pattern parses; any other JSON object line with the same fields reads the
+same.
 """
 
 from __future__ import annotations
@@ -53,6 +56,18 @@ class ToaReport(NamedTuple):
     ticks: float
 
 
+PLAIN_ID_RULE = (
+    "an id must be a non-empty string with no ',', '\"', control character "
+    "(U+0000-U+001F), or leading or trailing whitespace"
+)
+_PLAIN_ID = re.compile(r'(?!\s)[^,"\x00-\x1f]+(?<!\s)')
+
+
+def is_plain_id(value: object) -> bool:
+    """Whether ``value`` is a plain id; see ``PLAIN_ID_RULE``."""
+    return isinstance(value, str) and _PLAIN_ID.fullmatch(value) is not None
+
+
 # Ids are JSON-quoted by json.dumps itself, so their escaping is the json
 # module's; the cache makes that a dict lookup per id after the first.
 json_string = functools.lru_cache(maxsize=4096)(json.dumps)
@@ -78,11 +93,11 @@ def json_number(value: float) -> str:
     return int.__repr__(operator.index(value))
 
 
-# The line encode_report writes: fields in order, no whitespace, ids with no
-# escape or control character, a known kind, seq an unsigned JSON integer and
-# ticks an unsigned JSON number of at most 20 integer digits (any other line
-# is left to json.loads).
-_ID = r'"([^"\\\x00-\x1f]*)"'
+# The line encode_report writes: fields in order, no whitespace, plain ids
+# (``_PLAIN_ID``) that JSON writes with no escape, so no backslash either, a
+# known kind, seq an unsigned JSON integer and ticks an unsigned JSON number
+# of at most 20 integer digits (any other line is left to json.loads).
+_ID = r'"((?!\s)[^,"\\\x00-\x1f]+(?<!\s))"'
 _CANONICAL = re.compile(
     rf'\{{"anchor_id":{_ID},"kind":"({"|".join(REPORT_KINDS)})","src_id":{_ID},'
     r'"seq":(0|[1-9][0-9]{0,19}),'
@@ -137,8 +152,10 @@ def decode_report(line: str) -> ToaReport:
     seq = raw["seq"]
     ticks = raw["ticks"]
 
-    if not isinstance(anchor_id, str) or not isinstance(src_id, str):
-        raise ReportDecodeError("anchor_id and src_id must be strings")
+    if not (is_plain_id(anchor_id) and is_plain_id(src_id)):
+        raise ReportDecodeError(
+            f"anchor_id and src_id must be plain ids, got {anchor_id!r} and {src_id!r}"
+        )
     if kind not in REPORT_KINDS:
         raise ReportDecodeError(f"unknown report kind {kind!r}")
     if not isinstance(seq, int) or isinstance(seq, bool):

@@ -137,7 +137,6 @@ class Scenario:
         self.validate()
 
     def validate(self) -> None:
-        self.topology.validate()
         for name in ("duration", "blink_period", "ccp_period", "lag"):
             value = getattr(self, name)
             if not 0 < value < math.inf:  # NaN fails too

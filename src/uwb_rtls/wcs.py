@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import bisect
 import math
+from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple
 
 from .clock import HALF_WRAP, TICK_SECONDS, TICK_WRAP, ts_diff
@@ -44,15 +45,39 @@ from .constants import SPEED_OF_LIGHT
 from .protocol import KIND_BLINK_RX, KIND_CCP_RX, KIND_CCP_TX, ToaReport
 from .topology import NetworkTopology, ROLE_MASTER
 
-# Reject windows implying a clock rate more than 100 ppm from nominal.
-DEFAULT_K_BAND = 1e-4
-# Windows farther than this many CCP intervals from the blink are stale.
-DEFAULT_STALE_INTERVALS = 2.0
 
-# Scalar smoother defaults: a static pair's TDoA wanders slowly (clock
-# residuals), while a single measurement is good to about half a nanosecond.
-DEFAULT_PROCESS_VAR = 1e-22  # s^2 added per step
-DEFAULT_MEASUREMENT_VAR = (0.5e-9) ** 2  # s^2
+@dataclass(frozen=True)
+class WcsParams:
+    """Sync and smoother settings, the ``wcs`` block of a config.
+
+    ``k_band`` in (0, 1): a CCP window is an epoch only if the clock's rate
+    over it lies within 1 +/- ``k_band`` (default: 100 ppm).
+    ``stale_intervals`` > 0 and finite: an epoch more than this many CCP
+    periods from a blink is stale.  ``process_var`` >= 0 and
+    ``measurement_var`` > 0, both finite: eval's per-pair smoother.  A
+    static pair's TDoA wanders slowly (clock residuals, s^2 added per
+    step), while one measurement is good to about half a nanosecond (s^2).
+    A value out of range, NaN included, raises ValueError naming it.
+    """
+
+    k_band: float = 1e-4
+    stale_intervals: float = 2.0
+    process_var: float = 1e-22
+    measurement_var: float = (0.5e-9) ** 2
+
+    def __post_init__(self) -> None:
+        if not 0.0 < self.k_band < 1.0:
+            raise ValueError(f"k_band must lie in (0, 1), got {self.k_band!r}")
+        if not 0.0 < self.stale_intervals < math.inf:
+            raise ValueError(
+                f"stale_intervals must be > 0 and finite, got {self.stale_intervals!r}"
+            )
+        if not 0.0 <= self.process_var < math.inf:
+            raise ValueError(f"process_var must be >= 0 and finite, got {self.process_var!r}")
+        if not 0.0 < self.measurement_var < math.inf:
+            raise ValueError(
+                f"measurement_var must be positive and finite, got {self.measurement_var!r}"
+            )
 
 
 class Arrival(NamedTuple):
@@ -105,14 +130,6 @@ def kalman_step(
         return measurement, measurement_var
     gain = variance / (variance + measurement_var)
     return state + gain * (measurement - state), (1.0 - gain) * variance
-
-
-def check_smoother_params(process_var: float, measurement_var: float) -> None:
-    """Raise ValueError unless 0 <= ``process_var`` and 0 < ``measurement_var``, both finite."""
-    if not 0.0 <= process_var < math.inf:
-        raise ValueError(f"process_var must be >= 0 and finite, got {process_var!r}")
-    if not 0.0 < measurement_var < math.inf:
-        raise ValueError(f"measurement_var must be positive and finite, got {measurement_var!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -199,25 +216,13 @@ def _epoch_track(
     return _EpochTrack(master, delay, entries) if entries else None
 
 
-def check_sync_params(k_band: float, stale_intervals: float) -> None:
-    """Raise ValueError unless 0 < ``k_band`` < 1 and ``stale_intervals`` > 0.
-
-    NaN fails both.
-    """
-    if not 0.0 < k_band < 1.0:
-        raise ValueError(f"k_band must lie in (0, 1), got {k_band!r}")
-    if not stale_intervals > 0.0:
-        raise ValueError(f"stale_intervals must be > 0, got {stale_intervals!r}")
-
-
 def multi_master_sync(
     reports: Iterable[ToaReport],
     topo: NetworkTopology,
     *,
     ccp_period: float,
     blink_period: float = 0.1,
-    k_band: float = DEFAULT_K_BAND,
-    stale_intervals: float = DEFAULT_STALE_INTERVALS,
+    params: WcsParams = WcsParams(),
     diagnostics: dict | None = None,
 ) -> SyncedBlinks:
     """Correct every blink in a report stream onto the common timescale.
@@ -231,22 +236,20 @@ def multi_master_sync(
     receive/transmit pairs.  The result maps each blink, as (tag_id,
     blink_seq) in sorted order, to one ``Arrival`` per synchronized
     receiver, in anchor-id order.  Anchors without an epoch, or whose
-    nearest one is more than ``stale_intervals`` CCP periods from the blink
-    or scheduled more than half a counter wrap from it, are skipped and
+    nearest one is more than ``params.stale_intervals`` CCP periods from the
+    blink or scheduled more than half a counter wrap from it, are skipped and
     counted in ``diagnostics``, as is any report whose ticks lie outside
     [0, 2**40) (``ticks_out_of_range``); a blink left with fewer than two
-    synchronized receivers carries no time difference and is left out.
-    ``blink_period`` (> 0) is only a search hint pairing blinks with nearby
-    CCP rounds; correction itself never assumes when tags transmit.
-    ``k_band`` must lie in (0, 1) and ``stale_intervals`` be positive.
+    synchronized receivers carries no time difference and is left out and
+    counted (``blinks_without_tdoa``).  ``blink_period`` (> 0) is only a
+    search hint pairing blinks with nearby CCP rounds; correction itself
+    never assumes when tags transmit.
 
     Results depend only on the multiset of reports, not their order.
     """
     if not blink_period > 0:
         raise ValueError(f"blink_period must be > 0, got {blink_period!r}")
-    check_sync_params(k_band, stale_intervals)
     diag = diagnostics if diagnostics is not None else {}
-    topo.validate()
 
     def count(key: str) -> None:
         diag[key] = diag.get(key, 0) + 1
@@ -303,7 +306,7 @@ def multi_master_sync(
             ]
         tracks[anchor_id] = [
             track for source in sources
-            if (track := _epoch_track(*source, ccp_period, k_band, diag)) is not None
+            if (track := _epoch_track(*source, ccp_period, params.k_band, diag)) is not None
         ]
 
     # Offset of each master's seq-s CCP transmission from the primary's, on
@@ -333,7 +336,7 @@ def multi_master_sync(
         delta_cache[key] = result
         return result
 
-    stale_limit = stale_intervals * ccp_period
+    stale_limit = params.stale_intervals * ccp_period
     schedule_limit = HALF_WRAP * TICK_SECONDS  # tick distances alias beyond this
 
     def anchor_offset(anchor_id: str, stamp: float, seq_hint: int) -> Arrival | None:
@@ -369,4 +372,6 @@ def multi_master_sync(
                 corrected[anchor_id] = got
         if len(corrected) >= 2:
             synced[(tag_id, seq)] = corrected
+        else:
+            count("blinks_without_tdoa")
     return synced

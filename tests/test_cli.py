@@ -26,7 +26,7 @@ from uwb_rtls.cli import (
 )
 from uwb_rtls.config import load_config
 from uwb_rtls.engine import locate_reports
-from uwb_rtls.protocol import encode_report
+from uwb_rtls.protocol import KIND_BLINK_RX, ToaReport, encode_report
 from uwb_rtls.simnet import run_scenario
 from uwb_rtls.solver import Fix
 from uwb_rtls.wcs import Arrival
@@ -260,6 +260,39 @@ def test_repeated_fix_is_skipped_and_counted(tmp_path, config_path, capsys, capl
     assert json.loads(capsys.readouterr().out)["availability"] == 1.0
 
 
+@pytest.mark.parametrize("canonical", [True, False])
+def test_a_report_whose_src_id_is_not_plain_is_skipped_and_counted(tmp_path, caplog, canonical):
+    # The same line in the form encode_report writes and with spaces after
+    # its separators, which decode_report reads through json.loads.
+    good = encode_report(ToaReport("SA2", KIND_BLINK_RX, "T1", 7, 12345.0))
+    bad = good.replace('"T1"', '"T,1"')
+    if not canonical:
+        good, bad = (line.replace(":", ": ").replace(",\"", ", \"") for line in (good, bad))
+    path = tmp_path / "reports.jsonl"
+    path.write_text(f"{good}\n{bad}\n")
+    reports, skipped = read_reports(path)
+    assert reports == [ToaReport("SA2", KIND_BLINK_RX, "T1", 7, 12345.0)]
+    assert skipped == 1
+    assert "reports.jsonl line 2 skipped: anchor_id and src_id must be plain ids" in caplog.text
+
+
+def test_crlf_files_read_as_lf_files_and_blank_lines_are_ignored(tmp_path, config_path, caplog):
+    out = tmp_path / "run"
+    main(["simulate", "--config", str(config_path), "--out", str(out)])
+    main(["locate", "--config", str(config_path), "--out", str(out),
+          "--reports", str(out / "reports.jsonl")])
+    readers = {"reports.jsonl": read_reports, "truth.jsonl": read_truth,
+               "fixes.csv": read_fixes_csv, "synced.csv": read_synced_csv}
+    for name, reader in readers.items():
+        path = out / name
+        want = reader(path)
+        lines = path.read_bytes().splitlines()
+        lines[2:2] = [b"", b"   ", b"\t"]  # blank and whitespace-only lines
+        path.write_bytes(b"\r\n".join(lines) + b"\r\n")
+        assert reader(path) == want
+    assert "skipped" not in caplog.text
+
+
 PAIR_FORMAT_SYNCED = """anchor_a,anchor_b,tag_id,blink_seq,tdoa_sync,k_used
 MA1,SA2,T1,0,-1.5e-09,0.99999
 MA1,SA3,T1,0,2.5e-09,1.00002
@@ -350,6 +383,25 @@ def test_bad_config_exits_2(tmp_path):
     anchors = [dict(CONFIG["anchors"][0], clock={"skew": 2e-4}), *CONFIG["anchors"][1:]]
     skew.write_text(json.dumps(dict(CONFIG, anchors=anchors)))
     assert main(["simulate", "--config", str(skew), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("key", ["tags[0].id", "anchors[3].id"])
+@pytest.mark.parametrize("bad", ["T,1", 'T"1', "T\n1", "T\t1", "", " T1", "T1 ", "T1\u2028"])
+def test_a_config_id_that_is_not_plain_exits_2_naming_the_key(tmp_path, capsys, key, bad):
+    # A comma or quote would break the CSV outputs, a newline or control
+    # character their lines, and leading whitespace a stripped line's
+    # first field.
+    if key.startswith("tags"):
+        config = dict(CONFIG, tags=[dict(CONFIG["tags"][0], id=bad)])
+    else:
+        config = dict(CONFIG, anchors=[*CONFIG["anchors"][:3], dict(CONFIG["anchors"][3], id=bad)])
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(config))
+    code = main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err.splitlines()
+    assert code == EXIT_CONFIG
+    assert len(err) == 1 and err[0].startswith(f"error: {key}: ")
+    assert not (tmp_path / "o").exists()
 
 
 def _with_first_anchor(**fields):

@@ -65,7 +65,16 @@ def test_engine_params_carry_the_config():
     params = cfg.engine_params()
     assert (params.blink_period, params.ccp_period) == (0.2, 0.25)
     assert params.tracker == cfg.tracker and params.tracker.sigma_accel == 0.5
-    assert (params.k_band, params.stale_intervals) == (2e-4, 3.0)
+    assert params.wcs == cfg.wcs and (params.wcs.k_band, params.wcs.stale_intervals) == (2e-4, 3.0)
+
+
+def test_plain_ids_with_spaces_backslashes_and_non_ascii_are_accepted():
+    raw = copy.deepcopy(BASE)
+    raw["anchors"][2]["id"] = "SA 3\\"
+    raw["tags"][0]["id"] = "Tü 1"
+    cfg = parse_config(raw)
+    assert cfg.scenario.topology.ids()[2] == "SA 3\\"
+    assert cfg.scenario.tags[0].id == "Tü 1"
 
 
 def test_unknown_keys_are_named_in_the_error():
@@ -102,6 +111,7 @@ def test_wrong_types_are_rejected():
 @pytest.mark.parametrize("key, value", [
     ("k_band", 0.0), ("k_band", -1e-4), ("k_band", 1.0), ("k_band", 2.0), ("k_band", float("nan")),
     ("stale_intervals", 0.0), ("stale_intervals", -1.0), ("stale_intervals", float("nan")),
+    ("stale_intervals", float("inf")),
 ])
 def test_sync_params_out_of_range_are_rejected(key, value):
     with pytest.raises(ConfigError, match=f"config.wcs.*{key}"):

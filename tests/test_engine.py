@@ -106,13 +106,18 @@ def test_fixes_carry_tag_and_sequence_metadata():
     assert seqs == sorted(seqs)
 
 
-def test_blinks_below_two_synchronized_receivers_carry_no_pairs_and_no_count():
-    # One receiver: no time difference at all, so the blink is dropped by the
-    # sync without a too-few count.  Two receivers: one pair, counted as too few.
+def test_blinks_below_two_synchronized_receivers_carry_no_pairs_and_are_counted():
+    # One receiver: no time difference at all, so the sync drops the blink
+    # and counts it without a TDoA.  Two receivers: one pair, which the
+    # engine counts as too few for a fix.
     topo = build_ideal_rect_topology()
-    for heard, synced, too_few in (({"MA1"}, [], 0), ({"MA1", "SA2"}, [["MA1", "SA2"]] * 10, 10)):
+    for heard, synced, without, too_few in (
+        ({"MA1"}, [], 10, 0),
+        ({"MA1", "SA2"}, [["MA1", "SA2"]] * 10, 0, 10),
+    ):
         sim = _run(topo, duration=1.0, blink_links={"T1": frozenset(heard)})
         result = locate_reports(sim.reports, topo)
         assert result.fixes == []
         assert [list(arrivals) for arrivals in result.blinks.values()] == synced
+        assert result.diagnostics.get("blinks_without_tdoa", 0) == without
         assert result.diagnostics.get("blinks_too_few_receivers", 0) == too_few

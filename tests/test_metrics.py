@@ -19,13 +19,7 @@ from uwb_rtls.metrics import (
 )
 from uwb_rtls.simnet import Scenario, StaticTrajectory, TagSpec, TruthBlink, run_scenario
 from uwb_rtls.solver import Fix
-from uwb_rtls.wcs import (
-    DEFAULT_MEASUREMENT_VAR,
-    DEFAULT_PROCESS_VAR,
-    Arrival,
-    arrival_tdoa,
-    kalman_step,
-)
+from uwb_rtls.wcs import Arrival, WcsParams, arrival_tdoa, kalman_step
 
 from conftest import build_rect_topology
 
@@ -117,6 +111,26 @@ def test_smoothing_tightens_a_noisy_stream():
     assert abs(smoothed.mean() - 5e-9) < 5e-11
 
 
+def test_evaluate_smooths_with_its_params():
+    # A process variance far above the measurement variance makes the
+    # smoother follow every sample, so the pair's std is the raw one.
+    rng = np.random.default_rng(11)
+    raw = 5e-9 + rng.normal(0.0, 2e-10, size=400)
+    blinks = {
+        ("T1", i): {"MA1": Arrival(float(v), 0, 1.0), "SA2": Arrival(0.0, 0, 1.0)}
+        for i, v in enumerate(raw)
+    }
+    fixes = [_fix("T1", i, 0.0, 0.0) for i in range(400)]
+    truth = [_truth("T1", i, 0.0, 0.0) for i in range(400)]
+
+    def std(**params):
+        s = evaluate(fixes, truth, blinks, CCP_PERIOD, params=WcsParams(**params))
+        return s.tdoa_std_per_pair["MA1|SA2"]
+
+    assert std() < 0.2 * raw[50:].std()
+    assert std(process_var=1e-16) == pytest.approx(raw[50:].std(), rel=0.01)
+
+
 def test_streams_equal_smoothing_each_pair_of_the_pair_view():
     # Reference: every anchor pair's scalar TDoA, blink by blink in (tag_id,
     # blink_seq) order, through the scalar step.  Anchors drop out of
@@ -144,12 +158,13 @@ def test_streams_equal_smoothing_each_pair_of_the_pair_view():
             for b in ids[i + 1 :]:
                 tdoa = arrival_tdoa(arrivals[a], arrivals[b], CCP_PERIOD)
                 by_pair.setdefault(pair_key(a, b), []).append(tdoa)
+    defaults = WcsParams()
     want = {}
     for key, tdoas in sorted(by_pair.items()):
         state, variance, out = 0.0, math.inf, []
         for tdoa in tdoas:
             state, variance = kalman_step(
-                state, variance, tdoa, DEFAULT_PROCESS_VAR, DEFAULT_MEASUREMENT_VAR
+                state, variance, tdoa, defaults.process_var, defaults.measurement_var
             )
             out.append(state)
         want[key] = out

@@ -149,20 +149,46 @@ def test_simulated_lines_decode_without_json_loads(hall_run, monkeypatch):
 JUST_BELOW_WRAP = float(np.nextafter(float(TICK_WRAP), 0.0))
 
 
-@pytest.mark.parametrize("anchor_id, src_id", [
-    ("SA2", "T1"), ('S"A', "T1"), ("SA\\2", "T\\"), ("SA\n2", "T\t1"), ("SAü", "Tü1"),
-    ("", "T1"), ("SA\x7f", "T "),
-])
-@pytest.mark.parametrize("ticks", [
+EDGE_TICKS = [
     0.0, 5e-324, 1e-05, 0.5, 12345.625, 12345.0, float(TICK_WRAP - 1), JUST_BELOW_WRAP,
     987654321012.4567,
+]
+
+
+@pytest.mark.parametrize("anchor_id, src_id", [
+    ("SA2", "T1"), ("SA\\2", "T\\"), ("SAü", "Tü1"), ("SA\x7f", "T 1"), ("S\u2028A", "T\xa01"),
 ])
+@pytest.mark.parametrize("ticks", EDGE_TICKS)
 def test_edge_case_lines_are_json_dumps_and_round_trip(anchor_id, src_id, ticks):
     r = ToaReport(anchor_id, KIND_CCP_RX, src_id, SEQ_WRAP - 1, ticks)
     line = encode_report(r)
     assert line == _json_line(r)
     assert _outcome(line) == repr(_json_report(line)) == repr(r)
     assert _outcome(line) == _json_path_outcome(line)
+
+
+# Not plain ids: a quote, a control character, empty, trailing or leading
+# whitespace (U+2028 is whitespace too), a comma.
+@pytest.mark.parametrize("anchor_id, src_id", [
+    ('S"A', "T1"), ("SA\n2", "T\t1"), ("", "T1"), ("SA\x7f", "T\u2028"), ("SA2", "T,1"),
+    (" SA2", "T1"), ("SA2,", "T1"),
+])
+@pytest.mark.parametrize("ticks", EDGE_TICKS)
+def test_edge_case_ids_encode_as_json_dumps_and_decode_rejects(anchor_id, src_id, ticks):
+    r = ToaReport(anchor_id, KIND_CCP_RX, src_id, SEQ_WRAP - 1, ticks)
+    line = encode_report(r)
+    assert line == _json_line(r)
+    assert _outcome(line).startswith("ReportDecodeError: anchor_id and src_id must be plain ids")
+    assert _outcome(line) == _json_path_outcome(line)
+
+
+@pytest.mark.parametrize("value, plain", [
+    ("T1", True), ("T 1", True), ("Tü\\1", True), ("T\x7f", True),
+    ("", False), ("T,1", False), ('T"1', False), ("T\x001", False), ("T\x1f", False),
+    (" T1", False), ("T1 ", False), ("T1\u3000", False), (None, False), (7, False),
+])
+def test_plain_id_rule(value, plain):
+    assert protocol.is_plain_id(value) is plain
 
 
 def test_numpy_scalars_are_written_as_their_values():

@@ -20,14 +20,7 @@ from uwb_rtls.clock import TICK_SECONDS, ClockModel, IDEAL_CLOCK, read_clock
 from uwb_rtls.constants import SPEED_OF_LIGHT
 from uwb_rtls.protocol import KIND_BLINK_RX, KIND_CCP_RX, KIND_CCP_TX, ToaReport
 from uwb_rtls.simnet import Scenario, StaticTrajectory, TagSpec, run_scenario
-from uwb_rtls.wcs import (
-    DEFAULT_MEASUREMENT_VAR,
-    DEFAULT_PROCESS_VAR,
-    DEFAULT_STALE_INTERVALS,
-    arrival_tdoa,
-    kalman_step,
-    multi_master_sync,
-)
+from uwb_rtls.wcs import WcsParams, arrival_tdoa, kalman_step, multi_master_sync
 
 from conftest import RECT_POSITIONS, build_rect_topology
 
@@ -68,7 +61,7 @@ def make_window(
 
 
 def _sync_window(w: Window, ma_blink: float, sa_blink: float, *,
-                 tag_id="T1", blink_seq=2, stale_intervals=DEFAULT_STALE_INTERVALS):
+                 tag_id="T1", blink_seq=2, params=WcsParams()):
     """Stream-sync one blink heard by MA1 and SA2 through one CCP window.
 
     The reports are MA1's transmissions of CCPs ``w.seq`` and ``w.seq + 1``,
@@ -85,7 +78,7 @@ def _sync_window(w: Window, ma_blink: float, sa_blink: float, *,
     ]
     diag: dict = {}
     blinks = multi_master_sync(reports, build_rect_topology(), ccp_period=CCP_PERIOD,
-                               stale_intervals=stale_intervals, diagnostics=diag)
+                               params=params, diagnostics=diag)
     return blinks, diag
 
 
@@ -98,7 +91,7 @@ def _sync_one_blink(
     blink_time=0.2,
     tag_id="T1",
     blink_seq=None,
-    stale_intervals=DEFAULT_STALE_INTERVALS,
+    params=WcsParams(),
 ):
     """``_sync_window`` over CCPs 1 and 2, sent at ``epoch_time`` and one
     CCP period later, and a blink sent from ``tag_xy`` at ``blink_time``,
@@ -116,7 +109,7 @@ def _sync_one_blink(
         for clock, pos in ((master_clock, ma_pos), (slave_clock, sa_pos))
     )
     blinks, diag = _sync_window(w, ma_blink, sa_blink, tag_id=tag_id, blink_seq=blink_seq,
-                                stale_intervals=stale_intervals)
+                                params=params)
     want = (math.dist(tag_xy, sa_pos) - math.dist(tag_xy, ma_pos)) / SPEED_OF_LIGHT
     return blinks, diag, w, want
 
@@ -312,24 +305,26 @@ def test_drifting_clock_needs_a_nearby_window():
     assert near_err < 1e-12
 
     stale, _ = _synced_for_tag((1.0, 3.0), IDEAL_CLOCK, slave,
-                               epoch_time=0.15, blink_time=3.2, stale_intervals=25.0)
+                               epoch_time=0.15, blink_time=3.2,
+                               params=WcsParams(stale_intervals=25.0))
     assert abs(stale - want) > 10 * near_err
 
 
 # ---------------------------------------------------------------------------
 # Scalar smoothing
 
+DEFAULTS = WcsParams()
 PRIOR = (0.0, math.inf)  # infinite variance: the first update adopts the measurement
 
 
 def _smooth(f, measurement):
-    return kalman_step(*f, measurement, DEFAULT_PROCESS_VAR, DEFAULT_MEASUREMENT_VAR)
+    return kalman_step(*f, measurement, DEFAULTS.process_var, DEFAULTS.measurement_var)
 
 
 def test_first_update_adopts_the_measurement():
     state, variance = _smooth(PRIOR, 3.3e-9)
     assert state == 3.3e-9
-    assert variance == DEFAULT_MEASUREMENT_VAR
+    assert variance == DEFAULTS.measurement_var
 
 
 def test_constant_input_is_a_fixed_point():
@@ -338,7 +333,7 @@ def test_constant_input_is_a_fixed_point():
         f = _smooth(f, 2.0e-9)
     state, variance = f
     assert state == 2.0e-9
-    assert variance < DEFAULT_MEASUREMENT_VAR
+    assert variance < DEFAULTS.measurement_var
 
 
 def test_non_finite_measurement_is_skipped():
@@ -526,8 +521,8 @@ def test_blink_period_must_be_positive(blink_period):
 @pytest.mark.parametrize("key, value", [
     ("k_band", 0.0), ("k_band", -1e-4), ("k_band", 1.0), ("k_band", 2.0), ("k_band", math.nan),
     ("stale_intervals", 0.0), ("stale_intervals", -1.0), ("stale_intervals", math.nan),
+    ("stale_intervals", math.inf),
 ])
 def test_window_params_must_be_in_range(key, value):
-    topo, reports = _rect_reports(duration=0.5)
     with pytest.raises(ValueError, match=key):
-        multi_master_sync(reports, topo, ccp_period=CCP_PERIOD, **{key: value})
+        WcsParams(**{key: value})
