@@ -25,7 +25,7 @@ from .config import ConfigError, ScenarioConfig, load_config
 from .deploy import build_deployment_report, grid_to_csv
 from .engine import LocateResult, locate_reports
 from .metrics import EmptyEvalError, errors_csv, evaluate
-from .protocol import ToaReport, decode_report, encode_report
+from .protocol import ToaReport, decode_report, encode_report, plain_id
 from .simnet import ScenarioError, SimResult, TruthBlink, decode_truth, encode_truth, run_scenario
 from .solver import Fix
 from .topology import TopologyError
@@ -79,7 +79,8 @@ def _read_lines(
     With ``header``, a file whose first line is not ``header`` (another
     format, or an older one) raises ``CsvHeaderError``.  A line that is not
     UTF-8, or on which ``parse`` raises ``ValueError`` (a wrong field count,
-    an unparsable field), is skipped with a warning and counted.
+    an unparsable field, an id that is not a plain id), is skipped with a
+    warning and counted.
     """
     records: list[T] = []
     skipped = 0
@@ -103,7 +104,7 @@ def _read_lines(
 
 def _fix_row(line: str) -> Fix:
     tag_id, blink_seq, x, y, vx, vy, pos_std = line.split(",")
-    return Fix(tag_id, int(blink_seq), float(x), float(y), float(vx), float(vy),
+    return Fix(plain_id(tag_id), int(blink_seq), float(x), float(y), float(vx), float(vy),
                float(pos_std), residual_norm=0.0)
 
 
@@ -138,10 +139,9 @@ def synced_to_csv(blinks: Mapping[tuple[str, int], Mapping[str, Arrival]]) -> st
 
 def _arrival_row(line: str) -> tuple[tuple[str, int], str, Arrival]:
     anchor_id, tag_id, blink_seq, ccp_seq, offset, rate = line.split(",")
-    # Ids repeat on every row: interned, each is stored once.
     return (
-        (sys.intern(tag_id), int(blink_seq)),
-        sys.intern(anchor_id),
+        (plain_id(tag_id), int(blink_seq)),
+        plain_id(anchor_id),
         Arrival(float(offset), int(ccp_seq), float(rate)),
     )
 
@@ -220,7 +220,7 @@ def _eval(
     )
     text = summary.to_json()
     _write(out / "summary.json", text)
-    _write(out / "errors.csv", errors_csv(fixes, truth))
+    _write(out / "errors.csv", errors_csv(summary.errors))
     return text
 
 

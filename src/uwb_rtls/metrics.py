@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -34,7 +34,8 @@ class EvalSummary:
     the smoothed TDoA stream after warm-up.  ``fix_rmse`` and
     ``fix_p95_error`` are over post-warm-up fixes; ``track_rmse`` covers the
     whole track including convergence.  ``availability`` is fixes delivered
-    per ground-truth blink.
+    per ground-truth blink.  ``errors`` holds the ``fix_errors`` rows the
+    numbers were taken from; it is not part of the summary's JSON.
     """
 
     tdoa_std_per_pair: Mapping[str, float]
@@ -42,6 +43,7 @@ class EvalSummary:
     fix_p95_error: float
     track_rmse: float
     availability: float
+    errors: Sequence[tuple[str, int, float]] = field(repr=False, compare=False)
 
     def to_dict(self) -> dict:
         return {
@@ -200,11 +202,13 @@ def evaluate(
         fix_p95_error=_percentile(settled, 95.0),
         track_rmse=rmse(all_errs),
         availability=len(matched) / len({(t.tag_id, t.seq) for t in truth_blinks}),
+        errors=tuple(matched),
     )
 
 
-def errors_csv(fixes: Sequence[Fix], truth_blinks: Sequence[TruthBlink]) -> str:
-    """Per-fix error time series as CSV (tag_id, blink_seq, err_m)."""
+def errors_csv(errors: Sequence[tuple[str, int, float]]) -> str:
+    """Per-fix error time series as CSV (tag_id, blink_seq, err_m) from
+    ``fix_errors`` rows, as ``EvalSummary.errors`` holds them."""
     lines = ["tag_id,blink_seq,err_m"]
-    lines += [f"{tag_id},{seq},{err!r}" for tag_id, seq, err in fix_errors(fixes, truth_blinks)]
+    lines += [f"{tag_id},{seq},{err!r}" for tag_id, seq, err in errors]
     return "\n".join(lines) + "\n"

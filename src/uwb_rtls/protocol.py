@@ -68,6 +68,16 @@ def is_plain_id(value: object) -> bool:
     return isinstance(value, str) and _PLAIN_ID.fullmatch(value) is not None
 
 
+@functools.lru_cache(maxsize=4096)
+def plain_id(value: str) -> str:
+    """``value`` interned, if it is a plain id; ``ValueError`` if not.  For
+    ids read back from files, where they repeat on every line: cached, each
+    distinct id is checked and stored once."""
+    if not is_plain_id(value):
+        raise ValueError(f"not a plain id: {value!r}")
+    return sys.intern(value)
+
+
 # Ids are JSON-quoted by json.dumps itself, so their escaping is the json
 # module's; the cache makes that a dict lookup per id after the first.
 json_string = functools.lru_cache(maxsize=4096)(json.dumps)

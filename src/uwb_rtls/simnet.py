@@ -29,6 +29,7 @@ from .protocol import (
     ToaReport,
     json_number,
     json_string,
+    plain_id,
 )
 from .topology import NetworkTopology
 
@@ -248,8 +249,8 @@ def encode_truth(record: TruthBlink | TruthClock) -> str:
 def decode_truth(line: str) -> TruthBlink | TruthClock:
     """Parse one truth line; a malformed line raises ``ValueError``.
 
-    Ids must be strings, ``seq`` an int in [0, 2**32) and every other field
-    a finite number.
+    Ids must be plain ids (``protocol.is_plain_id``), ``seq`` an int in
+    [0, 2**32) and every other field a finite number.
     """
     raw = json.loads(line)
     if not isinstance(raw, dict) or raw.get("kind") not in ("blink", "clock"):
@@ -268,6 +269,7 @@ def _check_truth_field(name: str, hint: type, value: object) -> None:
     if hint is str:
         if not isinstance(value, str):
             raise ValueError(f"{name} must be a string, got {value!r}")
+        plain_id(value)
     elif isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"{name} must be a number, got {value!r}")
     elif hint is int:

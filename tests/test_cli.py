@@ -276,6 +276,35 @@ def test_a_report_whose_src_id_is_not_plain_is_skipped_and_counted(tmp_path, cap
     assert "reports.jsonl line 2 skipped: anchor_id and src_id must be plain ids" in caplog.text
 
 
+@pytest.mark.parametrize("name, reader", [("truth.jsonl", read_truth),
+                                          ("fixes.csv", read_fixes_csv),
+                                          ("synced.csv", read_synced_csv)])
+def test_a_line_whose_id_is_not_plain_is_skipped_and_counted(
+    tmp_path, config_path, caplog, name, reader
+):
+    # A quoted id, as a spreadsheet might write it back.
+    out = tmp_path / "run"
+    main(["simulate", "--config", str(config_path), "--out", str(out)])
+    main(["locate", "--config", str(config_path), "--out", str(out),
+          "--reports", str(out / "reports.jsonl")])
+    path = out / name
+    lines = path.read_text().splitlines()
+    if name == "truth.jsonl":
+        lines[3] = lines[3].replace('"tag_id":"T1"', '"tag_id":"\\"T1\\""')
+    else:
+        first, rest = lines[3].split(",", 1)
+        lines[3] = f'"{first}",{rest}'
+    path.write_text("\n".join(lines) + "\n")
+
+    _, skipped = reader(path)
+    assert skipped == 1
+    assert f"{name} line 4 skipped: not a plain id" in caplog.text
+    code = main(["eval", "--config", str(config_path), "--out", str(out),
+                 "--fixes", str(out / "fixes.csv"), "--truth", str(out / "truth.jsonl"),
+                 "--synced", str(out / "synced.csv")])
+    assert code == EXIT_OK
+
+
 def test_crlf_files_read_as_lf_files_and_blank_lines_are_ignored(tmp_path, config_path, caplog):
     out = tmp_path / "run"
     main(["simulate", "--config", str(config_path), "--out", str(out)])

@@ -14,6 +14,7 @@ from uwb_rtls.metrics import (
     EmptyEvalError,
     errors_csv,
     evaluate,
+    fix_errors,
     pair_key,
     smoothed_tdoa_streams,
 )
@@ -177,7 +178,8 @@ def test_streams_equal_smoothing_each_pair_of_the_pair_view():
 def test_errors_csv_lists_matched_fixes_in_order():
     fixes = [_fix("T1", 1, 3.0, 4.0), _fix("T1", 0, 0.0, 0.0), _fix("T9", 7, 0.0, 0.0)]
     truth = [_truth("T1", 0, 0.0, 0.0), _truth("T1", 1, 0.0, 0.0)]
-    text = errors_csv(fixes, truth)
+    text = errors_csv(evaluate(fixes, truth, warmup=0).errors)
+    assert text == errors_csv(fix_errors(fixes, truth))
     lines = text.splitlines()
     assert lines[0] == "tag_id,blink_seq,err_m"
     assert lines[1] == "T1,0,0.0"

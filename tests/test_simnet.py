@@ -327,8 +327,8 @@ def test_hall_truth_lines_are_json_dumps_and_round_trip(hall_run):
 
 
 @pytest.mark.parametrize("record", [
-    TruthBlink('T"1', 0, 0.0, 5e-324, -0.0),
-    TruthBlink("T\\1\n", 2**32 - 1, 1e-05, -3, 2),
+    TruthBlink("T\\1", 0, 0.0, 5e-324, -0.0),
+    TruthBlink("T/1", 2**32 - 1, 1e-05, -3, 2),
     TruthBlink("Tü1", 7, 0.30000000000000004, 1e300, -1e-300),
     TruthClock("SAü", -0.0034, 0, -1e-9, 1e-10),
 ])
@@ -339,6 +339,8 @@ def test_edge_case_truth_lines_are_json_dumps_and_round_trip(record):
 
 
 BLINK = '{"kind":"blink","tag_id":"T1","seq":3,"time":0.3,"x":2.0,"y":-1.5}'
+CLOCK = ('{"kind":"clock","anchor_id":"SA2","offset":-0.0034,"skew":-1.2e-05,'
+         '"drift_rate":0.0,"jitter_std":1e-10}')
 
 
 @pytest.mark.parametrize("line, message", [
@@ -355,14 +357,18 @@ BLINK = '{"kind":"blink","tag_id":"T1","seq":3,"time":0.3,"x":2.0,"y":-1.5}'
     (BLINK.replace('"seq":3', f'"seq":{2**32}'), "seq must be an integer"),
     (BLINK.replace('"T1"', "5"), "tag_id must be a string"),
     (BLINK.replace('"T1"', "null"), "tag_id must be a string"),
+    (BLINK.replace('"T1"', '"T,1"'), "not a plain id: 'T,1'"),
+    (BLINK.replace('"T1"', '"T\\"1"'), "not a plain id"),
+    (BLINK.replace('"T1"', '"T1\\n"'), "not a plain id"),
+    (BLINK.replace('"T1"', '" T1"'), "not a plain id"),
+    (BLINK.replace('"T1"', '""'), "not a plain id"),
+    (CLOCK.replace('"SA2"', '"SA2 "'), "not a plain id"),
 ])
 def test_truth_fields_of_the_wrong_type_are_malformed(line, message):
     with pytest.raises(ValueError, match=message):
         decode_truth(line)
 
 
-CLOCK = ('{"kind":"clock","anchor_id":"SA2","offset":-0.0034,"skew":-1.2e-05,'
-         '"drift_rate":0.0,"jitter_std":1e-10}')
 NEAR_CANONICAL_TRUTH = [
     BLINK.replace('"seq":3', '"seq":03'),
     BLINK.replace('"seq":3', '"seq":-0'),

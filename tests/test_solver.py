@@ -12,6 +12,8 @@ from uwb_rtls.solver import (
     DEFAULT_SIGMA_T,
     GEOMETRY_BLOCK,
     AmbiguityError,
+    _closed_form,
+    _grid_solve,
     _objective_grid,
     _padded_rows,
     TrackerConfig,
@@ -269,6 +271,114 @@ def test_ls_translation_equivariance():
     )
     assert displacednew[0] - shift[0] == pytest.approx(base[0], abs=1e-6)
     assert displacednew[1] - shift[1] == pytest.approx(base[1], abs=1e-6)
+
+
+# ---------------------------------------------------------------------------
+# Cold start: the closed-form gate against the grid
+
+FLEET = {f"F{i}": p for i, p in enumerate(
+    [(0.0, 0.0), (12.0, 0.0), (24.0, 0.0), (24.0, 16.0), (12.0, 16.0), (0.0, 16.0)])}
+HALL = {f"H{x:02d}{y:02d}": (float(x), float(y)) for x in range(0, 41, 8) for y in range(0, 41, 8)}
+
+
+def layout(meas, anchors):
+    """The single-set layout ``ls_solve`` hands to both cold-start paths."""
+    xy, diffs, _ = _padded_rows([meas], anchors)
+    return xy[..., 0], diffs[:, 0]
+
+
+def grid_or_ambiguous(xy, diffs):
+    try:
+        return _grid_solve(xy, diffs)
+    except AmbiguityError:
+        return None
+
+
+def random_cold_start(rng, kind, noise):
+    """A seeded TDoA set: anchors of one layout (a random hall subset within
+    24 m of a point), the reference drawn among them, a tag anywhere in their
+    box padded by 30 % each side, Gaussian noise on every difference; with
+    ``noise`` "beyond", one difference past its baseline, and with "garbage"
+    every difference drawn anywhere within its baseline."""
+    if kind == "hall":
+        centre = rng.uniform(0.0, 40.0, 2)
+        near = [a for a, p in HALL.items() if math.dist(p, centre) <= 24.0]
+        anchors = {a: HALL[a] for a in rng.permutation(near)[: rng.integers(4, len(near) + 1)]}
+    else:
+        anchors = {"rect": RECT, "fleet": FLEET}[kind]
+    xy = np.array(list(anchors.values()))
+    lo, hi = xy.min(axis=0), xy.max(axis=0)
+    tag = rng.uniform(lo - 0.3 * (hi - lo), hi + 0.3 * (hi - lo))
+    ref = list(anchors)[rng.integers(len(anchors))]
+    sigma = noise if isinstance(noise, float) else 0.0
+    meas = tdoa_set(tag, anchors, ref=ref, jitter=rng.normal(0.0, sigma, len(anchors) - 1))
+    if noise == "garbage":
+        rows = tuple((a, rng.uniform(-1.0, 1.0) * math.dist(anchors[a], anchors[ref]))
+                     for a, _ in meas.measurements)
+        meas = TdoaSet(meas.tag_id, meas.blink_seq, ref, rows)
+    elif noise == "beyond":
+        rows = list(meas.measurements)
+        i = rng.integers(len(rows))
+        anchor, d = rows[i]
+        rows[i] = (anchor, math.copysign(math.dist(anchors[anchor], anchors[ref]), d)
+                   + math.copysign(rng.uniform(0.01, 1.0), d))
+        meas = TdoaSet(meas.tag_id, meas.blink_seq, ref, tuple(rows))
+    return meas, anchors, tag
+
+
+@pytest.mark.parametrize("kind, count", [("rect", 150), ("fleet", 150), ("hall", 60)])
+def test_closed_form_cold_starts_are_the_grid_answer(kind, count):
+    # Every set the gate accepts must be one the grid fixes, at the same
+    # point; the gate must refuse every set past the physical bound, and
+    # take every noise-free tag inside the box.
+    rng = np.random.default_rng(sum(map(ord, kind)))
+    clean_accepted = 0
+    for n in range(count):
+        noise = (0.0, 0.03, 0.1, 0.3, "beyond", "garbage")[n % 6]
+        meas, anchors, tag = random_cold_start(rng, kind, noise)
+        xy, diffs = layout(meas, anchors)
+        pos = _closed_form(xy, diffs)
+        inside = bool(np.all(xy.min(axis=0) < tag) and np.all(tag < xy.max(axis=0)))
+        if noise == "beyond":
+            assert pos is None
+        elif noise == 0.0 and inside:
+            assert pos is not None, (kind, tag)
+        if pos is None:
+            continue
+        clean_accepted += noise == 0.0
+        grid = grid_or_ambiguous(xy, diffs)
+        assert grid is not None, (kind, noise, tag)
+        assert np.max(np.abs(pos - grid)) <= 1e-6, (kind, noise, tag)
+    assert clean_accepted >= count // 20
+
+
+def test_nearly_collinear_anchors_are_still_ambiguous():
+    # The linear system is ill-conditioned, so the grid decides, and sees
+    # the tag's mirror image across the line as a rival.
+    line = {"A1": (0.0, 0.0), "A2": (3.0, 1e-6), "A3": (6.0, 1e-6), "A4": (9.0, 1e-6)}
+    meas = tdoa_set((4.0, 2.0), anchors=line, ref="A1")
+    assert _closed_form(*layout(meas, line)) is None
+    with pytest.raises(AmbiguityError) as e:
+        ls_solve(meas, line)
+    ys = sorted(c[1] for c in e.value.candidates)
+    assert ys[0] == pytest.approx(-2.0, abs=1e-3)
+    assert ys[-1] == pytest.approx(2.0, abs=1e-3)
+
+
+@pytest.mark.parametrize("case", ["beyond the baseline", "outside the hull"])
+def test_inconsistent_or_outlying_sets_take_the_grid_path(case):
+    if case == "beyond the baseline":
+        # A tag near the F0-F1 baseline's extension, |d| = 11.995 m against
+        # the 12 m baseline; 2 cm of noise takes it past the bound, while the
+        # residual stays small and the point inside the box.
+        anchors = FLEET
+        meas = tdoa_set((18.0, 0.3), FLEET, ref="F0", jitter=np.array([-0.02, 0, 0, 0, 0]))
+    else:
+        anchors = RECT
+        meas = tdoa_set((7.5, 2.0), jitter=np.array([0.1, -0.1, 0.1]))
+    xy, diffs = layout(meas, anchors)
+    assert _closed_form(xy, diffs) is None
+    assert np.array_equal(ls_solve(meas, anchors), _grid_solve(xy, diffs))
 
 
 # ---------------------------------------------------------------------------
