@@ -14,7 +14,6 @@ from typing import Iterable
 from .protocol import ToaReport
 from .solver import Fix, TrackerConfig, track
 from .timebase import (
-    InsufficientAnchorsError,
     MIN_RECEIVERS,
     NoTimeBaseError,
     TdoaSet,
@@ -89,8 +88,6 @@ def locate_reports(
             )
         except NoTimeBaseError:
             count("blinks_no_time_base")
-        except InsufficientAnchorsError:
-            count("blinks_insufficient_anchors")
 
     fixes = track(sets, topo.positions(), params.blink_period, params.tracker, diagnostics)
     return LocateResult(fixes, blinks, diagnostics)

@@ -88,25 +88,24 @@ def _arrival_rows(
     """The arrivals laid out per anchor over the blinks in (tag_id, blink_seq)
     order: the anchor ids in order, an (anchors x blinks) mask of which
     anchor heard which blink, and per anchor an ``Arrival`` of arrays over
-    the blinks, zero where the anchor did not hear the blink."""
+    the blinks, zero where the anchor did not hear the blink.  Only the
+    fields ``arrival_tdoa`` reads are laid out; ``rate`` is NaN."""
     keys = sorted(blinks)
     anchors = sorted({a for arrivals in blinks.values() for a in arrivals})
     start = {a: i * len(keys) for i, a in enumerate(anchors)}  # flat index of a row
-    at, offsets, seqs, rates = [], [], [], []
+    at, offsets, seqs = [], [], []
     for n, key in enumerate(keys):
-        for anchor_id, (offset, ccp_seq, rate) in blinks[key].items():
+        for anchor_id, (offset, ccp_seq, _) in blinks[key].items():
             at.append(start[anchor_id] + n)
             offsets.append(offset)
             seqs.append(ccp_seq)
-            rates.append(rate)
     shape = (len(anchors), len(keys))
     heard = np.zeros(shape, dtype=bool)
-    columns = Arrival(np.zeros(shape), np.zeros(shape, dtype=np.int64), np.zeros(shape))
+    offset_rows, seq_rows = np.zeros(shape), np.zeros(shape, dtype=np.int64)
     heard.flat[at] = True
-    for column, values in zip(columns, (offsets, seqs, rates)):
-        column.flat[at] = values
-    rows = [Arrival(*(column[i] for column in columns)) for i in range(len(anchors))]
-    return anchors, heard, rows
+    offset_rows.flat[at] = offsets
+    seq_rows.flat[at] = seqs
+    return anchors, heard, [Arrival(o, q, math.nan) for o, q in zip(offset_rows, seq_rows)]
 
 
 def smoothed_tdoa_streams(

@@ -68,6 +68,10 @@ def is_plain_id(value: object) -> bool:
     return isinstance(value, str) and _PLAIN_ID.fullmatch(value) is not None
 
 
+# For ids parsed from report lines, where they repeat on every line.
+_is_plain = functools.lru_cache(maxsize=4096)(is_plain_id)
+
+
 @functools.lru_cache(maxsize=4096)
 def plain_id(value: str) -> str:
     """``value`` interned, if it is a plain id; ``ValueError`` if not.  For
@@ -103,11 +107,11 @@ def json_number(value: float) -> str:
     return int.__repr__(operator.index(value))
 
 
-# The line encode_report writes: fields in order, no whitespace, plain ids
-# (``_PLAIN_ID``) that JSON writes with no escape, so no backslash either, a
-# known kind, seq an unsigned JSON integer and ticks an unsigned JSON number
-# of at most 20 integer digits (any other line is left to json.loads).
-_ID = r'"((?!\s)[^,"\\\x00-\x1f]+(?<!\s))"'
+# The line encode_report writes: fields in order, no whitespace, ids as JSON
+# strings with no escape (``decode_report`` checks they are plain), a known
+# kind, seq an unsigned JSON integer and ticks an unsigned JSON number of at
+# most 20 integer digits (any other line is left to json.loads).
+_ID = r'"([^"\\\x00-\x1f]*)"'
 _CANONICAL = re.compile(
     rf'\{{"anchor_id":{_ID},"kind":"({"|".join(REPORT_KINDS)})","src_id":{_ID},'
     r'"seq":(0|[1-9][0-9]{0,19}),'
@@ -133,8 +137,8 @@ def encode_report(report: ToaReport) -> str:
 def decode_report(line: str) -> ToaReport:
     """Parse one JSON report line, validating kind, seq, and tick range.
 
-    A canonical line whose seq and ticks are in range is parsed by one
-    compiled pattern.  Every other line goes through ``json.loads`` and the
+    A canonical line whose ids are plain and whose seq and ticks are in
+    range is parsed by one compiled pattern.  Every other line goes through ``json.loads`` and the
     checks below, which also word every error.
     """
     match = _CANONICAL.fullmatch(line)
@@ -142,7 +146,7 @@ def decode_report(line: str) -> ToaReport:
         anchor_id, kind, src_id, seq_text, ticks_text = match.groups()
         seq = int(seq_text)
         ticks = float(ticks_text)  # rounds as float(int(ticks_text)) would
-        if seq < SEQ_WRAP and ticks < TICK_WRAP:
+        if seq < SEQ_WRAP and ticks < TICK_WRAP and _is_plain(anchor_id) and _is_plain(src_id):
             return _report(anchor_id, kind, src_id, seq, ticks)
 
     try:

@@ -4,9 +4,9 @@ Two estimators on purpose: an extended Kalman filter with a constant
 velocity model does the real-time tracking, and a nonlinear least-squares
 solver provides cold starts plus an independent check on the filter (both
 minimize the same range-difference residuals, so on static, noise-free
-input they must agree).  A cold start refines the closed-form solution of
-the linearized set; a grid search over the anchors' box takes over for
-degenerate or inconsistent sets, and is the one judge of ambiguity.
+input they must agree).  A cold start refines each closed-form seed of the
+linearized set and judges ambiguity among the minima it reaches inside the
+anchors' padded box.
 
 The filter is batched.  ``track`` steps every tag that blinked at one
 blink epoch together: ``ekf_predict`` and ``ekf_update`` work on stacked
@@ -41,19 +41,10 @@ log = logging.getLogger(__name__)
 DEFAULT_SIGMA_ACCEL = 1.0  # m/s^2, white acceleration driving the motion model
 DEFAULT_SIGMA_T = 1e-10  # s, per-timestamp noise driving measurement covariance
 
-_GRID_STEP = 0.1  # m, coarse search resolution
-_REFINE_TOL = 1e-6  # m, local refinement stops below this step size
+_REFINE_TOL = 1e-6  # m, local refinement stops at the first step shorter than this
 _REFINE_MAX_ITER = 80
 _AMBIGUITY_RATIO = 2.0  # minima within this factor of the best one are rivals
-# Gate on the closed-form cold start (``_closed_form``); a set that fails it
-# goes to the grid.  Sized from the 520 cold starts of the benchmark's fleet
-# and hall seeds 1-5, whose linear systems have condition numbers up to 18.3
-# and whose RMS residuals reach 0.088 m, and from 19,400 seeded random sets
-# (the demo rectangle, the fleet layout and hall subsets; tags up to 30 %
-# outside the anchors' box; 0-1 m noise; garbage), of which the gate took
-# none that the grid places more than 1e-6 m away or calls ambiguous.
-_SEED_MAX_COND = 1e4
-_SEED_MAX_RMS = 0.1  # m
+_MERGE_DIST = 1e-3  # m, refined minima closer than this are one
 _EPS_DIST = 1e-12  # m, guards unit vectors at anchor positions
 GEOMETRY_BLOCK = 4096  # points per kernel call on grids, bounding temporaries
 
@@ -63,15 +54,19 @@ class SolverError(RuntimeError):
 
 
 class AmbiguityError(SolverError):
-    """The objective has several comparable minima (degenerate geometry).
+    """The objective has several comparable minima (degenerate geometry), or
+    none near the anchors.
 
-    ``candidates`` holds (x, y, objective) for each distinct minimum found.
+    ``candidates`` holds (x, y, objective) for each rival minimum found.
     """
 
     def __init__(self, candidates: Sequence[tuple[float, float, float]]) -> None:
         self.candidates = tuple(candidates)
         spots = "; ".join(f"({x:.3f}, {y:.3f}) obj={o:.3g}" for x, y, o in self.candidates)
-        super().__init__(f"ambiguous geometry, comparable minima at: {spots}")
+        super().__init__(
+            f"ambiguous geometry, comparable minima at: {spots}"
+            if spots else "no minimum within the anchors' padded box"
+        )
 
 
 @dataclass(frozen=True)
@@ -250,18 +245,6 @@ def _fixes(
 # Independent nonlinear least squares
 
 
-def _objective_grid(xs, ys, xy, diffs):
-    """Sum of squared residuals at every (xs[i], ys[j]), GEOMETRY_BLOCK points
-    per kernel call, summed over the anchors in their order."""
-    px, py = np.repeat(xs, ys.size), np.tile(ys, xs.size)  # x-major, as meshgrid "ij"
-    total = np.empty(px.size)
-    for start in range(0, px.size, GEOMETRY_BLOCK):
-        block = slice(start, start + GEOMETRY_BLOCK)
-        r = range_diffs(px[block], py[block], xy) - diffs[:, None]
-        total[block] = sum_over_anchors(np.square(r, out=r))
-    return total.reshape(xs.size, ys.size)
-
-
 def _residuals_and_jacobian(pos, xy, diffs):
     h, grad, _ = range_diffs(pos[:1], pos[1:], xy, gradient=True)
     # C-ordered copy: on the transposed view _refine's products round differently.
@@ -269,110 +252,66 @@ def _residuals_and_jacobian(pos, xy, diffs):
 
 
 def _refine(pos, xy, diffs):
-    """Damped Gauss-Newton descent on the sum of squared residuals."""
+    """Damped Gauss-Newton descent on the sum of squared residuals; stops at
+    the first step shorter than _REFINE_TOL, whether it lowered the sum or not."""
     p = np.asarray(pos, dtype=float).copy()
     res, jac = _residuals_and_jacobian(p, xy, diffs)
     obj = float(res @ res)
     lam = 0.0
     for _ in range(_REFINE_MAX_ITER):
-        jtj = jac.T @ jac
-        g = jac.T @ res
-        try:
-            step = np.linalg.solve(jtj + lam * np.eye(2), -g)
-        except np.linalg.LinAlgError:
+        (sxx, sxy), (_, syy) = (jac.T @ jac).tolist()
+        gx, gy = (jac.T @ res).tolist()
+        sxx, syy = sxx + lam, syy + lam
+        det = sxx * syy - sxy * sxy
+        if not det > 0.0:  # singular normal equations, or NaN
             lam = max(lam * 10.0, 1e-9)
             continue
-        if not np.all(np.isfinite(step)):
-            break
-        cand = p + step
+        dx, dy = (sxy * gy - syy * gx) / det, (sxy * gx - sxx * gy) / det
+        cand = p + (dx, dy)
         cand_res, cand_jac = _residuals_and_jacobian(cand, xy, diffs)
         cand_obj = float(cand_res @ cand_res)
         if cand_obj <= obj:
             p, res, jac, obj = cand, cand_res, cand_jac, cand_obj
-            lam = 0.0
-            if float(np.hypot(*step)) < _REFINE_TOL:
-                break
+            lam /= 10.0
         else:
             lam = max(lam * 10.0, 1e-9)
             if lam > 1e6:
                 break
+        if math.hypot(dx, dy) < _REFINE_TOL:
+            break
     return p, obj
 
 
-def _closed_form(xy, diffs):
-    """Refined closed-form fix, or None where the gate below sends the set
-    to the grid.
+def _seeds(xy, diffs):
+    """Starting points from the linearized set, as offsets from the reference.
 
     With b_i = a_i - a_ref and p = a_ref + q, each range difference d_i is
     linear in (q, r_ref): [b_ix, b_iy, d_i] . [qx, qy, r_ref] = (|b_i|^2 -
     d_i^2)/2 (spherical interpolation, Smith & Abel 1987; Chan & Ho 1994).
-    Its least-squares solution seeds ``_refine``.  The point is kept only if
-    every |d_i| <= |b_i|, the system's condition number is under
-    _SEED_MAX_COND (which implies rank 3), the refined point lies in the
-    anchors' bounding box and its RMS residual is under _SEED_MAX_RMS.
+    The seeds are its least-squares solution and the two roots of |q(r)| =
+    r, with q(r) = q0 - r q1 the least-squares offset for a given r_ref.
+    Collinear anchors (baselines of rank 1) add the least-squares point's
+    two mirror images across their line; coincident ones have no fix.
     """
     b = xy[1:] - xy[0]
     baseline2 = np.sum(b * b, axis=1)
-    if not np.all(diffs * diffs <= baseline2):  # NaN fails too
-        return None
-    system = np.column_stack((b, diffs))
-    sol, _, _, sv = np.linalg.lstsq(system, 0.5 * (baseline2 - diffs * diffs), rcond=None)
-    if not sv[0] < _SEED_MAX_COND * sv[-1]:
-        return None
-    pos, obj = _refine(xy[0] + sol[:2], xy, diffs)
-    inside = np.all(xy.min(axis=0) <= pos) and np.all(pos <= xy.max(axis=0))
-    if not (inside and obj < _SEED_MAX_RMS**2 * len(diffs)):
-        return None
-    return pos
-
-
-def _grid_solve(xy, diffs):
-    """Grid search over the padded anchor bounding box, refining every local
-    basin; several comparable minima raise ``AmbiguityError``."""
-    lo = xy.min(axis=0)
-    hi = xy.max(axis=0)
-    pad = max(1.0, 0.25 * float(np.hypot(*(hi - lo))))
-    xs = np.arange(lo[0] - pad, hi[0] + pad + _GRID_STEP / 2, _GRID_STEP)
-    ys = np.arange(lo[1] - pad, hi[1] + pad + _GRID_STEP / 2, _GRID_STEP)
-    grid = _objective_grid(xs, ys, xy, diffs)
-
-    # Local minima of the coarse grid seed the refinement.
-    interior = grid[1:-1, 1:-1]
-    neighbors = [
-        grid[:-2, 1:-1], grid[2:, 1:-1], grid[1:-1, :-2], grid[1:-1, 2:],
-        grid[:-2, :-2], grid[:-2, 2:], grid[2:, :-2], grid[2:, 2:],
-    ]
-    is_min = np.ones_like(interior, dtype=bool)
-    for n in neighbors:
-        is_min &= interior <= n
-    ii, jj = np.nonzero(is_min)
-    order = np.argsort(interior[ii, jj])[:8]
-    seeds = [(xs[i + 1], ys[j + 1]) for i, j in zip(ii[order], jj[order])]
-    if not seeds:
-        seeds = [tuple(np.roll(xy, -1, axis=0).mean(axis=0))]  # reference last: same rounding
-
-    candidates: list[tuple[np.ndarray, float]] = []
-    for seed in seeds:
-        pos, obj = _refine(np.asarray(seed, dtype=float), xy, diffs)
-        merged = False
-        for idx, (held, held_obj) in enumerate(candidates):
-            if float(np.hypot(*(held - pos))) < 1e-3:
-                if obj < held_obj:
-                    candidates[idx] = (pos, obj)
-                merged = True
-                break
-        if not merged:
-            candidates.append((pos, obj))
-    candidates.sort(key=lambda c: c[1])
-    best_pos, best_obj = candidates[0]
-    rivals = [
-        (float(p[0]), float(p[1]), o)
-        for p, o in candidates
-        if o <= _AMBIGUITY_RATIO * best_obj + 1e-12
-    ]
-    if len(rivals) > 1:
-        raise AmbiguityError(rivals)
-    return best_pos
+    rhs = 0.5 * (baseline2 - diffs * diffs)
+    sol = np.linalg.lstsq(np.column_stack((b, diffs)), rhs, rcond=None)[0]
+    offsets, _, rank, _ = np.linalg.lstsq(b, np.column_stack((rhs, diffs)), rcond=None)
+    if rank == 0:  # every anchor where the reference is
+        raise AmbiguityError(())
+    q0, q1 = offsets.T
+    seeds = [sol[:2]]
+    a, h, c = float(q1 @ q1) - 1.0, float(q0 @ q1), float(q0 @ q0)
+    if a != 0.0:  # a r^2 - 2 h r + c = 0; complex roots seed at their real part
+        root = math.sqrt(max(h * h - a * c, 0.0))
+        seeds += [q0 - (h + sign * root) / a * q1 for sign in (1.0, -1.0)]
+    if rank == 1:
+        u = b[np.argmax(baseline2)]
+        normal = np.array([-u[1], u[0]]) / math.hypot(*u)
+        height = math.sqrt(max(sol[2] ** 2 - sol[:2] @ sol[:2], 0.0))
+        seeds += [sol[:2] + height * normal, sol[:2] - height * normal]
+    return seeds
 
 
 def ls_solve(
@@ -382,12 +321,12 @@ def ls_solve(
 ) -> np.ndarray:
     """Minimize the squared range-difference error over the plane.
 
-    Without ``init`` the solver refines the closed-form solution of the
-    linearized set, and falls back to a grid search of the anchor bounding
-    box (padded, so mirror solutions of degenerate layouts are visible)
-    when that solution is ill-conditioned, inconsistent or outside the
-    anchors' box; several comparable grid minima raise ``AmbiguityError``.
-    With ``init`` it refines locally from there.
+    Without ``init`` the solver refines each seed of the linearized set
+    (``_seeds``) and keeps the minima inside the anchors' bounding box,
+    padded by a quarter of its diagonal (at least 1 m); minima closer than
+    _MERGE_DIST are one.  No minimum left, or several within
+    _AMBIGUITY_RATIO of the best, raise ``AmbiguityError``.  With ``init``
+    it refines locally from there.
     """
     if len(meas.measurements) < 3:
         raise ValueError("need at least 3 range differences for a planar fix")
@@ -397,8 +336,23 @@ def ls_solve(
     if init is not None:
         pos, _ = _refine(np.asarray(init, dtype=float), xy, diffs)
         return pos
-    pos = _closed_form(xy, diffs)
-    return _grid_solve(xy, diffs) if pos is None else pos
+    lo, hi = xy.min(axis=0), xy.max(axis=0)
+    pad = max(1.0, 0.25 * float(np.hypot(*(hi - lo))))
+    minima = [
+        (pos, obj)
+        for pos, obj in (_refine(xy[0] + seed, xy, diffs) for seed in _seeds(xy, diffs))
+        if np.all(lo - pad <= pos) and np.all(pos <= hi + pad)  # NaN fails too
+    ]
+    kept: list[tuple[np.ndarray, float]] = []
+    for pos, obj in sorted(minima, key=lambda m: m[1]):
+        if all(math.dist(pos, held) >= _MERGE_DIST for held, _ in kept):
+            kept.append((pos, obj))
+    rivals = [
+        (float(p[0]), float(p[1]), o) for p, o in kept if o <= _AMBIGUITY_RATIO * kept[0][1] + 1e-12
+    ]
+    if len(rivals) != 1:
+        raise AmbiguityError(rivals)
+    return kept[0][0]
 
 
 # ---------------------------------------------------------------------------

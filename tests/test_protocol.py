@@ -246,6 +246,9 @@ NEAR_CANONICAL = [
     GOOD.replace('"A"', '"A\\"B"'),
     GOOD.replace('"T"', '"T\\\\"'),
     GOOD.replace('"A"', '"A\x01"'),
+    GOOD.replace('"A"', '""'),
+    GOOD.replace('"A"', '" A"'),
+    GOOD.replace('"T"', '"T,1"'),
     GOOD.replace('"A"', "5"),
     GOOD.replace("blink_rx", "sync_rx"),
     GOOD.replace("blink_rx", "BLINK_RX"),
