@@ -11,8 +11,8 @@ from .engine import EngineParams, LocateResult, locate_reports
 from .metrics import EvalSummary, evaluate
 from .protocol import ToaReport, decode_report, encode_report
 from .simnet import Scenario, SimResult, TagSpec, run_scenario
-from .solver import Fix, TrackerConfig, ls_solve, track
-from .timebase import TdoaSet, assemble_tdoa_set, select_time_base
+from .solver import Fix, TdoaSet, TrackerConfig, ls_solve, track
+from .timebase import select_time_base
 from .topology import AnchorConfig, NetworkTopology
 from .wcs import Arrival, multi_master_sync
 
@@ -35,7 +35,6 @@ __all__ = [
     "TdoaSet",
     "ToaReport",
     "TrackerConfig",
-    "assemble_tdoa_set",
     "decode_report",
     "encode_report",
     "evaluate",

@@ -79,8 +79,8 @@ def _read_lines(
     With ``header``, a file whose first line is not ``header`` (another
     format, or an older one) raises ``CsvHeaderError``.  A line that is not
     UTF-8, or on which ``parse`` raises ``ValueError`` (a wrong field count,
-    an unparsable field, an id that is not a plain id), is skipped with a
-    warning and counted.
+    an unparsable or non-finite number, an id that is not a plain id), is
+    skipped with a warning and counted.
     """
     records: list[T] = []
     skipped = 0
@@ -103,9 +103,11 @@ def _read_lines(
 
 
 def _fix_row(line: str) -> Fix:
-    tag_id, blink_seq, x, y, vx, vy, pos_std = line.split(",")
-    return Fix(plain_id(tag_id), int(blink_seq), float(x), float(y), float(vx), float(vy),
-               float(pos_std), residual_norm=0.0)
+    tag_id, blink_seq, *numbers = line.split(",")
+    x, y, vx, vy, pos_std = values = [float(v) for v in numbers]
+    if not all(map(math.isfinite, values)):
+        raise ValueError("a number is NaN or infinite")
+    return Fix(plain_id(tag_id), int(blink_seq), x, y, vx, vy, pos_std, residual_norm=0.0)
 
 
 def read_fixes_csv(path: Path) -> tuple[list[Fix], int]:
@@ -139,10 +141,13 @@ def synced_to_csv(blinks: Mapping[tuple[str, int], Mapping[str, Arrival]]) -> st
 
 def _arrival_row(line: str) -> tuple[tuple[str, int], str, Arrival]:
     anchor_id, tag_id, blink_seq, ccp_seq, offset, rate = line.split(",")
+    offset, rate = float(offset), float(rate)
+    if not (math.isfinite(offset) and math.isfinite(rate)):
+        raise ValueError("a number is NaN or infinite")
     return (
         (plain_id(tag_id), int(blink_seq)),
         plain_id(anchor_id),
-        Arrival(float(offset), int(ccp_seq), float(rate)),
+        Arrival(offset, int(ccp_seq), rate),
     )
 
 

@@ -5,7 +5,7 @@ The rule checks codify anchor placement guidance; rules that need a human
 as ``manual`` with instructions instead of a verdict.  The HDoP functions
 quantify how anchor geometry amplifies ranging noise into position noise at
 each point of the service area; their geometry matrix comes from
-``solver.range_diffs``, the kernel the EKF and the least squares use.
+``solver.ranges``, the kernel the EKF and the least squares use.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .solver import GEOMETRY_BLOCK, range_diffs, sum_over_anchors
+from .solver import GEOMETRY_BLOCK, ranges, sum_over_anchors
 from .topology import NetworkTopology, ROLE_MASTER, ROLE_SLAVE
 
 STATUS_PASS = "pass"
@@ -259,7 +259,9 @@ def _hdop(px, py, anchors: Mapping[str, tuple[float, float]], reference: str):
     on_anchor = np.empty(px.size, dtype=bool)
     for start in range(0, px.size, GEOMETRY_BLOCK):
         block = slice(start, start + GEOMETRY_BLOCK)
-        _, (gx, gy), near = range_diffs(px[block], py[block], xy, gradient=True)
+        _, grad, near = ranges(px[block], py[block], xy, gradient=True)
+        grad[:, 1:] -= grad[:, :1]  # unit-vector differences against the reference
+        gx, gy = grad[:, 1:]
         a, b, c = (sum_over_anchors(u * v) for u, v in ((gx, gx), (gx, gy), (gy, gy)))
         det = a * c - b * b
         trace = a + c

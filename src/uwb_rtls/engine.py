@@ -1,9 +1,9 @@
 """The central localization pipeline: ToA reports in, position fixes out.
 
-Chains the stages: multi-master clock synchronization, per-blink time-base
-selection, TDoA set assembly, and EKF tracking.  The CLI drives exactly this
-function over files, so file-based and in-process runs agree measurement for
-measurement.
+Chains the stages: multi-master clock synchronization, the per-blink
+time-base rule for which blinks are usable, and EKF tracking on each usable
+blink's arrivals.  The CLI drives exactly this function over files, so
+file-based and in-process runs agree measurement for measurement.
 """
 
 from __future__ import annotations
@@ -11,17 +11,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable
 
+from .constants import SPEED_OF_LIGHT
 from .protocol import ToaReport
-from .solver import Fix, TrackerConfig, track
-from .timebase import (
-    MIN_RECEIVERS,
-    NoTimeBaseError,
-    TdoaSet,
-    assemble_tdoa_set,
-    select_time_base,
-)
+from .solver import Fix, TdoaSet, TrackerConfig, track
+from .timebase import MIN_RECEIVERS, NoTimeBaseError, select_time_base
 from .topology import NetworkTopology
-from .wcs import SyncedBlinks, WcsParams, multi_master_sync
+from .wcs import SyncedBlinks, WcsParams, arrival_tdoa, multi_master_sync
 
 
 @dataclass(frozen=True)
@@ -61,7 +56,9 @@ def locate_reports(
     Blinks that cannot be used (too few synchronized receivers, no valid
     time base) are skipped and counted in ``diagnostics``, and so are the
     cold starts and updates the tracker skips; everything else becomes one
-    fix per blink per tag.  One ``track`` call steps every tag.
+    fix per blink per tag.  A usable blink goes to the tracker as its
+    arrivals in meters, less the lowest-id receiver's arrival.  One
+    ``track`` call steps every tag.
     """
     diagnostics: dict = {}
     blinks = multi_master_sync(
@@ -82,12 +79,15 @@ def locate_reports(
             count("blinks_too_few_receivers")
             continue
         try:
-            reference = select_time_base(arrivals, topo)
-            sets.append(
-                assemble_tdoa_set(tag_id, blink_seq, arrivals, reference, params.ccp_period)
-            )
+            select_time_base(arrivals, topo)
         except NoTimeBaseError:
             count("blinks_no_time_base")
+            continue
+        first = arrivals[min(arrivals)]
+        sets.append(TdoaSet(tag_id, blink_seq, tuple(
+            (a, arrival_tdoa(arrivals[a], first, params.ccp_period) * SPEED_OF_LIGHT)
+            for a in sorted(arrivals)
+        )))
 
     fixes = track(sets, topo.positions(), params.blink_period, params.tracker, diagnostics)
     return LocateResult(fixes, blinks, diagnostics)

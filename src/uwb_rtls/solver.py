@@ -1,26 +1,27 @@
-"""Position estimation from range-difference sets.
+"""Position estimation from a blink's synchronized arrivals.
 
 Two estimators on purpose: an extended Kalman filter with a constant
 velocity model does the real-time tracking, and a nonlinear least-squares
-solver provides cold starts plus an independent check on the filter (both
-minimize the same range-difference residuals, so on static, noise-free
-input they must agree).  A cold start refines each closed-form seed of the
+solver provides cold starts plus an independent check on the filter.  Both
+minimize the residuals z_i - |p - a_i| of each receiver's arrival (meters),
+centred on their mean over the blink's usable receivers, which removes the
+time of emission: no receiver is a reference, and on static, noise-free
+input the two agree.  A cold start refines each closed-form seed of the
 linearized set and judges ambiguity among the minima it reaches inside the
 anchors' padded box.
 
 The filter is batched.  ``track`` steps every tag that blinked at one
 blink epoch together: ``ekf_predict`` and ``ekf_update`` work on stacked
 (B, 4) states and (B, 4, 4) covariances, and the update is in information
-form, so no m x m matrix is built for m range differences.  Each tag's
-receiver rows are padded to the epoch's widest set and masked.  Sums over
-receivers and matrix products run in one fixed order with elementwise
-operations, so a tag's fixes are the same bits whatever other tags share
-its epochs.  Cold starts, gap resets and skips stay per tag.
+form, so no m x m matrix is built for m receivers.  Each tag's receiver
+rows are padded to the epoch's widest set and masked.  Sums over receivers
+and matrix products run in one fixed order with elementwise operations, so
+a tag's fixes are the same bits whatever other tags share its epochs.  Cold
+starts, gap resets and skips stay per tag.
 
-Both read their geometry from one kernel, ``range_diffs``: range
-differences against the reference anchor and their gradients (unit-vector
-differences) over a block of points, anchor-major.  ``deploy``'s HDoP uses
-the same kernel.
+Both read their geometry from one kernel, ``ranges``: ranges from each
+anchor and their gradients (unit vectors) over a block of points,
+anchor-major.  ``deploy``'s HDoP uses the same kernel.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .constants import SPEED_OF_LIGHT
-from .timebase import TdoaSet
 
 log = logging.getLogger(__name__)
 
@@ -70,6 +70,16 @@ class AmbiguityError(SolverError):
 
 
 @dataclass(frozen=True)
+class TdoaSet:
+    """One blink's ``arrivals``: (anchor_id, c x arrival time in meters) per
+    synchronized receiver, in anchor-id order, against any common origin."""
+
+    tag_id: str
+    blink_seq: int
+    arrivals: tuple[tuple[str, float], ...]
+
+
+@dataclass(frozen=True)
 class Fix:
     """One position estimate for one blink."""
 
@@ -80,7 +90,7 @@ class Fix:
     vx: float
     vy: float
     pos_std: float  # meters, from the covariance diagonal
-    residual_norm: float  # meters, innovation magnitude at update time
+    residual_norm: float  # meters, centred innovation magnitude at update time
 
 
 def transition_matrix(dt: float) -> np.ndarray:
@@ -121,28 +131,25 @@ def ekf_predict(
     return _matmul(f, x[..., None])[..., 0], 0.5 * (p + p.swapaxes(-1, -2))
 
 
-def range_diffs(px, py, xy, gradient=False):
-    """Range differences against the reference anchor at N points (px, py).
+def ranges(px, py, xy, gradient=False):
+    """Ranges from M anchors to N points (px, py).
 
-    ``xy`` (M+1, 2) holds the reference anchor first, then M others, for all
-    points; (M+1, 2, N) holds one such layout per point.  Returns
-    anchor-major (M, N) arrays: h[i, n] = |p_n - xy[i+1]| - |p_n - xy[0]|;
-    with ``gradient`` also dh/dx and dh/dy (2, M, N), the unit-vector
-    differences u_i - u_ref, and ``near`` (M, N), set where anchor i or the
-    reference is within _EPS_DIST of the point (the divisor is floored there).
+    ``xy`` (M, 2) holds one anchor layout for all points; (M, 2, N) holds
+    one layout per point.  Returns anchor-major (M, N) ranges d[i, n] =
+    |p_n - xy[i]|; with ``gradient`` also dd/dx and dd/dy (2, M, N), the
+    unit vectors from each anchor to each point, and ``near`` (M, N), set
+    where the anchor is within _EPS_DIST of the point (the divisor is
+    floored there).
     """
     if xy.ndim == 2:
         xy = xy[:, :, None]
     dx = px - xy[:, 0]
     dy = py - xy[:, 1]
     d = np.sqrt(dx * dx + dy * dy)
-    h = d[1:] - d[0]
     if not gradient:
-        return h
-    near = d < _EPS_DIST
-    d = np.maximum(d, _EPS_DIST)
-    ux, uy = dx / d, dy / d
-    return h, np.stack((ux[1:] - ux[0], uy[1:] - uy[0])), near[1:] | near[0]
+        return d
+    floor = np.maximum(d, _EPS_DIST)
+    return d, np.stack((dx / floor, dy / floor)), d < _EPS_DIST
 
 
 def sum_over_anchors(a: np.ndarray) -> np.ndarray:
@@ -155,21 +162,20 @@ def sum_over_anchors(a: np.ndarray) -> np.ndarray:
 
 
 def _padded_rows(batch: Sequence[TdoaSet], anchors: Mapping[str, tuple[float, float]]):
-    """One layout per set, padded to the widest: anchor positions
-    (M+1, 2, B), reference first; measured differences (M, B); and which
-    rows hold a measurement (M, B).  Padding repeats the set's reference
-    anchor, so its range difference and gradient are exactly zero.  A
-    one-set batch is that set's own layout, (M+1, 2, 1) and (M, 1)."""
-    width = max(len(s.measurements) for s in batch)
-    coords, diffs = [], []
+    """One layout per set, padded to the widest: anchor positions (M, 2, B),
+    arrivals (M, B), and which rows hold an arrival (M, B).  Padding rows sit
+    at the origin with arrival 0.0.  A one-set batch is that set's own
+    layout, (M, 2, 1) and (M, 1)."""
+    width = max(len(s.arrivals) for s in batch)
+    coords, times = [], []
     for s in batch:
-        ref = anchors[s.reference_anchor]
-        pad = width - len(s.measurements)
-        coords.append([ref] + [anchors[a] for a, _ in s.measurements] + [ref] * pad)
-        diffs.append([d for _, d in s.measurements] + [0.0] * pad)
-    counts = np.array([len(s.measurements) for s in batch])
-    xy = np.array(coords, dtype=float).transpose(1, 2, 0)
-    return xy, np.array(diffs, dtype=float).T, np.arange(width)[:, None] < counts
+        pad = width - len(s.arrivals)
+        coords.append([anchors[a] for a, _ in s.arrivals] + [(0.0, 0.0)] * pad)
+        times.append([t for _, t in s.arrivals] + [0.0] * pad)
+    counts = np.array([len(s.arrivals) for s in batch])
+    xy = np.array(coords, dtype=float).reshape(len(batch), width, 2).transpose(1, 2, 0)
+    z = np.array(times, dtype=float).reshape(len(batch), width).T
+    return xy, z, np.arange(width)[:, None] < counts
 
 
 def ekf_update(
@@ -179,38 +185,37 @@ def ekf_update(
     anchors: Mapping[str, tuple[float, float]],
     sigma_t: float,
 ) -> tuple[np.ndarray, np.ndarray, list[Fix]]:
-    """Fold one TDoA set per tag into B predicted states and emit the fixes.
+    """Fold one set of arrivals per tag into B predicted states, emit fixes.
 
     ``x`` (B, 4) and ``p`` (B, 4, 4) are the states of the tags whose sets
     ``batch`` holds, in its order; returns the updated states and one
     ``Fix`` per set.
 
-    Information form, per tag: the m range differences share the
-    reference's noise, R = v (I + 1 1^T) with v = (c sigma_t)^2, so R^-1 =
-    (I - 1 1^T/(m+1)) / v.  With G the 2 x m gradient rows, s = G 1 and r
-    the innovation, the position information is A = (G G^T - s s^T/(m+1)) /
-    v, b = (G r - s sum(r)/(m+1)) / v, and P+ = P - P[:, :2] (I + A P11)^-1
-    A P[:2, :], x+ = x + P+[:, :2] b.  I + A P11 has eigenvalues >= 1, so
-    its determinant is too for ``sigma_t`` > 0.  Padded rows and rows whose
-    anchor is within _EPS_DIST of the tag are zeroed; m counts the rest.  A
-    tag with no row left (its reference on the tag, say) skips the update
-    and reports its predicted state with a NaN residual.
+    Information form, per tag: with w usable receivers, r the innovations
+    z_i - |p - a_i| and G the 2 x w unit-vector rows, both centred on their
+    mean over the w rows, the position information is A = G G^T / v and b
+    = G r / v with v = (c sigma_t)^2: the textbook update on the w - 1
+    range differences against any one of them, whose noise R = v (I + 1
+    1^T) they share.  Then P+ = P - P[:, :2] (I + A P11)^-1 A P[:2, :], x+
+    = x + P+[:, :2] b.  I + A P11 has eigenvalues >= 1, so its determinant
+    is too for ``sigma_t`` > 0.  Padded rows and rows whose anchor is within
+    _EPS_DIST of the tag are not usable.  A tag with fewer than two usable
+    rows skips the update and reports its predicted state with a NaN
+    residual.
     """
     xy, z, keep = _padded_rows(batch, anchors)
-    h, grad, near = range_diffs(x[:, 0], x[:, 1], xy, gradient=True)
-    keep &= ~near  # rows whose anchor (or the reference) sits on the tag go
-    r = np.where(keep, z - h, 0.0)
-    gx, gy = np.where(keep, grad, 0.0)
-    terms = np.stack((gx * gx, gx * gy, gy * gy, gx, gy, gx * r, gy * r, r, r * r), axis=1)
-    gxx, gxy, gyy, sx, sy, bx, by, rs, rr = sum_over_anchors(
-        terms.reshape(len(r), 9 * len(batch))
-    ).reshape(9, len(batch))
-    w = keep.sum(axis=0) + 1.0  # m + 1
+    width, tags = keep.shape
+    d, (ux, uy), near = ranges(x[:, 0], x[:, 1], xy, gradient=True)
+    keep &= ~near  # a row whose anchor sits on the tag goes
+    w = keep.sum(axis=0)
+    rows = np.where(keep[:, None], np.stack((ux, uy, z - d), axis=1), 0.0)
+    mean = sum_over_anchors(rows.reshape(width, 3 * tags)).reshape(3, tags) / np.maximum(w, 1)
+    gx, gy, r = np.where(keep[:, None], rows - mean, 0.0).transpose(1, 0, 2)
+    terms = np.stack((gx * gx, gx * gy, gy * gy, gx * r, gy * r, r * r), axis=1)
+    gxx, gxy, gyy, bx, by, rr = sum_over_anchors(terms.reshape(width, 6 * tags)).reshape(6, tags)
     v = (SPEED_OF_LIGHT * sigma_t) ** 2
-    cross = gxy - sx * sy / w
-    info = np.stack((gxx - sx * sx / w, cross, cross, gyy - sy * sy / w), axis=-1)
-    info = info.reshape(-1, 2, 2) / v
-    b = np.stack((bx - sx * (rs / w), by - sy * (rs / w)), axis=-1)[..., None] / v
+    info = np.stack((gxx, gxy, gxy, gyy), axis=-1).reshape(-1, 2, 2) / v
+    b = np.stack((bx, by), axis=-1)[..., None] / v
     a = np.eye(2) + _matmul(info, p[:, :2, :2])
     adjugate = np.stack((a[:, 1, 1], -a[:, 0, 1], -a[:, 1, 0], a[:, 0, 0]), axis=-1)
     det = a[:, 0, 0] * a[:, 1, 1] - a[:, 0, 1] * a[:, 1, 0]
@@ -218,11 +223,11 @@ def ekf_update(
     p_new = p - _matmul(_matmul(p[:, :, :2], solved), p[:, :2, :])
     p_new = 0.5 * (p_new + p_new.swapaxes(-1, -2))
     x_new = x + _matmul(p_new[:, :, :2], b)[..., 0]
-    ok = keep.any(axis=0)
+    ok = w >= 2
     for meas, usable in zip(batch, ok.tolist()):
         if not usable:
             log.warning(
-                "update skipped for %s #%d: no usable measurement rows",
+                "update skipped for %s #%d: fewer than two usable receivers",
                 meas.tag_id, meas.blink_seq,
             )
     x = np.where(ok[:, None], x_new, x)
@@ -245,17 +250,20 @@ def _fixes(
 # Independent nonlinear least squares
 
 
-def _residuals_and_jacobian(pos, xy, diffs):
-    h, grad, _ = range_diffs(pos[:1], pos[1:], xy, gradient=True)
+def _residuals_and_jacobian(pos, xy, z):
+    """The residuals |p - a_i| - z_i at one point and their gradient rows
+    (M, 2), both centred on their mean over the M rows."""
+    d, grad, _ = ranges(pos[:1], pos[1:], xy, gradient=True)
+    res, g = d[:, 0] - z, grad[:, :, 0]
     # C-ordered copy: on the transposed view _refine's products round differently.
-    return h[:, 0] - diffs, grad[:, :, 0].T.copy()
+    return res - res.mean(), (g - g.mean(axis=1, keepdims=True)).T.copy()
 
 
-def _refine(pos, xy, diffs):
-    """Damped Gauss-Newton descent on the sum of squared residuals; stops at
-    the first step shorter than _REFINE_TOL, whether it lowered the sum or not."""
+def _refine(pos, xy, z):
+    """Damped Gauss-Newton descent on the centred residuals; stops at the
+    first step shorter than _REFINE_TOL, whether it lowered their sum or not."""
     p = np.asarray(pos, dtype=float).copy()
-    res, jac = _residuals_and_jacobian(p, xy, diffs)
+    res, jac = _residuals_and_jacobian(p, xy, z)
     obj = float(res @ res)
     lam = 0.0
     for _ in range(_REFINE_MAX_ITER):
@@ -268,7 +276,7 @@ def _refine(pos, xy, diffs):
             continue
         dx, dy = (sxy * gy - syy * gx) / det, (sxy * gx - sxx * gy) / det
         cand = p + (dx, dy)
-        cand_res, cand_jac = _residuals_and_jacobian(cand, xy, diffs)
+        cand_res, cand_jac = _residuals_and_jacobian(cand, xy, z)
         cand_obj = float(cand_res @ cand_res)
         if cand_obj <= obj:
             p, res, jac, obj = cand, cand_res, cand_jac, cand_obj
@@ -282,23 +290,23 @@ def _refine(pos, xy, diffs):
     return p, obj
 
 
-def _seeds(xy, diffs):
-    """Starting points from the linearized set, as offsets from the reference.
+def _seeds(xy, z):
+    """Starting points from the linearized set, as offsets from row 0's anchor.
 
-    With b_i = a_i - a_ref and p = a_ref + q, each range difference d_i is
-    linear in (q, r_ref): [b_ix, b_iy, d_i] . [qx, qy, r_ref] = (|b_i|^2 -
-    d_i^2)/2 (spherical interpolation, Smith & Abel 1987; Chan & Ho 1994).
+    With b_i = a_i - a_0, d_i = z_i - z_0 and p = a_0 + q, d_i is linear in
+    (q, r_0): [b_ix, b_iy, d_i] . [qx, qy, r_0] = (|b_i|^2 - d_i^2)/2
+    (spherical interpolation, Smith & Abel 1987; Chan & Ho 1994).
     The seeds are its least-squares solution and the two roots of |q(r)| =
-    r, with q(r) = q0 - r q1 the least-squares offset for a given r_ref.
+    r, with q(r) = q0 - r q1 the least-squares offset for a given r_0.
     Collinear anchors (baselines of rank 1) add the least-squares point's
     two mirror images across their line; coincident ones have no fix.
     """
-    b = xy[1:] - xy[0]
+    b, diffs = xy[1:] - xy[0], z[1:] - z[0]
     baseline2 = np.sum(b * b, axis=1)
     rhs = 0.5 * (baseline2 - diffs * diffs)
     sol = np.linalg.lstsq(np.column_stack((b, diffs)), rhs, rcond=None)[0]
     offsets, _, rank, _ = np.linalg.lstsq(b, np.column_stack((rhs, diffs)), rcond=None)
-    if rank == 0:  # every anchor where the reference is
+    if rank == 0:  # every anchor where row 0's is
         raise AmbiguityError(())
     q0, q1 = offsets.T
     seeds = [sol[:2]]
@@ -319,7 +327,7 @@ def ls_solve(
     anchors: Mapping[str, tuple[float, float]],
     init: Sequence[float] | None = None,
 ) -> np.ndarray:
-    """Minimize the squared range-difference error over the plane.
+    """Minimize the sum of squared centred residuals over the plane.
 
     Without ``init`` the solver refines each seed of the linearized set
     (``_seeds``) and keeps the minima inside the anchors' bounding box,
@@ -328,19 +336,19 @@ def ls_solve(
     _AMBIGUITY_RATIO of the best, raise ``AmbiguityError``.  With ``init``
     it refines locally from there.
     """
-    if len(meas.measurements) < 3:
-        raise ValueError("need at least 3 range differences for a planar fix")
-    xy, diffs, _ = _padded_rows([meas], anchors)
-    xy, diffs = xy[..., 0], diffs[:, 0]
+    if len(meas.arrivals) < 4:
+        raise ValueError("need at least 4 arrivals for a planar fix")
+    xy, z, _ = _padded_rows([meas], anchors)
+    xy, z = xy[..., 0], z[:, 0]
 
     if init is not None:
-        pos, _ = _refine(np.asarray(init, dtype=float), xy, diffs)
+        pos, _ = _refine(np.asarray(init, dtype=float), xy, z)
         return pos
     lo, hi = xy.min(axis=0), xy.max(axis=0)
     pad = max(1.0, 0.25 * float(np.hypot(*(hi - lo))))
     minima = [
         (pos, obj)
-        for pos, obj in (_refine(xy[0] + seed, xy, diffs) for seed in _seeds(xy, diffs))
+        for pos, obj in (_refine(xy[0] + seed, xy, z) for seed in _seeds(xy, z))
         if np.all(lo - pad <= pos) and np.all(pos <= hi + pad)  # NaN fails too
     ]
     kept: list[tuple[np.ndarray, float]] = []
@@ -385,7 +393,7 @@ def track(
     cfg: TrackerConfig = TrackerConfig(),
     diagnostics: dict | None = None,
 ) -> list[Fix]:
-    """Run the EKF over the TDoA sets of any number of tags, in any order, at
+    """Run the EKF over the arrival sets of any number of tags, in any order, at
     most one set per (tag_id, blink_seq); fixes come back in that order.
 
     The tags step together, one blink epoch (``blink_seq``) at a time: each
@@ -395,8 +403,8 @@ def track(
     from ``ls_solve`` with zero velocity and re-initializes after a gap of
     more than ``gap_reset`` blinks.  Sets whose cold start fails or is
     ambiguous are skipped and counted in ``diagnostics`` under
-    ``tracks_not_started``; updates left with no usable row, under
-    ``updates_no_usable_rows``.
+    ``tracks_not_started``; updates left with fewer than two usable rows,
+    under ``updates_no_usable_rows``.
     """
     if len({(s.tag_id, s.blink_seq) for s in sets}) < len(sets):
         raise ValueError("track takes at most one set per (tag_id, blink_seq)")

@@ -32,8 +32,8 @@ from uwb_rtls.simnet import (
     run_scenario,
     schedule_ccp_cascade,
 )
-from uwb_rtls.solver import TrackerConfig, ls_solve, range_diffs, track
-from uwb_rtls.timebase import TdoaSet, select_time_base
+from uwb_rtls.solver import TdoaSet, TrackerConfig, ls_solve, ranges, track
+from uwb_rtls.timebase import select_time_base
 from uwb_rtls.topology import AnchorConfig, NetworkTopology, UnsyncableAnchorError
 from uwb_rtls.wcs import arrival_tdoa
 
@@ -103,10 +103,8 @@ def static_scenario(topo, tag_xy, duration, seed) -> Scenario:
 
 def tdoa_set_at(tag_xy, ref="MA1", seq=0) -> TdoaSet:
     d = {a: math.dist(tag_xy, p) for a, p in RECT_POSITIONS.items()}
-    meas = tuple(
-        (a, d[a] - d[ref]) for a in sorted(RECT_POSITIONS) if a != ref
-    )
-    return TdoaSet(tag_id="T1", blink_seq=seq, reference_anchor=ref, measurements=meas)
+    rows = tuple((a, d[a] - d[ref]) for a in sorted(RECT_POSITIONS))
+    return TdoaSet(tag_id="T1", blink_seq=seq, arrivals=rows)
 
 
 # ---------------------------------------------------------------------------
@@ -380,8 +378,8 @@ def test_criterion_7_solver_correctness(verdict):
     xy = np.array([RECT_POSITIONS[a] for a in ["MA1", "SA2", "SA3", "SA4"]])
 
     def geometry(q):
-        h, grad, _ = range_diffs(q[:1], q[1:], xy, gradient=True)
-        return h[:, 0], grad[:, :, 0].T
+        d, grad, _ = ranges(q[:1], q[1:], xy, gradient=True)
+        return d[:, 0], grad[:, :, 0].T
 
     rng = np.random.default_rng(42)
     eps = 1e-6
@@ -430,7 +428,6 @@ def test_criterion_8_dop_predicts_monte_carlo_error(verdict):
     # within a factor of two at 20 interior points, and HDoP itself must be
     # invariant under rigid motions of the whole deployment.
     ref = "MA1"
-    others = sorted(a for a in RECT_POSITIONS if a != ref)
     sigma_t = 1e-10
     reps = 500
     rng = np.random.default_rng(99)
@@ -442,11 +439,11 @@ def test_criterion_8_dop_predicts_monte_carlo_error(verdict):
         errs = []
         for _rep in range(reps):
             noise = {a: rng.normal(0.0, sigma_t) for a in RECT_POSITIONS}
-            meas = tuple(
+            rows = tuple(
                 (a, (dists[a] - dists[ref]) + SPEED_OF_LIGHT * (noise[a] - noise[ref]))
-                for a in others
+                for a in sorted(RECT_POSITIONS)
             )
-            ts = TdoaSet(tag_id="T", blink_seq=0, reference_anchor=ref, measurements=meas)
+            ts = TdoaSet(tag_id="T", blink_seq=0, arrivals=rows)
             est = ls_solve(ts, RECT_POSITIONS, init=p)
             errs.append(math.dist(est, p))
         ratios.append(math.sqrt(float(np.mean(np.square(errs)))) / predicted)

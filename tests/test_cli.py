@@ -225,6 +225,45 @@ def test_malformed_csv_rows_are_skipped(tmp_path, config_path, caplog, name, rea
     assert code == EXIT_OK
 
 
+def _strict_json(text: str):
+    """``json.loads`` refusing NaN and Infinity, which are not JSON."""
+    def refuse(name):
+        raise ValueError(f"not JSON: {name}")
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.parametrize("name, reader, field, value", [
+    ("fixes.csv", read_fixes_csv, 2, "nan"),  # x
+    ("fixes.csv", read_fixes_csv, 6, "inf"),  # pos_std
+    ("synced.csv", read_synced_csv, 4, "nan"),  # offset
+    ("synced.csv", read_synced_csv, 5, "-inf"),  # rate
+])
+def test_a_non_finite_csv_number_is_skipped_and_counted(
+    tmp_path, config_path, name, reader, field, value
+):
+    # Read as numbers, a nan x in fixes.csv would reach summary.json as NaN,
+    # which is not JSON, and a nan offset in synced.csv would become a
+    # repeated smoother sample.
+    out = tmp_path / "run"
+    main(["simulate", "--config", str(config_path), "--out", str(out)])
+    main(["locate", "--config", str(config_path), "--out", str(out),
+          "--reports", str(out / "reports.jsonl")])
+    path = out / name
+    lines = path.read_text().splitlines()
+    fields = lines[20].split(",")
+    fields[field] = value
+    summaries = []
+    for row in ([], [",".join(fields)]):
+        path.write_text("\n".join(lines[:20] + row + lines[21:]) + "\n")
+        assert main(["eval", "--config", str(config_path), "--out", str(out),
+                     "--fixes", str(out / "fixes.csv"), "--truth", str(out / "truth.jsonl"),
+                     "--synced", str(out / "synced.csv")]) == EXIT_OK
+        summaries.append((out / "summary.json").read_text())
+    assert reader(path)[1] == 1
+    assert summaries[1] == summaries[0]
+    _strict_json(summaries[1])
+
+
 def test_repeated_synced_arrival_is_skipped(tmp_path, caplog):
     blinks = {("T1", 9): {"MA1": Arrival(0.5, 41, 1.0), "SA2": Arrival(0.25, 41, 1.0)}}
     path = tmp_path / "synced.csv"

@@ -6,6 +6,8 @@ import math
 import random
 import statistics
 
+from uwb_rtls import engine
+from uwb_rtls.config import parse_config
 from uwb_rtls.engine import EngineParams, locate_reports
 from uwb_rtls.simnet import (
     ConstantVelocityTrajectory,
@@ -14,9 +16,10 @@ from uwb_rtls.simnet import (
     TagSpec,
     run_scenario,
 )
-from uwb_rtls.solver import TrackerConfig
+from uwb_rtls.solver import TdoaSet, TrackerConfig, track
+from uwb_rtls.timebase import select_time_base
 
-from conftest import build_ideal_rect_topology, build_rect_topology
+from conftest import build_ideal_rect_topology, build_rect_topology, hall_config
 
 
 def _run(topo, duration=3.0, tag_xy=(2.0, 1.5), **scenario_kw):
@@ -121,3 +124,26 @@ def test_blinks_below_two_synchronized_receivers_carry_no_pairs_and_are_counted(
         assert [list(arrivals) for arrivals in result.blinks.values()] == synced
         assert result.diagnostics.get("blinks_without_tdoa", 0) == without
         assert result.diagnostics.get("blinks_too_few_receivers", 0) == too_few
+
+
+def test_fixes_do_not_depend_on_the_origin_of_the_arrivals(hall_run, monkeypatch):
+    # The hall's blinks that span cells take a bridging slave as their time
+    # base, not their lowest-id receiver.  Counting every blink's arrivals
+    # from its highest-id receiver instead of its lowest moves no fix.
+    cfg = parse_config(hall_config())
+    topo = cfg.scenario.topology
+    calls = []
+    inner = engine.track
+    monkeypatch.setattr(engine, "track", lambda *a: calls.append(a) or inner(*a))
+    fixes = locate_reports(hall_run.reports, topo, cfg.engine_params()).fixes
+    ((sets, *rest),) = calls
+    assert any(select_time_base(dict(s.arrivals), topo) != s.arrivals[0][0] for s in sets)
+    assert all(s.arrivals[0][1] == 0.0 for s in sets)
+    shifted = [
+        TdoaSet(s.tag_id, s.blink_seq, tuple((a, t - s.arrivals[-1][1]) for a, t in s.arrivals))
+        for s in sets
+    ]
+    moved = track(shifted, *rest)
+    assert [(f.tag_id, f.blink_seq) for f in moved] == [(f.tag_id, f.blink_seq) for f in fixes]
+    assert len(fixes) == len(sets)
+    assert max(math.dist((f.x, f.y), (g.x, g.y)) for f, g in zip(fixes, moved)) <= 1e-7

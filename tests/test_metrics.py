@@ -215,7 +215,7 @@ def test_full_pipeline_regression_is_frozen():
     assert s.availability == 1.0
     assert s.fix_rmse == pytest.approx(0.036098648304548904, rel=1e-6)
     assert s.fix_p95_error == pytest.approx(0.06205463538251252, rel=1e-6)
-    assert s.track_rmse == pytest.approx(0.0361287789402648, rel=1e-6)
+    assert s.track_rmse == pytest.approx(0.03612956369237898, rel=1e-6)
     assert s.tdoa_std_per_pair["MA1|SA2"] == pytest.approx(1.7015993860788218e-11, rel=1e-6)
     assert s.tdoa_std_per_pair["SA3|SA4"] == pytest.approx(1.830034708320594e-11, rel=1e-6)
     assert set(s.tdoa_std_per_pair) == {

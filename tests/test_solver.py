@@ -20,28 +20,35 @@ from uwb_rtls.solver import (
     ekf_update,
     ls_solve,
     process_noise,
-    range_diffs,
+    ranges,
     sum_over_anchors,
+    TdoaSet,
     track,
     transition_matrix,
 )
-from uwb_rtls.timebase import TdoaSet
 
 RECT = {"MA1": (0.0, 0.0), "SA2": (6.0, 0.0), "SA3": (6.0, 4.0), "SA4": (0.0, 4.0)}
 
 
 def tdoa_set(tag_xy, anchors=RECT, ref="MA1", seq=0, jitter=None, tag="T1"):
-    """Range differences (meters) for a tag at ``tag_xy``; optional additive
-    per-measurement noise array."""
+    """Arrivals (meters) for a tag at ``tag_xy``, counted from the arrival at
+    ``ref``; optional additive noise array, one value per other anchor in id
+    order."""
     d = {a: math.dist(tag_xy, p) for a, p in anchors.items()}
     names = sorted(a for a in anchors if a != ref)
-    meas = []
+    rows = []
     for i, a in enumerate(names):
         v = d[a] - d[ref]
         if jitter is not None:
             v += jitter[i]
-        meas.append((a, v))
-    return TdoaSet(tag_id=tag, blink_seq=seq, reference_anchor=ref, measurements=tuple(meas))
+        rows.append((a, v))
+    return with_reference(tag, seq, ref, rows)
+
+
+def with_reference(tag, seq, ref, rows):
+    """The set of arrival ``rows`` (anchor, meters) plus ``ref``'s row at
+    0.0, in anchor-id order."""
+    return TdoaSet(tag_id=tag, blink_seq=seq, arrivals=tuple(sorted([*rows, (ref, 0.0)])))
 
 
 def fresh_state(position):
@@ -105,15 +112,17 @@ def test_closed_form_update_matches_the_textbook_update(m):
         p = 0.1 * root @ root.T + np.diag([1e-3, 1e-3, 1e-2, 1e-2])
         x = np.concatenate([tag + rng.normal(0.0, 0.2, 2), rng.normal(0.0, 1.0, 2)])
 
+        # Range differences against row 0, the set's reference D{n}A00.
         xy, z, _ = _padded_rows([meas], anchors)
         xy, z = xy[..., 0], z[:, 0]
-        h, grad, _ = range_diffs(x[:1], x[1:2], xy, gradient=True)
+        d, grad, _ = ranges(x[:1], x[1:2], xy, gradient=True)
+        h = d[1:, 0] - d[0, 0]
         jac = np.zeros((m, 4))
-        jac[:, :2] = grad[:, :, 0].T
+        jac[:, :2] = (grad[:, 1:, 0] - grad[:, :1, 0]).T
         r = v * (np.eye(m) + np.ones((m, m)))
         s = jac @ p @ jac.T + r
         gain = np.linalg.solve(s, jac @ p).T
-        want_x = x + gain @ (z - h[:, 0])
+        want_x = x + gain @ ((z[1:] - z[0]) - h)
         want_p = (np.eye(4) - gain @ jac) @ p
         want_p = 0.5 * (want_p + want_p.T)
         xs.append(x)
@@ -146,27 +155,32 @@ def test_update_pulls_toward_the_measurement():
     assert after < before
 
 
-def test_tag_on_reference_anchor_skips_update():
+def test_tag_on_the_first_receiver_drops_only_that_row():
+    # The update is the one without the first receiver's row, bit for bit.
     x, p = fresh_state(RECT["MA1"])
-    out, _, (fix,) = ekf_update(x, p, [tdoa_set((0.5, 0.5))], RECT, DEFAULT_SIGMA_T)
-    assert np.array_equal(out, x)
-    assert math.isnan(fix.residual_norm)
+    meas = tdoa_set((0.5, 0.5))
+    rest = TdoaSet(tag_id="T1", blink_seq=0, arrivals=meas.arrivals[1:])
+    out_x, out_p, (fix,) = ekf_update(x, p, [meas], RECT, DEFAULT_SIGMA_T)
+    want_x, want_p, (want_fix,) = ekf_update(x, p, [rest], RECT, DEFAULT_SIGMA_T)
+    assert np.array_equal(out_x, want_x) and np.array_equal(out_p, want_p)
+    assert fix == want_fix
+    assert float(np.trace(out_p[0])) < float(np.trace(p[0]))
 
 
 XY = np.array([RECT[a] for a in ["MA1", "SA2", "SA3", "SA4"]])
 
 
 def geometry(pos):
-    """Range differences (M,) and gradient rows (M, 2) at one point."""
-    h, grad, _ = range_diffs(pos[:1], pos[1:], XY, gradient=True)
-    return h[:, 0], grad[:, :, 0].T
+    """Ranges (M,) and gradient rows (M, 2) at one point."""
+    d, grad, _ = ranges(pos[:1], pos[1:], XY, gradient=True)
+    return d[:, 0], grad[:, :, 0].T
 
 
 def test_tag_on_another_anchor_drops_only_that_row():
     x, p = fresh_state(RECT["SA3"])
     meas = tdoa_set(RECT["SA3"])
-    rest = TdoaSet(tag_id="T1", blink_seq=0, reference_anchor="MA1",
-                   measurements=tuple(m for m in meas.measurements if m[0] != "SA3"))
+    rest = TdoaSet(tag_id="T1", blink_seq=0,
+                   arrivals=tuple(row for row in meas.arrivals if row[0] != "SA3"))
     out_x, out_p, (fix,) = ekf_update(x, p, [meas], RECT, DEFAULT_SIGMA_T)
     want_x, want_p, (want_fix,) = ekf_update(x, p, [rest], RECT, DEFAULT_SIGMA_T)
     assert np.array_equal(out_x, want_x) and np.array_equal(out_p, want_p)
@@ -218,8 +232,8 @@ def test_ls_with_init_refines_locally():
 
 
 def test_ls_needs_three_measurements():
-    short = TdoaSet(tag_id="T1", blink_seq=0, reference_anchor="MA1",
-                    measurements=(("SA2", 1.0), ("SA3", -1.0)))
+    short = TdoaSet(tag_id="T1", blink_seq=0,
+                    arrivals=(("MA1", 0.0), ("SA2", 1.0), ("SA3", -1.0)))
     with pytest.raises(ValueError):
         ls_solve(short, RECT)
 
@@ -257,8 +271,8 @@ HALL = {f"H{x:02d}{y:02d}": (float(x), float(y)) for x in range(0, 41, 8) for y 
 
 def layout(meas, anchors):
     """The single-set layout ``ls_solve`` refines on."""
-    xy, diffs, _ = _padded_rows([meas], anchors)
-    return xy[..., 0], diffs[:, 0]
+    xy, z, _ = _padded_rows([meas], anchors)
+    return xy[..., 0], z[:, 0]
 
 
 def padded_box(xy):
@@ -270,11 +284,12 @@ def padded_box(xy):
 
 
 def random_cold_start(rng, kind, noise):
-    """A seeded TDoA set: anchors of one layout (a random hall subset within
-    24 m of a point), the reference drawn among them, a tag anywhere in their
-    box padded by 30 % each side, Gaussian noise on every difference; with
-    ``noise`` "beyond", one difference past its baseline, and with "garbage"
-    every difference drawn anywhere within its baseline."""
+    """A seeded arrival set: anchors of one layout (a random hall subset
+    within 24 m of a point), the reference drawn among them, a tag anywhere
+    in their box padded by 30 % each side, Gaussian noise on every
+    difference against the reference; with ``noise`` "beyond", one
+    difference past its baseline, and with "garbage" every difference drawn
+    anywhere within its baseline."""
     if kind == "hall":
         centre = rng.uniform(0.0, 40.0, 2)
         near = [a for a, p in HALL.items() if math.dist(p, centre) <= 24.0]
@@ -287,17 +302,17 @@ def random_cold_start(rng, kind, noise):
     ref = list(anchors)[rng.integers(len(anchors))]
     sigma = noise if isinstance(noise, float) else 0.0
     meas = tdoa_set(tag, anchors, ref=ref, jitter=rng.normal(0.0, sigma, len(anchors) - 1))
+    rows = [row for row in meas.arrivals if row[0] != ref]
     if noise == "garbage":
-        rows = tuple((a, rng.uniform(-1.0, 1.0) * math.dist(anchors[a], anchors[ref]))
-                     for a, _ in meas.measurements)
-        meas = TdoaSet(meas.tag_id, meas.blink_seq, ref, rows)
+        rows = [(a, rng.uniform(-1.0, 1.0) * math.dist(anchors[a], anchors[ref]))
+                for a, _ in rows]
+        meas = with_reference(meas.tag_id, meas.blink_seq, ref, rows)
     elif noise == "beyond":
-        rows = list(meas.measurements)
         i = rng.integers(len(rows))
         anchor, d = rows[i]
         rows[i] = (anchor, math.copysign(math.dist(anchors[anchor], anchors[ref]), d)
                    + math.copysign(rng.uniform(0.01, 1.0), d))
-        meas = TdoaSet(meas.tag_id, meas.blink_seq, ref, tuple(rows))
+        meas = with_reference(meas.tag_id, meas.blink_seq, ref, rows)
     return meas, anchors, tag
 
 
@@ -305,12 +320,13 @@ def random_cold_start(rng, kind, noise):
 def test_cold_starts_are_exact_bounded_and_no_worse_than_a_grid(kind, count):
     # Every noise-free tag is fixed, also outside the anchors' box; no
     # answer lies outside the padded box; and no point of a 0.1 m grid over
-    # that box has a lower objective than a fix at up to 0.3 m of noise.
+    # that box has a lower centred objective than a fix at up to 0.3 m of
+    # noise.
     rng = np.random.default_rng(sum(map(ord, kind)))
     for n in range(count):
         noise = (0.0, 0.03, 0.1, 0.3, "beyond", "garbage")[n % 6]
         meas, anchors, tag = random_cold_start(rng, kind, noise)
-        xy, diffs = layout(meas, anchors)
+        xy, z = layout(meas, anchors)
         try:
             pos = ls_solve(meas, anchors)
         except AmbiguityError:
@@ -322,8 +338,10 @@ def test_cold_starts_are_exact_bounded_and_no_worse_than_a_grid(kind, count):
         assert np.all(lo <= pos) and np.all(pos <= hi), (kind, noise, tag, pos)
         if isinstance(noise, float) and noise > 0.0:
             xs, ys = (np.arange(lo[k], hi[k] + 0.05, 0.1) for k in range(2))
-            r = range_diffs(np.repeat(xs, ys.size), np.tile(ys, xs.size), xy) - diffs[:, None]
-            fixed = range_diffs(pos[:1], pos[1:], xy)[:, 0] - diffs
+            r = ranges(np.repeat(xs, ys.size), np.tile(ys, xs.size), xy) - z[:, None]
+            r -= r.mean(axis=0)
+            fixed = ranges(pos[:1], pos[1:], xy)[:, 0] - z
+            fixed -= fixed.mean()
             assert np.min(sum_over_anchors(r * r)) >= fixed @ fixed, (kind, noise, tag)
 
 
@@ -348,8 +366,8 @@ def test_nearly_collinear_anchors_give_no_far_away_fix(offsets):
 
 
 @pytest.mark.parametrize("case, want", [
-    ("beyond the baseline", (18.000134157934994, 0.2995879793395325)),
-    ("outside the hull", (7.449517707404119, 2.069898347147481)),
+    ("beyond the baseline", (17.996182823376568, 0.2932806833469171)),
+    ("outside the hull", (7.639650124088017, 2.0976661100383036)),
 ])
 def test_inconsistent_or_outlying_sets_keep_their_fixes(case, want):
     if case == "beyond the baseline":
@@ -364,8 +382,8 @@ def test_inconsistent_or_outlying_sets_keep_their_fixes(case, want):
 
 
 # The first cold start of tag T002 in the benchmark's hall workload, seed 2:
-# its reference anchor and range differences (m) on the hall's 8 m grid.
-HALL_T002 = TdoaSet("T002", 0, "H1608", tuple(zip(
+# its arrivals (m) on the hall's 8 m grid, counted from the one at H1608.
+HALL_T002 = with_reference("T002", 0, "H1608", zip(
     ["H1616", "H3216", "H1632", "H3232", "H0008", "H0808", "H2408", "H0016", "H0816",
      "H2416", "H0024", "H0824", "H1624", "H2424", "H3224", "H0032", "H0832", "H2432",
      "H0040", "H0840", "H1640", "H2440"],
@@ -375,19 +393,19 @@ HALL_T002 = TdoaSet("T002", 0, "H1608", tuple(zip(
      -14.192845816448497, -6.845945790035417, 1.0156719309629747, -7.335484440846839,
      -13.868572621892978, -6.399609283548914, -2.504961574086071, -6.508348947575878,
      -6.266180722052887, -1.8506211388126765],
-)))
+))
 
 
 def test_refinement_stops_at_its_first_short_step(monkeypatch):
     # A Gauss-Newton step at the minimum that rounding makes no better must
     # end the refinement, not walk the damping up to its cap.
-    xy, diffs = layout(HALL_T002, HALL)
+    xy, z = layout(HALL_T002, HALL)
     calls = []
     inner = solver._residuals_and_jacobian
     monkeypatch.setattr(solver, "_residuals_and_jacobian", lambda *a: calls.append(1) or inner(*a))
-    pos, _ = _refine(xy[0] + _seeds(xy, diffs)[0], xy, diffs)
+    pos, _ = _refine(xy[0] + _seeds(xy, z)[0], xy, z)
     assert len(calls) <= 6
-    assert math.dist(pos, (11.490694488320532, 27.233173786698963)) <= 1e-6
+    assert math.dist(pos, (11.489145522786256, 27.246556339655342)) <= 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -502,12 +520,12 @@ def test_a_tags_fixes_do_not_depend_on_the_batch_it_is_stepped_in():
 def test_an_update_with_no_usable_row_is_skipped_counted_and_alone():
     t1 = [tdoa_set((1.0 + 0.05 * i, 2.0), seq=i, tag="T1") for i in range(12)]
     t2 = [tdoa_set((4.0, 3.0), seq=i, tag="T2") for i in range(12)]
-    # Make T2's blink 6 reference an anchor at exactly the filter's
-    # predicted position for it, so every row of that update is unusable.
+    # Give T2's blink 6 two arrivals, one from an anchor at exactly the
+    # filter's predicted position for it, so one usable row is left.
     before = track(t2[:6], RECT, 0.1)[-1]
     here = (before.x + 0.1 * before.vx, before.y + 0.1 * before.vy)
     anchors = {**RECT, "HERE": here}
-    t2[6] = tdoa_set((4.0, 3.0), {**RECT, "HERE": here}, "HERE", seq=6, tag="T2")
+    t2[6] = tdoa_set((4.0, 3.0), {"MA1": RECT["MA1"], "HERE": here}, "HERE", seq=6, tag="T2")
 
     diagnostics: dict = {}
     fixes = track(t1 + t2, anchors, 0.1, diagnostics=diagnostics)
@@ -518,8 +536,8 @@ def test_an_update_with_no_usable_row_is_skipped_counted_and_alone():
     assert repr([f for f in fixes if f.tag_id == "T1"]) == repr(track(t1, anchors, 0.1))
     after = [f for f in fixes if f.tag_id == "T2" and f.blink_seq > 6]
     assert len(after) == 5 and all(f.residual_norm >= 0.0 for f in after)
-    # A set with no range difference at all is skipped the same way.
-    t2[9] = TdoaSet(tag_id="T2", blink_seq=9, reference_anchor="MA1", measurements=())
+    # A set with no arrival at all is skipped the same way.
+    t2[9] = TdoaSet(tag_id="T2", blink_seq=9, arrivals=())
     diagnostics = {}
     fixes = track(t1 + t2, anchors, 0.1, diagnostics=diagnostics)
     assert diagnostics == {"updates_no_usable_rows": 2}
