@@ -1,11 +1,15 @@
-"""Time-base selection: which blinks are usable, and their reference anchor."""
+"""Time-base selection: which blinks are usable, and their reference anchor;
+and the arrival rows a blink's ``TdoaSet`` holds."""
 
 from __future__ import annotations
 
 import pytest
 
+from uwb_rtls.constants import SPEED_OF_LIGHT
+from uwb_rtls.solver import TdoaSet
 from uwb_rtls.timebase import MIN_RECEIVERS, NoTimeBaseError, select_time_base
 from uwb_rtls.topology import AnchorConfig, NetworkTopology
+from uwb_rtls.wcs import Arrival, arrival_tdoa
 
 from conftest import build_rect_topology
 
@@ -111,3 +115,41 @@ def test_unknown_receiver_rejected():
     topo = build_rect_topology()
     with pytest.raises(NoTimeBaseError):
         select_time_base({"MA1", "SA2", "SA3", "SA9"}, topo)
+
+
+# ---------------------------------------------------------------------------
+# Arrival rows
+
+
+CCP_PERIOD = 0.15
+
+
+def _arrivals(offsets: dict[str, float], ccp_seq: int = 0) -> dict[str, Arrival]:
+    """One blink's arrivals, ``offsets`` seconds after CCP ``ccp_seq``."""
+    return {a: Arrival(offset=t, ccp_seq=ccp_seq, rate=1.0) for a, t in sorted(offsets.items())}
+
+
+def _rows(arrivals: dict[str, Arrival], origin: str) -> dict[str, float]:
+    """c x arrival time in meters per receiver, counted from ``origin``'s arrival."""
+    return {a: arrival_tdoa(arr, arrivals[origin], CCP_PERIOD) * SPEED_OF_LIGHT
+            for a, arr in arrivals.items()}
+
+
+def test_changing_reference_shifts_all_measurements_consistently():
+    # t_i - t_o2 = (t_i - t_o1) - (t_o2 - t_o1): counting the rows from
+    # another receiver's arrival shifts every row by the same constant.
+    arrivals = _arrivals({"MA1": 0.0, "SA2": 2.0e-9, "SA3": -0.7e-9, "SA4": 1.1e-9})
+    via_ma1 = _rows(arrivals, "MA1")
+    via_sa2 = _rows(arrivals, "SA2")
+    shift = via_ma1["SA2"]
+    assert via_ma1["MA1"] == 0.0 and via_sa2["SA2"] == 0.0
+    assert via_sa2["MA1"] == pytest.approx(-shift)
+    for anchor in ("SA3", "SA4"):
+        assert via_sa2[anchor] == pytest.approx(via_ma1[anchor] - shift)
+
+
+def test_tdoa_set_is_a_value_object():
+    ts = TdoaSet(tag_id="T1", blink_seq=0,
+                 arrivals=(("MA1", 0.0), ("SA2", 1.0), ("SA3", 2.0)))
+    assert ts == TdoaSet(tag_id="T1", blink_seq=0,
+                         arrivals=(("MA1", 0.0), ("SA2", 1.0), ("SA3", 2.0)))
