@@ -9,18 +9,18 @@ from .clock import ClockModel, read_clock, ts_diff
 from .config import ConfigError, ScenarioConfig, load_config
 from .engine import EngineParams, LocateResult, locate_reports
 from .metrics import EvalSummary, evaluate
-from .protocol import ToaReport, decode_report, encode_report
+from .protocol import ReportColumns, ToaReport, decode_report, encode_report
 from .simnet import Scenario, SimResult, TagSpec, run_scenario
 from .solver import Fix, TdoaSet, TrackerConfig, ls_solve, track
 from .timebase import select_time_base
 from .topology import AnchorConfig, NetworkTopology
-from .wcs import Arrival, multi_master_sync
+from .wcs import ArrivalTable, multi_master_sync
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AnchorConfig",
-    "Arrival",
+    "ArrivalTable",
     "ClockModel",
     "ConfigError",
     "EngineParams",
@@ -28,6 +28,7 @@ __all__ = [
     "Fix",
     "LocateResult",
     "NetworkTopology",
+    "ReportColumns",
     "Scenario",
     "ScenarioConfig",
     "SimResult",

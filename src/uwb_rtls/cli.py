@@ -14,22 +14,26 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import json
 import logging
 import math
 import sys
+from operator import itemgetter
 from pathlib import Path
-from typing import Callable, Mapping, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
+
+import numpy as np
 
 from .config import ConfigError, ScenarioConfig, load_config
 from .deploy import build_deployment_report, grid_to_csv
 from .engine import LocateResult, locate_reports
 from .metrics import EmptyEvalError, errors_csv, evaluate
-from .protocol import ToaReport, decode_report, encode_report, plain_id
+from .protocol import SEQ_WRAP, ReportColumns, decode_reports, encode_report, id_codes, plain_id
 from .simnet import ScenarioError, SimResult, TruthBlink, decode_truth, encode_truth, run_scenario
 from .solver import Fix
 from .topology import TopologyError
-from .wcs import Arrival, SyncedBlinks
+from .wcs import ArrivalTable, run_starts
 
 log = logging.getLogger(__name__)
 
@@ -42,6 +46,7 @@ EXIT_IO = 4
 
 FIXES_HEADER = "tag_id,blink_seq,x,y,vx,vy,pos_std"
 SYNCED_HEADER = "anchor_id,tag_id,blink_seq,ccp_seq,offset,rate"
+BLOCK_LINES = 4096  # lines read, parsed, rendered and written at a time
 
 
 class CsvHeaderError(ValueError):
@@ -52,13 +57,18 @@ class CsvHeaderError(ValueError):
 # File formats
 
 
-def fixes_to_csv(fixes: Sequence[Fix]) -> str:
-    lines = [FIXES_HEADER]
-    for f in fixes:
-        lines.append(
-            f"{f.tag_id},{f.blink_seq},{f.x!r},{f.y!r},{f.vx!r},{f.vy!r},{f.pos_std!r}"
-        )
-    return "\n".join(lines) + "\n"
+def _blocks(lines: Iterable[str]) -> Iterator[str]:
+    """``lines``, each ending in a newline, joined ``BLOCK_LINES`` at a time."""
+    lines = iter(lines)
+    while block := "".join(itertools.islice(lines, BLOCK_LINES)):
+        yield block
+
+
+def fixes_to_csv(fixes: Sequence[Fix]) -> Iterator[str]:
+    """fixes.csv as blocks of text, one row per fix in the given order."""
+    return _blocks(itertools.chain([FIXES_HEADER + "\n"], (
+        f"{f.tag_id},{f.blink_seq},{f.x!r},{f.y!r},{f.vx!r},{f.vy!r},{f.pos_std!r}\n"
+        for f in fixes)))
 
 
 def _check_utf8(text: str) -> None:
@@ -71,49 +81,89 @@ def _check_utf8(text: str) -> None:
             raise ValueError("not valid UTF-8") from None
 
 
-def _read_lines(
-    path: Path, parse: Callable[[str], T], header: str | None = None
-) -> tuple[list[T], int]:
-    """Parse the non-blank lines of a UTF-8 text file, each stripped.
+def _read_lines(path: Path, parse: Callable[[list[str]], Sequence[list]], columns: int,
+                header: str | None = None) -> tuple[list[list], int]:
+    """Parse the non-blank lines of a UTF-8 text file, each stripped, in
+    blocks: ``parse`` turns a block of lines into ``columns`` lists, which
+    come back joined over the blocks, in file order.
 
     With ``header``, a file whose first line is not ``header`` (another
     format, or an older one) raises ``CsvHeaderError``.  A line that is not
     UTF-8, or on which ``parse`` raises ``ValueError`` (a wrong field count,
-    an unparsable or non-finite number, an id that is not a plain id), is
-    skipped with a warning and counted.
-    """
-    records: list[T] = []
+    an unparsable, out-of-range or non-finite number, a non-plain id), is
+    skipped with a warning and counted: a failing block is halved until
+    each failing line stands alone."""
+    blocks: list[Sequence[list]] = []
     skipped = 0
+
+    def parse_block(block: list[tuple[int, str]]) -> None:
+        nonlocal skipped
+        lines = list(map(itemgetter(1), block))
+        try:
+            _check_utf8("".join(lines))
+            blocks.append(parse(lines))
+        except ValueError as exc:
+            if len(block) == 1:
+                skipped += 1
+                log.warning("%s line %d skipped: %s", path.name, block[0][0], exc)
+            else:
+                parse_block(block[: len(block) // 2])
+                parse_block(block[len(block) // 2 :])
+
     with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         if header is not None and fh.readline().strip() != header:
             raise CsvHeaderError(f"{path}: the first line is not the header {header!r}")
-        for lineno, line in enumerate(fh, start=1 if header is None else 2):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                _check_utf8(line)
-                records.append(parse(line))
-            except ValueError as exc:
-                skipped += 1
-                log.warning("%s line %d skipped: %s", path.name, lineno, exc)
+        lineno = 1 if header is None else 2
+        while lines := list(itertools.islice(fh, BLOCK_LINES)):
+            block = list(filter(itemgetter(1), enumerate(map(str.strip, lines), lineno)))
+            lineno += len(lines)
+            if block:
+                parse_block(block)
     if skipped:
         log.warning("skipped %d malformed line(s) in %s", skipped, path)
-    return records, skipped
+    return [list(itertools.chain.from_iterable(c)) for c in zip(*blocks)] or [
+        [] for _ in range(columns)], skipped
 
 
-def _fix_row(line: str) -> Fix:
-    tag_id, blink_seq, *numbers = line.split(",")
-    x, y, vx, vy, pos_std = values = [float(v) for v in numbers]
+def _csv_columns(lines: list[str], n_fields: int) -> list[list[str]]:
+    """The fields of CSV rows, by column; ValueError unless each has ``n_fields``."""
+    if set(map(str.count, lines, itertools.repeat(","))) != {n_fields - 1}:
+        raise ValueError(f"a row does not have {n_fields} fields")
+    fields = ",".join(lines).split(",")
+    return [fields[i::n_fields] for i in range(n_fields)]
+
+
+def _by_value(parse: Callable[[str], T], texts: list[str]) -> list[T]:
+    """``parse`` of each text, called once per distinct text."""
+    value = {text: parse(text) for text in set(texts)}
+    return list(map(value.__getitem__, texts))
+
+
+def _finite(values: list[float]) -> list[float]:
     if not all(map(math.isfinite, values)):
         raise ValueError("a number is NaN or infinite")
-    return Fix(plain_id(tag_id), int(blink_seq), x, y, vx, vy, pos_std, residual_norm=0.0)
+    return values
+
+
+def _seqs(texts: list[str]) -> list[int]:
+    """Seqs as ``int`` parses them; ValueError unless in [0, 2**32), as in reports."""
+    values = _by_value(int, texts)
+    if values and not (min(values) >= 0 and max(values) < SEQ_WRAP):
+        raise ValueError("a seq lies outside [0, 2**32)")
+    return values
+
+
+def _fix_block(lines: list[str]) -> list[list[Fix]]:
+    tag_ids, blink_seq, *numbers = _csv_columns(lines, 7)
+    numbers = [_finite(list(map(float, column))) for column in numbers]
+    return [list(map(Fix, _by_value(plain_id, tag_ids), _seqs(blink_seq), *numbers,
+                     itertools.repeat(0.0)))]
 
 
 def read_fixes_csv(path: Path) -> tuple[list[Fix], int]:
     """Parse a fixes.csv file, skipping malformed rows, and repeats of a
     (tag_id, blink_seq) fix already read, with a count."""
-    rows, skipped = _read_lines(path, _fix_row, FIXES_HEADER)
+    (rows,), skipped = _read_lines(path, _fix_block, 1, FIXES_HEADER)
     fixes: dict[tuple[str, int], Fix] = {}
     for fix in rows:
         key = (fix.tag_id, fix.blink_seq)
@@ -125,63 +175,64 @@ def read_fixes_csv(path: Path) -> tuple[list[Fix], int]:
     return list(fixes.values()), skipped
 
 
-def synced_to_csv(blinks: Mapping[tuple[str, int], Mapping[str, Arrival]]) -> str:
-    """One row per synchronized arrival, blinks in (tag_id, blink_seq) order
-    and anchors in id order.  Floats are written as ``repr``, which reads
-    back exactly, so every pair's TDoA and rate ratio can be rebuilt bit for
-    bit from the file."""
-    lines = [SYNCED_HEADER]
-    for tag_id, blink_seq in sorted(blinks):
-        arrivals = blinks[(tag_id, blink_seq)]
-        for anchor_id in sorted(arrivals):
-            offset, ccp_seq, rate = arrivals[anchor_id]
-            lines.append(f"{anchor_id},{tag_id},{blink_seq},{ccp_seq},{offset!r},{rate!r}")
-    return "\n".join(lines) + "\n"
+def synced_to_csv(blinks: ArrivalTable) -> Iterator[str]:
+    """synced.csv as blocks of text: one row per arrival, in table order.
+    Floats are written as ``repr``, which reads back exactly, so every
+    pair's TDoA and rate ratio can be rebuilt bit for bit from the file."""
+    yield SYNCED_HEADER + "\n"
+    rates, rate_index = np.unique(blinks.rate.view(np.int64), return_inverse=True)
+    rate_text = list(map(float.__repr__, rates.view(np.float64).tolist()))
+    name = blinks.ids.__getitem__
+    for lo in range(0, len(blinks), BLOCK_LINES):
+        rows = slice(lo, lo + BLOCK_LINES)
+        yield "".join(map(
+            "{},{},{},{},{!r},{}\n".format, map(name, blinks.anchor[rows].tolist()),
+            map(name, blinks.tag[rows].tolist()), blinks.blink_seq[rows].tolist(),
+            blinks.ccp_seq[rows].tolist(), blinks.offset[rows].tolist(),
+            map(rate_text.__getitem__, rate_index[rows].tolist()),
+        ))
 
 
-def _arrival_row(line: str) -> tuple[tuple[str, int], str, Arrival]:
-    anchor_id, tag_id, blink_seq, ccp_seq, offset, rate = line.split(",")
-    offset, rate = float(offset), float(rate)
-    if not (math.isfinite(offset) and math.isfinite(rate)):
-        raise ValueError("a number is NaN or infinite")
-    return (
-        (plain_id(tag_id), int(blink_seq)),
-        plain_id(anchor_id),
-        Arrival(offset, int(ccp_seq), rate),
-    )
+def _arrival_block(lines: list[str]) -> tuple[list, ...]:
+    anchor_ids, tag_ids, blink_seq, ccp_seq, offset, rate = _csv_columns(lines, 6)
+    return (_by_value(plain_id, anchor_ids), _by_value(plain_id, tag_ids), _seqs(blink_seq),
+            _seqs(ccp_seq), _finite(list(map(float, offset))), _finite(_by_value(float, rate)))
 
 
-def read_synced_csv(path: Path) -> tuple[SyncedBlinks, int]:
-    """Parse a synced.csv file back into the sync output's per-blink map,
-    skipping malformed rows, and repeats of an anchor's arrival for a blink
-    already read, with a count."""
-    rows, skipped = _read_lines(path, _arrival_row, SYNCED_HEADER)
-    blinks: SyncedBlinks = {}
-    for (tag_id, blink_seq), anchor_id, arrival in rows:
-        arrivals = blinks.setdefault((tag_id, blink_seq), {})
-        if anchor_id in arrivals:
-            skipped += 1
-            log.warning("%s: repeated arrival of %s#%d at %s skipped",
-                        path.name, tag_id, blink_seq, anchor_id)
-            continue
-        arrivals[anchor_id] = arrival
-    return blinks, skipped
+def read_synced_csv(path: Path) -> tuple[ArrivalTable, int]:
+    """Parse a synced.csv file back into an arrival table, skipping malformed
+    rows, and repeats of an arrival already read, with a count."""
+    columns, skipped = _read_lines(path, _arrival_block, 6, SYNCED_HEADER)
+    anchor_ids, tag_ids, blink_seq, ccp_seq, offset, rate = columns
+    ids, (tag, anchor) = id_codes(tag_ids, anchor_ids)
+    blink_seq, ccp_seq = np.array(blink_seq, np.int64), np.array(ccp_seq, np.int64)
+    order = np.lexsort((anchor, blink_seq, tag))  # stable: a repeat follows the row read first
+    repeat = ~run_starts(tag[order], blink_seq[order], anchor[order])
+    for i in np.sort(order[repeat]).tolist():
+        log.warning("%s: repeated arrival of %s#%d at %s skipped",
+                    path.name, tag_ids[i], blink_seq[i], anchor_ids[i])
+    order = order[~repeat]
+    table = ArrivalTable(ids, tag[order], blink_seq[order], anchor[order],
+                         np.array(offset)[order], ccp_seq[order], np.array(rate)[order])
+    return table, skipped + len(repeat) - len(order)
 
 
-def read_reports(path: Path) -> tuple[list[ToaReport], int]:
-    """Parse a reports.jsonl file, skipping malformed lines with a count."""
-    return _read_lines(path, decode_report)
+def read_reports(path: Path) -> tuple[ReportColumns, int]:
+    """Parse a reports.jsonl file into columns, skipping malformed lines with a count."""
+    fields, skipped = _read_lines(path, decode_reports, 5)
+    return ReportColumns.from_fields(*fields), skipped
 
 
 def read_truth(path: Path) -> tuple[list[TruthBlink], int]:
     """Parse the blinks of a truth.jsonl file, skipping malformed lines with a count."""
-    records, skipped = _read_lines(path, decode_truth)
+    (records,), skipped = _read_lines(path, lambda lines: [list(map(decode_truth, lines))], 1)
     return [r for r in records if isinstance(r, TruthBlink)], skipped
 
 
-def _write(path: Path, text: str) -> None:
+def _write(path: Path, blocks: Iterable[str]) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text, encoding="utf-8")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(blocks)
     log.info("wrote %s", path)
 
 
@@ -194,38 +245,26 @@ def _simulate(cfg: ScenarioConfig, out: Path, seed: int | None) -> SimResult:
     if seed is not None:
         scenario = dataclasses.replace(scenario, seed=seed)
     result = run_scenario(scenario)
-    _write(out / "reports.jsonl", "".join(encode_report(r) + "\n" for r in result.reports))
-    truth_lines = [encode_truth(b) for b in result.truth_blinks]
-    truth_lines += [encode_truth(c) for c in result.truth_clocks]
-    _write(out / "truth.jsonl", "".join(line + "\n" for line in truth_lines))
+    _write(out / "reports.jsonl", _blocks(f"{encode_report(r)}\n" for r in result.reports))
+    truth = itertools.chain(result.truth_blinks, result.truth_clocks)
+    _write(out / "truth.jsonl", _blocks(f"{encode_truth(record)}\n" for record in truth))
     return result
 
 
-def _locate(cfg: ScenarioConfig, reports: Sequence[ToaReport], out: Path) -> LocateResult:
+def _locate(cfg: ScenarioConfig, reports: ReportColumns, out: Path) -> LocateResult:
     result = locate_reports(reports, cfg.scenario.topology, cfg.engine_params())
     _write(out / "fixes.csv", fixes_to_csv(result.fixes))
     _write(out / "synced.csv", synced_to_csv(result.blinks))
     return result
 
 
-def _eval(
-    cfg: ScenarioConfig,
-    fixes: Sequence[Fix],
-    truth: Sequence[TruthBlink],
-    blinks: SyncedBlinks,
-    out: Path,
-) -> str:
-    summary = evaluate(
-        fixes,
-        truth,
-        blinks,
-        cfg.scenario.ccp_period,
-        warmup=cfg.warmup,
-        params=cfg.wcs,
-    )
+def _eval(cfg: ScenarioConfig, fixes: Sequence[Fix], truth: Sequence[TruthBlink],
+          blinks: ArrivalTable | None, out: Path) -> str:
+    summary = evaluate(fixes, truth, blinks, cfg.scenario.ccp_period, warmup=cfg.warmup,
+                       params=cfg.wcs)
     text = summary.to_json()
-    _write(out / "summary.json", text)
-    _write(out / "errors.csv", errors_csv(summary.errors))
+    _write(out / "summary.json", [text])
+    _write(out / "errors.csv", [errors_csv(summary.errors)])
     return text
 
 
@@ -253,7 +292,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
     fixes, _ = read_fixes_csv(Path(args.fixes))
     truth, _ = read_truth(Path(args.truth))
-    blinks, _ = read_synced_csv(Path(args.synced_csv)) if args.synced_csv else ({}, 0)
+    blinks, _ = read_synced_csv(Path(args.synced_csv)) if args.synced_csv else (None, 0)
     try:
         text = _eval(cfg, fixes, truth, blinks, Path(args.out))
     except EmptyEvalError as exc:
@@ -269,8 +308,8 @@ def cmd_deploy_check(args: argparse.Namespace) -> int:
         cfg.scenario.topology, area=cfg.area, resolution=args.resolution
     )
     out = Path(args.out)
-    _write(out / "deploy_report.json", json.dumps(report.to_dict(), indent=2) + "\n")
-    _write(out / "hdop.csv", grid_to_csv(report.hdop_rows))
+    _write(out / "deploy_report.json", [json.dumps(report.to_dict(), indent=2) + "\n"])
+    _write(out / "hdop.csv", [grid_to_csv(report.hdop_rows)])
     return EXIT_OK
 
 
@@ -320,10 +359,10 @@ def cmd_demo(args: argparse.Namespace) -> int:
     """Full pipeline on a small rectangular deployment with one static tag."""
     out = Path(args.out)
     config_path = out / "demo_config.json"
-    _write(config_path, json.dumps(DEMO_CONFIG, indent=2) + "\n")
+    _write(config_path, [json.dumps(DEMO_CONFIG, indent=2) + "\n"])
     cfg = load_config(config_path)
     sim = _simulate(cfg, out, args.seed)
-    result = _locate(cfg, sim.reports, out)
+    result = _locate(cfg, ReportColumns.from_reports(sim.reports), out)
     if not result.fixes:
         print("error: demo produced no fixes", file=sys.stderr)
         return EXIT_EMPTY

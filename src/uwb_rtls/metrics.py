@@ -2,8 +2,8 @@
 
 Compares engine output against simulator ground truth.  TDoA stability is
 judged on smoothed per-pair streams (the smoother output is what a live
-system would monitor), built from the sync output's per-blink arrivals;
-position accuracy on per-blink Euclidean errors.
+system would monitor), built from the columns of the sync output's arrival
+table; position accuracy on per-blink Euclidean errors.
 """
 
 from __future__ import annotations
@@ -11,13 +11,13 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .simnet import TruthBlink
 from .solver import Fix
-from .wcs import Arrival, WcsParams, arrival_tdoa, kalman_step
+from .wcs import ArrivalTable, WcsParams, arrival_tdoa
 
 DEFAULT_WARMUP = 50  # samples dropped from the front of every stream
 
@@ -82,61 +82,56 @@ def _pstdev(values: Sequence[float]) -> float:
     return math.sqrt(math.fsum((v - mean) ** 2 for v in values) / len(values))
 
 
-def _arrival_rows(
-    blinks: Mapping[tuple[str, int], Mapping[str, Arrival]],
-) -> tuple[list[str], np.ndarray, list[Arrival]]:
-    """The arrivals laid out per anchor over the blinks in (tag_id, blink_seq)
-    order: the anchor ids in order, an (anchors x blinks) mask of which
-    anchor heard which blink, and per anchor an ``Arrival`` of arrays over
-    the blinks, zero where the anchor did not hear the blink.  Only the
-    fields ``arrival_tdoa`` reads are laid out; ``rate`` is NaN."""
-    keys = sorted(blinks)
-    anchors = sorted({a for arrivals in blinks.values() for a in arrivals})
-    start = {a: i * len(keys) for i, a in enumerate(anchors)}  # flat index of a row
-    at, offsets, seqs = [], [], []
-    for n, key in enumerate(keys):
-        for anchor_id, (offset, ccp_seq, _) in blinks[key].items():
-            at.append(start[anchor_id] + n)
-            offsets.append(offset)
-            seqs.append(ccp_seq)
-    shape = (len(anchors), len(keys))
-    heard = np.zeros(shape, dtype=bool)
-    offset_rows, seq_rows = np.zeros(shape), np.zeros(shape, dtype=np.int64)
-    heard.flat[at] = True
-    offset_rows.flat[at] = offsets
-    seq_rows.flat[at] = seqs
-    return anchors, heard, [Arrival(o, q, math.nan) for o, q in zip(offset_rows, seq_rows)]
+def _smoother_gains(n: int, params: WcsParams) -> list[float]:
+    """The gains of the first ``n`` steps of the per-pair smoother, which
+    depend on no measurement: from an infinite prior the first step adopts
+    it (gain 1), then each step adds ``process_var`` and updates."""
+    gains, variance = [1.0], params.measurement_var
+    for _ in range(1, n):
+        variance = variance + params.process_var
+        gain = variance / (variance + params.measurement_var)
+        variance = (1.0 - gain) * variance
+        gains.append(gain)
+    return gains[:n]
 
 
 def smoothed_tdoa_streams(
-    blinks: Mapping[tuple[str, int], Mapping[str, Arrival]],
-    ccp_period: float,
-    params: WcsParams = WcsParams(),
+    blinks: ArrivalTable, ccp_period: float, params: WcsParams = WcsParams()
 ) -> dict[str, list[float]]:
     """Per-pair smoother output, keyed "A|B" with A < B, in blink order.
 
     A pair's stream is its TDoA (arrival at A minus arrival at B) over the
     blinks both anchors heard, in (tag_id, blink_seq) order, smoothed with
-    ``params.process_var`` and ``params.measurement_var``.
+    ``params.process_var`` and ``params.measurement_var``: each finite
+    measurement moves the state toward it by that step's gain.
     """
-    process_var, measurement_var = params.process_var, params.measurement_var
-    anchors, heard, rows = _arrival_rows(blinks)
-    streams: dict[str, list[float]] = {}
-    for i, a in enumerate(anchors):
+    return dict(sorted(_smoothed_pairs(blinks, ccp_period, params)))
+
+
+def _smoothed_pairs(
+    blinks: ArrivalTable, ccp_period: float, params: WcsParams
+) -> Iterator[tuple[str, list[float]]]:
+    """``smoothed_tdoa_streams``, one pair at a time."""
+    starts, sizes = blinks.blinks()
+    anchors, anchor_index = np.unique(blinks.anchor, return_inverse=True)
+    row = np.full((len(anchors), len(starts)), -1)  # each anchor's row per blink
+    row[anchor_index, np.repeat(np.arange(len(starts)), sizes)] = np.arange(len(blinks))
+    gains = np.array(_smoother_gains(len(starts), params))
+    for i, a in enumerate(anchors.tolist()):
         for j in range(i + 1, len(anchors)):
-            both = heard[i] & heard[j]
+            both = (row[i] >= 0) & (row[j] >= 0)
             if not both.any():
                 continue
-            tdoa = arrival_tdoa(rows[i], rows[j], ccp_period)
-            state, variance = 0.0, math.inf  # infinite prior: adopt the first sample
-            out = []
-            for measurement in tdoa[both].tolist():
-                state, variance = kalman_step(
-                    state, variance, measurement, process_var, measurement_var
-                )
+            tdoa = arrival_tdoa(blinks, row[i][both], row[j][both], ccp_period)
+            # A non-finite measurement leaves the filter as it is: gain 0,
+            # and the steps after it take the gains of the finite ones before.
+            finite = np.isfinite(tdoa)
+            gain = np.where(finite, gains[np.cumsum(finite) - 1], 0.0).tolist()
+            state, out = 0.0, []
+            for measurement, step_gain in zip(np.where(finite, tdoa, 0.0).tolist(), gain):
+                state = state + step_gain * (measurement - state)
                 out.append(state)
-            streams[pair_key(a, anchors[j])] = out
-    return dict(sorted(streams.items()))
+            yield pair_key(blinks.ids[a], blinks.ids[anchors[j]]), out
 
 
 def fix_errors(
@@ -157,7 +152,7 @@ def fix_errors(
 def evaluate(
     fixes: Sequence[Fix],
     truth_blinks: Sequence[TruthBlink],
-    blinks: Mapping[tuple[str, int], Mapping[str, Arrival]] | None = None,
+    blinks: ArrivalTable | None = None,
     ccp_period: float | None = None,
     *,
     warmup: int = DEFAULT_WARMUP,
@@ -165,11 +160,11 @@ def evaluate(
 ) -> EvalSummary:
     """Score fixes (and optionally the sync output) against ground truth.
 
-    ``blinks`` is the sync output, per blink each synchronized anchor's
-    ``Arrival``; differencing two arrivals needs the CCP period they are
-    counted in, and ``params`` holds the smoother's settings.  Inputs may
-    arrive in any order; everything is matched by (tag, blink seq).  Raises
-    ``EmptyEvalError`` when no fix lines up with the truth.
+    ``blinks`` is the sync output's arrival table; differencing two
+    arrivals needs the CCP period they are counted in, and ``params``
+    holds the smoother's settings.  Inputs may arrive in any order;
+    everything is matched by (tag, blink seq).  Raises ``EmptyEvalError``
+    when no fix lines up with the truth.
     """
     matched = fix_errors(fixes, truth_blinks)
     if not matched:
@@ -190,13 +185,12 @@ def evaluate(
     if blinks:
         if ccp_period is None:
             raise ValueError("differencing arrivals needs the CCP period")
-        streams = smoothed_tdoa_streams(blinks, ccp_period, params)
-        for key, stream in streams.items():
+        for key, stream in _smoothed_pairs(blinks, ccp_period, params):
             tail = stream[warmup:]
             if len(tail) >= 2:
                 stds[key] = _pstdev(tail)
     return EvalSummary(
-        tdoa_std_per_pair=stds,
+        tdoa_std_per_pair=dict(sorted(stds.items())),
         fix_rmse=rmse(settled),
         fix_p95_error=_percentile(settled, 95.0),
         track_rmse=rmse(all_errs),

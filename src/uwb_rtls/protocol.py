@@ -14,6 +14,9 @@ meets where it enters the program, so no CSV field that holds one needs
 quoting.  Lines are written in that one canonical form, which one compiled
 pattern parses; any other JSON object line with the same fields reads the
 same.
+
+The sync reads reports as ``ReportColumns``: one array per field, ids and
+kinds as integer codes.
 """
 
 from __future__ import annotations
@@ -24,7 +27,10 @@ import math
 import operator
 import re
 import sys
-from typing import NamedTuple
+from dataclasses import dataclass
+from typing import Iterable, NamedTuple, Sequence
+
+import numpy as np
 
 from .clock import TICK_WRAP
 
@@ -32,6 +38,8 @@ KIND_BLINK_RX = "blink_rx"
 KIND_CCP_RX = "ccp_rx"
 KIND_CCP_TX = "ccp_tx"
 REPORT_KINDS = (KIND_BLINK_RX, KIND_CCP_RX, KIND_CCP_TX)
+# A report's kind as ``ReportColumns`` codes it: its index in REPORT_KINDS.
+BLINK_RX, CCP_RX, CCP_TX = range(len(REPORT_KINDS))
 
 # Sequence numbers are 32-bit wrapping counters.
 SEQ_WRAP = 2**32
@@ -56,6 +64,43 @@ class ToaReport(NamedTuple):
     ticks: float
 
 
+def id_codes(*columns: Sequence[str]) -> tuple[tuple[str, ...], list[np.ndarray]]:
+    """The sorted ids of ``columns``, and each column as int32 codes into them."""
+    ids = tuple(sorted(set().union(*columns)))
+    code = {value: i for i, value in enumerate(ids)}.__getitem__
+    return ids, [np.fromiter(map(code, c), np.int32, len(c)) for c in columns]
+
+
+@dataclass(frozen=True, eq=False)
+class ReportColumns:
+    """Reports as columns, one row per report, in any order: ``anchor``
+    and ``src`` as int32 codes into ``ids``, the sorted ids of both, ``kind``
+    as an int8 code into ``REPORT_KINDS``, ``seq`` int64, ``ticks`` float64.
+    ``cli.read_reports`` reads them from a file, ``from_reports`` builds
+    them from ``ToaReport`` records."""
+
+    ids: tuple[str, ...]
+    anchor: np.ndarray
+    kind: np.ndarray
+    src: np.ndarray
+    seq: np.ndarray
+    ticks: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.seq)
+
+    @classmethod
+    def from_fields(cls, anchor_ids, kinds, src_ids, seqs, ticks) -> ReportColumns:
+        """Columns from one sequence per ``ToaReport`` field."""
+        ids, (anchor, src) = id_codes(anchor_ids, src_ids)
+        kind = np.fromiter(map(REPORT_KINDS.index, kinds), np.int8, len(kinds))
+        return cls(ids, anchor, kind, src, np.array(seqs, np.int64), np.array(ticks, np.float64))
+
+    @classmethod
+    def from_reports(cls, records: Iterable[ToaReport]) -> ReportColumns:
+        return cls.from_fields(*(tuple(zip(*records)) or ((),) * 5))
+
+
 PLAIN_ID_RULE = (
     "an id must be a non-empty string with no ',', '\"', control character "
     "(U+0000-U+001F), or leading or trailing whitespace"
@@ -66,10 +111,6 @@ _PLAIN_ID = re.compile(r'(?!\s)[^,"\x00-\x1f]+(?<!\s)')
 def is_plain_id(value: object) -> bool:
     """Whether ``value`` is a plain id; see ``PLAIN_ID_RULE``."""
     return isinstance(value, str) and _PLAIN_ID.fullmatch(value) is not None
-
-
-# For ids parsed from report lines, where they repeat on every line.
-_is_plain = functools.lru_cache(maxsize=4096)(is_plain_id)
 
 
 @functools.lru_cache(maxsize=4096)
@@ -107,15 +148,17 @@ def json_number(value: float) -> str:
     return int.__repr__(operator.index(value))
 
 
-# The line encode_report writes: fields in order, no whitespace, ids as JSON
-# strings with no escape (``decode_report`` checks they are plain), a known
-# kind, seq an unsigned JSON integer and ticks an unsigned JSON number of at
-# most 20 integer digits (any other line is left to json.loads).
+# The line encode_report writes, as a whole line of lines joined by
+# newlines: fields in order, no whitespace, ids as JSON strings with no
+# escape (``decode_reports`` checks they are plain), a known kind, seq an
+# unsigned JSON integer and ticks an unsigned JSON number of at most 20
+# integer digits (any other line is left to json.loads).
 _ID = r'"([^"\\\x00-\x1f]*)"'
 _CANONICAL = re.compile(
-    rf'\{{"anchor_id":{_ID},"kind":"({"|".join(REPORT_KINDS)})","src_id":{_ID},'
+    rf'^\{{"anchor_id":{_ID},"kind":"({"|".join(REPORT_KINDS)})","src_id":{_ID},'
     r'"seq":(0|[1-9][0-9]{0,19}),'
-    r'"ticks":((?:0|[1-9][0-9]{0,19})(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?)\}'
+    r'"ticks":((?:0|[1-9][0-9]{0,19})(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?)\}$',
+    re.MULTILINE,
 )
 
 
@@ -134,21 +177,35 @@ def encode_report(report: ToaReport) -> str:
     )
 
 
+def decode_reports(lines: Sequence[str]) -> tuple[list, list, list, list, list]:
+    """Parse report lines into five columns, one per ``ToaReport`` field.
+
+    A block of canonical lines, with plain ids and seq and ticks in range,
+    is parsed by one search of one compiled pattern.  Any other block goes
+    line by line through ``json.loads`` and checks that word every error:
+    the first line that fails raises ``ReportDecodeError``."""
+    text = "\n".join(lines)
+    rows = _CANONICAL.findall(text)
+    if rows and len(rows) == len(lines) == text.count("\n") + 1:
+        anchor_ids, kinds, src_ids, seqs, ticks = zip(*rows)
+        seqs = list(map(int, seqs))
+        ticks = list(map(float, ticks))  # rounds as float(int(text)) would
+        if (max(seqs) < SEQ_WRAP and max(ticks) < TICK_WRAP
+                and all(map(is_plain_id, {*anchor_ids, *src_ids}))):
+            # Ids and kinds repeat on every line: interned, each is stored once.
+            anchor_ids, kinds, src_ids = (
+                list(map(sys.intern, column)) for column in (anchor_ids, kinds, src_ids))
+            return anchor_ids, kinds, src_ids, seqs, ticks
+    columns = tuple(map(list, zip(*map(_decode_json, lines))))
+    return columns or ([], [], [], [], [])
+
+
 def decode_report(line: str) -> ToaReport:
-    """Parse one JSON report line, validating kind, seq, and tick range.
+    """One JSON report line, checked as ``decode_reports`` checks a block."""
+    return ToaReport(*(column[0] for column in decode_reports([line])))
 
-    A canonical line whose ids are plain and whose seq and ticks are in
-    range is parsed by one compiled pattern.  Every other line goes through ``json.loads`` and the
-    checks below, which also word every error.
-    """
-    match = _CANONICAL.fullmatch(line)
-    if match is not None:
-        anchor_id, kind, src_id, seq_text, ticks_text = match.groups()
-        seq = int(seq_text)
-        ticks = float(ticks_text)  # rounds as float(int(ticks_text)) would
-        if seq < SEQ_WRAP and ticks < TICK_WRAP and _is_plain(anchor_id) and _is_plain(src_id):
-            return _report(anchor_id, kind, src_id, seq, ticks)
 
+def _decode_json(line: str) -> ToaReport:
     try:
         raw = json.loads(line)
     except json.JSONDecodeError as exc:
@@ -160,11 +217,7 @@ def decode_report(line: str) -> ToaReport:
     if missing:
         raise ReportDecodeError(f"missing fields: {', '.join(missing)}")
 
-    anchor_id = raw["anchor_id"]
-    kind = raw["kind"]
-    src_id = raw["src_id"]
-    seq = raw["seq"]
-    ticks = raw["ticks"]
+    anchor_id, kind, src_id, seq, ticks = (raw[k] for k in ToaReport._fields)
 
     if not (is_plain_id(anchor_id) and is_plain_id(src_id)):
         raise ReportDecodeError(
@@ -181,9 +234,4 @@ def decode_report(line: str) -> ToaReport:
     if not 0 <= ticks < TICK_WRAP:
         raise ReportDecodeError(f"ticks {ticks!r} outside [0, 2**40)")
 
-    return _report(anchor_id, kind, src_id, seq, float(ticks))
-
-
-def _report(anchor_id: str, kind: str, src_id: str, seq: int, ticks: float) -> ToaReport:
-    # Ids and kinds repeat on every line: interned, each is stored once.
-    return ToaReport(sys.intern(anchor_id), sys.intern(kind), sys.intern(src_id), seq, ticks)
+    return ToaReport(sys.intern(anchor_id), sys.intern(kind), sys.intern(src_id), seq, float(ticks))

@@ -22,27 +22,27 @@ master's epochs are its own CCP transmissions.  A blink timestamp is placed
 after the epoch nearest to it on the receiving anchor's own clock and
 scaled by that epoch's rate.  The paper's scale coefficient K = ΔT/ΔR
 between a master and a receiver is the ratio of their two rates over one
-window: the master's ``Arrival.rate`` over the receiver's.
+window: the master's ``rate`` over the receiver's.
 
-The output is one ``Arrival`` per receiving anchor per blink: the blink's
-arrival on the common timescale, as an offset after a numbered CCP of the
-primary master's schedule, with CCP propagation between anchors (a known
-baseline over c) already removed.  A time difference between two anchors
-(``arrival_tdoa``) is derived from two arrivals only where it is needed:
-against the blink's time base for positioning, and per anchor pair over all
-blinks for eval's stability streams.
+The sync works on whole columns (``protocol.ReportColumns``): sorting,
+grouping and ``np.searchsorted`` do the lookups, with the floating-point
+operations of one report at a time, in the same order.  The output is one
+``ArrivalTable``: each blink's arrival at each receiver on the common
+timescale, CCP propagation between anchors (a known baseline over c)
+already removed.  Time differences (``arrival_tdoa``) are taken only where
+they are needed: for positioning, and for eval's stability streams.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, NamedTuple
+
+import numpy as np
 
 from .clock import HALF_WRAP, TICK_SECONDS, TICK_WRAP, ts_diff
 from .constants import SPEED_OF_LIGHT
-from .protocol import KIND_BLINK_RX, KIND_CCP_RX, KIND_CCP_TX, ToaReport
+from .protocol import BLINK_RX, CCP_RX, CCP_TX, ReportColumns
 from .topology import NetworkTopology, ROLE_MASTER
 
 
@@ -80,298 +80,232 @@ class WcsParams:
             )
 
 
-class Arrival(NamedTuple):
-    """One blink's arrival at one anchor on the common timescale.
+@dataclass(frozen=True, eq=False)
+class ArrivalTable:
+    """The sync output: one row per synchronized arrival of a blink, sorted
+    by (tag_id, blink_seq, anchor_id); ``tag`` and ``anchor`` are int32
+    codes into ``ids``, the sorted ids of both.  The arrival is ``offset``
+    seconds after the ``ccp_seq``-th CCP of the primary's schedule, with
+    ``rate`` the anchor's clock rate (device seconds per schedule second)
+    used for it; offset and seq stay apart, so long absolute times never
+    enter the arithmetic.  Seqs are int64, offset and rate float64."""
 
-    The arrival is ``offset`` seconds after the ``ccp_seq``-th CCP of the
-    primary master's schedule; ``rate`` is the anchor's clock rate (device
-    seconds per schedule second) used for the correction.  Offset and seq
-    stay apart: a difference of two arrivals subtracts the offsets and adds
-    the seq difference times the CCP period, so long absolute times never
-    enter the arithmetic.
-    """
+    ids: tuple[str, ...]
+    tag: np.ndarray
+    blink_seq: np.ndarray
+    anchor: np.ndarray
+    offset: np.ndarray
+    ccp_seq: np.ndarray
+    rate: np.ndarray
 
-    offset: float
-    ccp_seq: int
-    rate: float
+    def __len__(self) -> int:
+        return len(self.offset)
 
-
-# Sync output: (tag_id, blink_seq) -> {receiving anchor: its Arrival}.
-SyncedBlinks = dict[tuple[str, int], dict[str, Arrival]]
-
-
-def arrival_tdoa(a: Arrival, b: Arrival, ccp_period: float) -> float:
-    """Arrival ``a`` minus arrival ``b`` in seconds on the common timescale.
-
-    Elementwise, with the same arithmetic, when the fields of ``a`` and
-    ``b`` are numpy arrays (float offsets, integer seqs).
-    """
-    return (a.offset - b.offset) + (a.ccp_seq - b.ccp_seq) * ccp_period
+    def blinks(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each blink's first row, and its number of rows."""
+        starts = np.flatnonzero(run_starts(self.tag, self.blink_seq))
+        return starts, np.diff(starts, append=len(self))
 
 
-# ---------------------------------------------------------------------------
-# Scalar per-pair smoothing
+def arrival_tdoa(table: ArrivalTable, rows, others, ccp_period: float):
+    """The arrival in row ``rows`` of ``table`` minus the one in row
+    ``others``, in seconds; elementwise for index arrays."""
+    return ((table.offset[rows] - table.offset[others])
+            + (table.ccp_seq[rows] - table.ccp_seq[others]) * ccp_period)
 
 
-def kalman_step(
-    state: float, variance: float, measurement: float, process_var: float, measurement_var: float
-) -> tuple[float, float]:
-    """One predict/update step on bare floats, returning (state, variance).
-
-    An infinite prior ``variance`` makes the step adopt the measurement
-    outright.  Non-finite measurements are rejected and leave the filter
-    unchanged.
-    """
-    if not math.isfinite(measurement):
-        return state, variance
-    variance = variance + process_var
-    if math.isinf(variance):
-        # Limit of gain -> 1: adopt the measurement, keep its own variance.
-        return measurement, measurement_var
-    gain = variance / (variance + measurement_var)
-    return state + gain * (measurement - state), (1.0 - gain) * variance
+def run_starts(*keys: np.ndarray) -> np.ndarray:
+    """True at the first row of each run of rows with equal keys."""
+    starts = np.ones(len(keys[0]), dtype=bool)
+    starts[1:] = np.any([key[1:] != key[:-1] for key in keys], axis=0)
+    return starts
 
 
-# ---------------------------------------------------------------------------
-# Full-report synchronization across a (possibly multi-master) topology
+def _lookup(keys: np.ndarray, values: np.ndarray, at: np.ndarray) -> np.ndarray:
+    """``values`` where the sorted ``keys`` hold ``at``; NaN where they do not."""
+    i = np.searchsorted(keys, at)
+    hit = i < len(keys)
+    hit[hit] = keys[i[hit]] == at[hit]
+    out = np.full(len(at), np.nan)
+    out[hit] = values[i[hit]]
+    return out
 
 
-class _EpochTrack:
-    """One clock's CCP epochs against one master's schedule, in seq order.
-
-    Each entry is (seq, the clock's reading of CCP ``seq``, the clock's rate
-    over the window from CCP ``seq`` to ``seq + 1``); ``_epoch_track``
-    builds every track, a master's own and a slave's alike, with the one
-    window rule.  ``delay`` is the CCP's flight time from the master to the
-    anchor; on a master's own track it is zero.
-
-    Tick comparisons are only trustworthy within half a counter wrap, so
-    every lookup starts at the epoch the nominal schedule puts next to the
-    blink (the first one at or after ``seq_hint``) and walks from there to
-    the nearest by tick distance.  No state carries over between lookups: a
-    tag that was out of range for longer than half a wrap is looked up the
-    same way as one that never left.
-    """
-
-    def __init__(
-        self, master: str, delay: float, entries: list[tuple[int, float, float]]
-    ) -> None:
-        self.master = master
-        self.delay = delay
-        self.entries = entries
-        self.seqs = [seq for seq, _, _ in entries]
-
-    def at(self, seq: int) -> tuple[int, float, float] | None:
-        """The entry of CCP ``seq``, or None if that reading is no epoch."""
-        i = bisect.bisect_left(self.seqs, seq)
-        if i < len(self.seqs) and self.seqs[i] == seq:
-            return self.entries[i]
-        return None
-
-    def nearest(self, stamp: float, seq_hint: int) -> tuple[int, float, float]:
-        entries = self.entries
-        i = min(bisect.bisect_left(self.seqs, seq_hint), len(entries) - 1)
-        best = abs(ts_diff(stamp, entries[i][1]))
-        moved = True
-        while moved:
-            moved = False
-            if i + 1 < len(entries):
-                ahead = abs(ts_diff(stamp, entries[i + 1][1]))
-                if ahead <= best:
-                    i, best, moved = i + 1, ahead, True
-                    continue
-            if i > 0:
-                behind = abs(ts_diff(stamp, entries[i - 1][1]))
-                if behind < best:
-                    i, best, moved = i - 1, behind, True
-        return entries[i]
-
-
-def _epoch_track(
-    master: str,
-    delay: float,
-    readings: Mapping[int, float],
-    ccp_period: float,
-    k_band: float,
-    diag: dict,
-) -> _EpochTrack | None:
-    """The epochs among one clock's readings of ``master``'s CCPs, by seq.
-
-    The reading of CCP s is an epoch if the clock also read CCP s + 1 and
-    its rate over that window (device seconds per nominal CCP period) lies
-    within 1 +/- ``k_band``; with ``k_band`` < 1, a stuck or backwards clock
-    (rate <= 0) fails too.  Failed windows are counted in
-    ``rejected_windows``; None if no epoch is left.
-    """
-    entries = []
-    for seq in sorted(readings):
-        following = readings.get(seq + 1)
-        if following is None:
-            continue
-        rate = ts_diff(following, readings[seq]) * TICK_SECONDS / ccp_period
-        if abs(rate - 1.0) <= k_band:
-            entries.append((seq, readings[seq], rate))
-        else:
-            diag["rejected_windows"] = diag.get("rejected_windows", 0) + 1
-    return _EpochTrack(master, delay, entries) if entries else None
+def _nearest(stamp, at, lo, hi, epoch_ticks) -> np.ndarray:
+    """Per row, the index of the epoch in ``epoch_ticks[lo:hi]`` nearest to
+    ``stamp``.  Tick distances alias beyond half a wrap, so the walk starts
+    at ``at``, the epoch the schedule puts next to the blink, and goes ahead
+    while that is no farther, else back while that is nearer."""
+    i = at.copy()
+    best = np.abs(ts_diff(stamp, epoch_ticks[i]))
+    walking = np.arange(len(i))
+    while walking.size:
+        now, near = i[walking], best[walking]
+        ahead = np.abs(ts_diff(stamp[walking], epoch_ticks[np.minimum(now + 1, hi[walking] - 1)]))
+        forward = (now + 1 < hi[walking]) & (ahead <= near)
+        behind = np.abs(ts_diff(stamp[walking], epoch_ticks[np.maximum(now - 1, lo[walking])]))
+        back = ~forward & (now > lo[walking]) & (behind < near)
+        i[walking] = now + forward - back
+        best[walking] = np.where(forward, ahead, np.where(back, behind, near))
+        walking = walking[forward | back]
+    return i
 
 
 def multi_master_sync(
-    reports: Iterable[ToaReport],
+    reports: ReportColumns,
     topo: NetworkTopology,
     *,
     ccp_period: float,
     blink_period: float = 0.1,
     params: WcsParams = WcsParams(),
     diagnostics: dict | None = None,
-) -> SyncedBlinks:
+) -> ArrivalTable:
     """Correct every blink in a report stream onto the common timescale.
 
-    Works for single-master and cascaded multi-master topologies alike, and
-    for masters and slaves alike: each receiving anchor's blink timestamp is
-    mapped through the CCP epoch nearest to it on the anchor's own clock
-    (a slave's reception of a master's CCP, or a master's own transmission),
-    scaled by the anchor's clock rate over the window that starts there,
-    and lower-level masters are chained to the primary through their own CCP
-    receive/transmit pairs.  The result maps each blink, as (tag_id,
-    blink_seq) in sorted order, to one ``Arrival`` per synchronized
-    receiver, in anchor-id order.  Anchors without an epoch, or whose
-    nearest one is more than ``params.stale_intervals`` CCP periods from the
-    blink or scheduled more than half a counter wrap from it, are skipped and
-    counted in ``diagnostics``, as is any report whose ticks lie outside
-    [0, 2**40) (``ticks_out_of_range``); a blink left with fewer than two
-    synchronized receivers carries no time difference and is left out and
-    counted (``blinks_without_tdoa``).  ``blink_period`` (> 0) is only a
-    search hint pairing blinks with nearby CCP rounds; correction itself
-    never assumes when tags transmit.
+    Each receiving anchor's blink timestamp, a master's and a slave's alike,
+    is mapped through the CCP epoch nearest to it on its own clock and
+    scaled by its rate over that window; lower-level masters are chained to
+    the primary through their own CCP receive/transmit pairs.  A slave that
+    follows several masters takes the first track, in master-id order,
+    whose nearest epoch is fresh and on the primary's timescale.
 
-    Results depend only on the multiset of reports, not their order.
+    Counted in ``diagnostics`` and skipped, in this order: reports with
+    ticks outside [0, 2**40) (``ticks_out_of_range``), from an anchor not
+    in ``topo`` (``unknown_anchor_reports``), CCP transmissions not by a
+    master about itself (``ccp_tx_from_non_master``) and CCP receptions
+    from a non-master (``ccp_rx_unknown_master``); repeats of a reading,
+    the smallest tick winning (``duplicate_reports``); a receiver with no
+    epoch (``unsynchronized_blinks``) or whose nearest is more than
+    ``params.stale_intervals`` CCP periods or half a counter wrap of
+    schedule away (``stale_blinks``); and a blink left with fewer than two
+    arrivals (``blinks_without_tdoa``).  ``blink_period`` (> 0) is only a
+    search hint.  Results depend only on the multiset of reports.
     """
     if not blink_period > 0:
         raise ValueError(f"blink_period must be > 0, got {blink_period!r}")
     diag = diagnostics if diagnostics is not None else {}
 
-    def count(key: str) -> None:
-        diag[key] = diag.get(key, 0) + 1
+    def count(key: str, n) -> None:
+        if n:
+            diag[key] = diag.get(key, 0) + int(n)
 
-    # One pass files each reading under its kind; where a reading repeats,
-    # the smallest tick value wins so results stay order-independent.
+    ids, n_ids = reports.ids, len(reports.ids)
+    code = {value: i for i, value in enumerate(ids)}
     roles = {a.id: a.role for a in topo.anchors}
-    ccp_tx: dict[str, dict[int, float]] = {}
-    ccp_rx: dict[tuple[str, str], dict[int, float]] = {}
-    blink_rx: dict[tuple[str, int], dict[str, float]] = {}
-    n_reports = 0
-    for r in reports:
-        n_reports += 1
-        anchor_id, src_id, ticks = r.anchor_id, r.src_id, r.ticks
-        if not 0 <= ticks < TICK_WRAP:
-            count("ticks_out_of_range")
-            continue
-        role = roles.get(anchor_id)
-        if role is None:
-            count("unknown_anchor_reports")
-            continue
-        if r.kind == KIND_CCP_TX:
-            if role != ROLE_MASTER or src_id != anchor_id:
-                count("ccp_tx_from_non_master")
-                continue
-            held, key = ccp_tx.setdefault(anchor_id, {}), r.seq
-        elif r.kind == KIND_CCP_RX:
-            if roles.get(src_id) != ROLE_MASTER:
-                count("ccp_rx_unknown_master")
-                continue
-            held, key = ccp_rx.setdefault((anchor_id, src_id), {}), r.seq
-        else:
-            held, key = blink_rx.setdefault((src_id, r.seq), {}), anchor_id
-        stamp = held.get(key)
-        if stamp is not None:
-            count("duplicate_reports")
-            if stamp <= ticks:
-                continue
-        held[key] = ticks
-    diag["reports"] = diag.get("reports", 0) + n_reports
+    known = np.array([value in roles for value in ids], dtype=bool)
+    master = np.array([roles.get(value) == ROLE_MASTER for value in ids], dtype=bool)
+    anchor, kind, src, ticks = reports.anchor, reports.kind, reports.src, reports.ticks
+    keep = np.ones(len(reports), dtype=bool)
+    for key, bad in (
+        ("ticks_out_of_range", ~((ticks >= 0) & (ticks < TICK_WRAP))),
+        ("unknown_anchor_reports", ~known[anchor]),
+        ("ccp_tx_from_non_master", (kind == CCP_TX) & (~master[anchor] | (src != anchor))),
+        ("ccp_rx_unknown_master", (kind == CCP_RX) & ~master[src]),
+    ):
+        bad &= keep
+        count(key, np.count_nonzero(bad))
+        keep &= ~bad
 
-    # Each anchor's epoch tracks, one per master it follows, in master-id
-    # order.  A master follows itself through its own CCP transmissions,
-    # with no flight time.
-    tracks: dict[str, list[_EpochTrack]] = {}
-    for anchor_id in topo.ids():
-        if roles[anchor_id] == ROLE_MASTER:
-            sources = [(anchor_id, 0.0, ccp_tx.get(anchor_id, {}))]
-        else:
-            sources = [
-                (master, topo.baseline(master, anchor_id) / SPEED_OF_LIGHT,
-                 ccp_rx.get((anchor_id, master), {}))
-                for master in sorted(topo.follow.get(anchor_id, frozenset()))
-            ]
-        tracks[anchor_id] = [
-            track for source in sources
-            if (track := _epoch_track(*source, ccp_period, params.k_band, diag)) is not None
-        ]
+    # One stable sort by (anchor, source, kind, seq, ticks): the first row
+    # of a repeated reading holds its smallest tick value.
+    rows = np.flatnonzero(keep)
+    rows = rows[np.lexsort((ticks[rows], reports.seq[rows], kind[rows], src[rows], anchor[rows]))]
+    first = run_starts(*(column[rows] for column in (anchor, src, kind, reports.seq)))
+    count("duplicate_reports", len(rows) - np.count_nonzero(first))
+    rows = rows[first]
+    anchor, src, kind, seq, ticks = (c[rows] for c in (anchor, src, kind, reports.seq, ticks))
+    diag["reports"] = diag.get("reports", 0) + len(reports)
 
-    # Offset of each master's seq-s CCP transmission from the primary's, on
-    # the common timescale.  Chained through the master's own epoch s and
-    # its reception of its upper master's CCP s; the chain bottoms out at
-    # the primary (0.0).
+    # Epoch tracks: a master's own CCP transmissions, and a slave's
+    # receptions of the CCPs of each master it follows.  Rows are in
+    # (anchor, master, kind, seq) order, so the tracks come in (anchor,
+    # master) order, each one's readings a run in seq order.
+    pair = anchor.astype(np.int64) * n_ids + src
+    followed = [code[a] * n_ids + code[m] for a in topo.slaves() if a in code
+                for m in topo.follow.get(a, ()) if m in code]
+    reading = np.flatnonzero((kind == CCP_TX) | ((kind == CCP_RX) & np.isin(pair, followed)))
+    track_key = pair[reading]
+    window = (track_key[1:] == track_key[:-1]) & (seq[reading[1:]] == seq[reading[:-1]] + 1)
+    window_rate = ts_diff(ticks[reading[1:]], ticks[reading[:-1]]) * TICK_SECONDS / ccp_period
+    good = window & (np.abs(window_rate - 1.0) <= params.k_band)
+    count("rejected_windows", np.count_nonzero(window & ~good))
+    epoch = reading[:-1][good]
+    epoch_seq, epoch_ticks, epoch_rate = seq[epoch], ticks[epoch], window_rate[good]
+    new_track = run_starts(track_key[:-1][good])
+    epoch_track = np.cumsum(new_track) - 1
+    track_lo = np.flatnonzero(new_track)
+    track_hi = np.append(track_lo[1:], len(epoch))
+    track_anchor, track_master = np.divmod(track_key[:-1][good][new_track], n_ids)
+    track_delay = np.array([
+        0.0 if a == m else topo.baseline(ids[m], ids[a]) / SPEED_OF_LIGHT
+        for a, m in zip(track_anchor.tolist(), track_master.tolist())
+    ])
+    tracks_of = np.bincount(track_anchor, minlength=n_ids)
+    first_track = np.searchsorted(track_anchor, np.arange(n_ids))
+
+    # Offset of each master's seq-s CCP transmission from the primary's on
+    # the common timescale, at each of its own epochs s: its turnaround from
+    # its reception of its upper master's CCP s, plus their baseline, plus
+    # the upper master's offset at s.  NaN where the chain breaks.
     primary = topo.primary_master()
-    delta_cache: dict[tuple[str, int], float | None] = {}
+    cascade: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
-    def cascade_delta(master: str, seq: int) -> float | None:
-        if master == primary:
-            return 0.0
-        key = (master, seq)
-        if key in delta_cache:
-            return delta_cache[key]
-        result = None
-        upper_set = topo.follow.get(master, frozenset())
-        own = tracks[master][0].at(seq) if tracks[master] else None
-        if len(upper_set) == 1 and own is not None:
-            (upper,) = upper_set
-            upper_rx = ccp_rx.get((master, upper), {}).get(seq)
-            up = cascade_delta(upper, seq)
-            if upper_rx is not None and up is not None:
-                _, own_tx, rate = own
-                turnaround = ts_diff(own_tx, upper_rx) * TICK_SECONDS / rate
-                result = turnaround + topo.baseline(upper, master) / SPEED_OF_LIGHT + up
-        delta_cache[key] = result
-        return result
+    def cascade_delta(m: int, at_seq: np.ndarray) -> np.ndarray:
+        if ids[m] == primary:
+            return np.zeros(len(at_seq))
+        return _lookup(*cascade.get(m, (np.zeros(0, np.int64), np.zeros(0))), at_seq)
 
+    for name in sorted(topo.masters(), key=lambda m: (topo.master_level[m], m)):
+        upper_set = topo.follow.get(name, frozenset())
+        m, u = code.get(name), code.get(min(upper_set, default=""))
+        if name == primary or len(upper_set) != 1 or None in (m, u) or not tracks_of[m]:
+            continue
+        own = slice(track_lo[first_track[m]], track_hi[first_track[m]])
+        heard = (kind == CCP_RX) & (anchor == m) & (src == u)
+        upper_rx = _lookup(seq[heard], ticks[heard], epoch_seq[own])
+        turnaround = ts_diff(epoch_ticks[own], upper_rx) * TICK_SECONDS / epoch_rate[own]
+        cascade[m] = (epoch_seq[own], turnaround + topo.baseline(ids[u], name) / SPEED_OF_LIGHT
+                      + cascade_delta(u, epoch_seq[own]))
+    epoch_base = np.full(len(epoch), np.nan)
+    for m in np.unique(track_master).tolist():
+        of_m = track_master[epoch_track] == m
+        epoch_base[of_m] = cascade_delta(m, epoch_seq[of_m])
+
+    # Blink receptions in (tag, blink_seq, anchor) order, each tried on its
+    # anchor's tracks in turn until one places it.
+    rows = np.flatnonzero(kind == BLINK_RX)
+    rows = rows[np.lexsort((anchor[rows], seq[rows], src[rows]))]
+    tag, blink_seq, receiver, stamp = src[rows], seq[rows], anchor[rows], ticks[rows]
+    seq_hint = (blink_seq * blink_period / ccp_period).astype(np.int64)
+    hint_key = np.minimum(seq_hint, 2**32)  # past every seq: the track's last epoch
+    epoch_key = epoch_track * 2**33 + epoch_seq
     stale_limit = params.stale_intervals * ccp_period
     schedule_limit = HALF_WRAP * TICK_SECONDS  # tick distances alias beyond this
+    offset, ccp_seq, rate = np.zeros(len(rows)), np.zeros(len(rows), np.int64), np.zeros(len(rows))
+    placed, saw_fresh = np.zeros(len(rows), dtype=bool), np.zeros(len(rows), dtype=bool)
+    for j in range(int(tracks_of.max(initial=0))):
+        row = np.flatnonzero(~placed & (tracks_of[receiver] > j))
+        t = first_track[receiver[row]] + j
+        at = np.minimum(np.searchsorted(epoch_key, t * 2**33 + hint_key[row]), track_hi[t] - 1)
+        e = _nearest(stamp[row], at, track_lo[t], track_hi[t], epoch_ticks)
+        gap = ts_diff(stamp[row], epoch_ticks[e]) * TICK_SECONDS
+        fresh = ~((np.abs(gap) > stale_limit)
+                  | (np.abs(epoch_seq[e] - seq_hint[row]) * ccp_period > schedule_limit))
+        saw_fresh[row] |= fresh
+        ok = fresh & ~np.isnan(epoch_base[e])
+        row, e = row[ok], e[ok]
+        offset[row] = gap[ok] / epoch_rate[e] + track_delay[t[ok]] + epoch_base[e]
+        ccp_seq[row], rate[row], placed[row] = epoch_seq[e], epoch_rate[e], True
+    stale = ~placed & (tracks_of[receiver] > 0) & ~saw_fresh
+    count("stale_blinks", np.count_nonzero(stale))
+    count("unsynchronized_blinks", np.count_nonzero(~placed & ~stale))
 
-    def anchor_offset(anchor_id: str, stamp: float, seq_hint: int) -> Arrival | None:
-        """The anchor's corrected arrival, or None when it cannot be synced.
-
-        The first track whose nearest epoch is fresh and placed on the
-        primary's timescale wins.  An epoch is stale if its reading lies
-        more than ``stale_intervals`` CCP periods from the blink's, or its
-        seq more than half a counter wrap of schedule from the blink's hint.
-        """
-        saw_fresh = False
-        for track in tracks[anchor_id]:
-            seq, epoch, rate = track.nearest(stamp, seq_hint)
-            gap = ts_diff(stamp, epoch) * TICK_SECONDS
-            if abs(gap) > stale_limit or abs(seq - seq_hint) * ccp_period > schedule_limit:
-                continue
-            saw_fresh = True
-            base = cascade_delta(track.master, seq)
-            if base is None:
-                continue
-            return Arrival(gap / rate + track.delay + base, seq, rate)
-        count("stale_blinks" if tracks[anchor_id] and not saw_fresh else "unsynchronized_blinks")
-        return None
-
-    synced: SyncedBlinks = {}
-    for (tag_id, seq) in sorted(blink_rx):
-        arrivals = blink_rx[(tag_id, seq)]
-        seq_hint = int(seq * blink_period / ccp_period)
-        corrected: dict[str, Arrival] = {}
-        for anchor_id in sorted(arrivals):
-            got = anchor_offset(anchor_id, arrivals[anchor_id], seq_hint)
-            if got is not None:
-                corrected[anchor_id] = got
-        if len(corrected) >= 2:
-            synced[(tag_id, seq)] = corrected
-        else:
-            count("blinks_without_tdoa")
-    return synced
+    starts = np.flatnonzero(run_starts(tag, blink_seq))
+    sizes = np.diff(starts, append=len(tag))
+    synced = np.add.reduceat(np.append(placed, False).astype(np.int64), starts) >= 2
+    count("blinks_without_tdoa", len(starts) - np.count_nonzero(synced))
+    row = np.flatnonzero(placed & np.repeat(synced, sizes))
+    used, codes = np.unique(np.concatenate([tag[row], receiver[row]]), return_inverse=True)
+    tag_code, anchor_code = np.split(codes.astype(np.int32), 2)
+    return ArrivalTable(tuple(ids[i] for i in used.tolist()), tag_code, blink_seq[row],
+                        anchor_code, offset[row], ccp_seq[row], rate[row])

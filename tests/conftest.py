@@ -10,12 +10,15 @@ from __future__ import annotations
 import math
 import random
 
+import numpy as np
 import pytest
 
 from uwb_rtls.clock import ClockModel, IDEAL_CLOCK
 from uwb_rtls.config import parse_config
+from uwb_rtls.protocol import id_codes
 from uwb_rtls.simnet import SimResult, run_scenario
 from uwb_rtls.topology import AnchorConfig, NetworkTopology
+from uwb_rtls.wcs import ArrivalTable
 
 RECT_POSITIONS = {
     "MA1": (0.0, 0.0),
@@ -112,3 +115,39 @@ def hall_config(duration: float = 20.0, seed: int = 1) -> dict:
 @pytest.fixture(scope="session")
 def hall_run() -> SimResult:
     return run_scenario(parse_config(hall_config()).scenario)
+
+
+# ---------------------------------------------------------------------------
+# Arrival tables
+
+
+def arrival_table(blinks: dict) -> ArrivalTable:
+    """An arrival table of ``{(tag_id, blink_seq): {anchor_id: (offset,
+    ccp_seq, rate)}}``, its rows sorted as the sync sorts them."""
+    rows = sorted((tag, seq, anchor, *arrival) for (tag, seq), arrivals in blinks.items()
+                  for anchor, arrival in arrivals.items())
+    tags, seqs, anchors, offsets, ccp_seqs, rates = zip(*rows) if rows else ((),) * 6
+    ids, (tag, anchor) = id_codes(tags, anchors)
+    return ArrivalTable(ids, tag, np.array(seqs, np.int64), anchor, np.array(offsets, float),
+                        np.array(ccp_seqs, np.int64), np.array(rates, float))
+
+
+def blink_rows(table: ArrivalTable) -> dict[tuple[str, int], dict[str, int]]:
+    """Each blink's row of the table per receiving anchor, in row order."""
+    rows: dict[tuple[str, int], dict[str, int]] = {}
+    for i, (tag, seq, anchor) in enumerate(zip(table.tag.tolist(), table.blink_seq.tolist(),
+                                               table.anchor.tolist())):
+        rows.setdefault((table.ids[tag], seq), {})[table.ids[anchor]] = i
+    return rows
+
+
+def same_columns(a, b) -> bool:
+    """Whether two tables (or report columns) hold the same ids and the same
+    columns, dtype and bits."""
+    if type(a) is not type(b) or a.ids != b.ids:
+        return False
+    for name in a.__dataclass_fields__:
+        x, y = getattr(a, name), getattr(b, name)
+        if name != "ids" and (x.dtype != y.dtype or x.tobytes() != y.tobytes()):
+            return False
+    return True

@@ -22,6 +22,7 @@ from uwb_rtls.config import parse_config
 from uwb_rtls.constants import SPEED_OF_LIGHT
 from uwb_rtls.deploy import hdop_at
 from uwb_rtls.engine import EngineParams, locate_reports
+from uwb_rtls.protocol import ReportColumns
 from uwb_rtls.metrics import evaluate
 from uwb_rtls.protocol import encode_report
 from uwb_rtls.simnet import (
@@ -36,6 +37,8 @@ from uwb_rtls.solver import TdoaSet, TrackerConfig, ls_solve, ranges, track
 from uwb_rtls.timebase import select_time_base
 from uwb_rtls.topology import AnchorConfig, NetworkTopology, UnsyncableAnchorError
 from uwb_rtls.wcs import arrival_tdoa
+
+from conftest import blink_rows
 
 RECT_POSITIONS = {
     "MA1": (0.0, 0.0),
@@ -134,16 +137,16 @@ def test_criterion_1_sync_exactness_without_jitter(verdict):
     tag = (2.0, 1.5)
     start = time.perf_counter()
     sim = run_scenario(static_scenario(topo, tag, duration=30.0, seed=1))
-    res = locate_reports(sim.reports, topo)
+    res = locate_reports(ReportColumns.from_reports(sim.reports), topo)
     wall = time.perf_counter() - start
 
     def true_tdoa(a, b):
         return (math.dist(RECT_POSITIONS[a], tag) - math.dist(RECT_POSITIONS[b], tag)) / SPEED_OF_LIGHT
 
     worst_t = max(
-        abs(arrival_tdoa(arrivals[a], arrivals[b], CCP_PERIOD) - true_tdoa(a, b))
-        for arrivals in res.blinks.values()
-        for a, b in itertools.combinations(sorted(arrivals), 2)
+        abs(arrival_tdoa(res.blinks, rows[a], rows[b], CCP_PERIOD) - true_tdoa(a, b))
+        for rows in blink_rows(res.blinks).values()
+        for a, b in itertools.combinations(rows, 2)
     )
     worst_p = max(math.dist((f.x, f.y), tag) for f in res.fixes)
     ok = worst_t < 1e-12 and worst_p < 1e-3 and wall < 5.0 and len(res.fixes) >= 290
@@ -161,7 +164,7 @@ def test_criterion_2_sync_stability_under_jitter(verdict):
     topo = rect_topology(jitter_std=1e-10)
     start = time.perf_counter()
     sim = run_scenario(static_scenario(topo, (2.0, 1.5), duration=600.0, seed=5))
-    res = locate_reports(sim.reports, topo)
+    res = locate_reports(ReportColumns.from_reports(sim.reports), topo)
     summary = evaluate(res.fixes, sim.truth_blinks, res.blinks, CCP_PERIOD)
     wall = time.perf_counter() - start
     stds = summary.tdoa_std_per_pair
@@ -184,7 +187,7 @@ def test_criterion_3_static_accuracy(verdict):
     p95s = []
     for i, p in enumerate(placements):
         sim = run_scenario(static_scenario(topo, p, duration=60.0, seed=100 + i))
-        res = locate_reports(sim.reports, topo)
+        res = locate_reports(ReportColumns.from_reports(sim.reports), topo)
         p95s.append(evaluate(res.fixes, sim.truth_blinks).fix_p95_error)
     wall = time.perf_counter() - start
     worst = max(p95s)
@@ -218,7 +221,7 @@ def test_criterion_4_tracking_a_moving_tag(verdict):
     )
     start = time.perf_counter()
     sim = run_scenario(scn)
-    res = locate_reports(sim.reports, topo)
+    res = locate_reports(ReportColumns.from_reports(sim.reports), topo)
     summary = evaluate(res.fixes, sim.truth_blinks)
     wall = time.perf_counter() - start
     ok = summary.track_rmse < 0.30 and wall < 60.0
@@ -291,7 +294,7 @@ def test_criterion_5_multi_master_cascade(verdict):
         blink_links={"T1": frozenset({"SA1", "SA2", "SA5", "SA6"})},
     )
     sim = run_scenario(scn)
-    res = locate_reports(sim.reports, topo)
+    res = locate_reports(ReportColumns.from_reports(sim.reports), topo)
 
     def true_tdoa(a, b):
         return (math.dist(pos[a], tag) - math.dist(pos[b], tag)) / SPEED_OF_LIGHT
@@ -299,9 +302,9 @@ def test_criterion_5_multi_master_cascade(verdict):
     cell = {"SA1": 1, "SA2": 0, "SA5": 2, "SA6": 2}  # 0 = hears both masters
     worst_cross = worst_any = 0.0
     n_cross = 0
-    for arrivals in res.blinks.values():
-        for a, b in itertools.combinations(sorted(arrivals), 2):
-            err = abs(arrival_tdoa(arrivals[a], arrivals[b], CCP_PERIOD) - true_tdoa(a, b))
+    for rows in blink_rows(res.blinks).values():
+        for a, b in itertools.combinations(rows, 2):
+            err = abs(arrival_tdoa(res.blinks, rows[a], rows[b], CCP_PERIOD) - true_tdoa(a, b))
             worst_any = max(worst_any, err)
             if 0 not in (cell[a], cell[b]) and cell[a] != cell[b]:
                 worst_cross = max(worst_cross, err)
@@ -495,11 +498,11 @@ def test_criterion_9_bitwise_determinism(verdict):
     def one_run():
         cfg = parse_config(json.loads(json.dumps(DETERMINISM_CONFIG)))
         sim = run_scenario(cfg.scenario)
-        res = locate_reports(sim.reports, cfg.scenario.topology)
+        res = locate_reports(ReportColumns.from_reports(sim.reports), cfg.scenario.topology)
         summary = evaluate(res.fixes, sim.truth_blinks, res.blinks, CCP_PERIOD,
                            warmup=cfg.warmup)
         reports_text = "".join(encode_report(r) + "\n" for r in sim.reports)
-        return reports_text, fixes_to_csv(res.fixes), summary.to_json()
+        return reports_text, "".join(fixes_to_csv(res.fixes)), summary.to_json()
 
     first = one_run()
     second = one_run()

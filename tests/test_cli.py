@@ -26,10 +26,11 @@ from uwb_rtls.cli import (
 )
 from uwb_rtls.config import load_config
 from uwb_rtls.engine import locate_reports
-from uwb_rtls.protocol import KIND_BLINK_RX, ToaReport, encode_report
+from uwb_rtls.protocol import KIND_BLINK_RX, ReportColumns, ToaReport, encode_report
 from uwb_rtls.simnet import run_scenario
 from uwb_rtls.solver import Fix
-from uwb_rtls.wcs import Arrival
+
+from conftest import arrival_table, same_columns
 
 CONFIG = {
     "anchors": [
@@ -65,32 +66,35 @@ def test_fixes_csv_round_trips_exactly(tmp_path):
             pos_std=0.5, residual_norm=0.0),
     ]
     path = tmp_path / "fixes.csv"
-    path.write_text(fixes_to_csv(fixes))
+    path.write_text("".join(fixes_to_csv(fixes)))
     assert read_fixes_csv(path) == (fixes, 0)
 
 
 def test_synced_csv_round_trips_exactly(tmp_path):
-    blinks = {
-        ("T1", 9): {"MA1": Arrival(0.0123456789012345, 41, 1.0000080000001),
-                    "SA2": Arrival(-1.0000251204e-9, 42, 0.9999901)},
-    }
+    blinks = arrival_table({
+        ("T1", 9): {"MA1": (0.0123456789012345, 41, 1.0000080000001),
+                    "SA2": (-1.0000251204e-9, 42, 0.9999901)},
+    })
     path = tmp_path / "synced.csv"
-    path.write_text(synced_to_csv(blinks))
-    assert read_synced_csv(path) == (blinks, 0)
+    path.write_text("".join(synced_to_csv(blinks)))
+    table, skipped = read_synced_csv(path)
+    assert skipped == 0
+    assert same_columns(table, blinks)
 
 
 def test_synced_csv_holds_one_row_per_arrival_and_every_pair_exactly(tmp_path, config_path):
     cfg = load_config(config_path)
     sim = run_scenario(cfg.scenario)
-    result = locate_reports(sim.reports, cfg.scenario.topology, cfg.engine_params())
+    result = locate_reports(ReportColumns.from_reports(sim.reports), cfg.scenario.topology,
+                            cfg.engine_params())
     path = tmp_path / "synced.csv"
-    path.write_text(synced_to_csv(result.blinks))
+    path.write_text("".join(synced_to_csv(result.blinks)))
     rows = path.read_text().splitlines()[1:]
-    assert len(rows) == sum(len(arrivals) for arrivals in result.blinks.values())
+    assert len(rows) == len(result.blinks)
 
     blinks, skipped = read_synced_csv(path)
     assert skipped == 0
-    assert blinks == result.blinks  # offsets and rates compare bit for bit
+    assert same_columns(blinks, result.blinks)  # offsets and rates compare bit for bit
 
 
 def test_simulate_locate_eval_pipeline(tmp_path, config_path, capsys):
@@ -125,9 +129,10 @@ def test_file_pipeline_matches_the_library_exactly(tmp_path, config_path):
     sim = run_scenario(cfg.scenario)
     from uwb_rtls.cli import _eval
 
-    result = locate_reports(sim.reports, cfg.scenario.topology, cfg.engine_params())
-    assert (out / "fixes.csv").read_text() == fixes_to_csv(result.fixes)
-    assert (out / "synced.csv").read_text() == synced_to_csv(result.blinks)
+    result = locate_reports(ReportColumns.from_reports(sim.reports), cfg.scenario.topology,
+                            cfg.engine_params())
+    assert (out / "fixes.csv").read_text() == "".join(fixes_to_csv(result.fixes))
+    assert (out / "synced.csv").read_text() == "".join(synced_to_csv(result.blinks))
 
     # Eval from the files and eval from the in-memory sync output agree.
     main(["eval", "--config", str(config_path), "--out", str(out),
@@ -158,7 +163,7 @@ def test_readme_library_example_gets_the_cli_fixes(tmp_path, monkeypatch, capsys
                  "--reports", "run/reports.jsonl"]) == EXIT_OK
     fixes = namespace["result"].fixes
     assert len(fixes) == 100
-    assert Path("run/fixes.csv").read_text() == fixes_to_csv(fixes)
+    assert Path("run/fixes.csv").read_text() == "".join(fixes_to_csv(fixes))
 
 
 def test_seed_override_changes_the_traffic(tmp_path, config_path):
@@ -214,9 +219,7 @@ def test_malformed_csv_rows_are_skipped(tmp_path, config_path, caplog, name, rea
 
     parsed, skipped = reader(path)
     assert skipped == 2
-    if name == "synced.csv":  # a map of blinks: count its arrivals
-        parsed = [a for arrivals in parsed.values() for a in arrivals]
-    assert len(parsed) == rows - 2
+    assert len(parsed) == rows - 2  # fixes, or rows of the arrival table
     assert sum("skipped" in r.getMessage() for r in caplog.records) == 3
 
     code = main(["eval", "--config", str(config_path), "--out", str(out),
@@ -264,12 +267,45 @@ def test_a_non_finite_csv_number_is_skipped_and_counted(
     _strict_json(summaries[1])
 
 
+@pytest.mark.parametrize("name, reader, field, value", [
+    ("synced.csv", read_synced_csv, 3, "99999999999999999999"),  # ccp_seq
+    ("synced.csv", read_synced_csv, 3, "-5"),  # ccp_seq
+    ("fixes.csv", read_fixes_csv, 1, "99999999999999999999"),  # blink_seq
+])
+def test_a_seq_outside_32_bits_is_skipped_and_counted(
+    tmp_path, config_path, caplog, name, reader, field, value
+):
+    # Seqs are 32-bit counters in every file.  A huge one used to crash eval
+    # with an OverflowError, and a negative CCP seq moved a pair's TDoA
+    # stream by whole CCP periods.
+    out = tmp_path / "run"
+    main(["simulate", "--config", str(config_path), "--out", str(out)])
+    main(["locate", "--config", str(config_path), "--out", str(out),
+          "--reports", str(out / "reports.jsonl")])
+    path = out / name
+    lines = path.read_text().splitlines()
+    fields = lines[20].split(",")
+    fields[field] = value
+    summaries = []
+    for row in ([], [",".join(fields)]):
+        path.write_text("\n".join(lines[:20] + row + lines[21:]) + "\n")
+        assert main(["eval", "--config", str(config_path), "--out", str(out),
+                     "--fixes", str(out / "fixes.csv"), "--truth", str(out / "truth.jsonl"),
+                     "--synced", str(out / "synced.csv")]) == EXIT_OK
+        summaries.append((out / "summary.json").read_text())
+    assert reader(path)[1] == 1
+    assert f"{name} line 21 skipped: a seq lies outside [0, 2**32)" in caplog.text
+    assert summaries[1] == summaries[0]
+
+
 def test_repeated_synced_arrival_is_skipped(tmp_path, caplog):
-    blinks = {("T1", 9): {"MA1": Arrival(0.5, 41, 1.0), "SA2": Arrival(0.25, 41, 1.0)}}
+    blinks = arrival_table({("T1", 9): {"MA1": (0.5, 41, 1.0), "SA2": (0.25, 41, 1.0)}})
     path = tmp_path / "synced.csv"
-    text = synced_to_csv(blinks)
+    text = "".join(synced_to_csv(blinks))
     path.write_text(text + "SA2,T1,9,41,0.75,1.0\n")
-    assert read_synced_csv(path) == (blinks, 1)
+    table, skipped = read_synced_csv(path)
+    assert skipped == 1
+    assert same_columns(table, blinks)
     assert "repeated arrival of T1#9 at SA2" in caplog.text
 
 
@@ -290,7 +326,7 @@ def test_repeated_fix_is_skipped_and_counted(tmp_path, config_path, capsys, capl
 
     fixes, skipped = read_fixes_csv(path)
     assert skipped == 30
-    assert fixes_to_csv(fixes) == text
+    assert "".join(fixes_to_csv(fixes)) == text
     assert f"repeated fix of {fixes[0].tag_id}#{fixes[0].blink_seq}" in caplog.text
 
     capsys.readouterr()
@@ -310,7 +346,8 @@ def test_a_report_whose_src_id_is_not_plain_is_skipped_and_counted(tmp_path, cap
     path = tmp_path / "reports.jsonl"
     path.write_text(f"{good}\n{bad}\n")
     reports, skipped = read_reports(path)
-    assert reports == [ToaReport("SA2", KIND_BLINK_RX, "T1", 7, 12345.0)]
+    assert same_columns(reports, ReportColumns.from_reports(
+        [ToaReport("SA2", KIND_BLINK_RX, "T1", 7, 12345.0)]))
     assert skipped == 1
     assert "reports.jsonl line 2 skipped: anchor_id and src_id must be plain ids" in caplog.text
 
@@ -357,7 +394,12 @@ def test_crlf_files_read_as_lf_files_and_blank_lines_are_ignored(tmp_path, confi
         lines = path.read_bytes().splitlines()
         lines[2:2] = [b"", b"   ", b"\t"]  # blank and whitespace-only lines
         path.write_bytes(b"\r\n".join(lines) + b"\r\n")
-        assert reader(path) == want
+        got = reader(path)
+        assert got[1] == want[1]
+        if name in ("reports.jsonl", "synced.csv"):  # columns
+            assert same_columns(got[0], want[0])
+        else:
+            assert got[0] == want[0]
     assert "skipped" not in caplog.text
 
 

@@ -8,7 +8,8 @@ import statistics
 
 from uwb_rtls import engine
 from uwb_rtls.config import parse_config
-from uwb_rtls.engine import EngineParams, locate_reports
+from uwb_rtls.engine import EngineParams
+from uwb_rtls.protocol import ReportColumns
 from uwb_rtls.simnet import (
     ConstantVelocityTrajectory,
     Scenario,
@@ -19,7 +20,18 @@ from uwb_rtls.simnet import (
 from uwb_rtls.solver import TdoaSet, TrackerConfig, track
 from uwb_rtls.timebase import select_time_base
 
-from conftest import build_ideal_rect_topology, build_rect_topology, hall_config
+from conftest import (
+    blink_rows,
+    build_ideal_rect_topology,
+    build_rect_topology,
+    hall_config,
+    same_columns,
+)
+
+
+def locate_reports(reports, topo, params=EngineParams()):
+    """The engine on ``ToaReport`` records, through their columns."""
+    return engine.locate_reports(ReportColumns.from_reports(reports), topo, params)
 
 
 def _run(topo, duration=3.0, tag_xy=(2.0, 1.5), **scenario_kw):
@@ -51,7 +63,7 @@ def test_report_order_does_not_matter():
     random.Random(7).shuffle(shuffled)
     scrambled = locate_reports(shuffled, topo)
     assert scrambled.fixes == forward.fixes
-    assert list(scrambled.blinks.items()) == list(forward.blinks.items())
+    assert same_columns(scrambled.blinks, forward.blinks)
 
 
 def test_three_receivers_yield_no_fix_but_a_diagnostic():
@@ -121,7 +133,7 @@ def test_blinks_below_two_synchronized_receivers_carry_no_pairs_and_are_counted(
         sim = _run(topo, duration=1.0, blink_links={"T1": frozenset(heard)})
         result = locate_reports(sim.reports, topo)
         assert result.fixes == []
-        assert [list(arrivals) for arrivals in result.blinks.values()] == synced
+        assert [list(rows) for rows in blink_rows(result.blinks).values()] == synced
         assert result.diagnostics.get("blinks_without_tdoa", 0) == without
         assert result.diagnostics.get("blinks_too_few_receivers", 0) == too_few
 

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from uwb_rtls.engine import locate_reports
+from uwb_rtls.protocol import ReportColumns
 from uwb_rtls.metrics import (
     EmptyEvalError,
     errors_csv,
@@ -20,9 +21,9 @@ from uwb_rtls.metrics import (
 )
 from uwb_rtls.simnet import Scenario, StaticTrajectory, TagSpec, TruthBlink, run_scenario
 from uwb_rtls.solver import Fix
-from uwb_rtls.wcs import Arrival, WcsParams, arrival_tdoa, kalman_step
+from uwb_rtls.wcs import WcsParams
 
-from conftest import build_rect_topology
+from conftest import arrival_table, build_rect_topology
 
 CCP_PERIOD = 0.15
 
@@ -86,24 +87,24 @@ def test_input_order_does_not_change_the_summary():
     fixes = [_fix("T1", i, 0.01 * rng.random(), 0.0) for i in range(40)]
     truth = [_truth("T1", i, 0.0, 0.0) for i in range(40)]
     synced = [
-        (("T1", i), {"MA1": Arrival(1e-9 + 1e-12 * rng.random(), 0, 1.0),
-                     "SA2": Arrival(0.0, 0, 1.0)})
+        (("T1", i), {"MA1": (1e-9 + 1e-12 * rng.random(), 0, 1.0),
+                     "SA2": (0.0, 0, 1.0)})
         for i in range(40)
     ]
-    base = evaluate(fixes, truth, dict(synced), CCP_PERIOD, warmup=10)
+    base = evaluate(fixes, truth, arrival_table(dict(synced)), CCP_PERIOD, warmup=10)
     for seq in (fixes, truth, synced):
         rng.shuffle(seq)
-    shuffled = evaluate(fixes, truth, dict(synced), CCP_PERIOD, warmup=10)
+    shuffled = evaluate(fixes, truth, arrival_table(dict(synced)), CCP_PERIOD, warmup=10)
     assert shuffled == base
 
 
 def test_smoothing_tightens_a_noisy_stream():
     rng = np.random.default_rng(11)
     raw = 5e-9 + rng.normal(0.0, 2e-10, size=400)
-    blinks = {
-        ("T1", i): {"MA1": Arrival(float(v), 0, 1.0), "SA2": Arrival(0.0, 0, 1.0)}
+    blinks = arrival_table({
+        ("T1", i): {"MA1": (float(v), 0, 1.0), "SA2": (0.0, 0, 1.0)}
         for i, v in enumerate(raw)
-    }
+    })
     streams = smoothed_tdoa_streams(blinks, CCP_PERIOD)
     key = pair_key("MA1", "SA2")
     assert set(streams) == {key}
@@ -117,10 +118,10 @@ def test_evaluate_smooths_with_its_params():
     # smoother follow every sample, so the pair's std is the raw one.
     rng = np.random.default_rng(11)
     raw = 5e-9 + rng.normal(0.0, 2e-10, size=400)
-    blinks = {
-        ("T1", i): {"MA1": Arrival(float(v), 0, 1.0), "SA2": Arrival(0.0, 0, 1.0)}
+    blinks = arrival_table({
+        ("T1", i): {"MA1": (float(v), 0, 1.0), "SA2": (0.0, 0, 1.0)}
         for i, v in enumerate(raw)
-    }
+    })
     fixes = [_fix("T1", i, 0.0, 0.0) for i in range(400)]
     truth = [_truth("T1", i, 0.0, 0.0) for i in range(400)]
 
@@ -130,6 +131,18 @@ def test_evaluate_smooths_with_its_params():
 
     assert std() < 0.2 * raw[50:].std()
     assert std(process_var=1e-16) == pytest.approx(raw[50:].std(), rel=0.01)
+
+
+def _scalar_step(state, variance, measurement, process_var, measurement_var):
+    """The reference smoother step on bare floats: predict, then update; an
+    infinite prior adopts the measurement, a non-finite one is skipped."""
+    if not math.isfinite(measurement):
+        return state, variance
+    variance = variance + process_var
+    if math.isinf(variance):
+        return measurement, measurement_var
+    gain = variance / (variance + measurement_var)
+    return state + gain * (measurement - state), (1.0 - gain) * variance
 
 
 def test_streams_equal_smoothing_each_pair_of_the_pair_view():
@@ -144,8 +157,8 @@ def test_streams_equal_smoothing_each_pair_of_the_pair_view():
             heard = [a for a in anchors if rng.random() < 0.7]
             if len(heard) >= 2:
                 items.append(((tag, seq), {
-                    a: Arrival(rng.uniform(-0.07, 0.07), seq + rng.randint(0, 1),
-                               1.0 + 1e-5 * rng.random())
+                    a: (rng.uniform(-0.07, 0.07), seq + rng.randint(0, 1),
+                        1.0 + 1e-5 * rng.random())
                     for a in heard
                 }))
     rng.shuffle(items)
@@ -157,20 +170,21 @@ def test_streams_equal_smoothing_each_pair_of_the_pair_view():
         ids = sorted(arrivals)
         for i, a in enumerate(ids):
             for b in ids[i + 1 :]:
-                tdoa = arrival_tdoa(arrivals[a], arrivals[b], CCP_PERIOD)
+                (offset_a, seq_a, _), (offset_b, seq_b, _) = arrivals[a], arrivals[b]
+                tdoa = (offset_a - offset_b) + (seq_a - seq_b) * CCP_PERIOD
                 by_pair.setdefault(pair_key(a, b), []).append(tdoa)
     defaults = WcsParams()
     want = {}
     for key, tdoas in sorted(by_pair.items()):
         state, variance, out = 0.0, math.inf, []
         for tdoa in tdoas:
-            state, variance = kalman_step(
+            state, variance = _scalar_step(
                 state, variance, tdoa, defaults.process_var, defaults.measurement_var
             )
             out.append(state)
         want[key] = out
 
-    streams = smoothed_tdoa_streams(blinks, CCP_PERIOD)
+    streams = smoothed_tdoa_streams(arrival_table(blinks), CCP_PERIOD)
     assert list(streams.items()) == list(want.items())  # bit for bit, in key order
     assert len(want) == 6
 
@@ -210,7 +224,7 @@ def test_full_pipeline_regression_is_frozen():
         seed=42,
     )
     sim = run_scenario(scn)
-    res = locate_reports(sim.reports, topo)
+    res = locate_reports(ReportColumns.from_reports(sim.reports), topo)
     s = evaluate(res.fixes, sim.truth_blinks, res.blinks, scn.ccp_period)
     assert s.availability == 1.0
     assert s.fix_rmse == pytest.approx(0.036098648304548904, rel=1e-6)

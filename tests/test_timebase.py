@@ -9,9 +9,9 @@ from uwb_rtls.constants import SPEED_OF_LIGHT
 from uwb_rtls.solver import TdoaSet
 from uwb_rtls.timebase import MIN_RECEIVERS, NoTimeBaseError, select_time_base
 from uwb_rtls.topology import AnchorConfig, NetworkTopology
-from uwb_rtls.wcs import Arrival, arrival_tdoa
+from uwb_rtls.wcs import ArrivalTable, arrival_tdoa
 
-from conftest import build_rect_topology
+from conftest import arrival_table, blink_rows, build_rect_topology
 
 
 def _anchor(anchor_id: str, role: str, pos) -> AnchorConfig:
@@ -124,15 +124,16 @@ def test_unknown_receiver_rejected():
 CCP_PERIOD = 0.15
 
 
-def _arrivals(offsets: dict[str, float], ccp_seq: int = 0) -> dict[str, Arrival]:
+def _arrivals(offsets: dict[str, float], ccp_seq: int = 0) -> ArrivalTable:
     """One blink's arrivals, ``offsets`` seconds after CCP ``ccp_seq``."""
-    return {a: Arrival(offset=t, ccp_seq=ccp_seq, rate=1.0) for a, t in sorted(offsets.items())}
+    return arrival_table({("T1", 0): {a: (t, ccp_seq, 1.0) for a, t in offsets.items()}})
 
 
-def _rows(arrivals: dict[str, Arrival], origin: str) -> dict[str, float]:
+def _rows(arrivals: ArrivalTable, origin: str) -> dict[str, float]:
     """c x arrival time in meters per receiver, counted from ``origin``'s arrival."""
-    return {a: arrival_tdoa(arr, arrivals[origin], CCP_PERIOD) * SPEED_OF_LIGHT
-            for a, arr in arrivals.items()}
+    (rows,) = blink_rows(arrivals).values()
+    return {a: float(arrival_tdoa(arrivals, i, rows[origin], CCP_PERIOD)) * SPEED_OF_LIGHT
+            for a, i in rows.items()}
 
 
 def test_changing_reference_shifts_all_measurements_consistently():

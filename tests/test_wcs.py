@@ -4,25 +4,42 @@ The oracles here are closed-form: timestamps are generated from explicit
 clock laws with read_clock, and the expected TDoA is pure geometry
 ((d_a - d_b) / c), so any systematic error in the correction shows up
 directly.  Every correction goes through the stream corrector,
-``multi_master_sync``, the one sync path.
+``multi_master_sync``, the one sync path, and comes out as rows of one
+arrival table.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import random
 from typing import NamedTuple
 
 import numpy as np
 import pytest
 
-from uwb_rtls.clock import TICK_SECONDS, ClockModel, IDEAL_CLOCK, read_clock
+from uwb_rtls.clock import TICK_SECONDS, ClockModel, IDEAL_CLOCK, read_clock, ts_diff
+from uwb_rtls.config import parse_config
 from uwb_rtls.constants import SPEED_OF_LIGHT
-from uwb_rtls.protocol import KIND_BLINK_RX, KIND_CCP_RX, KIND_CCP_TX, ToaReport
+from uwb_rtls.metrics import _smoother_gains, smoothed_tdoa_streams
+from uwb_rtls.protocol import KIND_BLINK_RX, KIND_CCP_RX, KIND_CCP_TX, ReportColumns, ToaReport
 from uwb_rtls.simnet import Scenario, StaticTrajectory, TagSpec, run_scenario
-from uwb_rtls.wcs import WcsParams, arrival_tdoa, kalman_step, multi_master_sync
+from uwb_rtls.wcs import WcsParams, arrival_tdoa
+from uwb_rtls.wcs import multi_master_sync as sync_columns
 
-from conftest import RECT_POSITIONS, build_rect_topology
+from conftest import (
+    RECT_POSITIONS,
+    arrival_table,
+    blink_rows,
+    build_rect_topology,
+    hall_config,
+    same_columns,
+)
+
+
+def multi_master_sync(reports, topo, **kwargs):
+    """The sync of ``ToaReport`` records, through their columns."""
+    return sync_columns(ReportColumns.from_reports(reports), topo, **kwargs)
 
 CCP_PERIOD = 0.15
 # Ticks of one nominal CCP interval.
@@ -116,23 +133,23 @@ def _sync_one_blink(
 
 def _tdoa(blinks, first: str, second: str) -> float:
     """The one synced blink's arrival at ``first`` minus its arrival at ``second``."""
-    (arrivals,) = blinks.values()
-    return arrival_tdoa(arrivals[first], arrivals[second], CCP_PERIOD)
+    (rows,) = blink_rows(blinks).values()
+    return float(arrival_tdoa(blinks, rows[first], rows[second], CCP_PERIOD))
 
 
 def _rate_ratio(blinks) -> float:
     """SA2's rate over MA1's for the one synced blink: the inverse of the
     paper's K = ΔT/ΔR over the same window."""
-    (arrivals,) = blinks.values()
-    return arrivals["SA2"].rate / arrivals["MA1"].rate
+    (rows,) = blink_rows(blinks).values()
+    return float(blinks.rate[rows["SA2"]] / blinks.rate[rows["MA1"]])
 
 
 def _pairs(blinks):
     """(blink_seq, a, b, arrival at a minus arrival at b) for every anchor
     pair a < b of every synced blink, blinks in (tag_id, blink_seq) order."""
-    for (_, blink_seq), arrivals in sorted(blinks.items()):
-        for a, b in itertools.combinations(sorted(arrivals), 2):
-            yield blink_seq, a, b, arrival_tdoa(arrivals[a], arrivals[b], CCP_PERIOD)
+    for (_, blink_seq), rows in blink_rows(blinks).items():
+        for a, b in itertools.combinations(rows, 2):
+            yield blink_seq, a, b, float(arrival_tdoa(blinks, rows[a], rows[b], CCP_PERIOD))
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +187,7 @@ def test_receiver_10ppm_fast_gives_k_inverse():
     # same true interval spans more receiver ticks: the paper's K is
     # 1 / (1 + 1e-5), and SA2's rate over MA1's is its inverse.
     blinks, _, _, want = _sync_one_blink((2.0, 1.0), IDEAL_CLOCK, ClockModel(skew=1e-5))
-    assert [list(arrivals) for arrivals in blinks.values()] == [["MA1", "SA2"]]
+    assert [list(rows) for rows in blink_rows(blinks).values()] == [["MA1", "SA2"]]
     assert _rate_ratio(blinks) == pytest.approx(1.0 + 1e-5, rel=1e-12)
     assert abs(_tdoa(blinks, "SA2", "MA1") - want) < 1e-12
 
@@ -182,7 +199,7 @@ def _assert_window_rejected(w: Window, anchor: str) -> None:
     blinks, diag = _sync_stamped(w)
     assert diag["rejected_windows"] == 1
     assert diag["unsynchronized_blinks"] == 1
-    assert blinks == {}
+    assert len(blinks) == 0
     healthy = _healthy_window()
     if anchor == "MA1":
         w = w._replace(t_s1=healthy.t_s1, t_s2=healthy.t_s2)
@@ -190,7 +207,7 @@ def _assert_window_rejected(w: Window, anchor: str) -> None:
         w = w._replace(r_s1=healthy.r_s1, r_s2=healthy.r_s2)
     blinks, diag = _sync_stamped(w)
     assert "rejected_windows" not in diag
-    assert list(blinks[("T1", 2)]) == ["MA1", "SA2"]
+    assert list(blink_rows(blinks)[("T1", 2)]) == ["MA1", "SA2"]
 
 
 def test_stuck_receiver_is_degenerate():
@@ -224,9 +241,9 @@ def test_k_spans_the_counter_wrap():
         epoch_time=wrap_time - 0.07, blink_time=wrap_time - 0.02, blink_seq=1)
     assert w.r_s2 < w.r_s1  # wrapped
     assert "rejected_windows" not in diag
-    arrivals = blinks[("T1", 1)]
-    assert arrivals["SA2"].rate == pytest.approx(1.0, rel=1e-12)
-    assert arrivals["MA1"].rate == pytest.approx(1.0, rel=1e-12)
+    rows = blink_rows(blinks)[("T1", 1)]
+    assert blinks.rate[rows["SA2"]] == pytest.approx(1.0, rel=1e-12)
+    assert blinks.rate[rows["MA1"]] == pytest.approx(1.0, rel=1e-12)
     assert abs(_tdoa(blinks, "SA2", "MA1") - want) < 1e-12
 
 
@@ -279,8 +296,8 @@ def test_orientation_and_metadata():
     blinks, _, _, _ = _sync_one_blink((5.0, 0.0), IDEAL_CLOCK, slave,
                                       epoch_time=0.15, blink_time=0.2,
                                       tag_id="T9", blink_seq=4)
-    assert list(blinks) == [("T9", 4)]
-    assert list(blinks[("T9", 4)]) == ["MA1", "SA2"]
+    assert {key: list(rows) for key, rows in blink_rows(blinks).items()} == {
+        ("T9", 4): ["MA1", "SA2"]}
     # Blink is 4 m closer to the slave: it arrives earlier there.
     assert _tdoa(blinks, "SA2", "MA1") == pytest.approx(-4.0 / SPEED_OF_LIGHT, abs=1e-12)
     assert _tdoa(blinks, "SA2", "MA1") == -_tdoa(blinks, "MA1", "SA2")
@@ -292,7 +309,7 @@ def test_stale_window_rejected():
     blinks, diag, _, _ = _sync_one_blink((2.0, 1.0), IDEAL_CLOCK, IDEAL_CLOCK,
                                          epoch_time=0.15, blink_time=0.8)
     assert diag["stale_blinks"] == 2
-    assert blinks == {}
+    assert len(blinks) == 0
 
 
 def test_drifting_clock_needs_a_nearby_window():
@@ -311,35 +328,34 @@ def test_drifting_clock_needs_a_nearby_window():
 
 
 # ---------------------------------------------------------------------------
-# Scalar smoothing
+# Per-pair smoothing, with the settings ``WcsParams`` holds
 
 DEFAULTS = WcsParams()
-PRIOR = (0.0, math.inf)  # infinite variance: the first update adopts the measurement
 
 
-def _smooth(f, measurement):
-    return kalman_step(*f, measurement, DEFAULTS.process_var, DEFAULTS.measurement_var)
+def _smooth(measurements) -> list[float]:
+    """The smoothed stream of one anchor pair whose TDoAs are ``measurements``."""
+    blinks = arrival_table({("T1", i): {"MA1": (float(m), 0, 1.0), "SA2": (0.0, 0, 1.0)}
+                            for i, m in enumerate(measurements)})
+    return smoothed_tdoa_streams(blinks, CCP_PERIOD, DEFAULTS)["MA1|SA2"]
 
 
 def test_first_update_adopts_the_measurement():
-    state, variance = _smooth(PRIOR, 3.3e-9)
-    assert state == 3.3e-9
-    assert variance == DEFAULTS.measurement_var
+    assert _smooth([3.3e-9]) == [3.3e-9]
+    assert _smoother_gains(1, DEFAULTS) == [1.0]
 
 
 def test_constant_input_is_a_fixed_point():
-    f = PRIOR
-    for _ in range(10):
-        f = _smooth(f, 2.0e-9)
-    state, variance = f
-    assert state == 2.0e-9
-    assert variance < DEFAULTS.measurement_var
+    assert _smooth([2.0e-9] * 10) == [2.0e-9] * 10
+    # The variance after a step is its gain times the measurement variance,
+    # so gains below 1 mean a variance below one measurement's.
+    gains = _smoother_gains(10, DEFAULTS)
+    assert gains[0] == 1.0 and all(1.0 > g > h for g, h in zip(gains[1:], gains[2:]))
 
 
 def test_non_finite_measurement_is_skipped():
-    f = _smooth(PRIOR, 1.0e-9)
-    assert _smooth(f, float("nan")) == f
-    assert _smooth(f, float("inf")) == f
+    with_gaps = _smooth([1.0e-9, float("nan"), float("inf"), 2.0e-9])
+    assert with_gaps == _smooth([1.0e-9] * 3 + [2.0e-9])[:1] * 3 + _smooth([1.0e-9, 2.0e-9])[1:]
 
 
 def test_smoother_attenuates_white_noise_tenfold():
@@ -350,11 +366,7 @@ def test_smoother_attenuates_white_noise_tenfold():
     rng = np.random.default_rng(1234)
     truth = 5.0e-9
     sigma_in = math.sqrt(2.0) * 1e-10
-    f = PRIOR
-    out = []
-    for z in truth + rng.normal(0.0, sigma_in, size=5000):
-        f = _smooth(f, float(z))
-        out.append(f[0])
+    out = _smooth(truth + rng.normal(0.0, sigma_in, size=5000))
     settled = np.asarray(out[500:])
     assert abs(float(settled.mean()) - truth) < 5e-12
     assert 5e-12 < float(settled.std()) < 3e-11
@@ -386,13 +398,13 @@ def test_stream_sync_emits_every_pair_and_cycles_close():
     topo, reports = _rect_reports()
     blinks = multi_master_sync(reports, topo, ccp_period=CCP_PERIOD)
     # One arrival per synchronized receiver, in anchor-id order.
-    assert list(blinks[("T1", 7)]) == ["MA1", "SA2", "SA3", "SA4"]
+    rows = blink_rows(blinks)[("T1", 7)]
+    assert list(rows) == ["MA1", "SA2", "SA3", "SA4"]
     one_blink = [(a, b) for seq, a, b, _ in _pairs(blinks) if seq == 7]
     assert len(one_blink) == 6  # all unordered pairs of 4 anchors
-    arrivals = blinks[("T1", 7)]
-    ab = arrival_tdoa(arrivals["MA1"], arrivals["SA2"], CCP_PERIOD)
-    bc = arrival_tdoa(arrivals["SA2"], arrivals["SA3"], CCP_PERIOD)
-    ac = arrival_tdoa(arrivals["MA1"], arrivals["SA3"], CCP_PERIOD)
+    ab = arrival_tdoa(blinks, rows["MA1"], rows["SA2"], CCP_PERIOD)
+    bc = arrival_tdoa(blinks, rows["SA2"], rows["SA3"], CCP_PERIOD)
+    ac = arrival_tdoa(blinks, rows["MA1"], rows["SA3"], CCP_PERIOD)
     assert ab + bc == pytest.approx(ac, abs=1e-15)
 
 
@@ -400,7 +412,7 @@ def test_stream_sync_is_order_independent():
     topo, reports = _rect_reports()
     forward = multi_master_sync(reports, topo, ccp_period=CCP_PERIOD)
     backward = multi_master_sync(list(reversed(reports)), topo, ccp_period=CCP_PERIOD)
-    assert list(forward.items()) == list(backward.items())
+    assert same_columns(forward, backward)
 
 
 def test_duplicate_reports_are_counted_and_harmless():
@@ -409,7 +421,7 @@ def test_duplicate_reports_are_counted_and_harmless():
     base = multi_master_sync(reports, topo, ccp_period=CCP_PERIOD)
     doubled = multi_master_sync(list(reports) + [reports[5]], topo,
                                 ccp_period=CCP_PERIOD, diagnostics=diag)
-    assert list(doubled.items()) == list(base.items())
+    assert same_columns(doubled, base)
     assert diag["duplicate_reports"] == 1
 
 
@@ -421,7 +433,7 @@ def test_conflicting_duplicate_keeps_the_smallest_reading():
     for stream in ([late] + list(reports), list(reports) + [late]):
         diag: dict = {}
         got = multi_master_sync(stream, topo, ccp_period=CCP_PERIOD, diagnostics=diag)
-        assert list(got.items()) == list(base.items())
+        assert same_columns(got, base)
         assert diag["duplicate_reports"] == 1
 
 
@@ -432,7 +444,7 @@ def test_readings_outside_the_counter_range_are_counted_and_skipped():
     bad = [r._replace(ticks=ticks) for ticks in (math.nan, -1.0, float(2**40))]
     diag: dict = {}
     got = multi_master_sync(list(reports) + bad, topo, ccp_period=CCP_PERIOD, diagnostics=diag)
-    assert list(got.items()) == list(base.items())
+    assert same_columns(got, base)
     assert diag["ticks_out_of_range"] == 3
     assert "duplicate_reports" not in diag
 
@@ -442,7 +454,7 @@ def test_anchor_without_ccp_coverage_is_skipped_and_counted():
     pruned = [r for r in reports if not (r.anchor_id == "SA4" and r.kind == "ccp_rx")]
     diag: dict = {}
     blinks = multi_master_sync(pruned, topo, ccp_period=CCP_PERIOD, diagnostics=diag)
-    assert all("SA4" not in arrivals for arrivals in blinks.values())
+    assert all("SA4" not in rows for rows in blink_rows(blinks).values())
     assert diag["unsynchronized_blinks"] > 0
     # Remaining three anchors still produce their three pairs per blink.
     assert {(a, b) for seq, a, b, _ in _pairs(blinks) if seq == 3} == {
@@ -503,11 +515,12 @@ def test_slaves_sync_through_lost_master_transmit_reports():
     kept = [r for r in reports if not (r.kind == KIND_CCP_TX and 20 <= r.seq <= 40)]
     diag: dict = {}
     blinks = multi_master_sync(kept, topo, ccp_period=CCP_PERIOD, diagnostics=diag)
-    assert len(blinks) == len({(r.src_id, r.seq) for r in reports if r.kind == KIND_BLINK_RX})
-    gap = {key: arrivals for key, arrivals in blinks.items() if "MA1" not in arrivals}
+    rows = blink_rows(blinks)
+    assert len(rows) == len({(r.src_id, r.seq) for r in reports if r.kind == KIND_BLINK_RX})
+    gap = {seq: anchors for (_, seq), anchors in rows.items() if "MA1" not in anchors}
     assert len(gap) == diag["stale_blinks"] > 0
-    assert all(list(arrivals) == ["SA2", "SA3", "SA4"] for arrivals in gap.values())
-    for _, a, b, tdoa in _pairs(gap):
+    assert all(list(anchors) == ["SA2", "SA3", "SA4"] for anchors in gap.values())
+    for _, a, b, tdoa in (pair for pair in _pairs(blinks) if pair[0] in gap):
         assert abs(tdoa - _geometric_tdoa((4.1, 0.7), a, b)) < 1e-12
 
 
@@ -526,3 +539,113 @@ def test_blink_period_must_be_positive(blink_period):
 def test_window_params_must_be_in_range(key, value):
     with pytest.raises(ValueError, match=key):
         WcsParams(**{key: value})
+
+
+# ---------------------------------------------------------------------------
+# The array sync: faults, nearest-epoch walks and track choice
+
+
+def test_a_blink_no_receiver_can_place_is_counted_without_tdoa():
+    # Both anchors' windows are rejected: the blink keeps no arrival at all.
+    w = _healthy_window()
+    blinks, diag = _sync_stamped(w._replace(r_s2=w.r_s1, t_s2=w.t_s1))
+    assert len(blinks) == 0
+    assert diag["unsynchronized_blinks"] == 2
+    assert diag["blinks_without_tdoa"] == 1
+
+
+def _hall_sync(reports, **kwargs):
+    cfg = parse_config(hall_config())
+    diag: dict = {}
+    blinks = multi_master_sync(reports, cfg.scenario.topology, diagnostics=diag,
+                               ccp_period=cfg.scenario.ccp_period, **kwargs)
+    return blinks, diag
+
+
+def test_faulty_hall_stream_gives_the_clean_table(hall_run):
+    # Shuffled, every 7th report repeated at a larger tick, and three copies
+    # pushed out of [0, 2**40): each fault is counted under its key, and
+    # the table is the clean run's, bit for bit.
+    clean, clean_diag = _hall_sync(hall_run.reports)
+    repeats = [r._replace(ticks=r.ticks + 0.5) for r in hall_run.reports[::7]
+               if r.ticks + 0.5 < 2**40]
+    r = hall_run.reports[100]
+    pushed = [r._replace(ticks=ticks) for ticks in (math.nan, -1.0, float(2**40))]
+    faulty = list(hall_run.reports) + repeats + pushed
+    random.Random(19).shuffle(faulty)
+    blinks, diag = _hall_sync(faulty)
+    assert same_columns(blinks, clean)
+    assert len(blinks) > 10_000 and set(clean_diag) == {"reports"}
+    assert diag == {"reports": len(faulty), "duplicate_reports": len(repeats),
+                    "ticks_out_of_range": 3}
+
+
+def _readings(reports, anchor: str, kind: str, src: str) -> dict[int, float]:
+    return {r.seq: r.ticks for r in reports
+            if (r.anchor_id, r.kind, r.src_id) == (anchor, kind, src)}
+
+
+def test_nearest_epoch_walk_takes_several_steps_across_a_counter_wrap():
+    # SA2's counter wraps 1 s into the run.  With a blink period of 0.05 s
+    # given to the sync, a blink's hint lands four CCPs before its nearest
+    # epoch, and the walk from there crosses the wrap; it ends where the
+    # true hint starts, so the table is the same bit for bit.
+    wrap_seconds = 2**40 * TICK_SECONDS
+    topo = build_rect_topology(clocks={"SA2": ClockModel(offset=wrap_seconds - 1.0)})
+    tags = (TagSpec("T1", StaticTrajectory((4.1, 0.7))),)
+    reports = run_scenario(Scenario(topology=topo, tags=tags, duration=2.0, seed=9)).reports
+    exact = multi_master_sync(reports, topo, ccp_period=CCP_PERIOD)
+    early = multi_master_sync(reports, topo, ccp_period=CCP_PERIOD, blink_period=0.05)
+    assert same_columns(early, exact)
+    sa2 = _readings(reports, "SA2", KIND_CCP_RX, "MA1")
+    walked = 0
+    for (_, seq), rows in blink_rows(exact).items():
+        hint, epoch = int(seq * 0.05 / CCP_PERIOD), int(exact.ccp_seq[rows["SA2"]])
+        walked += epoch - hint >= 3 and sa2[hint] > sa2[epoch]  # the counter wrapped between
+    assert walked >= 3
+    for _, a, b, tdoa in _pairs(exact):
+        assert abs(tdoa - _geometric_tdoa((4.1, 0.7), a, b)) < 1e-12
+
+
+def test_seq_hint_past_the_last_epoch_walks_back():
+    # Over 2 s the last epoch is CCP 12.  With a blink period of 0.4 s given
+    # to the sync, every blink from seq 5 on is hinted past it: the walk
+    # starts at the last epoch and goes back to the nearest one.
+    topo, reports = _rect_reports(duration=2.0, tag_xy=(4.1, 0.7))
+    exact = multi_master_sync(reports, topo, ccp_period=CCP_PERIOD)
+    late = multi_master_sync(reports, topo, ccp_period=CCP_PERIOD, blink_period=0.4)
+    assert same_columns(late, exact)
+    assert int(exact.ccp_seq.max()) == 12
+    past = [seq for (_, seq) in blink_rows(exact) if int(seq * 0.4 / CCP_PERIOD) > 12]
+    assert len(past) == 15
+
+
+def test_bridging_slave_takes_its_first_fresh_track_in_master_id_order(hall_run):
+    # A slave that follows several masters is placed through the first of
+    # their tracks, in master-id order, whose nearest epoch is fresh: its
+    # rate is that track's window rate, bit for bit.  Without the first
+    # master's CCPs for 60 rounds, the blinks in the gap take the second.
+    topo = parse_config(hall_config()).scenario.topology
+    slave = min(s for s in topo.slaves() if len(topo.follow[s]) >= 2)
+    first, second = sorted(topo.follow[slave])[:2]
+    gap = range(40, 100)
+    kept = [r for r in hall_run.reports
+            if not (r.anchor_id == slave and r.src_id == first and r.seq in gap)]
+
+    def masters_used(blinks, reports):
+        readings = {m: _readings(reports, slave, KIND_CCP_RX, m) for m in (first, second)}
+        used = {}
+        for (_, seq), rows in blink_rows(blinks).items():
+            if slave in rows:
+                i = rows[slave]
+                s = int(blinks.ccp_seq[i])
+                used[seq] = [m for m, r in readings.items() if s + 1 in r and s in r and float(
+                    blinks.rate[i]) == ts_diff(r[s + 1], r[s]) * TICK_SECONDS / CCP_PERIOD]
+        return used
+
+    clean = masters_used(_hall_sync(hall_run.reports)[0], hall_run.reports)
+    assert clean and all(m[:1] == [first] for m in clean.values())
+    gapped = masters_used(_hall_sync(kept)[0], kept)
+    in_gap = {seq: m for seq, m in gapped.items() if 45 * 1.5 <= seq <= 95 * 1.5}
+    assert in_gap and all(m == [second] for m in in_gap.values())
+    assert all(gapped[seq][:1] == [first] for seq in gapped if seq < 35 * 1.5 or seq > 105 * 1.5)
