@@ -91,24 +91,13 @@ def _read_lines(path: Path, parse: Callable[[list[str]], Sequence[list]], column
     format, or an older one) raises ``CsvHeaderError``.  A line that is not
     UTF-8, or on which ``parse`` raises ``ValueError`` (a wrong field count,
     an unparsable, out-of-range or non-finite number, a non-plain id), is
-    skipped with a warning and counted: a failing block is halved until
-    each failing line stands alone."""
+    skipped with a warning and counted; a failing block is parsed line by line."""
     blocks: list[Sequence[list]] = []
     skipped = 0
 
-    def parse_block(block: list[tuple[int, str]]) -> None:
-        nonlocal skipped
-        lines = list(map(itemgetter(1), block))
-        try:
-            _check_utf8("".join(lines))
-            blocks.append(parse(lines))
-        except ValueError as exc:
-            if len(block) == 1:
-                skipped += 1
-                log.warning("%s line %d skipped: %s", path.name, block[0][0], exc)
-            else:
-                parse_block(block[: len(block) // 2])
-                parse_block(block[len(block) // 2 :])
+    def parse_block(lines: list[str]) -> None:
+        _check_utf8("".join(lines))
+        blocks.append(parse(lines))
 
     with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         if header is not None and fh.readline().strip() != header:
@@ -117,8 +106,16 @@ def _read_lines(path: Path, parse: Callable[[list[str]], Sequence[list]], column
         while lines := list(itertools.islice(fh, BLOCK_LINES)):
             block = list(filter(itemgetter(1), enumerate(map(str.strip, lines), lineno)))
             lineno += len(lines)
-            if block:
-                parse_block(block)
+            try:
+                if block:
+                    parse_block(list(map(itemgetter(1), block)))
+            except ValueError:
+                for n, line in block:
+                    try:
+                        parse_block([line])
+                    except ValueError as exc:
+                        skipped += 1
+                        log.warning("%s line %d skipped: %s", path.name, n, exc)
     if skipped:
         log.warning("skipped %d malformed line(s) in %s", skipped, path)
     return [list(itertools.chain.from_iterable(c)) for c in zip(*blocks)] or [

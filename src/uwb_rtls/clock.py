@@ -125,14 +125,15 @@ def read_clock(
     return ticks if np.ndim(true_time) else float(ticks[0])
 
 
-def ts_diff(a, b):
+def ts_diff(a: float | np.ndarray, b: float | np.ndarray) -> float | np.ndarray:
     """Signed tick delta ``a - b`` on the wrapping counter.
 
     Valid while the true separation is under 2**39 ticks (about 8.6 s): in
     that regime wrap crossings cancel and ``ts_diff(a, b) == -ts_diff(b, a)``.
-    Elementwise on arrays, with the same arithmetic; a float on floats.
+    Elementwise on arrays; a float on floats; NaN for a non-finite reading.
     """
-    delta = np.fmod(np.subtract(a, b), TICK_WRAP)
+    with np.errstate(invalid="ignore"):
+        delta = np.fmod(np.subtract(a, b), TICK_WRAP)
     delta = np.where(delta >= HALF_WRAP, delta - TICK_WRAP,
                      np.where(delta < -HALF_WRAP, delta + TICK_WRAP, delta))
     return delta if delta.ndim else float(delta)

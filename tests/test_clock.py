@@ -107,6 +107,14 @@ def test_ts_diff_simple_and_wrapped():
     assert ts_diff(near_top, past_wrap) == -15.0
 
 
+def test_ts_diff_of_a_non_finite_reading_is_nan():
+    assert math.isnan(ts_diff(math.inf, 0.0))
+    assert math.isnan(ts_diff(0.0, -math.inf))
+    assert math.isnan(ts_diff(math.nan, 5.0))
+    deltas = ts_diff(np.array([100.0, math.inf]), np.array([40.0, 0.0]))
+    assert deltas[0] == 60.0 and math.isnan(deltas[1])
+
+
 @given(
     base=st.integers(min_value=0, max_value=TICK_WRAP - 1),
     delta=st.integers(min_value=-(HALF_WRAP - 1), max_value=HALF_WRAP - 1),

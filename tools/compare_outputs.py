@@ -1,17 +1,18 @@
 """Compare the output files of two source trees, run for run.
 
-    python tools/compare_outputs.py PARENT CHANGE [--seeds 1-5] [--out FILE]
+    python tools/compare_outputs.py PARENT CHANGE > outputs.json
 
 PARENT and CHANGE are source checkouts, each with a ``src/uwb_rtls``
 package.  Both run ``demo`` and the benchmark workloads ``fleet`` and
-``hall`` for each seed, through the CLI in fresh processes, with the
+``hall`` for seeds 1-5, through the CLI in fresh processes, with the
 scenario configs from this checkout's ``bench/workloads.py``.  Both trees
 run with ``PYTHONDONTWRITEBYTECODE=1``, so neither reads or writes a
 bytecode cache.
 
-The result is one JSON object: per run and per output file, the sha256
-and size of each tree's file, whether they are the same, and for
-``fixes.csv`` the largest |dx| and |dy| over the fixes both trees made.
+The result, on stdout, is one JSON object: per run and per output file,
+the sha256 and size of each tree's file, whether they are the same, and
+for ``fixes.csv`` the largest |dx| and |dy| over the fixes both trees
+made.
 It gates nothing; its exit code is 0 whenever both trees ran.
 """
 
@@ -31,10 +32,7 @@ sys.path.insert(0, str(ROOT / "bench"))
 
 from workloads import CONFIGS, stages  # noqa: E402
 
-
-def _seeds(text: str) -> list[int]:
-    lo, _, hi = text.partition("-")
-    return list(range(int(lo), int(hi or lo) + 1))
+SEEDS = range(1, 6)
 
 
 def run_tree(tree: Path, workload: str, seed: int, out: Path) -> None:
@@ -81,12 +79,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", type=Path)
     parser.add_argument("change", type=Path)
-    parser.add_argument("--seeds", type=_seeds, default=_seeds("1-5"),
-                        help="seed or range of the workload runs (default 1-5)")
-    parser.add_argument("--out", type=Path, default=None, help="write the JSON here too")
     args = parser.parse_args(argv)
 
-    runs = [("demo", 42)] + [(w, s) for w in sorted(CONFIGS) for s in args.seeds]
+    runs = [("demo", 42)] + [(w, s) for w in sorted(CONFIGS) for s in SEEDS]
     report = {"parent": str(args.parent.resolve()), "change": str(args.change.resolve()),
               "runs": {}}
     with tempfile.TemporaryDirectory() as tmp:
@@ -100,10 +95,7 @@ def main(argv: list[str] | None = None) -> int:
             same = sum(f["same"] for f in files.values())
             print(f"{name}: {same}/{len(files)} files the same", file=sys.stderr)
     report["all_same"] = all(f["same"] for run in report["runs"].values() for f in run.values())
-    text = json.dumps(report, indent=1, sort_keys=True) + "\n"
-    if args.out:
-        args.out.write_text(text)
-    sys.stdout.write(text)
+    sys.stdout.write(json.dumps(report, indent=1, sort_keys=True) + "\n")
     return 0
 
 
