@@ -9,9 +9,9 @@ from .clock import ClockModel, read_clock, ts_diff
 from .config import ConfigError, ScenarioConfig, load_config
 from .engine import EngineParams, LocateResult, locate_reports
 from .metrics import EvalSummary, evaluate
-from .protocol import ReportColumns, ToaReport, decode_report, encode_report
+from .protocol import ReportColumns, ToaReport, decode_report, encode_reports
 from .simnet import Scenario, SimResult, TagSpec, run_scenario
-from .solver import Fix, TdoaSet, TrackerConfig, ls_solve, track
+from .solver import BlinkRows, Fix, TrackerConfig, ls_solve, track
 from .timebase import select_time_base
 from .topology import AnchorConfig, NetworkTopology
 from .wcs import ArrivalTable, multi_master_sync
@@ -21,6 +21,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AnchorConfig",
     "ArrivalTable",
+    "BlinkRows",
     "ClockModel",
     "ConfigError",
     "EngineParams",
@@ -33,11 +34,10 @@ __all__ = [
     "ScenarioConfig",
     "SimResult",
     "TagSpec",
-    "TdoaSet",
     "ToaReport",
     "TrackerConfig",
     "decode_report",
-    "encode_report",
+    "encode_reports",
     "evaluate",
     "load_config",
     "locate_reports",

@@ -29,8 +29,8 @@ from .config import ConfigError, ScenarioConfig, load_config
 from .deploy import build_deployment_report, grid_to_csv
 from .engine import LocateResult, locate_reports
 from .metrics import EmptyEvalError, errors_csv, evaluate
-from .protocol import SEQ_WRAP, ReportColumns, decode_reports, encode_report, id_codes, plain_id
-from .simnet import ScenarioError, SimResult, TruthBlink, decode_truth, encode_truth, run_scenario
+from .protocol import SEQ_WRAP, ReportColumns, decode_reports, encode_reports, id_codes, plain_id
+from .simnet import ScenarioError, SimResult, TruthBlink, decode_truths, encode_truth, run_scenario
 from .solver import Fix
 from .topology import TopologyError
 from .wcs import ArrivalTable, run_starts
@@ -222,7 +222,7 @@ def read_reports(path: Path) -> tuple[ReportColumns, int]:
 
 def read_truth(path: Path) -> tuple[list[TruthBlink], int]:
     """Parse the blinks of a truth.jsonl file, skipping malformed lines with a count."""
-    (records,), skipped = _read_lines(path, lambda lines: [list(map(decode_truth, lines))], 1)
+    (records,), skipped = _read_lines(path, lambda lines: [decode_truths(lines)], 1)
     return [r for r in records if isinstance(r, TruthBlink)], skipped
 
 
@@ -242,7 +242,8 @@ def _simulate(cfg: ScenarioConfig, out: Path, seed: int | None) -> SimResult:
     if seed is not None:
         scenario = dataclasses.replace(scenario, seed=seed)
     result = run_scenario(scenario)
-    _write(out / "reports.jsonl", _blocks(f"{encode_report(r)}\n" for r in result.reports))
+    _write(out / "reports.jsonl", (encode_reports(result.reports, slice(lo, lo + BLOCK_LINES))
+                                   for lo in range(0, len(result.reports), BLOCK_LINES)))
     truth = itertools.chain(result.truth_blinks, result.truth_clocks)
     _write(out / "truth.jsonl", _blocks(f"{encode_truth(record)}\n" for record in truth))
     return result
@@ -359,7 +360,7 @@ def cmd_demo(args: argparse.Namespace) -> int:
     _write(config_path, [json.dumps(DEMO_CONFIG, indent=2) + "\n"])
     cfg = load_config(config_path)
     sim = _simulate(cfg, out, args.seed)
-    result = _locate(cfg, ReportColumns.from_reports(sim.reports), out)
+    result = _locate(cfg, sim.reports, out)
     if not result.fixes:
         print("error: demo produced no fixes", file=sys.stderr)
         return EXIT_EMPTY

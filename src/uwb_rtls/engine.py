@@ -9,14 +9,14 @@ runs agree measurement for measurement.
 
 from __future__ import annotations
 
-import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .constants import SPEED_OF_LIGHT
 from .protocol import ReportColumns
-from .solver import Fix, TdoaSet, TrackerConfig, track
+from .solver import BlinkRows, Fix, TrackerConfig, track
 from .timebase import MIN_RECEIVERS, NoTimeBaseError, select_time_base
 from .topology import NetworkTopology
 from .wcs import ArrivalTable, WcsParams, arrival_tdoa, multi_master_sync
@@ -53,10 +53,11 @@ def locate_reports(
     Blinks that cannot be used (too few synchronized receivers, no valid
     time base) are skipped and counted in ``diagnostics``, and so are the
     cold starts and updates the tracker skips; everything else becomes one
-    fix per blink per tag.  A usable blink goes to the tracker as its
-    arrivals in meters, less the lowest-id receiver's arrival.  The time
-    base is chosen once per distinct set of receivers, and one ``track``
-    call steps every tag.
+    fix per blink per tag.  The tracker reads the usable blinks from the
+    arrival table's own rows (``solver.BlinkRows``): each row's arrival in
+    meters, less its blink's lowest-id receiver's arrival, and its anchor's
+    position.  The time base is chosen once per distinct set of receivers,
+    and one ``track`` call steps every tag.
     """
     diagnostics: dict = {}
     blinks = multi_master_sync(reports, topo, ccp_period=params.ccp_period,
@@ -65,27 +66,37 @@ def locate_reports(
 
     starts, sizes = blinks.blinks()
     first = np.repeat(starts, sizes)  # each row's blink's lowest-id receiver
-    meters = (arrival_tdoa(blinks, np.arange(len(blinks)), first, params.ccp_period)
-              * SPEED_OF_LIGHT).tolist()
-    anchors = [blinks.ids[a] for a in blinks.anchor.tolist()]
-    usable = functools.cache(functools.partial(_has_time_base, topo=topo))
-    sets: list[TdoaSet] = []
-    tags, blink_seqs = blinks.tag[starts].tolist(), blinks.blink_seq[starts].tolist()
-    for lo, n, tag, blink_seq in zip(starts.tolist(), sizes.tolist(), tags, blink_seqs):
-        receivers = tuple(anchors[lo:lo + n])
-        if n >= MIN_RECEIVERS and usable(receivers):
-            arrivals = tuple(zip(receivers, meters[lo:lo + n]))
-            sets.append(TdoaSet(blinks.ids[tag], blink_seq, arrivals))
-        else:
-            key = "blinks_no_time_base" if n >= MIN_RECEIVERS else "blinks_too_few_receivers"
-            diagnostics[key] = diagnostics.get(key, 0) + 1
+    meters = SPEED_OF_LIGHT * arrival_tdoa(blinks, np.arange(len(blinks)), first,
+                                           params.ccp_period)
+    positions = topo.positions()
+    xy = np.array([positions.get(i, (math.nan, math.nan)) for i in blinks.ids]).reshape(-1, 2)
+    few = sizes < MIN_RECEIVERS
+    usable = ~few
+    usable[usable] = _has_time_base(blinks, starts[usable], sizes[usable], topo)
+    for key, skipped in (("blinks_too_few_receivers", few),
+                         ("blinks_no_time_base", ~few & ~usable)):
+        if n := int(np.count_nonzero(skipped)):
+            diagnostics[key] = n
 
-    fixes = track(sets, topo.positions(), params.blink_period, params.tracker, diagnostics)
+    use = starts[usable]
+    rows = BlinkRows(blinks.ids, blinks.tag[use], blinks.blink_seq[use], use, sizes[usable],
+                     meters, xy[blinks.anchor])
+    fixes = track(rows, params.blink_period, params.tracker, diagnostics)
     return LocateResult(fixes, blinks, diagnostics)
 
 
-def _has_time_base(receivers: tuple[str, ...], topo: NetworkTopology) -> bool:
-    try:
-        return bool(select_time_base(receivers, topo))
-    except NoTimeBaseError:
-        return False
+def _has_time_base(blinks: ArrivalTable, starts: np.ndarray, sizes: np.ndarray,
+                   topo: NetworkTopology) -> np.ndarray:
+    """Whether each blink's receivers have a time base, asked once per
+    distinct set of receivers."""
+    column = np.arange(int(sizes.max(initial=0)))
+    held = column < sizes[:, None]
+    receivers = np.where(held, blinks.anchor[np.where(held, starts[:, None] + column, 0)], -1)
+    sets, which = np.unique(receivers, axis=0, return_inverse=True)
+    usable = []
+    for row in sets.tolist():
+        try:
+            usable.append(bool(select_time_base([blinks.ids[a] for a in row if a >= 0], topo)))
+        except NoTimeBaseError:
+            usable.append(False)
+    return np.array(usable, dtype=bool)[which.reshape(-1)]

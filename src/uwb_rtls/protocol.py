@@ -15,8 +15,9 @@ quoting.  Lines are written in that one canonical form, which one compiled
 pattern parses; any other JSON object line with the same fields reads the
 same.
 
-The sync reads reports as ``ReportColumns``: one array per field, ids and
-kinds as integer codes.
+Reports travel as ``ReportColumns``, one array per field with ids and
+kinds as integer codes, from the simulator to the file and from the file
+to the sync.
 """
 
 from __future__ import annotations
@@ -76,8 +77,8 @@ class ReportColumns:
     """Reports as columns, one row per report, in any order: ``anchor``
     and ``src`` as int32 codes into ``ids``, the sorted ids of both, ``kind``
     as an int8 code into ``REPORT_KINDS``, ``seq`` int64, ``ticks`` float64.
-    ``cli.read_reports`` reads them from a file, ``from_reports`` builds
-    them from ``ToaReport`` records."""
+    ``simnet.run_scenario`` simulates them, ``cli.read_reports`` reads them
+    from a file, and ``from_reports`` builds them from ``ToaReport`` records."""
 
     ids: tuple[str, ...]
     anchor: np.ndarray
@@ -148,7 +149,7 @@ def json_number(value: float) -> str:
     return int.__repr__(operator.index(value))
 
 
-# The line encode_report writes, as a whole line of lines joined by
+# The lines encode_reports writes, as a whole block of lines joined by
 # newlines: fields in order, no whitespace, ids as JSON strings with no
 # escape (``decode_reports`` checks they are plain), a known kind, seq an
 # unsigned JSON integer and ticks an unsigned JSON number of at most 20
@@ -160,21 +161,32 @@ _CANONICAL = re.compile(
     r'"ticks":((?:0|[1-9][0-9]{0,19})(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?)\}$',
     re.MULTILINE,
 )
+_LINE = '{{"anchor_id":{},"kind":{},"src_id":{},"seq":{},"ticks":{}}}\n'.format
 
 
-def encode_report(report: ToaReport) -> str:
-    """Render a report as one compact JSON line (no trailing newline).
+def encode_reports(reports: ReportColumns, rows: slice = slice(None)) -> str:
+    """Rows ``rows`` of ``reports`` as report lines, each ending in a newline.
 
-    The line is what ``json.dumps`` writes for the fields in order, with
-    integer-valued ticks written as an int.
+    A line is what ``json.dumps`` writes for the fields in order, with
+    integer-valued ticks written as an int.  A ``seq`` column that is not
+    of an integer dtype raises ``TypeError``; a non-finite tick raises
+    ``ValueError``: the JSON it would need is not standard, and no reader
+    here accepts it.
     """
-    anchor_id, kind, src_id, seq, ticks = report
-    if isinstance(ticks, float) and ticks.is_integer():
-        ticks = int(ticks)
-    return (
-        f'{{"anchor_id":{json_string(anchor_id)},"kind":{json_string(kind)},'
-        f'"src_id":{json_string(src_id)},"seq":{json_number(seq)},"ticks":{json_number(ticks)}}}'
-    )
+    seq, ticks = reports.seq[rows], reports.ticks[rows]
+    if seq.dtype.kind not in "iu":
+        raise TypeError(f"cannot write seq of dtype {seq.dtype} as JSON integers")
+    if not np.isfinite(ticks).all():
+        raise ValueError("cannot write non-finite ticks")
+    tick_text = list(map(float.__repr__, ticks.tolist()))
+    for i in np.flatnonzero(ticks == np.trunc(ticks)).tolist():
+        tick_text[i] = int.__repr__(int(ticks[i]))
+    ids, kinds = list(map(json_string, reports.ids)), list(map(json_string, REPORT_KINDS))
+    return "".join(map(
+        _LINE, map(ids.__getitem__, reports.anchor[rows].tolist()),
+        map(kinds.__getitem__, reports.kind[rows].tolist()),
+        map(ids.__getitem__, reports.src[rows].tolist()), seq.tolist(), tick_text,
+    ))
 
 
 def decode_reports(lines: Sequence[str]) -> tuple[list, list, list, list, list]:

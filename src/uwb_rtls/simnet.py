@@ -12,21 +12,23 @@ from __future__ import annotations
 
 import json
 import math
+import re
 import sys
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Mapping, get_type_hints
+from typing import Mapping, Sequence, get_type_hints
 
 import numpy as np
 
 from .clock import ClockArrays, read_clock
 from .constants import SPEED_OF_LIGHT
 from .protocol import (
-    KIND_BLINK_RX,
-    KIND_CCP_RX,
-    KIND_CCP_TX,
+    _ID,
+    BLINK_RX,
+    CCP_RX,
+    CCP_TX,
     SEQ_WRAP,
-    ToaReport,
+    ReportColumns,
     json_number,
     json_string,
     plain_id,
@@ -200,7 +202,7 @@ class Scenario:
 # Ground truth records
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TruthBlink:
     tag_id: str
     seq: int
@@ -209,7 +211,7 @@ class TruthBlink:
     y: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TruthClock:
     anchor_id: str
     offset: float
@@ -220,7 +222,7 @@ class TruthClock:
 
 @dataclass(frozen=True)
 class SimResult:
-    reports: tuple[ToaReport, ...]
+    reports: ReportColumns
     truth_blinks: tuple[TruthBlink, ...]
     truth_clocks: tuple[TruthClock, ...]
 
@@ -244,6 +246,43 @@ def encode_truth(record: TruthBlink | TruthClock) -> str:
         f'"drift_rate":{json_number(record.drift_rate)},'
         f'"jitter_std":{json_number(record.jitter_std)}}}'
     )
+
+
+# The lines encode_truth writes, as a whole block of lines joined by
+# newlines: fields in order, no whitespace, ids as JSON strings with no
+# escape, seq an unsigned JSON integer of at most 9 digits (so below
+# 2**32) and every other number as ``float.__repr__`` writes a finite
+# float: a fraction with at most 17 integer digits, or one digit, an
+# optional fraction and an exponent of at most 307, so ``float`` reads each
+# as ``json.loads`` does and none overflows (any other line is left to
+# json.loads).  ``re`` compiles and caches it at first use: compiled at
+# import, it would add about 2 ms to every ``import uwb_rtls``.
+_NUMBER = (r"(-?(?:(?:0|[1-9][0-9]{0,16})\.[0-9]+"
+           r"|[0-9](?:\.[0-9]+)?e(?:-[0-9]{1,3}|\+(?:[0-2]?[0-9]{1,2}|30[0-7]))))")
+_CANONICAL_TRUTH = (
+    rf'(?m)^\{{"kind":"(?:blink","tag_id":{_ID},"seq":(0|[1-9][0-9]{{0,8}}),'
+    rf'"time":{_NUMBER},"x":{_NUMBER},"y":{_NUMBER}'
+    rf'|clock","anchor_id":{_ID},"offset":{_NUMBER},"skew":{_NUMBER},'
+    rf'"drift_rate":{_NUMBER},"jitter_std":{_NUMBER})\}}$'
+)
+
+
+def decode_truths(lines: Sequence[str]) -> list[TruthBlink | TruthClock]:
+    """Parse truth lines, each as ``decode_truth`` does.
+
+    A block of canonical lines with plain ids is parsed by one search of
+    one compiled pattern.  Any other block goes line by line through
+    ``decode_truth``: the first line that fails raises ``ValueError``."""
+    text = "\n".join(lines)
+    rows = re.findall(_CANONICAL_TRUTH, text)
+    if rows and len(rows) == len(lines) == text.count("\n") + 1:
+        try:
+            return [TruthBlink(plain_id(tag_id), int(seq), float(time), float(x), float(y))
+                    if seq else TruthClock(plain_id(anchor_id), *map(float, clock))
+                    for tag_id, seq, time, x, y, anchor_id, *clock in rows]
+        except ValueError:
+            pass  # an id that is not plain: decode_truth words the error
+    return list(map(decode_truth, lines))
 
 
 def decode_truth(line: str) -> TruthBlink | TruthClock:
@@ -313,20 +352,36 @@ def schedule_ccp_cascade(
 
 
 def run_scenario(scenario: Scenario) -> SimResult:
-    """Simulate one scenario into reports plus ground truth.
+    """Simulate one scenario into report columns plus ground truth.
 
     Identical scenarios (same seed included) produce identical output, byte
     for byte once encoded: events are generated in a fixed global order and
     all clock jitter is drawn from one seeded generator in that order.
+    Events are built as columns and sorted by (true time, anchor id, kind,
+    source id, seq); ids are coded in sorted order and kind codes follow
+    the kinds' string order, so sorting the codes sorts the ids.
     """
+    from array import array  # here, not at import: only a simulation pays for it
+
     topo = scenario.topology
     rng = np.random.default_rng(scenario.seed)
     anchor_ids = topo.ids()
-    positions = topo.positions()
+    positions = [a.xy() for a in topo.anchors]
+    ids = sorted({*anchor_ids, *(tag.id for tag in scenario.tags)})
+    code = {value: i for i, value in enumerate(ids)}
 
-    # (true_event_time, anchor, kind, src, seq) for every report to emit.
-    events: list[tuple[float, str, str, str, int]] = []
+    # One row per report to emit: true event time, the receiving anchor's
+    # index in ``topo.anchors``, kind code, source id code and seq.
+    times, receivers, kinds, srcs, seqs = (
+        array("d"), array("q"), array("b"), array("q"), array("q"))
     truth_blinks: list[TruthBlink] = []
+
+    def emit(time: float, receiver: int, kind: int, src: int, seq: int) -> None:
+        times.append(time)
+        receivers.append(receiver)
+        kinds.append(kind)
+        srcs.append(src)
+        seqs.append(seq)
 
     k = 0
     while True:
@@ -337,12 +392,11 @@ def run_scenario(scenario: Scenario) -> SimResult:
             pos = tag.trajectory.position_at(t)
             seq = k % SEQ_WRAP
             truth_blinks.append(TruthBlink(tag.id, seq, t, pos[0], pos[1]))
-            for anchor_id in anchor_ids:
-                if not scenario._receives_blink(tag.id, anchor_id, pos):
-                    continue
-                ax, ay = positions[anchor_id]
-                arrival = t + math.hypot(ax - pos[0], ay - pos[1]) / SPEED_OF_LIGHT
-                events.append((arrival, anchor_id, KIND_BLINK_RX, tag.id, seq))
+            for i, anchor_id in enumerate(anchor_ids):
+                if scenario._receives_blink(tag.id, anchor_id, pos):
+                    ax, ay = positions[i]
+                    arrival = t + math.hypot(ax - pos[0], ay - pos[1]) / SPEED_OF_LIGHT
+                    emit(arrival, i, BLINK_RX, code[tag.id], seq)
         k += 1
 
     j = 0
@@ -352,24 +406,23 @@ def run_scenario(scenario: Scenario) -> SimResult:
             break
         seq = j % SEQ_WRAP
         for master, tx_time in schedule_ccp_cascade(topo, round_start, scenario.lag):
-            events.append((tx_time, master, KIND_CCP_TX, master, seq))
-            for anchor_id in anchor_ids:
-                if not scenario._receives_ccp(master, anchor_id):
-                    continue
-                arrival = tx_time + topo.baseline(master, anchor_id) / SPEED_OF_LIGHT
-                events.append((arrival, anchor_id, KIND_CCP_RX, master, seq))
+            emit(tx_time, anchor_ids.index(master), CCP_TX, code[master], seq)
+            for i, anchor_id in enumerate(anchor_ids):
+                if scenario._receives_ccp(master, anchor_id):
+                    arrival = tx_time + topo.baseline(master, anchor_id) / SPEED_OF_LIGHT
+                    emit(arrival, i, CCP_RX, code[master], seq)
         j += 1
 
-    events.sort()
-    anchor_index = {anchor_id: i for i, anchor_id in enumerate(anchor_ids)}
-    true_times = np.fromiter((e[0] for e in events), float, len(events))
-    receivers = np.fromiter((anchor_index[e[1]] for e in events), np.intp, len(events))
-    clocks = ClockArrays.gather([a.clock for a in topo.anchors], receivers)
-    ticks = read_clock(clocks, true_times, rng).tolist()
-    reports = tuple(
-        ToaReport(anchor_id, kind, src, seq, tick)
-        for (_, anchor_id, kind, src, seq), tick in zip(events, ticks)
-    )
+    time, receiver, kind, src, seq = map(np.array, (times, receivers, kinds, srcs, seqs))
+    anchor = np.array([code[anchor_id] for anchor_id in anchor_ids], np.int64)[receiver]
+    order = np.lexsort((seq, src, kind, anchor, time))
+    clocks = ClockArrays.gather([a.clock for a in topo.anchors], receiver[order])
+    ticks = read_clock(clocks, time[order], rng)
+    # Only the ids some report holds stay in the id table.
+    used, codes = np.unique(np.concatenate((anchor[order], src[order])), return_inverse=True)
+    anchor_code, src_code = np.split(codes.astype(np.int32), 2)
+    reports = ReportColumns(tuple(ids[i] for i in used.tolist()), anchor_code,
+                            kind[order].astype(np.int8), src_code, seq[order], ticks)
     truth_clocks = tuple(
         TruthClock(a.id, a.clock.offset, a.clock.skew, a.clock.drift_rate, a.clock.jitter_std)
         for a in topo.anchors

@@ -13,11 +13,12 @@ anchors' padded box.
 The filter is batched.  ``track`` steps every tag that blinked at one
 blink epoch together: ``ekf_predict`` and ``ekf_update`` work on stacked
 (B, 4) states and (B, 4, 4) covariances, and the update is in information
-form, so no m x m matrix is built for m receivers.  Each tag's receiver
-rows are padded to the epoch's widest set and masked.  Sums over receivers
-and matrix products run in one fixed order with elementwise operations, so
-a tag's fixes are the same bits whatever other tags share its epochs.  Cold
-starts, gap resets and skips stay per tag.
+form, so no m x m matrix is built for m receivers.  The blinks come as
+runs of arrival rows (``BlinkRows``), and one fancy index lays an epoch
+out, each tag's rows padded to the epoch's widest blink and masked.  Sums
+over receivers and matrix products run in one fixed order with
+elementwise operations, so a tag's fixes are the same bits whatever other
+tags share its epochs.  Cold starts, gap resets and skips stay per tag.
 
 Both read their geometry from one kernel, ``ranges``: ranges from each
 anchor and their gradients (unit vectors) over a block of points,
@@ -26,11 +27,10 @@ anchor-major.  ``deploy``'s HDoP uses the same kernel.
 
 from __future__ import annotations
 
-import itertools
 import logging
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -69,17 +69,44 @@ class AmbiguityError(SolverError):
         )
 
 
-@dataclass(frozen=True)
-class TdoaSet:
-    """One blink's ``arrivals``: (anchor_id, c x arrival time in meters) per
-    synchronized receiver, in anchor-id order, against any common origin."""
+@dataclass(frozen=True, eq=False)
+class BlinkRows:
+    """Blinks as runs of arrival rows, the tracker's input.
 
-    tag_id: str
-    blink_seq: int
-    arrivals: tuple[tuple[str, float], ...]
+    Blink i is tag ``ids[tag[i]]``'s blink ``blink_seq[i]``; its arrivals
+    are rows ``start[i]`` to ``start[i] + size[i]`` of ``meters`` (c x
+    arrival time, against any origin common to the blink) and ``xy`` (the
+    receiving anchor's position, (rows, 2)).  ``ids`` is sorted, ``tag`` and
+    the int64 ``blink_seq``, ``start`` and ``size`` hold one entry per blink,
+    and rows no blink names are never read.  ``engine.locate_reports``
+    hands over the sync's ``ArrivalTable`` rows as they are.
+    """
+
+    ids: tuple[str, ...]
+    tag: np.ndarray
+    blink_seq: np.ndarray
+    start: np.ndarray
+    size: np.ndarray
+    meters: np.ndarray
+    xy: np.ndarray
+
+    def arrivals(self, i: int) -> tuple[np.ndarray, np.ndarray]:
+        """Blink i's anchor positions (m, 2) and arrivals (m,)."""
+        rows = slice(self.start[i], self.start[i] + self.size[i])
+        return self.xy[rows], self.meters[rows]
+
+    def layout(self, batch: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The blinks ``batch`` padded to the widest, by one fancy index:
+        anchor positions (M, 2, B), arrivals (M, B), and which rows hold an
+        arrival (M, B).  A padding row repeats row 0 of the arrays."""
+        size = self.size[batch]
+        row = np.arange(int(size.max(initial=0)))[:, None]
+        keep = row < size
+        index = np.where(keep, self.start[batch] + row, 0)
+        return self.xy[index].transpose(0, 2, 1), self.meters[index], keep
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Fix:
     """One position estimate for one blink."""
 
@@ -161,35 +188,20 @@ def sum_over_anchors(a: np.ndarray) -> np.ndarray:
     return total
 
 
-def _padded_rows(batch: Sequence[TdoaSet], anchors: Mapping[str, tuple[float, float]]):
-    """One layout per set, padded to the widest: anchor positions (M, 2, B),
-    arrivals (M, B), and which rows hold an arrival (M, B).  Padding rows sit
-    at the origin with arrival 0.0.  A one-set batch is that set's own
-    layout, (M, 2, 1) and (M, 1)."""
-    width = max(len(s.arrivals) for s in batch)
-    coords, times = [], []
-    for s in batch:
-        pad = width - len(s.arrivals)
-        coords.append([anchors[a] for a, _ in s.arrivals] + [(0.0, 0.0)] * pad)
-        times.append([t for _, t in s.arrivals] + [0.0] * pad)
-    counts = np.array([len(s.arrivals) for s in batch])
-    xy = np.array(coords, dtype=float).reshape(len(batch), width, 2).transpose(1, 2, 0)
-    z = np.array(times, dtype=float).reshape(len(batch), width).T
-    return xy, z, np.arange(width)[:, None] < counts
-
-
 def ekf_update(
     x: np.ndarray,
     p: np.ndarray,
-    batch: Sequence[TdoaSet],
-    anchors: Mapping[str, tuple[float, float]],
+    xy: np.ndarray,
+    z: np.ndarray,
+    keep: np.ndarray,
     sigma_t: float,
-) -> tuple[np.ndarray, np.ndarray, list[Fix]]:
-    """Fold one set of arrivals per tag into B predicted states, emit fixes.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Fold one blink's arrivals per tag into B predicted states.
 
-    ``x`` (B, 4) and ``p`` (B, 4, 4) are the states of the tags whose sets
-    ``batch`` holds, in its order; returns the updated states and one
-    ``Fix`` per set.
+    ``x`` (B, 4) and ``p`` (B, 4, 4) are the tags' states; ``xy`` (M, 2,
+    B), ``z`` (M, B) and ``keep`` (M, B) their blinks' anchor positions,
+    arrivals and which rows hold one (``BlinkRows.layout``).  Returns the
+    updated states and each tag's centred innovation norm.
 
     Information form, per tag: with w usable receivers, r the innovations
     z_i - |p - a_i| and G the 2 x w unit-vector rows, both centred on their
@@ -198,15 +210,14 @@ def ekf_update(
     range differences against any one of them, whose noise R = v (I + 1
     1^T) they share.  Then P+ = P - P[:, :2] (I + A P11)^-1 A P[:2, :], x+
     = x + P+[:, :2] b.  I + A P11 has eigenvalues >= 1, so its determinant
-    is too for ``sigma_t`` > 0.  Padded rows and rows whose anchor is within
-    _EPS_DIST of the tag are not usable.  A tag with fewer than two usable
-    rows skips the update and reports its predicted state with a NaN
-    residual.
+    is too for ``sigma_t`` > 0.  Rows not kept and rows whose anchor is
+    within _EPS_DIST of the tag are not usable.  A tag with fewer than two
+    usable rows skips the update: it keeps its predicted state, and its
+    innovation norm is NaN.
     """
-    xy, z, keep = _padded_rows(batch, anchors)
     width, tags = keep.shape
     d, (ux, uy), near = ranges(x[:, 0], x[:, 1], xy, gradient=True)
-    keep &= ~near  # a row whose anchor sits on the tag goes
+    keep = keep & ~near  # a row whose anchor sits on the tag goes
     w = keep.sum(axis=0)
     rows = np.where(keep[:, None], np.stack((ux, uy, z - d), axis=1), 0.0)
     mean = sum_over_anchors(rows.reshape(width, 3 * tags)).reshape(3, tags) / np.maximum(w, 1)
@@ -224,26 +235,9 @@ def ekf_update(
     p_new = 0.5 * (p_new + p_new.swapaxes(-1, -2))
     x_new = x + _matmul(p_new[:, :, :2], b)[..., 0]
     ok = w >= 2
-    for meas, usable in zip(batch, ok.tolist()):
-        if not usable:
-            log.warning(
-                "update skipped for %s #%d: fewer than two usable receivers",
-                meas.tag_id, meas.blink_seq,
-            )
     x = np.where(ok[:, None], x_new, x)
     p = np.where(ok[:, None, None], p_new, p)
-    return x, p, _fixes(batch, x, p, np.where(ok, np.sqrt(rr), math.nan).tolist())
-
-
-def _fixes(
-    batch: Sequence[TdoaSet], x: np.ndarray, p: np.ndarray, residuals: Sequence[float]
-) -> list[Fix]:
-    """One ``Fix`` per set from the stacked states after its blink."""
-    pos_std = np.sqrt(np.maximum(p[:, 0, 0] + p[:, 1, 1], 0.0))
-    return [
-        Fix(meas.tag_id, meas.blink_seq, *state, std, residual)
-        for meas, state, std, residual in zip(batch, x.tolist(), pos_std.tolist(), residuals)
-    ]
+    return x, p, np.where(ok, np.sqrt(rr), math.nan)
 
 
 # ---------------------------------------------------------------------------
@@ -322,12 +316,10 @@ def _seeds(xy, z):
     return seeds
 
 
-def ls_solve(
-    meas: TdoaSet,
-    anchors: Mapping[str, tuple[float, float]],
-    init: Sequence[float] | None = None,
-) -> np.ndarray:
-    """Minimize the sum of squared centred residuals over the plane.
+def ls_solve(xy: np.ndarray, z: np.ndarray, init: Sequence[float] | None = None) -> np.ndarray:
+    """Minimize the sum of squared centred residuals of one blink's
+    arrivals ``z`` (m,), c x arrival time in meters against any common
+    origin, at anchors ``xy`` (m, 2) over the plane.
 
     Without ``init`` the solver refines each seed of the linearized set
     (``_seeds``) and keeps the minima inside the anchors' bounding box,
@@ -336,11 +328,8 @@ def ls_solve(
     _AMBIGUITY_RATIO of the best, raise ``AmbiguityError``.  With ``init``
     it refines locally from there.
     """
-    if len(meas.arrivals) < 4:
+    if len(z) < 4:
         raise ValueError("need at least 4 arrivals for a planar fix")
-    xy, z, _ = _padded_rows([meas], anchors)
-    xy, z = xy[..., 0], z[:, 0]
-
     if init is not None:
         pos, _ = _refine(np.asarray(init, dtype=float), xy, z)
         return pos
@@ -387,65 +376,80 @@ class TrackerConfig:
 
 
 def track(
-    sets: Sequence[TdoaSet],
-    anchors: Mapping[str, tuple[float, float]],
+    blinks: BlinkRows,
     blink_period: float,
     cfg: TrackerConfig = TrackerConfig(),
     diagnostics: dict | None = None,
 ) -> list[Fix]:
-    """Run the EKF over the arrival sets of any number of tags, in any order, at
-    most one set per (tag_id, blink_seq); fixes come back in that order.
+    """Run the EKF over the blinks of any number of tags, in any order, at
+    most one per (tag_id, blink_seq); fixes come back in that order.
 
     The tags step together, one blink epoch (``blink_seq``) at a time: each
-    tag with a set there predicts once per ``blink_period`` (seconds, the
-    time step of the motion model) elapsed since its last set, and one
-    ``ekf_update`` folds in the epoch's sets.  Per tag, a track initializes
-    from ``ls_solve`` with zero velocity and re-initializes after a gap of
-    more than ``gap_reset`` blinks.  Sets whose cold start fails or is
+    tag with a blink there predicts once per ``blink_period`` (seconds, the
+    time step of the motion model) elapsed since its last one, and one
+    ``ekf_update`` folds in the epoch's blinks, laid out by one fancy index
+    (``BlinkRows.layout``).  Per tag, a track initializes from ``ls_solve``
+    on its blink's rows with zero velocity and re-initializes after a gap
+    of more than ``gap_reset`` blinks.  Blinks whose cold start fails or is
     ambiguous are skipped and counted in ``diagnostics`` under
     ``tracks_not_started``; updates left with fewer than two usable rows,
     under ``updates_no_usable_rows``.
     """
-    if len({(s.tag_id, s.blink_seq) for s in sets}) < len(sets):
-        raise ValueError("track takes at most one set per (tag_id, blink_seq)")
+    order = np.lexsort((blinks.tag, blinks.blink_seq))
+    tag, seq = blinks.tag[order], blinks.blink_seq[order]
+    if np.any((tag[1:] == tag[:-1]) & (seq[1:] == seq[:-1])):
+        raise ValueError("track takes at most one blink per (tag_id, blink_seq)")
     diag = {} if diagnostics is None else diagnostics
     f = transition_matrix(blink_period)
     q = process_noise(blink_period, cfg.sigma_accel)
     p0 = np.diag([cfg.init_pos_var, cfg.init_pos_var, cfg.init_vel_var, cfg.init_vel_var])
-    index = {tag_id: i for i, tag_id in enumerate(sorted({s.tag_id for s in sets}))}
-    xs, ps = np.zeros((len(index), 4)), np.zeros((len(index), 4, 4))
-    last = np.zeros(len(index), dtype=np.int64)  # blink_seq of each tag's last fix
-    live = np.zeros(len(index), dtype=bool)
-    fixes: list[Fix] = []
-    by_epoch = sorted(sets, key=lambda s: (s.blink_seq, s.tag_id))
-    for seq, epoch in itertools.groupby(by_epoch, key=lambda s: s.blink_seq):
-        batch: list[TdoaSet] = []
-        for meas in epoch:
-            i = index[meas.tag_id]
-            if live[i] and seq - last[i] <= cfg.gap_reset:
-                batch.append(meas)
-                continue
-            live[i] = False
+    tags, slot = np.unique(blinks.tag, return_inverse=True)  # each blink's tag's state
+    xs, ps = np.zeros((len(tags), 4)), np.zeros((len(tags), 4, 4))
+    last = np.zeros(len(tags), dtype=np.int64)  # blink_seq of each tag's last fix
+    live = np.zeros(len(tags), dtype=bool)
+    done: list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = []
+
+    def fixed(batch, x, p, residual) -> None:
+        done.append((batch, x, np.sqrt(np.maximum(p[:, 0, 0] + p[:, 1, 1], 0.0)), residual))
+
+    bounds = np.flatnonzero(np.diff(seq, prepend=-1, append=-1))
+    for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+        epoch, now = order[lo:hi], int(seq[lo])
+        i = slot[epoch]
+        going = live[i] & (now - last[i] <= cfg.gap_reset)
+        live[i[~going]] = False
+        for b in epoch[~going].tolist():
             try:
-                pos = ls_solve(meas, anchors)
+                pos = ls_solve(*blinks.arrivals(b))
             except (AmbiguityError, ValueError) as exc:
-                log.warning("track init skipped for %s #%d: %s", meas.tag_id, seq, exc)
+                log.warning("track init skipped for %s #%d: %s",
+                            blinks.ids[blinks.tag[b]], now, exc)
                 diag["tracks_not_started"] = diag.get("tracks_not_started", 0) + 1
                 continue
-            xs[i], ps[i], last[i], live[i] = (pos[0], pos[1], 0.0, 0.0), p0, seq, True
-            fixes.extend(_fixes([meas], xs[i : i + 1], ps[i : i + 1], [0.0]))
-        if not batch:
+            k = slot[b]
+            xs[k], ps[k], last[k], live[k] = (pos[0], pos[1], 0.0, 0.0), p0, now, True
+            fixed(np.array([b]), xs[[k]], ps[[k]], np.zeros(1))
+        batch = epoch[going]
+        if not len(batch):
             continue
-        rows = np.array([index[m.tag_id] for m in batch])
+        rows = slot[batch]
         x, p = xs[rows], ps[rows]
-        steps = seq - last[rows]
-        for k in range(int(steps.max())):
-            due = steps > k
+        steps = now - last[rows]
+        for n in range(int(steps.max())):
+            due = steps > n
             x[due], p[due] = ekf_predict(x[due], p[due], f, q)
-        xs[rows], ps[rows], new = ekf_update(x, p, batch, anchors, cfg.sigma_t)
-        last[rows] = seq
-        if skipped := sum(math.isnan(fix.residual_norm) for fix in new):
-            diag["updates_no_usable_rows"] = diag.get("updates_no_usable_rows", 0) + skipped
-        fixes.extend(new)
-    fixes.sort(key=lambda fix: (fix.tag_id, fix.blink_seq))
-    return fixes
+        xs[rows], ps[rows], residual = ekf_update(x, p, *blinks.layout(batch), cfg.sigma_t)
+        last[rows] = now
+        for b in batch[np.isnan(residual)].tolist():
+            log.warning("update skipped for %s #%d: fewer than two usable receivers",
+                        blinks.ids[blinks.tag[b]], now)
+            diag["updates_no_usable_rows"] = diag.get("updates_no_usable_rows", 0) + 1
+        fixed(batch, xs[rows], ps[rows], residual)
+    if not done:
+        return []
+    columns = [np.concatenate(column) for column in zip(*done)]
+    by_tag = np.lexsort((blinks.blink_seq[columns[0]], blinks.tag[columns[0]]))
+    batch, x, pos_std, residual = (column[by_tag] for column in columns)
+    return list(map(Fix, map(blinks.ids.__getitem__, blinks.tag[batch].tolist()),
+                    blinks.blink_seq[batch].tolist(), *x.T.tolist(), pos_std.tolist(),
+                    residual.tolist()))

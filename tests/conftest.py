@@ -9,14 +9,16 @@ from __future__ import annotations
 
 import math
 import random
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 
 from uwb_rtls.clock import ClockModel, IDEAL_CLOCK
 from uwb_rtls.config import parse_config
-from uwb_rtls.protocol import id_codes
+from uwb_rtls.protocol import REPORT_KINDS, ReportColumns, ToaReport, id_codes
 from uwb_rtls.simnet import SimResult, run_scenario
+from uwb_rtls.solver import BlinkRows
 from uwb_rtls.topology import AnchorConfig, NetworkTopology
 from uwb_rtls.wcs import ArrivalTable
 
@@ -117,6 +119,14 @@ def hall_run() -> SimResult:
     return run_scenario(parse_config(hall_config()).scenario)
 
 
+def report_records(reports: ReportColumns) -> list[ToaReport]:
+    """The rows of report columns as ``ToaReport`` records, in row order."""
+    return list(map(ToaReport, map(reports.ids.__getitem__, reports.anchor.tolist()),
+                    map(REPORT_KINDS.__getitem__, reports.kind.tolist()),
+                    map(reports.ids.__getitem__, reports.src.tolist()),
+                    reports.seq.tolist(), reports.ticks.tolist()))
+
+
 # ---------------------------------------------------------------------------
 # Arrival tables
 
@@ -151,3 +161,35 @@ def same_columns(a, b) -> bool:
         if name != "ids" and (x.dtype != y.dtype or x.tobytes() != y.tobytes()):
             return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# Tracker input
+
+
+class TdoaSet(NamedTuple):
+    """One blink's ``arrivals`` as a record: (anchor_id, c x arrival time in
+    meters) per synchronized receiver, in anchor-id order, against any
+    common origin."""
+
+    tag_id: str
+    blink_seq: int
+    arrivals: tuple[tuple[str, float], ...]
+
+
+def tracker_rows(sets, anchors) -> BlinkRows:
+    """The tracker's input for ``sets``, one run of rows per set in their
+    order, each row's anchor position looked up in ``anchors``."""
+    ids = tuple(sorted({s.tag_id for s in sets}))
+    size = np.array([len(s.arrivals) for s in sets], np.int64)
+    rows = [row for s in sets for row in s.arrivals]
+    return BlinkRows(ids, np.array([ids.index(s.tag_id) for s in sets], np.int64),
+                     np.array([s.blink_seq for s in sets], np.int64), np.cumsum(size) - size,
+                     size, np.array([t for _, t in rows], float),
+                     np.array([anchors[a] for a, _ in rows], float).reshape(-1, 2))
+
+
+def layout(meas: TdoaSet, anchors) -> tuple[np.ndarray, np.ndarray]:
+    """One set's anchor positions (m, 2) and arrivals (m,), as ``ls_solve``
+    takes them."""
+    return tracker_rows([meas], anchors).arrivals(0)

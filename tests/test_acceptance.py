@@ -22,9 +22,8 @@ from uwb_rtls.config import parse_config
 from uwb_rtls.constants import SPEED_OF_LIGHT
 from uwb_rtls.deploy import hdop_at
 from uwb_rtls.engine import EngineParams, locate_reports
-from uwb_rtls.protocol import ReportColumns
 from uwb_rtls.metrics import evaluate
-from uwb_rtls.protocol import encode_report
+from uwb_rtls.protocol import encode_reports
 from uwb_rtls.simnet import (
     Scenario,
     StaticTrajectory,
@@ -33,12 +32,12 @@ from uwb_rtls.simnet import (
     run_scenario,
     schedule_ccp_cascade,
 )
-from uwb_rtls.solver import TdoaSet, TrackerConfig, ls_solve, ranges, track
+from uwb_rtls.solver import TrackerConfig, ls_solve, ranges, track
 from uwb_rtls.timebase import select_time_base
 from uwb_rtls.topology import AnchorConfig, NetworkTopology, UnsyncableAnchorError
 from uwb_rtls.wcs import arrival_tdoa
 
-from conftest import blink_rows
+from conftest import TdoaSet, blink_rows, layout, tracker_rows
 
 RECT_POSITIONS = {
     "MA1": (0.0, 0.0),
@@ -137,7 +136,7 @@ def test_criterion_1_sync_exactness_without_jitter(verdict):
     tag = (2.0, 1.5)
     start = time.perf_counter()
     sim = run_scenario(static_scenario(topo, tag, duration=30.0, seed=1))
-    res = locate_reports(ReportColumns.from_reports(sim.reports), topo)
+    res = locate_reports(sim.reports, topo)
     wall = time.perf_counter() - start
 
     def true_tdoa(a, b):
@@ -164,7 +163,7 @@ def test_criterion_2_sync_stability_under_jitter(verdict):
     topo = rect_topology(jitter_std=1e-10)
     start = time.perf_counter()
     sim = run_scenario(static_scenario(topo, (2.0, 1.5), duration=600.0, seed=5))
-    res = locate_reports(ReportColumns.from_reports(sim.reports), topo)
+    res = locate_reports(sim.reports, topo)
     summary = evaluate(res.fixes, sim.truth_blinks, res.blinks, CCP_PERIOD)
     wall = time.perf_counter() - start
     stds = summary.tdoa_std_per_pair
@@ -187,7 +186,7 @@ def test_criterion_3_static_accuracy(verdict):
     p95s = []
     for i, p in enumerate(placements):
         sim = run_scenario(static_scenario(topo, p, duration=60.0, seed=100 + i))
-        res = locate_reports(ReportColumns.from_reports(sim.reports), topo)
+        res = locate_reports(sim.reports, topo)
         p95s.append(evaluate(res.fixes, sim.truth_blinks).fix_p95_error)
     wall = time.perf_counter() - start
     worst = max(p95s)
@@ -221,7 +220,7 @@ def test_criterion_4_tracking_a_moving_tag(verdict):
     )
     start = time.perf_counter()
     sim = run_scenario(scn)
-    res = locate_reports(ReportColumns.from_reports(sim.reports), topo)
+    res = locate_reports(sim.reports, topo)
     summary = evaluate(res.fixes, sim.truth_blinks)
     wall = time.perf_counter() - start
     ok = summary.track_rmse < 0.30 and wall < 60.0
@@ -294,7 +293,7 @@ def test_criterion_5_multi_master_cascade(verdict):
         blink_links={"T1": frozenset({"SA1", "SA2", "SA5", "SA6"})},
     )
     sim = run_scenario(scn)
-    res = locate_reports(ReportColumns.from_reports(sim.reports), topo)
+    res = locate_reports(sim.reports, topo)
 
     def true_tdoa(a, b):
         return (math.dist(pos[a], tag) - math.dist(pos[b], tag)) / SPEED_OF_LIGHT
@@ -405,15 +404,15 @@ def test_criterion_7_solver_correctness(verdict):
     jac_ok = jac_worst <= 1e-6
 
     ls_worst = max(
-        math.dist(ls_solve(tdoa_set_at(t), RECT_POSITIONS), t)
+        math.dist(ls_solve(*layout(tdoa_set_at(t), RECT_POSITIONS)), t)
         for t in [(2.0, 1.5), (0.5, 3.5), (5.9, 0.1), (3.0, 2.0)]
     )
     ls_ok = ls_worst <= 1e-4
 
     truth = (3.2, 1.7)
     sets = [tdoa_set_at(truth, seq=i) for i in range(200)]
-    fixes = track(sets, RECT_POSITIONS, 0.1, TrackerConfig(sigma_accel=0.0))
-    anchor_point = ls_solve(sets[0], RECT_POSITIONS)
+    fixes = track(tracker_rows(sets, RECT_POSITIONS), 0.1, TrackerConfig(sigma_accel=0.0))
+    anchor_point = ls_solve(*layout(sets[0], RECT_POSITIONS))
     ekf_gap = math.dist((fixes[-1].x, fixes[-1].y), anchor_point)
     ekf_ok = ekf_gap <= 1e-3
 
@@ -447,7 +446,7 @@ def test_criterion_8_dop_predicts_monte_carlo_error(verdict):
                 for a in sorted(RECT_POSITIONS)
             )
             ts = TdoaSet(tag_id="T", blink_seq=0, arrivals=rows)
-            est = ls_solve(ts, RECT_POSITIONS, init=p)
+            est = ls_solve(*layout(ts, RECT_POSITIONS), init=p)
             errs.append(math.dist(est, p))
         ratios.append(math.sqrt(float(np.mean(np.square(errs)))) / predicted)
     mc_ok = all(0.5 <= r <= 2.0 for r in ratios)
@@ -498,10 +497,10 @@ def test_criterion_9_bitwise_determinism(verdict):
     def one_run():
         cfg = parse_config(json.loads(json.dumps(DETERMINISM_CONFIG)))
         sim = run_scenario(cfg.scenario)
-        res = locate_reports(ReportColumns.from_reports(sim.reports), cfg.scenario.topology)
+        res = locate_reports(sim.reports, cfg.scenario.topology)
         summary = evaluate(res.fixes, sim.truth_blinks, res.blinks, CCP_PERIOD,
                            warmup=cfg.warmup)
-        reports_text = "".join(encode_report(r) + "\n" for r in sim.reports)
+        reports_text = encode_reports(sim.reports)
         return reports_text, "".join(fixes_to_csv(res.fixes)), summary.to_json()
 
     first = one_run()

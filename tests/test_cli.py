@@ -26,7 +26,7 @@ from uwb_rtls.cli import (
 )
 from uwb_rtls.config import load_config
 from uwb_rtls.engine import locate_reports
-from uwb_rtls.protocol import KIND_BLINK_RX, ReportColumns, ToaReport, encode_report
+from uwb_rtls.protocol import KIND_BLINK_RX, ReportColumns, ToaReport, encode_reports
 from uwb_rtls.simnet import run_scenario
 from uwb_rtls.solver import Fix
 
@@ -85,7 +85,7 @@ def test_synced_csv_round_trips_exactly(tmp_path):
 def test_synced_csv_holds_one_row_per_arrival_and_every_pair_exactly(tmp_path, config_path):
     cfg = load_config(config_path)
     sim = run_scenario(cfg.scenario)
-    result = locate_reports(ReportColumns.from_reports(sim.reports), cfg.scenario.topology,
+    result = locate_reports(sim.reports, cfg.scenario.topology,
                             cfg.engine_params())
     path = tmp_path / "synced.csv"
     path.write_text("".join(synced_to_csv(result.blinks)))
@@ -129,7 +129,7 @@ def test_file_pipeline_matches_the_library_exactly(tmp_path, config_path):
     sim = run_scenario(cfg.scenario)
     from uwb_rtls.cli import _eval
 
-    result = locate_reports(ReportColumns.from_reports(sim.reports), cfg.scenario.topology,
+    result = locate_reports(sim.reports, cfg.scenario.topology,
                             cfg.engine_params())
     assert (out / "fixes.csv").read_text() == "".join(fixes_to_csv(result.fixes))
     assert (out / "synced.csv").read_text() == "".join(synced_to_csv(result.blinks))
@@ -337,17 +337,17 @@ def test_repeated_fix_is_skipped_and_counted(tmp_path, config_path, capsys, capl
 
 @pytest.mark.parametrize("canonical", [True, False])
 def test_a_report_whose_src_id_is_not_plain_is_skipped_and_counted(tmp_path, caplog, canonical):
-    # The same line in the form encode_report writes and with spaces after
-    # its separators, which decode_report reads through json.loads.
-    good = encode_report(ToaReport("SA2", KIND_BLINK_RX, "T1", 7, 12345.0))
+    # The same line in the form encode_reports writes and with spaces after
+    # its separators, which decode_reports reads through json.loads.
+    one = ReportColumns.from_reports([ToaReport("SA2", KIND_BLINK_RX, "T1", 7, 12345.0)])
+    good = encode_reports(one).rstrip("\n")
     bad = good.replace('"T1"', '"T,1"')
     if not canonical:
         good, bad = (line.replace(":", ": ").replace(",\"", ", \"") for line in (good, bad))
     path = tmp_path / "reports.jsonl"
     path.write_text(f"{good}\n{bad}\n")
     reports, skipped = read_reports(path)
-    assert same_columns(reports, ReportColumns.from_reports(
-        [ToaReport("SA2", KIND_BLINK_RX, "T1", 7, 12345.0)]))
+    assert same_columns(reports, one)
     assert skipped == 1
     assert "reports.jsonl line 2 skipped: anchor_id and src_id must be plain ids" in caplog.text
 

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
 import statistics
+
+import numpy as np
 
 from uwb_rtls import engine
 from uwb_rtls.config import parse_config
@@ -17,7 +20,7 @@ from uwb_rtls.simnet import (
     TagSpec,
     run_scenario,
 )
-from uwb_rtls.solver import TdoaSet, TrackerConfig, track
+from uwb_rtls.solver import TrackerConfig, track
 from uwb_rtls.timebase import select_time_base
 
 from conftest import (
@@ -25,13 +28,16 @@ from conftest import (
     build_ideal_rect_topology,
     build_rect_topology,
     hall_config,
+    report_records,
     same_columns,
 )
 
 
 def locate_reports(reports, topo, params=EngineParams()):
-    """The engine on ``ToaReport`` records, through their columns."""
-    return engine.locate_reports(ReportColumns.from_reports(reports), topo, params)
+    """The engine on report columns, or on ``ToaReport`` records through theirs."""
+    if not isinstance(reports, ReportColumns):
+        reports = ReportColumns.from_reports(reports)
+    return engine.locate_reports(reports, topo, params)
 
 
 def _run(topo, duration=3.0, tag_xy=(2.0, 1.5), **scenario_kw):
@@ -59,7 +65,7 @@ def test_report_order_does_not_matter():
     topo = build_rect_topology(jitter_std=1e-10)
     sim = _run(topo, duration=2.0)
     forward = locate_reports(sim.reports, topo)
-    shuffled = list(sim.reports)
+    shuffled = report_records(sim.reports)
     random.Random(7).shuffle(shuffled)
     scrambled = locate_reports(shuffled, topo)
     assert scrambled.fixes == forward.fixes
@@ -148,14 +154,16 @@ def test_fixes_do_not_depend_on_the_origin_of_the_arrivals(hall_run, monkeypatch
     inner = engine.track
     monkeypatch.setattr(engine, "track", lambda *a: calls.append(a) or inner(*a))
     fixes = locate_reports(hall_run.reports, topo, cfg.engine_params()).fixes
-    ((sets, *rest),) = calls
-    assert any(select_time_base(dict(s.arrivals), topo) != s.arrivals[0][0] for s in sets)
-    assert all(s.arrivals[0][1] == 0.0 for s in sets)
-    shifted = [
-        TdoaSet(s.tag_id, s.blink_seq, tuple((a, t - s.arrivals[-1][1]) for a, t in s.arrivals))
-        for s in sets
-    ]
-    moved = track(shifted, *rest)
+    ((rows, *rest),) = calls
+    anchor_at = {xy: anchor for anchor, xy in topo.positions().items()}
+    receivers = [[anchor_at[tuple(xy)] for xy in rows.arrivals(i)[0].tolist()]
+                 for i in range(len(rows.start))]
+    assert any(select_time_base(r, topo) != r[0] for r in receivers)
+    assert np.all(rows.meters[rows.start] == 0.0)
+    shift = np.zeros_like(rows.meters)
+    for lo, n in zip(rows.start.tolist(), rows.size.tolist()):
+        shift[lo:lo + n] = rows.meters[lo + n - 1]
+    moved = track(dataclasses.replace(rows, meters=rows.meters - shift), *rest)
     assert [(f.tag_id, f.blink_seq) for f in moved] == [(f.tag_id, f.blink_seq) for f in fixes]
-    assert len(fixes) == len(sets)
+    assert len(fixes) == len(rows.start)
     assert max(math.dist((f.x, f.y), (g.x, g.y)) for f, g in zip(fixes, moved)) <= 1e-7

@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from uwb_rtls.engine import locate_reports
-from uwb_rtls.protocol import ReportColumns
 from uwb_rtls.metrics import (
     EmptyEvalError,
     errors_csv,
@@ -224,7 +223,7 @@ def test_full_pipeline_regression_is_frozen():
         seed=42,
     )
     sim = run_scenario(scn)
-    res = locate_reports(ReportColumns.from_reports(sim.reports), topo)
+    res = locate_reports(sim.reports, topo)
     s = evaluate(res.fixes, sim.truth_blinks, res.blinks, scn.ccp_period)
     assert s.availability == 1.0
     assert s.fix_rmse == pytest.approx(0.036098648304548904, rel=1e-6)

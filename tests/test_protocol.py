@@ -18,26 +18,48 @@ from uwb_rtls.protocol import (
     KIND_CCP_TX,
     REPORT_KINDS,
     SEQ_WRAP,
+    ReportColumns,
     ReportDecodeError,
     ToaReport,
     decode_report,
-    encode_report,
+    encode_reports,
 )
+
+from conftest import report_records
+
+
+def columns(*reports: ToaReport) -> ReportColumns:
+    """The report columns of ``reports``, seq and ticks as numpy makes
+    arrays of their values (ticks as float64)."""
+    ids = tuple(sorted({i for r in reports for i in (r.anchor_id, r.src_id)}))
+    return ReportColumns(
+        ids, np.array([ids.index(r.anchor_id) for r in reports], np.int32),
+        np.array([REPORT_KINDS.index(r.kind) for r in reports], np.int8),
+        np.array([ids.index(r.src_id) for r in reports], np.int32),
+        np.array([r.seq for r in reports]), np.array([r.ticks for r in reports], np.float64))
+
+
+def report_line(r: ToaReport) -> str:
+    """The line ``encode_reports`` writes for one report, as a one-row
+    column set, less its newline."""
+    text = encode_reports(columns(r))
+    assert text.count("\n") == 1 and text.endswith("\n")
+    return text[:-1]
 
 
 def test_blink_rx_line_format():
     r = ToaReport("SA2", KIND_BLINK_RX, "T1", 7, 12345.0)
-    assert encode_report(r) == '{"anchor_id":"SA2","kind":"blink_rx","src_id":"T1","seq":7,"ticks":12345}'
+    assert report_line(r) == '{"anchor_id":"SA2","kind":"blink_rx","src_id":"T1","seq":7,"ticks":12345}'
 
 
 def test_ccp_tx_line_format():
     r = ToaReport("MA1", KIND_CCP_TX, "MA1", 3, 999.0)
-    assert encode_report(r) == '{"anchor_id":"MA1","kind":"ccp_tx","src_id":"MA1","seq":3,"ticks":999}'
+    assert report_line(r) == '{"anchor_id":"MA1","kind":"ccp_tx","src_id":"MA1","seq":3,"ticks":999}'
 
 
 def test_fractional_ticks_survive_the_line():
     r = ToaReport("SA3", KIND_CCP_RX, "MA1", 0, 12345.625)
-    line = encode_report(r)
+    line = report_line(r)
     assert json.loads(line)["ticks"] == 12345.625
     assert decode_report(line) == r
 
@@ -61,7 +83,7 @@ ids = st.text(
 )
 def test_decode_inverts_encode(anchor_id, kind, src_id, seq, ticks):
     r = ToaReport(anchor_id, kind, src_id, seq, ticks)
-    assert decode_report(encode_report(r)) == r
+    assert decode_report(report_line(r)) == r
 
 
 def test_not_json_is_malformed():
@@ -133,17 +155,17 @@ def _json_path_outcome(line: str) -> str:
 
 
 def test_hall_run_lines_are_json_dumps_and_decode_as_json_loads(hall_run):
-    for r in hall_run.reports:
-        line = encode_report(r)
+    lines = encode_reports(hall_run.reports).splitlines()
+    for r, line in zip(report_records(hall_run.reports), lines, strict=True):
         assert line == _json_line(r)
         assert _outcome(line) == repr(_json_report(line)) == repr(r)
         assert _outcome(line) == _json_path_outcome(line)
 
 
 def test_simulated_lines_decode_without_json_loads(hall_run, monkeypatch):
-    lines = [encode_report(r) for r in hall_run.reports]
+    lines = encode_reports(hall_run.reports).splitlines()
     monkeypatch.setattr(json, "loads", None)
-    assert [decode_report(line) for line in lines] == list(hall_run.reports)
+    assert [decode_report(line) for line in lines] == report_records(hall_run.reports)
 
 
 JUST_BELOW_WRAP = float(np.nextafter(float(TICK_WRAP), 0.0))
@@ -161,10 +183,22 @@ EDGE_TICKS = [
 @pytest.mark.parametrize("ticks", EDGE_TICKS)
 def test_edge_case_lines_are_json_dumps_and_round_trip(anchor_id, src_id, ticks):
     r = ToaReport(anchor_id, KIND_CCP_RX, src_id, SEQ_WRAP - 1, ticks)
-    line = encode_report(r)
+    line = report_line(r)
     assert line == _json_line(r)
     assert _outcome(line) == repr(_json_report(line)) == repr(r)
     assert _outcome(line) == _json_path_outcome(line)
+
+
+def test_a_block_of_edge_case_rows_is_the_lines_json_dumps_writes():
+    # Whole and fractional ticks side by side in one block, rows in any order.
+    records = [ToaReport(anchor_id, kind, src_id, seq, ticks)
+               for anchor_id, src_id in [("SA2", "T1"), ("SA\\2", "T\\"), ("SAü", "Tü1")]
+               for kind, seq in zip(REPORT_KINDS, [0, 7, SEQ_WRAP - 1])
+               for ticks in EDGE_TICKS]
+    records = [records[i] for i in np.random.default_rng(2).permutation(len(records))]
+    reports = columns(*records)
+    assert encode_reports(reports).splitlines() == list(map(_json_line, records))
+    assert encode_reports(reports, slice(5, 9)) == encode_reports(columns(*records[5:9]))
 
 
 # Not plain ids: a quote, a control character, empty, trailing or leading
@@ -176,7 +210,7 @@ def test_edge_case_lines_are_json_dumps_and_round_trip(anchor_id, src_id, ticks)
 @pytest.mark.parametrize("ticks", EDGE_TICKS)
 def test_edge_case_ids_encode_as_json_dumps_and_decode_rejects(anchor_id, src_id, ticks):
     r = ToaReport(anchor_id, KIND_CCP_RX, src_id, SEQ_WRAP - 1, ticks)
-    line = encode_report(r)
+    line = report_line(r)
     assert line == _json_line(r)
     assert _outcome(line).startswith("ReportDecodeError: anchor_id and src_id must be plain ids")
     assert _outcome(line) == _json_path_outcome(line)
@@ -193,22 +227,22 @@ def test_plain_id_rule(value, plain):
 
 def test_numpy_scalars_are_written_as_their_values():
     r = ToaReport("SA2", KIND_BLINK_RX, "T1", 7, np.float64(12345.5))
-    assert encode_report(r).endswith('"seq":7,"ticks":12345.5}')
+    assert report_line(r).endswith('"seq":7,"ticks":12345.5}')
     r = ToaReport("SA2", KIND_BLINK_RX, "T1", 7, np.float64(12345.0))
-    assert encode_report(r).endswith('"ticks":12345}')
+    assert report_line(r).endswith('"ticks":12345}')
     r = ToaReport("SA2", KIND_BLINK_RX, "T1", np.int64(7), np.int64(12345))
-    assert encode_report(r).endswith('"seq":7,"ticks":12345}')
+    assert report_line(r).endswith('"seq":7,"ticks":12345}')
 
 
 @pytest.mark.parametrize("seq", [True, np.True_, np.float32(7.0), "7"])
 def test_a_seq_that_is_not_an_integer_is_not_written(seq):
     with pytest.raises(TypeError):
-        encode_report(ToaReport("SA2", KIND_BLINK_RX, "T1", seq, 12345.5))
+        report_line(ToaReport("SA2", KIND_BLINK_RX, "T1", seq, 12345.5))
 
 
 def test_non_finite_ticks_are_not_written():
     with pytest.raises(ValueError, match="non-finite"):
-        encode_report(ToaReport("SA2", KIND_BLINK_RX, "T1", 7, math.nan))
+        report_line(ToaReport("SA2", KIND_BLINK_RX, "T1", 7, math.nan))
 
 
 GOOD = '{"anchor_id":"A","kind":"blink_rx","src_id":"T","seq":7,"ticks":12345.5}'

@@ -2,16 +2,25 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 
 from uwb_rtls.clock import TICK_SECONDS, ClockModel
 from uwb_rtls.constants import SPEED_OF_LIGHT
-from uwb_rtls.protocol import KIND_BLINK_RX, KIND_CCP_RX, KIND_CCP_TX, encode_report
+from uwb_rtls.protocol import (
+    KIND_BLINK_RX,
+    KIND_CCP_RX,
+    KIND_CCP_TX,
+    REPORT_KINDS,
+    ReportColumns,
+    encode_reports,
+)
 from uwb_rtls.simnet import (
     CollisionScheduleError,
     ConstantVelocityTrajectory,
@@ -23,13 +32,19 @@ from uwb_rtls.simnet import (
     TruthClock,
     WaypointTrajectory,
     decode_truth,
+    decode_truths,
     encode_truth,
     run_scenario,
     schedule_ccp_cascade,
 )
 from uwb_rtls.topology import AnchorConfig, NetworkTopology
 
-from conftest import RECT_POSITIONS, build_ideal_rect_topology, build_rect_topology
+from conftest import (
+    RECT_POSITIONS,
+    build_ideal_rect_topology,
+    build_rect_topology,
+    report_records,
+)
 
 
 def _scenario(duration=10.0, tag_xy=(2.0, 1.5), topo=None, **kw) -> Scenario:
@@ -120,9 +135,7 @@ def test_ten_second_run_event_counts(ideal_rect_topology):
     # Blinks at 0.0, 0.1, ..., 9.9 (100) heard by 4 anchors; CCP rounds at
     # 0.0, 0.15, ..., 9.9 (67): 1 tx + 3 rx each.
     sim = run_scenario(_scenario(topo=ideal_rect_topology))
-    kinds = {}
-    for r in sim.reports:
-        kinds[r.kind] = kinds.get(r.kind, 0) + 1
+    kinds = dict(zip(REPORT_KINDS, np.bincount(sim.reports.kind, minlength=3).tolist()))
     assert kinds[KIND_BLINK_RX] == 400
     assert kinds[KIND_CCP_TX] == 67
     assert kinds[KIND_CCP_RX] == 201
@@ -133,7 +146,8 @@ def test_ten_second_run_event_counts(ideal_rect_topology):
 def test_zero_noise_arrival_spacing_is_time_of_flight(ideal_rect_topology):
     sim = run_scenario(_scenario(duration=0.5, topo=ideal_rect_topology))
     tag = (2.0, 1.5)
-    blink0 = {r.anchor_id: r for r in sim.reports if r.kind == KIND_BLINK_RX and r.seq == 0}
+    blink0 = {r.anchor_id: r for r in report_records(sim.reports)
+              if r.kind == KIND_BLINK_RX and r.seq == 0}
     assert set(blink0) == set(RECT_POSITIONS)
     for a, b in [("MA1", "SA2"), ("SA3", "SA4"), ("MA1", "SA3")]:
         got = (blink0[a].ticks - blink0[b].ticks) * TICK_SECONDS
@@ -143,8 +157,9 @@ def test_zero_noise_arrival_spacing_is_time_of_flight(ideal_rect_topology):
 
 def test_ccp_receptions_lag_transmissions_by_propagation(ideal_rect_topology):
     sim = run_scenario(_scenario(duration=0.5, topo=ideal_rect_topology))
-    tx = {r.seq: r for r in sim.reports if r.kind == KIND_CCP_TX}
-    rx = {(r.anchor_id, r.seq): r for r in sim.reports if r.kind == KIND_CCP_RX}
+    records = report_records(sim.reports)
+    tx = {r.seq: r for r in records if r.kind == KIND_CCP_TX}
+    rx = {(r.anchor_id, r.seq): r for r in records if r.kind == KIND_CCP_RX}
     for (anchor, seq), r in rx.items():
         flight = (r.ticks - tx[seq].ticks) * TICK_SECONDS
         assert flight == pytest.approx(
@@ -158,7 +173,7 @@ def test_reception_radius_prunes_far_anchors(ideal_rect_topology):
     # tag just outside the MA1 corner sits 8.06 m from SA3 at (6, 4).
     sim = run_scenario(_scenario(duration=0.5, tag_xy=(-1.0, 0.0),
                                  topo=ideal_rect_topology, reception_radius=7.5))
-    hearers = {r.anchor_id for r in sim.reports if r.kind == KIND_BLINK_RX}
+    hearers = {r.anchor_id for r in report_records(sim.reports) if r.kind == KIND_BLINK_RX}
     assert "SA3" not in hearers
     assert {"MA1", "SA2", "SA4"} <= hearers
 
@@ -166,7 +181,7 @@ def test_reception_radius_prunes_far_anchors(ideal_rect_topology):
 def test_blink_links_override_radius(ideal_rect_topology):
     sim = run_scenario(_scenario(duration=0.5, topo=ideal_rect_topology,
                                  blink_links={"T1": frozenset({"MA1", "SA2"})}))
-    hearers = {r.anchor_id for r in sim.reports if r.kind == KIND_BLINK_RX}
+    hearers = {r.anchor_id for r in report_records(sim.reports) if r.kind == KIND_BLINK_RX}
     assert hearers == {"MA1", "SA2"}
 
 
@@ -266,7 +281,7 @@ def test_same_instant_transmissions_collide():
 def test_same_seed_gives_identical_bytes():
     a = run_scenario(_scenario(duration=3.0, seed=21))
     b = run_scenario(_scenario(duration=3.0, seed=21))
-    assert [encode_report(r) for r in a.reports] == [encode_report(r) for r in b.reports]
+    assert encode_reports(a.reports) == encode_reports(b.reports)
     assert a.truth_blinks == b.truth_blinks
     assert a.truth_clocks == b.truth_clocks
 
@@ -275,14 +290,27 @@ def test_different_seed_changes_jittered_timestamps():
     noisy = build_rect_topology(jitter_std=1e-10)
     a = run_scenario(_scenario(duration=1.0, topo=noisy, seed=1))
     b = run_scenario(_scenario(duration=1.0, topo=noisy, seed=2))
-    assert [r.ticks for r in a.reports] != [r.ticks for r in b.reports]
+    assert a.reports.ticks.tolist() != b.reports.ticks.tolist()
 
 
 def test_reports_are_sorted_and_within_range():
     sim = run_scenario(_scenario(duration=2.0))
-    keys = [(r.anchor_id, r.kind, r.src_id, r.seq) for r in sim.reports]
-    assert len(set(keys)) == len(keys)
-    assert all(0 <= r.ticks < 2**40 for r in sim.reports)
+    reports = sim.reports
+    assert isinstance(reports, ReportColumns) and list(reports.ids) == sorted(set(reports.ids))
+    keys = np.stack((reports.anchor, reports.kind, reports.src, reports.seq))
+    assert np.unique(keys, axis=1).shape == keys.shape
+    assert np.all((reports.ticks >= 0) & (reports.ticks < 2**40))
+
+
+def test_reports_come_in_true_time_order_then_by_anchor_kind_source_and_seq(
+    ideal_rect_topology
+):
+    # Ideal clocks read true time, and a tag in the middle of the room
+    # reaches all four anchors at once: ties fall to the ids, as strings.
+    sim = run_scenario(_scenario(duration=2.0, tag_xy=(3.0, 2.0), topo=ideal_rect_topology))
+    rows = [(r.ticks, r.anchor_id, r.kind, r.src_id, r.seq) for r in report_records(sim.reports)]
+    assert rows == sorted(rows)
+    assert len({row[0] for row in rows}) < len(rows)
 
 
 def test_truth_records_round_trip():
@@ -306,7 +334,7 @@ def test_truth_clock_records_match_the_scenario():
 
 def _json_truth_line(record) -> str:
     kind = "blink" if isinstance(record, TruthBlink) else "clock"
-    return json.dumps({"kind": kind, **vars(record)}, separators=(",", ":"))
+    return json.dumps({"kind": kind, **dataclasses.asdict(record)}, separators=(",", ":"))
 
 
 def _decodes_like_json(line: str) -> None:
@@ -343,7 +371,7 @@ CLOCK = ('{"kind":"clock","anchor_id":"SA2","offset":-0.0034,"skew":-1.2e-05,'
          '"drift_rate":0.0,"jitter_std":1e-10}')
 
 
-@pytest.mark.parametrize("line, message", [
+MALFORMED_TRUTH = [
     (BLINK.replace('"x":2.0', '"x":"abc"'), "x must be a number"),
     (BLINK.replace('"x":2.0', '"x":null'), "x must be a number"),
     (BLINK.replace('"x":2.0', '"x":true'), "x must be a number"),
@@ -363,7 +391,10 @@ CLOCK = ('{"kind":"clock","anchor_id":"SA2","offset":-0.0034,"skew":-1.2e-05,'
     (BLINK.replace('"T1"', '" T1"'), "not a plain id"),
     (BLINK.replace('"T1"', '""'), "not a plain id"),
     (CLOCK.replace('"SA2"', '"SA2 "'), "not a plain id"),
-])
+]
+
+
+@pytest.mark.parametrize("line, message", MALFORMED_TRUTH)
 def test_truth_fields_of_the_wrong_type_are_malformed(line, message):
     with pytest.raises(ValueError, match=message):
         decode_truth(line)
@@ -435,3 +466,52 @@ def test_any_json_truth_line_decodes_like_json(
         fields = {"tag_id": record_id, "seq": seq, **dict(zip(["time", "x", "y"], numbers))}
     line = json.dumps({"kind": kind, **fields}, separators=(",", ":"), ensure_ascii=ensure_ascii)
     _decodes_like_json(line)
+
+
+def _block_outcome(decode, lines) -> str:
+    """What ``decode`` makes of a block of truth lines: the records' repr
+    (which tells -0.0 from 0.0 and 2 from 2.0) or the error's message."""
+    try:
+        return repr(decode(lines))
+    except ValueError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+# Numbers at the edges of the canonical pattern: the largest float (an
+# exponent of 308, left to json.loads), the largest seq (10 digits, too).
+EDGE_TRUTH = [
+    BLINK.replace('"x":2.0', '"x":1.7976931348623157e+308'),
+    BLINK.replace('"x":2.0', '"x":-9.99e+307'),
+    BLINK.replace('"x":2.0', '"x":5e-324'),
+    BLINK.replace('"x":2.0', '"x":12345678901234567.0'),
+    BLINK.replace('"seq":3', f'"seq":{2**32 - 1}'),
+    BLINK.replace('"seq":3', '"seq":999999999'),
+]
+
+
+@pytest.mark.parametrize("line", [BLINK, CLOCK, *EDGE_TRUTH, *NEAR_CANONICAL_TRUTH,
+                                  *(line for line, _ in MALFORMED_TRUTH)])
+def test_a_truth_block_decodes_as_its_lines_do(hall_run, line):
+    hall = [encode_truth(r) for r in hall_run.truth_blinks[:40] + hall_run.truth_clocks[:5]]
+    for lines in ([line], [*hall, line], [line, *hall]):
+        assert (_block_outcome(decode_truths, lines)
+                == _block_outcome(lambda block: list(map(decode_truth, block)), lines))
+
+
+def test_simulated_truth_lines_decode_without_json_loads(hall_run, monkeypatch):
+    records = hall_run.truth_blinks + hall_run.truth_clocks
+    lines = list(map(encode_truth, records))
+    monkeypatch.setattr(json, "loads", None)
+    assert decode_truths(lines) == list(records)
+
+
+@given(record=st.one_of(
+    st.builds(TruthBlink, truth_ids, truth_seqs, truth_numbers, truth_numbers, truth_numbers),
+    st.builds(TruthClock, truth_ids, truth_numbers, truth_numbers, truth_numbers, truth_numbers),
+))
+def test_any_truth_line_decodes_in_a_block_as_alone(record):
+    # json.dumps writes floats as float.__repr__ does: the canonical pattern's
+    # numbers, next to ints, huge floats and non-numbers that it leaves alone.
+    lines = [_json_truth_line(record), BLINK]
+    assert (_block_outcome(decode_truths, lines)
+            == _block_outcome(lambda block: list(map(decode_truth, block)), lines))

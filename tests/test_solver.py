@@ -12,7 +12,6 @@ from uwb_rtls.constants import SPEED_OF_LIGHT
 from uwb_rtls.solver import (
     DEFAULT_SIGMA_T,
     AmbiguityError,
-    _padded_rows,
     _refine,
     _seeds,
     TrackerConfig,
@@ -22,10 +21,11 @@ from uwb_rtls.solver import (
     process_noise,
     ranges,
     sum_over_anchors,
-    TdoaSet,
     track,
     transition_matrix,
 )
+
+from conftest import TdoaSet, layout, tracker_rows
 
 RECT = {"MA1": (0.0, 0.0), "SA2": (6.0, 0.0), "SA3": (6.0, 4.0), "SA4": (0.0, 4.0)}
 
@@ -58,6 +58,13 @@ def fresh_state(position):
     x = np.array([[position[0], position[1], 0.0, 0.0]])
     p = np.diag([cfg.init_pos_var, cfg.init_pos_var, cfg.init_vel_var, cfg.init_vel_var])
     return x, p[None]
+
+
+def update(x, p, sets, anchors=RECT):
+    """``ekf_update`` of the states x (B, 4), p (B, 4, 4) on one set each,
+    laid out as the tracker lays out an epoch: states, innovation norms."""
+    rows = tracker_rows(sets, anchors)
+    return ekf_update(x, p, *rows.layout(np.arange(len(sets))), DEFAULT_SIGMA_T)
 
 
 # ---------------------------------------------------------------------------
@@ -113,8 +120,7 @@ def test_closed_form_update_matches_the_textbook_update(m):
         x = np.concatenate([tag + rng.normal(0.0, 0.2, 2), rng.normal(0.0, 1.0, 2)])
 
         # Range differences against row 0, the set's reference D{n}A00.
-        xy, z, _ = _padded_rows([meas], anchors)
-        xy, z = xy[..., 0], z[:, 0]
+        xy, z = layout(meas, anchors)
         d, grad, _ = ranges(x[:1], x[1:2], xy, gradient=True)
         h = d[1:, 0] - d[0, 0]
         jac = np.zeros((m, 4))
@@ -131,7 +137,7 @@ def test_closed_form_update_matches_the_textbook_update(m):
         layouts.update(anchors)
         wants.append((want_x, want_p))
 
-    got_x, got_p, _ = ekf_update(np.array(xs), np.array(ps), batch, layouts, DEFAULT_SIGMA_T)
+    got_x, got_p, _ = update(np.array(xs), np.array(ps), batch, layouts)
     for got_xn, got_pn, (want_x, want_p) in zip(got_x, got_p, wants):
         assert np.max(np.abs(got_xn - want_x)) <= 1e-9
         assert np.max(np.abs(got_pn - want_p)) <= 1e-12 * np.max(np.abs(want_p))
@@ -141,17 +147,17 @@ def test_update_with_perfect_measurement_keeps_position():
     truth = (2.5, 1.5)
     x, p = fresh_state(truth)
     trace_before = float(np.trace(p[0]))
-    _, out_p, (fix,) = ekf_update(x, p, [tdoa_set(truth)], RECT, DEFAULT_SIGMA_T)
-    assert (fix.x, fix.y) == pytest.approx(truth, abs=1e-12)
+    out_x, out_p, (residual,) = update(x, p, [tdoa_set(truth)])
+    assert tuple(out_x[0, :2]) == pytest.approx(truth, abs=1e-12)
     assert float(np.trace(out_p[0])) < trace_before
-    assert fix.residual_norm == pytest.approx(0.0, abs=1e-12)
+    assert residual == pytest.approx(0.0, abs=1e-12)
 
 
 def test_update_pulls_toward_the_measurement():
     x, p = fresh_state((3.2, 2.2))
-    _, _, (fix,) = ekf_update(x, p, [tdoa_set((3.0, 2.0))], RECT, DEFAULT_SIGMA_T)
+    out_x, _, _ = update(x, p, [tdoa_set((3.0, 2.0))])
     before = math.dist((3.2, 2.2), (3.0, 2.0))
-    after = math.dist((fix.x, fix.y), (3.0, 2.0))
+    after = math.dist(out_x[0, :2], (3.0, 2.0))
     assert after < before
 
 
@@ -160,10 +166,10 @@ def test_tag_on_the_first_receiver_drops_only_that_row():
     x, p = fresh_state(RECT["MA1"])
     meas = tdoa_set((0.5, 0.5))
     rest = TdoaSet(tag_id="T1", blink_seq=0, arrivals=meas.arrivals[1:])
-    out_x, out_p, (fix,) = ekf_update(x, p, [meas], RECT, DEFAULT_SIGMA_T)
-    want_x, want_p, (want_fix,) = ekf_update(x, p, [rest], RECT, DEFAULT_SIGMA_T)
+    out_x, out_p, residual = update(x, p, [meas])
+    want_x, want_p, want_residual = update(x, p, [rest])
     assert np.array_equal(out_x, want_x) and np.array_equal(out_p, want_p)
-    assert fix == want_fix
+    assert np.array_equal(residual, want_residual)
     assert float(np.trace(out_p[0])) < float(np.trace(p[0]))
 
 
@@ -181,10 +187,10 @@ def test_tag_on_another_anchor_drops_only_that_row():
     meas = tdoa_set(RECT["SA3"])
     rest = TdoaSet(tag_id="T1", blink_seq=0,
                    arrivals=tuple(row for row in meas.arrivals if row[0] != "SA3"))
-    out_x, out_p, (fix,) = ekf_update(x, p, [meas], RECT, DEFAULT_SIGMA_T)
-    want_x, want_p, (want_fix,) = ekf_update(x, p, [rest], RECT, DEFAULT_SIGMA_T)
+    out_x, out_p, residual = update(x, p, [meas])
+    want_x, want_p, want_residual = update(x, p, [rest])
     assert np.array_equal(out_x, want_x) and np.array_equal(out_p, want_p)
-    assert fix == want_fix
+    assert np.array_equal(residual, want_residual)
     assert float(np.trace(out_p[0])) < float(np.trace(p[0]))
 
 
@@ -221,13 +227,13 @@ RING = {f"R{i:02d}": (10.0 * math.cos(i / 2.0), 7.0 * math.sin(i / 2.0)) for i i
 
 def test_ls_recovers_truth_on_clean_data():
     for truth in [(2.0, 1.5), (0.5, 3.5), (5.9, 0.1), (3.0, 2.0)]:
-        est = ls_solve(tdoa_set(truth), RECT)
+        est = ls_solve(*layout(tdoa_set(truth), RECT))
         assert math.dist(est, truth) <= 1e-4
 
 
 def test_ls_with_init_refines_locally():
     truth = (4.2, 2.8)
-    est = ls_solve(tdoa_set(truth), RECT, init=(4.0, 3.0))
+    est = ls_solve(*layout(tdoa_set(truth), RECT), init=(4.0, 3.0))
     assert math.dist(est, truth) <= 1e-6
 
 
@@ -235,7 +241,7 @@ def test_ls_needs_three_measurements():
     short = TdoaSet(tag_id="T1", blink_seq=0,
                     arrivals=(("MA1", 0.0), ("SA2", 1.0), ("SA3", -1.0)))
     with pytest.raises(ValueError):
-        ls_solve(short, RECT)
+        ls_solve(*layout(short, RECT))
 
 
 def test_collinear_anchors_are_ambiguous():
@@ -243,7 +249,7 @@ def test_collinear_anchors_are_ambiguous():
     line = {"A1": (0.0, 0.0), "A2": (3.0, 0.0), "A3": (6.0, 0.0), "A4": (9.0, 0.0)}
     truth = (4.0, 2.0)
     with pytest.raises(AmbiguityError) as e:
-        ls_solve(tdoa_set(truth, anchors=line, ref="A1"), line)
+        ls_solve(*layout(tdoa_set(truth, anchors=line, ref="A1"), line))
     ys = sorted(c[1] for c in e.value.candidates)
     assert ys[0] == pytest.approx(-2.0, abs=1e-3)
     assert ys[-1] == pytest.approx(2.0, abs=1e-3)
@@ -253,9 +259,9 @@ def test_ls_translation_equivariance():
     truth = (2.2, 1.1)
     shift = (10.0, -20.0)
     moved = {a: (p[0] + shift[0], p[1] + shift[1]) for a, p in RECT.items()}
-    base = ls_solve(tdoa_set(truth), RECT)
+    base = ls_solve(*layout(tdoa_set(truth), RECT))
     displacednew = ls_solve(
-        tdoa_set((truth[0] + shift[0], truth[1] + shift[1]), anchors=moved), moved
+        *layout(tdoa_set((truth[0] + shift[0], truth[1] + shift[1]), anchors=moved), moved)
     )
     assert displacednew[0] - shift[0] == pytest.approx(base[0], abs=1e-6)
     assert displacednew[1] - shift[1] == pytest.approx(base[1], abs=1e-6)
@@ -267,12 +273,6 @@ def test_ls_translation_equivariance():
 FLEET = {f"F{i}": p for i, p in enumerate(
     [(0.0, 0.0), (12.0, 0.0), (24.0, 0.0), (24.0, 16.0), (12.0, 16.0), (0.0, 16.0)])}
 HALL = {f"H{x:02d}{y:02d}": (float(x), float(y)) for x in range(0, 41, 8) for y in range(0, 41, 8)}
-
-
-def layout(meas, anchors):
-    """The single-set layout ``ls_solve`` refines on."""
-    xy, z, _ = _padded_rows([meas], anchors)
-    return xy[..., 0], z[:, 0]
 
 
 def padded_box(xy):
@@ -328,7 +328,7 @@ def test_cold_starts_are_exact_bounded_and_no_worse_than_a_grid(kind, count):
         meas, anchors, tag = random_cold_start(rng, kind, noise)
         xy, z = layout(meas, anchors)
         try:
-            pos = ls_solve(meas, anchors)
+            pos = ls_solve(xy, z)
         except AmbiguityError:
             assert noise != 0.0, (kind, tag)
             continue
@@ -350,7 +350,7 @@ def test_nearly_collinear_anchors_are_still_ambiguous():
     line = {"A1": (0.0, 0.0), "A2": (3.0, 1e-6), "A3": (6.0, 1e-6), "A4": (9.0, 1e-6)}
     meas = tdoa_set((4.0, 2.0), anchors=line, ref="A1")
     with pytest.raises(AmbiguityError) as e:
-        ls_solve(meas, line)
+        ls_solve(*layout(meas, line))
     ys = sorted(c[1] for c in e.value.candidates)
     assert ys[0] == pytest.approx(-2.0, abs=1e-3)
     assert ys[-1] == pytest.approx(2.0, abs=1e-3)
@@ -362,7 +362,7 @@ def test_nearly_collinear_anchors_give_no_far_away_fix(offsets):
     # small objective, 1.5e6 m away; none of them is a fix.
     line = {f"A{i}": (3.0 * i, dy) for i, dy in enumerate(offsets)}
     with pytest.raises(AmbiguityError):
-        ls_solve(tdoa_set((2.0, 3.0), anchors=line, ref="A0"), line)
+        ls_solve(*layout(tdoa_set((2.0, 3.0), anchors=line, ref="A0"), line))
 
 
 @pytest.mark.parametrize("case, want", [
@@ -378,7 +378,7 @@ def test_inconsistent_or_outlying_sets_keep_their_fixes(case, want):
     else:
         anchors = RECT
         meas = tdoa_set((7.5, 2.0), jitter=np.array([0.1, -0.1, 0.1]))
-    assert np.max(np.abs(ls_solve(meas, anchors) - want)) <= 1e-6
+    assert np.max(np.abs(ls_solve(*layout(meas, anchors)) - want)) <= 1e-6
 
 
 # The first cold start of tag T002 in the benchmark's hall workload, seed 2:
@@ -415,7 +415,7 @@ def test_refinement_stops_at_its_first_short_step(monkeypatch):
 def test_track_converges_on_static_clean_data():
     truth = (2.0, 1.5)
     sets = [tdoa_set(truth, seq=i) for i in range(50)]
-    fixes = track(sets, RECT, 0.1)
+    fixes = track(tracker_rows(sets, RECT), 0.1)
     assert len(fixes) == 50
     last = fixes[-1]
     assert math.dist((last.x, last.y), truth) <= 1e-3
@@ -429,15 +429,15 @@ def test_track_without_process_noise_settles_on_ls_solution():
     truth = (4.4, 1.2)
     sets = [tdoa_set(truth, seq=i) for i in range(200)]
     cfg = TrackerConfig(sigma_accel=0.0)
-    last = track(sets, RECT, 0.1, cfg)[-1]
-    ls = ls_solve(tdoa_set(truth), RECT)
+    last = track(tracker_rows(sets, RECT), 0.1, cfg)[-1]
+    ls = ls_solve(*layout(tdoa_set(truth), RECT))
     assert math.dist((last.x, last.y), ls) <= 1e-3
 
 
 def test_track_resets_after_a_long_gap():
     sets = [tdoa_set((2.0, 1.5), seq=i) for i in range(20)]
     sets += [tdoa_set((5.0, 3.0), seq=40 + i) for i in range(20)]
-    fixes = track(sets, RECT, 0.1)
+    fixes = track(tracker_rows(sets, RECT), 0.1)
     assert len(fixes) == 40
     # First fix after the gap is a fresh cold start at the new position.
     post_gap = fixes[20]
@@ -449,7 +449,7 @@ def test_track_resets_after_a_long_gap():
 def test_track_rides_through_a_short_gap():
     sets = [tdoa_set((2.0, 1.5), seq=i) for i in range(10)]
     sets += [tdoa_set((2.0, 1.5), seq=15 + i) for i in range(10)]
-    fixes = track(sets, RECT, 0.1)
+    fixes = track(tracker_rows(sets, RECT), 0.1)
     assert len(fixes) == 20
     assert fixes[10].residual_norm > 0.0 or fixes[10].pos_std < fixes[0].pos_std
 
@@ -457,13 +457,13 @@ def test_track_rides_through_a_short_gap():
 def test_track_skips_unsolvable_cold_start():
     line = {"A1": (0.0, 0.0), "A2": (3.0, 0.0), "A3": (6.0, 0.0), "A4": (9.0, 0.0)}
     ambiguous = [tdoa_set((4.0, 2.0), anchors=line, ref="A1", seq=i) for i in range(3)]
-    assert track(ambiguous, line, 0.1) == []
+    assert track(tracker_rows(ambiguous, line), 0.1) == []
 
 
 def test_track_follows_a_moving_tag():
     # 1 m/s along x, fixes every 0.1 s.
     sets = [tdoa_set((1.0 + 0.1 * i, 2.0), seq=i) for i in range(60)]
-    fixes = track(sets, RECT, 0.1)
+    fixes = track(tracker_rows(sets, RECT), 0.1)
     last = fixes[-1]
     assert (last.x, last.y) == pytest.approx((6.9, 2.0), abs=0.05)
     assert last.vx == pytest.approx(1.0, abs=0.1)
@@ -499,19 +499,24 @@ def _mixed_fleet():
 def test_a_tags_fixes_do_not_depend_on_the_batch_it_is_stepped_in():
     sets = _mixed_fleet()
     everything = [s for tag_sets in sets.values() for s in tag_sets]
+    # Epochs 1-9 update T1 (4 receivers) and T2 (12) together, in one
+    # padded layout.
+    assert {len(s.arrivals) for s in everything
+            if s.blink_seq == 5 and s.tag_id in ("T1", "T2")} == {4, 12}
     diagnostics: dict = {}
-    together = track(everything, EVERY_ANCHOR, 0.1, diagnostics=diagnostics)
+    together = track(tracker_rows(everything, EVERY_ANCHOR), 0.1,
+                     diagnostics=diagnostics)
     assert diagnostics == {"tracks_not_started": len(sets["T3"])}
     assert [(f.tag_id, f.blink_seq) for f in together] == sorted(
         (s.tag_id, s.blink_seq) for s in everything if s.tag_id != "T3"
     )
     for tag_id, tag_sets in sets.items():
-        alone = track(tag_sets, EVERY_ANCHOR, 0.1)
+        alone = track(tracker_rows(tag_sets, EVERY_ANCHOR), 0.1)
         mine = [f for f in together if f.tag_id == tag_id]
         assert repr(mine) == repr(alone)  # repr round-trips: bit for bit
     # The order the sets come in does not matter either.
     shuffled = [everything[i] for i in np.random.default_rng(3).permutation(len(everything))]
-    assert repr(track(shuffled, EVERY_ANCHOR, 0.1)) == repr(together)
+    assert repr(track(tracker_rows(shuffled, EVERY_ANCHOR), 0.1)) == repr(together)
     # T2 restarted after its long gap and rode through its short one.
     t2 = [f for f in together if f.tag_id == "T2"]
     assert [f.blink_seq for f in t2 if f.residual_norm == 0.0] == [0, 35]
@@ -522,29 +527,30 @@ def test_an_update_with_no_usable_row_is_skipped_counted_and_alone():
     t2 = [tdoa_set((4.0, 3.0), seq=i, tag="T2") for i in range(12)]
     # Give T2's blink 6 two arrivals, one from an anchor at exactly the
     # filter's predicted position for it, so one usable row is left.
-    before = track(t2[:6], RECT, 0.1)[-1]
+    before = track(tracker_rows(t2[:6], RECT), 0.1)[-1]
     here = (before.x + 0.1 * before.vx, before.y + 0.1 * before.vy)
     anchors = {**RECT, "HERE": here}
+    alone = track(tracker_rows(t1, anchors), 0.1)
     t2[6] = tdoa_set((4.0, 3.0), {"MA1": RECT["MA1"], "HERE": here}, "HERE", seq=6, tag="T2")
 
     diagnostics: dict = {}
-    fixes = track(t1 + t2, anchors, 0.1, diagnostics=diagnostics)
+    fixes = track(tracker_rows(t1 + t2, anchors), 0.1, diagnostics=diagnostics)
     assert diagnostics == {"updates_no_usable_rows": 1}
     skipped = next(f for f in fixes if (f.tag_id, f.blink_seq) == ("T2", 6))
     assert math.isnan(skipped.residual_norm)
     assert (skipped.x, skipped.y) == here  # the predicted state
-    assert repr([f for f in fixes if f.tag_id == "T1"]) == repr(track(t1, anchors, 0.1))
+    assert repr([f for f in fixes if f.tag_id == "T1"]) == repr(alone)
     after = [f for f in fixes if f.tag_id == "T2" and f.blink_seq > 6]
     assert len(after) == 5 and all(f.residual_norm >= 0.0 for f in after)
     # A set with no arrival at all is skipped the same way.
     t2[9] = TdoaSet(tag_id="T2", blink_seq=9, arrivals=())
     diagnostics = {}
-    fixes = track(t1 + t2, anchors, 0.1, diagnostics=diagnostics)
+    fixes = track(tracker_rows(t1 + t2, anchors), 0.1, diagnostics=diagnostics)
     assert diagnostics == {"updates_no_usable_rows": 2}
-    assert repr([f for f in fixes if f.tag_id == "T1"]) == repr(track(t1, anchors, 0.1))
+    assert repr([f for f in fixes if f.tag_id == "T1"]) == repr(alone)
 
 
 def test_track_takes_one_set_per_tag_and_blink():
     sets = [tdoa_set((2.0, 1.5), seq=0), tdoa_set((2.0, 1.5), seq=0)]
     with pytest.raises(ValueError):
-        track(sets, RECT, 0.1)
+        track(tracker_rows(sets, RECT), 0.1)

@@ -1,12 +1,13 @@
 """Time-base selection: which blinks are usable, and their reference anchor;
-and the arrival rows a blink's ``TdoaSet`` holds."""
+and the arrival rows a blink holds."""
 
 from __future__ import annotations
 
 import pytest
 
+from uwb_rtls import engine
 from uwb_rtls.constants import SPEED_OF_LIGHT
-from uwb_rtls.solver import TdoaSet
+from uwb_rtls.simnet import Scenario, StaticTrajectory, TagSpec, run_scenario
 from uwb_rtls.timebase import MIN_RECEIVERS, NoTimeBaseError, select_time_base
 from uwb_rtls.topology import AnchorConfig, NetworkTopology
 from uwb_rtls.wcs import ArrivalTable, arrival_tdoa
@@ -104,6 +105,29 @@ def test_one_cell_without_its_master_needs_a_bridge():
         select_time_base({"SA1", "SA3", "SA5", "SA6"}, topo)
 
 
+def test_the_engine_fixes_the_blinks_whose_receivers_have_a_time_base(monkeypatch):
+    # One tag per set of receivers: two cells with no bridge, one cell with
+    # its master, two cells through the bridge, and three receivers.  The
+    # rule is asked once per distinct set of four or more.
+    topo = _two_cell_topology()
+    heard = {"T1": ("SA1", "SA3", "SA5", "SA6"), "T2": ("MA2", "SA5", "SA6", "SA7"),
+             "T3": ("SA1", "SA2", "SA5", "SA6"), "T4": ("MA1", "SA1", "SA3")}
+    places = {"T1": (10.0, 4.0), "T2": (21.0, 1.0), "T3": (12.0, 3.0), "T4": (3.0, 2.0)}
+    scenario = Scenario(
+        topology=topo, tags=tuple(TagSpec(t, StaticTrajectory(places[t])) for t in heard),
+        duration=1.0, blink_links={t: frozenset(a) for t, a in heard.items()})
+    asked = []
+    monkeypatch.setattr(engine, "select_time_base",
+                        lambda receivers, topo: asked.append(receivers) or select_time_base(
+                            receivers, topo))
+    result = engine.locate_reports(run_scenario(scenario).reports, topo)
+    assert sorted(map(tuple, asked)) == sorted(heard[t] for t in ("T1", "T2", "T3"))
+    assert {(f.tag_id, f.blink_seq) for f in result.fixes} == {
+        (t, seq) for t in ("T2", "T3") for seq in range(10)}
+    assert result.diagnostics["blinks_no_time_base"] == 10
+    assert result.diagnostics["blinks_too_few_receivers"] == 10
+
+
 def test_too_few_receivers():
     topo = build_rect_topology()
     with pytest.raises(NoTimeBaseError):
@@ -147,10 +171,3 @@ def test_changing_reference_shifts_all_measurements_consistently():
     assert via_sa2["MA1"] == pytest.approx(-shift)
     for anchor in ("SA3", "SA4"):
         assert via_sa2[anchor] == pytest.approx(via_ma1[anchor] - shift)
-
-
-def test_tdoa_set_is_a_value_object():
-    ts = TdoaSet(tag_id="T1", blink_seq=0,
-                 arrivals=(("MA1", 0.0), ("SA2", 1.0), ("SA3", 2.0)))
-    assert ts == TdoaSet(tag_id="T1", blink_seq=0,
-                         arrivals=(("MA1", 0.0), ("SA2", 1.0), ("SA3", 2.0)))

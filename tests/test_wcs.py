@@ -33,13 +33,16 @@ from conftest import (
     blink_rows,
     build_rect_topology,
     hall_config,
+    report_records,
     same_columns,
 )
 
 
 def multi_master_sync(reports, topo, **kwargs):
-    """The sync of ``ToaReport`` records, through their columns."""
-    return sync_columns(ReportColumns.from_reports(reports), topo, **kwargs)
+    """The sync of report columns, or of ``ToaReport`` records through theirs."""
+    if not isinstance(reports, ReportColumns):
+        reports = ReportColumns.from_reports(reports)
+    return sync_columns(reports, topo, **kwargs)
 
 CCP_PERIOD = 0.15
 # Ticks of one nominal CCP interval.
@@ -384,7 +387,7 @@ def _rect_reports(duration=2.0, tag_xy=(2.0, 1.5)):
         duration=duration,
         seed=9,
     )
-    return topo, run_scenario(scenario).reports
+    return topo, report_records(run_scenario(scenario).reports)
 
 
 def _geometric_tdoa(tag_xy, anchor_a, anchor_b):
@@ -566,12 +569,12 @@ def test_faulty_hall_stream_gives_the_clean_table(hall_run):
     # Shuffled, every 7th report repeated at a larger tick, and three copies
     # pushed out of [0, 2**40): each fault is counted under its key, and
     # the table is the clean run's, bit for bit.
+    records = report_records(hall_run.reports)
     clean, clean_diag = _hall_sync(hall_run.reports)
-    repeats = [r._replace(ticks=r.ticks + 0.5) for r in hall_run.reports[::7]
-               if r.ticks + 0.5 < 2**40]
-    r = hall_run.reports[100]
+    repeats = [r._replace(ticks=r.ticks + 0.5) for r in records[::7] if r.ticks + 0.5 < 2**40]
+    r = records[100]
     pushed = [r._replace(ticks=ticks) for ticks in (math.nan, -1.0, float(2**40))]
-    faulty = list(hall_run.reports) + repeats + pushed
+    faulty = records + repeats + pushed
     random.Random(19).shuffle(faulty)
     blinks, diag = _hall_sync(faulty)
     assert same_columns(blinks, clean)
@@ -593,7 +596,8 @@ def test_nearest_epoch_walk_takes_several_steps_across_a_counter_wrap():
     wrap_seconds = 2**40 * TICK_SECONDS
     topo = build_rect_topology(clocks={"SA2": ClockModel(offset=wrap_seconds - 1.0)})
     tags = (TagSpec("T1", StaticTrajectory((4.1, 0.7))),)
-    reports = run_scenario(Scenario(topology=topo, tags=tags, duration=2.0, seed=9)).reports
+    reports = report_records(
+        run_scenario(Scenario(topology=topo, tags=tags, duration=2.0, seed=9)).reports)
     exact = multi_master_sync(reports, topo, ccp_period=CCP_PERIOD)
     early = multi_master_sync(reports, topo, ccp_period=CCP_PERIOD, blink_period=0.05)
     assert same_columns(early, exact)
@@ -629,7 +633,8 @@ def test_bridging_slave_takes_its_first_fresh_track_in_master_id_order(hall_run)
     slave = min(s for s in topo.slaves() if len(topo.follow[s]) >= 2)
     first, second = sorted(topo.follow[slave])[:2]
     gap = range(40, 100)
-    kept = [r for r in hall_run.reports
+    records = report_records(hall_run.reports)
+    kept = [r for r in records
             if not (r.anchor_id == slave and r.src_id == first and r.seq in gap)]
 
     def masters_used(blinks, reports):
@@ -643,7 +648,7 @@ def test_bridging_slave_takes_its_first_fresh_track_in_master_id_order(hall_run)
                     blinks.rate[i]) == ts_diff(r[s + 1], r[s]) * TICK_SECONDS / CCP_PERIOD]
         return used
 
-    clean = masters_used(_hall_sync(hall_run.reports)[0], hall_run.reports)
+    clean = masters_used(_hall_sync(hall_run.reports)[0], records)
     assert clean and all(m[:1] == [first] for m in clean.values())
     gapped = masters_used(_hall_sync(kept)[0], kept)
     in_gap = {seq: m for seq, m in gapped.items() if 45 * 1.5 <= seq <= 95 * 1.5}

@@ -12,7 +12,10 @@ bytecode cache.
 The result, on stdout, is one JSON object: per run and per output file,
 the sha256 and size of each tree's file, whether they are the same, and
 for ``fixes.csv`` the largest |dx| and |dy| over the fixes both trees
-made.
+made.  Per run, ``parent_eval_on_change_files`` also records whether
+PARENT's ``eval``, run on CHANGE's ``fixes.csv``, ``truth.jsonl`` and
+``synced.csv``, writes the bytes of CHANGE's ``summary.json`` and
+``errors.csv``: whether the files still read the same to the parent.
 It gates nothing; its exit code is 0 whenever both trees ran.
 """
 
@@ -33,11 +36,18 @@ sys.path.insert(0, str(ROOT / "bench"))
 from workloads import CONFIGS, stages  # noqa: E402
 
 SEEDS = range(1, 6)
+EVAL_OUTPUTS = ("summary.json", "errors.csv")
+
+
+def run_cli(tree: Path, argv: list[str]) -> None:
+    """One CLI command from ``tree``'s sources, in a fresh process."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
+    subprocess.run([sys.executable, "-m", "uwb_rtls.cli", *argv], env=env, check=True,
+                   stdout=subprocess.DEVNULL)
 
 
 def run_tree(tree: Path, workload: str, seed: int, out: Path) -> None:
     """One run of ``workload`` from ``tree``'s sources, outputs in ``out``."""
-    env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
     if workload == "demo":
         argvs = [["demo", "--out", str(out), "--seed", str(seed)]]
     else:
@@ -46,8 +56,20 @@ def run_tree(tree: Path, workload: str, seed: int, out: Path) -> None:
         config.write_text(json.dumps(CONFIGS[workload](seed), indent=1) + "\n")
         argvs = [argv for _, argv in stages(workload, str(config), str(out))]
     for argv in argvs:
-        subprocess.run([sys.executable, "-m", "uwb_rtls.cli", *argv], env=env, check=True,
-                       stdout=subprocess.DEVNULL)
+        run_cli(tree, argv)
+
+
+def cross_eval(parent: Path, change_run: Path, out: Path) -> dict[str, bool]:
+    """Whether ``parent``'s ``eval`` on the files of ``change_run`` (a run
+    directory of the change) writes the change's own eval outputs."""
+    config = change_run / ("demo_config.json" if (change_run / "demo_config.json").is_file()
+                           else "config.json")
+    run_cli(parent, ["eval", "--config", str(config), "--out", str(out),
+                     "--fixes", str(change_run / "fixes.csv"),
+                     "--truth", str(change_run / "truth.jsonl"),
+                     "--synced", str(change_run / "synced.csv")])
+    return {name: (out / name).read_bytes() == (change_run / name).read_bytes()
+            for name in EVAL_OUTPUTS}
 
 
 def _fixes(path: Path) -> dict[tuple[str, str], tuple[float, float]]:
@@ -83,7 +105,7 @@ def main(argv: list[str] | None = None) -> int:
 
     runs = [("demo", 42)] + [(w, s) for w in sorted(CONFIGS) for s in SEEDS]
     report = {"parent": str(args.parent.resolve()), "change": str(args.change.resolve()),
-              "runs": {}}
+              "runs": {}, "parent_eval_on_change_files": {}}
     with tempfile.TemporaryDirectory() as tmp:
         for workload, seed in runs:
             name = f"{workload}-seed{seed}"
@@ -92,9 +114,14 @@ def main(argv: list[str] | None = None) -> int:
             run_tree(args.change, workload, seed, dirs["change"])
             files = compare(dirs["parent"], dirs["change"])
             report["runs"][name] = files
+            cross = cross_eval(args.parent, dirs["change"], Path(tmp) / "cross" / name)
+            report["parent_eval_on_change_files"][name] = cross
             same = sum(f["same"] for f in files.values())
-            print(f"{name}: {same}/{len(files)} files the same", file=sys.stderr)
+            print(f"{name}: {same}/{len(files)} files the same, parent eval on the change's "
+                  f"files {'the same' if all(cross.values()) else 'different'}", file=sys.stderr)
     report["all_same"] = all(f["same"] for run in report["runs"].values() for f in run.values())
+    report["parent_eval_all_same"] = all(
+        same for run in report["parent_eval_on_change_files"].values() for same in run.values())
     sys.stdout.write(json.dumps(report, indent=1, sort_keys=True) + "\n")
     return 0
 
