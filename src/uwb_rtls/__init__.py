@@ -9,7 +9,7 @@ from .clock import ClockModel, read_clock, ts_diff
 from .config import ConfigError, ScenarioConfig, load_config
 from .engine import EngineParams, LocateResult, locate_reports
 from .metrics import EvalSummary, evaluate
-from .protocol import ReportColumns, ToaReport, decode_report, encode_reports
+from .protocol import ReportColumns, encode_reports
 from .simnet import Scenario, SimResult, TagSpec, run_scenario
 from .solver import BlinkRows, Fix, TrackerConfig, ls_solve, track
 from .timebase import select_time_base
@@ -34,9 +34,7 @@ __all__ = [
     "ScenarioConfig",
     "SimResult",
     "TagSpec",
-    "ToaReport",
     "TrackerConfig",
-    "decode_report",
     "encode_reports",
     "evaluate",
     "load_config",

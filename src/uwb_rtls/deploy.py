@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -121,6 +121,12 @@ def _convex_hull(points: Sequence[tuple[float, float]]) -> list[tuple[float, flo
 # Placement rules
 
 
+def _anchor_box(positions: Iterable[tuple[float, float]]):
+    """The anchors' bounding box ((xmin, ymin), (xmax, ymax)): the default area."""
+    xs, ys = zip(*positions)
+    return (min(xs), min(ys)), (max(xs), max(ys))
+
+
 def check_rules(
     topo: NetworkTopology,
     area: tuple[tuple[float, float], tuple[float, float]] | None = None,
@@ -220,13 +226,8 @@ def check_rules(
         (math.dist(positions[i], positions[j]) for i in range(n) for j in range(i + 1, n)),
         default=math.inf,
     )
-    if area is not None:
-        (x0, y0), (x1, y1) = area
-        width, height = abs(x1 - x0), abs(y1 - y0)
-    else:
-        xs = [p[0] for p in positions]
-        ys = [p[1] for p in positions]
-        width, height = max(xs) - min(xs), max(ys) - min(ys)
+    (x0, y0), (x1, y1) = area if area is not None else _anchor_box(positions)
+    width, height = abs(x1 - x0), abs(y1 - y0)
     spacing_ok = min_spacing > MIN_ANCHOR_SPACING
     area_ok = width >= MIN_AREA_SIDE and height >= MIN_AREA_SIDE
     detail = (
@@ -344,27 +345,20 @@ def build_deployment_report(
     topo: NetworkTopology,
     area: tuple[tuple[float, float], tuple[float, float]] | None = None,
     resolution: float = 0.5,
-    reference: str | None = None,
-    obstacles: Sequence[Segment] = (),
-    walls: Sequence[Segment] = (),
 ) -> DeploymentReport:
     """Rules plus an HDoP map in one report.
 
-    The reference defaults to the anchor the engine would pick as time base
+    The HDoP's reference is the anchor the engine would pick as time base
     when every anchor hears a blink.
     """
     from .timebase import NoTimeBaseError, select_time_base
 
-    rules = tuple(check_rules(topo, area, obstacles, walls))
+    rules = tuple(check_rules(topo, area))
     positions = topo.positions()
-    if area is None:
-        xs = [p[0] for p in positions.values()]
-        ys = [p[1] for p in positions.values()]
-        area = ((min(xs), min(ys)), (max(xs), max(ys)))
-    if reference is None:
-        try:
-            reference = select_time_base(topo.ids(), topo)
-        except NoTimeBaseError:
-            reference = topo.primary_master()
+    area = area if area is not None else _anchor_box(positions.values())
+    try:
+        reference = select_time_base(topo.ids(), topo)
+    except NoTimeBaseError:
+        reference = topo.primary_master()
     rows = tuple(hdop_grid(area, resolution, positions, reference))
     return DeploymentReport(rules, rows, worst_hdop_in_hull(rows, positions))

@@ -29,7 +29,7 @@ import operator
 import re
 import sys
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -46,25 +46,6 @@ BLINK_RX, CCP_RX, CCP_TX = range(len(REPORT_KINDS))
 SEQ_WRAP = 2**32
 
 
-class ReportDecodeError(ValueError):
-    """A report line that cannot be turned into a ToaReport; the message says why."""
-
-
-class ToaReport(NamedTuple):
-    """One timestamped event reported by an anchor to the engine.
-
-    ``src_id`` is the tag for ``blink_rx``, the transmitting master for
-    ``ccp_rx``, and the anchor itself for ``ccp_tx``.  ``ticks`` is the
-    anchor's counter reading, a float in [0, 2**40) (see ``clock``).
-    """
-
-    anchor_id: str
-    kind: str
-    src_id: str
-    seq: int
-    ticks: float
-
-
 def id_codes(*columns: Sequence[str]) -> tuple[tuple[str, ...], list[np.ndarray]]:
     """The sorted ids of ``columns``, and each column as int32 codes into them."""
     ids = tuple(sorted(set().union(*columns)))
@@ -77,8 +58,8 @@ class ReportColumns:
     """Reports as columns, one row per report, in any order: ``anchor``
     and ``src`` as int32 codes into ``ids``, the sorted ids of both, ``kind``
     as an int8 code into ``REPORT_KINDS``, ``seq`` int64, ``ticks`` float64.
-    ``simnet.run_scenario`` simulates them, ``cli.read_reports`` reads them
-    from a file, and ``from_reports`` builds them from ``ToaReport`` records."""
+    ``simnet.run_scenario`` simulates them and ``cli.read_reports`` reads
+    them from a file."""
 
     ids: tuple[str, ...]
     anchor: np.ndarray
@@ -92,14 +73,10 @@ class ReportColumns:
 
     @classmethod
     def from_fields(cls, anchor_ids, kinds, src_ids, seqs, ticks) -> ReportColumns:
-        """Columns from one sequence per ``ToaReport`` field."""
+        """Columns from one sequence per report field, in line order."""
         ids, (anchor, src) = id_codes(anchor_ids, src_ids)
         kind = np.fromiter(map(REPORT_KINDS.index, kinds), np.int8, len(kinds))
         return cls(ids, anchor, kind, src, np.array(seqs, np.int64), np.array(ticks, np.float64))
-
-    @classmethod
-    def from_reports(cls, records: Iterable[ToaReport]) -> ReportColumns:
-        return cls.from_fields(*(tuple(zip(*records)) or ((),) * 5))
 
 
 PLAIN_ID_RULE = (
@@ -190,12 +167,12 @@ def encode_reports(reports: ReportColumns, rows: slice = slice(None)) -> str:
 
 
 def decode_reports(lines: Sequence[str]) -> tuple[list, list, list, list, list]:
-    """Parse report lines into five columns, one per ``ToaReport`` field.
+    """Parse report lines into five columns, one per field in line order.
 
     A block of canonical lines, with plain ids and seq and ticks in range,
     is parsed by one search of one compiled pattern.  Any other block goes
-    line by line through ``json.loads`` and checks that word every error:
-    the first line that fails raises ``ReportDecodeError``."""
+    line by line through ``json.loads`` and the field checks below: the
+    first line that fails raises ``ValueError``."""
     text = "\n".join(lines)
     rows = _CANONICAL.findall(text)
     if rows and len(rows) == len(lines) == text.count("\n") + 1:
@@ -212,38 +189,54 @@ def decode_reports(lines: Sequence[str]) -> tuple[list, list, list, list, list]:
     return columns or ([], [], [], [], [])
 
 
-def decode_report(line: str) -> ToaReport:
-    """One JSON report line, checked as ``decode_reports`` checks a block."""
-    return ToaReport(*(column[0] for column in decode_reports([line])))
+_REPORT_FIELDS = dict.fromkeys(REPORT_KINDS, ("anchor_id", "src_id", "seq", "ticks"))
 
 
-def _decode_json(line: str) -> ToaReport:
+def _decode_json(line: str) -> tuple:
+    kind, (anchor_id, src_id, seq, ticks) = json_fields(line, _REPORT_FIELDS)
+    return (check_id("anchor_id", anchor_id), sys.intern(kind), check_id("src_id", src_id),
+            check_seq("seq", seq), float(check_number("ticks", ticks, 0, TICK_WRAP)))
+
+
+# The checks of a JSON line read by json.loads, for reports and truth alike:
+# each raises ValueError naming the field or returns its value (ids interned).
+
+
+def json_fields(line: str, fields: Mapping[str, Sequence[str]]) -> tuple[str, list]:
+    """The ``kind`` of a JSON object line, a key of ``fields``, and the
+    values of that kind's fields, in ``fields[kind]`` order."""
     try:
         raw = json.loads(line)
     except json.JSONDecodeError as exc:
-        raise ReportDecodeError(f"not valid JSON: {exc}") from exc
+        raise ValueError(f"not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
-        raise ReportDecodeError("report line must be a JSON object")
-
-    missing = [k for k in ToaReport._fields if k not in raw]
+        raise ValueError("line must be a JSON object")
+    kind = raw.get("kind")
+    if not isinstance(kind, str) or kind not in fields:
+        raise ValueError(f"kind must be one of {', '.join(fields)}, got {kind!r}")
+    missing = [name for name in fields[kind] if name not in raw]
     if missing:
-        raise ReportDecodeError(f"missing fields: {', '.join(missing)}")
+        raise ValueError(f"missing fields: {', '.join(missing)}")
+    return kind, [raw[name] for name in fields[kind]]
 
-    anchor_id, kind, src_id, seq, ticks = (raw[k] for k in ToaReport._fields)
 
-    if not (is_plain_id(anchor_id) and is_plain_id(src_id)):
-        raise ReportDecodeError(
-            f"anchor_id and src_id must be plain ids, got {anchor_id!r} and {src_id!r}"
-        )
-    if kind not in REPORT_KINDS:
-        raise ReportDecodeError(f"unknown report kind {kind!r}")
-    if not isinstance(seq, int) or isinstance(seq, bool):
-        raise ReportDecodeError("seq must be an integer")
-    if seq < 0 or seq >= SEQ_WRAP:
-        raise ReportDecodeError(f"seq {seq} outside [0, 2**32)")
-    if isinstance(ticks, bool) or not isinstance(ticks, (int, float)):
-        raise ReportDecodeError("ticks must be a number")
-    if not 0 <= ticks < TICK_WRAP:
-        raise ReportDecodeError(f"ticks {ticks!r} outside [0, 2**40)")
+def check_id(name: str, value: object) -> str:
+    if not is_plain_id(value):
+        raise ValueError(f"{name} must be a plain id, got {value!r}")
+    return sys.intern(value)
 
-    return ToaReport(sys.intern(anchor_id), sys.intern(kind), sys.intern(src_id), seq, float(ticks))
+
+def check_seq(name: str, value: object) -> int:
+    if isinstance(value, bool) or not isinstance(value, int) or not 0 <= value < SEQ_WRAP:
+        raise ValueError(f"{name} must be an integer in [0, 2**32), got {value!r}")
+    return value
+
+
+def check_number(name: str, value: object, low=-math.inf, high=math.inf) -> float:
+    """``value``, an int or a float, if finite and in [low, high)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not (
+            -sys.float_info.max <= value <= sys.float_info.max):  # NaN fails too
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
+    if not low <= value < high:
+        raise ValueError(f"{name} {value!r} outside [{low}, {high})")
+    return value

@@ -10,13 +10,11 @@ delay later, and all randomness comes from the scenario seed.
 
 from __future__ import annotations
 
-import json
 import math
 import re
-import sys
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence, get_type_hints
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -29,6 +27,10 @@ from .protocol import (
     CCP_TX,
     SEQ_WRAP,
     ReportColumns,
+    check_id,
+    check_number,
+    check_seq,
+    json_fields,
     json_number,
     json_string,
     plain_id,
@@ -228,7 +230,12 @@ class SimResult:
 
 
 _TRUTH_RECORDS = {"blink": TruthBlink, "clock": TruthClock}
-_TRUTH_FIELDS = {kind: get_type_hints(cls) for kind, cls in _TRUTH_RECORDS.items()}
+_TRUTH_FIELDS = {  # each kind's fields, in record order, and the check of each
+    "blink": {"tag_id": check_id, "seq": check_seq,
+              **dict.fromkeys(("time", "x", "y"), check_number)},
+    "clock": {"anchor_id": check_id,
+              **dict.fromkeys(("offset", "skew", "drift_rate", "jitter_std"), check_number)},
+}
 
 
 def encode_truth(record: TruthBlink | TruthClock) -> str:
@@ -289,33 +296,11 @@ def decode_truth(line: str) -> TruthBlink | TruthClock:
     """Parse one truth line; a malformed line raises ``ValueError``.
 
     Ids must be plain ids (``protocol.is_plain_id``), ``seq`` an int in
-    [0, 2**32) and every other field a finite number.
+    [0, 2**32) and every other field a finite number: ``protocol``'s checks.
     """
-    raw = json.loads(line)
-    if not isinstance(raw, dict) or raw.get("kind") not in ("blink", "clock"):
-        raise ValueError(f"not a blink or clock truth record: {line[:80]!r}")
-    hints = _TRUTH_FIELDS[raw["kind"]]
-    try:
-        values = [raw[name] for name in hints]
-    except KeyError as exc:
-        raise ValueError(f"missing field {exc}") from None
-    for (name, hint), value in zip(hints.items(), values):
-        _check_truth_field(name, hint, value)
-    return _TRUTH_RECORDS[raw["kind"]](*values)
-
-
-def _check_truth_field(name: str, hint: type, value: object) -> None:
-    if hint is str:
-        if not isinstance(value, str):
-            raise ValueError(f"{name} must be a string, got {value!r}")
-        plain_id(value)
-    elif isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"{name} must be a number, got {value!r}")
-    elif hint is int:
-        if not isinstance(value, int) or not 0 <= value < SEQ_WRAP:
-            raise ValueError(f"{name} must be an integer in [0, 2**32), got {value!r}")
-    elif not -sys.float_info.max <= value <= sys.float_info.max:  # NaN fails too
-        raise ValueError(f"{name} must be a finite number, got {value!r}")
+    kind, values = json_fields(line, _TRUTH_FIELDS)
+    checks = _TRUTH_FIELDS[kind].items()
+    return _TRUTH_RECORDS[kind](*(check(name, v) for (name, check), v in zip(checks, values)))
 
 
 # ---------------------------------------------------------------------------

@@ -7,16 +7,18 @@ with a large multi-master hall for the tests that want much varied traffic.
 
 from __future__ import annotations
 
+import json
 import math
 import random
-from typing import NamedTuple
+import re
+from typing import Iterable, NamedTuple
 
 import numpy as np
 import pytest
 
 from uwb_rtls.clock import ClockModel, IDEAL_CLOCK
 from uwb_rtls.config import parse_config
-from uwb_rtls.protocol import REPORT_KINDS, ReportColumns, ToaReport, id_codes
+from uwb_rtls.protocol import REPORT_KINDS, ReportColumns, id_codes
 from uwb_rtls.simnet import SimResult, run_scenario
 from uwb_rtls.solver import BlinkRows
 from uwb_rtls.topology import AnchorConfig, NetworkTopology
@@ -119,12 +121,52 @@ def hall_run() -> SimResult:
     return run_scenario(parse_config(hall_config()).scenario)
 
 
-def report_records(reports: ReportColumns) -> list[ToaReport]:
-    """The rows of report columns as ``ToaReport`` records, in row order."""
-    return list(map(ToaReport, map(reports.ids.__getitem__, reports.anchor.tolist()),
+def report_columns(rows: Iterable[tuple]) -> ReportColumns:
+    """Report columns of plain ``(anchor_id, kind, src_id, seq, ticks)``
+    tuples, one row each, in order."""
+    return ReportColumns.from_fields(*(tuple(zip(*rows)) or ((),) * 5))
+
+
+def report_rows(reports: ReportColumns) -> list[tuple]:
+    """The rows of report columns as plain ``(anchor_id, kind, src_id, seq,
+    ticks)`` tuples, in row order: what ``report_columns`` reads back."""
+    return list(zip(map(reports.ids.__getitem__, reports.anchor.tolist()),
                     map(REPORT_KINDS.__getitem__, reports.kind.tolist()),
                     map(reports.ids.__getitem__, reports.src.tolist()),
                     reports.seq.tolist(), reports.ticks.tolist()))
+
+
+# ---------------------------------------------------------------------------
+# JSON input lines with a bad field
+
+REPORT = '{"anchor_id":"A","kind":"blink_rx","src_id":"T","seq":7,"ticks":12345.5}'
+BLINK = '{"kind":"blink","tag_id":"T1","seq":3,"time":0.3,"x":2.0,"y":-1.5}'
+CLOCK = ('{"kind":"clock","anchor_id":"SA2","offset":-0.0034,"skew":-1.2e-05,'
+         '"drift_rate":0.0,"jitter_std":1e-10}')
+
+# Bad values, as JSON text, of a field that each of ``protocol``'s field
+# checks reads: an id, a seq or a number.  A check rejects each value alike
+# in a report line and in a truth line.
+BAD_FIELDS = [
+    *(("id", value) for value in ["5", "null", '"T,1"', '"T\\"1"', '"T1\\n"', '" T1"', '""',
+                                  '"SA2 "', '"A\\u0001"']),
+    *(("id", json.dumps(value)) for value in ['S"A', "SA\n2", "T\t1", "T\u2028", "SA2,"]),
+    *(("seq", value) for value in ['"3"', "true", "null", "3.0", "7e0", "-1", str(2**32),
+                                   "9" * 25]),
+    *(("number", value) for value in ['"abc"', '"12345.5"', "null", "true", "NaN", "Infinity",
+                                      "-Infinity", "1e400", "1" + "0" * 400]),
+]
+# The fields each check reads: (line, field) pairs of a report and of truth.
+REPORT_FIELDS = {"id": [(REPORT, "anchor_id"), (REPORT, "src_id")], "seq": [(REPORT, "seq")],
+                 "number": [(REPORT, "ticks")]}
+TRUTH_FIELDS = {"id": [(BLINK, "tag_id"), (CLOCK, "anchor_id")], "seq": [(BLINK, "seq")],
+                "number": [(BLINK, "x"), (CLOCK, "offset")]}
+
+
+def with_field(line: str, field: str, value: str) -> str:
+    """``line`` with ``value``, JSON text, as the value of ``field``."""
+    return re.sub(rf'"{field}":(?:"[^"]*"|[^,}}]*)', lambda _: f'"{field}":{value}', line,
+                  count=1)
 
 
 # ---------------------------------------------------------------------------

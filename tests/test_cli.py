@@ -26,11 +26,11 @@ from uwb_rtls.cli import (
 )
 from uwb_rtls.config import load_config
 from uwb_rtls.engine import locate_reports
-from uwb_rtls.protocol import KIND_BLINK_RX, ReportColumns, ToaReport, encode_reports
+from uwb_rtls.protocol import KIND_BLINK_RX, encode_reports
 from uwb_rtls.simnet import run_scenario
 from uwb_rtls.solver import Fix
 
-from conftest import arrival_table, same_columns
+from conftest import arrival_table, report_columns, same_columns
 
 CONFIG = {
     "anchors": [
@@ -339,7 +339,7 @@ def test_repeated_fix_is_skipped_and_counted(tmp_path, config_path, capsys, capl
 def test_a_report_whose_src_id_is_not_plain_is_skipped_and_counted(tmp_path, caplog, canonical):
     # The same line in the form encode_reports writes and with spaces after
     # its separators, which decode_reports reads through json.loads.
-    one = ReportColumns.from_reports([ToaReport("SA2", KIND_BLINK_RX, "T1", 7, 12345.0)])
+    one = report_columns([("SA2", KIND_BLINK_RX, "T1", 7, 12345.0)])
     good = encode_reports(one).rstrip("\n")
     bad = good.replace('"T1"', '"T,1"')
     if not canonical:
@@ -349,7 +349,7 @@ def test_a_report_whose_src_id_is_not_plain_is_skipped_and_counted(tmp_path, cap
     reports, skipped = read_reports(path)
     assert same_columns(reports, one)
     assert skipped == 1
-    assert "reports.jsonl line 2 skipped: anchor_id and src_id must be plain ids" in caplog.text
+    assert "reports.jsonl line 2 skipped: src_id must be a plain id, got 'T,1'" in caplog.text
 
 
 @pytest.mark.parametrize("name, reader", [("truth.jsonl", read_truth),
@@ -374,7 +374,8 @@ def test_a_line_whose_id_is_not_plain_is_skipped_and_counted(
 
     _, skipped = reader(path)
     assert skipped == 1
-    assert f"{name} line 4 skipped: not a plain id" in caplog.text
+    message = "tag_id must be a plain id" if name == "truth.jsonl" else "not a plain id"
+    assert f"{name} line 4 skipped: {message}" in caplog.text
     code = main(["eval", "--config", str(config_path), "--out", str(out),
                  "--fixes", str(out / "fixes.csv"), "--truth", str(out / "truth.jsonl"),
                  "--synced", str(out / "synced.csv")])

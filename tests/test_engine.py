@@ -11,8 +11,7 @@ import numpy as np
 
 from uwb_rtls import engine
 from uwb_rtls.config import parse_config
-from uwb_rtls.engine import EngineParams
-from uwb_rtls.protocol import ReportColumns
+from uwb_rtls.engine import EngineParams, locate_reports
 from uwb_rtls.simnet import (
     ConstantVelocityTrajectory,
     Scenario,
@@ -28,16 +27,10 @@ from conftest import (
     build_ideal_rect_topology,
     build_rect_topology,
     hall_config,
-    report_records,
+    report_columns,
+    report_rows,
     same_columns,
 )
-
-
-def locate_reports(reports, topo, params=EngineParams()):
-    """The engine on report columns, or on ``ToaReport`` records through theirs."""
-    if not isinstance(reports, ReportColumns):
-        reports = ReportColumns.from_reports(reports)
-    return engine.locate_reports(reports, topo, params)
 
 
 def _run(topo, duration=3.0, tag_xy=(2.0, 1.5), **scenario_kw):
@@ -65,9 +58,9 @@ def test_report_order_does_not_matter():
     topo = build_rect_topology(jitter_std=1e-10)
     sim = _run(topo, duration=2.0)
     forward = locate_reports(sim.reports, topo)
-    shuffled = report_records(sim.reports)
+    shuffled = report_rows(sim.reports)
     random.Random(7).shuffle(shuffled)
-    scrambled = locate_reports(shuffled, topo)
+    scrambled = locate_reports(report_columns(shuffled), topo)
     assert scrambled.fixes == forward.fixes
     assert same_columns(scrambled.blinks, forward.blinks)
 

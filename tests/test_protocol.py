@@ -1,7 +1,9 @@
-"""Report line encoding and strict decoding."""
+"""Report line encoding and strict decoding, and the field checks that
+the report and truth readers share."""
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import re
@@ -18,50 +20,51 @@ from uwb_rtls.protocol import (
     KIND_CCP_TX,
     REPORT_KINDS,
     SEQ_WRAP,
-    ReportColumns,
-    ReportDecodeError,
-    ToaReport,
-    decode_report,
+    decode_reports,
     encode_reports,
 )
+from uwb_rtls.simnet import decode_truth
 
-from conftest import report_records
+from conftest import (
+    BAD_FIELDS,
+    BLINK,
+    REPORT,
+    REPORT_FIELDS,
+    TRUTH_FIELDS,
+    report_columns,
+    report_rows,
+    with_field,
+)
 
 
-def columns(*reports: ToaReport) -> ReportColumns:
-    """The report columns of ``reports``, seq and ticks as numpy makes
-    arrays of their values (ticks as float64)."""
-    ids = tuple(sorted({i for r in reports for i in (r.anchor_id, r.src_id)}))
-    return ReportColumns(
-        ids, np.array([ids.index(r.anchor_id) for r in reports], np.int32),
-        np.array([REPORT_KINDS.index(r.kind) for r in reports], np.int8),
-        np.array([ids.index(r.src_id) for r in reports], np.int32),
-        np.array([r.seq for r in reports]), np.array([r.ticks for r in reports], np.float64))
-
-
-def report_line(r: ToaReport) -> str:
-    """The line ``encode_reports`` writes for one report, as a one-row
-    column set, less its newline."""
-    text = encode_reports(columns(r))
+def report_line(row: tuple) -> str:
+    """The line ``encode_reports`` writes for one ``(anchor_id, kind,
+    src_id, seq, ticks)`` row, less its newline."""
+    text = encode_reports(report_columns([row]))
     assert text.count("\n") == 1 and text.endswith("\n")
     return text[:-1]
 
 
+def decode_row(line: str) -> tuple:
+    """The one row ``decode_reports`` reads from ``line``."""
+    return tuple(column[0] for column in decode_reports([line]))
+
+
 def test_blink_rx_line_format():
-    r = ToaReport("SA2", KIND_BLINK_RX, "T1", 7, 12345.0)
+    r = ("SA2", KIND_BLINK_RX, "T1", 7, 12345.0)
     assert report_line(r) == '{"anchor_id":"SA2","kind":"blink_rx","src_id":"T1","seq":7,"ticks":12345}'
 
 
 def test_ccp_tx_line_format():
-    r = ToaReport("MA1", KIND_CCP_TX, "MA1", 3, 999.0)
+    r = ("MA1", KIND_CCP_TX, "MA1", 3, 999.0)
     assert report_line(r) == '{"anchor_id":"MA1","kind":"ccp_tx","src_id":"MA1","seq":3,"ticks":999}'
 
 
 def test_fractional_ticks_survive_the_line():
-    r = ToaReport("SA3", KIND_CCP_RX, "MA1", 0, 12345.625)
+    r = ("SA3", KIND_CCP_RX, "MA1", 0, 12345.625)
     line = report_line(r)
     assert json.loads(line)["ticks"] == 12345.625
-    assert decode_report(line) == r
+    assert decode_row(line) == r
 
 
 ids = st.text(
@@ -82,66 +85,76 @@ ids = st.text(
     ),
 )
 def test_decode_inverts_encode(anchor_id, kind, src_id, seq, ticks):
-    r = ToaReport(anchor_id, kind, src_id, seq, ticks)
-    assert decode_report(report_line(r)) == r
+    r = (anchor_id, kind, src_id, seq, ticks)
+    assert decode_row(report_line(r)) == r
 
 
-def test_not_json_is_malformed():
-    with pytest.raises(ReportDecodeError, match="not valid JSON"):
-        decode_report("{nope")
+# ---------------------------------------------------------------------------
+# The line and field checks both JSON-lines readers share
 
 
-def test_missing_field_is_malformed():
-    with pytest.raises(ReportDecodeError, match="missing fields") as e:
-        decode_report('{"anchor_id":"A","kind":"blink_rx","src_id":"T","seq":1}')
-    assert "ticks" in str(e.value)
+@pytest.mark.parametrize("report, truth, messages", [
+    ("{nope", "{nope", ["not valid JSON: "] * 2),
+    ("[" + REPORT + "]", "[" + BLINK + "]", ["line must be a JSON object"] * 2),
+    (REPORT.replace("blink_rx", "sync_rx"), BLINK.replace('"blink"', '"fix"'),
+     ["kind must be one of blink_rx, ccp_rx, ccp_tx, got 'sync_rx'",
+      "kind must be one of blink, clock, got 'fix'"]),
+    (REPORT.replace(',"ticks":12345.5', ""), BLINK.replace(',"y":-1.5', ""),
+     ["missing fields: ticks", "missing fields: y"]),
+])
+def test_report_and_truth_lines_that_are_not_a_record_are_malformed(report, truth, messages):
+    for decode, line, message in zip((decode_row, decode_truth), (report, truth), messages):
+        with pytest.raises(ValueError) as e:
+            decode(line)
+        assert str(e.value).startswith(message)
 
 
-def test_unknown_kind():
-    with pytest.raises(ReportDecodeError, match="unknown report kind"):
-        decode_report('{"anchor_id":"A","kind":"sync_rx","src_id":"T","seq":1,"ticks":5}')
+FIELD_RULES = {"id": "must be a plain id", "seq": "must be an integer in [0, 2**32)",
+               "number": "must be a finite number"}
+
+
+@pytest.mark.parametrize("check, value", BAD_FIELDS)
+def test_report_and_truth_readers_reject_a_bad_field_alike(check, value):
+    # Both on the json.loads path: the canonical-line pattern matches nothing.
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(protocol, "_CANONICAL", re.compile("(?!)"))
+        for decode, fields in ((decode_row, REPORT_FIELDS), (decode_truth, TRUTH_FIELDS)):
+            for line, field in fields[check]:
+                with pytest.raises(ValueError) as e:
+                    decode(with_field(line, field, value))
+                assert str(e.value) == f"{field} {FIELD_RULES[check]}, got {json.loads(value)!r}"
 
 
 def test_ticks_out_of_range():
     line = '{"anchor_id":"A","kind":"blink_rx","src_id":"T","seq":1,"ticks":%d}' % TICK_WRAP
-    with pytest.raises(ReportDecodeError, match=r"ticks .* outside \[0, 2\*\*40\)"):
-        decode_report(line)
-    with pytest.raises(ReportDecodeError, match=r"ticks .* outside \[0, 2\*\*40\)"):
-        decode_report(line.replace(str(TICK_WRAP), "-1"))
-
-
-def test_seq_out_of_range():
-    line = '{"anchor_id":"A","kind":"blink_rx","src_id":"T","seq":%d,"ticks":5}' % SEQ_WRAP
-    with pytest.raises(ReportDecodeError, match=r"seq .* outside \[0, 2\*\*32\)"):
-        decode_report(line)
-
-
-def test_every_decode_error_is_a_report_decode_error():
-    assert issubclass(ReportDecodeError, ValueError)
+    with pytest.raises(ValueError, match=rf"ticks .* outside \[0, {TICK_WRAP}\)"):
+        decode_row(line)
+    with pytest.raises(ValueError, match=rf"ticks .* outside \[0, {TICK_WRAP}\)"):
+        decode_row(line.replace(str(TICK_WRAP), "-1"))
 
 
 # ---------------------------------------------------------------------------
 # The template encoder and the canonical-line parser against json itself
 
 
-def _json_line(r: ToaReport) -> str:
+def _json_line(r: tuple) -> str:
     """The report line as json.dumps writes it, whole ticks as an int."""
-    ticks = int(r.ticks) if r.ticks.is_integer() else r.ticks
-    fields = {"anchor_id": r.anchor_id, "kind": r.kind, "src_id": r.src_id, "seq": r.seq,
-              "ticks": ticks}
+    anchor_id, kind, src_id, seq, ticks = r
+    fields = {"anchor_id": anchor_id, "kind": kind, "src_id": src_id, "seq": seq,
+              "ticks": int(ticks) if ticks.is_integer() else ticks}
     return json.dumps(fields, separators=(",", ":"))
 
 
-def _json_report(line: str) -> ToaReport:
+def _json_report(line: str) -> tuple:
     raw = json.loads(line)
-    return ToaReport(raw["anchor_id"], raw["kind"], raw["src_id"], raw["seq"], float(raw["ticks"]))
+    return raw["anchor_id"], raw["kind"], raw["src_id"], raw["seq"], float(raw["ticks"])
 
 
 def _outcome(line: str) -> str:
-    """What decode_report makes of a line: the report's repr (which tells
+    """What decode_reports makes of a line: the row's repr (which tells
     -0.0 from 0.0) or the error's message."""
     try:
-        return repr(decode_report(line))
+        return repr(decode_row(line))
     except ValueError as exc:
         return f"{type(exc).__name__}: {exc}"
 
@@ -156,7 +169,7 @@ def _json_path_outcome(line: str) -> str:
 
 def test_hall_run_lines_are_json_dumps_and_decode_as_json_loads(hall_run):
     lines = encode_reports(hall_run.reports).splitlines()
-    for r, line in zip(report_records(hall_run.reports), lines, strict=True):
+    for r, line in zip(report_rows(hall_run.reports), lines, strict=True):
         assert line == _json_line(r)
         assert _outcome(line) == repr(_json_report(line)) == repr(r)
         assert _outcome(line) == _json_path_outcome(line)
@@ -165,7 +178,7 @@ def test_hall_run_lines_are_json_dumps_and_decode_as_json_loads(hall_run):
 def test_simulated_lines_decode_without_json_loads(hall_run, monkeypatch):
     lines = encode_reports(hall_run.reports).splitlines()
     monkeypatch.setattr(json, "loads", None)
-    assert [decode_report(line) for line in lines] == report_records(hall_run.reports)
+    assert [decode_row(line) for line in lines] == report_rows(hall_run.reports)
 
 
 JUST_BELOW_WRAP = float(np.nextafter(float(TICK_WRAP), 0.0))
@@ -182,7 +195,7 @@ EDGE_TICKS = [
 ])
 @pytest.mark.parametrize("ticks", EDGE_TICKS)
 def test_edge_case_lines_are_json_dumps_and_round_trip(anchor_id, src_id, ticks):
-    r = ToaReport(anchor_id, KIND_CCP_RX, src_id, SEQ_WRAP - 1, ticks)
+    r = (anchor_id, KIND_CCP_RX, src_id, SEQ_WRAP - 1, ticks)
     line = report_line(r)
     assert line == _json_line(r)
     assert _outcome(line) == repr(_json_report(line)) == repr(r)
@@ -191,14 +204,14 @@ def test_edge_case_lines_are_json_dumps_and_round_trip(anchor_id, src_id, ticks)
 
 def test_a_block_of_edge_case_rows_is_the_lines_json_dumps_writes():
     # Whole and fractional ticks side by side in one block, rows in any order.
-    records = [ToaReport(anchor_id, kind, src_id, seq, ticks)
+    records = [(anchor_id, kind, src_id, seq, ticks)
                for anchor_id, src_id in [("SA2", "T1"), ("SA\\2", "T\\"), ("SAü", "Tü1")]
                for kind, seq in zip(REPORT_KINDS, [0, 7, SEQ_WRAP - 1])
                for ticks in EDGE_TICKS]
     records = [records[i] for i in np.random.default_rng(2).permutation(len(records))]
-    reports = columns(*records)
+    reports = report_columns(records)
     assert encode_reports(reports).splitlines() == list(map(_json_line, records))
-    assert encode_reports(reports, slice(5, 9)) == encode_reports(columns(*records[5:9]))
+    assert encode_reports(reports, slice(5, 9)) == encode_reports(report_columns(records[5:9]))
 
 
 # Not plain ids: a quote, a control character, empty, trailing or leading
@@ -209,10 +222,12 @@ def test_a_block_of_edge_case_rows_is_the_lines_json_dumps_writes():
 ])
 @pytest.mark.parametrize("ticks", EDGE_TICKS)
 def test_edge_case_ids_encode_as_json_dumps_and_decode_rejects(anchor_id, src_id, ticks):
-    r = ToaReport(anchor_id, KIND_CCP_RX, src_id, SEQ_WRAP - 1, ticks)
+    r = (anchor_id, KIND_CCP_RX, src_id, SEQ_WRAP - 1, ticks)
     line = report_line(r)
     assert line == _json_line(r)
-    assert _outcome(line).startswith("ReportDecodeError: anchor_id and src_id must be plain ids")
+    field, value = (("src_id", src_id) if protocol.is_plain_id(anchor_id)
+                    else ("anchor_id", anchor_id))
+    assert _outcome(line) == f"ValueError: {field} must be a plain id, got {value!r}"
     assert _outcome(line) == _json_path_outcome(line)
 
 
@@ -226,76 +241,76 @@ def test_plain_id_rule(value, plain):
 
 
 def test_numpy_scalars_are_written_as_their_values():
-    r = ToaReport("SA2", KIND_BLINK_RX, "T1", 7, np.float64(12345.5))
+    r = ("SA2", KIND_BLINK_RX, "T1", 7, np.float64(12345.5))
     assert report_line(r).endswith('"seq":7,"ticks":12345.5}')
-    r = ToaReport("SA2", KIND_BLINK_RX, "T1", 7, np.float64(12345.0))
+    r = ("SA2", KIND_BLINK_RX, "T1", 7, np.float64(12345.0))
     assert report_line(r).endswith('"ticks":12345}')
-    r = ToaReport("SA2", KIND_BLINK_RX, "T1", np.int64(7), np.int64(12345))
+    r = ("SA2", KIND_BLINK_RX, "T1", np.int64(7), np.int64(12345))
     assert report_line(r).endswith('"seq":7,"ticks":12345}')
 
 
 @pytest.mark.parametrize("seq", [True, np.True_, np.float32(7.0), "7"])
 def test_a_seq_that_is_not_an_integer_is_not_written(seq):
+    reports = report_columns([("SA2", KIND_BLINK_RX, "T1", 7, 12345.5)])
     with pytest.raises(TypeError):
-        report_line(ToaReport("SA2", KIND_BLINK_RX, "T1", seq, 12345.5))
+        encode_reports(dataclasses.replace(reports, seq=np.array([seq])))
 
 
 def test_non_finite_ticks_are_not_written():
     with pytest.raises(ValueError, match="non-finite"):
-        report_line(ToaReport("SA2", KIND_BLINK_RX, "T1", 7, math.nan))
+        report_line(("SA2", KIND_BLINK_RX, "T1", 7, math.nan))
 
 
-GOOD = '{"anchor_id":"A","kind":"blink_rx","src_id":"T","seq":7,"ticks":12345.5}'
 NEAR_CANONICAL = [
-    GOOD.replace('"seq":7', '"seq":07'),
-    GOOD.replace("12345.5", "012345.5"),
-    GOOD.replace('"seq":7', '"seq":-7'),
-    GOOD.replace('"seq":7', '"seq":-0'),
-    GOOD.replace("12345.5", "-12345.5"),
-    GOOD.replace("12345.5", "-0"),
-    GOOD.replace("12345.5", "-0.0"),
-    GOOD.replace("12345.5", "0e0"),
-    GOOD.replace("12345.5", "1e-400"),
-    GOOD.replace("12345.5", str(TICK_WRAP)),
-    GOOD.replace("12345.5", f"{TICK_WRAP}.0"),
-    GOOD.replace("12345.5", "1.099511627776e12"),
-    GOOD.replace("12345.5", "1099511627775.99999999"),
-    GOOD.replace("12345.5", "1e400"),
-    GOOD.replace("12345.5", "1" + "0" * 30),
-    GOOD.replace('"seq":7', f'"seq":{SEQ_WRAP}'),
-    GOOD.replace('"seq":7', '"seq":' + "9" * 25),
-    GOOD.replace('"seq":7', '"seq":7.0'),
-    GOOD.replace('"seq":7', '"seq":7e0'),
-    GOOD.replace('"seq":7', '"seq":true'),
-    GOOD.replace("12345.5", "NaN"),
-    GOOD.replace("12345.5", "Infinity"),
-    GOOD.replace("12345.5", "-Infinity"),
-    GOOD.replace("12345.5", "true"),
-    GOOD.replace("12345.5", '"12345.5"'),
-    GOOD.replace("12345.5", "12345."),
-    GOOD.replace("12345.5", ".5"),
-    GOOD.replace("12345.5", "1e"),
-    GOOD.replace("12345.5", "12345.5E+3"),
-    GOOD.replace('"A"', '"\\u0041"'),
-    GOOD.replace('"A"', '"A\\"B"'),
-    GOOD.replace('"T"', '"T\\\\"'),
-    GOOD.replace('"A"', '"A\x01"'),
-    GOOD.replace('"A"', '""'),
-    GOOD.replace('"A"', '" A"'),
-    GOOD.replace('"T"', '"T,1"'),
-    GOOD.replace('"A"', "5"),
-    GOOD.replace("blink_rx", "sync_rx"),
-    GOOD.replace("blink_rx", "BLINK_RX"),
-    GOOD + "x",
-    GOOD + "}",
-    GOOD[:-1],
-    "x" + GOOD,
-    GOOD.replace(":", ": "),
+    REPORT.replace('"seq":7', '"seq":07'),
+    REPORT.replace("12345.5", "012345.5"),
+    REPORT.replace('"seq":7', '"seq":-7'),
+    REPORT.replace('"seq":7', '"seq":-0'),
+    REPORT.replace("12345.5", "-12345.5"),
+    REPORT.replace("12345.5", "-0"),
+    REPORT.replace("12345.5", "-0.0"),
+    REPORT.replace("12345.5", "0e0"),
+    REPORT.replace("12345.5", "1e-400"),
+    REPORT.replace("12345.5", str(TICK_WRAP)),
+    REPORT.replace("12345.5", f"{TICK_WRAP}.0"),
+    REPORT.replace("12345.5", "1.099511627776e12"),
+    REPORT.replace("12345.5", "1099511627775.99999999"),
+    REPORT.replace("12345.5", "1e400"),
+    REPORT.replace("12345.5", "1" + "0" * 30),
+    REPORT.replace('"seq":7', f'"seq":{SEQ_WRAP}'),
+    REPORT.replace('"seq":7', '"seq":' + "9" * 25),
+    REPORT.replace('"seq":7', '"seq":7.0'),
+    REPORT.replace('"seq":7', '"seq":7e0'),
+    REPORT.replace('"seq":7', '"seq":true'),
+    REPORT.replace("12345.5", "NaN"),
+    REPORT.replace("12345.5", "Infinity"),
+    REPORT.replace("12345.5", "-Infinity"),
+    REPORT.replace("12345.5", "true"),
+    REPORT.replace("12345.5", '"12345.5"'),
+    REPORT.replace("12345.5", "12345."),
+    REPORT.replace("12345.5", ".5"),
+    REPORT.replace("12345.5", "1e"),
+    REPORT.replace("12345.5", "12345.5E+3"),
+    REPORT.replace('"A"', '"\\u0041"'),
+    REPORT.replace('"A"', '"A\\"B"'),
+    REPORT.replace('"T"', '"T\\\\"'),
+    REPORT.replace('"A"', '"A\x01"'),
+    REPORT.replace('"A"', '""'),
+    REPORT.replace('"A"', '" A"'),
+    REPORT.replace('"T"', '"T,1"'),
+    REPORT.replace('"A"', "5"),
+    REPORT.replace("blink_rx", "sync_rx"),
+    REPORT.replace("blink_rx", "BLINK_RX"),
+    REPORT + "x",
+    REPORT + "}",
+    REPORT[:-1],
+    "x" + REPORT,
+    REPORT.replace(":", ": "),
     '{"kind":"blink_rx","anchor_id":"A","src_id":"T","seq":7,"ticks":12345.5}',
-    GOOD.replace('"ticks":12345.5', '"ticks":12345.5,"extra":1'),
-    GOOD.replace('"anchor_id":"A"', '"anchor_id":"A","anchor_id":"B"'),
-    GOOD.replace(',"ticks":12345.5', ""),
-    "[" + GOOD + "]",
+    REPORT.replace('"ticks":12345.5', '"ticks":12345.5,"extra":1'),
+    REPORT.replace('"anchor_id":"A"', '"anchor_id":"A","anchor_id":"B"'),
+    REPORT.replace(',"ticks":12345.5', ""),
+    "[" + REPORT + "]",
     "",
 ]
 

@@ -40,10 +40,15 @@ from uwb_rtls.simnet import (
 from uwb_rtls.topology import AnchorConfig, NetworkTopology
 
 from conftest import (
+    BAD_FIELDS,
+    BLINK,
+    CLOCK,
     RECT_POSITIONS,
+    TRUTH_FIELDS,
     build_ideal_rect_topology,
     build_rect_topology,
-    report_records,
+    report_rows,
+    with_field,
 )
 
 
@@ -146,22 +151,22 @@ def test_ten_second_run_event_counts(ideal_rect_topology):
 def test_zero_noise_arrival_spacing_is_time_of_flight(ideal_rect_topology):
     sim = run_scenario(_scenario(duration=0.5, topo=ideal_rect_topology))
     tag = (2.0, 1.5)
-    blink0 = {r.anchor_id: r for r in report_records(sim.reports)
-              if r.kind == KIND_BLINK_RX and r.seq == 0}
+    blink0 = {anchor: ticks for anchor, kind, _, seq, ticks in report_rows(sim.reports)
+              if kind == KIND_BLINK_RX and seq == 0}
     assert set(blink0) == set(RECT_POSITIONS)
     for a, b in [("MA1", "SA2"), ("SA3", "SA4"), ("MA1", "SA3")]:
-        got = (blink0[a].ticks - blink0[b].ticks) * TICK_SECONDS
+        got = (blink0[a] - blink0[b]) * TICK_SECONDS
         want = (math.dist(tag, RECT_POSITIONS[a]) - math.dist(tag, RECT_POSITIONS[b])) / SPEED_OF_LIGHT
         assert got == pytest.approx(want, abs=1e-13)
 
 
 def test_ccp_receptions_lag_transmissions_by_propagation(ideal_rect_topology):
     sim = run_scenario(_scenario(duration=0.5, topo=ideal_rect_topology))
-    records = report_records(sim.reports)
-    tx = {r.seq: r for r in records if r.kind == KIND_CCP_TX}
-    rx = {(r.anchor_id, r.seq): r for r in records if r.kind == KIND_CCP_RX}
-    for (anchor, seq), r in rx.items():
-        flight = (r.ticks - tx[seq].ticks) * TICK_SECONDS
+    rows = report_rows(sim.reports)
+    tx = {seq: ticks for _, kind, _, seq, ticks in rows if kind == KIND_CCP_TX}
+    rx = {(anchor, seq): ticks for anchor, kind, _, seq, ticks in rows if kind == KIND_CCP_RX}
+    for (anchor, seq), ticks in rx.items():
+        flight = (ticks - tx[seq]) * TICK_SECONDS
         assert flight == pytest.approx(
             math.dist(RECT_POSITIONS[anchor], RECT_POSITIONS["MA1"]) / SPEED_OF_LIGHT,
             abs=1e-13,
@@ -173,7 +178,7 @@ def test_reception_radius_prunes_far_anchors(ideal_rect_topology):
     # tag just outside the MA1 corner sits 8.06 m from SA3 at (6, 4).
     sim = run_scenario(_scenario(duration=0.5, tag_xy=(-1.0, 0.0),
                                  topo=ideal_rect_topology, reception_radius=7.5))
-    hearers = {r.anchor_id for r in report_records(sim.reports) if r.kind == KIND_BLINK_RX}
+    hearers = {anchor for anchor, kind, *_ in report_rows(sim.reports) if kind == KIND_BLINK_RX}
     assert "SA3" not in hearers
     assert {"MA1", "SA2", "SA4"} <= hearers
 
@@ -181,7 +186,7 @@ def test_reception_radius_prunes_far_anchors(ideal_rect_topology):
 def test_blink_links_override_radius(ideal_rect_topology):
     sim = run_scenario(_scenario(duration=0.5, topo=ideal_rect_topology,
                                  blink_links={"T1": frozenset({"MA1", "SA2"})}))
-    hearers = {r.anchor_id for r in report_records(sim.reports) if r.kind == KIND_BLINK_RX}
+    hearers = {anchor for anchor, kind, *_ in report_rows(sim.reports) if kind == KIND_BLINK_RX}
     assert hearers == {"MA1", "SA2"}
 
 
@@ -308,7 +313,7 @@ def test_reports_come_in_true_time_order_then_by_anchor_kind_source_and_seq(
     # Ideal clocks read true time, and a tag in the middle of the room
     # reaches all four anchors at once: ties fall to the ids, as strings.
     sim = run_scenario(_scenario(duration=2.0, tag_xy=(3.0, 2.0), topo=ideal_rect_topology))
-    rows = [(r.ticks, r.anchor_id, r.kind, r.src_id, r.seq) for r in report_records(sim.reports)]
+    rows = [(ticks, *key) for *key, ticks in report_rows(sim.reports)]
     assert rows == sorted(rows)
     assert len({row[0] for row in rows}) < len(rows)
 
@@ -364,40 +369,6 @@ def test_edge_case_truth_lines_are_json_dumps_and_round_trip(record):
     line = encode_truth(record)
     assert line == _json_truth_line(record)
     assert repr(decode_truth(line)) == repr(record)
-
-
-BLINK = '{"kind":"blink","tag_id":"T1","seq":3,"time":0.3,"x":2.0,"y":-1.5}'
-CLOCK = ('{"kind":"clock","anchor_id":"SA2","offset":-0.0034,"skew":-1.2e-05,'
-         '"drift_rate":0.0,"jitter_std":1e-10}')
-
-
-MALFORMED_TRUTH = [
-    (BLINK.replace('"x":2.0', '"x":"abc"'), "x must be a number"),
-    (BLINK.replace('"x":2.0', '"x":null'), "x must be a number"),
-    (BLINK.replace('"x":2.0', '"x":true'), "x must be a number"),
-    (BLINK.replace('"x":2.0', '"x":NaN'), "x must be a finite number"),
-    (BLINK.replace('"x":2.0', '"x":1e400'), "x must be a finite number"),
-    (BLINK.replace('"x":2.0', '"x":1' + "0" * 400), "x must be a finite number"),
-    (BLINK.replace('"seq":3', '"seq":"3"'), "seq must be a number"),
-    (BLINK.replace('"seq":3', '"seq":true'), "seq must be a number"),
-    (BLINK.replace('"seq":3', '"seq":3.0'), "seq must be an integer"),
-    (BLINK.replace('"seq":3', '"seq":-1'), "seq must be an integer"),
-    (BLINK.replace('"seq":3', f'"seq":{2**32}'), "seq must be an integer"),
-    (BLINK.replace('"T1"', "5"), "tag_id must be a string"),
-    (BLINK.replace('"T1"', "null"), "tag_id must be a string"),
-    (BLINK.replace('"T1"', '"T,1"'), "not a plain id: 'T,1'"),
-    (BLINK.replace('"T1"', '"T\\"1"'), "not a plain id"),
-    (BLINK.replace('"T1"', '"T1\\n"'), "not a plain id"),
-    (BLINK.replace('"T1"', '" T1"'), "not a plain id"),
-    (BLINK.replace('"T1"', '""'), "not a plain id"),
-    (CLOCK.replace('"SA2"', '"SA2 "'), "not a plain id"),
-]
-
-
-@pytest.mark.parametrize("line, message", MALFORMED_TRUTH)
-def test_truth_fields_of_the_wrong_type_are_malformed(line, message):
-    with pytest.raises(ValueError, match=message):
-        decode_truth(line)
 
 
 NEAR_CANONICAL_TRUTH = [
@@ -489,8 +460,11 @@ EDGE_TRUTH = [
 ]
 
 
-@pytest.mark.parametrize("line", [BLINK, CLOCK, *EDGE_TRUTH, *NEAR_CANONICAL_TRUTH,
-                                  *(line for line, _ in MALFORMED_TRUTH)])
+@pytest.mark.parametrize("line", [
+    BLINK, CLOCK, *EDGE_TRUTH, *NEAR_CANONICAL_TRUTH,
+    *(with_field(line, field, value)
+      for check, value in BAD_FIELDS for line, field in TRUTH_FIELDS[check]),
+])
 def test_a_truth_block_decodes_as_its_lines_do(hall_run, line):
     hall = [encode_truth(r) for r in hall_run.truth_blinks[:40] + hall_run.truth_clocks[:5]]
     for lines in ([line], [*hall, line], [line, *hall]):

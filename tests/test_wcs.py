@@ -22,10 +22,9 @@ from uwb_rtls.clock import TICK_SECONDS, ClockModel, IDEAL_CLOCK, read_clock, ts
 from uwb_rtls.config import parse_config
 from uwb_rtls.constants import SPEED_OF_LIGHT
 from uwb_rtls.metrics import _smoother_gains, smoothed_tdoa_streams
-from uwb_rtls.protocol import KIND_BLINK_RX, KIND_CCP_RX, KIND_CCP_TX, ReportColumns, ToaReport
+from uwb_rtls.protocol import KIND_BLINK_RX, KIND_CCP_RX, KIND_CCP_TX
 from uwb_rtls.simnet import Scenario, StaticTrajectory, TagSpec, run_scenario
-from uwb_rtls.wcs import WcsParams, arrival_tdoa
-from uwb_rtls.wcs import multi_master_sync as sync_columns
+from uwb_rtls.wcs import WcsParams, arrival_tdoa, multi_master_sync
 
 from conftest import (
     RECT_POSITIONS,
@@ -33,16 +32,10 @@ from conftest import (
     blink_rows,
     build_rect_topology,
     hall_config,
-    report_records,
+    report_columns,
+    report_rows,
     same_columns,
 )
-
-
-def multi_master_sync(reports, topo, **kwargs):
-    """The sync of report columns, or of ``ToaReport`` records through theirs."""
-    if not isinstance(reports, ReportColumns):
-        reports = ReportColumns.from_reports(reports)
-    return sync_columns(reports, topo, **kwargs)
 
 CCP_PERIOD = 0.15
 # Ticks of one nominal CCP interval.
@@ -88,14 +81,14 @@ def _sync_window(w: Window, ma_blink: float, sa_blink: float, *,
     SA2's receptions of them, and the two anchors' receptions of the blink.
     Returns the sync output and its diagnostics.
     """
-    reports = [
-        ToaReport("MA1", KIND_CCP_TX, "MA1", w.seq, w.t_s1),
-        ToaReport("MA1", KIND_CCP_TX, "MA1", w.seq + 1, w.t_s2),
-        ToaReport("SA2", KIND_CCP_RX, "MA1", w.seq, w.r_s1),
-        ToaReport("SA2", KIND_CCP_RX, "MA1", w.seq + 1, w.r_s2),
-        ToaReport("MA1", KIND_BLINK_RX, tag_id, blink_seq, ma_blink),
-        ToaReport("SA2", KIND_BLINK_RX, tag_id, blink_seq, sa_blink),
-    ]
+    reports = report_columns([
+        ("MA1", KIND_CCP_TX, "MA1", w.seq, w.t_s1),
+        ("MA1", KIND_CCP_TX, "MA1", w.seq + 1, w.t_s2),
+        ("SA2", KIND_CCP_RX, "MA1", w.seq, w.r_s1),
+        ("SA2", KIND_CCP_RX, "MA1", w.seq + 1, w.r_s2),
+        ("MA1", KIND_BLINK_RX, tag_id, blink_seq, ma_blink),
+        ("SA2", KIND_BLINK_RX, tag_id, blink_seq, sa_blink),
+    ])
     diag: dict = {}
     blinks = multi_master_sync(reports, build_rect_topology(), ccp_period=CCP_PERIOD,
                                params=params, diagnostics=diag)
@@ -387,7 +380,7 @@ def _rect_reports(duration=2.0, tag_xy=(2.0, 1.5)):
         duration=duration,
         seed=9,
     )
-    return topo, report_records(run_scenario(scenario).reports)
+    return topo, run_scenario(scenario).reports
 
 
 def _geometric_tdoa(tag_xy, anchor_a, anchor_b):
@@ -414,7 +407,8 @@ def test_stream_sync_emits_every_pair_and_cycles_close():
 def test_stream_sync_is_order_independent():
     topo, reports = _rect_reports()
     forward = multi_master_sync(reports, topo, ccp_period=CCP_PERIOD)
-    backward = multi_master_sync(list(reversed(reports)), topo, ccp_period=CCP_PERIOD)
+    backward = multi_master_sync(report_columns(reversed(report_rows(reports))), topo,
+                                 ccp_period=CCP_PERIOD)
     assert same_columns(forward, backward)
 
 
@@ -422,7 +416,8 @@ def test_duplicate_reports_are_counted_and_harmless():
     topo, reports = _rect_reports()
     diag: dict = {}
     base = multi_master_sync(reports, topo, ccp_period=CCP_PERIOD)
-    doubled = multi_master_sync(list(reports) + [reports[5]], topo,
+    rows = report_rows(reports)
+    doubled = multi_master_sync(report_columns(rows + [rows[5]]), topo,
                                 ccp_period=CCP_PERIOD, diagnostics=diag)
     assert same_columns(doubled, base)
     assert diag["duplicate_reports"] == 1
@@ -431,11 +426,13 @@ def test_duplicate_reports_are_counted_and_harmless():
 def test_conflicting_duplicate_keeps_the_smallest_reading():
     topo, reports = _rect_reports()
     base = multi_master_sync(reports, topo, ccp_period=CCP_PERIOD)
-    r = next(r for r in reports if r.kind == KIND_BLINK_RX)
-    late = r._replace(ticks=r.ticks + 1e4)
-    for stream in ([late] + list(reports), list(reports) + [late]):
+    rows = report_rows(reports)
+    r = next(r for r in rows if r[1] == KIND_BLINK_RX)
+    late = (*r[:4], r[4] + 1e4)
+    for stream in ([late] + rows, rows + [late]):
         diag: dict = {}
-        got = multi_master_sync(stream, topo, ccp_period=CCP_PERIOD, diagnostics=diag)
+        got = multi_master_sync(report_columns(stream), topo, ccp_period=CCP_PERIOD,
+                                diagnostics=diag)
         assert same_columns(got, base)
         assert diag["duplicate_reports"] == 1
 
@@ -443,10 +440,12 @@ def test_conflicting_duplicate_keeps_the_smallest_reading():
 def test_readings_outside_the_counter_range_are_counted_and_skipped():
     topo, reports = _rect_reports()
     base = multi_master_sync(reports, topo, ccp_period=CCP_PERIOD)
-    r = next(r for r in reports if r.kind == KIND_BLINK_RX)
-    bad = [r._replace(ticks=ticks) for ticks in (math.nan, -1.0, float(2**40))]
+    rows = report_rows(reports)
+    r = next(r for r in rows if r[1] == KIND_BLINK_RX)
+    bad = [(*r[:4], ticks) for ticks in (math.nan, -1.0, float(2**40))]
     diag: dict = {}
-    got = multi_master_sync(list(reports) + bad, topo, ccp_period=CCP_PERIOD, diagnostics=diag)
+    got = multi_master_sync(report_columns(rows + bad), topo, ccp_period=CCP_PERIOD,
+                            diagnostics=diag)
     assert same_columns(got, base)
     assert diag["ticks_out_of_range"] == 3
     assert "duplicate_reports" not in diag
@@ -454,9 +453,10 @@ def test_readings_outside_the_counter_range_are_counted_and_skipped():
 
 def test_anchor_without_ccp_coverage_is_skipped_and_counted():
     topo, reports = _rect_reports()
-    pruned = [r for r in reports if not (r.anchor_id == "SA4" and r.kind == "ccp_rx")]
+    pruned = [r for r in report_rows(reports) if r[:2] != ("SA4", "ccp_rx")]
     diag: dict = {}
-    blinks = multi_master_sync(pruned, topo, ccp_period=CCP_PERIOD, diagnostics=diag)
+    blinks = multi_master_sync(report_columns(pruned), topo, ccp_period=CCP_PERIOD,
+                               diagnostics=diag)
     assert all("SA4" not in rows for rows in blink_rows(blinks).values())
     assert diag["unsynchronized_blinks"] > 0
     # Remaining three anchors still produce their three pairs per blink.
@@ -480,10 +480,10 @@ def test_anchor_back_after_half_a_wrap_away_is_exact():
     reading is just as near."""
     topo, reports = _rect_reports(duration=20.0, tag_xy=(4.1, 0.7))
     away = range(80, 175)  # blinks sent from 8.0 s to 17.4 s
-    kept = [r for r in reports
-            if not (r.anchor_id == "SA2" and r.kind == KIND_BLINK_RX and r.seq in away)]
+    kept = [r for r in report_rows(reports)
+            if not (r[:2] == ("SA2", KIND_BLINK_RX) and r[3] in away)]
     diag: dict = {}
-    blinks = multi_master_sync(kept, topo, ccp_period=CCP_PERIOD, diagnostics=diag)
+    blinks = multi_master_sync(report_columns(kept), topo, ccp_period=CCP_PERIOD, diagnostics=diag)
     assert "stale_blinks" not in diag
     back = [(a, b, tdoa) for seq, a, b, tdoa in _pairs(blinks)
             if "SA2" in (a, b) and seq >= away.stop]
@@ -498,10 +498,10 @@ def test_anchor_without_epochs_for_over_half_a_wrap_is_stale_not_aliased():
     wrap early: those blinks must be counted stale, and every pair through
     SA2 that is kept must match geometry."""
     topo, reports = _rect_reports(duration=20.0, tag_xy=(4.1, 0.7))
-    kept = [r for r in reports
-            if not (r.anchor_id == "SA2" and r.kind == KIND_CCP_RX and r.seq > 60)]
+    kept = [r for r in report_rows(reports)
+            if not (r[:2] == ("SA2", KIND_CCP_RX) and r[3] > 60)]
     diag: dict = {}
-    blinks = multi_master_sync(kept, topo, ccp_period=CCP_PERIOD, diagnostics=diag)
+    blinks = multi_master_sync(report_columns(kept), topo, ccp_period=CCP_PERIOD, diagnostics=diag)
     through_sa2 = [(a, b, tdoa) for _, a, b, tdoa in _pairs(blinks) if "SA2" in (a, b)]
     assert len(through_sa2) == 276
     for a, b, tdoa in through_sa2:
@@ -515,11 +515,13 @@ def test_slaves_sync_through_lost_master_transmit_reports():
     its own receptions of the CCPs, so SA2-SA4 still sync every blink in the
     gap; only MA1, which has no epoch there, is counted stale."""
     topo, reports = _rect_reports(duration=8.0, tag_xy=(4.1, 0.7))
-    kept = [r for r in reports if not (r.kind == KIND_CCP_TX and 20 <= r.seq <= 40)]
+    rows = report_rows(reports)
+    kept = [r for r in rows if not (r[1] == KIND_CCP_TX and 20 <= r[3] <= 40)]
     diag: dict = {}
-    blinks = multi_master_sync(kept, topo, ccp_period=CCP_PERIOD, diagnostics=diag)
+    blinks = multi_master_sync(report_columns(kept), topo, ccp_period=CCP_PERIOD, diagnostics=diag)
     rows = blink_rows(blinks)
-    assert len(rows) == len({(r.src_id, r.seq) for r in reports if r.kind == KIND_BLINK_RX})
+    assert len(rows) == len({(src, seq) for _, kind, src, seq, _ in report_rows(reports)
+                             if kind == KIND_BLINK_RX})
     gap = {seq: anchors for (_, seq), anchors in rows.items() if "MA1" not in anchors}
     assert len(gap) == diag["stale_blinks"] > 0
     assert all(list(anchors) == ["SA2", "SA3", "SA4"] for anchors in gap.values())
@@ -569,14 +571,14 @@ def test_faulty_hall_stream_gives_the_clean_table(hall_run):
     # Shuffled, every 7th report repeated at a larger tick, and three copies
     # pushed out of [0, 2**40): each fault is counted under its key, and
     # the table is the clean run's, bit for bit.
-    records = report_records(hall_run.reports)
+    records = report_rows(hall_run.reports)
     clean, clean_diag = _hall_sync(hall_run.reports)
-    repeats = [r._replace(ticks=r.ticks + 0.5) for r in records[::7] if r.ticks + 0.5 < 2**40]
+    repeats = [(*r[:4], r[4] + 0.5) for r in records[::7] if r[4] + 0.5 < 2**40]
     r = records[100]
-    pushed = [r._replace(ticks=ticks) for ticks in (math.nan, -1.0, float(2**40))]
+    pushed = [(*r[:4], ticks) for ticks in (math.nan, -1.0, float(2**40))]
     faulty = records + repeats + pushed
     random.Random(19).shuffle(faulty)
-    blinks, diag = _hall_sync(faulty)
+    blinks, diag = _hall_sync(report_columns(faulty))
     assert same_columns(blinks, clean)
     assert len(blinks) > 10_000 and set(clean_diag) == {"reports"}
     assert diag == {"reports": len(faulty), "duplicate_reports": len(repeats),
@@ -584,8 +586,8 @@ def test_faulty_hall_stream_gives_the_clean_table(hall_run):
 
 
 def _readings(reports, anchor: str, kind: str, src: str) -> dict[int, float]:
-    return {r.seq: r.ticks for r in reports
-            if (r.anchor_id, r.kind, r.src_id) == (anchor, kind, src)}
+    return {seq: ticks for *key, seq, ticks in report_rows(reports)
+            if key == [anchor, kind, src]}
 
 
 def test_nearest_epoch_walk_takes_several_steps_across_a_counter_wrap():
@@ -596,8 +598,7 @@ def test_nearest_epoch_walk_takes_several_steps_across_a_counter_wrap():
     wrap_seconds = 2**40 * TICK_SECONDS
     topo = build_rect_topology(clocks={"SA2": ClockModel(offset=wrap_seconds - 1.0)})
     tags = (TagSpec("T1", StaticTrajectory((4.1, 0.7))),)
-    reports = report_records(
-        run_scenario(Scenario(topology=topo, tags=tags, duration=2.0, seed=9)).reports)
+    reports = run_scenario(Scenario(topology=topo, tags=tags, duration=2.0, seed=9)).reports
     exact = multi_master_sync(reports, topo, ccp_period=CCP_PERIOD)
     early = multi_master_sync(reports, topo, ccp_period=CCP_PERIOD, blink_period=0.05)
     assert same_columns(early, exact)
@@ -633,9 +634,8 @@ def test_bridging_slave_takes_its_first_fresh_track_in_master_id_order(hall_run)
     slave = min(s for s in topo.slaves() if len(topo.follow[s]) >= 2)
     first, second = sorted(topo.follow[slave])[:2]
     gap = range(40, 100)
-    records = report_records(hall_run.reports)
-    kept = [r for r in records
-            if not (r.anchor_id == slave and r.src_id == first and r.seq in gap)]
+    kept = report_columns([r for r in report_rows(hall_run.reports)
+                           if not (r[0] == slave and r[2] == first and r[3] in gap)])
 
     def masters_used(blinks, reports):
         readings = {m: _readings(reports, slave, KIND_CCP_RX, m) for m in (first, second)}
@@ -648,7 +648,7 @@ def test_bridging_slave_takes_its_first_fresh_track_in_master_id_order(hall_run)
                     blinks.rate[i]) == ts_diff(r[s + 1], r[s]) * TICK_SECONDS / CCP_PERIOD]
         return used
 
-    clean = masters_used(_hall_sync(hall_run.reports)[0], records)
+    clean = masters_used(_hall_sync(hall_run.reports)[0], hall_run.reports)
     assert clean and all(m[:1] == [first] for m in clean.values())
     gapped = masters_used(_hall_sync(kept)[0], kept)
     in_gap = {seq: m for seq, m in gapped.items() if 45 * 1.5 <= seq <= 95 * 1.5}

@@ -16,7 +16,10 @@ made.  Per run, ``parent_eval_on_change_files`` also records whether
 PARENT's ``eval``, run on CHANGE's ``fixes.csv``, ``truth.jsonl`` and
 ``synced.csv``, writes the bytes of CHANGE's ``summary.json`` and
 ``errors.csv``: whether the files still read the same to the parent.
-It gates nothing; its exit code is 0 whenever both trees ran.
+``src_nonblank_lines`` counts each tree's non-blank lines of
+``src/**/*.py``, as ``bench/run.py`` does, so the code-size change shows
+next to the byte identity.  It gates nothing; its exit code is 0 whenever
+both trees ran.
 """
 
 from __future__ import annotations
@@ -72,6 +75,11 @@ def cross_eval(parent: Path, change_run: Path, out: Path) -> dict[str, bool]:
             for name in EVAL_OUTPUTS}
 
 
+def src_nonblank_lines(tree: Path) -> int:
+    return sum(1 for p in sorted((tree / "src").rglob("*.py"))
+               for line in p.read_text().splitlines() if line.strip())
+
+
 def _fixes(path: Path) -> dict[tuple[str, str], tuple[float, float]]:
     rows = path.read_text().splitlines()[1:]
     return {tuple(r.split(",")[:2]): tuple(map(float, r.split(",")[2:4])) for r in rows}
@@ -105,7 +113,9 @@ def main(argv: list[str] | None = None) -> int:
 
     runs = [("demo", 42)] + [(w, s) for w in sorted(CONFIGS) for s in SEEDS]
     report = {"parent": str(args.parent.resolve()), "change": str(args.change.resolve()),
-              "runs": {}, "parent_eval_on_change_files": {}}
+              "runs": {}, "parent_eval_on_change_files": {},
+              "src_nonblank_lines": {side: src_nonblank_lines(tree) for side, tree in
+                                     (("parent", args.parent), ("change", args.change))}}
     with tempfile.TemporaryDirectory() as tmp:
         for workload, seed in runs:
             name = f"{workload}-seed{seed}"
