@@ -348,8 +348,8 @@ def build_deployment_report(
 ) -> DeploymentReport:
     """Rules plus an HDoP map in one report.
 
-    The HDoP's reference is the anchor the engine would pick as time base
-    when every anchor hears a blink.
+    The HDoP's reference is the paper's time base (``select_time_base``)
+    for a blink that every anchor hears.
     """
     from .timebase import NoTimeBaseError, select_time_base
 

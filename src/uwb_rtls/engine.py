@@ -1,10 +1,10 @@
 """The central localization pipeline: ToA reports in, position fixes out.
 
 Chains the stages: multi-master clock synchronization of the report
-columns into one arrival table, the per-blink time-base rule for which
-blinks are usable, and EKF tracking on each usable blink's arrivals.  The
-CLI drives exactly this function over files, so file-based and in-process
-runs agree measurement for measurement.
+columns into one arrival table on the primary master's timescale, and EKF
+tracking on the arrivals of every blink that at least ``MIN_RECEIVERS``
+synchronized anchors received.  The CLI drives exactly this function over
+files, so file-based and in-process runs agree measurement for measurement.
 """
 
 from __future__ import annotations
@@ -16,8 +16,7 @@ import numpy as np
 
 from .constants import SPEED_OF_LIGHT
 from .protocol import ReportColumns
-from .solver import BlinkRows, Fix, TrackerConfig, track
-from .timebase import MIN_RECEIVERS, NoTimeBaseError, select_time_base
+from .solver import MIN_RECEIVERS, BlinkRows, Fix, TrackerConfig, track
 from .topology import NetworkTopology
 from .wcs import ArrivalTable, WcsParams, arrival_tdoa, multi_master_sync
 
@@ -50,14 +49,15 @@ def locate_reports(
 ) -> LocateResult:
     """Run the whole pipeline over a report stream.
 
-    Blinks that cannot be used (too few synchronized receivers, no valid
-    time base) are skipped and counted in ``diagnostics``, and so are the
-    cold starts and updates the tracker skips; everything else becomes one
-    fix per blink per tag.  The tracker reads the usable blinks from the
-    arrival table's own rows (``solver.BlinkRows``): each row's arrival in
-    meters, less its blink's lowest-id receiver's arrival, and its anchor's
-    position.  The time base is chosen once per distinct set of receivers,
-    and one ``track`` call steps every tag.
+    The sync puts every arrival it places on the primary master's
+    timescale, so a blink is usable when ``MIN_RECEIVERS`` or more
+    synchronized anchors received it, in whichever cells.  Other blinks
+    are counted in ``diagnostics`` (``blinks_too_few_receivers``), and so
+    are the cold starts and updates the tracker skips; everything else
+    becomes one fix per blink per tag.  The tracker reads the usable
+    blinks from the arrival table's own rows (``solver.BlinkRows``): each
+    row's arrival in meters, less its blink's lowest-id receiver's
+    arrival, and its anchor's position.  One ``track`` call steps every tag.
     """
     diagnostics: dict = {}
     blinks = multi_master_sync(reports, topo, ccp_period=params.ccp_period,
@@ -70,33 +70,12 @@ def locate_reports(
                                            params.ccp_period)
     positions = topo.positions()
     xy = np.array([positions.get(i, (math.nan, math.nan)) for i in blinks.ids]).reshape(-1, 2)
-    few = sizes < MIN_RECEIVERS
-    usable = ~few
-    usable[usable] = _has_time_base(blinks, starts[usable], sizes[usable], topo)
-    for key, skipped in (("blinks_too_few_receivers", few),
-                         ("blinks_no_time_base", ~few & ~usable)):
-        if n := int(np.count_nonzero(skipped)):
-            diagnostics[key] = n
+    usable = sizes >= MIN_RECEIVERS
+    if n := int(np.count_nonzero(~usable)):
+        diagnostics["blinks_too_few_receivers"] = n
 
     use = starts[usable]
     rows = BlinkRows(blinks.ids, blinks.tag[use], blinks.blink_seq[use], use, sizes[usable],
                      meters, xy[blinks.anchor])
     fixes = track(rows, params.blink_period, params.tracker, diagnostics)
     return LocateResult(fixes, blinks, diagnostics)
-
-
-def _has_time_base(blinks: ArrivalTable, starts: np.ndarray, sizes: np.ndarray,
-                   topo: NetworkTopology) -> np.ndarray:
-    """Whether each blink's receivers have a time base, asked once per
-    distinct set of receivers."""
-    column = np.arange(int(sizes.max(initial=0)))
-    held = column < sizes[:, None]
-    receivers = np.where(held, blinks.anchor[np.where(held, starts[:, None] + column, 0)], -1)
-    sets, which = np.unique(receivers, axis=0, return_inverse=True)
-    usable = []
-    for row in sets.tolist():
-        try:
-            usable.append(bool(select_time_base([blinks.ids[a] for a in row if a >= 0], topo)))
-        except NoTimeBaseError:
-            usable.append(False)
-    return np.array(usable, dtype=bool)[which.reshape(-1)]

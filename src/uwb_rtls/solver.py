@@ -316,6 +316,11 @@ def _seeds(xy, z):
     return seeds
 
 
+# A planar position needs three independent range differences, so a usable
+# blink involves at least four receivers.
+MIN_RECEIVERS = 4
+
+
 def ls_solve(xy: np.ndarray, z: np.ndarray, init: Sequence[float] | None = None) -> np.ndarray:
     """Minimize the sum of squared centred residuals of one blink's
     arrivals ``z`` (m,), c x arrival time in meters against any common
@@ -328,8 +333,8 @@ def ls_solve(xy: np.ndarray, z: np.ndarray, init: Sequence[float] | None = None)
     _AMBIGUITY_RATIO of the best, raise ``AmbiguityError``.  With ``init``
     it refines locally from there.
     """
-    if len(z) < 4:
-        raise ValueError("need at least 4 arrivals for a planar fix")
+    if len(z) < MIN_RECEIVERS:
+        raise ValueError(f"need at least {MIN_RECEIVERS} arrivals for a planar fix")
     if init is not None:
         pos, _ = _refine(np.asarray(init, dtype=float), xy, z)
         return pos

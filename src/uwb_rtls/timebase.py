@@ -1,23 +1,21 @@
-"""Per-blink time-base selection: which blinks are usable.
+"""Per-blink time-base selection: the paper's rule, and deploy's HDoP reference.
 
 The paper reduces every blink to TDoAs against one receiving anchor, the
 time base for that blink.  Which anchor qualifies depends on who heard the
 blink and on the follow graph: the master itself when there is only one in
-play, a bridging slave when the receivers span several masters' cells.  A
-blink with no time base is not used.  The solver centres each blink's
-arrivals instead of differencing them against the time base, so the anchor
-chosen here enters no fix; ``deploy`` uses it as the HDoP reference.
+play, a bridging slave when the receivers span several masters' cells.
+The engine uses neither the rule nor its anchor: the sync puts every
+arrival it places on the primary master's timescale, and the solver
+centres each blink's arrivals, so no receiver is a reference.  ``deploy``
+uses the anchor chosen here as the HDoP reference.
 """
 
 from __future__ import annotations
 
 from typing import Iterable
 
+from .solver import MIN_RECEIVERS
 from .topology import NetworkTopology, ROLE_SLAVE
-
-# A planar position needs three independent range differences, so a usable
-# blink involves at least four receivers.
-MIN_RECEIVERS = 4
 
 
 class NoTimeBaseError(RuntimeError):

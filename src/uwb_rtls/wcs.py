@@ -178,11 +178,13 @@ def multi_master_sync(
     epoch (``unsynchronized_blinks``) or whose nearest is more than
     ``params.stale_intervals`` CCP periods or half a counter wrap of
     schedule away (``stale_blinks``); and a blink left with fewer than two
-    arrivals (``blinks_without_tdoa``).  ``blink_period`` (> 0) is only a
-    search hint.  Results depend only on the multiset of reports.
+    arrivals (``blinks_without_tdoa``).  Both periods must be > 0 and
+    finite; ``blink_period`` is only a search hint.  Results depend only on
+    the multiset of reports.
     """
-    if not blink_period > 0:
-        raise ValueError(f"blink_period must be > 0, got {blink_period!r}")
+    for name, period in (("ccp_period", ccp_period), ("blink_period", blink_period)):
+        if not 0 < period < math.inf:
+            raise ValueError(f"{name} must be > 0 and finite, got {period!r}")
     diag = diagnostics if diagnostics is not None else {}
 
     def count(key: str, n) -> None:

@@ -1,11 +1,15 @@
-"""Time-base selection: which blinks are usable, and their reference anchor;
+"""Time-base selection, the paper's rule; which blinks the engine fixes;
 and the arrival rows a blink holds."""
 
 from __future__ import annotations
 
+import dataclasses
+import math
+
 import pytest
 
 from uwb_rtls import engine
+from uwb_rtls.clock import ClockModel
 from uwb_rtls.constants import SPEED_OF_LIGHT
 from uwb_rtls.simnet import Scenario, StaticTrajectory, TagSpec, run_scenario
 from uwb_rtls.timebase import MIN_RECEIVERS, NoTimeBaseError, select_time_base
@@ -17,6 +21,14 @@ from conftest import arrival_table, blink_rows, build_rect_topology
 
 def _anchor(anchor_id: str, role: str, pos) -> AnchorConfig:
     return AnchorConfig(id=anchor_id, role=role, position=pos)
+
+
+# Arbitrary but fixed (offset, skew) per anchor of the two cells.
+TWO_CELL_CLOCKS = {
+    "MA1": (0.0012, 8e-6), "MA2": (-0.0021, -1.5e-5), "SA1": (-0.0034, -1.2e-5),
+    "SA2": (0.0075, 2.1e-5), "SA3": (-0.0006, -3.3e-5), "SA5": (0.0041, 1.7e-5),
+    "SA6": (-0.0052, 2.6e-5), "SA7": (0.0023, -9e-6),
+}
 
 
 def _two_cell_topology() -> NetworkTopology:
@@ -105,27 +117,47 @@ def test_one_cell_without_its_master_needs_a_bridge():
         select_time_base({"SA1", "SA3", "SA5", "SA6"}, topo)
 
 
-def test_the_engine_fixes_the_blinks_whose_receivers_have_a_time_base(monkeypatch):
+def _locate(topo: NetworkTopology, heard: dict, places: dict, duration: float):
+    """The engine's result on static tags, each heard by exactly ``heard[tag]``."""
+    scenario = Scenario(
+        topology=topo, tags=tuple(TagSpec(t, StaticTrajectory(places[t])) for t in heard),
+        duration=duration, blink_links={t: frozenset(a) for t, a in heard.items()})
+    return engine.locate_reports(run_scenario(scenario).reports, topo)
+
+
+def test_the_engine_fixes_every_blink_with_four_synchronized_receivers():
     # One tag per set of receivers: two cells with no bridge, one cell with
     # its master, two cells through the bridge, and three receivers.  The
-    # rule is asked once per distinct set of four or more.
-    topo = _two_cell_topology()
+    # sync puts every arrival on MA1's timescale, so only the count matters.
     heard = {"T1": ("SA1", "SA3", "SA5", "SA6"), "T2": ("MA2", "SA5", "SA6", "SA7"),
              "T3": ("SA1", "SA2", "SA5", "SA6"), "T4": ("MA1", "SA1", "SA3")}
     places = {"T1": (10.0, 4.0), "T2": (21.0, 1.0), "T3": (12.0, 3.0), "T4": (3.0, 2.0)}
-    scenario = Scenario(
-        topology=topo, tags=tuple(TagSpec(t, StaticTrajectory(places[t])) for t in heard),
-        duration=1.0, blink_links={t: frozenset(a) for t, a in heard.items()})
-    asked = []
-    monkeypatch.setattr(engine, "select_time_base",
-                        lambda receivers, topo: asked.append(receivers) or select_time_base(
-                            receivers, topo))
-    result = engine.locate_reports(run_scenario(scenario).reports, topo)
-    assert sorted(map(tuple, asked)) == sorted(heard[t] for t in ("T1", "T2", "T3"))
+    result = _locate(_two_cell_topology(), heard, places, duration=1.0)
     assert {(f.tag_id, f.blink_seq) for f in result.fixes} == {
-        (t, seq) for t in ("T2", "T3") for seq in range(10)}
-    assert result.diagnostics["blinks_no_time_base"] == 10
+        (t, seq) for t in ("T1", "T2", "T3") for seq in range(10)}
     assert result.diagnostics["blinks_too_few_receivers"] == 10
+    assert "blinks_no_time_base" not in result.diagnostics
+
+
+def test_blinks_spanning_cells_without_a_bridge_are_fixed_on_truth():
+    # Skewed, offset clocks and no jitter.  T1 and T5 span both cells and no
+    # receiver bridges them, T3's receivers include the bridge SA2.
+    topo = _two_cell_topology()
+    topo = dataclasses.replace(topo, anchors=tuple(
+        dataclasses.replace(a, clock=ClockModel(*TWO_CELL_CLOCKS[a.id])) for a in topo.anchors))
+    heard = {"T1": ("SA1", "SA3", "SA5", "SA6"), "T3": ("SA1", "SA2", "SA5", "SA6"),
+             "T5": ("MA1", "SA1", "SA3", "SA5", "SA6", "SA7")}
+    places = {"T1": (10.0, 4.0), "T3": (12.0, 3.0), "T5": (8.0, 1.0)}
+    fixes = _locate(topo, heard, places, duration=8.0).fixes
+    for tag in ("T1", "T5"):
+        late = [f for f in fixes if f.tag_id == tag and f.blink_seq >= 50]
+        assert len(late) == 30
+        assert max(math.dist((f.x, f.y), places[tag]) for f in late) < 1e-5
+    # With no jitter T3's reports do not depend on the other tags, so its
+    # fixes are the ones a run without the unbridged tags makes, bit for bit.
+    alone = _locate(topo, {"T3": heard["T3"]}, places, duration=8.0).fixes
+    assert len(alone) == 80
+    assert repr([f for f in fixes if f.tag_id == "T3"]) == repr(alone)
 
 
 def test_too_few_receivers():

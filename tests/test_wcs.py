@@ -529,11 +529,13 @@ def test_slaves_sync_through_lost_master_transmit_reports():
         assert abs(tdoa - _geometric_tdoa((4.1, 0.7), a, b)) < 1e-12
 
 
-@pytest.mark.parametrize("blink_period", [0.0, -0.1])
-def test_blink_period_must_be_positive(blink_period):
+@pytest.mark.parametrize("value", [0.0, -0.15, math.nan, math.inf])
+@pytest.mark.parametrize("name", ["ccp_period", "blink_period"])
+def test_periods_must_be_positive_and_finite(name, value):
     topo, reports = _rect_reports(duration=0.5)
-    with pytest.raises(ValueError, match="blink_period"):
-        multi_master_sync(reports, topo, ccp_period=CCP_PERIOD, blink_period=blink_period)
+    periods = {"ccp_period": CCP_PERIOD, "blink_period": 0.1, name: value}
+    with pytest.raises(ValueError, match=f"^{name} must be > 0 and finite, got {value!r}$"):
+        multi_master_sync(reports, topo, **periods)
 
 
 @pytest.mark.parametrize("key, value", [
