@@ -19,7 +19,7 @@ import json
 import logging
 import math
 import sys
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
@@ -29,7 +29,8 @@ from .config import ConfigError, ScenarioConfig, load_config
 from .deploy import build_deployment_report, grid_to_csv
 from .engine import LocateResult, locate_reports
 from .metrics import EmptyEvalError, errors_csv, evaluate
-from .protocol import SEQ_WRAP, ReportColumns, decode_reports, encode_reports, id_codes, plain_id
+from .protocol import (ReportColumns, check_id, check_number, check_seq, decode_reports,
+                       encode_reports, id_codes)
 from .simnet import ScenarioError, SimResult, TruthBlink, decode_truths, encode_truth, run_scenario
 from .solver import Fix
 from .topology import TopologyError
@@ -88,10 +89,11 @@ def _read_lines(path: Path, parse: Callable[[list[str]], Sequence[list]], column
     come back joined over the blocks, in file order.
 
     With ``header``, a file whose first line is not ``header`` (another
-    format, or an older one) raises ``CsvHeaderError``.  A line that is not
-    UTF-8, or on which ``parse`` raises ``ValueError`` (a wrong field count,
-    an unparsable, out-of-range or non-finite number, a non-plain id), is
-    skipped with a warning and counted; a failing block is parsed line by line."""
+    format, or an older one) raises ``CsvHeaderError``.  A block that is not
+    UTF-8, or on which ``parse`` raises ``ValueError``, is parsed again line
+    by line; a line that fails (a wrong field count, an unparsable,
+    out-of-range or non-finite number, a non-plain id) is skipped with a
+    warning and counted."""
     blocks: list[Sequence[list]] = []
     skipped = 0
 
@@ -136,40 +138,28 @@ def _by_value(parse: Callable[[str], T], texts: list[str]) -> list[T]:
     return list(map(value.__getitem__, texts))
 
 
-def _finite(values: list[float]) -> list[float]:
-    if not all(map(math.isfinite, values)):
-        raise ValueError("a number is NaN or infinite")
-    return values
-
-
-def _seqs(texts: list[str]) -> list[int]:
-    """Seqs as ``int`` parses them; ValueError unless in [0, 2**32), as in reports."""
-    values = _by_value(int, texts)
-    if values and not (min(values) >= 0 and max(values) < SEQ_WRAP):
-        raise ValueError("a seq lies outside [0, 2**32)")
-    return values
-
-
 def _fix_block(lines: list[str]) -> list[list[Fix]]:
-    tag_ids, blink_seq, *numbers = _csv_columns(lines, 7)
-    numbers = [_finite(list(map(float, column))) for column in numbers]
-    return [list(map(Fix, _by_value(plain_id, tag_ids), _seqs(blink_seq), *numbers,
-                     itertools.repeat(0.0)))]
+    tag_id, blink_seq, *numbers = _csv_columns(lines, 7)
+    tag_id, seq = check_id("tag_id", tag_id), check_seq("blink_seq", _by_value(int, blink_seq))
+    names = FIXES_HEADER.split(",")[2:]
+    numbers = map(check_number, names, (list(map(float, c)) for c in numbers))
+    return [list(map(Fix, tag_id, seq, *numbers, itertools.repeat(0.0)))]
+
+
+def _drop_repeats(path: Path, rows: list, skipped: int, key: Callable, what: str) -> tuple:
+    """``rows`` less each repeat of a (tag_id, seq) key, warned of and counted in ``skipped``."""
+    first: dict = {}
+    for row in rows:
+        if first.setdefault(key(row), row) is not row:
+            log.warning("%s: repeated %s of %s#%d skipped", path.name, what, *key(row))
+    return list(first.values()), skipped + len(rows) - len(first)
 
 
 def read_fixes_csv(path: Path) -> tuple[list[Fix], int]:
     """Parse a fixes.csv file, skipping malformed rows, and repeats of a
     (tag_id, blink_seq) fix already read, with a count."""
     (rows,), skipped = _read_lines(path, _fix_block, 1, FIXES_HEADER)
-    fixes: dict[tuple[str, int], Fix] = {}
-    for fix in rows:
-        key = (fix.tag_id, fix.blink_seq)
-        if key in fixes:
-            skipped += 1
-            log.warning("%s: repeated fix of %s#%d skipped", path.name, *key)
-            continue
-        fixes[key] = fix
-    return list(fixes.values()), skipped
+    return _drop_repeats(path, rows, skipped, attrgetter("tag_id", "blink_seq"), "fix")
 
 
 def synced_to_csv(blinks: ArrivalTable) -> Iterator[str]:
@@ -191,9 +181,12 @@ def synced_to_csv(blinks: ArrivalTable) -> Iterator[str]:
 
 
 def _arrival_block(lines: list[str]) -> tuple[list, ...]:
-    anchor_ids, tag_ids, blink_seq, ccp_seq, offset, rate = _csv_columns(lines, 6)
-    return (_by_value(plain_id, anchor_ids), _by_value(plain_id, tag_ids), _seqs(blink_seq),
-            _seqs(ccp_seq), _finite(list(map(float, offset))), _finite(_by_value(float, rate)))
+    anchor_id, tag_id, blink_seq, ccp_seq, offset, rate = _csv_columns(lines, 6)
+    return (check_id("anchor_id", anchor_id), check_id("tag_id", tag_id),
+            check_seq("blink_seq", _by_value(int, blink_seq)),
+            check_seq("ccp_seq", _by_value(int, ccp_seq)),
+            check_number("offset", list(map(float, offset))),
+            check_number("rate", _by_value(float, rate)))
 
 
 def read_synced_csv(path: Path) -> tuple[ArrivalTable, int]:
@@ -221,9 +214,11 @@ def read_reports(path: Path) -> tuple[ReportColumns, int]:
 
 
 def read_truth(path: Path) -> tuple[list[TruthBlink], int]:
-    """Parse the blinks of a truth.jsonl file, skipping malformed lines with a count."""
+    """Parse the blinks of a truth.jsonl file, skipping malformed lines, and
+    repeats of a (tag_id, seq) blink already read, with a count."""
     (records,), skipped = _read_lines(path, lambda lines: [decode_truths(lines)], 1)
-    return [r for r in records if isinstance(r, TruthBlink)], skipped
+    blinks = [r for r in records if isinstance(r, TruthBlink)]
+    return _drop_repeats(path, blinks, skipped, attrgetter("tag_id", "seq"), "truth blink")
 
 
 def _write(path: Path, blocks: Iterable[str]) -> None:

@@ -11,9 +11,9 @@ transmission timestamp).
 
 Both ids are plain ids (``is_plain_id``), the rule every anchor and tag id
 meets where it enters the program, so no CSV field that holds one needs
-quoting.  Lines are written in that one canonical form, which one compiled
-pattern parses; any other JSON object line with the same fields reads the
-same.
+quoting.  Lines are written in that one form, and read a block at a time
+by one ``json.loads`` and one check per field column; any other JSON
+object line with the same fields reads the same.
 
 Reports travel as ``ReportColumns``, one array per field with ids and
 kinds as integer codes, from the simulator to the file and from the file
@@ -29,7 +29,8 @@ import operator
 import re
 import sys
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from itertools import repeat
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -91,16 +92,6 @@ def is_plain_id(value: object) -> bool:
     return isinstance(value, str) and _PLAIN_ID.fullmatch(value) is not None
 
 
-@functools.lru_cache(maxsize=4096)
-def plain_id(value: str) -> str:
-    """``value`` interned, if it is a plain id; ``ValueError`` if not.  For
-    ids read back from files, where they repeat on every line: cached, each
-    distinct id is checked and stored once."""
-    if not is_plain_id(value):
-        raise ValueError(f"not a plain id: {value!r}")
-    return sys.intern(value)
-
-
 # Ids are JSON-quoted by json.dumps itself, so their escaping is the json
 # module's; the cache makes that a dict lookup per id after the first.
 json_string = functools.lru_cache(maxsize=4096)(json.dumps)
@@ -126,18 +117,6 @@ def json_number(value: float) -> str:
     return int.__repr__(operator.index(value))
 
 
-# The lines encode_reports writes, as a whole block of lines joined by
-# newlines: fields in order, no whitespace, ids as JSON strings with no
-# escape (``decode_reports`` checks they are plain), a known kind, seq an
-# unsigned JSON integer and ticks an unsigned JSON number of at most 20
-# integer digits (any other line is left to json.loads).
-_ID = r'"([^"\\\x00-\x1f]*)"'
-_CANONICAL = re.compile(
-    rf'^\{{"anchor_id":{_ID},"kind":"({"|".join(REPORT_KINDS)})","src_id":{_ID},'
-    r'"seq":(0|[1-9][0-9]{0,19}),'
-    r'"ticks":((?:0|[1-9][0-9]{0,19})(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?)\}$',
-    re.MULTILINE,
-)
 _LINE = '{{"anchor_id":{},"kind":{},"src_id":{},"seq":{},"ticks":{}}}\n'.format
 
 
@@ -167,76 +146,98 @@ def encode_reports(reports: ReportColumns, rows: slice = slice(None)) -> str:
 
 
 def decode_reports(lines: Sequence[str]) -> tuple[list, list, list, list, list]:
-    """Parse report lines into five columns, one per field in line order.
-
-    A block of canonical lines, with plain ids and seq and ticks in range,
-    is parsed by one search of one compiled pattern.  Any other block goes
-    line by line through ``json.loads`` and the field checks below: the
-    first line that fails raises ``ValueError``."""
-    text = "\n".join(lines)
-    rows = _CANONICAL.findall(text)
-    if rows and len(rows) == len(lines) == text.count("\n") + 1:
-        anchor_ids, kinds, src_ids, seqs, ticks = zip(*rows)
-        seqs = list(map(int, seqs))
-        ticks = list(map(float, ticks))  # rounds as float(int(text)) would
-        if (max(seqs) < SEQ_WRAP and max(ticks) < TICK_WRAP
-                and all(map(is_plain_id, {*anchor_ids, *src_ids}))):
-            # Ids and kinds repeat on every line: interned, each is stored once.
-            anchor_ids, kinds, src_ids = (
-                list(map(sys.intern, column)) for column in (anchor_ids, kinds, src_ids))
-            return anchor_ids, kinds, src_ids, seqs, ticks
-    columns = tuple(map(list, zip(*map(_decode_json, lines))))
-    return columns or ([], [], [], [], [])
+    """Parse report lines into five columns, one per field in line order,
+    with ``json_records`` and ``json_columns``: ``ValueError`` if they fail."""
+    kinds, rows = json_records(lines, _REPORT_FIELDS)
+    anchor_ids, src_ids, seqs, ticks = json_columns(rows, _REPORT_FIELDS[KIND_BLINK_RX])
+    return anchor_ids, kinds, src_ids, seqs, list(map(float, ticks))
 
 
-_REPORT_FIELDS = dict.fromkeys(REPORT_KINDS, ("anchor_id", "src_id", "seq", "ticks"))
-
-
-def _decode_json(line: str) -> tuple:
-    kind, (anchor_id, src_id, seq, ticks) = json_fields(line, _REPORT_FIELDS)
-    return (check_id("anchor_id", anchor_id), sys.intern(kind), check_id("src_id", src_id),
-            check_seq("seq", seq), float(check_number("ticks", ticks, 0, TICK_WRAP)))
-
-
-# The checks of a JSON line read by json.loads, for reports and truth alike:
-# each raises ValueError naming the field or returns its value (ids interned).
-
-
-def json_fields(line: str, fields: Mapping[str, Sequence[str]]) -> tuple[str, list]:
-    """The ``kind`` of a JSON object line, a key of ``fields``, and the
-    values of that kind's fields, in ``fields[kind]`` order."""
+def json_records(lines: Sequence[str], fields: Mapping[str, Mapping]) -> tuple[list, list]:
+    """The ``kind`` of each JSON object line, a key of ``fields``, and its
+    object.  One line is read by ``json.loads`` and must hold its kind's
+    fields (any others are dropped).  Several are read as one JSON array of
+    one object per line, each line starting with ``{``, and ``json_columns``
+    checks that each holds exactly its kind's fields: ids, kinds and numbers
+    hold no comma, so each line then reads as it would alone."""
+    kind_of = dict(zip(fields, fields)).__getitem__  # each kind as one str object
+    if len(lines) == 1:
+        try:
+            raw = json.loads(lines[0])
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"not valid JSON: {exc}") from exc
+        if not isinstance(raw, dict):
+            raise ValueError("line must be a JSON object")
+        kind = raw.get("kind")
+        if not isinstance(kind, str) or kind not in fields:
+            raise ValueError(f"kind must be one of {', '.join(fields)}, got {kind!r}")
+        if missing := [name for name in fields[kind] if name not in raw]:
+            raise ValueError(f"missing fields: {', '.join(missing)}")
+        return [kind_of(kind)], [{name: raw[name] for name in ("kind", *fields[kind])}]
     try:
-        raw = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"not valid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ValueError("line must be a JSON object")
-    kind = raw.get("kind")
-    if not isinstance(kind, str) or kind not in fields:
-        raise ValueError(f"kind must be one of {', '.join(fields)}, got {kind!r}")
-    missing = [name for name in fields[kind] if name not in raw]
-    if missing:
-        raise ValueError(f"missing fields: {', '.join(missing)}")
-    return kind, [raw[name] for name in fields[kind]]
+        rows = json.loads("[" + ",".join(lines) + "]")
+        kinds = list(map(kind_of, map(dict.__getitem__, rows, repeat("kind"))))
+    except (json.JSONDecodeError, KeyError, TypeError):
+        kinds = []
+    # A block that parsed has no empty line: every line has a first character.
+    if len(kinds) != len(lines) or "".join(map(operator.itemgetter(0), lines)) != "{" * len(lines):
+        raise ValueError("a block must hold one JSON object of a known kind per line")
+    return kinds, rows
 
 
-def check_id(name: str, value: object) -> str:
-    if not is_plain_id(value):
-        raise ValueError(f"{name} must be a plain id, got {value!r}")
-    return sys.intern(value)
+def json_columns(rows: list[dict], checks: Mapping[str, Callable[[str, list], list]]) -> list:
+    """Each field's column over ``rows``, objects of one kind, as its check returns
+    it; ``ValueError`` unless each holds ``kind`` and these fields alone.  A field
+    missing from a row of the right size reads as None, which no check passes."""
+    if rows and set(map(len, rows)) != {len(checks) + 1}:
+        raise ValueError(f"a line must hold exactly kind, {', '.join(checks)}")
+    return [check(name, list(map(dict.get, rows, repeat(name)))) for name, check in checks.items()]
 
 
-def check_seq(name: str, value: object) -> int:
-    if isinstance(value, bool) or not isinstance(value, int) or not 0 <= value < SEQ_WRAP:
-        raise ValueError(f"{name} must be an integer in [0, 2**32), got {value!r}")
-    return value
+# The checks of a field's column, JSON and CSV lines alike: each returns the column, or
+# raises ValueError at its first bad value, sought only if a whole-column test fails.
 
 
-def check_number(name: str, value: object, low=-math.inf, high=math.inf) -> float:
-    """``value``, an int or a float, if finite and in [low, high)."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not (
-            -sys.float_info.max <= value <= sys.float_info.max):  # NaN fails too
-        raise ValueError(f"{name} must be a finite number, got {value!r}")
-    if not low <= value < high:
-        raise ValueError(f"{name} {value!r} outside [{low}, {high})")
-    return value
+def check_id(name: str, column: list) -> list[str]:
+    """``column``, plain ids, each interned: ids repeat on every line."""
+    try:
+        plain = all(map(is_plain_id, set(column)))
+    except TypeError:  # an unhashable value: a JSON array or object
+        plain = False
+    if not plain:
+        for value in column:
+            if not is_plain_id(value):
+                raise ValueError(f"{name} must be a plain id, got {value!r}")
+    return list(map(sys.intern, column))
+
+
+def check_seq(name: str, column: list) -> list[int]:
+    """``column``, ints (not bools) in [0, 2**32)."""
+    ok = (set(map(type, column)) <= {int}
+          and 0 <= min(column, default=0) and max(column, default=0) < SEQ_WRAP)
+    if not ok:
+        for value in column:
+            if type(value) is not int or not 0 <= value < SEQ_WRAP:
+                raise ValueError(f"{name} must be an integer in [0, 2**32), got {value!r}")
+    return column
+
+
+def check_number(name: str, column: list, low=-math.inf, high=math.inf) -> list:
+    """``column``, ints or floats (not bools), finite and in [low, high)."""
+    try:  # math.isfinite of an int beyond the floats raises OverflowError
+        ok = (set(map(type, column)) <= {int, float} and math.isfinite(sum(column))
+              and low <= min(column, default=low) and max(column, default=low) < high)
+    except OverflowError:
+        ok = False
+    if not ok:
+        for value in column:
+            if type(value) not in (int, float) or not abs(value) <= sys.float_info.max:  # NaN
+                raise ValueError(f"{name} must be a finite number, got {value!r}")
+            if not low <= value < high:
+                raise ValueError(f"{name} {value!r} outside [{low}, {high})")
+    return column
+
+
+_REPORT_FIELDS = dict.fromkeys(REPORT_KINDS, {  # every kind's fields, and the check of each
+    "anchor_id": check_id, "src_id": check_id, "seq": check_seq,
+    "ticks": functools.partial(check_number, low=0, high=TICK_WRAP)})

@@ -6,12 +6,16 @@ anchor's own imperfect clock.  Transmissions follow the global schedule
 (tags blink every ``blink_period``, CCP rounds start every ``ccp_period``
 and cascade down the master levels), receptions happen one propagation
 delay later, and all randomness comes from the scenario seed.
+
+Ground truth is written as JSON lines too, one ``TruthBlink`` or
+``TruthClock`` record per line (``encode_truth``), and read back as report
+lines are: one ``json.loads`` per block and ``protocol``'s column checks
+(``decode_truths``).
 """
 
 from __future__ import annotations
 
 import math
-import re
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
@@ -21,7 +25,6 @@ import numpy as np
 from .clock import ClockArrays, read_clock
 from .constants import SPEED_OF_LIGHT
 from .protocol import (
-    _ID,
     BLINK_RX,
     CCP_RX,
     CCP_TX,
@@ -30,10 +33,10 @@ from .protocol import (
     check_id,
     check_number,
     check_seq,
-    json_fields,
+    json_columns,
     json_number,
+    json_records,
     json_string,
-    plain_id,
 )
 from .topology import NetworkTopology
 
@@ -255,52 +258,21 @@ def encode_truth(record: TruthBlink | TruthClock) -> str:
     )
 
 
-# The lines encode_truth writes, as a whole block of lines joined by
-# newlines: fields in order, no whitespace, ids as JSON strings with no
-# escape, seq an unsigned JSON integer of at most 9 digits (so below
-# 2**32) and every other number as ``float.__repr__`` writes a finite
-# float: a fraction with at most 17 integer digits, or one digit, an
-# optional fraction and an exponent of at most 307, so ``float`` reads each
-# as ``json.loads`` does and none overflows (any other line is left to
-# json.loads).  ``re`` compiles and caches it at first use: compiled at
-# import, it would add about 2 ms to every ``import uwb_rtls``.
-_NUMBER = (r"(-?(?:(?:0|[1-9][0-9]{0,16})\.[0-9]+"
-           r"|[0-9](?:\.[0-9]+)?e(?:-[0-9]{1,3}|\+(?:[0-2]?[0-9]{1,2}|30[0-7]))))")
-_CANONICAL_TRUTH = (
-    rf'(?m)^\{{"kind":"(?:blink","tag_id":{_ID},"seq":(0|[1-9][0-9]{{0,8}}),'
-    rf'"time":{_NUMBER},"x":{_NUMBER},"y":{_NUMBER}'
-    rf'|clock","anchor_id":{_ID},"offset":{_NUMBER},"skew":{_NUMBER},'
-    rf'"drift_rate":{_NUMBER},"jitter_std":{_NUMBER})\}}$'
-)
-
-
 def decode_truths(lines: Sequence[str]) -> list[TruthBlink | TruthClock]:
-    """Parse truth lines, each as ``decode_truth`` does.
-
-    A block of canonical lines with plain ids is parsed by one search of
-    one compiled pattern.  Any other block goes line by line through
-    ``decode_truth``: the first line that fails raises ``ValueError``."""
-    text = "\n".join(lines)
-    rows = re.findall(_CANONICAL_TRUTH, text)
-    if rows and len(rows) == len(lines) == text.count("\n") + 1:
-        try:
-            return [TruthBlink(plain_id(tag_id), int(seq), float(time), float(x), float(y))
-                    if seq else TruthClock(plain_id(anchor_id), *map(float, clock))
-                    for tag_id, seq, time, x, y, anchor_id, *clock in rows]
-        except ValueError:
-            pass  # an id that is not plain: decode_truth words the error
-    return list(map(decode_truth, lines))
+    """Parse truth lines into records, in line order, with ``json_records``
+    and each kind's ``json_columns``: ids must be plain ids, ``seq`` an int in
+    [0, 2**32) and every other field a finite number; ``ValueError`` if not."""
+    kinds, rows = json_records(lines, _TRUTH_FIELDS)
+    records = {}  # each kind's records, in line order
+    for kind, checks in _TRUTH_FIELDS.items():
+        group = [row for row, k in zip(rows, kinds) if k == kind]
+        records[kind] = map(_TRUTH_RECORDS[kind], *json_columns(group, checks))
+    return [next(records[kind]) for kind in kinds]
 
 
 def decode_truth(line: str) -> TruthBlink | TruthClock:
-    """Parse one truth line; a malformed line raises ``ValueError``.
-
-    Ids must be plain ids (``protocol.is_plain_id``), ``seq`` an int in
-    [0, 2**32) and every other field a finite number: ``protocol``'s checks.
-    """
-    kind, values = json_fields(line, _TRUTH_FIELDS)
-    checks = _TRUTH_FIELDS[kind].items()
-    return _TRUTH_RECORDS[kind](*(check(name, v) for (name, check), v in zip(checks, values)))
+    """Parse one truth line; a malformed line raises ``ValueError``."""
+    return decode_truths([line])[0]
 
 
 # ---------------------------------------------------------------------------

@@ -8,18 +8,22 @@ with a large multi-master hall for the tests that want much varied traffic.
 from __future__ import annotations
 
 import json
+import logging
 import math
 import random
 import re
+import tempfile
+from pathlib import Path
 from typing import Iterable, NamedTuple
 
 import numpy as np
 import pytest
 
+from uwb_rtls.cli import read_reports, read_truth
 from uwb_rtls.clock import ClockModel, IDEAL_CLOCK
 from uwb_rtls.config import parse_config
-from uwb_rtls.protocol import REPORT_KINDS, ReportColumns, id_codes
-from uwb_rtls.simnet import SimResult, run_scenario
+from uwb_rtls.protocol import REPORT_KINDS, ReportColumns, encode_reports, id_codes
+from uwb_rtls.simnet import SimResult, encode_truth, run_scenario
 from uwb_rtls.solver import BlinkRows
 from uwb_rtls.topology import AnchorConfig, NetworkTopology
 from uwb_rtls.wcs import ArrivalTable
@@ -167,6 +171,57 @@ def with_field(line: str, field: str, value: str) -> str:
     """``line`` with ``value``, JSON text, as the value of ``field``."""
     return re.sub(rf'"{field}":(?:"[^"]*"|[^,}}]*)', lambda _: f'"{field}":{value}', line,
                   count=1)
+
+
+# ---------------------------------------------------------------------------
+# JSON-lines files
+
+
+# Each JSON-lines file's reader, and what turns its result into a list of rows.
+JSONL_READERS = {"reports.jsonl": (read_reports, report_rows), "truth.jsonl": (read_truth, list)}
+
+
+@pytest.fixture(scope="session")
+def simulated_lines(hall_run) -> dict[str, list[str]]:
+    """Forty lines of each JSON-lines file as ``simulate`` writes them,
+    one record each: reports, and truth blinks."""
+    return {"reports.jsonl": encode_reports(hall_run.reports, slice(40)).splitlines(),
+            "truth.jsonl": [encode_truth(blink) for blink in hall_run.truth_blinks[:40]]}
+
+
+def read_file(name: str, lines: list[str]) -> tuple[list, int, list[str]]:
+    """What the reader of ``name`` makes of a file holding ``lines``: its
+    rows, its skip count and the warnings it logs, with the file's path
+    written as ``<path>``."""
+    reader, rows = JSONL_READERS[name]
+    messages: list[str] = []
+    handler = logging.Handler(logging.WARNING)
+    handler.emit = lambda record: messages.append(record.getMessage())
+    logger = logging.getLogger("uwb_rtls.cli")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, name)
+        path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        logger.addHandler(handler)
+        try:
+            records, skipped = reader(path)
+        finally:
+            logger.removeHandler(handler)
+    return rows(records), skipped, [m.replace(str(path), "<path>") for m in messages]
+
+
+def assert_reads_among_as_alone(simulated_lines: dict, name: str, line: str) -> None:
+    """``line``, placed in the middle of simulated lines in a file ``name``,
+    reads to the same rows, skip count and warning text as ``line`` alone
+    in a file: a block holding it reads as its lines do."""
+    simulated = simulated_lines[name]
+    k = len(simulated) // 2
+    alone, alone_skipped, alone_warnings = read_file(name, [line])
+    sim = read_file(name, simulated)[0]
+    among, skipped, warnings = read_file(name, [*simulated[:k], line, *simulated[k:]])
+    assert repr(among) == repr(sim[:k] + alone + sim[k:])
+    assert skipped == alone_skipped
+    assert warnings == [w.replace(f"{name} line 1 ", f"{name} line {k + 1} ")
+                        for w in alone_warnings]
 
 
 # ---------------------------------------------------------------------------

@@ -294,7 +294,9 @@ def test_a_seq_outside_32_bits_is_skipped_and_counted(
                      "--synced", str(out / "synced.csv")]) == EXIT_OK
         summaries.append((out / "summary.json").read_text())
     assert reader(path)[1] == 1
-    assert f"{name} line 21 skipped: a seq lies outside [0, 2**32)" in caplog.text
+    column = lines[0].split(",")[field]
+    assert (f"{name} line 21 skipped: {column} must be an integer in [0, 2**32), got {value}"
+            in caplog.text)
     assert summaries[1] == summaries[0]
 
 
@@ -335,6 +337,32 @@ def test_repeated_fix_is_skipped_and_counted(tmp_path, config_path, capsys, capl
     assert json.loads(capsys.readouterr().out)["availability"] == 1.0
 
 
+def test_a_repeated_truth_blink_is_skipped_and_counted(tmp_path, config_path, capsys, caplog):
+    # A truth.jsonl with one blink appended again, its x moved by 5 m: eval
+    # must keep the blink read first, count the repeat and score as before.
+    out = tmp_path / "run"
+    main(["simulate", "--config", str(config_path), "--out", str(out)])
+    main(["locate", "--config", str(config_path), "--out", str(out),
+          "--reports", str(out / "reports.jsonl")])
+    argv = ["eval", "--config", str(config_path), "--out", str(out),
+            "--fixes", str(out / "fixes.csv"), "--truth", str(out / "truth.jsonl")]
+    assert main(argv) == EXIT_OK
+    summary = (out / "summary.json").read_text()
+    path = out / "truth.jsonl"
+    text = path.read_text()
+    repeat = json.loads(text.splitlines()[30])
+    assert repeat["kind"] == "blink"
+    repeat["x"] += 5.0
+    path.write_text(text + json.dumps(repeat, separators=(",", ":")) + "\n")
+
+    blinks, skipped = read_truth(path)
+    assert skipped == 1
+    assert len(blinks) == len({(b.tag_id, b.seq) for b in blinks})
+    assert f"repeated truth blink of {repeat['tag_id']}#{repeat['seq']} skipped" in caplog.text
+    assert main(argv) == EXIT_OK
+    assert (out / "summary.json").read_text() == summary
+
+
 @pytest.mark.parametrize("canonical", [True, False])
 def test_a_report_whose_src_id_is_not_plain_is_skipped_and_counted(tmp_path, caplog, canonical):
     # The same line in the form encode_reports writes and with spaces after
@@ -366,6 +394,7 @@ def test_a_line_whose_id_is_not_plain_is_skipped_and_counted(
     path = out / name
     lines = path.read_text().splitlines()
     if name == "truth.jsonl":
+        first = "T1"
         lines[3] = lines[3].replace('"tag_id":"T1"', '"tag_id":"\\"T1\\""')
     else:
         first, rest = lines[3].split(",", 1)
@@ -374,8 +403,8 @@ def test_a_line_whose_id_is_not_plain_is_skipped_and_counted(
 
     _, skipped = reader(path)
     assert skipped == 1
-    message = "tag_id must be a plain id" if name == "truth.jsonl" else "not a plain id"
-    assert f"{name} line 4 skipped: {message}" in caplog.text
+    field, quoted = "anchor_id" if name == "synced.csv" else "tag_id", f'"{first}"'
+    assert f"{name} line 4 skipped: {field} must be a plain id, got {quoted!r}" in caplog.text
     code = main(["eval", "--config", str(config_path), "--out", str(out),
                  "--fixes", str(out / "fixes.csv"), "--truth", str(out / "truth.jsonl"),
                  "--synced", str(out / "synced.csv")])

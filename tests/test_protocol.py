@@ -6,7 +6,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-import re
 
 import numpy as np
 import pytest
@@ -20,6 +19,7 @@ from uwb_rtls.protocol import (
     KIND_CCP_TX,
     REPORT_KINDS,
     SEQ_WRAP,
+    ReportColumns,
     decode_reports,
     encode_reports,
 )
@@ -28,9 +28,12 @@ from uwb_rtls.simnet import decode_truth
 from conftest import (
     BAD_FIELDS,
     BLINK,
+    CLOCK,
     REPORT,
     REPORT_FIELDS,
     TRUTH_FIELDS,
+    assert_reads_among_as_alone,
+    read_file,
     report_columns,
     report_rows,
     with_field,
@@ -115,14 +118,11 @@ FIELD_RULES = {"id": "must be a plain id", "seq": "must be an integer in [0, 2**
 
 @pytest.mark.parametrize("check, value", BAD_FIELDS)
 def test_report_and_truth_readers_reject_a_bad_field_alike(check, value):
-    # Both on the json.loads path: the canonical-line pattern matches nothing.
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(protocol, "_CANONICAL", re.compile("(?!)"))
-        for decode, fields in ((decode_row, REPORT_FIELDS), (decode_truth, TRUTH_FIELDS)):
-            for line, field in fields[check]:
-                with pytest.raises(ValueError) as e:
-                    decode(with_field(line, field, value))
-                assert str(e.value) == f"{field} {FIELD_RULES[check]}, got {json.loads(value)!r}"
+    for decode, fields in ((decode_row, REPORT_FIELDS), (decode_truth, TRUTH_FIELDS)):
+        for line, field in fields[check]:
+            with pytest.raises(ValueError) as e:
+                decode(with_field(line, field, value))
+            assert str(e.value) == f"{field} {FIELD_RULES[check]}, got {json.loads(value)!r}"
 
 
 def test_ticks_out_of_range():
@@ -134,7 +134,67 @@ def test_ticks_out_of_range():
 
 
 # ---------------------------------------------------------------------------
-# The template encoder and the canonical-line parser against json itself
+# Blocks of JSON lines: one json.loads reads a block, and a block that does
+# not hold one record per line is read again line by line
+
+
+def _split(line: str, field: str) -> list[str]:
+    """``line`` broken into two lines at the comma before ``field``, which
+    joining the lines again with a comma puts back."""
+    at = line.index(f',"{field}"')
+    return [line[:at], line[at + 1:]]
+
+
+@pytest.mark.parametrize("name, lines", [
+    # One record split over two lines, then a line of two records: three
+    # objects for three lines, but no line is one record.
+    ("reports.jsonl", [*_split(REPORT, "src_id"), f"{REPORT},{REPORT}"]),
+    ("truth.jsonl", [*_split(BLINK, "x"), f"{BLINK},{CLOCK}"]),
+    # An extra key's string that takes in the comma and brace joining two
+    # lines: two objects for two lines, but neither line is JSON.
+    ("reports.jsonl", [REPORT[:-1] + ',"note":"', '{","x":0},' + REPORT]),
+    ("truth.jsonl", [BLINK[:-1] + ',"note":"', '{","x":0},' + BLINK]),
+])
+def test_lines_that_hold_records_only_when_joined_are_skipped(simulated_lines, name, lines):
+    simulated = simulated_lines[name]
+    assert read_file(name, lines)[:2] == ([], len(lines))
+    rows, skipped, _ = read_file(name, [*simulated[:20], *lines, *simulated[20:]])
+    assert (rows, skipped) == (read_file(name, simulated)[0], len(lines))
+
+
+@pytest.mark.parametrize("name, line", [
+    # Extra keys are read and dropped, in a block as alone.
+    ("reports.jsonl", REPORT.replace('"ticks":12345.5', '"ticks":12345.5,"note":"x"')),
+    ("truth.jsonl", BLINK.replace('"y":-1.5', '"y":-1.5,"note":["x",{"y":1}]')),
+    # Brackets and braces are plain id characters.
+    *(("reports.jsonl", with_field(REPORT, "src_id", f'"T{c}1"')) for c in "{}[]"),
+    ("reports.jsonl", with_field(REPORT, "anchor_id", '"}{"')),
+    ("truth.jsonl", with_field(BLINK, "tag_id", '"]["')),
+])
+def test_a_line_that_is_one_record_reads_in_a_block(simulated_lines, name, line):
+    rows, skipped, _ = read_file(name, [line])
+    assert (len(rows), skipped) == (1, 0)
+    assert_reads_among_as_alone(simulated_lines, name, line)
+
+
+@pytest.mark.parametrize("name, line, field", [
+    ("reports.jsonl", REPORT, "ticks"), ("truth.jsonl", BLINK, "x"), ("truth.jsonl", CLOCK, "skew"),
+])
+@pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity", "1" + "0" * 400])
+def test_a_non_finite_or_huge_number_in_a_block_is_skipped(simulated_lines, name, line, field,
+                                                            value):
+    # 10**400 is an int beyond every float: float() and math.isfinite of it
+    # raise OverflowError, which must not escape the reader.
+    bad = with_field(line, field, value)
+    simulated = simulated_lines[name]
+    rows, skipped, warnings = read_file(name, [*simulated, bad])
+    assert (rows, skipped) == (read_file(name, simulated)[0], 1)
+    assert f"{field} must be a finite number, got {json.loads(value)!r}" in warnings[0]
+    assert_reads_among_as_alone(simulated_lines, name, bad)
+
+
+# ---------------------------------------------------------------------------
+# The template encoder and the block reader against json itself
 
 
 def _json_line(r: tuple) -> str:
@@ -159,26 +219,13 @@ def _outcome(line: str) -> str:
         return f"{type(exc).__name__}: {exc}"
 
 
-def _json_path_outcome(line: str) -> str:
-    """The outcome with the canonical-line pattern matching nothing, so
-    that every line takes the json.loads path."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(protocol, "_CANONICAL", re.compile("(?!)"))
-        return _outcome(line)
-
-
 def test_hall_run_lines_are_json_dumps_and_decode_as_json_loads(hall_run):
     lines = encode_reports(hall_run.reports).splitlines()
     for r, line in zip(report_rows(hall_run.reports), lines, strict=True):
         assert line == _json_line(r)
         assert _outcome(line) == repr(_json_report(line)) == repr(r)
-        assert _outcome(line) == _json_path_outcome(line)
-
-
-def test_simulated_lines_decode_without_json_loads(hall_run, monkeypatch):
-    lines = encode_reports(hall_run.reports).splitlines()
-    monkeypatch.setattr(json, "loads", None)
-    assert [decode_row(line) for line in lines] == report_rows(hall_run.reports)
+    assert report_rows(ReportColumns.from_fields(*decode_reports(lines))) == report_rows(
+        hall_run.reports)
 
 
 JUST_BELOW_WRAP = float(np.nextafter(float(TICK_WRAP), 0.0))
@@ -199,7 +246,6 @@ def test_edge_case_lines_are_json_dumps_and_round_trip(anchor_id, src_id, ticks)
     line = report_line(r)
     assert line == _json_line(r)
     assert _outcome(line) == repr(_json_report(line)) == repr(r)
-    assert _outcome(line) == _json_path_outcome(line)
 
 
 def test_a_block_of_edge_case_rows_is_the_lines_json_dumps_writes():
@@ -228,7 +274,6 @@ def test_edge_case_ids_encode_as_json_dumps_and_decode_rejects(anchor_id, src_id
     field, value = (("src_id", src_id) if protocol.is_plain_id(anchor_id)
                     else ("anchor_id", anchor_id))
     assert _outcome(line) == f"ValueError: {field} must be a plain id, got {value!r}"
-    assert _outcome(line) == _json_path_outcome(line)
 
 
 @pytest.mark.parametrize("value, plain", [
@@ -315,9 +360,13 @@ NEAR_CANONICAL = [
 ]
 
 
-@pytest.mark.parametrize("line", NEAR_CANONICAL)
-def test_near_canonical_lines_decode_as_the_json_path_does(line):
-    assert _outcome(line) == _json_path_outcome(line)
+@pytest.mark.parametrize("line", [
+    *NEAR_CANONICAL,
+    *(with_field(line, field, value)
+      for check, value in BAD_FIELDS for line, field in REPORT_FIELDS[check]),
+])
+def test_a_report_line_reads_among_simulated_lines_as_alone(simulated_lines, line):
+    assert_reads_among_as_alone(simulated_lines, "reports.jsonl", line)
 
 
 json_values = st.one_of(
@@ -337,9 +386,9 @@ json_values = st.one_of(
     ticks=st.one_of(st.floats(min_value=-1.0, max_value=TICK_WRAP * 1.5), json_values),
     ensure_ascii=st.booleans(),
 )
-def test_any_json_report_line_decodes_as_the_json_path_does(
-    anchor_id, kind, src_id, seq, ticks, ensure_ascii
+def test_any_json_report_line_reads_among_simulated_lines_as_alone(
+    simulated_lines, anchor_id, kind, src_id, seq, ticks, ensure_ascii
 ):
     fields = {"anchor_id": anchor_id, "kind": kind, "src_id": src_id, "seq": seq, "ticks": ticks}
     line = json.dumps(fields, separators=(",", ":"), ensure_ascii=ensure_ascii)
-    assert _outcome(line) == _json_path_outcome(line)
+    assert_reads_among_as_alone(simulated_lines, "reports.jsonl", line)

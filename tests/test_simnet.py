@@ -45,6 +45,7 @@ from conftest import (
     CLOCK,
     RECT_POSITIONS,
     TRUTH_FIELDS,
+    assert_reads_among_as_alone,
     build_ideal_rect_topology,
     build_rect_topology,
     report_rows,
@@ -439,17 +440,7 @@ def test_any_json_truth_line_decodes_like_json(
     _decodes_like_json(line)
 
 
-def _block_outcome(decode, lines) -> str:
-    """What ``decode`` makes of a block of truth lines: the records' repr
-    (which tells -0.0 from 0.0 and 2 from 2.0) or the error's message."""
-    try:
-        return repr(decode(lines))
-    except ValueError as exc:
-        return f"{type(exc).__name__}: {exc}"
-
-
-# Numbers at the edges of the canonical pattern: the largest float (an
-# exponent of 308, left to json.loads), the largest seq (10 digits, too).
+# Numbers at the edges of the float and seq ranges.
 EDGE_TRUTH = [
     BLINK.replace('"x":2.0', '"x":1.7976931348623157e+308'),
     BLINK.replace('"x":2.0', '"x":-9.99e+307'),
@@ -465,27 +456,18 @@ EDGE_TRUTH = [
     *(with_field(line, field, value)
       for check, value in BAD_FIELDS for line, field in TRUTH_FIELDS[check]),
 ])
-def test_a_truth_block_decodes_as_its_lines_do(hall_run, line):
-    hall = [encode_truth(r) for r in hall_run.truth_blinks[:40] + hall_run.truth_clocks[:5]]
-    for lines in ([line], [*hall, line], [line, *hall]):
-        assert (_block_outcome(decode_truths, lines)
-                == _block_outcome(lambda block: list(map(decode_truth, block)), lines))
+def test_a_truth_line_reads_among_simulated_lines_as_alone(simulated_lines, line):
+    assert_reads_among_as_alone(simulated_lines, "truth.jsonl", line)
 
 
-def test_simulated_truth_lines_decode_without_json_loads(hall_run, monkeypatch):
+def test_a_truth_block_decodes_to_the_simulated_records(hall_run):
     records = hall_run.truth_blinks + hall_run.truth_clocks
-    lines = list(map(encode_truth, records))
-    monkeypatch.setattr(json, "loads", None)
-    assert decode_truths(lines) == list(records)
+    assert decode_truths(list(map(encode_truth, records))) == list(records)
 
 
 @given(record=st.one_of(
     st.builds(TruthBlink, truth_ids, truth_seqs, truth_numbers, truth_numbers, truth_numbers),
     st.builds(TruthClock, truth_ids, truth_numbers, truth_numbers, truth_numbers, truth_numbers),
 ))
-def test_any_truth_line_decodes_in_a_block_as_alone(record):
-    # json.dumps writes floats as float.__repr__ does: the canonical pattern's
-    # numbers, next to ints, huge floats and non-numbers that it leaves alone.
-    lines = [_json_truth_line(record), BLINK]
-    assert (_block_outcome(decode_truths, lines)
-            == _block_outcome(lambda block: list(map(decode_truth, block)), lines))
+def test_any_truth_line_reads_among_simulated_lines_as_alone(simulated_lines, record):
+    assert_reads_among_as_alone(simulated_lines, "truth.jsonl", _json_truth_line(record))
