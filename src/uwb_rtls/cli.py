@@ -19,9 +19,8 @@ import json
 import logging
 import math
 import sys
-from operator import attrgetter, itemgetter
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -31,14 +30,13 @@ from .engine import LocateResult, locate_reports
 from .metrics import EmptyEvalError, errors_csv, evaluate
 from .protocol import (ReportColumns, check_id, check_number, check_seq, decode_reports,
                        encode_reports, id_codes)
-from .simnet import ScenarioError, SimResult, TruthBlink, decode_truths, encode_truth, run_scenario
+from .simnet import (ScenarioError, SimResult, TruthBlinks, decode_truths, encode_clock,
+                     encode_truth, run_scenario)
 from .solver import Fix
 from .topology import TopologyError
 from .wcs import ArrivalTable, run_starts
 
 log = logging.getLogger(__name__)
-
-T = TypeVar("T")
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -58,18 +56,17 @@ class CsvHeaderError(ValueError):
 # File formats
 
 
-def _blocks(lines: Iterable[str]) -> Iterator[str]:
-    """``lines``, each ending in a newline, joined ``BLOCK_LINES`` at a time."""
-    lines = iter(lines)
-    while block := "".join(itertools.islice(lines, BLOCK_LINES)):
-        yield block
+def _row_blocks(n: int) -> Iterator[slice]:
+    """Slices of ``BLOCK_LINES`` rows that cover ``n`` rows, in order."""
+    return (slice(lo, lo + BLOCK_LINES) for lo in range(0, n, BLOCK_LINES))
 
 
 def fixes_to_csv(fixes: Sequence[Fix]) -> Iterator[str]:
     """fixes.csv as blocks of text, one row per fix in the given order."""
-    return _blocks(itertools.chain([FIXES_HEADER + "\n"], (
-        f"{f.tag_id},{f.blink_seq},{f.x!r},{f.y!r},{f.vx!r},{f.vy!r},{f.pos_std!r}\n"
-        for f in fixes)))
+    yield FIXES_HEADER + "\n"
+    for rows in _row_blocks(len(fixes)):
+        yield "".join(f"{f.tag_id},{f.blink_seq},{f.x!r},{f.y!r},{f.vx!r},{f.vy!r},{f.pos_std!r}\n"
+                      for f in fixes[rows])
 
 
 def _check_utf8(text: str) -> None:
@@ -82,19 +79,19 @@ def _check_utf8(text: str) -> None:
             raise ValueError("not valid UTF-8") from None
 
 
-def _read_lines(path: Path, parse: Callable[[list[str]], Sequence[list]], columns: int,
-                header: str | None = None) -> tuple[list[list], int]:
+def _read_lines(path: Path, parse: Callable[[list[str]], Sequence], columns: int,
+                header: str | None = None) -> tuple[list, int]:
     """Parse the non-blank lines of a UTF-8 text file, each stripped, in
-    blocks: ``parse`` turns a block of lines into ``columns`` lists, which
-    come back joined over the blocks, in file order.
+    blocks: ``parse`` turns a block of lines into ``columns`` lists or
+    arrays, which come back joined over the blocks, in file order.
 
     With ``header``, a file whose first line is not ``header`` (another
     format, or an older one) raises ``CsvHeaderError``.  A block that is not
     UTF-8, or on which ``parse`` raises ``ValueError``, is parsed again line
     by line; a line that fails (a wrong field count, an unparsable,
     out-of-range or non-finite number, a non-plain id) is skipped with a
-    warning and counted."""
-    blocks: list[Sequence[list]] = []
+    warning and counted.  Lines are numbered only then."""
+    blocks: list[Sequence] = []
     skipped = 0
 
     def parse_block(lines: list[str]) -> None:
@@ -106,60 +103,80 @@ def _read_lines(path: Path, parse: Callable[[list[str]], Sequence[list]], column
             raise CsvHeaderError(f"{path}: the first line is not the header {header!r}")
         lineno = 1 if header is None else 2
         while lines := list(itertools.islice(fh, BLOCK_LINES)):
-            block = list(filter(itemgetter(1), enumerate(map(str.strip, lines), lineno)))
-            lineno += len(lines)
             try:
-                if block:
-                    parse_block(list(map(itemgetter(1), block)))
+                if block := list(filter(None, map(str.strip, lines))):
+                    parse_block(block)
             except ValueError:
-                for n, line in block:
+                for n, line in enumerate(map(str.strip, lines), lineno):
                     try:
-                        parse_block([line])
+                        if line:
+                            parse_block([line])
                     except ValueError as exc:
                         skipped += 1
                         log.warning("%s line %d skipped: %s", path.name, n, exc)
+            lineno += len(lines)
     if skipped:
         log.warning("skipped %d malformed line(s) in %s", skipped, path)
-    return [list(itertools.chain.from_iterable(c)) for c in zip(*blocks)] or [
+    return [np.concatenate(c) if isinstance(c[0], np.ndarray) else
+            list(itertools.chain.from_iterable(c)) for c in zip(*blocks)] or [
         [] for _ in range(columns)], skipped
 
 
-def _csv_columns(lines: list[str], n_fields: int) -> list[list[str]]:
-    """The fields of CSV rows, by column; ValueError unless each has ``n_fields``."""
-    if set(map(str.count, lines, itertools.repeat(","))) != {n_fields - 1}:
-        raise ValueError(f"a row does not have {n_fields} fields")
+def _plain_number(text: str) -> bool:
+    """Whether ``text`` holds no whitespace, '_' or non-ASCII: int() reads them, no writer here."""
+    return text.isascii() and not any(map(text.__contains__, " \t\v\f_"))
+
+
+def _csv_columns(lines: list[str], header: str, ids: int) -> list[list[str]]:
+    """The fields of CSV rows by column, named by ``header``; ValueError unless each row
+    has a field per name and its fields after the first ``ids`` are plain numbers."""
+    names = header.split(",")
+    if set(map(str.count, lines, itertools.repeat(","))) != {len(names) - 1}:
+        raise ValueError(f"a row does not have {len(names)} fields")
     fields = ",".join(lines).split(",")
-    return [fields[i::n_fields] for i in range(n_fields)]
+    columns = [fields[i::len(names)] for i in range(len(names))]
+    for name, texts in zip(names[ids:], columns[ids:]):
+        if not _plain_number("".join(texts)):
+            bad = next(itertools.filterfalse(_plain_number, texts))
+            raise ValueError(f"{name} must be a plain number, got {bad!r}")
+    return columns
 
 
-def _by_value(parse: Callable[[str], T], texts: list[str]) -> list[T]:
-    """``parse`` of each text, called once per distinct text."""
-    value = {text: parse(text) for text in set(texts)}
+def _by_value(parse: Callable, check: Callable, name: str, texts: list[str]) -> list:
+    """``parse`` of each text of the column ``name``, parsed and checked by
+    ``check`` once per distinct text."""
+    distinct = list(set(texts))
+    value = dict(zip(distinct, check(name, list(map(parse, distinct)))))
     return list(map(value.__getitem__, texts))
 
 
 def _fix_block(lines: list[str]) -> list[list[Fix]]:
-    tag_id, blink_seq, *numbers = _csv_columns(lines, 7)
-    tag_id, seq = check_id("tag_id", tag_id), check_seq("blink_seq", _by_value(int, blink_seq))
-    names = FIXES_HEADER.split(",")[2:]
-    numbers = map(check_number, names, (list(map(float, c)) for c in numbers))
+    tag_id, blink_seq, *numbers = _csv_columns(lines, FIXES_HEADER, 1)
+    tag_id, seq = check_id("tag_id", tag_id), _by_value(int, check_seq, "blink_seq", blink_seq)
+    numbers = (check_number(name, list(map(float, c)))
+               for name, c in zip(FIXES_HEADER.split(",")[2:], numbers))
     return [list(map(Fix, tag_id, seq, *numbers, itertools.repeat(0.0)))]
 
 
-def _drop_repeats(path: Path, rows: list, skipped: int, key: Callable, what: str) -> tuple:
-    """``rows`` less each repeat of a (tag_id, seq) key, warned of and counted in ``skipped``."""
-    first: dict = {}
-    for row in rows:
-        if first.setdefault(key(row), row) is not row:
-            log.warning("%s: repeated %s of %s#%d skipped", path.name, what, *key(row))
-    return list(first.values()), skipped + len(rows) - len(first)
+def _first_reads(path: Path, what: str, ids: Sequence[str], tag: np.ndarray, seq: np.ndarray,
+                 *anchor: np.ndarray) -> np.ndarray:
+    """The row of the first read of each (tag, seq[, anchor]) key, codes into ``ids``, in
+    key order; each later read is warned of as a repeated ``what`` and skipped."""
+    order = np.lexsort((*anchor, seq, tag))  # stable: a repeat follows the row read first
+    repeat = ~run_starts(tag[order], seq[order], *(a[order] for a in anchor))
+    for i in np.sort(order[repeat]).tolist():
+        log.warning("%s: repeated %s of %s#%d%s skipped", path.name, what, ids[tag[i]], seq[i],
+                    "".join(f" at {ids[a[i]]}" for a in anchor))
+    return order[~repeat]
 
 
 def read_fixes_csv(path: Path) -> tuple[list[Fix], int]:
     """Parse a fixes.csv file, skipping malformed rows, and repeats of a
     (tag_id, blink_seq) fix already read, with a count."""
     (rows,), skipped = _read_lines(path, _fix_block, 1, FIXES_HEADER)
-    return _drop_repeats(path, rows, skipped, attrgetter("tag_id", "blink_seq"), "fix")
+    ids, (tag,) = id_codes([f.tag_id for f in rows])
+    first = _first_reads(path, "fix", ids, tag, np.array([f.blink_seq for f in rows], np.int64))
+    return [rows[i] for i in np.sort(first).tolist()], skipped + len(rows) - len(first)
 
 
 def synced_to_csv(blinks: ArrivalTable) -> Iterator[str]:
@@ -170,8 +187,7 @@ def synced_to_csv(blinks: ArrivalTable) -> Iterator[str]:
     rates, rate_index = np.unique(blinks.rate.view(np.int64), return_inverse=True)
     rate_text = list(map(float.__repr__, rates.view(np.float64).tolist()))
     name = blinks.ids.__getitem__
-    for lo in range(0, len(blinks), BLOCK_LINES):
-        rows = slice(lo, lo + BLOCK_LINES)
+    for rows in _row_blocks(len(blinks)):
         yield "".join(map(
             "{},{},{},{},{!r},{}\n".format, map(name, blinks.anchor[rows].tolist()),
             map(name, blinks.tag[rows].tolist()), blinks.blink_seq[rows].tolist(),
@@ -180,13 +196,13 @@ def synced_to_csv(blinks: ArrivalTable) -> Iterator[str]:
         ))
 
 
-def _arrival_block(lines: list[str]) -> tuple[list, ...]:
-    anchor_id, tag_id, blink_seq, ccp_seq, offset, rate = _csv_columns(lines, 6)
+def _arrival_block(lines: list[str]) -> tuple[list | np.ndarray, ...]:
+    anchor_id, tag_id, blink_seq, ccp_seq, offset, rate = _csv_columns(lines, SYNCED_HEADER, 2)
     return (check_id("anchor_id", anchor_id), check_id("tag_id", tag_id),
-            check_seq("blink_seq", _by_value(int, blink_seq)),
-            check_seq("ccp_seq", _by_value(int, ccp_seq)),
-            check_number("offset", list(map(float, offset))),
-            check_number("rate", _by_value(float, rate)))
+            np.array(_by_value(int, check_seq, "blink_seq", blink_seq), np.int64),
+            np.array(_by_value(int, check_seq, "ccp_seq", ccp_seq), np.int64),
+            check_number("offset", np.array(list(map(float, offset)))),
+            np.array(_by_value(float, check_number, "rate", rate)))
 
 
 def read_synced_csv(path: Path) -> tuple[ArrivalTable, int]:
@@ -195,16 +211,11 @@ def read_synced_csv(path: Path) -> tuple[ArrivalTable, int]:
     columns, skipped = _read_lines(path, _arrival_block, 6, SYNCED_HEADER)
     anchor_ids, tag_ids, blink_seq, ccp_seq, offset, rate = columns
     ids, (tag, anchor) = id_codes(tag_ids, anchor_ids)
-    blink_seq, ccp_seq = np.array(blink_seq, np.int64), np.array(ccp_seq, np.int64)
-    order = np.lexsort((anchor, blink_seq, tag))  # stable: a repeat follows the row read first
-    repeat = ~run_starts(tag[order], blink_seq[order], anchor[order])
-    for i in np.sort(order[repeat]).tolist():
-        log.warning("%s: repeated arrival of %s#%d at %s skipped",
-                    path.name, tag_ids[i], blink_seq[i], anchor_ids[i])
-    order = order[~repeat]
-    table = ArrivalTable(ids, tag[order], blink_seq[order], anchor[order],
-                         np.array(offset)[order], ccp_seq[order], np.array(rate)[order])
-    return table, skipped + len(repeat) - len(order)
+    blink_seq, ccp_seq = np.asarray(blink_seq, np.int64), np.asarray(ccp_seq, np.int64)
+    rows = _first_reads(path, "arrival", ids, tag, blink_seq, anchor)
+    table = ArrivalTable(ids, tag[rows], blink_seq[rows], anchor[rows], np.asarray(
+        offset, float)[rows], ccp_seq[rows], np.asarray(rate, float)[rows])
+    return table, skipped + len(blink_seq) - len(rows)
 
 
 def read_reports(path: Path) -> tuple[ReportColumns, int]:
@@ -213,12 +224,16 @@ def read_reports(path: Path) -> tuple[ReportColumns, int]:
     return ReportColumns.from_fields(*fields), skipped
 
 
-def read_truth(path: Path) -> tuple[list[TruthBlink], int]:
-    """Parse the blinks of a truth.jsonl file, skipping malformed lines, and
-    repeats of a (tag_id, seq) blink already read, with a count."""
-    (records,), skipped = _read_lines(path, lambda lines: [decode_truths(lines)], 1)
-    blinks = [r for r in records if isinstance(r, TruthBlink)]
-    return _drop_repeats(path, blinks, skipped, attrgetter("tag_id", "seq"), "truth blink")
+def read_truth(path: Path) -> tuple[TruthBlinks, int]:
+    """Parse the blinks of a truth.jsonl file into columns, in file order,
+    skipping malformed lines, and repeats of a (tag_id, seq) blink already
+    read, with a count."""
+    (tag_ids, seq, *numbers, _), skipped = _read_lines(path, decode_truths, 6)
+    ids, (tag,) = id_codes(tag_ids)
+    seq = np.array(seq, np.int64)
+    rows = np.sort(_first_reads(path, "truth blink", ids, tag, seq))
+    return (TruthBlinks(ids, tag[rows], seq[rows], *(np.array(c, float)[rows] for c in numbers)),
+            skipped + len(seq) - len(rows))
 
 
 def _write(path: Path, blocks: Iterable[str]) -> None:
@@ -237,10 +252,11 @@ def _simulate(cfg: ScenarioConfig, out: Path, seed: int | None) -> SimResult:
     if seed is not None:
         scenario = dataclasses.replace(scenario, seed=seed)
     result = run_scenario(scenario)
-    _write(out / "reports.jsonl", (encode_reports(result.reports, slice(lo, lo + BLOCK_LINES))
-                                   for lo in range(0, len(result.reports), BLOCK_LINES)))
-    truth = itertools.chain(result.truth_blinks, result.truth_clocks)
-    _write(out / "truth.jsonl", _blocks(f"{encode_truth(record)}\n" for record in truth))
+    _write(out / "reports.jsonl", (encode_reports(result.reports, rows)
+                                   for rows in _row_blocks(len(result.reports))))
+    _write(out / "truth.jsonl", itertools.chain(
+        (encode_truth(result.truth_blinks, rows) for rows in _row_blocks(len(result.truth_blinks))),
+        map(encode_clock, result.truth_clocks)))
     return result
 
 
@@ -251,7 +267,7 @@ def _locate(cfg: ScenarioConfig, reports: ReportColumns, out: Path) -> LocateRes
     return result
 
 
-def _eval(cfg: ScenarioConfig, fixes: Sequence[Fix], truth: Sequence[TruthBlink],
+def _eval(cfg: ScenarioConfig, fixes: Sequence[Fix], truth: TruthBlinks,
           blinks: ArrivalTable | None, out: Path) -> str:
     summary = evaluate(fixes, truth, blinks, cfg.scenario.ccp_period, warmup=cfg.warmup,
                        params=cfg.wcs)

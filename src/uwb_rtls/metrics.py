@@ -8,14 +8,17 @@ table; position accuracy on per-blink Euclidean errors.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .simnet import TruthBlink
+from .protocol import SEQ_WRAP
+from .simnet import TruthBlinks
 from .solver import Fix
 from .wcs import ArrivalTable, WcsParams, arrival_tdoa
 
@@ -134,24 +137,28 @@ def _smoothed_pairs(
             yield pair_key(blinks.ids[a], blinks.ids[anchors[j]]), out
 
 
-def fix_errors(
-    fixes: Sequence[Fix], truth_blinks: Sequence[TruthBlink]
-) -> list[tuple[str, int, float]]:
-    """(tag_id, blink_seq, planar error in metres) of every fix that has a
-    ground-truth blink, sorted."""
-    truth = {(t.tag_id, t.seq): (t.x, t.y) for t in truth_blinks}
-    matched = []
-    for f in fixes:
-        pos = truth.get((f.tag_id, f.blink_seq))
-        if pos is not None:
-            matched.append((f.tag_id, f.blink_seq, math.hypot(f.x - pos[0], f.y - pos[1])))
-    matched.sort()
-    return matched
+def _blink_keys(truth: TruthBlinks) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted distinct (tag, seq) keys of ``truth`` as int64, and each one's first row."""
+    return np.unique(truth.tag.astype(np.int64) * SEQ_WRAP + truth.seq, return_index=True)
+
+
+def fix_errors(fixes: Sequence[Fix], truth: TruthBlinks) -> list[tuple[str, int, float]]:
+    """(tag_id, blink_seq, planar error in metres) of every fix (``blink_seq`` in [0, 2**32))
+    that has a ground-truth blink, sorted; a blink held twice is matched to its first row."""
+    code = {tag_id: i for i, tag_id in enumerate(truth.ids)}
+    key = np.array([code.get(f.tag_id, -1) * SEQ_WRAP + f.blink_seq for f in fixes], np.int64)
+    keys, first = _blink_keys(truth)
+    hit = np.isin(key, keys)
+    row = first[np.searchsorted(keys, key[hit])]
+    x, y = (np.array([getattr(f, axis) for f in fixes], float)[hit] for axis in "xy")
+    errors = map(math.hypot, (x - truth.x[row]).tolist(), (y - truth.y[row]).tolist())
+    return sorted(zip(map(truth.ids.__getitem__, truth.tag[row].tolist()),
+                      truth.seq[row].tolist(), errors))
 
 
 def evaluate(
     fixes: Sequence[Fix],
-    truth_blinks: Sequence[TruthBlink],
+    truth_blinks: TruthBlinks,
     blinks: ArrivalTable | None = None,
     ccp_period: float | None = None,
     *,
@@ -170,10 +177,8 @@ def evaluate(
     if not matched:
         raise EmptyEvalError("no fixes match any ground-truth blink")
 
-    by_tag: dict[str, list[float]] = {}
-    for tag_id, _, err in matched:
-        by_tag.setdefault(tag_id, []).append(err)
-    settled = [e for errs in by_tag.values() for e in errs[warmup:]]
+    settled = [e for _, rows in itertools.groupby(matched, itemgetter(0))
+               for _, _, e in list(rows)[warmup:]]
     all_errs = [e for _, _, e in matched]
     if not settled:
         settled = all_errs
@@ -194,7 +199,7 @@ def evaluate(
         fix_rmse=rmse(settled),
         fix_p95_error=_percentile(settled, 95.0),
         track_rmse=rmse(all_errs),
-        availability=len(matched) / len({(t.tag_id, t.seq) for t in truth_blinks}),
+        availability=len(matched) / len(_blink_keys(truth_blinks)[0]),
         errors=tuple(matched),
     )
 

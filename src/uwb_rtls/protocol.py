@@ -97,26 +97,6 @@ def is_plain_id(value: object) -> bool:
 json_string = functools.lru_cache(maxsize=4096)(json.dumps)
 
 
-def json_number(value: float) -> str:
-    """A finite int or float as ``json.dumps`` writes it.
-
-    A float (``np.float64`` included) is written by ``float.__repr__``, an
-    integer (``np.int64`` included) by ``int.__repr__`` of its index, so a
-    numpy scalar is written as its value.  A bool, which JSON writes as
-    ``true``/``false``, and any other type (``np.float32`` too) raise
-    ``TypeError``; a non-finite float raises
-    ``ValueError``: the JSON it would need is not standard, and no reader
-    here accepts it.
-    """
-    if isinstance(value, float):
-        if not math.isfinite(value):
-            raise ValueError(f"cannot write non-finite number {value!r}")
-        return float.__repr__(value)
-    if isinstance(value, bool):
-        raise TypeError(f"cannot write {value!r} as a JSON number")
-    return int.__repr__(operator.index(value))
-
-
 _LINE = '{{"anchor_id":{},"kind":{},"src_id":{},"seq":{},"ticks":{}}}\n'.format
 
 
@@ -196,6 +176,8 @@ def json_columns(rows: list[dict], checks: Mapping[str, Callable[[str, list], li
 
 # The checks of a field's column, JSON and CSV lines alike: each returns the column, or
 # raises ValueError at its first bad value, sought only if a whole-column test fails.
+# The CSV readers pass a column's distinct values, or a float array whose dtype settles
+# the type, so no value's type is tested twice.
 
 
 def check_id(name: str, column: list) -> list[str]:
@@ -222,15 +204,19 @@ def check_seq(name: str, column: list) -> list[int]:
     return column
 
 
-def check_number(name: str, column: list, low=-math.inf, high=math.inf) -> list:
-    """``column``, ints or floats (not bools), finite and in [low, high)."""
+def check_number(name: str, column: list | np.ndarray, low=-math.inf, high=math.inf):
+    """``column``, ints or floats (not bools), finite and in [low, high): a
+    list, or a float array, whose dtype settles the type."""
+    typed = isinstance(column, np.ndarray)
     try:  # math.isfinite of an int beyond the floats raises OverflowError
-        ok = (set(map(type, column)) <= {int, float} and math.isfinite(sum(column))
-              and low <= min(column, default=low) and max(column, default=low) < high)
+        ok = (np.isfinite(column).all() if typed else
+              set(map(type, column)) <= {int, float} and math.isfinite(sum(column)))
+        ok = ok and (low == -math.inf or low <= min(column, default=low)) and (
+            high == math.inf or max(column, default=low) < high)
     except OverflowError:
         ok = False
     if not ok:
-        for value in column:
+        for value in column.tolist() if typed else column:
             if type(value) not in (int, float) or not abs(value) <= sys.float_info.max:  # NaN
                 raise ValueError(f"{name} must be a finite number, got {value!r}")
             if not low <= value < high:

@@ -7,17 +7,18 @@ anchor's own imperfect clock.  Transmissions follow the global schedule
 and cascade down the master levels), receptions happen one propagation
 delay later, and all randomness comes from the scenario seed.
 
-Ground truth is written as JSON lines too, one ``TruthBlink`` or
-``TruthClock`` record per line (``encode_truth``), and read back as report
-lines are: one ``json.loads`` per block and ``protocol``'s column checks
-(``decode_truths``).
+Reports and ground-truth blinks are built as columns, one array pass per
+kind of traffic.  Ground truth is written as JSON lines too, one blink
+(``encode_truth``, a block at a time) or clock (``encode_clock``) per line,
+and read back as report lines are: one ``json.loads`` per block and
+``protocol``'s column checks (``decode_truths``).
 """
 
 from __future__ import annotations
 
+import json
 import math
-from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import asdict, astuple, dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -34,7 +35,6 @@ from .protocol import (
     check_number,
     check_seq,
     json_columns,
-    json_number,
     json_records,
     json_string,
 )
@@ -57,8 +57,8 @@ class CollisionScheduleError(ScenarioError):
 class StaticTrajectory:
     position: tuple[float, float]
 
-    def position_at(self, t: float) -> tuple[float, float]:
-        return self.position
+    def positions(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return np.full(t.shape, self.position[0], float), np.full(t.shape, self.position[1], float)
 
 
 @dataclass(frozen=True)
@@ -66,8 +66,8 @@ class ConstantVelocityTrajectory:
     start: tuple[float, float]
     velocity: tuple[float, float]
 
-    def position_at(self, t: float) -> tuple[float, float]:
-        return (self.start[0] + self.velocity[0] * t, self.start[1] + self.velocity[1] * t)
+    def positions(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return self.start[0] + self.velocity[0] * t, self.start[1] + self.velocity[1] * t
 
 
 @dataclass(frozen=True)
@@ -76,7 +76,6 @@ class WaypointTrajectory:
     both ends."""
 
     waypoints: tuple[tuple[float, tuple[float, float]], ...]
-    _times: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.waypoints) < 2:
@@ -84,18 +83,16 @@ class WaypointTrajectory:
         times = [t for t, _ in self.waypoints]
         if any(b <= a for a, b in zip(times, times[1:])):
             raise ScenarioError("waypoint times must be strictly increasing")
-        object.__setattr__(self, "_times", tuple(times))
 
-    def position_at(self, t: float) -> tuple[float, float]:
-        if t <= self._times[0]:
-            return self.waypoints[0][1]
-        if t >= self._times[-1]:
-            return self.waypoints[-1][1]
-        i = bisect_right(self._times, t) - 1
-        t0, p0 = self.waypoints[i]
-        t1, p1 = self.waypoints[i + 1]
-        w = (t - t0) / (t1 - t0)
-        return (p0[0] + w * (p1[0] - p0[0]), p0[1] + w * (p1[1] - p0[1]))
+    def positions(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        times = np.array([w for w, _ in self.waypoints], float)
+        points = np.array([p for _, p in self.waypoints], float)
+        i = np.clip(np.searchsorted(times, t, side="right") - 1, 0, len(times) - 2)
+        xy = points[i] + ((t - times[i]) / (times[i + 1] - times[i]))[:, None] * (
+            points[i + 1] - points[i])
+        xy[t <= times[0]] = points[0]
+        xy[t >= times[-1]] = points[-1]
+        return xy[:, 0], xy[:, 1]
 
 
 Trajectory = StaticTrajectory | ConstantVelocityTrajectory | WaypointTrajectory
@@ -134,14 +131,9 @@ class Scenario:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "tags", tuple(self.tags))
-        if self.ccp_links is not None:
-            object.__setattr__(
-                self, "ccp_links", {k: frozenset(v) for k, v in dict(self.ccp_links).items()}
-            )
-        if self.blink_links is not None:
-            object.__setattr__(
-                self, "blink_links", {k: frozenset(v) for k, v in dict(self.blink_links).items()}
-            )
+        for kind in ("ccp_links", "blink_links"):
+            if (links := getattr(self, kind)) is not None:
+                object.__setattr__(self, kind, {k: frozenset(v) for k, v in dict(links).items()})
         self.validate()
 
     def validate(self) -> None:
@@ -168,52 +160,60 @@ class Scenario:
                 f"lag schedule overruns the CCP round: lag * (max slot + 1) = "
                 f"{self.lag * (max_slot + 1):.6f} s >= ccp_period {self.ccp_period} s"
             )
-        for links, kind in ((self.ccp_links, "ccp_links"), (self.blink_links, "blink_links")):
-            if links is None:
-                continue
-            for src, receivers in links.items():
-                unknown = set(receivers) - known_anchors
-                if unknown:
+        for kind in ("ccp_links", "blink_links"):
+            for src, receivers in (getattr(self, kind) or {}).items():
+                if unknown := set(receivers) - known_anchors:
                     raise ScenarioError(
-                        f"{kind}[{src!r}] references unknown anchors: {', '.join(sorted(unknown))}"
-                    )
+                        f"{kind}[{src!r}] references unknown anchors: {', '.join(sorted(unknown))}")
         # Followers that cannot hear their own master would never synchronize.
-        for follower, masters in self.topology.follow.items():
-            for master in masters:
-                if not self._receives_ccp(master, follower):
-                    raise ScenarioError(
-                        f"anchor {follower!r} follows {master!r} but cannot receive its CCPs"
-                    )
+        heard, _ = self._ccp_receptions()
+        masters, anchor_ids = self.topology.masters(), self.topology.ids()
+        for follower, master in ((f, m) for f, ms in self.topology.follow.items() for m in ms):
+            if not heard[masters.index(master), anchor_ids.index(follower)]:
+                raise ScenarioError(
+                    f"anchor {follower!r} follows {master!r} but cannot receive its CCPs")
 
-    def _receives_ccp(self, master: str, anchor: str) -> bool:
-        if anchor == master:
-            return False
-        if self.ccp_links is not None:
-            return anchor in self.ccp_links.get(master, frozenset())
-        if self.reception_radius is not None:
-            return self.topology.baseline(master, anchor) <= self.reception_radius
-        return True
+    def _receptions(self, x: np.ndarray, y: np.ndarray, senders: Sequence[str], sender: np.ndarray,
+                    links: Mapping[str, frozenset[str]] | None) -> tuple[np.ndarray, np.ndarray]:
+        """The range in metres from each point (x, y) to each anchor, and whether the
+        anchor hears ``senders[sender[i]]`` send from point i: if ``links`` link them,
+        else if within ``reception_radius``.  ``np.hypot`` may differ in the last bit."""
+        ax, ay = np.array([a.xy() for a in self.topology.anchors], float).T
+        dx, dy = (ax - x[:, None]).ravel().tolist(), (ay - y[:, None]).ravel().tolist()
+        ranges = np.reshape(list(map(math.hypot, dx, dy)), (len(x), len(ax)))
+        if links is None:
+            return ranges, ranges <= (self.reception_radius or math.inf)
+        linked = [[a in links.get(s, ()) for a in self.topology.ids()] for s in senders]
+        return ranges, np.array(linked, bool).reshape(len(senders), -1)[sender]
 
-    def _receives_blink(self, tag_id: str, anchor: str, tag_pos: tuple[float, float]) -> bool:
-        if self.blink_links is not None:
-            return anchor in self.blink_links.get(tag_id, frozenset())
-        if self.reception_radius is not None:
-            ax, ay = self.topology.anchor(anchor).xy()
-            return math.hypot(ax - tag_pos[0], ay - tag_pos[1]) <= self.reception_radius
-        return True
+    def _ccp_receptions(self) -> tuple[np.ndarray, np.ndarray]:
+        """Which anchors hear each master's CCPs, (master, anchor) in ``topology.masters()``
+        and ``topology.ids()`` order, no master itself, and the CCPs' flight times in s."""
+        masters, anchor_ids = self.topology.masters(), self.topology.ids()
+        x, y = np.array([self.topology.anchor(m).xy() for m in masters], float).T
+        ranges, heard = self._receptions(x, y, masters, np.arange(len(x)), self.ccp_links)
+        return heard & (np.array(masters)[:, None] != anchor_ids), ranges / SPEED_OF_LIGHT
 
 
 # ---------------------------------------------------------------------------
 # Ground truth records
 
 
-@dataclass(frozen=True, slots=True)
-class TruthBlink:
-    tag_id: str
-    seq: int
-    time: float
-    x: float
-    y: float
+@dataclass(frozen=True, eq=False)
+class TruthBlinks:
+    """Ground-truth blinks as columns, one row per blink: ``tag`` as int32 codes into
+    ``ids``, the sorted tag ids, ``seq`` int64 in [0, 2**32), and the true ``time`` and
+    the tag's ``x`` and ``y`` float64.  ``run_scenario`` and ``cli.read_truth`` make them."""
+
+    ids: tuple[str, ...]
+    tag: np.ndarray
+    seq: np.ndarray
+    time: np.ndarray
+    x: np.ndarray
+    y: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.seq)
 
 
 @dataclass(frozen=True, slots=True)
@@ -228,51 +228,52 @@ class TruthClock:
 @dataclass(frozen=True)
 class SimResult:
     reports: ReportColumns
-    truth_blinks: tuple[TruthBlink, ...]
+    truth_blinks: TruthBlinks
     truth_clocks: tuple[TruthClock, ...]
 
 
-_TRUTH_RECORDS = {"blink": TruthBlink, "clock": TruthClock}
-_TRUTH_FIELDS = {  # each kind's fields, in record order, and the check of each
+_TRUTH_FIELDS = {  # each kind's fields, in line order, and the check of each
     "blink": {"tag_id": check_id, "seq": check_seq,
               **dict.fromkeys(("time", "x", "y"), check_number)},
     "clock": {"anchor_id": check_id,
               **dict.fromkeys(("offset", "skew", "drift_rate", "jitter_std"), check_number)},
 }
+_BLINK_LINE = '{{"kind":"blink","tag_id":{},"seq":{},"time":{},"x":{},"y":{}}}\n'.format
 
 
-def encode_truth(record: TruthBlink | TruthClock) -> str:
-    """One ground-truth record as a compact JSON line: its kind, then its
-    fields, as ``json.dumps`` writes them."""
-    if isinstance(record, TruthBlink):
-        return (
-            f'{{"kind":"blink","tag_id":{json_string(record.tag_id)},'
-            f'"seq":{json_number(record.seq)},"time":{json_number(record.time)},'
-            f'"x":{json_number(record.x)},"y":{json_number(record.y)}}}'
-        )
-    return (
-        f'{{"kind":"clock","anchor_id":{json_string(record.anchor_id)},'
-        f'"offset":{json_number(record.offset)},"skew":{json_number(record.skew)},'
-        f'"drift_rate":{json_number(record.drift_rate)},'
-        f'"jitter_std":{json_number(record.jitter_std)}}}'
-    )
+def encode_truth(blinks: TruthBlinks, rows: slice = slice(None)) -> str:
+    """Rows ``rows`` of ``blinks`` as truth lines, each ending in a newline:
+    its kind, then its fields, as ``json.dumps`` writes them.  A non-finite
+    number raises ``ValueError``: no reader here accepts the JSON for it."""
+    time, x, y = blinks.time[rows], blinks.x[rows], blinks.y[rows]
+    if not np.isfinite([time, x, y]).all():
+        raise ValueError("cannot write a non-finite truth blink")
+    # Tags blink together: each distinct time (by its bits, so -0.0 is kept) is written once.
+    times, time_index = np.unique(time.view(np.int64), return_inverse=True)
+    time_text = list(map(float.__repr__, times.view(np.float64).tolist()))
+    ids = list(map(json_string, blinks.ids))
+    return "".join(map(
+        _BLINK_LINE, map(ids.__getitem__, blinks.tag[rows].tolist()), blinks.seq[rows].tolist(),
+        map(time_text.__getitem__, time_index.tolist()),
+        map(float.__repr__, x.tolist()), map(float.__repr__, y.tolist()),
+    ))
 
 
-def decode_truths(lines: Sequence[str]) -> list[TruthBlink | TruthClock]:
-    """Parse truth lines into records, in line order, with ``json_records``
-    and each kind's ``json_columns``: ids must be plain ids, ``seq`` an int in
-    [0, 2**32) and every other field a finite number; ``ValueError`` if not."""
+def encode_clock(clock: TruthClock) -> str:
+    """A clock's truth line, ending in a newline, as ``json.dumps`` writes it; NaN raises."""
+    return json.dumps({"kind": "clock", **asdict(clock)}, separators=(",", ":"),
+                      allow_nan=False) + "\n"
+
+
+def decode_truths(lines: Sequence[str]) -> tuple[list, list, list, list, list, list]:
+    """Parse truth lines with ``json_records`` and each kind's ``json_columns``
+    into a column per blink field and the clocks' ``TruthClock`` records, in
+    line order.  Ids must be plain ids, ``seq`` an int in [0, 2**32) and
+    every other field a finite number; ``ValueError`` if not."""
     kinds, rows = json_records(lines, _TRUTH_FIELDS)
-    records = {}  # each kind's records, in line order
-    for kind, checks in _TRUTH_FIELDS.items():
-        group = [row for row, k in zip(rows, kinds) if k == kind]
-        records[kind] = map(_TRUTH_RECORDS[kind], *json_columns(group, checks))
-    return [next(records[kind]) for kind in kinds]
-
-
-def decode_truth(line: str) -> TruthBlink | TruthClock:
-    """Parse one truth line; a malformed line raises ``ValueError``."""
-    return decode_truths([line])[0]
+    blinks, clocks = (json_columns([row for row, k in zip(rows, kinds) if k == kind], checks)
+                      for kind, checks in _TRUTH_FIELDS.items())
+    return (*blinks, list(map(TruthClock, *clocks)))
 
 
 # ---------------------------------------------------------------------------
@@ -308,70 +309,62 @@ def schedule_ccp_cascade(
     return schedule
 
 
+def _steps(period: float, duration: float) -> np.ndarray:
+    """The steps k = 0, 1, 2, ... whose time k * period is before ``duration``."""
+    k = np.arange(int(duration / period) + 2)
+    return k[k * period < duration]
+
+
 def run_scenario(scenario: Scenario) -> SimResult:
     """Simulate one scenario into report columns plus ground truth.
 
-    Identical scenarios (same seed included) produce identical output, byte
-    for byte once encoded: events are generated in a fixed global order and
-    all clock jitter is drawn from one seeded generator in that order.
-    Events are built as columns and sorted by (true time, anchor id, kind,
-    source id, seq); ids are coded in sorted order and kind codes follow
-    the kinds' string order, so sorting the codes sorts the ids.
+    Identical scenarios (same seed included) give identical output: reports
+    are sorted by (true time, anchor id, kind, source id, seq), a key no two
+    share, and clock jitter is drawn from one seeded generator in that
+    order.  Ids are coded in sorted order and kind codes follow the kinds'
+    string order, so sorting the codes sorts the ids.
     """
-    from array import array  # here, not at import: only a simulation pays for it
-
     topo = scenario.topology
     rng = np.random.default_rng(scenario.seed)
-    anchor_ids = topo.ids()
-    positions = [a.xy() for a in topo.anchors]
-    ids = sorted({*anchor_ids, *(tag.id for tag in scenario.tags)})
+    anchor_ids, masters, tags = topo.ids(), topo.masters(), scenario.tags
+    ids = sorted({*anchor_ids, *(tag.id for tag in tags)})
     code = {value: i for i, value in enumerate(ids)}
 
-    # One row per report to emit: true event time, the receiving anchor's
-    # index in ``topo.anchors``, kind code, source id code and seq.
-    times, receivers, kinds, srcs, seqs = (
-        array("d"), array("q"), array("b"), array("q"), array("q"))
-    truth_blinks: list[TruthBlink] = []
+    # Blinks, time-major, tags in scenario order; each is heard by a mask row.
+    k = _steps(scenario.blink_period, scenario.duration)
+    t = k * scenario.blink_period
+    xy = np.array([tag.trajectory.positions(t) for tag in tags], float).reshape(len(tags), 2, -1)
+    x, y = xy[:, 0].T.ravel(), xy[:, 1].T.ravel()
+    tag_index = np.tile(np.arange(len(tags)), len(t))
+    blink_time, blink_seq = np.repeat(t, len(tags)), np.repeat(k % SEQ_WRAP, len(tags))
+    ranges, heard = scenario._receptions(x, y, [tag.id for tag in tags], tag_index,
+                                         scenario.blink_links)
+    blink, blink_rx = np.nonzero(heard)
 
-    def emit(time: float, receiver: int, kind: int, src: int, seq: int) -> None:
-        times.append(time)
-        receivers.append(receiver)
-        kinds.append(kind)
-        srcs.append(src)
-        seqs.append(seq)
-
-    k = 0
-    while True:
-        t = k * scenario.blink_period
-        if t >= scenario.duration:
-            break
-        for tag in scenario.tags:
-            pos = tag.trajectory.position_at(t)
-            seq = k % SEQ_WRAP
-            truth_blinks.append(TruthBlink(tag.id, seq, t, pos[0], pos[1]))
-            for i, anchor_id in enumerate(anchor_ids):
-                if scenario._receives_blink(tag.id, anchor_id, pos):
-                    ax, ay = positions[i]
-                    arrival = t + math.hypot(ax - pos[0], ay - pos[1]) / SPEED_OF_LIGHT
-                    emit(arrival, i, BLINK_RX, code[tag.id], seq)
-        k += 1
-
-    j = 0
-    while True:
-        round_start = j * scenario.ccp_period
-        if round_start >= scenario.duration:
-            break
-        seq = j % SEQ_WRAP
-        for master, tx_time in schedule_ccp_cascade(topo, round_start, scenario.lag):
-            emit(tx_time, anchor_ids.index(master), CCP_TX, code[master], seq)
-            for i, anchor_id in enumerate(anchor_ids):
-                if scenario._receives_ccp(master, anchor_id):
-                    arrival = tx_time + topo.baseline(master, anchor_id) / SPEED_OF_LIGHT
-                    emit(arrival, i, CCP_RX, code[master], seq)
-        j += 1
-
-    time, receiver, kind, src, seq = map(np.array, (times, receivers, kinds, srcs, seqs))
-    anchor = np.array([code[anchor_id] for anchor_id in anchor_ids], np.int64)[receiver]
+    # CCP rounds: each master's transmission, and its flight to each anchor
+    # that hears it.
+    j = _steps(scenario.ccp_period, scenario.duration)
+    ccp_seq = j % SEQ_WRAP
+    tx = np.array([
+        [dict(schedule_ccp_cascade(topo, start, scenario.lag))[m] for m in masters]
+        for start in (j * scenario.ccp_period).tolist()], float).reshape(len(j), len(masters))
+    heard, flight = scenario._ccp_receptions()
+    sender, ccp_rx = np.nonzero(heard)
+    tag_code = np.array([code[tag.id] for tag in tags], np.int64)
+    anchor_codes = np.array([code[anchor_id] for anchor_id in anchor_ids], np.int64)
+    master = np.array([anchor_ids.index(m) for m in masters])  # index in topo.anchors
+    # Per report: true time, receiver index in ``topo.anchors``, kind, source code and seq.
+    groups = (  # blink receptions, CCP transmissions and CCP receptions
+        (blink_time[blink] + ranges[blink, blink_rx] / SPEED_OF_LIGHT, blink_rx, BLINK_RX,
+         tag_code[tag_index[blink]], blink_seq[blink]),
+        (tx.ravel(), np.tile(master, len(j)), CCP_TX, np.tile(anchor_codes[master], len(j)),
+         np.repeat(ccp_seq, len(masters))),
+        (tx[:, sender].ravel() + np.tile(flight[sender, ccp_rx], len(j)), np.tile(ccp_rx, len(j)),
+         CCP_RX, np.tile(anchor_codes[master[sender]], len(j)), np.repeat(ccp_seq, len(sender))),
+    )
+    time, receiver, kind, src, seq = (
+        np.concatenate(column) for column in zip(*(np.broadcast_arrays(*g) for g in groups)))
+    anchor = anchor_codes[receiver]
     order = np.lexsort((seq, src, kind, anchor, time))
     clocks = ClockArrays.gather([a.clock for a in topo.anchors], receiver[order])
     ticks = read_clock(clocks, time[order], rng)
@@ -380,8 +373,7 @@ def run_scenario(scenario: Scenario) -> SimResult:
     anchor_code, src_code = np.split(codes.astype(np.int32), 2)
     reports = ReportColumns(tuple(ids[i] for i in used.tolist()), anchor_code,
                             kind[order].astype(np.int8), src_code, seq[order], ticks)
-    truth_clocks = tuple(
-        TruthClock(a.id, a.clock.offset, a.clock.skew, a.clock.drift_rate, a.clock.jitter_std)
-        for a in topo.anchors
-    )
-    return SimResult(reports, tuple(truth_blinks), truth_clocks)
+    tag_ids = tuple(sorted(tag.id for tag in tags))
+    truth_tag = np.array([tag_ids.index(tag.id) for tag in tags], np.int32)[tag_index]
+    return SimResult(reports, TruthBlinks(tag_ids, truth_tag, blink_seq, blink_time, x, y),
+                     tuple(TruthClock(a.id, *astuple(a.clock)) for a in topo.anchors))

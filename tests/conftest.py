@@ -13,17 +13,20 @@ import math
 import random
 import re
 import tempfile
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, NamedTuple
 
 import numpy as np
 import pytest
 
-from uwb_rtls.cli import read_reports, read_truth
+from uwb_rtls.cli import (FIXES_HEADER, SYNCED_HEADER, fixes_to_csv, read_fixes_csv, read_reports,
+                          read_synced_csv, read_truth, synced_to_csv)
 from uwb_rtls.clock import ClockModel, IDEAL_CLOCK
 from uwb_rtls.config import parse_config
+from uwb_rtls.engine import locate_reports
 from uwb_rtls.protocol import REPORT_KINDS, ReportColumns, encode_reports, id_codes
-from uwb_rtls.simnet import SimResult, encode_truth, run_scenario
+from uwb_rtls.simnet import SimResult, TruthBlinks, encode_truth, run_scenario
 from uwb_rtls.solver import BlinkRows
 from uwb_rtls.topology import AnchorConfig, NetworkTopology
 from uwb_rtls.wcs import ArrivalTable
@@ -140,6 +143,21 @@ def report_rows(reports: ReportColumns) -> list[tuple]:
                     reports.seq.tolist(), reports.ticks.tolist()))
 
 
+def truth_columns(rows: Iterable[tuple]) -> TruthBlinks:
+    """Truth columns of plain ``(tag_id, seq, time, x, y)`` tuples, one row
+    each, in order."""
+    tag_ids, seqs, *numbers = tuple(zip(*rows)) or ((),) * 5
+    ids, (tag,) = id_codes(tag_ids)
+    return TruthBlinks(ids, tag, np.array(seqs, np.int64), *(np.array(c, float) for c in numbers))
+
+
+def truth_rows(truth: TruthBlinks) -> list[tuple]:
+    """The rows of truth columns as plain ``(tag_id, seq, time, x, y)``
+    tuples, in row order: what ``truth_columns`` reads back."""
+    return list(zip(map(truth.ids.__getitem__, truth.tag.tolist()), truth.seq.tolist(),
+                    truth.time.tolist(), truth.x.tolist(), truth.y.tolist()))
+
+
 # ---------------------------------------------------------------------------
 # JSON input lines with a bad field
 
@@ -174,33 +192,53 @@ def with_field(line: str, field: str, value: str) -> str:
 
 
 # ---------------------------------------------------------------------------
-# JSON-lines files
+# Input files
 
 
-# Each JSON-lines file's reader, and what turns its result into a list of rows.
-JSONL_READERS = {"reports.jsonl": (read_reports, report_rows), "truth.jsonl": (read_truth, list)}
+def arrival_rows(table: ArrivalTable) -> list[tuple]:
+    """The rows of an arrival table as plain ``(anchor_id, tag_id, blink_seq,
+    ccp_seq, offset, rate)`` tuples, synced.csv's fields, in row order."""
+    return list(zip(map(table.ids.__getitem__, table.anchor.tolist()),
+                    map(table.ids.__getitem__, table.tag.tolist()), table.blink_seq.tolist(),
+                    table.ccp_seq.tolist(), table.offset.tolist(), table.rate.tolist()))
+
+
+# Each input file's reader, what turns its result into a list of rows, the
+# order the reader puts the rows of a file in (file order, but synced.csv's
+# arrivals come in (tag_id, blink_seq, anchor_id) order) and the file's header.
+FILE_READERS = {"reports.jsonl": (read_reports, report_rows, list, None),
+                "truth.jsonl": (read_truth, truth_rows, list, None),
+                "fixes.csv": (read_fixes_csv, list, list, FIXES_HEADER),
+                "synced.csv": (read_synced_csv, arrival_rows,
+                               lambda rows: sorted(rows, key=itemgetter(1, 2, 0)), SYNCED_HEADER)}
 
 
 @pytest.fixture(scope="session")
 def simulated_lines(hall_run) -> dict[str, list[str]]:
-    """Forty lines of each JSON-lines file as ``simulate`` writes them,
-    one record each: reports, and truth blinks."""
+    """Forty lines of each input file as ``simulate`` and ``locate`` write
+    them, one record each and no header: reports, truth blinks, fixes and
+    arrivals."""
+    cfg = parse_config(hall_config())
+    located = locate_reports(hall_run.reports, cfg.scenario.topology, cfg.engine_params())
     return {"reports.jsonl": encode_reports(hall_run.reports, slice(40)).splitlines(),
-            "truth.jsonl": [encode_truth(blink) for blink in hall_run.truth_blinks[:40]]}
+            "truth.jsonl": encode_truth(hall_run.truth_blinks, slice(40)).splitlines(),
+            "fixes.csv": "".join(fixes_to_csv(located.fixes[:40])).splitlines()[1:],
+            "synced.csv": "".join(synced_to_csv(located.blinks)).splitlines()[1:41]}
 
 
 def read_file(name: str, lines: list[str]) -> tuple[list, int, list[str]]:
-    """What the reader of ``name`` makes of a file holding ``lines``: its
-    rows, its skip count and the warnings it logs, with the file's path
-    written as ``<path>``."""
-    reader, rows = JSONL_READERS[name]
+    """What the reader of ``name`` makes of a file holding ``lines``, after
+    its header if it has one: its rows, its skip count and the warnings it
+    logs, with the file's path written as ``<path>``."""
+    reader, rows, _, header = FILE_READERS[name]
     messages: list[str] = []
     handler = logging.Handler(logging.WARNING)
     handler.emit = lambda record: messages.append(record.getMessage())
     logger = logging.getLogger("uwb_rtls.cli")
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp, name)
-        path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        path.write_text("".join(line + "\n" for line in [*filter(None, [header]), *lines]),
+                        encoding="utf-8")
         logger.addHandler(handler)
         try:
             records, skipped = reader(path)
@@ -215,12 +253,13 @@ def assert_reads_among_as_alone(simulated_lines: dict, name: str, line: str) -> 
     in a file: a block holding it reads as its lines do."""
     simulated = simulated_lines[name]
     k = len(simulated) // 2
+    first = 1 if FILE_READERS[name][3] is None else 2  # the number of the first line read
     alone, alone_skipped, alone_warnings = read_file(name, [line])
     sim = read_file(name, simulated)[0]
     among, skipped, warnings = read_file(name, [*simulated[:k], line, *simulated[k:]])
-    assert repr(among) == repr(sim[:k] + alone + sim[k:])
+    assert repr(among) == repr(FILE_READERS[name][2](sim[:k] + alone + sim[k:]))
     assert skipped == alone_skipped
-    assert warnings == [w.replace(f"{name} line 1 ", f"{name} line {k + 1} ")
+    assert warnings == [w.replace(f"{name} line {first} ", f"{name} line {first + k} ")
                         for w in alone_warnings]
 
 

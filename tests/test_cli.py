@@ -30,7 +30,8 @@ from uwb_rtls.protocol import KIND_BLINK_RX, encode_reports
 from uwb_rtls.simnet import run_scenario
 from uwb_rtls.solver import Fix
 
-from conftest import arrival_table, report_columns, same_columns
+from conftest import (arrival_table, assert_reads_among_as_alone, read_file, report_columns,
+                      same_columns)
 
 CONFIG = {
     "anchors": [
@@ -357,10 +358,43 @@ def test_a_repeated_truth_blink_is_skipped_and_counted(tmp_path, config_path, ca
 
     blinks, skipped = read_truth(path)
     assert skipped == 1
-    assert len(blinks) == len({(b.tag_id, b.seq) for b in blinks})
+    assert same_columns(blinks, run_scenario(load_config(config_path).scenario).truth_blinks)
     assert f"repeated truth blink of {repeat['tag_id']}#{repeat['seq']} skipped" in caplog.text
     assert main(argv) == EXIT_OK
     assert (out / "summary.json").read_text() == summary
+
+
+def test_truth_columns_round_trip_through_the_file(tmp_path, config_path):
+    out = tmp_path / "run"
+    main(["simulate", "--config", str(config_path), "--out", str(out)])
+    truth, skipped = read_truth(out / "truth.jsonl")
+    assert skipped == 0
+    assert same_columns(truth, run_scenario(load_config(config_path).scenario).truth_blinks)
+
+
+def _with_csv_field(line: str, index: int, text: str) -> str:
+    fields = line.split(",")
+    fields[index] = text
+    return ",".join(fields)
+
+
+@pytest.mark.parametrize("name, line, index, field", [
+    *(("fixes.csv", "T1,10,1.5,2.0,0.0,0.0,0.1", i, f)
+      for i, f in enumerate(["blink_seq", "x", "y", "vx", "vy", "pos_std"], 1)),
+    *(("synced.csv", "SA2,T1,10,3,0.0123,1.00001", i, f)
+      for i, f in enumerate(["blink_seq", "ccp_seq", "offset", "rate"], 2)),
+])
+@pytest.mark.parametrize("text", ["1_0", "1_0.5", " 7", "\t7", "\xa07", "\u0667", "1\u0660.5"])
+def test_a_number_python_reads_but_no_writer_writes_is_skipped(simulated_lines, name, line,
+                                                                index, field, text):
+    # int() and float() read '_' between digits, whitespace around a number
+    # and non-ASCII digits; a CSV number here holds none of them.  A line is
+    # stripped before it is split, so no text here sits at either end of it.
+    bad = _with_csv_field(line, index, text)
+    assert read_file(name, [bad]) == (
+        [], 1, [f"{name} line 2 skipped: {field} must be a plain number, got {text!r}",
+                f"skipped 1 malformed line(s) in <path>"])
+    assert_reads_among_as_alone(simulated_lines, name, bad)
 
 
 @pytest.mark.parametrize("canonical", [True, False])
@@ -426,7 +460,7 @@ def test_crlf_files_read_as_lf_files_and_blank_lines_are_ignored(tmp_path, confi
         path.write_bytes(b"\r\n".join(lines) + b"\r\n")
         got = reader(path)
         assert got[1] == want[1]
-        if name in ("reports.jsonl", "synced.csv"):  # columns
+        if name != "fixes.csv":  # columns
             assert same_columns(got[0], want[0])
         else:
             assert got[0] == want[0]

@@ -47,11 +47,11 @@ def test_zero_noise_run_localizes_to_under_a_millimeter():
     topo = build_rect_topology()  # offsets and skews, no jitter
     sim = _run(topo, duration=3.0, tag_xy=(2.0, 1.5))
     result = locate_reports(sim.reports, topo)
-    truth = {b.seq: b for b in sim.truth_blinks}
+    truth = sim.truth_blinks
+    assert truth.seq.tolist() == list(range(len(truth)))  # one tag: row k is blink k
     assert len(result.fixes) >= 25
     for fix in result.fixes:
-        b = truth[fix.blink_seq]
-        assert math.dist((fix.x, fix.y), (b.x, b.y)) < 1e-3
+        assert math.dist((fix.x, fix.y), (truth.x[fix.blink_seq], truth.y[fix.blink_seq])) < 1e-3
 
 
 def test_report_order_does_not_matter():

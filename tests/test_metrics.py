@@ -18,11 +18,11 @@ from uwb_rtls.metrics import (
     pair_key,
     smoothed_tdoa_streams,
 )
-from uwb_rtls.simnet import Scenario, StaticTrajectory, TagSpec, TruthBlink, run_scenario
+from uwb_rtls.simnet import Scenario, StaticTrajectory, TagSpec, run_scenario
 from uwb_rtls.solver import Fix
 from uwb_rtls.wcs import WcsParams
 
-from conftest import arrival_table, build_rect_topology
+from conftest import arrival_table, build_rect_topology, truth_columns
 
 CCP_PERIOD = 0.15
 
@@ -33,7 +33,8 @@ def _fix(tag, seq, x, y):
 
 
 def _truth(tag, seq, x, y):
-    return TruthBlink(tag_id=tag, seq=seq, time=seq * 0.1, x=x, y=y)
+    """A truth row, as ``truth_columns`` takes it."""
+    return (tag, seq, seq * 0.1, x, y)
 
 
 def test_known_errors_give_known_statistics():
@@ -41,7 +42,7 @@ def test_known_errors_give_known_statistics():
     # 0.50..0.99 and numpy is the percentile oracle.
     fixes = [_fix("T1", i, i * 0.01, 0.0) for i in range(100)]
     truth = [_truth("T1", i, 0.0, 0.0) for i in range(100)]
-    s = evaluate(fixes, truth, warmup=50)
+    s = evaluate(fixes, truth_columns(truth), warmup=50)
     settled = np.arange(50, 100) * 0.01
     assert s.fix_rmse == pytest.approx(math.sqrt(np.mean(settled**2)), rel=1e-12)
     assert s.fix_p95_error == pytest.approx(np.percentile(settled, 95), rel=1e-12)
@@ -56,7 +57,7 @@ def test_warmup_is_dropped_per_tag():
     fixes = [_fix("T1", i, 1.0 if i < 5 else 0.0, 0.0) for i in range(10)]
     fixes += [_fix("T2", i, 1.0 if i < 5 else 0.0, 0.0) for i in range(10)]
     truth = [_truth(t, i, 0.0, 0.0) for t in ("T1", "T2") for i in range(10)]
-    s = evaluate(fixes, truth, warmup=5)
+    s = evaluate(fixes, truth_columns(truth), warmup=5)
     assert s.fix_rmse == 0.0
     assert s.track_rmse > 0.0
 
@@ -64,21 +65,21 @@ def test_warmup_is_dropped_per_tag():
 def test_all_inside_warmup_falls_back_to_everything():
     fixes = [_fix("T1", i, 0.1, 0.0) for i in range(3)]
     truth = [_truth("T1", i, 0.0, 0.0) for i in range(3)]
-    s = evaluate(fixes, truth, warmup=50)
+    s = evaluate(fixes, truth_columns(truth), warmup=50)
     assert s.fix_rmse == pytest.approx(0.1)
 
 
 def test_availability_counts_missing_blinks():
     fixes = [_fix("T1", i, 0.0, 0.0) for i in range(6)]
     truth = [_truth("T1", i, 0.0, 0.0) for i in range(10)]
-    assert evaluate(fixes, truth, warmup=0).availability == 0.6
+    assert evaluate(fixes, truth_columns(truth), warmup=0).availability == 0.6
 
 
 def test_no_overlap_raises():
     with pytest.raises(EmptyEvalError):
-        evaluate([_fix("T1", 0, 0.0, 0.0)], [_truth("T2", 0, 0.0, 0.0)])
+        evaluate([_fix("T1", 0, 0.0, 0.0)], truth_columns([_truth("T2", 0, 0.0, 0.0)]))
     with pytest.raises(EmptyEvalError):
-        evaluate([], [_truth("T1", 0, 0.0, 0.0)])
+        evaluate([], truth_columns([_truth("T1", 0, 0.0, 0.0)]))
 
 
 def test_input_order_does_not_change_the_summary():
@@ -90,10 +91,12 @@ def test_input_order_does_not_change_the_summary():
                      "SA2": (0.0, 0, 1.0)})
         for i in range(40)
     ]
-    base = evaluate(fixes, truth, arrival_table(dict(synced)), CCP_PERIOD, warmup=10)
+    base = evaluate(fixes, truth_columns(truth), arrival_table(dict(synced)), CCP_PERIOD,
+                    warmup=10)
     for seq in (fixes, truth, synced):
         rng.shuffle(seq)
-    shuffled = evaluate(fixes, truth, arrival_table(dict(synced)), CCP_PERIOD, warmup=10)
+    shuffled = evaluate(fixes, truth_columns(truth), arrival_table(dict(synced)), CCP_PERIOD,
+                        warmup=10)
     assert shuffled == base
 
 
@@ -125,7 +128,7 @@ def test_evaluate_smooths_with_its_params():
     truth = [_truth("T1", i, 0.0, 0.0) for i in range(400)]
 
     def std(**params):
-        s = evaluate(fixes, truth, blinks, CCP_PERIOD, params=WcsParams(**params))
+        s = evaluate(fixes, truth_columns(truth), blinks, CCP_PERIOD, params=WcsParams(**params))
         return s.tdoa_std_per_pair["MA1|SA2"]
 
     assert std() < 0.2 * raw[50:].std()
@@ -191,8 +194,8 @@ def test_streams_equal_smoothing_each_pair_of_the_pair_view():
 def test_errors_csv_lists_matched_fixes_in_order():
     fixes = [_fix("T1", 1, 3.0, 4.0), _fix("T1", 0, 0.0, 0.0), _fix("T9", 7, 0.0, 0.0)]
     truth = [_truth("T1", 0, 0.0, 0.0), _truth("T1", 1, 0.0, 0.0)]
-    text = errors_csv(evaluate(fixes, truth, warmup=0).errors)
-    assert text == errors_csv(fix_errors(fixes, truth))
+    text = errors_csv(evaluate(fixes, truth_columns(truth), warmup=0).errors)
+    assert text == errors_csv(fix_errors(fixes, truth_columns(truth)))
     lines = text.splitlines()
     assert lines[0] == "tag_id,blink_seq,err_m"
     assert lines[1] == "T1,0,0.0"
@@ -200,10 +203,30 @@ def test_errors_csv_lists_matched_fixes_in_order():
     assert len(lines) == 3  # the unmatched T9 fix is dropped
 
 
+def test_fixes_match_truth_as_a_lookup_per_fix_does():
+    # The reference: a dict of the first truth row per (tag_id, seq), one
+    # lookup and one math.hypot per fix.  Fixes of unknown tags or seqs,
+    # truth without fixes and a truth blink given twice are all in the mix.
+    rng = random.Random(3)
+    truth = [_truth(f"T{rng.randrange(4)}", rng.randrange(60), rng.uniform(-9, 9),
+                    rng.uniform(-9, 9)) for _ in range(300)]
+    fixes = [_fix(f"T{rng.randrange(5)}", rng.randrange(70), rng.uniform(-9, 9),
+                  rng.uniform(-9, 9)) for _ in range(200)]
+    first: dict = {}
+    for tag, seq, _, x, y in truth:
+        first.setdefault((tag, seq), (x, y))
+    want = sorted((f.tag_id, f.blink_seq, math.hypot(f.x - first[f.tag_id, f.blink_seq][0],
+                                                     f.y - first[f.tag_id, f.blink_seq][1]))
+                  for f in fixes if (f.tag_id, f.blink_seq) in first)
+    assert repr(fix_errors(fixes, truth_columns(truth))) == repr(want)
+    summary = evaluate(fixes, truth_columns(truth), warmup=0)
+    assert summary.availability == len(want) / len(first)
+
+
 def test_summary_json_is_stable_and_round_trips():
     fixes = [_fix("T1", i, 0.0, 0.0) for i in range(3)]
     truth = [_truth("T1", i, 0.0, 0.0) for i in range(3)]
-    s = evaluate(fixes, truth, warmup=0)
+    s = evaluate(fixes, truth_columns(truth), warmup=0)
     text = s.to_json()
     assert text.endswith("\n")
     payload = json.loads(text)

@@ -20,10 +20,11 @@ from uwb_rtls.protocol import (
     REPORT_KINDS,
     SEQ_WRAP,
     ReportColumns,
+    check_number,
     decode_reports,
     encode_reports,
 )
-from uwb_rtls.simnet import decode_truth
+from uwb_rtls.simnet import decode_truths
 
 from conftest import (
     BAD_FIELDS,
@@ -51,6 +52,11 @@ def report_line(row: tuple) -> str:
 def decode_row(line: str) -> tuple:
     """The one row ``decode_reports`` reads from ``line``."""
     return tuple(column[0] for column in decode_reports([line]))
+
+
+def decode_truth(line: str) -> tuple:
+    """The columns ``decode_truths`` reads from one truth line."""
+    return decode_truths([line])
 
 
 def test_blink_rx_line_format():
@@ -123,6 +129,20 @@ def test_report_and_truth_readers_reject_a_bad_field_alike(check, value):
             with pytest.raises(ValueError) as e:
                 decode(with_field(line, field, value))
             assert str(e.value) == f"{field} {FIELD_RULES[check]}, got {json.loads(value)!r}"
+
+
+@pytest.mark.parametrize("values", [[1.5, -2.0], [1.5, math.nan], [math.inf, 0.0],
+                                    [0.0, -math.inf], [1e308, 1e308], []])
+@pytest.mark.parametrize("low, high", [(-math.inf, math.inf), (0.0, 2.0)])
+def test_a_float_array_checks_as_its_list_does(values, low, high):
+    # The CSV readers check a column of floats as an array: its dtype settles
+    # the type test, and the outcome and message are the list's.
+    def outcome(column):
+        try:
+            return list(check_number("x", column, low, high))
+        except ValueError as exc:
+            return str(exc)
+    assert outcome(np.array(values, float)) == outcome(values)
 
 
 def test_ticks_out_of_range():

@@ -5,6 +5,8 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import random
+from bisect import bisect_right
 
 import numpy as np
 import pytest
@@ -28,11 +30,10 @@ from uwb_rtls.simnet import (
     ScenarioError,
     StaticTrajectory,
     TagSpec,
-    TruthBlink,
     TruthClock,
     WaypointTrajectory,
-    decode_truth,
     decode_truths,
+    encode_clock,
     encode_truth,
     run_scenario,
     schedule_ccp_cascade,
@@ -49,6 +50,9 @@ from conftest import (
     build_ideal_rect_topology,
     build_rect_topology,
     report_rows,
+    same_columns,
+    truth_columns,
+    truth_rows,
     with_field,
 )
 
@@ -66,18 +70,50 @@ def _scenario(duration=10.0, tag_xy=(2.0, 1.5), topo=None, **kw) -> Scenario:
 # Trajectories
 
 
+def _at(trajectory, t: float) -> tuple[float, float]:
+    x, y = trajectory.positions(np.array([t]))
+    return x[0].item(), y[0].item()
+
+
 def test_constant_velocity_moves_linearly():
     tr = ConstantVelocityTrajectory((1.0, 2.0), (0.5, -1.0))
-    assert tr.position_at(0.0) == (1.0, 2.0)
-    assert tr.position_at(2.0) == (2.0, 0.0)
+    assert _at(tr, 0.0) == (1.0, 2.0)
+    assert _at(tr, 2.0) == (2.0, 0.0)
 
 
 def test_waypoints_interpolate_and_clamp():
     tr = WaypointTrajectory(((0.0, (0.0, 0.0)), (2.0, (4.0, 0.0)), (3.0, (4.0, 2.0))))
-    assert tr.position_at(-1.0) == (0.0, 0.0)
-    assert tr.position_at(1.0) == (2.0, 0.0)
-    assert tr.position_at(2.5) == (4.0, 1.0)
-    assert tr.position_at(9.0) == (4.0, 2.0)
+    assert _at(tr, -1.0) == (0.0, 0.0)
+    assert _at(tr, 1.0) == (2.0, 0.0)
+    assert _at(tr, 2.5) == (4.0, 1.0)
+    assert _at(tr, 9.0) == (4.0, 2.0)
+
+
+def _waypoint_rule(waypoints, t: float) -> tuple[float, float]:
+    """A tag's position at ``t`` one time at a time: clamped to the first
+    and last waypoints, linear between the two around ``t``."""
+    times = [w for w, _ in waypoints]
+    if t <= times[0]:
+        return waypoints[0][1]
+    if t >= times[-1]:
+        return waypoints[-1][1]
+    (t0, p0), (t1, p1) = waypoints[bisect_right(times, t) - 1:][:2]
+    w = (t - t0) / (t1 - t0)
+    return (p0[0] + w * (p1[0] - p0[0]), p0[1] + w * (p1[1] - p0[1]))
+
+
+def test_waypoint_positions_are_the_rule_one_time_at_a_time_bit_for_bit():
+    # Before the first waypoint, exactly at and one ulp around each
+    # waypoint time, between them and after the last.
+    rng = random.Random(7)
+    waypoints = ((0.3, (1.0, 2.0)), (1.1, (4.5, -0.7)), (2.0, (4.5, 3.3)), (3.7, (-2.2, 0.1)))
+    times = [-1.0, 0.0, 9.0, *(rng.uniform(-0.5, 4.5) for _ in range(200)),
+             *(k * 0.1 for k in range(50))]
+    for t, _ in waypoints:
+        times += [t, math.nextafter(t, -math.inf), math.nextafter(t, math.inf)]
+    x, y = WaypointTrajectory(waypoints).positions(np.array(times))
+    got = [tuple(map(float.hex, p)) for p in zip(x.tolist(), y.tolist())]
+    assert got == [tuple(map(float.hex, _waypoint_rule(waypoints, t))) for t in times]
 
 
 def test_waypoints_must_increase_in_time():
@@ -191,17 +227,53 @@ def test_blink_links_override_radius(ideal_rect_topology):
     assert hearers == {"MA1", "SA2"}
 
 
+@pytest.mark.parametrize("radius, hearers", [
+    (5.0, {"MA1", "SA2", "SA3", "SA4"}),
+    (math.nextafter(5.0, 0.0), {"MA1", "SA2"}),
+])
+def test_an_anchor_exactly_at_the_reception_radius_hears_the_blink(ideal_rect_topology, radius,
+                                                                   hearers):
+    # From (3, 0), SA3 at (6, 4) and SA4 at (0, 4) are 5 m away to the bit;
+    # the CCP links keep every follower in touch with MA1.
+    sim = run_scenario(_scenario(duration=0.5, tag_xy=(3.0, 0.0), topo=ideal_rect_topology,
+                                 reception_radius=radius,
+                                 ccp_links={"MA1": frozenset({"SA2", "SA3", "SA4"})}))
+    assert {anchor for anchor, kind, *_ in report_rows(sim.reports)
+            if kind == KIND_BLINK_RX} == hearers
+
+
+def test_links_give_the_reports_built_by_hand(ideal_rect_topology):
+    # Blinks at 0.0 and 0.1 s, one CCP round at 0.0 s.  T2 links to no
+    # anchor; SA4 hears MA1's CCPs but no blink.
+    scn = Scenario(
+        topology=ideal_rect_topology,
+        tags=(TagSpec("T1", StaticTrajectory((2.0, 1.5))),
+              TagSpec("T2", StaticTrajectory((4.0, 1.0)))),
+        duration=0.15,
+        blink_links={"T1": frozenset({"MA1", "SA2", "SA3"})},
+        ccp_links={"MA1": frozenset({"SA2", "SA3", "SA4", "MA1"})},
+        reception_radius=1.0,
+    )
+    rows = {(anchor, kind, src, seq) for anchor, kind, src, seq, _ in
+            report_rows(run_scenario(scn).reports)}
+    assert rows == {
+        *((a, KIND_BLINK_RX, "T1", seq) for a in ("MA1", "SA2", "SA3") for seq in (0, 1)),
+        ("MA1", KIND_CCP_TX, "MA1", 0),
+        *((a, KIND_CCP_RX, "MA1", 0) for a in ("SA2", "SA3", "SA4")),
+    }
+
+
 def test_moving_tag_truth_follows_the_trajectory():
     scn = Scenario(
         topology=build_ideal_rect_topology(),
         tags=(TagSpec("T1", ConstantVelocityTrajectory((1.0, 1.0), (1.0, 0.0))),),
         duration=2.0,
     )
-    sim = run_scenario(scn)
-    by_seq = {b.seq: b for b in sim.truth_blinks}
-    assert by_seq[0].x == pytest.approx(1.0)
-    assert by_seq[15].x == pytest.approx(2.5)
-    assert all(b.y == pytest.approx(1.0) for b in sim.truth_blinks)
+    truth = run_scenario(scn).truth_blinks
+    assert truth.ids == ("T1",) and truth.seq.tolist() == list(range(20))
+    assert truth.x[0] == pytest.approx(1.0)
+    assert truth.x[15] == pytest.approx(2.5)
+    assert np.allclose(truth.y, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +360,7 @@ def test_same_seed_gives_identical_bytes():
     a = run_scenario(_scenario(duration=3.0, seed=21))
     b = run_scenario(_scenario(duration=3.0, seed=21))
     assert encode_reports(a.reports) == encode_reports(b.reports)
-    assert a.truth_blinks == b.truth_blinks
+    assert same_columns(a.truth_blinks, b.truth_blinks)
     assert a.truth_clocks == b.truth_clocks
 
 
@@ -319,12 +391,28 @@ def test_reports_come_in_true_time_order_then_by_anchor_kind_source_and_seq(
     assert len({row[0] for row in rows}) < len(rows)
 
 
+def test_truth_blinks_are_time_major_in_tag_order():
+    scn = Scenario(topology=build_ideal_rect_topology(), duration=0.25,
+                   tags=(TagSpec("T9", StaticTrajectory((1.0, 1.0))),
+                         TagSpec("T1", StaticTrajectory((2.0, 3.0)))))
+    assert truth_rows(run_scenario(scn).truth_blinks) == [
+        (tag, seq, seq * 0.1, *xy) for seq in range(3)
+        for tag, xy in (("T9", (1.0, 1.0)), ("T1", (2.0, 3.0)))]
+
+
 def test_truth_records_round_trip():
-    blink = TruthBlink(tag_id="T1", seq=12, time=1.2, x=3.25, y=-0.5)
+    truth = truth_columns([("T1", 12, 1.2, 3.25, -0.5), ("T0", 0, 0.0, -0.0, 5e-324)])
+    assert same_columns(truth_columns(zip(*decode_truths(encode_truth(truth).splitlines())[:5])),
+                        truth)
     clock = TruthClock(anchor_id="SA2", offset=-0.0034, skew=-1.2e-5,
                        drift_rate=0.0, jitter_std=1e-10)
-    assert decode_truth(encode_truth(blink)) == blink
-    assert decode_truth(encode_truth(clock)) == clock
+    assert decode_truths([encode_clock(clock)])[5] == [clock]
+
+
+def test_a_non_finite_truth_blink_is_not_written():
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="non-finite"):
+            encode_truth(truth_columns([("T1", 0, 0.0, 1.0, bad)]))
 
 
 def test_truth_clock_records_match_the_scenario():
@@ -337,39 +425,62 @@ def test_truth_clock_records_match_the_scenario():
 # ---------------------------------------------------------------------------
 # Truth lines against json itself
 
+BLINK_FIELDS = ("tag_id", "seq", "time", "x", "y")
+CLOCK_FIELDS = ("anchor_id", "offset", "skew", "drift_rate", "jitter_std")
 
-def _json_truth_line(record) -> str:
-    kind = "blink" if isinstance(record, TruthBlink) else "clock"
-    return json.dumps({"kind": kind, **dataclasses.asdict(record)}, separators=(",", ":"))
+
+def _json_truth_line(kind: str, values) -> str:
+    fields = BLINK_FIELDS if kind == "blink" else CLOCK_FIELDS
+    return json.dumps({"kind": kind, **dict(zip(fields, values))}, separators=(",", ":"))
+
+
+def _decoded_lines(line: str) -> list[str]:
+    """The lines ``encode_truth`` and ``encode_clock`` write for what
+    ``decode_truths`` reads from ``line``."""
+    *blinks, clocks = decode_truths([line])
+    return [*encode_truth(truth_columns(zip(*blinks))).splitlines(),
+            *(encode_clock(c).rstrip("\n") for c in clocks)]
 
 
 def _decodes_like_json(line: str) -> None:
-    """decode_truth either raises ValueError or returns a record whose line
-    json reads back as the same object as the input line."""
+    """``decode_truths`` either raises ValueError or reads a record whose
+    line json reads back as the input line's object, its numbers as floats."""
     try:
-        record = decode_truth(line)
+        (decoded,) = _decoded_lines(line)
     except ValueError:
         return
-    assert json.loads(encode_truth(record)) == json.loads(line)
+    want = json.loads(line)
+    if want["kind"] == "blink":
+        want.update({name: float(want[name]) for name in ("time", "x", "y")})
+    assert json.loads(decoded) == want
 
 
 def test_hall_truth_lines_are_json_dumps_and_round_trip(hall_run):
-    for record in hall_run.truth_blinks + hall_run.truth_clocks:
-        line = encode_truth(record)
-        assert line == _json_truth_line(record)
-        assert decode_truth(line) == record
+    lines = encode_truth(hall_run.truth_blinks).splitlines()
+    rows = truth_rows(hall_run.truth_blinks)
+    assert lines == [_json_truth_line("blink", row) for row in rows]
+    *blinks, clocks = decode_truths(lines)
+    assert list(zip(*blinks)) == rows and clocks == []
+    for clock in hall_run.truth_clocks:
+        line = encode_clock(clock)
+        assert line == _json_truth_line("clock", dataclasses.astuple(clock)) + "\n"
+        assert decode_truths([line])[5] == [clock]
 
 
-@pytest.mark.parametrize("record", [
-    TruthBlink("T\\1", 0, 0.0, 5e-324, -0.0),
-    TruthBlink("T/1", 2**32 - 1, 1e-05, -3, 2),
-    TruthBlink("Tü1", 7, 0.30000000000000004, 1e300, -1e-300),
-    TruthClock("SAü", -0.0034, 0, -1e-9, 1e-10),
+@pytest.mark.parametrize("kind, values", [
+    ("blink", ("T\\1", 0, 0.0, 5e-324, -0.0)),
+    ("blink", ("T/1", 2**32 - 1, 1e-05, -3.0, 2.0)),
+    ("blink", ("Tü1", 7, 0.30000000000000004, 1e300, -1e-300)),
+    ("clock", ("SAü", -0.0034, 0, -1e-9, 1e-10)),
 ])
-def test_edge_case_truth_lines_are_json_dumps_and_round_trip(record):
-    line = encode_truth(record)
-    assert line == _json_truth_line(record)
-    assert repr(decode_truth(line)) == repr(record)
+def test_edge_case_truth_lines_are_json_dumps_and_round_trip(kind, values):
+    line = _json_truth_line(kind, values)
+    if kind == "blink":
+        assert encode_truth(truth_columns([values])) == line + "\n"
+        assert repr(list(zip(*decode_truths([line])[:5]))) == repr([values])
+    else:
+        assert encode_clock(TruthClock(*values)) == line + "\n"
+        assert repr(decode_truths([line])[5]) == repr([TruthClock(*values)])
 
 
 NEAR_CANONICAL_TRUTH = [
@@ -461,13 +572,16 @@ def test_a_truth_line_reads_among_simulated_lines_as_alone(simulated_lines, line
 
 
 def test_a_truth_block_decodes_to_the_simulated_records(hall_run):
-    records = hall_run.truth_blinks + hall_run.truth_clocks
-    assert decode_truths(list(map(encode_truth, records))) == list(records)
+    lines = [*encode_truth(hall_run.truth_blinks).splitlines(),
+             *(encode_clock(clock).rstrip("\n") for clock in hall_run.truth_clocks)]
+    *blinks, clocks = decode_truths(lines)
+    assert same_columns(truth_columns(zip(*blinks)), hall_run.truth_blinks)
+    assert clocks == list(hall_run.truth_clocks)
 
 
-@given(record=st.one_of(
-    st.builds(TruthBlink, truth_ids, truth_seqs, truth_numbers, truth_numbers, truth_numbers),
-    st.builds(TruthClock, truth_ids, truth_numbers, truth_numbers, truth_numbers, truth_numbers),
-))
-def test_any_truth_line_reads_among_simulated_lines_as_alone(simulated_lines, record):
-    assert_reads_among_as_alone(simulated_lines, "truth.jsonl", _json_truth_line(record))
+@given(kind=st.sampled_from(["blink", "clock"]), record_id=truth_ids, seq=truth_seqs,
+       numbers=st.lists(truth_numbers, min_size=4, max_size=4))
+def test_any_truth_line_reads_among_simulated_lines_as_alone(simulated_lines, kind, record_id,
+                                                             seq, numbers):
+    values = (record_id, seq, *numbers[:3]) if kind == "blink" else (record_id, *numbers)
+    assert_reads_among_as_alone(simulated_lines, "truth.jsonl", _json_truth_line(kind, values))
