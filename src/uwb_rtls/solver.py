@@ -6,23 +6,20 @@ solver provides cold starts plus an independent check on the filter.  Both
 minimize the residuals z_i - |p - a_i| of each receiver's arrival (meters),
 centred on their mean over the blink's usable receivers, which removes the
 time of emission: no receiver is a reference, and on static, noise-free
-input the two agree.  A cold start refines each closed-form seed of the
-linearized set and judges ambiguity among the minima it reaches inside the
-anchors' padded box.
+input the two agree.  Both read that objective's normal equations from one
+kernel, ``_normal_equations``, built on ``ranges`` (ranges from each anchor
+and their unit vectors over a block of points, anchor-major, which
+``deploy``'s HDoP uses too).
 
-The filter is batched.  ``track`` steps every tag that blinked at one
-blink epoch together: ``ekf_predict`` and ``ekf_update`` work on stacked
-(B, 4) states and (B, 4, 4) covariances, and the update is in information
-form, so no m x m matrix is built for m receivers.  The blinks come as
-runs of arrival rows (``BlinkRows``), and one fancy index lays an epoch
-out, each tag's rows padded to the epoch's widest blink and masked.  Sums
-over receivers and matrix products run in one fixed order with
-elementwise operations, so a tag's fixes are the same bits whatever other
-tags share its epochs.  Cold starts, gap resets and skips stay per tag.
-
-Both read their geometry from one kernel, ``ranges``: ranges from each
-anchor and their gradients (unit vectors) over a block of points,
-anchor-major.  ``deploy``'s HDoP uses the same kernel.
+``track`` steps every tag that blinked at one blink epoch together.
+``ekf_update`` works on stacked (B, 4) states and (B, 4, 4) covariances in
+information form, so no m x m matrix is built for m receivers; the cold
+starts refine every closed-form seed of every starting blink in one damped
+Gauss-Newton call, then judge ambiguity per blink among the minima inside
+its anchors' padded box.  One fancy index lays out each batch
+(``BlinkRows``), padded to the widest blink and masked, and sums run in one
+fixed order with elementwise operations, so a tag's fixes are the same bits
+whatever other tags share its epochs.
 """
 
 from __future__ import annotations
@@ -188,14 +185,27 @@ def sum_over_anchors(a: np.ndarray) -> np.ndarray:
     return total
 
 
-def ekf_update(
-    x: np.ndarray,
-    p: np.ndarray,
-    xy: np.ndarray,
-    z: np.ndarray,
-    keep: np.ndarray,
-    sigma_t: float,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _normal_equations(px, py, xy, z, keep):
+    """Centred normal equations at N points (px, py), each on its own blink
+    as ``BlinkRows.layout`` lays it out (``xy`` (M, 2, N), ``z`` and
+    ``keep`` (M, N)): with r the residuals z_i - |p - a_i| and G the
+    unit-vector rows, both centred on their mean over the point's w usable
+    rows, the sums GG^T (xx, xy, yy), Gr (x, y) and r.r (6, N), and w (N,).
+    Rows not kept, and rows whose anchor is within _EPS_DIST of the point,
+    are not usable.  Sums run over rows in order, so no point's bits depend
+    on the others'."""
+    d, (ux, uy), near = ranges(px, py, xy, gradient=True)
+    keep = keep & ~near  # a row whose anchor sits on the point goes
+    w = keep.sum(axis=0)
+    rows = np.where(keep[:, None], np.stack((ux, uy, z - d), axis=1), 0.0)
+    mean = sum_over_anchors(rows.reshape(len(keep), 3 * w.size)).reshape(3, -1) / np.maximum(w, 1)
+    gx, gy, r = np.where(keep[:, None], rows - mean, 0.0).transpose(1, 0, 2)
+    terms = np.stack((gx * gx, gx * gy, gy * gy, gx * r, gy * r, r * r), axis=1)
+    return sum_over_anchors(terms.reshape(len(keep), 6 * w.size)).reshape(6, -1), w
+
+
+def ekf_update(x: np.ndarray, p: np.ndarray, xy: np.ndarray, z: np.ndarray, keep: np.ndarray,
+               sigma_t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Fold one blink's arrivals per tag into B predicted states.
 
     ``x`` (B, 4) and ``p`` (B, 4, 4) are the tags' states; ``xy`` (M, 2,
@@ -203,27 +213,17 @@ def ekf_update(
     arrivals and which rows hold one (``BlinkRows.layout``).  Returns the
     updated states and each tag's centred innovation norm.
 
-    Information form, per tag: with w usable receivers, r the innovations
-    z_i - |p - a_i| and G the 2 x w unit-vector rows, both centred on their
-    mean over the w rows, the position information is A = G G^T / v and b
-    = G r / v with v = (c sigma_t)^2: the textbook update on the w - 1
-    range differences against any one of them, whose noise R = v (I + 1
-    1^T) they share.  Then P+ = P - P[:, :2] (I + A P11)^-1 A P[:2, :], x+
-    = x + P+[:, :2] b.  I + A P11 has eigenvalues >= 1, so its determinant
-    is too for ``sigma_t`` > 0.  Rows not kept and rows whose anchor is
-    within _EPS_DIST of the tag are not usable.  A tag with fewer than two
-    usable rows skips the update: it keeps its predicted state, and its
+    Information form, per tag, on the cold start's centred normal
+    equations (``_normal_equations``) at the predicted position: the
+    position information is A = G G^T / v and b = G r / v with v = (c
+    sigma_t)^2, the textbook update on the w - 1 range differences against
+    any one receiver, whose noise R = v (I + 1 1^T) they share.  Then P+ =
+    P - P[:, :2] (I + A P11)^-1 A P[:2, :], x+ = x + P+[:, :2] b; I + A P11
+    has eigenvalues >= 1, so its determinant is too for ``sigma_t`` > 0.  A
+    tag with fewer than two usable rows keeps its predicted state, and its
     innovation norm is NaN.
     """
-    width, tags = keep.shape
-    d, (ux, uy), near = ranges(x[:, 0], x[:, 1], xy, gradient=True)
-    keep = keep & ~near  # a row whose anchor sits on the tag goes
-    w = keep.sum(axis=0)
-    rows = np.where(keep[:, None], np.stack((ux, uy, z - d), axis=1), 0.0)
-    mean = sum_over_anchors(rows.reshape(width, 3 * tags)).reshape(3, tags) / np.maximum(w, 1)
-    gx, gy, r = np.where(keep[:, None], rows - mean, 0.0).transpose(1, 0, 2)
-    terms = np.stack((gx * gx, gx * gy, gy * gy, gx * r, gy * r, r * r), axis=1)
-    gxx, gxy, gyy, bx, by, rr = sum_over_anchors(terms.reshape(width, 6 * tags)).reshape(6, tags)
+    (gxx, gxy, gyy, bx, by, rr), w = _normal_equations(x[:, 0], x[:, 1], xy, z, keep)
     v = (SPEED_OF_LIGHT * sigma_t) ** 2
     info = np.stack((gxx, gxy, gxy, gyy), axis=-1).reshape(-1, 2, 2) / v
     b = np.stack((bx, by), axis=-1)[..., None] / v
@@ -244,44 +244,33 @@ def ekf_update(
 # Independent nonlinear least squares
 
 
-def _residuals_and_jacobian(pos, xy, z):
-    """The residuals |p - a_i| - z_i at one point and their gradient rows
-    (M, 2), both centred on their mean over the M rows."""
-    d, grad, _ = ranges(pos[:1], pos[1:], xy, gradient=True)
-    res, g = d[:, 0] - z, grad[:, :, 0]
-    # C-ordered copy: on the transposed view _refine's products round differently.
-    return res - res.mean(), (g - g.mean(axis=1, keepdims=True)).T.copy()
-
-
-def _refine(pos, xy, z):
-    """Damped Gauss-Newton descent on the centred residuals; stops at the
-    first step shorter than _REFINE_TOL, whether it lowered their sum or not."""
-    p = np.asarray(pos, dtype=float).copy()
-    res, jac = _residuals_and_jacobian(p, xy, z)
-    obj = float(res @ res)
-    lam = 0.0
+def _refine(p, xy, z, keep):
+    """Damped Gauss-Newton (Levenberg-Marquardt) from N points p (2, N), each
+    on its own blink (``BlinkRows.layout``); returns them and their
+    objectives (N,).  Per point, a step that does not raise the objective is
+    taken and divides the damping by 10, else (or on a singular system) it
+    rises tenfold from at least 1e-9; past 1e6 a refused step ends the
+    descent, as do the first step under _REFINE_TOL and _REFINE_MAX_ITER."""
+    p = np.array(p, dtype=float)
+    sums, _ = _normal_equations(p[0], p[1], xy, z, keep)
+    lam, live = np.zeros(p.shape[1]), np.ones(p.shape[1], dtype=bool)
     for _ in range(_REFINE_MAX_ITER):
-        (sxx, sxy), (_, syy) = (jac.T @ jac).tolist()
-        gx, gy = (jac.T @ res).tolist()
+        sxx, sxy, syy, bx, by, obj = sums
         sxx, syy = sxx + lam, syy + lam
         det = sxx * syy - sxy * sxy
-        if not det > 0.0:  # singular normal equations, or NaN
-            lam = max(lam * 10.0, 1e-9)
-            continue
-        dx, dy = (sxy * gy - syy * gx) / det, (sxy * gx - sxx * gy) / det
-        cand = p + (dx, dy)
-        cand_res, cand_jac = _residuals_and_jacobian(cand, xy, z)
-        cand_obj = float(cand_res @ cand_res)
-        if cand_obj <= obj:
-            p, res, jac, obj = cand, cand_res, cand_jac, cand_obj
-            lam /= 10.0
-        else:
-            lam = max(lam * 10.0, 1e-9)
-            if lam > 1e6:
-                break
-        if math.hypot(dx, dy) < _REFINE_TOL:
+        go = np.flatnonzero(live & (det > 0.0))  # neither singular nor NaN
+        step = np.stack((syy * bx - sxy * by, sxx * by - sxy * bx))[:, go] / det[go]
+        cand = p[:, go] + step
+        new, _ = _normal_equations(cand[0], cand[1], xy[:, :, go], z[:, go], keep[:, go])
+        took = np.zeros_like(live)
+        took[go] = new[5] <= obj[go]
+        p[:, took], sums[:, took] = cand[:, took[go]], new[:, took[go]]
+        lam = np.where(took, lam / 10.0, np.where(live, np.maximum(lam * 10.0, 1e-9), lam))
+        live[go[~took[go] & (lam[go] > 1e6)]] = False
+        live[go[np.hypot(*step) < _REFINE_TOL]] = False
+        if not live.any():
             break
-    return p, obj
+    return p, sums[5]
 
 
 def _seeds(xy, z):
@@ -321,40 +310,59 @@ def _seeds(xy, z):
 MIN_RECEIVERS = 4
 
 
+def _cold_starts(blinks: BlinkRows, batch: np.ndarray) -> list[np.ndarray | Exception]:
+    """Cold starts of the blinks ``batch``: per blink its position (2,), or
+    the error it raises.  Every seed (``_seeds``) of every blink is refined
+    in one ``_refine`` call.  Minima outside the blink's anchors' bounding
+    box, padded by a quarter of its diagonal (at least 1 m), are dropped,
+    and minima closer than _MERGE_DIST are one.  No minimum left, or several
+    within _AMBIGUITY_RATIO of the best, is an ``AmbiguityError``; fewer
+    than MIN_RECEIVERS arrivals, a ``ValueError``."""
+    starts: list = [None] * len(batch)
+    seeds, owner = [], []
+    for k, b in enumerate(batch.tolist()):
+        xy, z = blinks.arrivals(b)
+        try:
+            if len(z) < MIN_RECEIVERS:
+                raise ValueError(f"need at least {MIN_RECEIVERS} arrivals for a planar fix")
+            seeds += [xy[0] + seed for seed in _seeds(xy, z)]
+        except (AmbiguityError, ValueError) as exc:
+            starts[k] = exc
+        owner += [k] * (len(seeds) - len(owner))
+    xy, z, keep = blinks.layout(batch[owner])
+    pos, obj = _refine(np.reshape(seeds, (-1, 2)).T, xy, z, keep)
+    lo = xy.min(axis=0, initial=np.inf, where=keep[:, None])  # each seed's blink's box
+    hi = xy.max(axis=0, initial=-np.inf, where=keep[:, None])
+    pad = np.maximum(1.0, 0.25 * np.hypot(*(hi - lo)))
+    inside = np.all((lo - pad <= pos) & (pos <= hi + pad), axis=0)  # NaN fails too
+    for k in [k for k, start in enumerate(starts) if start is None]:
+        mine = np.equal(owner, k) & inside
+        kept: list[tuple[np.ndarray, float]] = []
+        for p, o in sorted(zip(pos.T[mine], obj[mine].tolist()), key=lambda m: m[1]):
+            if all(math.dist(p, held) >= _MERGE_DIST for held, _ in kept):
+                kept.append((p, o))
+        rivals = [(float(p[0]), float(p[1]), o) for p, o in kept
+                  if o <= _AMBIGUITY_RATIO * kept[0][1] + 1e-12]
+        starts[k] = kept[0][0] if len(rivals) == 1 else AmbiguityError(rivals)
+    return starts
+
+
 def ls_solve(xy: np.ndarray, z: np.ndarray, init: Sequence[float] | None = None) -> np.ndarray:
     """Minimize the sum of squared centred residuals of one blink's
     arrivals ``z`` (m,), c x arrival time in meters against any common
-    origin, at anchors ``xy`` (m, 2) over the plane.
-
-    Without ``init`` the solver refines each seed of the linearized set
-    (``_seeds``) and keeps the minima inside the anchors' bounding box,
-    padded by a quarter of its diagonal (at least 1 m); minima closer than
-    _MERGE_DIST are one.  No minimum left, or several within
-    _AMBIGUITY_RATIO of the best, raise ``AmbiguityError``.  With ``init``
-    it refines locally from there.
-    """
+    origin, at anchors ``xy`` (m, 2) over the plane: without ``init`` by a
+    cold start (``_cold_starts``, whose errors it raises), with ``init`` by
+    refining locally from there."""
+    one = np.zeros(1, dtype=np.int64)
+    blink = BlinkRows(("",), one, one, one, np.array([len(z)]), z, xy)
+    if init is None:
+        (start,) = _cold_starts(blink, one)
+        if isinstance(start, Exception):
+            raise start
+        return start
     if len(z) < MIN_RECEIVERS:
         raise ValueError(f"need at least {MIN_RECEIVERS} arrivals for a planar fix")
-    if init is not None:
-        pos, _ = _refine(np.asarray(init, dtype=float), xy, z)
-        return pos
-    lo, hi = xy.min(axis=0), xy.max(axis=0)
-    pad = max(1.0, 0.25 * float(np.hypot(*(hi - lo))))
-    minima = [
-        (pos, obj)
-        for pos, obj in (_refine(xy[0] + seed, xy, z) for seed in _seeds(xy, z))
-        if np.all(lo - pad <= pos) and np.all(pos <= hi + pad)  # NaN fails too
-    ]
-    kept: list[tuple[np.ndarray, float]] = []
-    for pos, obj in sorted(minima, key=lambda m: m[1]):
-        if all(math.dist(pos, held) >= _MERGE_DIST for held, _ in kept):
-            kept.append((pos, obj))
-    rivals = [
-        (float(p[0]), float(p[1]), o) for p, o in kept if o <= _AMBIGUITY_RATIO * kept[0][1] + 1e-12
-    ]
-    if len(rivals) != 1:
-        raise AmbiguityError(rivals)
-    return kept[0][0]
+    return _refine(np.reshape(init, (2, 1)), *blink.layout(one))[0][:, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -380,12 +388,8 @@ class TrackerConfig:
                 raise ValueError(f"{name} must be {bound} and finite, got {value!r}")
 
 
-def track(
-    blinks: BlinkRows,
-    blink_period: float,
-    cfg: TrackerConfig = TrackerConfig(),
-    diagnostics: dict | None = None,
-) -> list[Fix]:
+def track(blinks: BlinkRows, blink_period: float, cfg: TrackerConfig = TrackerConfig(),
+          diagnostics: dict | None = None) -> list[Fix]:
     """Run the EKF over the blinks of any number of tags, in any order, at
     most one per (tag_id, blink_seq); fixes come back in that order.
 
@@ -393,9 +397,9 @@ def track(
     tag with a blink there predicts once per ``blink_period`` (seconds, the
     time step of the motion model) elapsed since its last one, and one
     ``ekf_update`` folds in the epoch's blinks, laid out by one fancy index
-    (``BlinkRows.layout``).  Per tag, a track initializes from ``ls_solve``
-    on its blink's rows with zero velocity and re-initializes after a gap
-    of more than ``gap_reset`` blinks.  Blinks whose cold start fails or is
+    (``BlinkRows.layout``).  A track starts, with zero velocity, from a cold
+    start (``ls_solve``'s, one batch per epoch) and restarts after a gap of
+    more than ``gap_reset`` blinks.  Blinks whose cold start fails or is
     ambiguous are skipped and counted in ``diagnostics`` under
     ``tracks_not_started``; updates left with fewer than two usable rows,
     under ``updates_no_usable_rows``.
@@ -405,35 +409,29 @@ def track(
     if np.any((tag[1:] == tag[:-1]) & (seq[1:] == seq[:-1])):
         raise ValueError("track takes at most one blink per (tag_id, blink_seq)")
     diag = {} if diagnostics is None else diagnostics
-    f = transition_matrix(blink_period)
-    q = process_noise(blink_period, cfg.sigma_accel)
+    f, q = transition_matrix(blink_period), process_noise(blink_period, cfg.sigma_accel)
     p0 = np.diag([cfg.init_pos_var, cfg.init_pos_var, cfg.init_vel_var, cfg.init_vel_var])
     tags, slot = np.unique(blinks.tag, return_inverse=True)  # each blink's tag's state
     xs, ps = np.zeros((len(tags), 4)), np.zeros((len(tags), 4, 4))
     last = np.zeros(len(tags), dtype=np.int64)  # blink_seq of each tag's last fix
     live = np.zeros(len(tags), dtype=bool)
-    done: list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = []
-
-    def fixed(batch, x, p, residual) -> None:
-        done.append((batch, x, np.sqrt(np.maximum(p[:, 0, 0] + p[:, 1, 1], 0.0)), residual))
-
+    done = []  # per batch of fixes: blinks, states, position variances, residuals
     bounds = np.flatnonzero(np.diff(seq, prepend=-1, append=-1))
     for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
         epoch, now = order[lo:hi], int(seq[lo])
         i = slot[epoch]
         going = live[i] & (now - last[i] <= cfg.gap_reset)
         live[i[~going]] = False
-        for b in epoch[~going].tolist():
-            try:
-                pos = ls_solve(*blinks.arrivals(b))
-            except (AmbiguityError, ValueError) as exc:
+        cold = epoch[~going]
+        for b, start in zip(cold.tolist(), _cold_starts(blinks, cold) if len(cold) else ()):
+            if isinstance(start, Exception):
                 log.warning("track init skipped for %s #%d: %s",
-                            blinks.ids[blinks.tag[b]], now, exc)
+                            blinks.ids[blinks.tag[b]], now, start)
                 diag["tracks_not_started"] = diag.get("tracks_not_started", 0) + 1
                 continue
             k = slot[b]
-            xs[k], ps[k], last[k], live[k] = (pos[0], pos[1], 0.0, 0.0), p0, now, True
-            fixed(np.array([b]), xs[[k]], ps[[k]], np.zeros(1))
+            xs[k], ps[k], last[k], live[k] = (start[0], start[1], 0.0, 0.0), p0, now, True
+            done.append((np.array([b]), xs[[k]], ps[[k], 0, 0] + ps[[k], 1, 1], np.zeros(1)))
         batch = epoch[going]
         if not len(batch):
             continue
@@ -449,12 +447,12 @@ def track(
             log.warning("update skipped for %s #%d: fewer than two usable receivers",
                         blinks.ids[blinks.tag[b]], now)
             diag["updates_no_usable_rows"] = diag.get("updates_no_usable_rows", 0) + 1
-        fixed(batch, xs[rows], ps[rows], residual)
+        done.append((batch, xs[rows], ps[rows, 0, 0] + ps[rows, 1, 1], residual))
     if not done:
         return []
     columns = [np.concatenate(column) for column in zip(*done)]
     by_tag = np.lexsort((blinks.blink_seq[columns[0]], blinks.tag[columns[0]]))
-    batch, x, pos_std, residual = (column[by_tag] for column in columns)
+    batch, x, var, residual = (column[by_tag] for column in columns)
     return list(map(Fix, map(blinks.ids.__getitem__, blinks.tag[batch].tolist()),
-                    blinks.blink_seq[batch].tolist(), *x.T.tolist(), pos_std.tolist(),
-                    residual.tolist()))
+                    blinks.blink_seq[batch].tolist(), *x.T.tolist(),
+                    np.sqrt(np.maximum(var, 0.0)).tolist(), residual.tolist()))

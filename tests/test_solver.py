@@ -345,6 +345,27 @@ def test_cold_starts_are_exact_bounded_and_no_worse_than_a_grid(kind, count):
             assert np.min(sum_over_anchors(r * r)) >= fixed @ fixed, (kind, noise, tag)
 
 
+def test_a_batch_of_cold_starts_is_each_blink_alone_bit_for_bit():
+    # Ragged blinks of every layout and noise kind, fixed or ambiguous,
+    # started in one batch: each answer is the one ls_solve gives alone.
+    rng = np.random.default_rng(8)
+    sets, anchors = [], {}
+    for n in range(36):
+        meas, layout_anchors, _ = random_cold_start(
+            rng, ("rect", "fleet", "hall")[n % 3], (0.0, 0.03, "beyond", "garbage")[n % 4])
+        sets.append(meas._replace(tag_id=f"T{n:02d}"))
+        anchors.update(layout_anchors)
+    starts = solver._cold_starts(tracker_rows(sets, anchors), np.arange(len(sets)))
+    assert any(isinstance(start, AmbiguityError) for start in starts)
+    for meas, start in zip(sets, starts):
+        try:
+            alone = ls_solve(*layout(meas, anchors))
+        except AmbiguityError as exc:
+            assert repr(exc.candidates) == repr(start.candidates)
+        else:
+            assert repr(alone.tolist()) == repr(start.tolist())
+
+
 def test_nearly_collinear_anchors_are_still_ambiguous():
     # The tag's mirror image across the near-line fits as well: a rival.
     line = {"A1": (0.0, 0.0), "A2": (3.0, 1e-6), "A3": (6.0, 1e-6), "A4": (9.0, 1e-6)}
@@ -401,11 +422,20 @@ def test_refinement_stops_at_its_first_short_step(monkeypatch):
     # end the refinement, not walk the damping up to its cap.
     xy, z = layout(HALL_T002, HALL)
     calls = []
-    inner = solver._residuals_and_jacobian
-    monkeypatch.setattr(solver, "_residuals_and_jacobian", lambda *a: calls.append(1) or inner(*a))
-    pos, _ = _refine(xy[0] + _seeds(xy, z)[0], xy, z)
+    inner = solver._normal_equations
+    monkeypatch.setattr(solver, "_normal_equations", lambda *a: calls.append(1) or inner(*a))
+    seed = xy[0] + _seeds(xy, z)[0]
+    pos, _ = _refine(seed[:, None], xy[:, :, None], z[:, None], np.ones((len(z), 1), bool))
     assert len(calls) <= 6
-    assert math.dist(pos, (11.489145522786256, 27.246556339655342)) <= 1e-6
+    assert math.dist(pos[:, 0], (11.489145522786256, 27.246556339655342)) <= 1e-6
+
+
+def test_a_refinement_that_starts_on_an_anchor_reaches_the_truth():
+    # At its own anchor a row has no gradient: it is dropped there, as the
+    # filter's update drops it, and comes back once the point moves off.
+    truth = (4.2, 2.8)
+    xy, z = layout(tdoa_set(truth), RECT)
+    assert math.dist(ls_solve(xy, z, init=xy[0]), truth) <= 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -520,6 +550,24 @@ def test_a_tags_fixes_do_not_depend_on_the_batch_it_is_stepped_in():
     # T2 restarted after its long gap and rode through its short one.
     t2 = [f for f in together if f.tag_id == "T2"]
     assert [f.blink_seq for f in t2 if f.residual_norm == 0.0] == [0, 35]
+
+
+def test_a_blink_with_no_seeds_is_skipped_counted_and_alone(caplog):
+    # Every anchor of T2's blinks is at one spot: they have no seeds, so
+    # their cold starts fail before the refinement, at epoch 0 in T1's
+    # batch and at epoch 5 alone.
+    spot = {f"C{i}": (3.0, 2.0) for i in range(4)}
+    bad = [tdoa_set((1.0, 1.0), spot, "C0", seq=seq, tag="T2") for seq in (0, 5)]
+    with pytest.raises(AmbiguityError):
+        _seeds(*layout(bad[0], spot))
+    t1 = [tdoa_set((1.0 + 0.05 * i, 2.0), seq=i, tag="T1") for i in range(12)]
+    anchors = {**RECT, **spot}
+    diagnostics: dict = {}
+    fixes = track(tracker_rows([*bad, *t1], anchors), 0.1, diagnostics=diagnostics)
+    assert diagnostics == {"tracks_not_started": 2}
+    assert "track init skipped for T2 #0" in caplog.text
+    assert "track init skipped for T2 #5" in caplog.text
+    assert repr(fixes) == repr(track(tracker_rows(t1, anchors), 0.1))
 
 
 def test_an_update_with_no_usable_row_is_skipped_counted_and_alone():
