@@ -25,6 +25,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from .config import ConfigError, ScenarioConfig, load_config
+from .constants import ROW_BLOCK
 from .deploy import build_deployment_report, grid_to_csv
 from .engine import LocateResult, locate_reports
 from .metrics import EmptyEvalError, errors_csv, evaluate
@@ -45,7 +46,6 @@ EXIT_IO = 4
 
 FIXES_HEADER = "tag_id,blink_seq,x,y,vx,vy,pos_std"
 SYNCED_HEADER = "anchor_id,tag_id,blink_seq,ccp_seq,offset,rate"
-BLOCK_LINES = 4096  # lines read, parsed, rendered and written at a time
 
 
 class CsvHeaderError(ValueError):
@@ -57,8 +57,8 @@ class CsvHeaderError(ValueError):
 
 
 def _row_blocks(n: int) -> Iterator[slice]:
-    """Slices of ``BLOCK_LINES`` rows that cover ``n`` rows, in order."""
-    return (slice(lo, lo + BLOCK_LINES) for lo in range(0, n, BLOCK_LINES))
+    """Slices of ``ROW_BLOCK`` rows that cover ``n`` rows, in order."""
+    return (slice(lo, lo + ROW_BLOCK) for lo in range(0, n, ROW_BLOCK))
 
 
 def fixes_to_csv(fixes: Sequence[Fix]) -> Iterator[str]:
@@ -102,7 +102,7 @@ def _read_lines(path: Path, parse: Callable[[list[str]], Sequence], columns: int
         if header is not None and fh.readline().strip() != header:
             raise CsvHeaderError(f"{path}: the first line is not the header {header!r}")
         lineno = 1 if header is None else 2
-        while lines := list(itertools.islice(fh, BLOCK_LINES)):
+        while lines := list(itertools.islice(fh, ROW_BLOCK)):
             try:
                 if block := list(filter(None, map(str.strip, lines))):
                     parse_block(block)

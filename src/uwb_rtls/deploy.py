@@ -16,7 +16,8 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .solver import GEOMETRY_BLOCK, ranges, sum_over_anchors
+from .constants import ROW_BLOCK
+from .solver import ranges, sum_over_anchors
 from .topology import NetworkTopology, ROLE_MASTER, ROLE_SLAVE
 
 STATUS_PASS = "pass"
@@ -258,8 +259,8 @@ def _hdop(px, py, anchors: Mapping[str, tuple[float, float]], reference: str):
     xy = np.array([anchors[a] for a in [reference, *others]], dtype=float)
     hdop = np.empty(px.size)
     on_anchor = np.empty(px.size, dtype=bool)
-    for start in range(0, px.size, GEOMETRY_BLOCK):
-        block = slice(start, start + GEOMETRY_BLOCK)
+    for start in range(0, px.size, ROW_BLOCK):
+        block = slice(start, start + ROW_BLOCK)
         _, grad, near = ranges(px[block], py[block], xy, gradient=True)
         grad[:, 1:] -= grad[:, :1]  # unit-vector differences against the reference
         gx, gy = grad[:, 1:]

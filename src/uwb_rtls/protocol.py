@@ -54,6 +54,18 @@ def id_codes(*columns: Sequence[str]) -> tuple[tuple[str, ...], list[np.ndarray]
     return ids, [np.fromiter(map(code, c), np.int32, len(c)) for c in columns]
 
 
+def present_codes(n_ids: int, *columns: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The codes into a table of ``n_ids`` ids that any of ``columns`` holds,
+    sorted, and each column as int32 codes into them: what ``np.unique`` of
+    the columns' concatenation returns with its inverse, with no temporary
+    longer than one column."""
+    present = np.zeros(n_ids, dtype=bool)
+    for column in columns:
+        present[column] = True
+    remap = np.cumsum(present, dtype=np.int32) - 1
+    return np.flatnonzero(present), [remap[column] for column in columns]
+
+
 @dataclass(frozen=True, eq=False)
 class ReportColumns:
     """Reports as columns, one row per report, in any order: ``anchor``

@@ -24,7 +24,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .clock import ClockArrays, read_clock
-from .constants import SPEED_OF_LIGHT
+from .constants import ROW_BLOCK, SPEED_OF_LIGHT
 from .protocol import (
     BLINK_RX,
     CCP_RX,
@@ -37,6 +37,7 @@ from .protocol import (
     json_columns,
     json_records,
     json_string,
+    present_codes,
 )
 from .topology import NetworkTopology
 
@@ -177,14 +178,20 @@ class Scenario:
                     links: Mapping[str, frozenset[str]] | None) -> tuple[np.ndarray, np.ndarray]:
         """The range in metres from each point (x, y) to each anchor, and whether the
         anchor hears ``senders[sender[i]]`` send from point i: if ``links`` link them,
-        else if within ``reception_radius``.  ``np.hypot`` may differ in the last bit."""
+        else if within ``reception_radius``.  Ranges are ``math.hypot``'s (``np.hypot``
+        may differ in the last bit), taken ``ROW_BLOCK`` points at a time so the
+        Python floats in flight stay a block in number however long the run."""
         ax, ay = np.array([a.xy() for a in self.topology.anchors], float).T
-        dx, dy = (ax - x[:, None]).ravel().tolist(), (ay - y[:, None]).ravel().tolist()
-        ranges = np.reshape(list(map(math.hypot, dx, dy)), (len(x), len(ax)))
+        ranges = np.empty((len(x), len(ax)))
+        for start in range(0, len(x), ROW_BLOCK):
+            block = slice(start, start + ROW_BLOCK)
+            dx, dy = (ax - x[block, None]).ravel(), (ay - y[block, None]).ravel()
+            ranges[block] = np.fromiter(map(math.hypot, dx.tolist(), dy.tolist()), float,
+                                        dx.size).reshape(-1, len(ax))
         if links is None:
             return ranges, ranges <= (self.reception_radius or math.inf)
         linked = [[a in links.get(s, ()) for a in self.topology.ids()] for s in senders]
-        return ranges, np.array(linked, bool).reshape(len(senders), -1)[sender]
+        return ranges, np.array(linked, bool).reshape(len(senders), len(ax))[sender]
 
     def _ccp_receptions(self) -> tuple[np.ndarray, np.ndarray]:
         """Which anchors hear each master's CCPs, (master, anchor) in ``topology.masters()``
@@ -333,7 +340,8 @@ def run_scenario(scenario: Scenario) -> SimResult:
     # Blinks, time-major, tags in scenario order; each is heard by a mask row.
     k = _steps(scenario.blink_period, scenario.duration)
     t = k * scenario.blink_period
-    xy = np.array([tag.trajectory.positions(t) for tag in tags], float).reshape(len(tags), 2, -1)
+    xy = np.array([tag.trajectory.positions(t) for tag in tags], float)
+    xy = xy.reshape(len(tags), 2, len(t))  # (tags, 2, times) with no tags too
     x, y = xy[:, 0].T.ravel(), xy[:, 1].T.ravel()
     tag_index = np.tile(np.arange(len(tags)), len(t))
     blink_time, blink_seq = np.repeat(t, len(tags)), np.repeat(k % SEQ_WRAP, len(tags))
@@ -369,10 +377,9 @@ def run_scenario(scenario: Scenario) -> SimResult:
     clocks = ClockArrays.gather([a.clock for a in topo.anchors], receiver[order])
     ticks = read_clock(clocks, time[order], rng)
     # Only the ids some report holds stay in the id table.
-    used, codes = np.unique(np.concatenate((anchor[order], src[order])), return_inverse=True)
-    anchor_code, src_code = np.split(codes.astype(np.int32), 2)
-    reports = ReportColumns(tuple(ids[i] for i in used.tolist()), anchor_code,
-                            kind[order].astype(np.int8), src_code, seq[order], ticks)
+    used, (anchor_code, src_code) = present_codes(len(ids), anchor, src)
+    reports = ReportColumns(tuple(ids[i] for i in used.tolist()), anchor_code[order],
+                            kind[order].astype(np.int8), src_code[order], seq[order], ticks)
     tag_ids = tuple(sorted(tag.id for tag in tags))
     truth_tag = np.array([tag_ids.index(tag.id) for tag in tags], np.int32)[tag_index]
     return SimResult(reports, TruthBlinks(tag_ids, truth_tag, blink_seq, blink_time, x, y),

@@ -43,7 +43,6 @@ _REFINE_MAX_ITER = 80
 _AMBIGUITY_RATIO = 2.0  # minima within this factor of the best one are rivals
 _MERGE_DIST = 1e-3  # m, refined minima closer than this are one
 _EPS_DIST = 1e-12  # m, guards unit vectors at anchor positions
-GEOMETRY_BLOCK = 4096  # points per kernel call on grids, bounding temporaries
 
 
 class SolverError(RuntimeError):

@@ -35,14 +35,15 @@ they are needed: for positioning, and for eval's stability streams.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .clock import HALF_WRAP, TICK_SECONDS, TICK_WRAP, ts_diff
-from .constants import SPEED_OF_LIGHT
-from .protocol import BLINK_RX, CCP_RX, CCP_TX, ReportColumns
+from .constants import ROW_BLOCK, SPEED_OF_LIGHT
+from .protocol import BLINK_RX, CCP_RX, CCP_TX, ReportColumns, present_codes
 from .topology import NetworkTopology, ROLE_MASTER
 
 
@@ -181,6 +182,11 @@ def multi_master_sync(
     arrivals (``blinks_without_tdoa``).  Both periods must be > 0 and
     finite; ``blink_period`` is only a search hint.  Results depend only on
     the multiset of reports.
+
+    A blink's placement depends only on its own stamp and hint and on the
+    epoch tracks, so blinks are placed ``ROW_BLOCK`` rows at a time, and the
+    output's id table is compacted by presence (``protocol.present_codes``):
+    no temporary of the placement is longer than a block.
     """
     for name, period in (("ccp_period", ccp_period), ("blink_period", blink_period)):
         if not 0 < period < math.inf:
@@ -285,8 +291,10 @@ def multi_master_sync(
     schedule_limit = HALF_WRAP * TICK_SECONDS  # tick distances alias beyond this
     offset, ccp_seq, rate = np.zeros(len(rows)), np.zeros(len(rows), np.int64), np.zeros(len(rows))
     placed, saw_fresh = np.zeros(len(rows), dtype=bool), np.zeros(len(rows), dtype=bool)
-    for j in range(int(tracks_of.max(initial=0))):
-        row = np.flatnonzero(~placed & (tracks_of[receiver] > j))
+    for start, j in itertools.product(range(0, len(rows), ROW_BLOCK),
+                                      range(int(tracks_of.max(initial=0)))):
+        block = slice(start, start + ROW_BLOCK)
+        row = start + np.flatnonzero(~placed[block] & (tracks_of[receiver[block]] > j))
         t = first_track[receiver[row]] + j
         at = np.minimum(np.searchsorted(epoch_key, t * 2**33 + hint_key[row]), track_hi[t] - 1)
         e = _nearest(stamp[row], at, track_lo[t], track_hi[t], epoch_ticks)
@@ -307,7 +315,6 @@ def multi_master_sync(
     synced = np.add.reduceat(np.append(placed, False).astype(np.int64), starts) >= 2
     count("blinks_without_tdoa", len(starts) - np.count_nonzero(synced))
     row = np.flatnonzero(placed & np.repeat(synced, sizes))
-    used, codes = np.unique(np.concatenate([tag[row], receiver[row]]), return_inverse=True)
-    tag_code, anchor_code = np.split(codes.astype(np.int32), 2)
+    used, (tag_code, anchor_code) = present_codes(n_ids, tag[row], receiver[row])
     return ArrivalTable(tuple(ids[i] for i in used.tolist()), tag_code, blink_seq[row],
                         anchor_code, offset[row], ccp_seq[row], rate[row])

@@ -617,6 +617,22 @@ def test_reports_without_blinks_exit_3(tmp_path, config_path, capsys):
     assert "no fixes" in capsys.readouterr().err
 
 
+def test_a_scenario_without_tags_simulates_ccps_alone_and_locate_exits_3(tmp_path, capsys):
+    path = tmp_path / "no_tags.json"
+    path.write_text(json.dumps({**CONFIG, "tags": []}))
+    out = tmp_path / "run"
+    assert main(["simulate", "--config", str(path), "--out", str(out)]) == EXIT_OK
+    reports = [json.loads(line) for line in (out / "reports.jsonl").read_text().splitlines()]
+    assert reports and {r["kind"] for r in reports} == {"ccp_tx", "ccp_rx"}
+    truth = [json.loads(line) for line in (out / "truth.jsonl").read_text().splitlines()]
+    assert [t["kind"] for t in truth] == ["clock"] * len(CONFIG["anchors"])
+    capsys.readouterr()
+    code = main(["locate", "--config", str(path), "--out", str(out),
+                 "--reports", str(out / "reports.jsonl")])
+    assert code == EXIT_EMPTY
+    assert "no fixes produced" in capsys.readouterr().err
+
+
 def test_missing_input_file_exits_4(tmp_path, config_path, capsys):
     code = main(["locate", "--config", str(config_path), "--out", str(tmp_path / "o"),
                  "--reports", str(tmp_path / "nowhere.jsonl")])

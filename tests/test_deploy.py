@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from uwb_rtls.constants import ROW_BLOCK
 from uwb_rtls.deploy import (
     MIN_LOS_SLAVES,
     _convex_hull,
@@ -21,7 +22,6 @@ from uwb_rtls.deploy import (
     hdop_grid,
     worst_hdop_in_hull,
 )
-from uwb_rtls.solver import GEOMETRY_BLOCK
 from uwb_rtls.topology import AnchorConfig, NetworkTopology
 
 from conftest import RECT_POSITIONS, build_rect_topology
@@ -130,11 +130,11 @@ def test_hdop_grid_in_blocks_is_infinite_exactly_at_the_anchors():
     # 97 x 65 points: more than one block and not a whole number of them.
     rows = hdop_grid(((0.0, 0.0), (6.0, 4.0)), 0.0625, RECT_POSITIONS, "MA1")
     assert len(rows) == 97 * 65
-    assert len(rows) > GEOMETRY_BLOCK and len(rows) % GEOMETRY_BLOCK
+    assert len(rows) > ROW_BLOCK and len(rows) % ROW_BLOCK
     assert {(x, y) for x, y, v in rows if not math.isfinite(v)} == set(RECT_POSITIONS.values())
     # The last points of the first block and the first of the second agree
     # bit for bit with one-point evaluation.
-    for x, y, value in rows[GEOMETRY_BLOCK - 3 : GEOMETRY_BLOCK + 3]:
+    for x, y, value in rows[ROW_BLOCK - 3 : ROW_BLOCK + 3]:
         assert value == hdop_at((x, y), RECT_POSITIONS, "MA1")
 
 

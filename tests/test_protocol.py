@@ -23,6 +23,7 @@ from uwb_rtls.protocol import (
     check_number,
     decode_reports,
     encode_reports,
+    present_codes,
 )
 from uwb_rtls.simnet import decode_truths
 
@@ -143,6 +144,22 @@ def test_a_float_array_checks_as_its_list_does(values, low, high):
         except ValueError as exc:
             return str(exc)
     assert outcome(np.array(values, float)) == outcome(values)
+
+
+@given(st.integers(1, 40).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.lists(st.integers(0, n - 1), max_size=30), max_size=4))))
+def test_present_codes_are_np_unique_of_the_concatenation(table):
+    # The used ids and each column's codes, empty columns included, as
+    # np.unique of the columns' concatenation gives them.
+    n_ids, lists = table
+    columns = [np.array(c, np.int64) for c in lists]
+    used, codes = present_codes(n_ids, *columns)
+    want, inverse = np.unique(np.concatenate([np.zeros(0, np.int64), *columns]),
+                              return_inverse=True)
+    assert used.tolist() == want.tolist()
+    assert [c.dtype for c in codes] == [np.dtype(np.int32)] * len(columns)
+    assert np.concatenate([np.zeros(0, np.int32), *codes]).tolist() == inverse.tolist()
+    assert [len(c) for c in codes] == list(map(len, columns))
 
 
 def test_ticks_out_of_range():
