@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .constants import SPEED_OF_LIGHT
+from .constants import SPEED_OF_LIGHT, tally
 from .protocol import ReportColumns
 from .solver import MIN_RECEIVERS, BlinkRows, Fix, TrackerConfig, track
 from .topology import NetworkTopology
@@ -71,8 +71,7 @@ def locate_reports(
     positions = topo.positions()
     xy = np.array([positions.get(i, (math.nan, math.nan)) for i in blinks.ids]).reshape(-1, 2)
     usable = sizes >= MIN_RECEIVERS
-    if n := int(np.count_nonzero(~usable)):
-        diagnostics["blinks_too_few_receivers"] = n
+    tally(diagnostics, "blinks_too_few_receivers", np.count_nonzero(~usable))
 
     use = starts[usable]
     rows = BlinkRows(blinks.ids, blinks.tag[use], blinks.blink_seq[use], use, sizes[usable],

@@ -31,7 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .constants import SPEED_OF_LIGHT
+from .constants import SPEED_OF_LIGHT, tally
 
 log = logging.getLogger(__name__)
 
@@ -407,7 +407,6 @@ def track(blinks: BlinkRows, blink_period: float, cfg: TrackerConfig = TrackerCo
     tag, seq = blinks.tag[order], blinks.blink_seq[order]
     if np.any((tag[1:] == tag[:-1]) & (seq[1:] == seq[:-1])):
         raise ValueError("track takes at most one blink per (tag_id, blink_seq)")
-    diag = {} if diagnostics is None else diagnostics
     f, q = transition_matrix(blink_period), process_noise(blink_period, cfg.sigma_accel)
     p0 = np.diag([cfg.init_pos_var, cfg.init_pos_var, cfg.init_vel_var, cfg.init_vel_var])
     tags, slot = np.unique(blinks.tag, return_inverse=True)  # each blink's tag's state
@@ -426,7 +425,7 @@ def track(blinks: BlinkRows, blink_period: float, cfg: TrackerConfig = TrackerCo
             if isinstance(start, Exception):
                 log.warning("track init skipped for %s #%d: %s",
                             blinks.ids[blinks.tag[b]], now, start)
-                diag["tracks_not_started"] = diag.get("tracks_not_started", 0) + 1
+                tally(diagnostics, "tracks_not_started")
                 continue
             k = slot[b]
             xs[k], ps[k], last[k], live[k] = (start[0], start[1], 0.0, 0.0), p0, now, True
@@ -445,7 +444,7 @@ def track(blinks: BlinkRows, blink_period: float, cfg: TrackerConfig = TrackerCo
         for b in batch[np.isnan(residual)].tolist():
             log.warning("update skipped for %s #%d: fewer than two usable receivers",
                         blinks.ids[blinks.tag[b]], now)
-            diag["updates_no_usable_rows"] = diag.get("updates_no_usable_rows", 0) + 1
+            tally(diagnostics, "updates_no_usable_rows")
         done.append((batch, xs[rows], ps[rows, 0, 0] + ps[rows, 1, 1], residual))
     if not done:
         return []

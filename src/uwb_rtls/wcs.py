@@ -1,36 +1,24 @@
-"""Wireless clock synchronization.
+"""Wireless clock synchronization: calibrate the anchor clocks, then place blinks.
 
 Anchors never adjust their counters; the engine removes clock disagreement
-after the fact using clock calibration packets (CCPs).  One clock's
-readings of two consecutive CCPs span one nominal CCP interval of the
-primary master's schedule, so that window gives the clock's rate (device
-seconds per schedule second), and a tag blink timestamped on several
-free-running counters can be mapped onto one common timescale.
-Multi-master cascades compose these per-hop corrections along the follow
-chain, so any two anchors in a connected topology can be differenced.
-
-Readings are the anchors' raw tick counts, plain floats (see ``clock``);
-a report whose reading lies outside [0, 2**40) is counted and skipped
-before anything else looks at it.
-
-Every clock is calibrated by one window rule.  A clock's reading of CCP
-``s`` is an epoch if the same clock also read CCP ``s + 1`` and its rate
-over that window lies within ``1 +/- k_band``; a window that fails is
-counted and dropped.  A slave's epochs are its receptions of a master's
-CCPs, and the CCP's flight time over the known baseline is added back; a
-master's epochs are its own CCP transmissions.  A blink timestamp is placed
-after the epoch nearest to it on the receiving anchor's own clock and
-scaled by that epoch's rate.  The paper's scale coefficient K = ΔT/ΔR
-between a master and a receiver is the ratio of their two rates over one
-window: the master's ``rate`` over the receiver's.
-
-The sync works on whole columns (``protocol.ReportColumns``): sorting,
-grouping and ``np.searchsorted`` do the lookups, with the floating-point
+after the fact using clock calibration packets (CCPs).  Readings are raw
+tick counts in [0, 2**40) (see ``clock``).  ``multi_master_sync`` drops bad
+reports and repeated readings, then makes two calls.  ``calibrate`` builds
+a ``SyncState`` from the CCP rows by one window rule: a clock's reading of
+CCP ``s`` is an epoch if the clock also read CCP ``s + 1`` and its rate
+(device seconds per schedule second) over that window lies within
+``1 +/- k_band``.  A slave's epochs are its receptions of a master's CCPs,
+their flight time over the known baseline added back; a master's are its
+own transmissions.  Each epoch carries its master's offset from the
+primary, summed down the master cascade; an epoch whose cascade link is
+broken is dropped.  ``place`` maps a blink stamp through the epoch nearest
+to it on the receiving anchor's own clock, scaled by that epoch's rate.
+The paper's scale coefficient K = ΔT/ΔR between a master and a receiver is
+the ratio of their two rates over one window: the master's ``rate`` over
+the receiver's.  Both work on whole columns, with the floating-point
 operations of one report at a time, in the same order.  The output is one
-``ArrivalTable``: each blink's arrival at each receiver on the common
-timescale, CCP propagation between anchors (a known baseline over c)
-already removed.  Time differences (``arrival_tdoa``) are taken only where
-they are needed: for positioning, and for eval's stability streams.
+``ArrivalTable``: each blink's arrival at each receiver on the primary's
+timescale; TDoAs (``arrival_tdoa``) are taken only where they are needed.
 """
 
 from __future__ import annotations
@@ -42,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clock import HALF_WRAP, TICK_SECONDS, TICK_WRAP, ts_diff
-from .constants import ROW_BLOCK, SPEED_OF_LIGHT
+from .constants import ROW_BLOCK, SPEED_OF_LIGHT, tally
 from .protocol import BLINK_RX, CCP_RX, CCP_TX, ReportColumns, present_codes
 from .topology import NetworkTopology, ROLE_MASTER
 
@@ -152,57 +140,27 @@ def _nearest(stamp, at, lo, hi, epoch_ticks) -> np.ndarray:
     return i
 
 
-def multi_master_sync(
-    reports: ReportColumns,
-    topo: NetworkTopology,
-    *,
-    ccp_period: float,
-    blink_period: float = 0.1,
-    params: WcsParams = WcsParams(),
-    diagnostics: dict | None = None,
-) -> ArrivalTable:
-    """Correct every blink in a report stream onto the common timescale.
-
-    Each receiving anchor's blink timestamp, a master's and a slave's alike,
-    is mapped through the CCP epoch nearest to it on its own clock and
-    scaled by its rate over that window; lower-level masters are chained to
-    the primary through their own CCP receive/transmit pairs.  A slave that
-    follows several masters takes the first track, in master-id order,
-    whose nearest epoch is fresh and on the primary's timescale.
-
-    Counted in ``diagnostics`` and skipped, in this order: reports with
-    ticks outside [0, 2**40) (``ticks_out_of_range``), from an anchor not
-    in ``topo`` (``unknown_anchor_reports``), CCP transmissions not by a
-    master about itself (``ccp_tx_from_non_master``) and CCP receptions
-    from a non-master (``ccp_rx_unknown_master``); repeats of a reading,
-    the smallest tick winning (``duplicate_reports``); a receiver with no
-    epoch (``unsynchronized_blinks``) or whose nearest is more than
-    ``params.stale_intervals`` CCP periods or half a counter wrap of
-    schedule away (``stale_blinks``); and a blink left with fewer than two
-    arrivals (``blinks_without_tdoa``).  Both periods must be > 0 and
-    finite; ``blink_period`` is only a search hint.  Results depend only on
-    the multiset of reports.
-
-    A blink's placement depends only on its own stamp and hint and on the
-    epoch tracks, so blinks are placed ``ROW_BLOCK`` rows at a time, and the
-    output's id table is compacted by presence (``protocol.present_codes``):
-    no temporary of the placement is longer than a block.
-    """
+def multi_master_sync(reports: ReportColumns, topo: NetworkTopology, *, ccp_period: float,
+                      blink_period: float = 0.1, params: WcsParams = WcsParams(),
+                      diagnostics: dict | None = None) -> ArrivalTable:
+    """Every blink of a report stream on the common timescale:
+    ``place(calibrate(...), ...)`` over the reports left once these are
+    counted in ``diagnostics`` and dropped, in this order: ticks outside
+    [0, 2**40) (``ticks_out_of_range``), an anchor not in ``topo``
+    (``unknown_anchor_reports``), a CCP transmission not by a master about
+    itself (``ccp_tx_from_non_master``), a CCP reception from a non-master
+    (``ccp_rx_unknown_master``), and repeats of a reading, the smallest
+    tick winning (``duplicate_reports``).  Both periods must be > 0 and
+    finite; ``blink_period`` is a search hint.  Only the multiset matters."""
     for name, period in (("ccp_period", ccp_period), ("blink_period", blink_period)):
         if not 0 < period < math.inf:
             raise ValueError(f"{name} must be > 0 and finite, got {period!r}")
     diag = diagnostics if diagnostics is not None else {}
-
-    def count(key: str, n) -> None:
-        if n:
-            diag[key] = diag.get(key, 0) + int(n)
-
-    ids, n_ids = reports.ids, len(reports.ids)
-    code = {value: i for i, value in enumerate(ids)}
     roles = {a.id: a.role for a in topo.anchors}
-    known = np.array([value in roles for value in ids], dtype=bool)
-    master = np.array([roles.get(value) == ROLE_MASTER for value in ids], dtype=bool)
-    anchor, kind, src, ticks = reports.anchor, reports.kind, reports.src, reports.ticks
+    known = np.array([value in roles for value in reports.ids], dtype=bool)
+    master = np.array([roles.get(value) == ROLE_MASTER for value in reports.ids], dtype=bool)
+    anchor, kind, src, seq, ticks = columns = (
+        reports.anchor, reports.kind, reports.src, reports.seq, reports.ticks)
     keep = np.ones(len(reports), dtype=bool)
     for key, bad in (
         ("ticks_out_of_range", ~((ticks >= 0) & (ticks < TICK_WRAP))),
@@ -211,23 +169,56 @@ def multi_master_sync(
         ("ccp_rx_unknown_master", (kind == CCP_RX) & ~master[src]),
     ):
         bad &= keep
-        count(key, np.count_nonzero(bad))
+        tally(diag, key, np.count_nonzero(bad))
         keep &= ~bad
 
     # One stable sort by (anchor, source, kind, seq, ticks): the first row
     # of a repeated reading holds its smallest tick value.
     rows = np.flatnonzero(keep)
-    rows = rows[np.lexsort((ticks[rows], reports.seq[rows], kind[rows], src[rows], anchor[rows]))]
-    first = run_starts(*(column[rows] for column in (anchor, src, kind, reports.seq)))
-    count("duplicate_reports", len(rows) - np.count_nonzero(first))
-    rows = rows[first]
-    anchor, src, kind, seq, ticks = (c[rows] for c in (anchor, src, kind, reports.seq, ticks))
+    rows = rows[np.lexsort((ticks[rows], seq[rows], kind[rows], src[rows], anchor[rows]))]
+    first = run_starts(*(column[rows] for column in columns[:4]))
+    tally(diag, "duplicate_reports", len(rows) - np.count_nonzero(first))
     diag["reports"] = diag.get("reports", 0) + len(reports)
+    clean = ReportColumns(reports.ids, *(column[rows[first]] for column in columns))
+    return place(calibrate(clean, topo, ccp_period=ccp_period, params=params, diagnostics=diag),
+                 clean, blink_period=blink_period, params=params, diagnostics=diag)
 
-    # Epoch tracks: a master's own CCP transmissions, and a slave's
-    # receptions of the CCPs of each master it follows.  Rows are in
-    # (anchor, master, kind, seq) order, so the tracks come in (anchor,
-    # master) order, each one's readings a run in seq order.
+
+@dataclass(frozen=True, eq=False)
+class SyncState:
+    """Every anchor clock's calibration: only the epochs that can place a
+    blink, track by track in (anchor, master) order, each track's by seq."""
+
+    ids: tuple[str, ...]  # the report id table that anchor codes index
+    ccp_period: float
+    epoch_key: np.ndarray  # track * 2**33 + seq, sorted
+    epoch_seq: np.ndarray  # the CCP the epoch's clock read, int64
+    epoch_ticks: np.ndarray  # its reading of that CCP
+    epoch_rate: np.ndarray  # its rate over the window to the next CCP
+    epoch_base: np.ndarray  # its master's sending of that CCP after the primary's, s
+    track_lo: np.ndarray  # track t holds epochs track_lo[t]:track_hi[t]
+    track_hi: np.ndarray
+    track_delay: np.ndarray  # CCP flight time from the track's master, s
+    tracks_of: np.ndarray  # per anchor code: its number of tracks ...
+    first_track: np.ndarray  # ... from this one on
+
+
+def calibrate(reports: ReportColumns, topo: NetworkTopology, *, ccp_period: float,
+              params: WcsParams = WcsParams(), diagnostics: dict | None = None) -> SyncState:
+    """The epoch tracks of the CCP rows of ``reports`` (at most one per
+    reading, in any order): a master's own transmissions, and a slave's
+    receptions of each followed master's CCPs.  Windows out of the rate
+    band are counted (``rejected_windows``).  A lower master's base at CCP
+    s is its turnaround from its reception of its upper master's CCP s,
+    plus their baseline, plus the upper master's base at s.  An epoch whose
+    base is NaN, the cascade link broken, is dropped: it can place no blink."""
+    ids, n_ids = reports.ids, len(reports.ids)
+    code = {value: i for i, value in enumerate(ids)}
+    columns = (reports.anchor, reports.kind, reports.src, reports.seq, reports.ticks)
+    # CCP rows by (anchor, kind, source, seq): epochs come track by track, by seq.
+    rows = np.flatnonzero(reports.kind != BLINK_RX)
+    rows = rows[np.lexsort([column[rows] for column in columns[3::-1]])]
+    anchor, kind, src, seq, ticks = (column[rows] for column in columns)
     pair = anchor.astype(np.int64) * n_ids + src
     followed = [code[a] * n_ids + code[m] for a in topo.slaves() if a in code
                 for m in topo.follow.get(a, ()) if m in code]
@@ -236,85 +227,88 @@ def multi_master_sync(
     window = (track_key[1:] == track_key[:-1]) & (seq[reading[1:]] == seq[reading[:-1]] + 1)
     window_rate = ts_diff(ticks[reading[1:]], ticks[reading[:-1]]) * TICK_SECONDS / ccp_period
     good = window & (np.abs(window_rate - 1.0) <= params.k_band)
-    count("rejected_windows", np.count_nonzero(window & ~good))
-    epoch = reading[:-1][good]
-    epoch_seq, epoch_ticks, epoch_rate = seq[epoch], ticks[epoch], window_rate[good]
-    new_track = run_starts(track_key[:-1][good])
-    epoch_track = np.cumsum(new_track) - 1
-    track_lo = np.flatnonzero(new_track)
-    track_hi = np.append(track_lo[1:], len(epoch))
-    track_anchor, track_master = np.divmod(track_key[:-1][good][new_track], n_ids)
-    track_delay = np.array([
-        0.0 if a == m else topo.baseline(ids[m], ids[a]) / SPEED_OF_LIGHT
-        for a, m in zip(track_anchor.tolist(), track_master.tolist())
-    ])
-    tracks_of = np.bincount(track_anchor, minlength=n_ids)
-    first_track = np.searchsorted(track_anchor, np.arange(n_ids))
+    tally(diagnostics, "rejected_windows", np.count_nonzero(window & ~good))
+    epoch, epoch_pair, epoch_rate = reading[:-1][good], track_key[:-1][good], window_rate[good]
+    epoch_seq, epoch_ticks, epoch_master = seq[epoch], ticks[epoch], epoch_pair % n_ids
 
-    # Offset of each master's seq-s CCP transmission from the primary's on
-    # the common timescale, at each of its own epochs s: its turnaround from
-    # its reception of its upper master's CCP s, plus their baseline, plus
-    # the upper master's offset at s.  NaN where the chain breaks.
+    # Masters in level order: an upper master's own epochs hold its base first.
     primary = topo.primary_master()
-    cascade: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-    def cascade_delta(m: int, at_seq: np.ndarray) -> np.ndarray:
-        if ids[m] == primary:
-            return np.zeros(len(at_seq))
-        return _lookup(*cascade.get(m, (np.zeros(0, np.int64), np.zeros(0))), at_seq)
-
+    base = np.where(epoch_master == code.get(primary, -1), 0.0, np.nan)
     for name in sorted(topo.masters(), key=lambda m: (topo.master_level[m], m)):
-        upper_set = topo.follow.get(name, frozenset())
-        m, u = code.get(name), code.get(min(upper_set, default=""))
-        if name == primary or len(upper_set) != 1 or None in (m, u) or not tracks_of[m]:
+        m, u = code.get(name), code.get(topo.upper_master(name))
+        if None in (m, u):
             continue
-        own = slice(track_lo[first_track[m]], track_hi[first_track[m]])
+        own, upper = epoch_pair == m * (n_ids + 1), epoch_pair == u * (n_ids + 1)
+        at = epoch_seq[own]
         heard = (kind == CCP_RX) & (anchor == m) & (src == u)
-        upper_rx = _lookup(seq[heard], ticks[heard], epoch_seq[own])
-        turnaround = ts_diff(epoch_ticks[own], upper_rx) * TICK_SECONDS / epoch_rate[own]
-        cascade[m] = (epoch_seq[own], turnaround + topo.baseline(ids[u], name) / SPEED_OF_LIGHT
-                      + cascade_delta(u, epoch_seq[own]))
-    epoch_base = np.full(len(epoch), np.nan)
-    for m in np.unique(track_master).tolist():
-        of_m = track_master[epoch_track] == m
-        epoch_base[of_m] = cascade_delta(m, epoch_seq[of_m])
+        turnaround = ts_diff(epoch_ticks[own], _lookup(seq[heard], ticks[heard], at))
+        own_base = (turnaround * TICK_SECONDS / epoch_rate[own]
+                    + topo.baseline(ids[u], name) / SPEED_OF_LIGHT
+                    + (0.0 if ids[u] == primary else _lookup(epoch_seq[upper], base[upper], at)))
+        base[epoch_master == m] = _lookup(at, own_base, epoch_seq[epoch_master == m])
 
-    # Blink receptions in (tag, blink_seq, anchor) order, each tried on its
-    # anchor's tracks in turn until one places it.
-    rows = np.flatnonzero(kind == BLINK_RX)
-    rows = rows[np.lexsort((anchor[rows], seq[rows], src[rows]))]
-    tag, blink_seq, receiver, stamp = src[rows], seq[rows], anchor[rows], ticks[rows]
-    seq_hint = (blink_seq * blink_period / ccp_period).astype(np.int64)
+    usable = ~np.isnan(base)
+    epoch_pair, epoch_seq, epoch_ticks, epoch_rate, base = (
+        column[usable] for column in (epoch_pair, epoch_seq, epoch_ticks, epoch_rate, base))
+    new_track = run_starts(epoch_pair)
+    track_lo = np.flatnonzero(new_track)
+    track_anchor, track_master = np.divmod(epoch_pair[new_track], n_ids)
+    track_delay = np.array([0.0 if a == m else topo.baseline(ids[m], ids[a]) / SPEED_OF_LIGHT
+                            for a, m in zip(track_anchor.tolist(), track_master.tolist())])
+    return SyncState(ids, ccp_period, (np.cumsum(new_track) - 1) * 2**33 + epoch_seq, epoch_seq,
+                     epoch_ticks, epoch_rate, base, track_lo, np.append(track_lo[1:], len(base)),
+                     track_delay, np.bincount(track_anchor, minlength=n_ids),
+                     np.searchsorted(track_anchor, np.arange(n_ids)))
+
+
+def place(state: SyncState, reports: ReportColumns, *, blink_period: float = 0.1,
+          params: WcsParams = WcsParams(), diagnostics: dict | None = None) -> ArrivalTable:
+    """The blink receptions of ``reports`` (at most one per reading, over
+    ``state.ids``) on the common timescale, each through the epoch nearest
+    its stamp on the first of its receiver's tracks, in master-id order,
+    where that epoch is fresh: within ``params.stale_intervals`` CCP
+    periods of the stamp and half a counter wrap of the schedule.  Counted
+    in ``diagnostics``: a reception with no usable epoch on any track
+    (``unsynchronized_blinks``), one whose tracks are all stale
+    (``stale_blinks``), and a blink left with fewer than two arrivals
+    (``blinks_without_tdoa``).  A placement depends only on its own stamp
+    and hint and on ``state``, so rows go ``ROW_BLOCK`` at a time and any
+    split of the blinks places each part the same.  The output's id table
+    is compacted by presence (``protocol.present_codes``)."""
+    if reports.ids != state.ids:
+        raise ValueError("place takes reports over the id table of their calibration")
+    s = state
+    rows = np.flatnonzero(reports.kind == BLINK_RX)
+    rows = rows[np.lexsort((reports.anchor[rows], reports.seq[rows], reports.src[rows]))]
+    tag, blink_seq, receiver, stamp = (
+        column[rows] for column in (reports.src, reports.seq, reports.anchor, reports.ticks))
+    seq_hint = (blink_seq * blink_period / s.ccp_period).astype(np.int64)
     hint_key = np.minimum(seq_hint, 2**32)  # past every seq: the track's last epoch
-    epoch_key = epoch_track * 2**33 + epoch_seq
-    stale_limit = params.stale_intervals * ccp_period
     schedule_limit = HALF_WRAP * TICK_SECONDS  # tick distances alias beyond this
     offset, ccp_seq, rate = np.zeros(len(rows)), np.zeros(len(rows), np.int64), np.zeros(len(rows))
-    placed, saw_fresh = np.zeros(len(rows), dtype=bool), np.zeros(len(rows), dtype=bool)
+    placed = np.zeros(len(rows), dtype=bool)
     for start, j in itertools.product(range(0, len(rows), ROW_BLOCK),
-                                      range(int(tracks_of.max(initial=0)))):
+                                      range(int(s.tracks_of.max(initial=0)))):
         block = slice(start, start + ROW_BLOCK)
-        row = start + np.flatnonzero(~placed[block] & (tracks_of[receiver[block]] > j))
-        t = first_track[receiver[row]] + j
-        at = np.minimum(np.searchsorted(epoch_key, t * 2**33 + hint_key[row]), track_hi[t] - 1)
-        e = _nearest(stamp[row], at, track_lo[t], track_hi[t], epoch_ticks)
-        gap = ts_diff(stamp[row], epoch_ticks[e]) * TICK_SECONDS
-        fresh = ~((np.abs(gap) > stale_limit)
-                  | (np.abs(epoch_seq[e] - seq_hint[row]) * ccp_period > schedule_limit))
-        saw_fresh[row] |= fresh
-        ok = fresh & ~np.isnan(epoch_base[e])
-        row, e = row[ok], e[ok]
-        offset[row] = gap[ok] / epoch_rate[e] + track_delay[t[ok]] + epoch_base[e]
-        ccp_seq[row], rate[row], placed[row] = epoch_seq[e], epoch_rate[e], True
-    stale = ~placed & (tracks_of[receiver] > 0) & ~saw_fresh
-    count("stale_blinks", np.count_nonzero(stale))
-    count("unsynchronized_blinks", np.count_nonzero(~placed & ~stale))
+        row = start + np.flatnonzero(~placed[block] & (s.tracks_of[receiver[block]] > j))
+        t = s.first_track[receiver[row]] + j
+        at = np.minimum(np.searchsorted(s.epoch_key, t * 2**33 + hint_key[row]), s.track_hi[t] - 1)
+        e = _nearest(stamp[row], at, s.track_lo[t], s.track_hi[t], s.epoch_ticks)
+        gap = ts_diff(stamp[row], s.epoch_ticks[e]) * TICK_SECONDS
+        fresh = ~((np.abs(gap) > params.stale_intervals * s.ccp_period)
+                  | (np.abs(s.epoch_seq[e] - seq_hint[row]) * s.ccp_period > schedule_limit))
+        row, e = row[fresh], e[fresh]
+        offset[row] = gap[fresh] / s.epoch_rate[e] + s.track_delay[t[fresh]] + s.epoch_base[e]
+        ccp_seq[row], rate[row], placed[row] = s.epoch_seq[e], s.epoch_rate[e], True
+    unsynchronized = s.tracks_of[receiver] == 0
+    tally(diagnostics, "stale_blinks", np.count_nonzero(~placed & ~unsynchronized))
+    tally(diagnostics, "unsynchronized_blinks", np.count_nonzero(unsynchronized))
 
     starts = np.flatnonzero(run_starts(tag, blink_seq))
     sizes = np.diff(starts, append=len(tag))
     synced = np.add.reduceat(np.append(placed, False).astype(np.int64), starts) >= 2
-    count("blinks_without_tdoa", len(starts) - np.count_nonzero(synced))
+    tally(diagnostics, "blinks_without_tdoa", len(starts) - np.count_nonzero(synced))
     row = np.flatnonzero(placed & np.repeat(synced, sizes))
-    used, (tag_code, anchor_code) = present_codes(n_ids, tag[row], receiver[row])
-    return ArrivalTable(tuple(ids[i] for i in used.tolist()), tag_code, blink_seq[row],
+    used, (tag_code, anchor_code) = present_codes(len(s.ids), tag[row], receiver[row])
+    return ArrivalTable(tuple(s.ids[i] for i in used.tolist()), tag_code, blink_seq[row],
                         anchor_code, offset[row], ccp_seq[row], rate[row])

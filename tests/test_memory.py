@@ -1,10 +1,12 @@
 """Memory: the simulator's and the sync's row-block passes give the bits of
-one pass over every row, and keep their allocation peaks per report low."""
+one pass over every row, and so do the blinks placed in disjoint parts
+against one calibration; both keep their allocation peaks per report low."""
 
 from __future__ import annotations
 
 import random
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -13,11 +15,11 @@ from uwb_rtls import simnet, wcs
 from uwb_rtls.cli import DEMO_CONFIG
 from uwb_rtls.config import parse_config
 from uwb_rtls.constants import ROW_BLOCK
-from uwb_rtls.protocol import CCP_RX, ReportColumns
+from uwb_rtls.protocol import BLINK_RX, CCP_RX, ReportColumns
 from uwb_rtls.simnet import run_scenario
-from uwb_rtls.wcs import multi_master_sync
+from uwb_rtls.wcs import calibrate, multi_master_sync, place
 
-from conftest import hall_config, same_columns
+from conftest import arrival_rows, arrival_table, hall_config, same_columns
 
 
 def _sync(reports, cfg):
@@ -41,6 +43,32 @@ def _without_primary_ccps(reports, cfg, seqs: range):
         reports.anchor, reports.kind, reports.src, reports.seq, reports.ticks)))
 
 
+def _placed_in_parts(reports, cfg, rng: random.Random, parts: int = 3):
+    """The arrivals of ``reports`` with their blinks split at random into
+    ``parts`` disjoint parts, each placed by its own ``place`` call against
+    one ``calibrate``, merged into one table; and the diagnostics of the
+    calibration and of every part, summed, plus the report count."""
+    params = cfg.engine_params()
+    diag: Counter = Counter({"reports": len(reports)})
+    counts: dict = {}
+    state = calibrate(reports, cfg.scenario.topology, ccp_period=params.ccp_period,
+                      params=params.wcs, diagnostics=counts)
+    diag.update(counts)
+    _, blink = np.unique(reports.src.astype(np.int64) * 2**32 + reports.seq, return_inverse=True)
+    part_of = np.array([rng.randrange(parts) for _ in range(blink.max() + 1)])[blink]
+    arrivals: dict = {}
+    for part in range(parts):
+        rows = (reports.kind == BLINK_RX) & (part_of == part)
+        counts = {}
+        table = place(state, ReportColumns(reports.ids, *(column[rows] for column in (
+            reports.anchor, reports.kind, reports.src, reports.seq, reports.ticks))),
+            blink_period=params.blink_period, params=params.wcs, diagnostics=counts)
+        diag.update(counts)
+        for anchor, tag, seq, ccp_seq, offset, rate in arrival_rows(table):
+            arrivals.setdefault((tag, seq), {})[anchor] = (offset, ccp_seq, rate)
+    return arrival_table(arrivals), dict(diag)
+
+
 @pytest.mark.parametrize("block", [1, 7, ROW_BLOCK])
 @pytest.mark.parametrize("config", [DEMO_CONFIG, hall_config(duration=2.0)],
                          ids=["demo", "hall"])
@@ -54,10 +82,14 @@ def test_row_block_size_does_not_change_the_reports_or_the_arrivals(monkeypatch,
     monkeypatch.setattr(simnet, "ROW_BLOCK", block)
     monkeypatch.setattr(wcs, "ROW_BLOCK", block)
     reports = run_scenario(cfg.scenario).reports
-    table, diag = _sync(_without_primary_ccps(reports, cfg, range(4, 10)), cfg)
+    gapped = _without_primary_ccps(reports, cfg, range(4, 10))
+    table, diag = _sync(gapped, cfg)
     assert same_columns(reports, whole)
     assert same_columns(table, whole_table) and diag == whole_diag
     assert len(table) > 1000 and diag["stale_blinks"] > 0
+    # Placement is local: each part of the blinks placed alone gives its rows.
+    parts_table, parts_diag = _placed_in_parts(gapped, cfg, random.Random(block))
+    assert same_columns(parts_table, whole_table) and parts_diag == whole_diag
 
 
 def fleet_config(seed: int = 1) -> dict:

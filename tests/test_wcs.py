@@ -24,7 +24,8 @@ from uwb_rtls.constants import SPEED_OF_LIGHT
 from uwb_rtls.metrics import _smoother_gains, smoothed_tdoa_streams
 from uwb_rtls.protocol import KIND_BLINK_RX, KIND_CCP_RX, KIND_CCP_TX
 from uwb_rtls.simnet import Scenario, StaticTrajectory, TagSpec, run_scenario
-from uwb_rtls.wcs import WcsParams, arrival_tdoa, multi_master_sync
+from uwb_rtls.topology import AnchorConfig, NetworkTopology
+from uwb_rtls.wcs import WcsParams, arrival_tdoa, calibrate, multi_master_sync, place
 
 from conftest import (
     RECT_POSITIONS,
@@ -656,3 +657,77 @@ def test_bridging_slave_takes_its_first_fresh_track_in_master_id_order(hall_run)
     in_gap = {seq: m for seq, m in gapped.items() if 45 * 1.5 <= seq <= 95 * 1.5}
     assert in_gap and all(m == [second] for m in in_gap.values())
     assert all(gapped[seq][:1] == [first] for seq in gapped if seq < 35 * 1.5 or seq > 105 * 1.5)
+
+
+# ---------------------------------------------------------------------------
+# A three-level master cascade, whole and with one link broken
+
+CASCADE_POSITIONS = {"MA1": (0.0, 0.0), "MB1": (10.0, 0.0), "MC1": (20.0, 0.0),
+                     "SA1": (0.0, 8.0), "SB1": (10.0, 8.0), "SC1": (20.0, 8.0)}
+CASCADE_TAG = (12.0, 3.0)
+
+
+def _cascade_reports():
+    """MA1 (level 1) <- MB1 (level 2) <- MC1 (level 3), each with one slave,
+    every clock with its own offset and skew and no jitter; one static tag
+    for 3 s, heard by all six anchors."""
+    clocks = {"MA1": ClockModel(offset=0.0012, skew=8e-6),
+              "MB1": ClockModel(offset=3.7, skew=-1.9e-5),
+              "MC1": ClockModel(offset=11.25, skew=2.6e-5),
+              "SA1": ClockModel(offset=-0.0034, skew=-1.2e-5),
+              "SB1": ClockModel(offset=6.1, skew=3.1e-5),
+              "SC1": ClockModel(offset=15.9, skew=-2.7e-5)}
+    follow = {"MB1": "MA1", "MC1": "MB1", "SA1": "MA1", "SB1": "MB1", "SC1": "MC1"}
+    topo = NetworkTopology(
+        anchors=tuple(AnchorConfig(id=a, role="master" if a[0] == "M" else "slave",
+                                   position=pos, clock=clocks[a])
+                      for a, pos in CASCADE_POSITIONS.items()),
+        follow={a: frozenset({m}) for a, m in follow.items()},
+        master_level={"MA1": 1, "MB1": 2, "MC1": 3}, lag_slots={"MB1": 1, "MC1": 1})
+    tags = (TagSpec("T1", StaticTrajectory(CASCADE_TAG)),)
+    return topo, run_scenario(Scenario(topology=topo, tags=tags, duration=3.0, seed=9)).reports
+
+
+def _assert_cascade_geometric(blinks) -> None:
+    pairs = list(_pairs(blinks))
+    assert len(pairs) == 15 * 30  # every pair of six anchors, every blink
+    for _, a, b, tdoa in pairs:
+        want = (math.dist(CASCADE_TAG, CASCADE_POSITIONS[a])
+                - math.dist(CASCADE_TAG, CASCADE_POSITIONS[b])) / SPEED_OF_LIGHT
+        assert abs(tdoa - want) < 1e-12
+
+
+def test_three_level_cascade_is_geometric_truth():
+    # MC1 and SC1 reach the primary's timescale only through MB1's offset,
+    # itself folded onto MA1's: any level left out shows as milliseconds.
+    topo, reports = _cascade_reports()
+    diag: dict = {}
+    blinks = multi_master_sync(reports, topo, ccp_period=CCP_PERIOD, diagnostics=diag)
+    assert set(diag) == {"reports"}
+    _assert_cascade_geometric(blinks)
+
+
+def test_broken_cascade_link_loses_one_epoch_not_the_blinks_near_it():
+    # MB1 misses MA1's CCP 5, so no anchor under MB1 has a usable epoch at
+    # CCP 5.  Those epochs are dropped: the blinks nearest CCP 5 go through
+    # CCP 4 or 6 instead, every one of them placed and exact.
+    topo, reports = _cascade_reports()
+    kept = [r for r in report_rows(reports) if r[:4] != ("MB1", KIND_CCP_RX, "MA1", 5)]
+    assert len(kept) == len(reports) - 1
+    diag: dict = {}
+    blinks = multi_master_sync(report_columns(kept), topo, ccp_period=CCP_PERIOD,
+                               diagnostics=diag)
+    assert set(diag) == {"reports"}
+    assert len(blinks) == 6 * 30 and np.isfinite(blinks.offset).all()
+    _assert_cascade_geometric(blinks)
+    below = np.isin(blinks.anchor, [blinks.ids.index(a) for a in ("MB1", "MC1", "SB1", "SC1")])
+    assert 5 not in blinks.ccp_seq[below] and 5 in blinks.ccp_seq[~below]
+
+
+def test_place_takes_reports_over_the_id_table_of_their_calibration():
+    topo, reports = _cascade_reports()
+    state = calibrate(reports, topo, ccp_period=CCP_PERIOD)
+    assert len(place(state, reports)) == 6 * 30
+    without_sc1 = report_columns([r for r in report_rows(reports) if r[0] != "SC1"])
+    with pytest.raises(ValueError, match="id table"):
+        place(state, without_sc1)

@@ -18,7 +18,8 @@ PARENT's ``eval``, run on CHANGE's ``fixes.csv``, ``truth.jsonl`` and
 ``errors.csv``: whether the files still read the same to the parent.
 ``src_nonblank_lines`` counts each tree's non-blank lines of
 ``src/**/*.py``, as ``bench/run.py`` does, so the code-size change shows
-next to the byte identity.  It gates nothing; its exit code is 0 whenever
+next to the byte identity; ``src_nonblank_lines_by_file`` splits that
+count by module, keyed by the path under ``src/``.  It gates nothing; its exit code is 0 whenever
 both trees ran.
 """
 
@@ -75,9 +76,10 @@ def cross_eval(parent: Path, change_run: Path, out: Path) -> dict[str, bool]:
             for name in EVAL_OUTPUTS}
 
 
-def src_nonblank_lines(tree: Path) -> int:
-    return sum(1 for p in sorted((tree / "src").rglob("*.py"))
-               for line in p.read_text().splitlines() if line.strip())
+def src_nonblank_lines_by_file(tree: Path) -> dict[str, int]:
+    src = tree / "src"
+    return {str(p.relative_to(src)): sum(1 for line in p.read_text().splitlines() if line.strip())
+            for p in sorted(src.rglob("*.py"))}
 
 
 def _fixes(path: Path) -> dict[tuple[str, str], tuple[float, float]]:
@@ -114,8 +116,11 @@ def main(argv: list[str] | None = None) -> int:
     runs = [("demo", 42)] + [(w, s) for w in sorted(CONFIGS) for s in SEEDS]
     report = {"parent": str(args.parent.resolve()), "change": str(args.change.resolve()),
               "runs": {}, "parent_eval_on_change_files": {},
-              "src_nonblank_lines": {side: src_nonblank_lines(tree) for side, tree in
-                                     (("parent", args.parent), ("change", args.change))}}
+              "src_nonblank_lines_by_file": {side: src_nonblank_lines_by_file(tree)
+                                             for side, tree in (("parent", args.parent),
+                                                                ("change", args.change))}}
+    report["src_nonblank_lines"] = {side: sum(by_file.values()) for side, by_file in
+                                    report["src_nonblank_lines_by_file"].items()}
     with tempfile.TemporaryDirectory() as tmp:
         for workload, seed in runs:
             name = f"{workload}-seed{seed}"
