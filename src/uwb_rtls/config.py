@@ -137,6 +137,17 @@ def _point(value: Any, where: str, dims: tuple[int, ...] = (2, 3)) -> tuple[floa
     return out
 
 
+def _anchor_ids(value: Any, where: str, expected: str) -> list[str]:
+    """``value`` as a list of anchor id strings; ``expected`` names the
+    form the error message asks for when it is no list."""
+    if not isinstance(value, Sequence) or isinstance(value, str):
+        raise ConfigError(f"{where}: expected {expected}")
+    for j, a in enumerate(value):
+        if not isinstance(a, str):
+            raise ConfigError(f"{where}[{j}]: expected an anchor id string")
+    return list(value)
+
+
 def _block(cls: type, obj: Any, where: str) -> Any:
     """Build dataclass ``cls`` from a JSON object whose keys are its fields.
 
@@ -168,17 +179,9 @@ def _parse_anchor(obj: Any, index: int) -> tuple[AnchorConfig, int | None, int |
 
     level = _integer(m, "level", where) if "level" in m else None
     lag_slot = _integer(m, "lag_slot", where) if "lag_slot" in m else None
-    follows_raw = m.get("follows", [])
-    if isinstance(follows_raw, str):
-        follows = [follows_raw]
-    elif isinstance(follows_raw, Sequence):
-        follows = []
-        for j, f in enumerate(follows_raw):
-            if not isinstance(f, str):
-                raise ConfigError(f"{where}.follows[{j}]: expected an anchor id string")
-            follows.append(f)
-    else:
-        raise ConfigError(f"{where}.follows: expected a string or list of strings")
+    follows = m.get("follows", [])
+    follows = _anchor_ids([follows] if isinstance(follows, str) else follows,
+                          f"{where}.follows", "a string or list of strings")
 
     if role == ROLE_SLAVE and level is not None:
         raise ConfigError(f"{where}.level: only master anchors carry a level")
@@ -220,18 +223,8 @@ def _parse_trajectory(obj: Any, where: str) -> Trajectory:
 
 
 def _parse_links(obj: Any, where: str) -> dict[str, frozenset[str]]:
-    m = _require_mapping(obj, where)
-    out = {}
-    for key, val in m.items():
-        if not isinstance(val, Sequence) or isinstance(val, str):
-            raise ConfigError(f"{where}.{key}: expected a list of anchor ids")
-        ids = []
-        for j, a in enumerate(val):
-            if not isinstance(a, str):
-                raise ConfigError(f"{where}.{key}[{j}]: expected an anchor id string")
-            ids.append(a)
-        out[key] = frozenset(ids)
-    return out
+    return {key: frozenset(_anchor_ids(val, f"{where}.{key}", "a list of anchor ids"))
+            for key, val in _require_mapping(obj, where).items()}
 
 
 def parse_config(raw: Mapping[str, Any]) -> ScenarioConfig:

@@ -1,11 +1,11 @@
 """Deployment-time checks: placement rules and dilution of precision maps.
 
 The rule checks codify anchor placement guidance; rules that need a human
-(radio environment, mounting surfaces when no geometry is given) come back
-as ``manual`` with instructions instead of a verdict.  The HDoP functions
-quantify how anchor geometry amplifies ranging noise into position noise at
-each point of the service area; their geometry matrix comes from
-``solver.ranges``, the kernel the EKF and the least squares use.
+(radio environment, wall clearance, mounting) come back as ``manual`` with
+instructions instead of a verdict.  The HDoP functions quantify how anchor
+geometry amplifies ranging noise into position noise at each point of the
+service area; their geometry matrix comes from ``solver.ranges``, the kernel
+the EKF and the least squares use.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import numpy as np
 
 from .constants import ROW_BLOCK
 from .solver import ranges, sum_over_anchors
-from .topology import NetworkTopology, ROLE_MASTER, ROLE_SLAVE
+from .topology import NetworkTopology
 
 STATUS_PASS = "pass"
 STATUS_FAIL = "fail"
@@ -30,8 +30,6 @@ MIN_WALL_CLEARANCE = 0.15  # m
 PREFERRED_WALL_CLEARANCE = 0.5  # m
 MIN_ANCHOR_SPACING = 3.0  # m
 MIN_AREA_SIDE = 3.0  # m
-
-Segment = tuple[tuple[float, float], tuple[float, float]]
 
 
 @dataclass(frozen=True)
@@ -63,40 +61,6 @@ class DeploymentReport:
 
 def _orientation(p, q, r) -> float:
     return (q[0] - p[0]) * (r[1] - p[1]) - (q[1] - p[1]) * (r[0] - p[0])
-
-
-def _segments_intersect(s1: Segment, s2: Segment) -> bool:
-    p1, p2 = s1
-    p3, p4 = s2
-    d1 = _orientation(p3, p4, p1)
-    d2 = _orientation(p3, p4, p2)
-    d3 = _orientation(p1, p2, p3)
-    d4 = _orientation(p1, p2, p4)
-    if ((d1 > 0) != (d2 > 0)) and ((d3 > 0) != (d4 > 0)):
-        return True
-
-    def on_segment(a, b, c):
-        return (
-            min(a[0], b[0]) <= c[0] <= max(a[0], b[0])
-            and min(a[1], b[1]) <= c[1] <= max(a[1], b[1])
-        )
-
-    if d1 == 0 and on_segment(p3, p4, p1):
-        return True
-    if d2 == 0 and on_segment(p3, p4, p2):
-        return True
-    if d3 == 0 and on_segment(p1, p2, p3):
-        return True
-    return d4 == 0 and on_segment(p1, p2, p4)
-
-
-def _point_segment_distance(p: tuple[float, float], seg: Segment) -> float:
-    a, b = np.asarray(seg[0], float), np.asarray(seg[1], float)
-    q = np.asarray(p, float)
-    ab = b - a
-    denom = float(ab @ ab)
-    t = 0.0 if denom == 0.0 else float(np.clip((q - a) @ ab / denom, 0.0, 1.0))
-    return float(np.hypot(*(a + t * ab - q)))
 
 
 def _convex_hull(points: Sequence[tuple[float, float]]) -> list[tuple[float, float]]:
@@ -131,41 +95,30 @@ def _anchor_box(positions: Iterable[tuple[float, float]]):
 def check_rules(
     topo: NetworkTopology,
     area: tuple[tuple[float, float], tuple[float, float]] | None = None,
-    obstacles: Sequence[Segment] = (),
-    walls: Sequence[Segment] = (),
 ) -> list[RuleResult]:
     """Evaluate the placement rules a-f against a topology.
 
     ``area`` is the service rectangle ((xmin, ymin), (xmax, ymax)); when
-    omitted the anchor bounding box stands in.  ``obstacles`` block line of
-    sight for rule (a); ``walls`` are the mounting surfaces for rule (d).
+    omitted the anchor bounding box stands in.  With no obstacle geometry,
+    every master has line of sight to every slave for rule (a).
     """
     results = []
     anchors = list(topo.anchors)
     positions = [a.xy() for a in anchors]
 
     # (a) every master must see at least MIN_LOS_SLAVES slaves directly.
-    shortfalls = []
-    for m in topo.masters():
-        m_pos = topo.anchor(m).xy()
-        visible = 0
-        for s in topo.slaves():
-            segment = (m_pos, topo.anchor(s).xy())
-            if not any(_segments_intersect(segment, o) for o in obstacles):
-                visible += 1
-        if visible < MIN_LOS_SLAVES:
-            shortfalls.append(f"{m} sees {visible}")
-    if shortfalls:
+    visible = len(topo.slaves())
+    if visible < MIN_LOS_SLAVES:
         results.append(
             RuleResult("a", STATUS_FAIL,
-                       f"masters with line of sight to fewer than {MIN_LOS_SLAVES} "
-                       f"slaves: {', '.join(shortfalls)}")
+                       f"masters with line of sight to fewer than {MIN_LOS_SLAVES} slaves: "
+                       + ", ".join(f"{m} sees {visible}" for m in topo.masters()))
         )
     else:
         results.append(
             RuleResult("a", STATUS_PASS,
                        f"every master has line of sight to >= {MIN_LOS_SLAVES} slaves"
-                       + ("" if obstacles else " (no obstacles given)"))
+                       " (no obstacles given)")
         )
 
     # (b) radio environment cannot be judged from coordinates.
@@ -189,37 +142,13 @@ def check_rules(
                                          f"{MAX_HEIGHT_VARIATION:.1f} m")
         )
 
-    # (d) anchors need clearance from walls.
-    if walls:
-        worst = min(
-            min(_point_segment_distance(p, w) for w in walls) for p in positions
-        )
-        if worst < MIN_WALL_CLEARANCE:
-            results.append(
-                RuleResult("d", STATUS_FAIL,
-                           f"minimum wall clearance {worst:.2f} m is below "
-                           f"{MIN_WALL_CLEARANCE:.2f} m")
-            )
-        elif worst < PREFERRED_WALL_CLEARANCE:
-            results.append(
-                RuleResult("d", STATUS_PASS,
-                           f"minimum wall clearance {worst:.2f} m meets the "
-                           f"{MIN_WALL_CLEARANCE:.2f} m floor but is under the "
-                           f"preferred {PREFERRED_WALL_CLEARANCE:.1f} m")
-            )
-        else:
-            results.append(
-                RuleResult("d", STATUS_PASS,
-                           f"minimum wall clearance {worst:.2f} m (preferred "
-                           f">= {PREFERRED_WALL_CLEARANCE:.1f} m)")
-            )
-    else:
-        results.append(
-            RuleResult("d", STATUS_MANUAL,
-                       f"no wall geometry given; keep every anchor at least "
-                       f"{MIN_WALL_CLEARANCE:.2f} m (preferably "
-                       f"{PREFERRED_WALL_CLEARANCE:.1f} m) off walls")
-        )
+    # (d) wall clearance cannot be judged from coordinates.
+    results.append(
+        RuleResult("d", STATUS_MANUAL,
+                   f"no wall geometry given; keep every anchor at least "
+                   f"{MIN_WALL_CLEARANCE:.2f} m (preferably "
+                   f"{PREFERRED_WALL_CLEARANCE:.1f} m) off walls")
+    )
 
     # (e) anchors need spread: pairwise spacing and a big enough area.
     n = len(positions)

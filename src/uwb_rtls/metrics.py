@@ -100,21 +100,15 @@ def _smoother_gains(n: int, params: WcsParams) -> list[float]:
 
 def smoothed_tdoa_streams(
     blinks: ArrivalTable, ccp_period: float, params: WcsParams = WcsParams()
-) -> dict[str, list[float]]:
-    """Per-pair smoother output, keyed "A|B" with A < B, in blink order.
+) -> Iterator[tuple[str, list[float]]]:
+    """Per-pair smoother output, one ("A|B", stream) pair at a time, with A
+    before B in ``blinks.ids``.
 
     A pair's stream is its TDoA (arrival at A minus arrival at B) over the
     blinks both anchors heard, in (tag_id, blink_seq) order, smoothed with
     ``params.process_var`` and ``params.measurement_var``: each finite
     measurement moves the state toward it by that step's gain.
     """
-    return dict(sorted(_smoothed_pairs(blinks, ccp_period, params)))
-
-
-def _smoothed_pairs(
-    blinks: ArrivalTable, ccp_period: float, params: WcsParams
-) -> Iterator[tuple[str, list[float]]]:
-    """``smoothed_tdoa_streams``, one pair at a time."""
     starts, sizes = blinks.blinks()
     anchors, anchor_index = np.unique(blinks.anchor, return_inverse=True)
     row = np.full((len(anchors), len(starts)), -1)  # each anchor's row per blink
@@ -190,7 +184,7 @@ def evaluate(
     if blinks:
         if ccp_period is None:
             raise ValueError("differencing arrivals needs the CCP period")
-        for key, stream in _smoothed_pairs(blinks, ccp_period, params):
+        for key, stream in smoothed_tdoa_streams(blinks, ccp_period, params):
             tail = stream[warmup:]
             if len(tail) >= 2:
                 stds[key] = _pstdev(tail)

@@ -334,7 +334,7 @@ def _smooth(measurements) -> list[float]:
     """The smoothed stream of one anchor pair whose TDoAs are ``measurements``."""
     blinks = arrival_table({("T1", i): {"MA1": (float(m), 0, 1.0), "SA2": (0.0, 0, 1.0)}
                             for i, m in enumerate(measurements)})
-    return smoothed_tdoa_streams(blinks, CCP_PERIOD, DEFAULTS)["MA1|SA2"]
+    return dict(smoothed_tdoa_streams(blinks, CCP_PERIOD, DEFAULTS))["MA1|SA2"]
 
 
 def test_first_update_adopts_the_measurement():

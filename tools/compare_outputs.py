@@ -5,9 +5,10 @@
 PARENT and CHANGE are source checkouts, each with a ``src/uwb_rtls``
 package.  Both run ``demo`` and the benchmark workloads ``fleet`` and
 ``hall`` for seeds 1-5, through the CLI in fresh processes, with the
-scenario configs from this checkout's ``bench/workloads.py``.  Both trees
-run with ``PYTHONDONTWRITEBYTECODE=1``, so neither reads or writes a
-bytecode cache.
+scenario configs from this checkout's ``bench/workloads.py``; every run
+ends with a ``deploy-check`` of its layout (``hall``'s own stage, at the
+default resolution for the others).  Both trees run with
+``PYTHONDONTWRITEBYTECODE=1``, so neither reads or writes a bytecode cache.
 
 The result, on stdout, is one JSON object: per run and per output file,
 the sha256 and size of each tree's file, whether they are the same, and
@@ -51,14 +52,19 @@ def run_cli(tree: Path, argv: list[str]) -> None:
 
 
 def run_tree(tree: Path, workload: str, seed: int, out: Path) -> None:
-    """One run of ``workload`` from ``tree``'s sources, outputs in ``out``."""
+    """One run of ``workload`` from ``tree``'s sources, outputs in ``out``.
+    A run whose stages hold no ``deploy-check`` (demo, ``fleet``) ends with
+    one on its own config at the default resolution."""
     if workload == "demo":
+        config = out / "demo_config.json"
         argvs = [["demo", "--out", str(out), "--seed", str(seed)]]
     else:
         out.mkdir(parents=True)
         config = out / "config.json"
         config.write_text(json.dumps(CONFIGS[workload](seed), indent=1) + "\n")
         argvs = [argv for _, argv in stages(workload, str(config), str(out))]
+    if not any(argv[0] == "deploy-check" for argv in argvs):
+        argvs.append(["deploy-check", "--config", str(config), "--out", str(out)])
     for argv in argvs:
         run_cli(tree, argv)
 
