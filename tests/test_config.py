@@ -286,6 +286,26 @@ def test_links_parse_into_sets():
         parse_config(_tweaked(blink_links={"T1": "MA1"}))
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("follows", ["MA1", 3], "anchors[2].follows[1]: expected an anchor id string"),
+    ("follows", 5, "anchors[2].follows: expected a string or list of strings"),
+    ("ccp_links", {"SA2": "MA1"}, "config.ccp_links.SA2: expected a list of anchor ids"),
+    ("ccp_links", {"SA2": ["MA1", None]}, "config.ccp_links.SA2[1]: expected an anchor id string"),
+    ("blink_links", {"T1": [7]}, "config.blink_links.T1[0]: expected an anchor id string"),
+], ids=["follows-item", "follows-form", "ccp-links-form", "ccp-links-item", "blink-links-item"])
+def test_anchor_id_lists_name_the_bad_entry(field, value, message):
+    # follows, ccp_links and blink_links share one reader of anchor id
+    # lists; each error names the field and the entry it rejects.
+    raw = copy.deepcopy(BASE)
+    if field == "follows":
+        raw["anchors"][2]["follows"] = value
+    else:
+        raw[field] = value
+    with pytest.raises(ConfigError) as exc:
+        parse_config(raw)
+    assert str(exc.value) == message
+
+
 def test_load_config_reads_files_and_reports_bad_json(tmp_path):
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(BASE))
