@@ -218,9 +218,15 @@ def read_synced_csv(path: Path) -> tuple[ArrivalTable, int]:
     return table, skipped + len(blink_seq) - len(rows)
 
 
+def _report_block(lines: list[str]) -> tuple[list, list, list, np.ndarray, np.ndarray]:
+    """``decode_reports`` of a block, its seqs and ticks as arrays."""
+    anchor_ids, kinds, src_ids, seqs, ticks = decode_reports(lines)
+    return anchor_ids, kinds, src_ids, np.array(seqs, np.int64), np.array(ticks, np.float64)
+
+
 def read_reports(path: Path) -> tuple[ReportColumns, int]:
     """Parse a reports.jsonl file into columns, skipping malformed lines with a count."""
-    fields, skipped = _read_lines(path, decode_reports, 5)
+    fields, skipped = _read_lines(path, _report_block, 5)
     return ReportColumns.from_fields(*fields), skipped
 
 

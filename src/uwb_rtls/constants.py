@@ -3,8 +3,10 @@
 SPEED_OF_LIGHT = 299792458.0  # meters per second, in air taken as vacuum
 
 # Rows per pass wherever a pass over every row would make temporaries as long
-# as the run: HDoP grid points, simulated blinks' ranges, the sync's blink
-# placements, and the lines read, parsed, rendered and written at a time.
+# as the run.  Its users: deploy's HDoP grid (points per block, each block's
+# sums taken anchor by anchor), the simulator's blink ranges and its clock
+# reads (reports of the sorted order), the sync's blink placements with their
+# schedule hints, and cli's lines read, parsed, rendered and written at a time.
 ROW_BLOCK = 4096
 
 

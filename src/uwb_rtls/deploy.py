@@ -17,7 +17,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .constants import ROW_BLOCK
-from .solver import ranges, sum_over_anchors
+from .solver import ranges
 from .topology import NetworkTopology
 
 STATUS_PASS = "pass"
@@ -183,20 +183,28 @@ def _hdop(px, py, anchors: Mapping[str, tuple[float, float]], reference: str):
     """HDoP at each point (px[n], py[n]), ``inf`` on an anchor or where the
     geometry is degenerate (everywhere, with fewer than three anchors), and
     the mask of points on an anchor.  G^T G is 2x2, so trace((G^T G)^-1) is
-    (a + c) / det in closed form."""
+    (a + c) / det in closed form.  Points go ``ROW_BLOCK`` at a time, and
+    a, b and c are summed one anchor at a time in anchor order, the sums of
+    ``sum_over_anchors``, so no temporary holds every anchor's row."""
     others = sorted(a for a in anchors if a != reference)
-    xy = np.array([anchors[a] for a in [reference, *others]], dtype=float)
+    xy = np.array([anchors[a] for a in [reference, *others]], dtype=float).reshape(-1, 1, 2)
     hdop = np.empty(px.size)
     on_anchor = np.empty(px.size, dtype=bool)
     for start in range(0, px.size, ROW_BLOCK):
         block = slice(start, start + ROW_BLOCK)
-        _, grad, near = ranges(px[block], py[block], xy, gradient=True)
-        grad[:, 1:] -= grad[:, :1]  # unit-vector differences against the reference
-        gx, gy = grad[:, 1:]
-        a, b, c = (sum_over_anchors(u * v) for u, v in ((gx, gx), (gx, gy), (gy, gy)))
+        _, ((rx,), (ry,)), (on,) = ranges(px[block], py[block], xy[0], gradient=True)
+        a, b, c = (np.zeros(rx.size) for _ in range(3))
+        for anchor in xy[1:]:
+            _, ((gx,), (gy,)), (near,) = ranges(px[block], py[block], anchor, gradient=True)
+            gx -= rx  # unit-vector differences against the reference
+            gy -= ry
+            a += gx * gx
+            b += gx * gy
+            c += gy * gy
+            on |= near
         det = a * c - b * b
         trace = a + c
-        on_anchor[block] = near.any(axis=0)
+        on_anchor[block] = on
         ok = ~on_anchor[block] & (det > 1e-12 * (trace * trace + 1.0))
         hdop[block] = np.where(ok, np.sqrt(trace / np.where(ok, det, 1.0)), math.inf)
     return hdop, on_anchor

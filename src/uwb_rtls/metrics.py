@@ -20,7 +20,7 @@ import numpy as np
 from .protocol import SEQ_WRAP
 from .simnet import TruthBlinks
 from .solver import Fix
-from .wcs import ArrivalTable, WcsParams, arrival_tdoa
+from .wcs import ArrivalTable, WcsParams, arrival_tdoa, find_sorted
 
 DEFAULT_WARMUP = 50  # samples dropped from the front of every stream
 
@@ -142,8 +142,8 @@ def fix_errors(fixes: Sequence[Fix], truth: TruthBlinks) -> list[tuple[str, int,
     code = {tag_id: i for i, tag_id in enumerate(truth.ids)}
     key = np.array([code.get(f.tag_id, -1) * SEQ_WRAP + f.blink_seq for f in fixes], np.int64)
     keys, first = _blink_keys(truth)
-    hit = np.isin(key, keys)
-    row = first[np.searchsorted(keys, key[hit])]
+    i, hit = find_sorted(keys, key)
+    row = first[i[hit]]
     x, y = (np.array([getattr(f, axis) for f in fixes], float)[hit] for axis in "xy")
     errors = map(math.hypot, (x - truth.x[row]).tolist(), (y - truth.y[row]).tolist())
     return sorted(zip(map(truth.ids.__getitem__, truth.tag[row].tolist()),

@@ -86,10 +86,12 @@ class ReportColumns:
 
     @classmethod
     def from_fields(cls, anchor_ids, kinds, src_ids, seqs, ticks) -> ReportColumns:
-        """Columns from one sequence per report field, in line order."""
+        """Columns from one sequence per report field, in line order; a seq or
+        tick column that is already an array of its dtype is kept, not copied."""
         ids, (anchor, src) = id_codes(anchor_ids, src_ids)
         kind = np.fromiter(map(REPORT_KINDS.index, kinds), np.int8, len(kinds))
-        return cls(ids, anchor, kind, src, np.array(seqs, np.int64), np.array(ticks, np.float64))
+        return cls(ids, anchor, kind, src, np.asarray(seqs, np.int64),
+                   np.asarray(ticks, np.float64))
 
 
 PLAIN_ID_RULE = (
@@ -109,7 +111,8 @@ def is_plain_id(value: object) -> bool:
 json_string = functools.lru_cache(maxsize=4096)(json.dumps)
 
 
-_LINE = '{{"anchor_id":{},"kind":{},"src_id":{},"seq":{},"ticks":{}}}\n'.format
+_LINE_START = '{{"anchor_id":{},"kind":{},"src_id":{},"seq":'.format
+_LINE_END = '{}{},"ticks":{}}}\n'.format
 
 
 def encode_reports(reports: ReportColumns, rows: slice = slice(None)) -> str:
@@ -129,12 +132,18 @@ def encode_reports(reports: ReportColumns, rows: slice = slice(None)) -> str:
     tick_text = list(map(float.__repr__, ticks.tolist()))
     for i in np.flatnonzero(ticks == np.trunc(ticks)).tolist():
         tick_text[i] = int.__repr__(int(ticks[i]))
+    # A run holds few (anchor, kind, source) triples: each one's line start is written once.
+    n_ids, n_kinds = len(reports.ids), len(REPORT_KINDS)
+    triples, triple_index = np.unique(
+        (reports.anchor[rows].astype(np.int64) * n_kinds + reports.kind[rows]) * n_ids
+        + reports.src[rows], return_inverse=True)
+    anchor, kind = np.divmod(triples // n_ids, n_kinds)
     ids, kinds = list(map(json_string, reports.ids)), list(map(json_string, REPORT_KINDS))
-    return "".join(map(
-        _LINE, map(ids.__getitem__, reports.anchor[rows].tolist()),
-        map(kinds.__getitem__, reports.kind[rows].tolist()),
-        map(ids.__getitem__, reports.src[rows].tolist()), seq.tolist(), tick_text,
-    ))
+    starts = list(map(_LINE_START, map(ids.__getitem__, anchor.tolist()),
+                      map(kinds.__getitem__, kind.tolist()),
+                      map(ids.__getitem__, (triples % n_ids).tolist())))
+    return "".join(map(_LINE_END, map(starts.__getitem__, triple_index.tolist()), seq.tolist(),
+                       tick_text))
 
 
 def decode_reports(lines: Sequence[str]) -> tuple[list, list, list, list, list]:

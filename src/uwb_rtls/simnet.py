@@ -358,28 +358,36 @@ def run_scenario(scenario: Scenario) -> SimResult:
         for start in (j * scenario.ccp_period).tolist()], float).reshape(len(j), len(masters))
     heard, flight = scenario._ccp_receptions()
     sender, ccp_rx = np.nonzero(heard)
-    tag_code = np.array([code[tag.id] for tag in tags], np.int64)
-    anchor_codes = np.array([code[anchor_id] for anchor_id in anchor_ids], np.int64)
-    master = np.array([anchor_ids.index(m) for m in masters])  # index in topo.anchors
+    tag_code = np.array([code[tag.id] for tag in tags], np.int32)
+    anchor_codes = np.array([code[anchor_id] for anchor_id in anchor_ids], np.int32)
+    master = np.array([anchor_ids.index(m) for m in masters], np.int32)  # in topo.anchors
     # Per report: true time, receiver index in ``topo.anchors``, kind, source code and seq.
     groups = (  # blink receptions, CCP transmissions and CCP receptions
-        (blink_time[blink] + ranges[blink, blink_rx] / SPEED_OF_LIGHT, blink_rx, BLINK_RX,
-         tag_code[tag_index[blink]], blink_seq[blink]),
-        (tx.ravel(), np.tile(master, len(j)), CCP_TX, np.tile(anchor_codes[master], len(j)),
-         np.repeat(ccp_seq, len(masters))),
-        (tx[:, sender].ravel() + np.tile(flight[sender, ccp_rx], len(j)), np.tile(ccp_rx, len(j)),
-         CCP_RX, np.tile(anchor_codes[master[sender]], len(j)), np.repeat(ccp_seq, len(sender))),
+        (blink_time[blink] + ranges[blink, blink_rx] / SPEED_OF_LIGHT, blink_rx.astype(np.int32),
+         np.int8(BLINK_RX), tag_code[tag_index[blink]], blink_seq[blink]),
+        (tx.ravel(), np.tile(master, len(j)), np.int8(CCP_TX),
+         np.tile(anchor_codes[master], len(j)), np.repeat(ccp_seq, len(masters))),
+        (tx[:, sender].ravel() + np.tile(flight[sender, ccp_rx], len(j)),
+         np.tile(ccp_rx.astype(np.int32), len(j)), np.int8(CCP_RX),
+         np.tile(anchor_codes[master[sender]], len(j)), np.repeat(ccp_seq, len(sender))),
     )
     time, receiver, kind, src, seq = (
         np.concatenate(column) for column in zip(*(np.broadcast_arrays(*g) for g in groups)))
+    del groups, ranges, heard, blink, blink_rx
     anchor = anchor_codes[receiver]
     order = np.lexsort((seq, src, kind, anchor, time))
-    clocks = ClockArrays.gather([a.clock for a in topo.anchors], receiver[order])
-    ticks = read_clock(clocks, time[order], rng)
+    # The clocks are read a block of the sorted order at a time; the jitter
+    # draws keep that order, so the blocks read what one call would.
+    models = [a.clock for a in topo.anchors]
+    ticks = np.empty(len(order))
+    for start in range(0, len(order), ROW_BLOCK):
+        rows = order[start:start + ROW_BLOCK]
+        ticks[start:start + ROW_BLOCK] = read_clock(
+            ClockArrays.gather(models, receiver[rows]), time[rows], rng)
     # Only the ids some report holds stay in the id table.
     used, (anchor_code, src_code) = present_codes(len(ids), anchor, src)
     reports = ReportColumns(tuple(ids[i] for i in used.tolist()), anchor_code[order],
-                            kind[order].astype(np.int8), src_code[order], seq[order], ticks)
+                            kind[order], src_code[order], seq[order], ticks)
     tag_ids = tuple(sorted(tag.id for tag in tags))
     truth_tag = np.array([tag_ids.index(tag.id) for tag in tags], np.int32)[tag_index]
     return SimResult(reports, TruthBlinks(tag_ids, truth_tag, blink_seq, blink_time, x, y),

@@ -23,7 +23,6 @@ timescale; TDoAs (``arrival_tdoa``) are taken only where they are needed.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -110,11 +109,19 @@ def run_starts(*keys: np.ndarray) -> np.ndarray:
     return starts
 
 
-def _lookup(keys: np.ndarray, values: np.ndarray, at: np.ndarray) -> np.ndarray:
-    """``values`` where the sorted ``keys`` hold ``at``; NaN where they do not."""
+def find_sorted(keys: np.ndarray, at: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Where each of ``at`` sorts into the sorted ``keys``, and whether
+    ``keys`` hold it there: ``np.isin`` with the indexes, but without the
+    ``np.unique`` call whose ``np.ma.is_masked`` imports numpy.ma."""
     i = np.searchsorted(keys, at)
     hit = i < len(keys)
     hit[hit] = keys[i[hit]] == at[hit]
+    return i, hit
+
+
+def _lookup(keys: np.ndarray, values: np.ndarray, at: np.ndarray) -> np.ndarray:
+    """``values`` where the sorted ``keys`` hold ``at``; NaN where they do not."""
+    i, hit = find_sorted(keys, at)
     out = np.full(len(at), np.nan)
     out[hit] = values[i[hit]]
     return out
@@ -180,6 +187,7 @@ def multi_master_sync(reports: ReportColumns, topo: NetworkTopology, *, ccp_peri
     tally(diag, "duplicate_reports", len(rows) - np.count_nonzero(first))
     diag["reports"] = diag.get("reports", 0) + len(reports)
     clean = ReportColumns(reports.ids, *(column[rows[first]] for column in columns))
+    del keep, rows, first  # only the clean columns go on
     return place(calibrate(clean, topo, ccp_period=ccp_period, params=params, diagnostics=diag),
                  clean, blink_period=blink_period, params=params, diagnostics=diag)
 
@@ -220,9 +228,10 @@ def calibrate(reports: ReportColumns, topo: NetworkTopology, *, ccp_period: floa
     rows = rows[np.lexsort([column[rows] for column in columns[3::-1]])]
     anchor, kind, src, seq, ticks = (column[rows] for column in columns)
     pair = anchor.astype(np.int64) * n_ids + src
-    followed = [code[a] * n_ids + code[m] for a in topo.slaves() if a in code
-                for m in topo.follow.get(a, ()) if m in code]
-    reading = np.flatnonzero((kind == CCP_TX) | ((kind == CCP_RX) & np.isin(pair, followed)))
+    followed = np.array(sorted(code[a] * n_ids + code[m] for a in topo.slaves() if a in code
+                               for m in topo.follow.get(a, ()) if m in code), np.int64)
+    _, follows = find_sorted(followed, pair)
+    reading = np.flatnonzero((kind == CCP_TX) | ((kind == CCP_RX) & follows))
     track_key = pair[reading]
     window = (track_key[1:] == track_key[:-1]) & (seq[reading[1:]] == seq[reading[:-1]] + 1)
     window_rate = ts_diff(ticks[reading[1:]], ticks[reading[:-1]]) * TICK_SECONDS / ccp_period
@@ -261,6 +270,17 @@ def calibrate(reports: ReportColumns, topo: NetworkTopology, *, ccp_period: floa
                      np.searchsorted(track_anchor, np.arange(n_ids)))
 
 
+def _rows_with_tdoa(tag, blink_seq, placed, diagnostics) -> np.ndarray:
+    """The placed rows of the blinks, runs of equal (``tag``, ``blink_seq``),
+    with two placed rows or more; the other blinks are counted
+    (``blinks_without_tdoa``)."""
+    starts = np.flatnonzero(run_starts(tag, blink_seq))
+    sizes = np.diff(starts, append=len(tag))
+    synced = np.add.reduceat(np.append(placed, False), starts, dtype=np.int64) >= 2
+    tally(diagnostics, "blinks_without_tdoa", len(starts) - np.count_nonzero(synced))
+    return np.flatnonzero(placed & np.repeat(synced, sizes))
+
+
 def place(state: SyncState, reports: ReportColumns, *, blink_period: float = 0.1,
           params: WcsParams = WcsParams(), diagnostics: dict | None = None) -> ArrivalTable:
     """The blink receptions of ``reports`` (at most one per reading, over
@@ -282,33 +302,39 @@ def place(state: SyncState, reports: ReportColumns, *, blink_period: float = 0.1
     rows = rows[np.lexsort((reports.anchor[rows], reports.seq[rows], reports.src[rows]))]
     tag, blink_seq, receiver, stamp = (
         column[rows] for column in (reports.src, reports.seq, reports.anchor, reports.ticks))
-    seq_hint = (blink_seq * blink_period / s.ccp_period).astype(np.int64)
-    hint_key = np.minimum(seq_hint, 2**32)  # past every seq: the track's last epoch
+    del rows
     schedule_limit = HALF_WRAP * TICK_SECONDS  # tick distances alias beyond this
-    offset, ccp_seq, rate = np.zeros(len(rows)), np.zeros(len(rows), np.int64), np.zeros(len(rows))
-    placed = np.zeros(len(rows), dtype=bool)
-    for start, j in itertools.product(range(0, len(rows), ROW_BLOCK),
-                                      range(int(s.tracks_of.max(initial=0)))):
+    offset, ccp_seq, rate = np.zeros(len(tag)), np.zeros(len(tag), np.int64), np.zeros(len(tag))
+    placed = np.zeros(len(tag), dtype=bool)
+    for start in range(0, len(tag), ROW_BLOCK):
         block = slice(start, start + ROW_BLOCK)
-        row = start + np.flatnonzero(~placed[block] & (s.tracks_of[receiver[block]] > j))
-        t = s.first_track[receiver[row]] + j
-        at = np.minimum(np.searchsorted(s.epoch_key, t * 2**33 + hint_key[row]), s.track_hi[t] - 1)
-        e = _nearest(stamp[row], at, s.track_lo[t], s.track_hi[t], s.epoch_ticks)
-        gap = ts_diff(stamp[row], s.epoch_ticks[e]) * TICK_SECONDS
-        fresh = ~((np.abs(gap) > params.stale_intervals * s.ccp_period)
-                  | (np.abs(s.epoch_seq[e] - seq_hint[row]) * s.ccp_period > schedule_limit))
-        row, e = row[fresh], e[fresh]
-        offset[row] = gap[fresh] / s.epoch_rate[e] + s.track_delay[t[fresh]] + s.epoch_base[e]
-        ccp_seq[row], rate[row], placed[row] = s.epoch_seq[e], s.epoch_rate[e], True
+        seq_hint = (blink_seq[block] * blink_period / s.ccp_period).astype(np.int64)
+        hint_key = np.minimum(seq_hint, 2**32)  # past every seq: the track's last epoch
+        for j in range(int(s.tracks_of.max(initial=0))):
+            pending = np.flatnonzero(~placed[block] & (s.tracks_of[receiver[block]] > j))
+            row = start + pending
+            t = s.first_track[receiver[row]] + j
+            at = np.minimum(np.searchsorted(s.epoch_key, t * 2**33 + hint_key[pending]),
+                            s.track_hi[t] - 1)
+            e = _nearest(stamp[row], at, s.track_lo[t], s.track_hi[t], s.epoch_ticks)
+            gap = ts_diff(stamp[row], s.epoch_ticks[e]) * TICK_SECONDS
+            fresh = ~((np.abs(gap) > params.stale_intervals * s.ccp_period)
+                      | (np.abs(s.epoch_seq[e] - seq_hint[pending]) * s.ccp_period
+                         > schedule_limit))
+            row, e = row[fresh], e[fresh]
+            offset[row] = gap[fresh] / s.epoch_rate[e] + s.track_delay[t[fresh]] + s.epoch_base[e]
+            ccp_seq[row], rate[row], placed[row] = s.epoch_seq[e], s.epoch_rate[e], True
+    del stamp
     unsynchronized = s.tracks_of[receiver] == 0
     tally(diagnostics, "stale_blinks", np.count_nonzero(~placed & ~unsynchronized))
     tally(diagnostics, "unsynchronized_blinks", np.count_nonzero(unsynchronized))
 
-    starts = np.flatnonzero(run_starts(tag, blink_seq))
-    sizes = np.diff(starts, append=len(tag))
-    synced = np.add.reduceat(np.append(placed, False).astype(np.int64), starts) >= 2
-    tally(diagnostics, "blinks_without_tdoa", len(starts) - np.count_nonzero(synced))
-    row = np.flatnonzero(placed & np.repeat(synced, sizes))
-    used, (tag_code, anchor_code) = present_codes(len(s.ids), tag[row], receiver[row])
-    return ArrivalTable(tuple(s.ids[i] for i in used.tolist()), tag_code, blink_seq[row],
-                        anchor_code, offset[row], ccp_seq[row], rate[row])
+    row = _rows_with_tdoa(tag, blink_seq, placed, diagnostics)
+    # Each output column replaces its working column, so the two sets are never both held.
+    used, (tag, receiver) = present_codes(len(s.ids), tag[row], receiver[row])
+    blink_seq = blink_seq[row]
+    offset = offset[row]
+    ccp_seq = ccp_seq[row]
+    rate = rate[row]
+    return ArrivalTable(tuple(s.ids[i] for i in used.tolist()), tag, blink_seq, receiver, offset,
+                        ccp_seq, rate)

@@ -30,8 +30,8 @@ from uwb_rtls.protocol import KIND_BLINK_RX, encode_reports
 from uwb_rtls.simnet import run_scenario
 from uwb_rtls.solver import Fix
 
-from conftest import (arrival_table, assert_reads_among_as_alone, read_file, report_columns,
-                      same_columns)
+from conftest import (arrival_table, assert_reads_among_as_alone, hall_config, read_file,
+                      report_columns, same_columns)
 
 CONFIG = {
     "anchors": [
@@ -717,6 +717,27 @@ def test_outputs_do_not_depend_on_the_hash_seed(tmp_path):
     assert sorted(outputs[0]) == ["deploy_report.json", "errors.csv", "fixes.csv", "hdop.csv",
                                   "reports.jsonl", "summary.json", "synced.csv", "truth.jsonl"]
     assert outputs[0] == outputs[1]
+
+
+def test_eval_in_a_fresh_interpreter_leaves_numpy_ma_unimported(tmp_path):
+    # np.isin over keys of several tags, and np.unique without indexes, call
+    # np.ma.is_masked, whose lazy import of numpy.ma costs about 9 ms per eval.
+    config = tmp_path / "hall.json"
+    config.write_text(json.dumps({**hall_config(duration=4.0), "eval": {"warmup": 5}}))
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(config), "--out", str(out)]) == EXIT_OK
+    assert main(["locate", "--config", str(config), "--out", str(out),
+                 "--reports", str(out / "reports.jsonl")]) == EXIT_OK
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys; from uwb_rtls.cli import main; rc = main(sys.argv[1:]); "
+            "print(rc, 'numpy.ma' in sys.modules)")
+    proc = subprocess.run(
+        [sys.executable, "-c", code, "eval", "--config", str(config), "--out", str(out),
+         "--fixes", str(out / "fixes.csv"), "--truth", str(out / "truth.jsonl"),
+         "--synced", str(out / "synced.csv")], env=env, check=True, capture_output=True, text=True)
+    assert proc.stdout.splitlines()[-1] == f"{EXIT_OK} False"
 
 
 @pytest.mark.parametrize("name", ["reports.jsonl", "truth.jsonl", "fixes.csv", "synced.csv"])

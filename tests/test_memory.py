@@ -1,9 +1,11 @@
-"""Memory: the simulator's and the sync's row-block passes give the bits of
-one pass over every row, and so do the blinks placed in disjoint parts
-against one calibration; both keep their allocation peaks per report low."""
+"""Memory: the simulator's, the sync's and the HDoP grid's row-block passes
+give the bits of one pass over every row, and so do the blinks placed in
+disjoint parts against one calibration; they, and the report reader, keep
+their allocation peaks per report or per grid point low."""
 
 from __future__ import annotations
 
+import math
 import random
 import tracemalloc
 from collections import Counter
@@ -11,12 +13,13 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from uwb_rtls import simnet, wcs
-from uwb_rtls.cli import DEMO_CONFIG
+from uwb_rtls import clock, deploy, simnet, wcs
+from uwb_rtls.cli import DEMO_CONFIG, read_reports
 from uwb_rtls.config import parse_config
 from uwb_rtls.constants import ROW_BLOCK
-from uwb_rtls.protocol import BLINK_RX, CCP_RX, ReportColumns
+from uwb_rtls.protocol import BLINK_RX, CCP_RX, ReportColumns, encode_reports
 from uwb_rtls.simnet import run_scenario
+from uwb_rtls.solver import ranges, sum_over_anchors
 from uwb_rtls.wcs import calibrate, multi_master_sync, place
 
 from conftest import arrival_rows, arrival_table, hall_config, same_columns
@@ -81,7 +84,16 @@ def test_row_block_size_does_not_change_the_reports_or_the_arrivals(monkeypatch,
     whole_table, whole_diag = _sync(_without_primary_ccps(whole, cfg, range(4, 10)), cfg)
     monkeypatch.setattr(simnet, "ROW_BLOCK", block)
     monkeypatch.setattr(wcs, "ROW_BLOCK", block)
+    clock_reads = []  # the simulator's clock reads go a block at a time too
+
+    def read_clock(clocks, times, rng):
+        clock_reads.append(len(times))
+        return clock.read_clock(clocks, times, rng)
+
+    monkeypatch.setattr(simnet, "read_clock", read_clock)
     reports = run_scenario(cfg.scenario).reports
+    assert clock_reads == [min(block, len(reports) - start)
+                           for start in range(0, len(reports), block)]
     gapped = _without_primary_ccps(reports, cfg, range(4, 10))
     table, diag = _sync(gapped, cfg)
     assert same_columns(reports, whole)
@@ -126,11 +138,98 @@ def _peak_bytes(call) -> tuple[object, int]:
 
 def test_simulator_and_sync_allocation_peaks_per_report():
     # With whole-run passes these peaks were about 259 B and 267 B per
-    # report; row blocks and id compaction by presence bring them to about
-    # 194 B and 172 B.
+    # report; row blocks and id compaction by presence brought them to
+    # about 194 B and 161 B, and block-bounded clock reads and placement
+    # hints, with the working columns released before the output gathers,
+    # to about 89 B and 93 B.
     cfg = parse_config(fleet_config())
     sim, sim_peak = _peak_bytes(lambda: run_scenario(cfg.scenario))
     (table, _), sync_peak = _peak_bytes(lambda: _sync(sim.reports, cfg))
     assert len(sim.reports) > 100_000 and len(table) > 100_000
-    assert sim_peak / len(sim.reports) < 220
-    assert sync_peak / len(sim.reports) < 210
+    assert sim_peak / len(sim.reports) < 110
+    assert sync_peak / len(sim.reports) < 110
+
+
+def test_report_reader_allocation_peak_per_line(tmp_path):
+    # Each block's seqs and ticks become arrays as it is parsed, not lists
+    # of Python ints and floats kept to the end: about 109 B -> 84 B.
+    reports = run_scenario(parse_config(fleet_config()).scenario).reports
+    path = tmp_path / "reports.jsonl"
+    path.write_text("".join(encode_reports(reports, slice(start, start + ROW_BLOCK))
+                            for start in range(0, len(reports), ROW_BLOCK)))
+    (read, skipped), peak = _peak_bytes(lambda: read_reports(path))
+    assert skipped == 0 and len(read) == len(reports) > 100_000
+    assert peak / len(reports) < 95
+
+
+def _hall_anchors() -> dict[str, tuple[float, float]]:
+    return parse_config(hall_config()).scenario.topology.positions()
+
+
+def _hdop_all_anchors(px, py, anchors, reference):
+    """The HDoP that ``deploy._hdop`` sums anchor by anchor, as it was
+    before: every point and every anchor in one (anchors x points) pass,
+    the gradient rows differenced against the reference's, then summed
+    over anchors by ``sum_over_anchors``."""
+    others = sorted(a for a in anchors if a != reference)
+    xy = np.array([anchors[a] for a in [reference, *others]], dtype=float)
+    _, grad, near = ranges(px, py, xy, gradient=True)
+    grad[:, 1:] -= grad[:, :1]
+    gx, gy = grad[:, 1:]
+    a, b, c = (sum_over_anchors(u * v) for u, v in ((gx, gx), (gx, gy), (gy, gy)))
+    det = a * c - b * b
+    trace = a + c
+    on_anchor = near.any(axis=0)
+    ok = ~on_anchor & (det > 1e-12 * (trace * trace + 1.0))
+    return np.where(ok, np.sqrt(trace / np.where(ok, det, 1.0)), math.inf), on_anchor
+
+
+def _layout(name: str) -> dict[str, tuple[float, float]]:
+    if name == "hall":  # 36 anchors
+        return _hall_anchors()
+    if name == "random-12":
+        rng = random.Random(12)
+        return {f"A{i:02d}": (rng.uniform(0.0, 30.0), rng.uniform(0.0, 20.0)) for i in range(12)}
+    if name == "collinear":
+        return {f"L{i}": (3.0 * i, 2.0) for i in range(5)}
+    return {"A": (0.0, 0.0), "B": (6.0, 0.0), "C": (2.0, 5.0)}  # "triangle"
+
+
+@pytest.mark.parametrize("block", [7, ROW_BLOCK])
+@pytest.mark.parametrize("name", ["triangle", "random-12", "hall", "collinear"])
+def test_hdop_summed_anchor_by_anchor_is_the_all_anchors_pass_bit_for_bit(monkeypatch, name,
+                                                                         block):
+    anchors = _layout(name)
+    monkeypatch.setattr(deploy, "ROW_BLOCK", block)
+    xs, ys = np.array(list(anchors.values())).T
+    step = 0.25 if block == ROW_BLOCK else 1.0
+    gx = np.arange(xs.min() - 2.0, xs.max() + 2.0, step)
+    gy = np.arange(ys.min() - 2.0, ys.max() + 2.0, step)
+    # A grid, then every anchor's own position: a partial last block, and points on anchors.
+    px = np.concatenate([np.repeat(gx, gy.size), xs])
+    py = np.concatenate([np.tile(gy, gx.size), ys])
+    assert px.size % block
+    reference = sorted(anchors)[len(anchors) // 2]
+    hdop, on_anchor = deploy._hdop(px, py, anchors, reference)
+    want, want_on = _hdop_all_anchors(px, py, anchors, reference)
+    assert hdop.tobytes() == want.tobytes() and np.array_equal(on_anchor, want_on)
+    assert on_anchor[-len(anchors):].all() and np.isinf(hdop[-len(anchors):]).all()
+    assert np.isfinite(hdop).any()
+    if name == "collinear":  # degenerate along the anchors' line
+        assert np.isinf(hdop[py == 2.0]).all()
+    # One point alone (numpy's own sums turn pairwise at one point) reads its grid bits.
+    for i in range(0, px.size, px.size // 5):
+        one, _ = deploy._hdop(px[i:i + 1], py[i:i + 1], anchors, reference)
+        assert one.tobytes() == want[i:i + 1].tobytes()
+
+
+def test_hdop_allocation_peak_per_grid_point_is_a_block_not_the_anchors():
+    # One (anchors x points) pass per block peaked at about 522 B per point
+    # of the hall's 0.25 m grid (36 anchors); summed anchor by anchor the
+    # peak is about 33 B, most of it the outputs.
+    anchors = _hall_anchors()
+    xs = np.arange(0.0, 40.0 + 0.125, 0.25)
+    px, py = np.repeat(xs, xs.size), np.tile(xs, xs.size)
+    (hdop, _), peak = _peak_bytes(lambda: deploy._hdop(px, py, anchors, "MA01"))
+    assert px.size > 25_000 and np.isfinite(hdop).sum() > 25_000
+    assert peak / px.size < 64

@@ -20,8 +20,11 @@ PARENT's ``eval``, run on CHANGE's ``fixes.csv``, ``truth.jsonl`` and
 ``src_nonblank_lines`` counts each tree's non-blank lines of
 ``src/**/*.py``, as ``bench/run.py`` does, so the code-size change shows
 next to the byte identity; ``src_nonblank_lines_by_file`` splits that
-count by module, keyed by the path under ``src/``.  It gates nothing; its exit code is 0 whenever
-both trees ran.
+count by module, keyed by the path under ``src/``.  ``stage_peak_rss_mb``
+holds, per run and per tree, each CLI stage's own peak RSS in MB (its
+process's ``ru_maxrss``): unlike one process running every stage, it does
+not depend on the heap earlier stages left behind.  It gates nothing; its
+exit code is 0 whenever both trees ran.
 """
 
 from __future__ import annotations
@@ -44,29 +47,46 @@ SEEDS = range(1, 6)
 EVAL_OUTPUTS = ("summary.json", "errors.csv")
 
 
-def run_cli(tree: Path, argv: list[str]) -> None:
-    """One CLI command from ``tree``'s sources, in a fresh process."""
+# A process's ru_maxrss starts at the RSS of the process it was forked
+# from, and this one grows to tens of MB as it compares runs.  So each CLI
+# command is forked by a small launcher, which prints its ru_maxrss (KiB on
+# Linux) from os.wait4 and exits with its exit code.
+_LAUNCHER = """\
+import os, sys
+pid = os.fork()
+if pid == 0:
+    os.dup2(os.open(os.devnull, os.O_WRONLY), 1)
+    os.execv(sys.executable, [sys.executable, *sys.argv[1:]])
+_, status, usage = os.wait4(pid, 0)
+print(usage.ru_maxrss)
+sys.exit(os.waitstatus_to_exitcode(status))
+"""
+
+
+def run_cli(tree: Path, argv: list[str]) -> float:
+    """One CLI command from ``tree``'s sources, in a fresh process; its peak RSS in MB."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
-    subprocess.run([sys.executable, "-m", "uwb_rtls.cli", *argv], env=env, check=True,
-                   stdout=subprocess.DEVNULL)
+    proc = subprocess.run([sys.executable, "-c", _LAUNCHER, "-m", "uwb_rtls.cli", *argv],
+                          env=env, check=True, stdout=subprocess.PIPE, text=True)
+    return int(proc.stdout) / 1024.0
 
 
-def run_tree(tree: Path, workload: str, seed: int, out: Path) -> None:
-    """One run of ``workload`` from ``tree``'s sources, outputs in ``out``.
-    A run whose stages hold no ``deploy-check`` (demo, ``fleet``) ends with
-    one on its own config at the default resolution."""
+def run_tree(tree: Path, workload: str, seed: int, out: Path) -> dict[str, float]:
+    """One run of ``workload`` from ``tree``'s sources, outputs in ``out``;
+    each stage's peak RSS in MB.  A run whose stages hold no
+    ``deploy-check`` (demo, ``fleet``) ends with one on its own config at
+    the default resolution."""
     if workload == "demo":
         config = out / "demo_config.json"
-        argvs = [["demo", "--out", str(out), "--seed", str(seed)]]
+        argvs = [("demo", ["demo", "--out", str(out), "--seed", str(seed)])]
     else:
         out.mkdir(parents=True)
         config = out / "config.json"
         config.write_text(json.dumps(CONFIGS[workload](seed), indent=1) + "\n")
-        argvs = [argv for _, argv in stages(workload, str(config), str(out))]
-    if not any(argv[0] == "deploy-check" for argv in argvs):
-        argvs.append(["deploy-check", "--config", str(config), "--out", str(out)])
-    for argv in argvs:
-        run_cli(tree, argv)
+        argvs = stages(workload, str(config), str(out))
+    if not any(argv[0] == "deploy-check" for _, argv in argvs):
+        argvs.append(("deploy-check", ["deploy-check", "--config", str(config), "--out", str(out)]))
+    return {stage: round(run_cli(tree, argv), 2) for stage, argv in argvs}
 
 
 def cross_eval(parent: Path, change_run: Path, out: Path) -> dict[str, bool]:
@@ -121,7 +141,7 @@ def main(argv: list[str] | None = None) -> int:
 
     runs = [("demo", 42)] + [(w, s) for w in sorted(CONFIGS) for s in SEEDS]
     report = {"parent": str(args.parent.resolve()), "change": str(args.change.resolve()),
-              "runs": {}, "parent_eval_on_change_files": {},
+              "runs": {}, "parent_eval_on_change_files": {}, "stage_peak_rss_mb": {},
               "src_nonblank_lines_by_file": {side: src_nonblank_lines_by_file(tree)
                                              for side, tree in (("parent", args.parent),
                                                                 ("change", args.change))}}
@@ -131,8 +151,9 @@ def main(argv: list[str] | None = None) -> int:
         for workload, seed in runs:
             name = f"{workload}-seed{seed}"
             dirs = {side: Path(tmp) / side / name for side in ("parent", "change")}
-            run_tree(args.parent, workload, seed, dirs["parent"])
-            run_tree(args.change, workload, seed, dirs["change"])
+            report["stage_peak_rss_mb"][name] = {
+                side: run_tree(tree, workload, seed, dirs[side])
+                for side, tree in (("parent", args.parent), ("change", args.change))}
             files = compare(dirs["parent"], dirs["change"])
             report["runs"][name] = files
             cross = cross_eval(args.parent, dirs["change"], Path(tmp) / "cross" / name)
