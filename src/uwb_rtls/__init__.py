@@ -11,7 +11,7 @@ from .engine import EngineParams, LocateResult, locate_reports
 from .metrics import EvalSummary, evaluate
 from .protocol import ReportColumns, encode_reports
 from .simnet import Scenario, SimResult, TagSpec, run_scenario
-from .solver import BlinkRows, Fix, TrackerConfig, ls_solve, track
+from .solver import BlinkRows, FixTable, TrackerConfig, ls_solve, track
 from .timebase import select_time_base
 from .topology import AnchorConfig, NetworkTopology
 from .wcs import ArrivalTable, multi_master_sync
@@ -26,7 +26,7 @@ __all__ = [
     "ConfigError",
     "EngineParams",
     "EvalSummary",
-    "Fix",
+    "FixTable",
     "LocateResult",
     "NetworkTopology",
     "ReportColumns",

@@ -33,7 +33,7 @@ from .protocol import (ReportColumns, check_id, check_number, check_seq, decode_
                        encode_reports, id_codes)
 from .simnet import (ScenarioError, SimResult, TruthBlinks, decode_truths, encode_clock,
                      encode_truth, run_scenario)
-from .solver import Fix
+from .solver import FixTable
 from .topology import TopologyError
 from .wcs import ArrivalTable, run_starts
 
@@ -61,12 +61,13 @@ def _row_blocks(n: int) -> Iterator[slice]:
     return (slice(lo, lo + ROW_BLOCK) for lo in range(0, n, ROW_BLOCK))
 
 
-def fixes_to_csv(fixes: Sequence[Fix]) -> Iterator[str]:
-    """fixes.csv as blocks of text, one row per fix in the given order."""
+def fixes_to_csv(fixes: FixTable) -> Iterator[str]:
+    """fixes.csv as blocks of text, one row per fix in table order."""
     yield FIXES_HEADER + "\n"
+    columns = (fixes.tag, fixes.blink_seq, fixes.x, fixes.y, fixes.vx, fixes.vy, fixes.pos_std)
     for rows in _row_blocks(len(fixes)):
-        yield "".join(f"{f.tag_id},{f.blink_seq},{f.x!r},{f.y!r},{f.vx!r},{f.vy!r},{f.pos_std!r}\n"
-                      for f in fixes[rows])
+        yield "".join(f"{fixes.ids[t]},{s},{x!r},{y!r},{vx!r},{vy!r},{p!r}\n"
+                      for t, s, x, y, vx, vy, p in zip(*(c[rows].tolist() for c in columns)))
 
 
 def _check_utf8(text: str) -> None:
@@ -150,12 +151,12 @@ def _by_value(parse: Callable, check: Callable, name: str, texts: list[str]) -> 
     return list(map(value.__getitem__, texts))
 
 
-def _fix_block(lines: list[str]) -> list[list[Fix]]:
+def _fix_block(lines: list[str]) -> tuple[list | np.ndarray, ...]:
     tag_id, blink_seq, *numbers = _csv_columns(lines, FIXES_HEADER, 1)
-    tag_id, seq = check_id("tag_id", tag_id), _by_value(int, check_seq, "blink_seq", blink_seq)
-    numbers = (check_number(name, list(map(float, c)))
-               for name, c in zip(FIXES_HEADER.split(",")[2:], numbers))
-    return [list(map(Fix, tag_id, seq, *numbers, itertools.repeat(0.0)))]
+    return (check_id("tag_id", tag_id),
+            np.array(_by_value(int, check_seq, "blink_seq", blink_seq), np.int64),
+            *(check_number(name, np.array(list(map(float, c))))
+              for name, c in zip(FIXES_HEADER.split(",")[2:], numbers)))
 
 
 def _first_reads(path: Path, what: str, ids: Sequence[str], tag: np.ndarray, seq: np.ndarray,
@@ -170,13 +171,15 @@ def _first_reads(path: Path, what: str, ids: Sequence[str], tag: np.ndarray, seq
     return order[~repeat]
 
 
-def read_fixes_csv(path: Path) -> tuple[list[Fix], int]:
-    """Parse a fixes.csv file, skipping malformed rows, and repeats of a
-    (tag_id, blink_seq) fix already read, with a count."""
-    (rows,), skipped = _read_lines(path, _fix_block, 1, FIXES_HEADER)
-    ids, (tag,) = id_codes([f.tag_id for f in rows])
-    first = _first_reads(path, "fix", ids, tag, np.array([f.blink_seq for f in rows], np.int64))
-    return [rows[i] for i in np.sort(first).tolist()], skipped + len(rows) - len(first)
+def read_fixes_csv(path: Path) -> tuple[FixTable, int]:
+    """Parse a fixes.csv file into a fix table, in file order, skipping malformed
+    rows, and repeats of a (tag_id, blink_seq) fix already read, with a count."""
+    (tag_ids, seq, *numbers), skipped = _read_lines(path, _fix_block, 7, FIXES_HEADER)
+    ids, (tag,) = id_codes(tag_ids)
+    seq = np.asarray(seq, np.int64)
+    rows = np.sort(_first_reads(path, "fix", ids, tag, seq))
+    return (FixTable(ids, tag[rows], seq[rows], *(np.asarray(c, float)[rows] for c in numbers),
+                     np.zeros(len(rows))), skipped + len(seq) - len(rows))
 
 
 def synced_to_csv(blinks: ArrivalTable) -> Iterator[str]:
@@ -273,7 +276,7 @@ def _locate(cfg: ScenarioConfig, reports: ReportColumns, out: Path) -> LocateRes
     return result
 
 
-def _eval(cfg: ScenarioConfig, fixes: Sequence[Fix], truth: TruthBlinks,
+def _eval(cfg: ScenarioConfig, fixes: FixTable, truth: TruthBlinks,
           blinks: ArrivalTable | None, out: Path) -> str:
     summary = evaluate(fixes, truth, blinks, cfg.scenario.ccp_period, warmup=cfg.warmup,
                        params=cfg.wcs)
@@ -297,7 +300,7 @@ def cmd_locate(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
     reports, _ = read_reports(Path(args.reports))
     result = _locate(cfg, reports, Path(args.out))
-    if not result.fixes:
+    if not len(result.fixes):
         print("error: no fixes produced from the given reports", file=sys.stderr)
         return EXIT_EMPTY
     return EXIT_OK
@@ -378,7 +381,7 @@ def cmd_demo(args: argparse.Namespace) -> int:
     cfg = load_config(config_path)
     sim = _simulate(cfg, out, args.seed)
     result = _locate(cfg, sim.reports, out)
-    if not result.fixes:
+    if not len(result.fixes):
         print("error: demo produced no fixes", file=sys.stderr)
         return EXIT_EMPTY
     text = _eval(cfg, result.fixes, sim.truth_blinks, result.blinks, out)

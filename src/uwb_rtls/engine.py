@@ -16,7 +16,7 @@ import numpy as np
 
 from .constants import SPEED_OF_LIGHT, tally
 from .protocol import ReportColumns
-from .solver import MIN_RECEIVERS, BlinkRows, Fix, TrackerConfig, track
+from .solver import MIN_RECEIVERS, BlinkRows, FixTable, TrackerConfig, track
 from .topology import NetworkTopology
 from .wcs import ArrivalTable, WcsParams, arrival_tdoa, multi_master_sync
 
@@ -39,7 +39,7 @@ class LocateResult:
     ``wcs.ArrivalTable``, each synchronized receiver's corrected arrival per
     blink, and ``diagnostics`` holds every stage's counters."""
 
-    fixes: list[Fix]
+    fixes: FixTable
     blinks: ArrivalTable
     diagnostics: dict
 

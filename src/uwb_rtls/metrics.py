@@ -8,18 +8,16 @@ table; position accuracy on per-blink Euclidean errors.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass, field
-from operator import itemgetter
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .protocol import SEQ_WRAP
 from .simnet import TruthBlinks
-from .solver import Fix
+from .solver import FixTable
 from .wcs import ArrivalTable, WcsParams, arrival_tdoa, find_sorted
 
 DEFAULT_WARMUP = 50  # samples dropped from the front of every stream
@@ -37,8 +35,8 @@ class EvalSummary:
     the smoothed TDoA stream after warm-up.  ``fix_rmse`` and
     ``fix_p95_error`` are over post-warm-up fixes; ``track_rmse`` covers the
     whole track including convergence.  ``availability`` is fixes delivered
-    per ground-truth blink.  ``errors`` holds the ``fix_errors`` rows the
-    numbers were taken from; it is not part of the summary's JSON.
+    per ground-truth blink.  ``errors`` holds the ``fix_errors`` columns
+    the numbers were taken from; it is not part of the summary's JSON.
     """
 
     tdoa_std_per_pair: Mapping[str, float]
@@ -46,7 +44,7 @@ class EvalSummary:
     fix_p95_error: float
     track_rmse: float
     availability: float
-    errors: Sequence[tuple[str, int, float]] = field(repr=False, compare=False)
+    errors: tuple[TruthBlinks, np.ndarray] = field(repr=False, compare=False)
 
     def to_dict(self) -> dict:
         return {
@@ -136,29 +134,27 @@ def _blink_keys(truth: TruthBlinks) -> tuple[np.ndarray, np.ndarray]:
     return np.unique(truth.tag.astype(np.int64) * SEQ_WRAP + truth.seq, return_index=True)
 
 
-def fix_errors(fixes: Sequence[Fix], truth: TruthBlinks) -> list[tuple[str, int, float]]:
-    """(tag_id, blink_seq, planar error in metres) of every fix (``blink_seq`` in [0, 2**32))
-    that has a ground-truth blink, sorted; a blink held twice is matched to its first row."""
+def fix_errors(fixes: FixTable, truth: TruthBlinks) -> tuple[TruthBlinks, np.ndarray]:
+    """The ground-truth blink of every fix (``blink_seq`` in [0, 2**32)) that has one, and
+    its planar error in metres (``math.hypot``), both sorted by (tag_id, blink_seq, error);
+    a blink held twice is matched to its first row."""
     code = {tag_id: i for i, tag_id in enumerate(truth.ids)}
-    key = np.array([code.get(f.tag_id, -1) * SEQ_WRAP + f.blink_seq for f in fixes], np.int64)
+    key = (np.array([code.get(tag_id, -1) for tag_id in fixes.ids], np.int64)[fixes.tag]
+           * SEQ_WRAP + fixes.blink_seq)
     keys, first = _blink_keys(truth)
     i, hit = find_sorted(keys, key)
     row = first[i[hit]]
-    x, y = (np.array([getattr(f, axis) for f in fixes], float)[hit] for axis in "xy")
-    errors = map(math.hypot, (x - truth.x[row]).tolist(), (y - truth.y[row]).tolist())
-    return sorted(zip(map(truth.ids.__getitem__, truth.tag[row].tolist()),
-                      truth.seq[row].tolist(), errors))
+    errors = np.fromiter(map(math.hypot, (fixes.x[hit] - truth.x[row]).tolist(),
+                             (fixes.y[hit] - truth.y[row]).tolist()), float, len(row))
+    order = np.lexsort((errors, key[hit]))
+    row = row[order]
+    return (TruthBlinks(truth.ids, truth.tag[row], truth.seq[row], truth.time[row],
+                        truth.x[row], truth.y[row]), errors[order])
 
 
-def evaluate(
-    fixes: Sequence[Fix],
-    truth_blinks: TruthBlinks,
-    blinks: ArrivalTable | None = None,
-    ccp_period: float | None = None,
-    *,
-    warmup: int = DEFAULT_WARMUP,
-    params: WcsParams = WcsParams(),
-) -> EvalSummary:
+def evaluate(fixes: FixTable, truth_blinks: TruthBlinks, blinks: ArrivalTable | None = None,
+             ccp_period: float | None = None, *, warmup: int = DEFAULT_WARMUP,
+             params: WcsParams = WcsParams()) -> EvalSummary:
     """Score fixes (and optionally the sync output) against ground truth.
 
     ``blinks`` is the sync output's arrival table; differencing two
@@ -167,15 +163,13 @@ def evaluate(
     everything is matched by (tag, blink seq).  Raises ``EmptyEvalError``
     when no fix lines up with the truth.
     """
-    matched = fix_errors(fixes, truth_blinks)
-    if not matched:
+    matched, errors = fix_errors(fixes, truth_blinks)
+    if not len(errors):
         raise EmptyEvalError("no fixes match any ground-truth blink")
 
-    settled = [e for _, rows in itertools.groupby(matched, itemgetter(0))
-               for _, _, e in list(rows)[warmup:]]
-    all_errs = [e for _, _, e in matched]
-    if not settled:
-        settled = all_errs
+    rank = np.arange(len(errors)) - np.searchsorted(matched.tag, matched.tag)  # within its tag
+    all_errs = errors.tolist()
+    settled = errors[rank >= warmup].tolist() or all_errs
 
     def rmse(errs: Sequence[float]) -> float:
         return math.sqrt(sum(e * e for e in errs) / len(errs))
@@ -188,19 +182,15 @@ def evaluate(
             tail = stream[warmup:]
             if len(tail) >= 2:
                 stds[key] = _pstdev(tail)
-    return EvalSummary(
-        tdoa_std_per_pair=dict(sorted(stds.items())),
-        fix_rmse=rmse(settled),
-        fix_p95_error=_percentile(settled, 95.0),
-        track_rmse=rmse(all_errs),
-        availability=len(matched) / len(_blink_keys(truth_blinks)[0]),
-        errors=tuple(matched),
-    )
+    return EvalSummary(tdoa_std_per_pair=dict(sorted(stds.items())), fix_rmse=rmse(settled),
+                       fix_p95_error=_percentile(settled, 95.0), track_rmse=rmse(all_errs),
+                       availability=len(errors) / len(_blink_keys(truth_blinks)[0]),
+                       errors=(matched, errors))
 
 
-def errors_csv(errors: Sequence[tuple[str, int, float]]) -> str:
+def errors_csv(errors: tuple[TruthBlinks, np.ndarray]) -> str:
     """Per-fix error time series as CSV (tag_id, blink_seq, err_m) from
-    ``fix_errors`` rows, as ``EvalSummary.errors`` holds them."""
-    lines = ["tag_id,blink_seq,err_m"]
-    lines += [f"{tag_id},{seq},{err!r}" for tag_id, seq, err in errors]
-    return "\n".join(lines) + "\n"
+    ``fix_errors`` columns, as ``EvalSummary.errors`` holds them."""
+    matched, err = errors
+    return "tag_id,blink_seq,err_m\n" + "".join(f"{matched.ids[t]},{s},{e!r}\n" for t, s, e in zip(
+        matched.tag.tolist(), matched.seq.tolist(), err.tolist()))

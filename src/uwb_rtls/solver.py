@@ -32,6 +32,7 @@ from typing import Sequence
 import numpy as np
 
 from .constants import SPEED_OF_LIGHT, tally
+from .protocol import present_codes
 
 log = logging.getLogger(__name__)
 
@@ -102,18 +103,25 @@ class BlinkRows:
         return self.xy[index].transpose(0, 2, 1), self.meters[index], keep
 
 
-@dataclass(frozen=True, slots=True)
-class Fix:
-    """One position estimate for one blink."""
+@dataclass(frozen=True, eq=False)
+class FixTable:
+    """Fixes as columns, one row per blink: ``tag`` as int32 codes into ``ids``, the sorted
+    tag ids, ``blink_seq`` int64, and float64 ``x``, ``y``, ``vx``, ``vy``, ``pos_std``
+    (meters, from the covariance diagonal) and ``residual_norm`` (meters, the centred
+    innovation norm at update time; ``cli.read_fixes_csv`` reads it as 0.0)."""
 
-    tag_id: str
-    blink_seq: int
-    x: float
-    y: float
-    vx: float
-    vy: float
-    pos_std: float  # meters, from the covariance diagonal
-    residual_norm: float  # meters, centred innovation magnitude at update time
+    ids: tuple[str, ...]
+    tag: np.ndarray
+    blink_seq: np.ndarray
+    x: np.ndarray
+    y: np.ndarray
+    vx: np.ndarray
+    vy: np.ndarray
+    pos_std: np.ndarray
+    residual_norm: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.blink_seq)
 
 
 def transition_matrix(dt: float) -> np.ndarray:
@@ -388,9 +396,10 @@ class TrackerConfig:
 
 
 def track(blinks: BlinkRows, blink_period: float, cfg: TrackerConfig = TrackerConfig(),
-          diagnostics: dict | None = None) -> list[Fix]:
+          diagnostics: dict | None = None) -> FixTable:
     """Run the EKF over the blinks of any number of tags, in any order, at
-    most one per (tag_id, blink_seq); fixes come back in that order.
+    most one per (tag_id, blink_seq); fixes come back in (tag_id,
+    blink_seq) order, and their ids are the tags that have one.
 
     The tags step together, one blink epoch (``blink_seq``) at a time: each
     tag with a blink there predicts once per ``blink_period`` (seconds, the
@@ -413,7 +422,8 @@ def track(blinks: BlinkRows, blink_period: float, cfg: TrackerConfig = TrackerCo
     xs, ps = np.zeros((len(tags), 4)), np.zeros((len(tags), 4, 4))
     last = np.zeros(len(tags), dtype=np.int64)  # blink_seq of each tag's last fix
     live = np.zeros(len(tags), dtype=bool)
-    done = []  # per batch of fixes: blinks, states, position variances, residuals
+    # Per batch of fixes, from an empty one: blinks, states, position variances, residuals.
+    done = [(np.zeros(0, np.int64), np.zeros((0, 4)), np.zeros(0), np.zeros(0))]
     bounds = np.flatnonzero(np.diff(seq, prepend=-1, append=-1))
     for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
         epoch, now = order[lo:hi], int(seq[lo])
@@ -446,11 +456,9 @@ def track(blinks: BlinkRows, blink_period: float, cfg: TrackerConfig = TrackerCo
                         blinks.ids[blinks.tag[b]], now)
             tally(diagnostics, "updates_no_usable_rows")
         done.append((batch, xs[rows], ps[rows, 0, 0] + ps[rows, 1, 1], residual))
-    if not done:
-        return []
     columns = [np.concatenate(column) for column in zip(*done)]
     by_tag = np.lexsort((blinks.blink_seq[columns[0]], blinks.tag[columns[0]]))
     batch, x, var, residual = (column[by_tag] for column in columns)
-    return list(map(Fix, map(blinks.ids.__getitem__, blinks.tag[batch].tolist()),
-                    blinks.blink_seq[batch].tolist(), *x.T.tolist(),
-                    np.sqrt(np.maximum(var, 0.0)).tolist(), residual.tolist()))
+    present, (tag,) = present_codes(len(blinks.ids), blinks.tag[batch])
+    return FixTable(tuple(map(blinks.ids.__getitem__, present.tolist())), tag,
+                    blinks.blink_seq[batch], *x.T, np.sqrt(np.maximum(var, 0.0)), residual)

@@ -27,7 +27,7 @@ from uwb_rtls.config import parse_config
 from uwb_rtls.engine import locate_reports
 from uwb_rtls.protocol import REPORT_KINDS, ReportColumns, encode_reports, id_codes
 from uwb_rtls.simnet import SimResult, TruthBlinks, encode_truth, run_scenario
-from uwb_rtls.solver import BlinkRows
+from uwb_rtls.solver import BlinkRows, FixTable
 from uwb_rtls.topology import AnchorConfig, NetworkTopology
 from uwb_rtls.wcs import ArrivalTable
 
@@ -151,6 +151,31 @@ def truth_columns(rows: Iterable[tuple]) -> TruthBlinks:
     return TruthBlinks(ids, tag, np.array(seqs, np.int64), *(np.array(c, float) for c in numbers))
 
 
+def fix_table(rows: Iterable[tuple]) -> FixTable:
+    """A fix table of plain ``(tag_id, blink_seq, x, y, vx, vy, pos_std,
+    residual_norm)`` tuples, one row each, in order."""
+    tag_ids, seqs, *numbers = tuple(zip(*rows)) or ((),) * 8
+    ids, (tag,) = id_codes(tag_ids)
+    return FixTable(ids, tag, np.array(seqs, np.int64), *(np.array(c, float) for c in numbers))
+
+
+def fix_rows(fixes: FixTable) -> list[tuple]:
+    """The rows of a fix table as plain ``(tag_id, blink_seq, x, y, vx, vy,
+    pos_std, residual_norm)`` tuples, in row order: what ``fix_table``
+    reads back."""
+    return list(zip(map(fixes.ids.__getitem__, fixes.tag.tolist()), fixes.blink_seq.tolist(),
+                    *(c.tolist() for c in (fixes.x, fixes.y, fixes.vx, fixes.vy, fixes.pos_std,
+                                           fixes.residual_norm))))
+
+
+def fixes_of(fixes: FixTable, tag_id: str) -> FixTable:
+    """The fixes of one tag, in table order, as a table of that tag alone."""
+    rows = fixes.tag == fixes.ids.index(tag_id)
+    return FixTable((tag_id,), np.zeros(np.count_nonzero(rows), np.int32), *(
+        getattr(fixes, name)[rows] for name in ("blink_seq", "x", "y", "vx", "vy", "pos_std",
+                                                "residual_norm")))
+
+
 def truth_rows(truth: TruthBlinks) -> list[tuple]:
     """The rows of truth columns as plain ``(tag_id, seq, time, x, y)``
     tuples, in row order: what ``truth_columns`` reads back."""
@@ -208,7 +233,7 @@ def arrival_rows(table: ArrivalTable) -> list[tuple]:
 # arrivals come in (tag_id, blink_seq, anchor_id) order) and the file's header.
 FILE_READERS = {"reports.jsonl": (read_reports, report_rows, list, None),
                 "truth.jsonl": (read_truth, truth_rows, list, None),
-                "fixes.csv": (read_fixes_csv, list, list, FIXES_HEADER),
+                "fixes.csv": (read_fixes_csv, fix_rows, list, FIXES_HEADER),
                 "synced.csv": (read_synced_csv, arrival_rows,
                                lambda rows: sorted(rows, key=itemgetter(1, 2, 0)), SYNCED_HEADER)}
 
@@ -222,7 +247,7 @@ def simulated_lines(hall_run) -> dict[str, list[str]]:
     located = locate_reports(hall_run.reports, cfg.scenario.topology, cfg.engine_params())
     return {"reports.jsonl": encode_reports(hall_run.reports, slice(40)).splitlines(),
             "truth.jsonl": encode_truth(hall_run.truth_blinks, slice(40)).splitlines(),
-            "fixes.csv": "".join(fixes_to_csv(located.fixes[:40])).splitlines()[1:],
+            "fixes.csv": "".join(fixes_to_csv(located.fixes)).splitlines()[1:41],
             "synced.csv": "".join(synced_to_csv(located.blinks)).splitlines()[1:41]}
 
 

@@ -147,7 +147,7 @@ def test_criterion_1_sync_exactness_without_jitter(verdict):
         for rows in blink_rows(res.blinks).values()
         for a, b in itertools.combinations(rows, 2)
     )
-    worst_p = max(math.dist((f.x, f.y), tag) for f in res.fixes)
+    worst_p = np.hypot(res.fixes.x - tag[0], res.fixes.y - tag[1]).max()
     ok = worst_t < 1e-12 and worst_p < 1e-3 and wall < 5.0 and len(res.fixes) >= 290
     verdict(
         "criterion 1: sync exactness",
@@ -413,7 +413,7 @@ def test_criterion_7_solver_correctness(verdict):
     sets = [tdoa_set_at(truth, seq=i) for i in range(200)]
     fixes = track(tracker_rows(sets, RECT_POSITIONS), 0.1, TrackerConfig(sigma_accel=0.0))
     anchor_point = ls_solve(*layout(sets[0], RECT_POSITIONS))
-    ekf_gap = math.dist((fixes[-1].x, fixes[-1].y), anchor_point)
+    ekf_gap = math.dist((fixes.x[-1], fixes.y[-1]), anchor_point)
     ekf_ok = ekf_gap <= 1e-3
 
     ok = jac_ok and ls_ok and ekf_ok

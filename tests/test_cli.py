@@ -16,6 +16,7 @@ from uwb_rtls.cli import (
     EXIT_EMPTY,
     EXIT_IO,
     EXIT_OK,
+    FIXES_HEADER,
     fixes_to_csv,
     main,
     read_fixes_csv,
@@ -28,10 +29,9 @@ from uwb_rtls.config import load_config
 from uwb_rtls.engine import locate_reports
 from uwb_rtls.protocol import KIND_BLINK_RX, encode_reports
 from uwb_rtls.simnet import run_scenario
-from uwb_rtls.solver import Fix
 
-from conftest import (arrival_table, assert_reads_among_as_alone, hall_config, read_file,
-                      report_columns, same_columns)
+from conftest import (arrival_table, assert_reads_among_as_alone, fix_table, hall_config,
+                      read_file, report_columns, same_columns)
 
 CONFIG = {
     "anchors": [
@@ -60,15 +60,12 @@ def config_path(tmp_path):
 
 
 def test_fixes_csv_round_trips_exactly(tmp_path):
-    fixes = [
-        Fix(tag_id="T1", blink_seq=3, x=2.0000000001, y=1.5, vx=-0.25, vy=0.125,
-            pos_std=0.03125, residual_norm=0.0),
-        Fix(tag_id="T2", blink_seq=4, x=-1.0, y=0.1, vx=0.0, vy=0.0,
-            pos_std=0.5, residual_norm=0.0),
-    ]
+    fixes = fix_table([("T1", 3, 2.0000000001, 1.5, -0.25, 0.125, 0.03125, 0.0),
+                       ("T2", 4, -1.0, 0.1, 0.0, 0.0, 0.5, 0.0)])
     path = tmp_path / "fixes.csv"
     path.write_text("".join(fixes_to_csv(fixes)))
-    assert read_fixes_csv(path) == (fixes, 0)
+    read, skipped = read_fixes_csv(path)
+    assert same_columns(read, fixes) and skipped == 0
 
 
 def test_synced_csv_round_trips_exactly(tmp_path):
@@ -330,7 +327,7 @@ def test_repeated_fix_is_skipped_and_counted(tmp_path, config_path, capsys, capl
     fixes, skipped = read_fixes_csv(path)
     assert skipped == 30
     assert "".join(fixes_to_csv(fixes)) == text
-    assert f"repeated fix of {fixes[0].tag_id}#{fixes[0].blink_seq}" in caplog.text
+    assert f"repeated fix of {fixes.ids[fixes.tag[0]]}#{fixes.blink_seq[0]}" in caplog.text
 
     capsys.readouterr()
     assert main(["eval", "--config", str(config_path), "--out", str(out),
@@ -460,10 +457,7 @@ def test_crlf_files_read_as_lf_files_and_blank_lines_are_ignored(tmp_path, confi
         path.write_bytes(b"\r\n".join(lines) + b"\r\n")
         got = reader(path)
         assert got[1] == want[1]
-        if name != "fixes.csv":  # columns
-            assert same_columns(got[0], want[0])
-        else:
-            assert got[0] == want[0]
+        assert same_columns(got[0], want[0])
     assert "skipped" not in caplog.text
 
 
@@ -631,6 +625,32 @@ def test_a_scenario_without_tags_simulates_ccps_alone_and_locate_exits_3(tmp_pat
                  "--reports", str(out / "reports.jsonl")])
     assert code == EXIT_EMPTY
     assert "no fixes produced" in capsys.readouterr().err
+
+
+def test_eval_of_a_fixes_csv_holding_only_its_header_exits_3_and_writes_nothing(
+    tmp_path, config_path, capsys
+):
+    # Locate on reports without blinks writes fixes.csv with its header alone
+    # (and exits 3): eval reads it as an empty fix table, and exits 3 too.
+    out = tmp_path / "run"
+    main(["simulate", "--config", str(config_path), "--out", str(out)])
+    path = out / "reports.jsonl"
+    path.write_text("".join(line for line in path.read_text().splitlines(keepends=True)
+                            if '"blink_rx"' not in line))
+    assert main(["locate", "--config", str(config_path), "--out", str(out),
+                 "--reports", str(path)]) == EXIT_EMPTY
+    fixes_path = out / "fixes.csv"
+    assert fixes_path.read_text() == FIXES_HEADER + "\n"
+    fixes, skipped = read_fixes_csv(fixes_path)
+    assert same_columns(fixes, fix_table([])) and skipped == 0
+    capsys.readouterr()
+    evaluated = tmp_path / "eval"
+    code = main(["eval", "--config", str(config_path), "--out", str(evaluated),
+                 "--fixes", str(fixes_path), "--truth", str(out / "truth.jsonl"),
+                 "--synced", str(out / "synced.csv")])
+    assert code == EXIT_EMPTY
+    assert "no fixes match" in capsys.readouterr().err
+    assert not (evaluated / "summary.json").exists() and not (evaluated / "errors.csv").exists()
 
 
 def test_missing_input_file_exits_4(tmp_path, config_path, capsys):

@@ -3,15 +3,19 @@
 from __future__ import annotations
 
 import dataclasses
-import math
 import random
 import statistics
 
 import numpy as np
+import pytest
 
 from uwb_rtls import engine
+from uwb_rtls.cli import DEMO_CONFIG
+from uwb_rtls.clock import TICK_WRAP
 from uwb_rtls.config import parse_config
 from uwb_rtls.engine import EngineParams, locate_reports
+from uwb_rtls.metrics import fix_errors
+from uwb_rtls.protocol import ReportColumns
 from uwb_rtls.simnet import (
     ConstantVelocityTrajectory,
     Scenario,
@@ -26,6 +30,7 @@ from conftest import (
     blink_rows,
     build_ideal_rect_topology,
     build_rect_topology,
+    fix_table,
     hall_config,
     report_columns,
     report_rows,
@@ -49,9 +54,10 @@ def test_zero_noise_run_localizes_to_under_a_millimeter():
     result = locate_reports(sim.reports, topo)
     truth = sim.truth_blinks
     assert truth.seq.tolist() == list(range(len(truth)))  # one tag: row k is blink k
-    assert len(result.fixes) >= 25
-    for fix in result.fixes:
-        assert math.dist((fix.x, fix.y), (truth.x[fix.blink_seq], truth.y[fix.blink_seq])) < 1e-3
+    fixes = result.fixes
+    assert len(fixes) >= 25
+    seq = fixes.blink_seq
+    assert np.hypot(fixes.x - truth.x[seq], fixes.y - truth.y[seq]).max() < 1e-3
 
 
 def test_report_order_does_not_matter():
@@ -61,7 +67,7 @@ def test_report_order_does_not_matter():
     shuffled = report_rows(sim.reports)
     random.Random(7).shuffle(shuffled)
     scrambled = locate_reports(report_columns(shuffled), topo)
-    assert scrambled.fixes == forward.fixes
+    assert same_columns(scrambled.fixes, forward.fixes)
     assert same_columns(scrambled.blinks, forward.blinks)
 
 
@@ -69,7 +75,7 @@ def test_three_receivers_yield_no_fix_but_a_diagnostic():
     topo = build_ideal_rect_topology()
     sim = _run(topo, duration=1.0, blink_links={"T1": frozenset({"MA1", "SA2", "SA3"})})
     result = locate_reports(sim.reports, topo)
-    assert result.fixes == []
+    assert same_columns(result.fixes, fix_table([]))  # an empty table, not a list
     assert result.diagnostics["blinks_too_few_receivers"] == 10
 
 
@@ -83,7 +89,8 @@ def test_tracker_config_is_honored():
         EngineParams(tracker=TrackerConfig(sigma_accel=1e-3)),
     )
     assert len(pinned.fixes) == len(loose.fixes)
-    assert pinned.fixes != loose.fixes
+    assert np.array_equal(pinned.fixes.blink_seq, loose.fixes.blink_seq)
+    assert not same_columns(pinned.fixes, loose.fixes)
 
 
 def test_tracker_steps_by_the_engine_blink_period():
@@ -99,7 +106,7 @@ def test_tracker_steps_by_the_engine_blink_period():
     )
     result = locate_reports(run_scenario(scn).reports, topo, EngineParams(blink_period=0.2))
     assert len(result.fixes) == 100
-    second_half = [f.vx for f in result.fixes[50:]]
+    second_half = result.fixes.vx[50:].tolist()
     assert abs(statistics.median(second_half) - 0.2) <= 0.05
 
 
@@ -115,8 +122,8 @@ def test_fixes_carry_tag_and_sequence_metadata():
     topo = build_rect_topology()
     sim = _run(topo, duration=1.0)
     result = locate_reports(sim.reports, topo)
-    assert all(f.tag_id == "T1" for f in result.fixes)
-    seqs = [f.blink_seq for f in result.fixes]
+    assert result.fixes.ids == ("T1",) and not result.fixes.tag.any()
+    seqs = result.fixes.blink_seq.tolist()
     assert seqs == sorted(seqs)
 
 
@@ -131,7 +138,7 @@ def test_blinks_below_two_synchronized_receivers_carry_no_pairs_and_are_counted(
     ):
         sim = _run(topo, duration=1.0, blink_links={"T1": frozenset(heard)})
         result = locate_reports(sim.reports, topo)
-        assert result.fixes == []
+        assert same_columns(result.fixes, fix_table([]))
         assert [list(rows) for rows in blink_rows(result.blinks).values()] == synced
         assert result.diagnostics.get("blinks_without_tdoa", 0) == without
         assert result.diagnostics.get("blinks_too_few_receivers", 0) == too_few
@@ -157,6 +164,45 @@ def test_fixes_do_not_depend_on_the_origin_of_the_arrivals(hall_run, monkeypatch
     for lo, n in zip(rows.start.tolist(), rows.size.tolist()):
         shift[lo:lo + n] = rows.meters[lo + n - 1]
     moved = track(dataclasses.replace(rows, meters=rows.meters - shift), *rest)
-    assert [(f.tag_id, f.blink_seq) for f in moved] == [(f.tag_id, f.blink_seq) for f in fixes]
+    assert moved.ids == fixes.ids and np.array_equal(moved.tag, fixes.tag)
+    assert np.array_equal(moved.blink_seq, fixes.blink_seq)
     assert len(fixes) == len(rows.start)
-    assert max(math.dist((f.x, f.y), (g.x, g.y)) for f, g in zip(fixes, moved)) <= 1e-7
+    assert np.hypot(fixes.x - moved.x, fixes.y - moved.y).max() <= 1e-7
+
+
+# ---------------------------------------------------------------------------
+# Anchor reboots
+
+
+@pytest.fixture(scope="module")
+def demo_run():
+    cfg = parse_config(DEMO_CONFIG)
+    return cfg, run_scenario(cfg.scenario)
+
+
+def _rebooted(reports: ReportColumns, anchor: str, share: float) -> ReportColumns:
+    """``reports`` with ``anchor``'s own counter jumped by 0.37 of the wrap,
+    modulo the wrap, from the report row ``share`` of the way in on, as a
+    reboot that resets it would jump."""
+    rows = np.arange(len(reports)) >= int(share * len(reports))
+    rows &= reports.anchor == reports.ids.index(anchor)
+    ticks = reports.ticks.copy()
+    ticks[rows] = (ticks[rows] + 0.37 * TICK_WRAP) % TICK_WRAP
+    return dataclasses.replace(reports, ticks=ticks)
+
+
+@pytest.mark.parametrize("share", [0.3, 0.5])
+@pytest.mark.parametrize("anchor", ["MA1", "SA2"])
+def test_an_anchor_reboot_costs_one_rejected_window_and_no_fix(demo_run, anchor, share):
+    # The master's or a slave's counter jumps once: the sync rejects the one
+    # window that spans the jump, counts it, and every blink is still fixed
+    # as well as on the clean run (0.0976 m at worst, no window rejected).
+    cfg, sim = demo_run
+    clean = locate_reports(sim.reports, cfg.scenario.topology, cfg.engine_params())
+    assert "rejected_windows" not in clean.diagnostics
+    result = locate_reports(_rebooted(sim.reports, anchor, share), cfg.scenario.topology,
+                            cfg.engine_params())
+    _, errors = fix_errors(result.fixes, sim.truth_blinks)
+    assert len(result.fixes) == len(errors) == len(sim.truth_blinks) == 600
+    assert errors.max() < 0.1
+    assert result.diagnostics["rejected_windows"] == 1

@@ -1,7 +1,8 @@
 """Memory: the simulator's, the sync's and the HDoP grid's row-block passes
 give the bits of one pass over every row, and so do the blinks placed in
 disjoint parts against one calibration; they, and the report reader, keep
-their allocation peaks per report or per grid point low."""
+their allocation peaks per report or per grid point low, and fixes are held
+as columns."""
 
 from __future__ import annotations
 
@@ -13,13 +14,13 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from uwb_rtls import clock, deploy, simnet, wcs
-from uwb_rtls.cli import DEMO_CONFIG, read_reports
+from uwb_rtls import clock, deploy, engine, simnet, wcs
+from uwb_rtls.cli import DEMO_CONFIG, fixes_to_csv, read_fixes_csv, read_reports
 from uwb_rtls.config import parse_config
 from uwb_rtls.constants import ROW_BLOCK
 from uwb_rtls.protocol import BLINK_RX, CCP_RX, ReportColumns, encode_reports
 from uwb_rtls.simnet import run_scenario
-from uwb_rtls.solver import ranges, sum_over_anchors
+from uwb_rtls.solver import ranges, sum_over_anchors, track
 from uwb_rtls.wcs import calibrate, multi_master_sync, place
 
 from conftest import arrival_rows, arrival_table, hall_config, same_columns
@@ -124,16 +125,25 @@ def fleet_config(seed: int = 1) -> dict:
             "area": [[0.0, 0.0], [24.0, 16.0]]}
 
 
-def _peak_bytes(call) -> tuple[object, int]:
-    """``call()``'s result, and the most it held allocated beyond what was
-    allocated when it started."""
+def _traced_bytes(call) -> tuple[object, int, int]:
+    """``call()``'s result, what it left allocated (the result, live) and
+    the most it held allocated, both beyond what was allocated when it
+    started."""
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
         result = call()
-        return result, tracemalloc.get_traced_memory()[1] - start
+        live, peak = tracemalloc.get_traced_memory()
+        return result, live - start, peak - start
     finally:
         tracemalloc.stop()
+
+
+def _peak_bytes(call) -> tuple[object, int]:
+    """``call()``'s result, and the most it held allocated beyond what was
+    allocated when it started."""
+    result, _, peak = _traced_bytes(call)
+    return result, peak
 
 
 def test_simulator_and_sync_allocation_peaks_per_report():
@@ -160,6 +170,28 @@ def test_report_reader_allocation_peak_per_line(tmp_path):
     (read, skipped), peak = _peak_bytes(lambda: read_reports(path))
     assert skipped == 0 and len(read) == len(reports) > 100_000
     assert peak / len(reports) < 95
+
+
+def test_fixes_are_held_as_columns_by_the_tracker_and_the_fix_reader(tmp_path, monkeypatch):
+    # As lists of records, track's result held about 249 B per fix, and
+    # read_fixes_csv's 225 B with a 367 B peak.  As columns (an int32 tag,
+    # an int64 seq and six float64 values) both hold about 60 B; the
+    # reader's peak, about 250 B per fix here, is mostly one block's line
+    # text and fields.
+    cfg = parse_config(fleet_config())
+    reports = run_scenario(cfg.scenario).reports
+    calls = []
+    monkeypatch.setattr(engine, "track", lambda *a: calls.append(a) or track(*a))
+    fixes = engine.locate_reports(reports, cfg.scenario.topology, cfg.engine_params()).fixes
+    again, live, _ = _traced_bytes(lambda: track(*calls[0]))
+    assert same_columns(again, fixes) and len(fixes) > 10_000
+    assert live / len(fixes) < 80
+    path = tmp_path / "fixes.csv"
+    path.write_text("".join(fixes_to_csv(fixes)))
+    (read, skipped), live, peak = _traced_bytes(lambda: read_fixes_csv(path))
+    assert skipped == 0 and len(read) == len(fixes)
+    assert live / len(fixes) < 80
+    assert peak / len(fixes) < 300
 
 
 def _hall_anchors() -> dict[str, tuple[float, float]]:

@@ -19,17 +19,16 @@ from uwb_rtls.metrics import (
     smoothed_tdoa_streams,
 )
 from uwb_rtls.simnet import Scenario, StaticTrajectory, TagSpec, run_scenario
-from uwb_rtls.solver import Fix
 from uwb_rtls.wcs import WcsParams
 
-from conftest import arrival_table, build_rect_topology, truth_columns
+from conftest import arrival_table, build_rect_topology, fix_table, truth_columns
 
 CCP_PERIOD = 0.15
 
 
 def _fix(tag, seq, x, y):
-    return Fix(tag_id=tag, blink_seq=seq, x=x, y=y, vx=0.0, vy=0.0,
-               pos_std=0.01, residual_norm=0.0)
+    """A fix row, as ``fix_table`` takes it."""
+    return (tag, seq, x, y, 0.0, 0.0, 0.01, 0.0)
 
 
 def _truth(tag, seq, x, y):
@@ -42,7 +41,7 @@ def test_known_errors_give_known_statistics():
     # 0.50..0.99 and numpy is the percentile oracle.
     fixes = [_fix("T1", i, i * 0.01, 0.0) for i in range(100)]
     truth = [_truth("T1", i, 0.0, 0.0) for i in range(100)]
-    s = evaluate(fixes, truth_columns(truth), warmup=50)
+    s = evaluate(fix_table(fixes), truth_columns(truth), warmup=50)
     settled = np.arange(50, 100) * 0.01
     assert s.fix_rmse == pytest.approx(math.sqrt(np.mean(settled**2)), rel=1e-12)
     assert s.fix_p95_error == pytest.approx(np.percentile(settled, 95), rel=1e-12)
@@ -57,7 +56,7 @@ def test_warmup_is_dropped_per_tag():
     fixes = [_fix("T1", i, 1.0 if i < 5 else 0.0, 0.0) for i in range(10)]
     fixes += [_fix("T2", i, 1.0 if i < 5 else 0.0, 0.0) for i in range(10)]
     truth = [_truth(t, i, 0.0, 0.0) for t in ("T1", "T2") for i in range(10)]
-    s = evaluate(fixes, truth_columns(truth), warmup=5)
+    s = evaluate(fix_table(fixes), truth_columns(truth), warmup=5)
     assert s.fix_rmse == 0.0
     assert s.track_rmse > 0.0
 
@@ -65,21 +64,22 @@ def test_warmup_is_dropped_per_tag():
 def test_all_inside_warmup_falls_back_to_everything():
     fixes = [_fix("T1", i, 0.1, 0.0) for i in range(3)]
     truth = [_truth("T1", i, 0.0, 0.0) for i in range(3)]
-    s = evaluate(fixes, truth_columns(truth), warmup=50)
+    s = evaluate(fix_table(fixes), truth_columns(truth), warmup=50)
     assert s.fix_rmse == pytest.approx(0.1)
 
 
 def test_availability_counts_missing_blinks():
     fixes = [_fix("T1", i, 0.0, 0.0) for i in range(6)]
     truth = [_truth("T1", i, 0.0, 0.0) for i in range(10)]
-    assert evaluate(fixes, truth_columns(truth), warmup=0).availability == 0.6
+    assert evaluate(fix_table(fixes), truth_columns(truth), warmup=0).availability == 0.6
 
 
 def test_no_overlap_raises():
     with pytest.raises(EmptyEvalError):
-        evaluate([_fix("T1", 0, 0.0, 0.0)], truth_columns([_truth("T2", 0, 0.0, 0.0)]))
+        evaluate(fix_table([_fix("T1", 0, 0.0, 0.0)]),
+                 truth_columns([_truth("T2", 0, 0.0, 0.0)]))
     with pytest.raises(EmptyEvalError):
-        evaluate([], truth_columns([_truth("T1", 0, 0.0, 0.0)]))
+        evaluate(fix_table([]), truth_columns([_truth("T1", 0, 0.0, 0.0)]))
 
 
 def test_input_order_does_not_change_the_summary():
@@ -91,12 +91,12 @@ def test_input_order_does_not_change_the_summary():
                      "SA2": (0.0, 0, 1.0)})
         for i in range(40)
     ]
-    base = evaluate(fixes, truth_columns(truth), arrival_table(dict(synced)), CCP_PERIOD,
-                    warmup=10)
+    base = evaluate(fix_table(fixes), truth_columns(truth), arrival_table(dict(synced)),
+                    CCP_PERIOD, warmup=10)
     for seq in (fixes, truth, synced):
         rng.shuffle(seq)
-    shuffled = evaluate(fixes, truth_columns(truth), arrival_table(dict(synced)), CCP_PERIOD,
-                        warmup=10)
+    shuffled = evaluate(fix_table(fixes), truth_columns(truth), arrival_table(dict(synced)),
+                        CCP_PERIOD, warmup=10)
     assert shuffled == base
 
 
@@ -128,7 +128,8 @@ def test_evaluate_smooths_with_its_params():
     truth = [_truth("T1", i, 0.0, 0.0) for i in range(400)]
 
     def std(**params):
-        s = evaluate(fixes, truth_columns(truth), blinks, CCP_PERIOD, params=WcsParams(**params))
+        s = evaluate(fix_table(fixes), truth_columns(truth), blinks, CCP_PERIOD,
+                     params=WcsParams(**params))
         return s.tdoa_std_per_pair["MA1|SA2"]
 
     assert std() < 0.2 * raw[50:].std()
@@ -194,8 +195,8 @@ def test_streams_equal_smoothing_each_pair_of_the_pair_view():
 def test_errors_csv_lists_matched_fixes_in_order():
     fixes = [_fix("T1", 1, 3.0, 4.0), _fix("T1", 0, 0.0, 0.0), _fix("T9", 7, 0.0, 0.0)]
     truth = [_truth("T1", 0, 0.0, 0.0), _truth("T1", 1, 0.0, 0.0)]
-    text = errors_csv(evaluate(fixes, truth_columns(truth), warmup=0).errors)
-    assert text == errors_csv(fix_errors(fixes, truth_columns(truth)))
+    text = errors_csv(evaluate(fix_table(fixes), truth_columns(truth), warmup=0).errors)
+    assert text == errors_csv(fix_errors(fix_table(fixes), truth_columns(truth)))
     lines = text.splitlines()
     assert lines[0] == "tag_id,blink_seq,err_m"
     assert lines[1] == "T1,0,0.0"
@@ -215,18 +216,22 @@ def test_fixes_match_truth_as_a_lookup_per_fix_does():
     first: dict = {}
     for tag, seq, _, x, y in truth:
         first.setdefault((tag, seq), (x, y))
-    want = sorted((f.tag_id, f.blink_seq, math.hypot(f.x - first[f.tag_id, f.blink_seq][0],
-                                                     f.y - first[f.tag_id, f.blink_seq][1]))
-                  for f in fixes if (f.tag_id, f.blink_seq) in first)
-    assert repr(fix_errors(fixes, truth_columns(truth))) == repr(want)
-    summary = evaluate(fixes, truth_columns(truth), warmup=0)
+    want = sorted((tag, seq, math.hypot(x - first[tag, seq][0], y - first[tag, seq][1]))
+                  for tag, seq, x, y, *_ in fixes if (tag, seq) in first)
+    matched, errors = fix_errors(fix_table(fixes), truth_columns(truth))
+    assert repr(list(zip(map(matched.ids.__getitem__, matched.tag.tolist()),
+                         matched.seq.tolist(), errors.tolist()))) == repr(want)
+    # The matched truth rows are each blink's first row.
+    assert [first[tag, seq] for tag, seq, _ in want] == list(zip(matched.x.tolist(),
+                                                                 matched.y.tolist()))
+    summary = evaluate(fix_table(fixes), truth_columns(truth), warmup=0)
     assert summary.availability == len(want) / len(first)
 
 
 def test_summary_json_is_stable_and_round_trips():
     fixes = [_fix("T1", i, 0.0, 0.0) for i in range(3)]
     truth = [_truth("T1", i, 0.0, 0.0) for i in range(3)]
-    s = evaluate(fixes, truth_columns(truth), warmup=0)
+    s = evaluate(fix_table(fixes), truth_columns(truth), warmup=0)
     text = s.to_json()
     assert text.endswith("\n")
     payload = json.loads(text)

@@ -25,7 +25,7 @@ from uwb_rtls.solver import (
     transition_matrix,
 )
 
-from conftest import TdoaSet, layout, tracker_rows
+from conftest import TdoaSet, fix_table, fixes_of, layout, same_columns, tracker_rows
 
 RECT = {"MA1": (0.0, 0.0), "SA2": (6.0, 0.0), "SA3": (6.0, 4.0), "SA4": (0.0, 4.0)}
 
@@ -447,10 +447,9 @@ def test_track_converges_on_static_clean_data():
     sets = [tdoa_set(truth, seq=i) for i in range(50)]
     fixes = track(tracker_rows(sets, RECT), 0.1)
     assert len(fixes) == 50
-    last = fixes[-1]
-    assert math.dist((last.x, last.y), truth) <= 1e-3
-    assert abs(last.vx) < 1e-2 and abs(last.vy) < 1e-2
-    assert fixes[0].pos_std > last.pos_std
+    assert math.dist((fixes.x[-1], fixes.y[-1]), truth) <= 1e-3
+    assert abs(fixes.vx[-1]) < 1e-2 and abs(fixes.vy[-1]) < 1e-2
+    assert fixes.pos_std[0] > fixes.pos_std[-1]
 
 
 def test_track_without_process_noise_settles_on_ls_solution():
@@ -459,9 +458,9 @@ def test_track_without_process_noise_settles_on_ls_solution():
     truth = (4.4, 1.2)
     sets = [tdoa_set(truth, seq=i) for i in range(200)]
     cfg = TrackerConfig(sigma_accel=0.0)
-    last = track(tracker_rows(sets, RECT), 0.1, cfg)[-1]
+    fixes = track(tracker_rows(sets, RECT), 0.1, cfg)
     ls = ls_solve(*layout(tdoa_set(truth), RECT))
-    assert math.dist((last.x, last.y), ls) <= 1e-3
+    assert math.dist((fixes.x[-1], fixes.y[-1]), ls) <= 1e-3
 
 
 def test_track_resets_after_a_long_gap():
@@ -470,10 +469,10 @@ def test_track_resets_after_a_long_gap():
     fixes = track(tracker_rows(sets, RECT), 0.1)
     assert len(fixes) == 40
     # First fix after the gap is a fresh cold start at the new position.
-    post_gap = fixes[20]
-    assert (post_gap.x, post_gap.y) == pytest.approx((5.0, 3.0), abs=1e-3)
-    assert (post_gap.vx, post_gap.vy) == (0.0, 0.0)
-    assert post_gap.residual_norm == 0.0
+    assert fixes.blink_seq[20] == 40
+    assert (fixes.x[20], fixes.y[20]) == pytest.approx((5.0, 3.0), abs=1e-3)
+    assert (fixes.vx[20], fixes.vy[20]) == (0.0, 0.0)
+    assert fixes.residual_norm[20] == 0.0
 
 
 def test_track_rides_through_a_short_gap():
@@ -481,23 +480,22 @@ def test_track_rides_through_a_short_gap():
     sets += [tdoa_set((2.0, 1.5), seq=15 + i) for i in range(10)]
     fixes = track(tracker_rows(sets, RECT), 0.1)
     assert len(fixes) == 20
-    assert fixes[10].residual_norm > 0.0 or fixes[10].pos_std < fixes[0].pos_std
+    assert fixes.residual_norm[10] > 0.0 or fixes.pos_std[10] < fixes.pos_std[0]
 
 
 def test_track_skips_unsolvable_cold_start():
     line = {"A1": (0.0, 0.0), "A2": (3.0, 0.0), "A3": (6.0, 0.0), "A4": (9.0, 0.0)}
     ambiguous = [tdoa_set((4.0, 2.0), anchors=line, ref="A1", seq=i) for i in range(3)]
-    assert track(tracker_rows(ambiguous, line), 0.1) == []
+    assert same_columns(track(tracker_rows(ambiguous, line), 0.1), fix_table([]))
 
 
 def test_track_follows_a_moving_tag():
     # 1 m/s along x, fixes every 0.1 s.
     sets = [tdoa_set((1.0 + 0.1 * i, 2.0), seq=i) for i in range(60)]
     fixes = track(tracker_rows(sets, RECT), 0.1)
-    last = fixes[-1]
-    assert (last.x, last.y) == pytest.approx((6.9, 2.0), abs=0.05)
-    assert last.vx == pytest.approx(1.0, abs=0.1)
-    assert last.vy == pytest.approx(0.0, abs=0.1)
+    assert (fixes.x[-1], fixes.y[-1]) == pytest.approx((6.9, 2.0), abs=0.05)
+    assert fixes.vx[-1] == pytest.approx(1.0, abs=0.1)
+    assert fixes.vy[-1] == pytest.approx(0.0, abs=0.1)
 
 
 # ---------------------------------------------------------------------------
@@ -537,19 +535,24 @@ def test_a_tags_fixes_do_not_depend_on_the_batch_it_is_stepped_in():
     together = track(tracker_rows(everything, EVERY_ANCHOR), 0.1,
                      diagnostics=diagnostics)
     assert diagnostics == {"tracks_not_started": len(sets["T3"])}
-    assert [(f.tag_id, f.blink_seq) for f in together] == sorted(
+    # Only tags with a fix are in the table's ids.
+    assert together.ids == ("T1", "T2", "T4")
+    assert list(zip(map(together.ids.__getitem__, together.tag.tolist()),
+                    together.blink_seq.tolist())) == sorted(
         (s.tag_id, s.blink_seq) for s in everything if s.tag_id != "T3"
     )
     for tag_id, tag_sets in sets.items():
         alone = track(tracker_rows(tag_sets, EVERY_ANCHOR), 0.1)
-        mine = [f for f in together if f.tag_id == tag_id]
-        assert repr(mine) == repr(alone)  # repr round-trips: bit for bit
+        if tag_id == "T3":
+            assert same_columns(alone, fix_table([]))
+        else:
+            assert same_columns(fixes_of(together, tag_id), alone)  # bit for bit
     # The order the sets come in does not matter either.
     shuffled = [everything[i] for i in np.random.default_rng(3).permutation(len(everything))]
-    assert repr(track(tracker_rows(shuffled, EVERY_ANCHOR), 0.1)) == repr(together)
+    assert same_columns(track(tracker_rows(shuffled, EVERY_ANCHOR), 0.1), together)
     # T2 restarted after its long gap and rode through its short one.
-    t2 = [f for f in together if f.tag_id == "T2"]
-    assert [f.blink_seq for f in t2 if f.residual_norm == 0.0] == [0, 35]
+    t2 = fixes_of(together, "T2")
+    assert t2.blink_seq[t2.residual_norm == 0.0].tolist() == [0, 35]
 
 
 def test_a_blink_with_no_seeds_is_skipped_counted_and_alone(caplog):
@@ -567,7 +570,7 @@ def test_a_blink_with_no_seeds_is_skipped_counted_and_alone(caplog):
     assert diagnostics == {"tracks_not_started": 2}
     assert "track init skipped for T2 #0" in caplog.text
     assert "track init skipped for T2 #5" in caplog.text
-    assert repr(fixes) == repr(track(tracker_rows(t1, anchors), 0.1))
+    assert same_columns(fixes, track(tracker_rows(t1, anchors), 0.1))
 
 
 def test_an_update_with_no_usable_row_is_skipped_counted_and_alone():
@@ -575,8 +578,8 @@ def test_an_update_with_no_usable_row_is_skipped_counted_and_alone():
     t2 = [tdoa_set((4.0, 3.0), seq=i, tag="T2") for i in range(12)]
     # Give T2's blink 6 two arrivals, one from an anchor at exactly the
     # filter's predicted position for it, so one usable row is left.
-    before = track(tracker_rows(t2[:6], RECT), 0.1)[-1]
-    here = (before.x + 0.1 * before.vx, before.y + 0.1 * before.vy)
+    before = track(tracker_rows(t2[:6], RECT), 0.1)
+    here = (before.x[-1] + 0.1 * before.vx[-1], before.y[-1] + 0.1 * before.vy[-1])
     anchors = {**RECT, "HERE": here}
     alone = track(tracker_rows(t1, anchors), 0.1)
     t2[6] = tdoa_set((4.0, 3.0), {"MA1": RECT["MA1"], "HERE": here}, "HERE", seq=6, tag="T2")
@@ -584,18 +587,19 @@ def test_an_update_with_no_usable_row_is_skipped_counted_and_alone():
     diagnostics: dict = {}
     fixes = track(tracker_rows(t1 + t2, anchors), 0.1, diagnostics=diagnostics)
     assert diagnostics == {"updates_no_usable_rows": 1}
-    skipped = next(f for f in fixes if (f.tag_id, f.blink_seq) == ("T2", 6))
-    assert math.isnan(skipped.residual_norm)
-    assert (skipped.x, skipped.y) == here  # the predicted state
-    assert repr([f for f in fixes if f.tag_id == "T1"]) == repr(alone)
-    after = [f for f in fixes if f.tag_id == "T2" and f.blink_seq > 6]
-    assert len(after) == 5 and all(f.residual_norm >= 0.0 for f in after)
+    mine = fixes_of(fixes, "T2")
+    (skipped,) = np.flatnonzero(mine.blink_seq == 6)
+    assert math.isnan(mine.residual_norm[skipped])
+    assert (mine.x[skipped], mine.y[skipped]) == here  # the predicted state
+    assert same_columns(fixes_of(fixes, "T1"), alone)
+    after = mine.residual_norm[mine.blink_seq > 6]
+    assert len(after) == 5 and (after >= 0.0).all()
     # A set with no arrival at all is skipped the same way.
     t2[9] = TdoaSet(tag_id="T2", blink_seq=9, arrivals=())
     diagnostics = {}
     fixes = track(tracker_rows(t1 + t2, anchors), 0.1, diagnostics=diagnostics)
     assert diagnostics == {"updates_no_usable_rows": 2}
-    assert repr([f for f in fixes if f.tag_id == "T1"]) == repr(alone)
+    assert same_columns(fixes_of(fixes, "T1"), alone)
 
 
 def test_track_takes_one_set_per_tag_and_blink():

@@ -4,8 +4,8 @@ and the arrival rows a blink holds."""
 from __future__ import annotations
 
 import dataclasses
-import math
 
+import numpy as np
 import pytest
 
 from uwb_rtls import engine
@@ -16,7 +16,7 @@ from uwb_rtls.timebase import MIN_RECEIVERS, NoTimeBaseError, select_time_base
 from uwb_rtls.topology import AnchorConfig, NetworkTopology
 from uwb_rtls.wcs import ArrivalTable, arrival_tdoa
 
-from conftest import arrival_table, blink_rows, build_rect_topology
+from conftest import arrival_table, blink_rows, build_rect_topology, fixes_of, same_columns
 
 
 def _anchor(anchor_id: str, role: str, pos) -> AnchorConfig:
@@ -133,8 +133,10 @@ def test_the_engine_fixes_every_blink_with_four_synchronized_receivers():
              "T3": ("SA1", "SA2", "SA5", "SA6"), "T4": ("MA1", "SA1", "SA3")}
     places = {"T1": (10.0, 4.0), "T2": (21.0, 1.0), "T3": (12.0, 3.0), "T4": (3.0, 2.0)}
     result = _locate(_two_cell_topology(), heard, places, duration=1.0)
-    assert {(f.tag_id, f.blink_seq) for f in result.fixes} == {
-        (t, seq) for t in ("T1", "T2", "T3") for seq in range(10)}
+    fixes = result.fixes
+    assert fixes.ids == ("T1", "T2", "T3")
+    assert sorted(zip(fixes.tag.tolist(), fixes.blink_seq.tolist())) == [
+        (t, seq) for t in range(3) for seq in range(10)]
     assert result.diagnostics["blinks_too_few_receivers"] == 10
     assert "blinks_no_time_base" not in result.diagnostics
 
@@ -150,14 +152,16 @@ def test_blinks_spanning_cells_without_a_bridge_are_fixed_on_truth():
     places = {"T1": (10.0, 4.0), "T3": (12.0, 3.0), "T5": (8.0, 1.0)}
     fixes = _locate(topo, heard, places, duration=8.0).fixes
     for tag in ("T1", "T5"):
-        late = [f for f in fixes if f.tag_id == tag and f.blink_seq >= 50]
-        assert len(late) == 30
-        assert max(math.dist((f.x, f.y), places[tag]) for f in late) < 1e-5
+        mine = fixes_of(fixes, tag)
+        late = mine.blink_seq >= 50
+        assert np.count_nonzero(late) == 30
+        x, y = places[tag]
+        assert np.hypot(mine.x[late] - x, mine.y[late] - y).max() < 1e-5
     # With no jitter T3's reports do not depend on the other tags, so its
     # fixes are the ones a run without the unbridged tags makes, bit for bit.
     alone = _locate(topo, {"T3": heard["T3"]}, places, duration=8.0).fixes
     assert len(alone) == 80
-    assert repr([f for f in fixes if f.tag_id == "T3"]) == repr(alone)
+    assert same_columns(fixes_of(fixes, "T3"), alone)
 
 
 def test_too_few_receivers():
