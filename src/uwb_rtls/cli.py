@@ -19,18 +19,19 @@ import json
 import logging
 import math
 import sys
+from collections import defaultdict
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .config import ConfigError, ScenarioConfig, load_config
-from .constants import ROW_BLOCK
+from .constants import ROW_BLOCK, row_blocks
 from .deploy import build_deployment_report, grid_to_csv
 from .engine import LocateResult, locate_reports
 from .metrics import EmptyEvalError, errors_csv, evaluate
-from .protocol import (ReportColumns, check_id, check_number, check_seq, decode_reports,
-                       encode_reports, id_codes)
+from .protocol import (REPORT_KINDS, ReportColumns, check_id, check_number, check_seq,
+                       decode_reports, encode_reports)
 from .simnet import (ScenarioError, SimResult, TruthBlinks, decode_truths, encode_clock,
                      encode_truth, run_scenario)
 from .solver import FixTable
@@ -56,16 +57,11 @@ class CsvHeaderError(ValueError):
 # File formats
 
 
-def _row_blocks(n: int) -> Iterator[slice]:
-    """Slices of ``ROW_BLOCK`` rows that cover ``n`` rows, in order."""
-    return (slice(lo, lo + ROW_BLOCK) for lo in range(0, n, ROW_BLOCK))
-
-
 def fixes_to_csv(fixes: FixTable) -> Iterator[str]:
     """fixes.csv as blocks of text, one row per fix in table order."""
     yield FIXES_HEADER + "\n"
     columns = (fixes.tag, fixes.blink_seq, fixes.x, fixes.y, fixes.vx, fixes.vy, fixes.pos_std)
-    for rows in _row_blocks(len(fixes)):
+    for rows in row_blocks(len(fixes)):
         yield "".join(f"{fixes.ids[t]},{s},{x!r},{y!r},{vx!r},{vy!r},{p!r}\n"
                       for t, s, x, y, vx, vy, p in zip(*(c[rows].tolist() for c in columns)))
 
@@ -80,11 +76,15 @@ def _check_utf8(text: str) -> None:
             raise ValueError("not valid UTF-8") from None
 
 
-def _read_lines(path: Path, parse: Callable[[list[str]], Sequence], columns: int,
-                header: str | None = None) -> tuple[list, int]:
+def _read_lines(path: Path, parse: Callable[[list[str]], Sequence], header: str | None = None
+                ) -> tuple[tuple[str, ...], list[np.ndarray], int]:
     """Parse the non-blank lines of a UTF-8 text file, each stripped, in
-    blocks: ``parse`` turns a block of lines into ``columns`` lists or
-    arrays, which come back joined over the blocks, in file order.
+    blocks: ``parse`` turns a block of lines into columns, each a list of
+    ids or an array, and ``parse([])`` types those of a file with no rows.
+    Returns the file's sorted ids, each column joined over the blocks in
+    file order, an id column as int32 codes into those ids, and the count
+    of skipped lines.  A block's ids are coded as soon as ``parse`` accepts
+    it, so only the ids of lines read go into the table.
 
     With ``header``, a file whose first line is not ``header`` (another
     format, or an older one) raises ``CsvHeaderError``.  A block that is not
@@ -92,12 +92,17 @@ def _read_lines(path: Path, parse: Callable[[list[str]], Sequence], columns: int
     by line; a line that fails (a wrong field count, an unparsable,
     out-of-range or non-finite number, a non-plain id) is skipped with a
     warning and counted.  Lines are numbered only then."""
-    blocks: list[Sequence] = []
+    code: dict[str, int] = defaultdict(lambda: len(code))  # an id read first gets the next code
+    blocks: list[list[np.ndarray]] = []
     skipped = 0
 
     def parse_block(lines: list[str]) -> None:
         _check_utf8("".join(lines))
-        blocks.append(parse(lines))
+        blocks.append([np.fromiter(map(code.__getitem__, c), np.int32, len(c))
+                       if isinstance(c, list) else c for c in parse(lines)])
+
+    id_column = [isinstance(c, list) for c in parse([])]
+    parse_block([])
 
     with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         if header is not None and fh.readline().strip() != header:
@@ -118,9 +123,11 @@ def _read_lines(path: Path, parse: Callable[[list[str]], Sequence], columns: int
             lineno += len(lines)
     if skipped:
         log.warning("skipped %d malformed line(s) in %s", skipped, path)
-    return [np.concatenate(c) if isinstance(c[0], np.ndarray) else
-            list(itertools.chain.from_iterable(c)) for c in zip(*blocks)] or [
-        [] for _ in range(columns)], skipped
+    ids = sorted(code)
+    rank = np.zeros(len(ids), np.int32)  # each code's place in the sorted ids
+    rank[[code[value] for value in ids]] = np.arange(len(ids))
+    return tuple(ids), [rank[c] if is_id else c for c, is_id in zip(
+        map(np.concatenate, zip(*blocks)), id_column)], skipped
 
 
 def _plain_number(text: str) -> bool:
@@ -132,9 +139,9 @@ def _csv_columns(lines: list[str], header: str, ids: int) -> list[list[str]]:
     """The fields of CSV rows by column, named by ``header``; ValueError unless each row
     has a field per name and its fields after the first ``ids`` are plain numbers."""
     names = header.split(",")
-    if set(map(str.count, lines, itertools.repeat(","))) != {len(names) - 1}:
+    if set(map(str.count, lines, itertools.repeat(","))) - {len(names) - 1}:
         raise ValueError(f"a row does not have {len(names)} fields")
-    fields = ",".join(lines).split(",")
+    fields = ",".join(lines).split(",") if lines else []
     columns = [fields[i::len(names)] for i in range(len(names))]
     for name, texts in zip(names[ids:], columns[ids:]):
         if not _plain_number("".join(texts)):
@@ -174,12 +181,10 @@ def _first_reads(path: Path, what: str, ids: Sequence[str], tag: np.ndarray, seq
 def read_fixes_csv(path: Path) -> tuple[FixTable, int]:
     """Parse a fixes.csv file into a fix table, in file order, skipping malformed
     rows, and repeats of a (tag_id, blink_seq) fix already read, with a count."""
-    (tag_ids, seq, *numbers), skipped = _read_lines(path, _fix_block, 7, FIXES_HEADER)
-    ids, (tag,) = id_codes(tag_ids)
-    seq = np.asarray(seq, np.int64)
+    ids, (tag, seq, *numbers), skipped = _read_lines(path, _fix_block, FIXES_HEADER)
     rows = np.sort(_first_reads(path, "fix", ids, tag, seq))
-    return (FixTable(ids, tag[rows], seq[rows], *(np.asarray(c, float)[rows] for c in numbers),
-                     np.zeros(len(rows))), skipped + len(seq) - len(rows))
+    return (FixTable(ids, tag[rows], seq[rows], *(c[rows] for c in numbers), np.zeros(len(rows))),
+            skipped + len(seq) - len(rows))
 
 
 def synced_to_csv(blinks: ArrivalTable) -> Iterator[str]:
@@ -190,7 +195,7 @@ def synced_to_csv(blinks: ArrivalTable) -> Iterator[str]:
     rates, rate_index = np.unique(blinks.rate.view(np.int64), return_inverse=True)
     rate_text = list(map(float.__repr__, rates.view(np.float64).tolist()))
     name = blinks.ids.__getitem__
-    for rows in _row_blocks(len(blinks)):
+    for rows in row_blocks(len(blinks)):
         yield "".join(map(
             "{},{},{},{},{!r},{}\n".format, map(name, blinks.anchor[rows].tolist()),
             map(name, blinks.tag[rows].tolist()), blinks.blink_seq[rows].tolist(),
@@ -211,37 +216,40 @@ def _arrival_block(lines: list[str]) -> tuple[list | np.ndarray, ...]:
 def read_synced_csv(path: Path) -> tuple[ArrivalTable, int]:
     """Parse a synced.csv file back into an arrival table, skipping malformed
     rows, and repeats of an arrival already read, with a count."""
-    columns, skipped = _read_lines(path, _arrival_block, 6, SYNCED_HEADER)
-    anchor_ids, tag_ids, blink_seq, ccp_seq, offset, rate = columns
-    ids, (tag, anchor) = id_codes(tag_ids, anchor_ids)
-    blink_seq, ccp_seq = np.asarray(blink_seq, np.int64), np.asarray(ccp_seq, np.int64)
+    ids, columns, skipped = _read_lines(path, _arrival_block, SYNCED_HEADER)
+    anchor, tag, blink_seq, ccp_seq, offset, rate = columns
     rows = _first_reads(path, "arrival", ids, tag, blink_seq, anchor)
-    table = ArrivalTable(ids, tag[rows], blink_seq[rows], anchor[rows], np.asarray(
-        offset, float)[rows], ccp_seq[rows], np.asarray(rate, float)[rows])
+    table = ArrivalTable(ids, tag[rows], blink_seq[rows], anchor[rows], offset[rows],
+                         ccp_seq[rows], rate[rows])
     return table, skipped + len(blink_seq) - len(rows)
 
 
-def _report_block(lines: list[str]) -> tuple[list, list, list, np.ndarray, np.ndarray]:
-    """``decode_reports`` of a block, its seqs and ticks as arrays."""
+def _report_block(lines: list[str]) -> tuple[list | np.ndarray, ...]:
+    """``decode_reports`` of a block, its kinds coded and its seqs and ticks as arrays."""
     anchor_ids, kinds, src_ids, seqs, ticks = decode_reports(lines)
-    return anchor_ids, kinds, src_ids, np.array(seqs, np.int64), np.array(ticks, np.float64)
+    return (anchor_ids, np.fromiter(map(REPORT_KINDS.index, kinds), np.int8, len(kinds)),
+            src_ids, np.array(seqs, np.int64), np.array(ticks, np.float64))
 
 
 def read_reports(path: Path) -> tuple[ReportColumns, int]:
     """Parse a reports.jsonl file into columns, skipping malformed lines with a count."""
-    fields, skipped = _read_lines(path, _report_block, 5)
-    return ReportColumns.from_fields(*fields), skipped
+    ids, columns, skipped = _read_lines(path, _report_block)
+    return ReportColumns(ids, *columns), skipped
+
+
+def _truth_block(lines: list[str]) -> tuple[list | np.ndarray, ...]:
+    """``decode_truths``' blink columns of a block, its seqs and numbers as arrays."""
+    tag_ids, seqs, *numbers, _ = decode_truths(lines)
+    return tag_ids, np.array(seqs, np.int64), *(np.array(c, float) for c in numbers)
 
 
 def read_truth(path: Path) -> tuple[TruthBlinks, int]:
     """Parse the blinks of a truth.jsonl file into columns, in file order,
     skipping malformed lines, and repeats of a (tag_id, seq) blink already
     read, with a count."""
-    (tag_ids, seq, *numbers, _), skipped = _read_lines(path, decode_truths, 6)
-    ids, (tag,) = id_codes(tag_ids)
-    seq = np.array(seq, np.int64)
+    ids, (tag, seq, *numbers), skipped = _read_lines(path, _truth_block)
     rows = np.sort(_first_reads(path, "truth blink", ids, tag, seq))
-    return (TruthBlinks(ids, tag[rows], seq[rows], *(np.array(c, float)[rows] for c in numbers)),
+    return (TruthBlinks(ids, tag[rows], seq[rows], *(c[rows] for c in numbers)),
             skipped + len(seq) - len(rows))
 
 
@@ -262,9 +270,9 @@ def _simulate(cfg: ScenarioConfig, out: Path, seed: int | None) -> SimResult:
         scenario = dataclasses.replace(scenario, seed=seed)
     result = run_scenario(scenario)
     _write(out / "reports.jsonl", (encode_reports(result.reports, rows)
-                                   for rows in _row_blocks(len(result.reports))))
+                                   for rows in row_blocks(len(result.reports))))
     _write(out / "truth.jsonl", itertools.chain(
-        (encode_truth(result.truth_blinks, rows) for rows in _row_blocks(len(result.truth_blinks))),
+        (encode_truth(result.truth_blinks, rows) for rows in row_blocks(len(result.truth_blinks))),
         map(encode_clock, result.truth_clocks)))
     return result
 

@@ -1,4 +1,6 @@
-"""Constants shared across the package, and its one diagnostics counter."""
+"""Constants shared across the package, its row blocks and its one diagnostics counter."""
+
+from typing import Iterator
 
 SPEED_OF_LIGHT = 299792458.0  # meters per second, in air taken as vacuum
 
@@ -8,6 +10,11 @@ SPEED_OF_LIGHT = 299792458.0  # meters per second, in air taken as vacuum
 # reads (reports of the sorted order), the sync's blink placements with their
 # schedule hints, and cli's lines read, parsed, rendered and written at a time.
 ROW_BLOCK = 4096
+
+
+def row_blocks(n: int) -> Iterator[slice]:
+    """Slices of ``ROW_BLOCK`` rows that cover ``n`` rows, in order."""
+    return (slice(lo, lo + ROW_BLOCK) for lo in range(0, n, ROW_BLOCK))
 
 
 def tally(diagnostics: dict | None, key: str, n: int = 1) -> None:

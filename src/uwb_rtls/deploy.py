@@ -16,7 +16,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .constants import ROW_BLOCK
+from .constants import row_blocks
 from .solver import ranges
 from .topology import NetworkTopology
 
@@ -190,12 +190,11 @@ def _hdop(px, py, anchors: Mapping[str, tuple[float, float]], reference: str):
     xy = np.array([anchors[a] for a in [reference, *others]], dtype=float).reshape(-1, 1, 2)
     hdop = np.empty(px.size)
     on_anchor = np.empty(px.size, dtype=bool)
-    for start in range(0, px.size, ROW_BLOCK):
-        block = slice(start, start + ROW_BLOCK)
-        _, ((rx,), (ry,)), (on,) = ranges(px[block], py[block], xy[0], gradient=True)
+    for block in row_blocks(px.size):
+        _, ((rx,), (ry,)), (on,) = ranges(px[block], py[block], xy[0])
         a, b, c = (np.zeros(rx.size) for _ in range(3))
         for anchor in xy[1:]:
-            _, ((gx,), (gy,)), (near,) = ranges(px[block], py[block], anchor, gradient=True)
+            _, ((gx,), (gy,)), (near,) = ranges(px[block], py[block], anchor)
             gx -= rx  # unit-vector differences against the reference
             gy -= ry
             a += gx * gx

@@ -17,7 +17,9 @@ object line with the same fields reads the same.
 
 Reports travel as ``ReportColumns``, one array per field with ids and
 kinds as integer codes, from the simulator to the file and from the file
-to the sync.
+to the sync.  ``decode_reports`` gives a block of lines as one list per
+field, and ``cli.read_reports`` codes each block's ids and kinds as soon
+as the block is read.
 """
 
 from __future__ import annotations
@@ -45,13 +47,6 @@ BLINK_RX, CCP_RX, CCP_TX = range(len(REPORT_KINDS))
 
 # Sequence numbers are 32-bit wrapping counters.
 SEQ_WRAP = 2**32
-
-
-def id_codes(*columns: Sequence[str]) -> tuple[tuple[str, ...], list[np.ndarray]]:
-    """The sorted ids of ``columns``, and each column as int32 codes into them."""
-    ids = tuple(sorted(set().union(*columns)))
-    code = {value: i for i, value in enumerate(ids)}.__getitem__
-    return ids, [np.fromiter(map(code, c), np.int32, len(c)) for c in columns]
 
 
 def present_codes(n_ids: int, *columns: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -83,15 +78,6 @@ class ReportColumns:
 
     def __len__(self) -> int:
         return len(self.seq)
-
-    @classmethod
-    def from_fields(cls, anchor_ids, kinds, src_ids, seqs, ticks) -> ReportColumns:
-        """Columns from one sequence per report field, in line order; a seq or
-        tick column that is already an array of its dtype is kept, not copied."""
-        ids, (anchor, src) = id_codes(anchor_ids, src_ids)
-        kind = np.fromiter(map(REPORT_KINDS.index, kinds), np.int8, len(kinds))
-        return cls(ids, anchor, kind, src, np.asarray(seqs, np.int64),
-                   np.asarray(ticks, np.float64))
 
 
 PLAIN_ID_RULE = (
@@ -202,7 +188,7 @@ def json_columns(rows: list[dict], checks: Mapping[str, Callable[[str, list], li
 
 
 def check_id(name: str, column: list) -> list[str]:
-    """``column``, plain ids, each interned: ids repeat on every line."""
+    """``column``, plain ids."""
     try:
         plain = all(map(is_plain_id, set(column)))
     except TypeError:  # an unhashable value: a JSON array or object
@@ -211,7 +197,7 @@ def check_id(name: str, column: list) -> list[str]:
         for value in column:
             if not is_plain_id(value):
                 raise ValueError(f"{name} must be a plain id, got {value!r}")
-    return list(map(sys.intern, column))
+    return column
 
 
 def check_seq(name: str, column: list) -> list[int]:

@@ -24,7 +24,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .clock import ClockArrays, read_clock
-from .constants import ROW_BLOCK, SPEED_OF_LIGHT
+from .constants import SPEED_OF_LIGHT, row_blocks
 from .protocol import (
     BLINK_RX,
     CCP_RX,
@@ -183,8 +183,7 @@ class Scenario:
         Python floats in flight stay a block in number however long the run."""
         ax, ay = np.array([a.xy() for a in self.topology.anchors], float).T
         ranges = np.empty((len(x), len(ax)))
-        for start in range(0, len(x), ROW_BLOCK):
-            block = slice(start, start + ROW_BLOCK)
+        for block in row_blocks(len(x)):
             dx, dy = (ax - x[block, None]).ravel(), (ay - y[block, None]).ravel()
             ranges[block] = np.fromiter(map(math.hypot, dx.tolist(), dy.tolist()), float,
                                         dx.size).reshape(-1, len(ax))
@@ -380,10 +379,9 @@ def run_scenario(scenario: Scenario) -> SimResult:
     # draws keep that order, so the blocks read what one call would.
     models = [a.clock for a in topo.anchors]
     ticks = np.empty(len(order))
-    for start in range(0, len(order), ROW_BLOCK):
-        rows = order[start:start + ROW_BLOCK]
-        ticks[start:start + ROW_BLOCK] = read_clock(
-            ClockArrays.gather(models, receiver[rows]), time[rows], rng)
+    for block in row_blocks(len(order)):
+        rows = order[block]
+        ticks[block] = read_clock(ClockArrays.gather(models, receiver[rows]), time[rows], rng)
     # Only the ids some report holds stay in the id table.
     used, (anchor_code, src_code) = present_codes(len(ids), anchor, src)
     reports = ReportColumns(tuple(ids[i] for i in used.tolist()), anchor_code[order],

@@ -162,23 +162,20 @@ def ekf_predict(
     return _matmul(f, x[..., None])[..., 0], 0.5 * (p + p.swapaxes(-1, -2))
 
 
-def ranges(px, py, xy, gradient=False):
+def ranges(px, py, xy):
     """Ranges from M anchors to N points (px, py).
 
     ``xy`` (M, 2) holds one anchor layout for all points; (M, 2, N) holds
     one layout per point.  Returns anchor-major (M, N) ranges d[i, n] =
-    |p_n - xy[i]|; with ``gradient`` also dd/dx and dd/dy (2, M, N), the
-    unit vectors from each anchor to each point, and ``near`` (M, N), set
-    where the anchor is within _EPS_DIST of the point (the divisor is
-    floored there).
+    |p_n - xy[i]|, dd/dx and dd/dy (2, M, N), the unit vectors from each
+    anchor to each point, and ``near`` (M, N), set where the anchor is
+    within _EPS_DIST of the point (the divisor is floored there).
     """
     if xy.ndim == 2:
         xy = xy[:, :, None]
     dx = px - xy[:, 0]
     dy = py - xy[:, 1]
     d = np.sqrt(dx * dx + dy * dy)
-    if not gradient:
-        return d
     floor = np.maximum(d, _EPS_DIST)
     return d, np.stack((dx / floor, dy / floor)), d < _EPS_DIST
 
@@ -201,7 +198,7 @@ def _normal_equations(px, py, xy, z, keep):
     Rows not kept, and rows whose anchor is within _EPS_DIST of the point,
     are not usable.  Sums run over rows in order, so no point's bits depend
     on the others'."""
-    d, (ux, uy), near = ranges(px, py, xy, gradient=True)
+    d, (ux, uy), near = ranges(px, py, xy)
     keep = keep & ~near  # a row whose anchor sits on the point goes
     w = keep.sum(axis=0)
     rows = np.where(keep[:, None], np.stack((ux, uy, z - d), axis=1), 0.0)
@@ -406,7 +403,7 @@ def track(blinks: BlinkRows, blink_period: float, cfg: TrackerConfig = TrackerCo
     time step of the motion model) elapsed since its last one, and one
     ``ekf_update`` folds in the epoch's blinks, laid out by one fancy index
     (``BlinkRows.layout``).  A track starts, with zero velocity, from a cold
-    start (``ls_solve``'s, one batch per epoch) and restarts after a gap of
+    start (``_cold_starts``, one batch per epoch) and restarts after a gap of
     more than ``gap_reset`` blinks.  Blinks whose cold start fails or is
     ambiguous are skipped and counted in ``diagnostics`` under
     ``tracks_not_started``; updates left with fewer than two usable rows,
@@ -422,8 +419,9 @@ def track(blinks: BlinkRows, blink_period: float, cfg: TrackerConfig = TrackerCo
     xs, ps = np.zeros((len(tags), 4)), np.zeros((len(tags), 4, 4))
     last = np.zeros(len(tags), dtype=np.int64)  # blink_seq of each tag's last fix
     live = np.zeros(len(tags), dtype=bool)
-    # Per batch of fixes, from an empty one: blinks, states, position variances, residuals.
-    done = [(np.zeros(0, np.int64), np.zeros((0, 4)), np.zeros(0), np.zeros(0))]
+    # Per blink, once fixed: its state, position variance and residual (0 at a cold start).
+    out_x, out_var, out_res = np.zeros((len(order), 4)), np.zeros(len(order)), np.zeros(len(order))
+    fixed = np.zeros(len(order), dtype=bool)
     bounds = np.flatnonzero(np.diff(seq, prepend=-1, append=-1))
     for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
         epoch, now = order[lo:hi], int(seq[lo])
@@ -439,7 +437,7 @@ def track(blinks: BlinkRows, blink_period: float, cfg: TrackerConfig = TrackerCo
                 continue
             k = slot[b]
             xs[k], ps[k], last[k], live[k] = (start[0], start[1], 0.0, 0.0), p0, now, True
-            done.append((np.array([b]), xs[[k]], ps[[k], 0, 0] + ps[[k], 1, 1], np.zeros(1)))
+            out_x[b], out_var[b], fixed[b] = xs[k], ps[k, 0, 0] + ps[k, 1, 1], True
         batch = epoch[going]
         if not len(batch):
             continue
@@ -455,10 +453,11 @@ def track(blinks: BlinkRows, blink_period: float, cfg: TrackerConfig = TrackerCo
             log.warning("update skipped for %s #%d: fewer than two usable receivers",
                         blinks.ids[blinks.tag[b]], now)
             tally(diagnostics, "updates_no_usable_rows")
-        done.append((batch, xs[rows], ps[rows, 0, 0] + ps[rows, 1, 1], residual))
-    columns = [np.concatenate(column) for column in zip(*done)]
-    by_tag = np.lexsort((blinks.blink_seq[columns[0]], blinks.tag[columns[0]]))
-    batch, x, var, residual = (column[by_tag] for column in columns)
-    present, (tag,) = present_codes(len(blinks.ids), blinks.tag[batch])
+        out_x[batch], out_var[batch], out_res[batch], fixed[batch] = (
+            xs[rows], ps[rows, 0, 0] + ps[rows, 1, 1], residual, True)
+    done = np.flatnonzero(fixed)
+    done = done[np.lexsort((blinks.blink_seq[done], blinks.tag[done]))]
+    present, (tag,) = present_codes(len(blinks.ids), blinks.tag[done])
     return FixTable(tuple(map(blinks.ids.__getitem__, present.tolist())), tag,
-                    blinks.blink_seq[batch], *x.T, np.sqrt(np.maximum(var, 0.0)), residual)
+                    blinks.blink_seq[done], *out_x[done].T,
+                    np.sqrt(np.maximum(out_var[done], 0.0)), out_res[done])

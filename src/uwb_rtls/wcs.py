@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clock import HALF_WRAP, TICK_SECONDS, TICK_WRAP, ts_diff
-from .constants import ROW_BLOCK, SPEED_OF_LIGHT, tally
+from .constants import SPEED_OF_LIGHT, row_blocks, tally
 from .protocol import BLINK_RX, CCP_RX, CCP_TX, ReportColumns, present_codes
 from .topology import NetworkTopology, ROLE_MASTER
 
@@ -306,13 +306,12 @@ def place(state: SyncState, reports: ReportColumns, *, blink_period: float = 0.1
     schedule_limit = HALF_WRAP * TICK_SECONDS  # tick distances alias beyond this
     offset, ccp_seq, rate = np.zeros(len(tag)), np.zeros(len(tag), np.int64), np.zeros(len(tag))
     placed = np.zeros(len(tag), dtype=bool)
-    for start in range(0, len(tag), ROW_BLOCK):
-        block = slice(start, start + ROW_BLOCK)
+    for block in row_blocks(len(tag)):
         seq_hint = (blink_seq[block] * blink_period / s.ccp_period).astype(np.int64)
         hint_key = np.minimum(seq_hint, 2**32)  # past every seq: the track's last epoch
         for j in range(int(s.tracks_of.max(initial=0))):
             pending = np.flatnonzero(~placed[block] & (s.tracks_of[receiver[block]] > j))
-            row = start + pending
+            row = block.start + pending
             t = s.first_track[receiver[row]] + j
             at = np.minimum(np.searchsorted(s.epoch_key, t * 2**33 + hint_key[pending]),
                             s.track_hi[t] - 1)

@@ -25,7 +25,7 @@ from uwb_rtls.cli import (FIXES_HEADER, SYNCED_HEADER, fixes_to_csv, read_fixes_
 from uwb_rtls.clock import ClockModel, IDEAL_CLOCK
 from uwb_rtls.config import parse_config
 from uwb_rtls.engine import locate_reports
-from uwb_rtls.protocol import REPORT_KINDS, ReportColumns, encode_reports, id_codes
+from uwb_rtls.protocol import REPORT_KINDS, ReportColumns, encode_reports
 from uwb_rtls.simnet import SimResult, TruthBlinks, encode_truth, run_scenario
 from uwb_rtls.solver import BlinkRows, FixTable
 from uwb_rtls.topology import AnchorConfig, NetworkTopology
@@ -128,10 +128,20 @@ def hall_run() -> SimResult:
     return run_scenario(parse_config(hall_config()).scenario)
 
 
+def id_codes(*columns: tuple[str, ...]) -> tuple[tuple[str, ...], list[np.ndarray]]:
+    """The sorted ids of ``columns``, and each column as int32 codes into them."""
+    ids = tuple(sorted(set().union(*columns)))
+    code = {value: i for i, value in enumerate(ids)}
+    return ids, [np.array([code[value] for value in c], np.int32) for c in columns]
+
+
 def report_columns(rows: Iterable[tuple]) -> ReportColumns:
     """Report columns of plain ``(anchor_id, kind, src_id, seq, ticks)``
     tuples, one row each, in order."""
-    return ReportColumns.from_fields(*(tuple(zip(*rows)) or ((),) * 5))
+    anchor_ids, kinds, src_ids, seqs, ticks = tuple(zip(*rows)) or ((),) * 5
+    ids, (anchor, src) = id_codes(anchor_ids, src_ids)
+    return ReportColumns(ids, anchor, np.array([REPORT_KINDS.index(k) for k in kinds], np.int8),
+                         src, np.array(seqs, np.int64), np.array(ticks, np.float64))
 
 
 def report_rows(reports: ReportColumns) -> list[tuple]:

@@ -380,7 +380,7 @@ def test_criterion_7_solver_correctness(verdict):
     xy = np.array([RECT_POSITIONS[a] for a in ["MA1", "SA2", "SA3", "SA4"]])
 
     def geometry(q):
-        d, grad, _ = ranges(q[:1], q[1:], xy, gradient=True)
+        d, grad, _ = ranges(q[:1], q[1:], xy)
         return d[:, 0], grad[:, :, 0].T
 
     rng = np.random.default_rng(42)

@@ -9,6 +9,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from uwb_rtls.cli import (
@@ -17,6 +18,7 @@ from uwb_rtls.cli import (
     EXIT_IO,
     EXIT_OK,
     FIXES_HEADER,
+    SYNCED_HEADER,
     fixes_to_csv,
     main,
     read_fixes_csv,
@@ -307,6 +309,43 @@ def test_repeated_synced_arrival_is_skipped(tmp_path, caplog):
     assert skipped == 1
     assert same_columns(table, blinks)
     assert "repeated arrival of T1#9 at SA2" in caplog.text
+
+
+@pytest.mark.parametrize("name, reader, text", [
+    ("reports.jsonl", read_reports, "\n"),
+    ("truth.jsonl", read_truth, ""),
+    ("fixes.csv", read_fixes_csv, FIXES_HEADER + "\n"),
+    ("synced.csv", read_synced_csv, SYNCED_HEADER + "\n\nnot a row\n"),
+])
+def test_a_file_with_no_rows_reads_as_empty_typed_columns(tmp_path, name, reader, text):
+    # The parser of an empty block types the columns: int32 id codes,
+    # int8 kinds, int64 seqs and float64 numbers.
+    path = tmp_path / name
+    path.write_text(text)
+    read, skipped = reader(path)
+    columns = {n: c for n, c in vars(read).items() if n != "ids"}
+    assert skipped == text.count("not a row") and read.ids == ()
+    assert all(c.shape == (0,) for c in columns.values())
+    assert {n: c.dtype for n, c in columns.items()} == {
+        n: np.int32 if n in ("anchor", "src", "tag") else np.int8 if n == "kind"
+        else np.int64 if n.endswith("seq") else np.float64 for n in columns}
+
+
+def test_an_id_only_on_a_skipped_line_is_not_in_the_id_table(tmp_path):
+    # Each block's ids are coded once the block parses, so a skipped line
+    # leaves no id behind; here the ids SA9 and T9 appear on it alone.
+    reports = report_columns([("MA1", "ccp_tx", "MA1", 4, 10.0),
+                              ("SA2", "blink_rx", "T1", 9, 12.5)])
+    path = tmp_path / "reports.jsonl"
+    path.write_text(encode_reports(reports)
+                    + '{"anchor_id":"SA9","kind":"blink_rx","src_id":"T9","seq":-1,"ticks":3}\n')
+    read, skipped = read_reports(path)
+    assert skipped == 1 and read.ids == ("MA1", "SA2", "T1") and same_columns(read, reports)
+    blinks = arrival_table({("T1", 9): {"MA1": (0.5, 41, 1.0), "SA2": (0.25, 41, 1.0)}})
+    path = tmp_path / "synced.csv"
+    path.write_text("".join(synced_to_csv(blinks)) + "SA9,T9,9,41,half,1.0\n")
+    table, skipped = read_synced_csv(path)
+    assert skipped == 1 and table.ids == ("MA1", "SA2", "T1") and same_columns(table, blinks)
 
 
 def test_repeated_fix_is_skipped_and_counted(tmp_path, config_path, capsys, caplog):

@@ -1,8 +1,9 @@
 """Memory: the simulator's, the sync's and the HDoP grid's row-block passes
-give the bits of one pass over every row, and so do the blinks placed in
-disjoint parts against one calibration; they, and the report reader, keep
-their allocation peaks per report or per grid point low, and fixes are held
-as columns."""
+(``constants.row_blocks``) give the bits of one pass over every row, and so
+do the blinks placed in disjoint parts against one calibration; they, the
+tracker and the report and synced.csv readers, which code each block's ids
+as they read it, keep their allocation peaks per report, row, fix or grid
+point low, and fixes are held as columns."""
 
 from __future__ import annotations
 
@@ -14,10 +15,11 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from uwb_rtls import clock, deploy, engine, simnet, wcs
-from uwb_rtls.cli import DEMO_CONFIG, fixes_to_csv, read_fixes_csv, read_reports
+from uwb_rtls import clock, constants, deploy, engine, simnet
+from uwb_rtls.cli import (DEMO_CONFIG, fixes_to_csv, read_fixes_csv, read_reports,
+                          read_synced_csv, synced_to_csv)
 from uwb_rtls.config import parse_config
-from uwb_rtls.constants import ROW_BLOCK
+from uwb_rtls.constants import ROW_BLOCK, row_blocks
 from uwb_rtls.protocol import BLINK_RX, CCP_RX, ReportColumns, encode_reports
 from uwb_rtls.simnet import run_scenario
 from uwb_rtls.solver import ranges, sum_over_anchors, track
@@ -79,12 +81,10 @@ def _placed_in_parts(reports, cfg, rng: random.Random, parts: int = 3):
 def test_row_block_size_does_not_change_the_reports_or_the_arrivals(monkeypatch, config,
                                                                     block):
     cfg = parse_config(config)
-    monkeypatch.setattr(simnet, "ROW_BLOCK", 10**9)
-    monkeypatch.setattr(wcs, "ROW_BLOCK", 10**9)
+    monkeypatch.setattr(constants, "ROW_BLOCK", 10**9)
     whole = run_scenario(cfg.scenario).reports
     whole_table, whole_diag = _sync(_without_primary_ccps(whole, cfg, range(4, 10)), cfg)
-    monkeypatch.setattr(simnet, "ROW_BLOCK", block)
-    monkeypatch.setattr(wcs, "ROW_BLOCK", block)
+    monkeypatch.setattr(constants, "ROW_BLOCK", block)
     clock_reads = []  # the simulator's clock reads go a block at a time too
 
     def read_clock(clocks, times, rng):
@@ -162,14 +162,29 @@ def test_simulator_and_sync_allocation_peaks_per_report():
 
 def test_report_reader_allocation_peak_per_line(tmp_path):
     # Each block's seqs and ticks become arrays as it is parsed, not lists
-    # of Python ints and floats kept to the end: about 109 B -> 84 B.
+    # of Python ints and floats kept to the end: about 109 B -> 84 B; and
+    # its ids and kinds become codes then, not lists of str until the
+    # whole file is read: about 84 B -> 54 B, for a result of 25 B.
     reports = run_scenario(parse_config(fleet_config()).scenario).reports
     path = tmp_path / "reports.jsonl"
-    path.write_text("".join(encode_reports(reports, slice(start, start + ROW_BLOCK))
-                            for start in range(0, len(reports), ROW_BLOCK)))
+    path.write_text("".join(encode_reports(reports, rows) for rows in row_blocks(len(reports))))
     (read, skipped), peak = _peak_bytes(lambda: read_reports(path))
     assert skipped == 0 and len(read) == len(reports) > 100_000
-    assert peak / len(reports) < 95
+    assert peak / len(reports) < 64
+
+
+def test_synced_reader_allocation_peak_per_row(tmp_path):
+    # With the file's ids kept as lists of str and coded at the end, the
+    # peak was about 105 B per row; coded per block it is about 88 B, for
+    # a result of 40 B.
+    cfg = parse_config(fleet_config())
+    reports = run_scenario(cfg.scenario).reports
+    blinks = engine.locate_reports(reports, cfg.scenario.topology, cfg.engine_params()).blinks
+    path = tmp_path / "synced.csv"
+    path.write_text("".join(synced_to_csv(blinks)))
+    (read, skipped), peak = _peak_bytes(lambda: read_synced_csv(path))
+    assert skipped == 0 and same_columns(read, blinks) and len(read) > 100_000
+    assert peak / len(read) < 96
 
 
 def test_fixes_are_held_as_columns_by_the_tracker_and_the_fix_reader(tmp_path, monkeypatch):
@@ -177,15 +192,18 @@ def test_fixes_are_held_as_columns_by_the_tracker_and_the_fix_reader(tmp_path, m
     # read_fixes_csv's 225 B with a 367 B peak.  As columns (an int32 tag,
     # an int64 seq and six float64 values) both hold about 60 B; the
     # reader's peak, about 250 B per fix here, is mostly one block's line
-    # text and fields.
+    # text and fields.  Filling per-blink output columns, not keeping
+    # each epoch's fixes and then their joined copy, took track's peak
+    # from about 238 B to 144 B per fix.
     cfg = parse_config(fleet_config())
     reports = run_scenario(cfg.scenario).reports
     calls = []
     monkeypatch.setattr(engine, "track", lambda *a: calls.append(a) or track(*a))
     fixes = engine.locate_reports(reports, cfg.scenario.topology, cfg.engine_params()).fixes
-    again, live, _ = _traced_bytes(lambda: track(*calls[0]))
+    again, live, peak = _traced_bytes(lambda: track(*calls[0]))
     assert same_columns(again, fixes) and len(fixes) > 10_000
     assert live / len(fixes) < 80
+    assert peak / len(fixes) < 180
     path = tmp_path / "fixes.csv"
     path.write_text("".join(fixes_to_csv(fixes)))
     (read, skipped), live, peak = _traced_bytes(lambda: read_fixes_csv(path))
@@ -205,7 +223,7 @@ def _hdop_all_anchors(px, py, anchors, reference):
     over anchors by ``sum_over_anchors``."""
     others = sorted(a for a in anchors if a != reference)
     xy = np.array([anchors[a] for a in [reference, *others]], dtype=float)
-    _, grad, near = ranges(px, py, xy, gradient=True)
+    _, grad, near = ranges(px, py, xy)
     grad[:, 1:] -= grad[:, :1]
     gx, gy = grad[:, 1:]
     a, b, c = (sum_over_anchors(u * v) for u, v in ((gx, gx), (gx, gy), (gy, gy)))
@@ -232,7 +250,7 @@ def _layout(name: str) -> dict[str, tuple[float, float]]:
 def test_hdop_summed_anchor_by_anchor_is_the_all_anchors_pass_bit_for_bit(monkeypatch, name,
                                                                          block):
     anchors = _layout(name)
-    monkeypatch.setattr(deploy, "ROW_BLOCK", block)
+    monkeypatch.setattr(constants, "ROW_BLOCK", block)
     xs, ys = np.array(list(anchors.values())).T
     step = 0.25 if block == ROW_BLOCK else 1.0
     gx = np.arange(xs.min() - 2.0, xs.max() + 2.0, step)

@@ -121,7 +121,7 @@ def test_closed_form_update_matches_the_textbook_update(m):
 
         # Range differences against row 0, the set's reference D{n}A00.
         xy, z = layout(meas, anchors)
-        d, grad, _ = ranges(x[:1], x[1:2], xy, gradient=True)
+        d, grad, _ = ranges(x[:1], x[1:2], xy)
         h = d[1:, 0] - d[0, 0]
         jac = np.zeros((m, 4))
         jac[:, :2] = (grad[:, 1:, 0] - grad[:, :1, 0]).T
@@ -178,7 +178,7 @@ XY = np.array([RECT[a] for a in ["MA1", "SA2", "SA3", "SA4"]])
 
 def geometry(pos):
     """Ranges (M,) and gradient rows (M, 2) at one point."""
-    d, grad, _ = ranges(pos[:1], pos[1:], XY, gradient=True)
+    d, grad, _ = ranges(pos[:1], pos[1:], XY)
     return d[:, 0], grad[:, :, 0].T
 
 
@@ -338,9 +338,9 @@ def test_cold_starts_are_exact_bounded_and_no_worse_than_a_grid(kind, count):
         assert np.all(lo <= pos) and np.all(pos <= hi), (kind, noise, tag, pos)
         if isinstance(noise, float) and noise > 0.0:
             xs, ys = (np.arange(lo[k], hi[k] + 0.05, 0.1) for k in range(2))
-            r = ranges(np.repeat(xs, ys.size), np.tile(ys, xs.size), xy) - z[:, None]
+            r = ranges(np.repeat(xs, ys.size), np.tile(ys, xs.size), xy)[0] - z[:, None]
             r -= r.mean(axis=0)
-            fixed = ranges(pos[:1], pos[1:], xy)[:, 0] - z
+            fixed = ranges(pos[:1], pos[1:], xy)[0][:, 0] - z
             fixed -= fixed.mean()
             assert np.min(sum_over_anchors(r * r)) >= fixed @ fixed, (kind, noise, tag)
 
