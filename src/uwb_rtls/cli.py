@@ -81,10 +81,13 @@ def _read_lines(path: Path, parse: Callable[[list[str]], Sequence], header: str 
     """Parse the non-blank lines of a UTF-8 text file, each stripped, in
     blocks: ``parse`` turns a block of lines into columns, each a list of
     ids or an array, and ``parse([])`` types those of a file with no rows.
-    Returns the file's sorted ids, each column joined over the blocks in
-    file order, an id column as int32 codes into those ids, and the count
-    of skipped lines.  A block's ids are coded as soon as ``parse`` accepts
-    it, so only the ids of lines read go into the table.
+    Returns the file's sorted ids, each column over the blocks in file
+    order, an id column as int32 codes into those ids, and the count of
+    skipped lines.  Each column is sized once, from a regular file's
+    newline count, and filled block by block; it grows only past that (a
+    pipe, which cannot be counted, starts at ``ROW_BLOCK`` rows).  A
+    block's ids are coded as soon as ``parse`` accepts it, so only the ids
+    of lines read go into the table; codes are ranked in place at the end.
 
     With ``header``, a file whose first line is not ``header`` (another
     format, or an older one) raises ``CsvHeaderError``.  A block that is not
@@ -93,20 +96,30 @@ def _read_lines(path: Path, parse: Callable[[list[str]], Sequence], header: str 
     out-of-range or non-finite number, a non-plain id) is skipped with a
     warning and counted.  Lines are numbered only then."""
     code: dict[str, int] = defaultdict(lambda: len(code))  # an id read first gets the next code
-    blocks: list[list[np.ndarray]] = []
-    skipped = 0
+    empty = parse([])
+    id_column = [isinstance(c, list) for c in empty]
+    filled = skipped = 0
 
     def parse_block(lines: list[str]) -> None:
+        nonlocal columns, filled
         _check_utf8("".join(lines))
-        blocks.append([np.fromiter(map(code.__getitem__, c), np.int32, len(c))
-                       if isinstance(c, list) else c for c in parse(lines)])
-
-    id_column = [isinstance(c, list) for c in parse([])]
-    parse_block([])
+        block = parse(lines)
+        if filled + (n := len(block[0])) > len(columns[0]):
+            columns = [np.resize(c, max(2 * len(c), filled + n)) for c in columns]
+        for column, values, is_id in zip(columns, block, id_column):
+            column[filled:filled + n] = (np.fromiter(map(code.__getitem__, values), np.int32, n)
+                                         if is_id else values)
+        filled += n
 
     with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         if header is not None and fh.readline().strip() != header:
             raise CsvHeaderError(f"{path}: the first line is not the header {header!r}")
+        rows = ROW_BLOCK
+        if path.is_file():  # one pass over the bytes: newlines bound the lines
+            with open(path, "rb") as raw:
+                rows = sum(chunk.count(b"\n") for chunk in iter(lambda: raw.read(1 << 16), b""))
+        columns = [np.empty(rows + 1, np.int32 if is_id else c.dtype)
+                   for c, is_id in zip(empty, id_column)]
         lineno = 1 if header is None else 2
         while lines := list(itertools.islice(fh, ROW_BLOCK)):
             try:
@@ -126,8 +139,10 @@ def _read_lines(path: Path, parse: Callable[[list[str]], Sequence], header: str 
     ids = sorted(code)
     rank = np.zeros(len(ids), np.int32)  # each code's place in the sorted ids
     rank[[code[value] for value in ids]] = np.arange(len(ids))
-    return tuple(ids), [rank[c] if is_id else c for c, is_id in zip(
-        map(np.concatenate, zip(*blocks)), id_column)], skipped
+    columns = [c[:filled] for c in columns]
+    for column in itertools.compress(columns, id_column):
+        np.take(rank, column, out=column, mode="clip")  # codes are in range: no copy
+    return tuple(ids), columns, skipped
 
 
 def _plain_number(text: str) -> bool:
@@ -171,7 +186,7 @@ def _first_reads(path: Path, what: str, ids: Sequence[str], tag: np.ndarray, seq
     """The row of the first read of each (tag, seq[, anchor]) key, codes into ``ids``, in
     key order; each later read is warned of as a repeated ``what`` and skipped."""
     order = np.lexsort((*anchor, seq, tag))  # stable: a repeat follows the row read first
-    repeat = ~run_starts(tag[order], seq[order], *(a[order] for a in anchor))
+    repeat = ~run_starts(tag, seq, *anchor, order=order)
     for i in np.sort(order[repeat]).tolist():
         log.warning("%s: repeated %s of %s#%d%s skipped", path.name, what, ids[tag[i]], seq[i],
                     "".join(f" at {ids[a[i]]}" for a in anchor))
@@ -192,15 +207,15 @@ def synced_to_csv(blinks: ArrivalTable) -> Iterator[str]:
     Floats are written as ``repr``, which reads back exactly, so every
     pair's TDoA and rate ratio can be rebuilt bit for bit from the file."""
     yield SYNCED_HEADER + "\n"
-    rates, rate_index = np.unique(blinks.rate.view(np.int64), return_inverse=True)
-    rate_text = list(map(float.__repr__, rates.view(np.float64).tolist()))
     name = blinks.ids.__getitem__
     for rows in row_blocks(len(blinks)):
+        rates, rate_index = np.unique(blinks.rate[rows].view(np.int64), return_inverse=True)
+        rate_text = list(map(float.__repr__, rates.view(np.float64).tolist()))
         yield "".join(map(
             "{},{},{},{},{!r},{}\n".format, map(name, blinks.anchor[rows].tolist()),
             map(name, blinks.tag[rows].tolist()), blinks.blink_seq[rows].tolist(),
             blinks.ccp_seq[rows].tolist(), blinks.offset[rows].tolist(),
-            map(rate_text.__getitem__, rate_index[rows].tolist()),
+            map(rate_text.__getitem__, rate_index.tolist()),
         ))
 
 
@@ -217,11 +232,11 @@ def read_synced_csv(path: Path) -> tuple[ArrivalTable, int]:
     """Parse a synced.csv file back into an arrival table, skipping malformed
     rows, and repeats of an arrival already read, with a count."""
     ids, columns, skipped = _read_lines(path, _arrival_block, SYNCED_HEADER)
+    n, rows = len(columns[0]), _first_reads(path, "arrival", ids, *columns[1:3], columns[0])
+    for i, column in enumerate(columns):  # one at a time: each copy replaces its column
+        columns[i] = column[rows]
     anchor, tag, blink_seq, ccp_seq, offset, rate = columns
-    rows = _first_reads(path, "arrival", ids, tag, blink_seq, anchor)
-    table = ArrivalTable(ids, tag[rows], blink_seq[rows], anchor[rows], offset[rows],
-                         ccp_seq[rows], rate[rows])
-    return table, skipped + len(blink_seq) - len(rows)
+    return ArrivalTable(ids, tag, blink_seq, anchor, offset, ccp_seq, rate), skipped + n - len(rows)
 
 
 def _report_block(lines: list[str]) -> tuple[list | np.ndarray, ...]:
@@ -335,7 +350,7 @@ def cmd_deploy_check(args: argparse.Namespace) -> int:
     )
     out = Path(args.out)
     _write(out / "deploy_report.json", [json.dumps(report.to_dict(), indent=2) + "\n"])
-    _write(out / "hdop.csv", [grid_to_csv(report.hdop_rows)])
+    _write(out / "hdop.csv", grid_to_csv(report.grid))
     return EXIT_OK
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -39,10 +39,22 @@ class RuleResult:
     detail: str
 
 
+@dataclass(frozen=True, eq=False)
+class HdopGrid:
+    """HDoP on a grid as float64 columns: ``hdop[i]`` at point (``x[i]``, ``y[i]``)."""
+
+    x: np.ndarray
+    y: np.ndarray
+    hdop: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.hdop)
+
+
 @dataclass(frozen=True)
 class DeploymentReport:
     rule_results: tuple[RuleResult, ...]
-    hdop_rows: tuple[tuple[float, float, float], ...]  # (x, y, hdop)
+    grid: HdopGrid
     worst_hdop_in_hull: float
 
     def to_dict(self) -> dict:
@@ -109,46 +121,31 @@ def check_rules(
     # (a) every master must see at least MIN_LOS_SLAVES slaves directly.
     visible = len(topo.slaves())
     if visible < MIN_LOS_SLAVES:
-        results.append(
-            RuleResult("a", STATUS_FAIL,
-                       f"masters with line of sight to fewer than {MIN_LOS_SLAVES} slaves: "
-                       + ", ".join(f"{m} sees {visible}" for m in topo.masters()))
-        )
+        results.append(RuleResult(
+            "a", STATUS_FAIL, f"masters with line of sight to fewer than {MIN_LOS_SLAVES} "
+            "slaves: " + ", ".join(f"{m} sees {visible}" for m in topo.masters())))
     else:
-        results.append(
-            RuleResult("a", STATUS_PASS,
-                       f"every master has line of sight to >= {MIN_LOS_SLAVES} slaves"
-                       " (no obstacles given)")
-        )
+        results.append(RuleResult("a", STATUS_PASS, f"every master has line of sight to >= "
+                                  f"{MIN_LOS_SLAVES} slaves (no obstacles given)"))
 
     # (b) radio environment cannot be judged from coordinates.
-    results.append(
-        RuleResult("b", STATUS_MANUAL,
-                   "verify on site that anchors are clear of strong RF interference "
-                   "sources (motors, WiFi access points, metal cabinets)")
-    )
+    results.append(RuleResult("b", STATUS_MANUAL,
+                              "verify on site that anchors are clear of strong RF interference "
+                              "sources (motors, WiFi access points, metal cabinets)"))
 
     # (c) anchors should sit at nearly the same height.
     heights = [a.height() for a in anchors]
     variation = max(heights) - min(heights) if heights else 0.0
-    if variation <= MAX_HEIGHT_VARIATION + 1e-9:
-        results.append(
-            RuleResult("c", STATUS_PASS, f"height variation {variation:.2f} m <= "
-                                         f"{MAX_HEIGHT_VARIATION:.1f} m")
-        )
-    else:
-        results.append(
-            RuleResult("c", STATUS_FAIL, f"height variation {variation:.2f} m exceeds "
-                                         f"{MAX_HEIGHT_VARIATION:.1f} m")
-        )
+    level = variation <= MAX_HEIGHT_VARIATION + 1e-9
+    results.append(RuleResult("c", STATUS_PASS if level else STATUS_FAIL,
+                              f"height variation {variation:.2f} m {'<=' if level else 'exceeds'}"
+                              f" {MAX_HEIGHT_VARIATION:.1f} m"))
 
     # (d) wall clearance cannot be judged from coordinates.
-    results.append(
-        RuleResult("d", STATUS_MANUAL,
-                   f"no wall geometry given; keep every anchor at least "
-                   f"{MIN_WALL_CLEARANCE:.2f} m (preferably "
-                   f"{PREFERRED_WALL_CLEARANCE:.1f} m) off walls")
-    )
+    results.append(RuleResult("d", STATUS_MANUAL,
+                              f"no wall geometry given; keep every anchor at least "
+                              f"{MIN_WALL_CLEARANCE:.2f} m (preferably "
+                              f"{PREFERRED_WALL_CLEARANCE:.1f} m) off walls"))
 
     # (e) anchors need spread: pairwise spacing and a big enough area.
     n = len(positions)
@@ -167,11 +164,9 @@ def check_rules(
     results.append(RuleResult("e", STATUS_PASS if spacing_ok and area_ok else STATUS_FAIL, detail))
 
     # (f) mounting and cabling cannot be judged from coordinates.
-    results.append(
-        RuleResult("f", STATUS_MANUAL,
-                   "verify on site that anchors are rigidly mounted with stable power "
-                   "and that the master cascade has wired or reliable backhaul")
-    )
+    results.append(RuleResult("f", STATUS_MANUAL,
+                              "verify on site that anchors are rigidly mounted with stable "
+                              "power and that the master cascade has wired or reliable backhaul"))
     return results
 
 
@@ -235,12 +230,11 @@ def hdop_grid(
     resolution: float,
     anchors: Mapping[str, tuple[float, float]],
     reference: str,
-) -> list[tuple[float, float, float]]:
+) -> HdopGrid:
     """HDoP sampled on a regular grid over ``area`` (inclusive edges).
 
-    Rows come back x-major: (x, y, hdop); points within 1e-12 m of an
-    anchor, and every point when there are fewer than three anchors, are
-    reported as ``inf``.
+    Points come x-major; those within 1e-12 m of an anchor, and every
+    point when there are fewer than three anchors, read ``inf``.
     """
     if not 0 < resolution < math.inf:
         raise ValueError("resolution must be a positive finite number")
@@ -248,21 +242,18 @@ def hdop_grid(
     xs = np.arange(x0, x1 + resolution / 2, resolution)
     ys = np.arange(y0, y1 + resolution / 2, resolution)
     px, py = np.repeat(xs, ys.size), np.tile(ys, xs.size)  # x-major
-    hdop, _ = _hdop(px, py, anchors, reference)
-    return list(zip(px.tolist(), py.tolist(), hdop.tolist()))
+    return HdopGrid(px, py, _hdop(px, py, anchors, reference)[0])
 
 
-def grid_to_csv(rows: Sequence[tuple[float, float, float]]) -> str:
-    lines = ["x,y,hdop"]
-    for x, y, value in rows:
-        lines.append(f"{x!r},{y!r},{value!r}")
-    return "\n".join(lines) + "\n"
+def grid_to_csv(grid: HdopGrid) -> Iterator[str]:
+    """hdop.csv as blocks of text, one row per grid point in grid order."""
+    yield "x,y,hdop\n"
+    for rows in row_blocks(len(grid)):
+        yield "".join(f"{x!r},{y!r},{value!r}\n" for x, y, value in zip(
+            grid.x[rows].tolist(), grid.y[rows].tolist(), grid.hdop[rows].tolist()))
 
 
-def worst_hdop_in_hull(
-    rows: Sequence[tuple[float, float, float]],
-    anchors: Mapping[str, tuple[float, float]],
-) -> float:
+def worst_hdop_in_hull(grid: HdopGrid, anchors: Mapping[str, tuple[float, float]]) -> float:
     """Largest finite grid HDoP strictly inside the anchors' convex hull.
 
     A point is inside when it lies strictly left of every counter-clockwise
@@ -271,11 +262,10 @@ def worst_hdop_in_hull(
     hull = _convex_hull(list(anchors.values()))
     if len(hull) < 3:
         return math.inf
-    x, y, hdop = np.array(rows, dtype=float).reshape(-1, 3).T
-    inside = np.isfinite(hdop)
+    inside = np.isfinite(grid.hdop)
     for p, q in zip(hull, hull[1:] + hull[:1]):
-        inside &= _orientation(p, q, (x, y)) > 0
-    return float(hdop[inside].max()) if inside.any() else math.inf
+        inside &= _orientation(p, q, (grid.x, grid.y)) > 0
+    return float(grid.hdop[inside].max()) if inside.any() else math.inf
 
 
 def build_deployment_report(
@@ -297,5 +287,5 @@ def build_deployment_report(
         reference = select_time_base(topo.ids(), topo)
     except NoTimeBaseError:
         reference = topo.primary_master()
-    rows = tuple(hdop_grid(area, resolution, positions, reference))
-    return DeploymentReport(rules, rows, worst_hdop_in_hull(rows, positions))
+    grid = hdop_grid(area, resolution, positions, reference)
+    return DeploymentReport(rules, grid, worst_hdop_in_hull(grid, positions))

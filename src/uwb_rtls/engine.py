@@ -66,8 +66,7 @@ def locate_reports(
 
     starts, sizes = blinks.blinks()
     first = np.repeat(starts, sizes)  # each row's blink's lowest-id receiver
-    meters = SPEED_OF_LIGHT * arrival_tdoa(blinks, np.arange(len(blinks)), first,
-                                           params.ccp_period)
+    meters = SPEED_OF_LIGHT * arrival_tdoa(blinks, slice(None), first, params.ccp_period)
     positions = topo.positions()
     xy = np.array([positions.get(i, (math.nan, math.nan)) for i in blinks.ids]).reshape(-1, 2)
     usable = sizes >= MIN_RECEIVERS
@@ -75,6 +74,6 @@ def locate_reports(
 
     use = starts[usable]
     rows = BlinkRows(blinks.ids, blinks.tag[use], blinks.blink_seq[use], use, sizes[usable],
-                     meters, xy[blinks.anchor])
+                     meters, blinks.anchor, xy)
     fixes = track(rows, params.blink_period, params.tracker, diagnostics)
     return LocateResult(fixes, blinks, diagnostics)

@@ -15,7 +15,7 @@ from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .protocol import SEQ_WRAP
+from .protocol import SEQ_WRAP, present_codes
 from .simnet import TruthBlinks
 from .solver import FixTable
 from .wcs import ArrivalTable, WcsParams, arrival_tdoa, find_sorted
@@ -108,8 +108,8 @@ def smoothed_tdoa_streams(
     measurement moves the state toward it by that step's gain.
     """
     starts, sizes = blinks.blinks()
-    anchors, anchor_index = np.unique(blinks.anchor, return_inverse=True)
-    row = np.full((len(anchors), len(starts)), -1)  # each anchor's row per blink
+    anchors, (anchor_index,) = present_codes(len(blinks.ids), blinks.anchor)
+    row = np.full((len(anchors), len(starts)), -1, np.int32)  # each anchor's row per blink
     row[anchor_index, np.repeat(np.arange(len(starts)), sizes)] = np.arange(len(blinks))
     gains = np.array(_smoother_gains(len(starts), params))
     for i, a in enumerate(anchors.tolist()):

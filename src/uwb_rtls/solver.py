@@ -72,11 +72,12 @@ class BlinkRows:
 
     Blink i is tag ``ids[tag[i]]``'s blink ``blink_seq[i]``; its arrivals
     are rows ``start[i]`` to ``start[i] + size[i]`` of ``meters`` (c x
-    arrival time, against any origin common to the blink) and ``xy`` (the
-    receiving anchor's position, (rows, 2)).  ``ids`` is sorted, ``tag`` and
-    the int64 ``blink_seq``, ``start`` and ``size`` hold one entry per blink,
-    and rows no blink names are never read.  ``engine.locate_reports``
-    hands over the sync's ``ArrivalTable`` rows as they are.
+    arrival time, against any origin common to the blink) and ``anchor``
+    (the receiving anchor, a code into ``xy``, one position (2,) per code).
+    ``ids`` is sorted, ``tag`` and the int64 ``blink_seq``, ``start`` and
+    ``size`` hold one entry per blink, and rows no blink names are never
+    read.  ``engine.locate_reports`` hands over the sync's ``ArrivalTable``
+    rows and anchor codes as they are.
     """
 
     ids: tuple[str, ...]
@@ -85,12 +86,13 @@ class BlinkRows:
     start: np.ndarray
     size: np.ndarray
     meters: np.ndarray
+    anchor: np.ndarray
     xy: np.ndarray
 
     def arrivals(self, i: int) -> tuple[np.ndarray, np.ndarray]:
         """Blink i's anchor positions (m, 2) and arrivals (m,)."""
         rows = slice(self.start[i], self.start[i] + self.size[i])
-        return self.xy[rows], self.meters[rows]
+        return self.xy[self.anchor[rows]], self.meters[rows]
 
     def layout(self, batch: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The blinks ``batch`` padded to the widest, by one fancy index:
@@ -100,7 +102,7 @@ class BlinkRows:
         row = np.arange(int(size.max(initial=0)))[:, None]
         keep = row < size
         index = np.where(keep, self.start[batch] + row, 0)
-        return self.xy[index].transpose(0, 2, 1), self.meters[index], keep
+        return self.xy[self.anchor[index]].transpose(0, 2, 1), self.meters[index], keep
 
 
 @dataclass(frozen=True, eq=False)
@@ -358,7 +360,7 @@ def ls_solve(xy: np.ndarray, z: np.ndarray, init: Sequence[float] | None = None)
     cold start (``_cold_starts``, whose errors it raises), with ``init`` by
     refining locally from there."""
     one = np.zeros(1, dtype=np.int64)
-    blink = BlinkRows(("",), one, one, one, np.array([len(z)]), z, xy)
+    blink = BlinkRows(("",), one, one, one, np.array([len(z)]), z, np.arange(len(z)), xy)
     if init is None:
         (start,) = _cold_starts(blink, one)
         if isinstance(start, Exception):

@@ -2,20 +2,21 @@
 
 Anchors never adjust their counters; the engine removes clock disagreement
 after the fact using clock calibration packets (CCPs).  Readings are raw
-tick counts in [0, 2**40) (see ``clock``).  ``multi_master_sync`` drops bad
-reports and repeated readings, then makes two calls.  ``calibrate`` builds
-a ``SyncState`` from the CCP rows by one window rule: a clock's reading of
-CCP ``s`` is an epoch if the clock also read CCP ``s + 1`` and its rate
-(device seconds per schedule second) over that window lies within
-``1 +/- k_band``.  A slave's epochs are its receptions of a master's CCPs,
-their flight time over the known baseline added back; a master's are its
-own transmissions.  Each epoch carries its master's offset from the
-primary, summed down the master cascade; an epoch whose cascade link is
-broken is dropped.  ``place`` maps a blink stamp through the epoch nearest
-to it on the receiving anchor's own clock, scaled by that epoch's rate.
-The paper's scale coefficient K = ΔT/ΔR between a master and a receiver is
-the ratio of their two rates over one window: the master's ``rate`` over
-the receiver's.  Both work on whole columns, with the floating-point
+tick counts in [0, 2**40) (see ``clock``).  ``multi_master_sync`` drops
+bad reports, then makes two calls, each of which keeps one row per reading
+on the sort it makes anyway.  ``calibrate`` builds a ``SyncState`` from
+the CCP rows by one window rule: a clock's reading of CCP ``s`` is an
+epoch if the clock also read CCP ``s + 1`` and its rate (device seconds
+per schedule second) over that window lies within ``1 +/- k_band``.  A
+slave's epochs are its receptions of a master's CCPs, their flight time
+over the known baseline added back; a master's are its own transmissions.
+Each epoch carries its master's offset from the primary, summed down the
+master cascade; an epoch whose cascade link is broken is dropped.
+``place`` maps a blink stamp through the epoch nearest to it on the
+receiving anchor's own clock, scaled by that epoch's rate.  The paper's
+scale coefficient K = ΔT/ΔR between a master and a receiver is the ratio
+of their two rates over one window: the master's ``rate`` over the
+receiver's.  Both work on whole columns, with the floating-point
 operations of one report at a time, in the same order.  The output is one
 ``ArrivalTable``: each blink's arrival at each receiver on the primary's
 timescale; TDoAs (``arrival_tdoa``) are taken only where they are needed.
@@ -102,10 +103,14 @@ def arrival_tdoa(table: ArrivalTable, rows, others, ccp_period: float):
             + (table.ccp_seq[rows] - table.ccp_seq[others]) * ccp_period)
 
 
-def run_starts(*keys: np.ndarray) -> np.ndarray:
-    """True at the first row of each run of rows with equal keys."""
-    starts = np.ones(len(keys[0]), dtype=bool)
-    starts[1:] = np.any([key[1:] != key[:-1] for key in keys], axis=0)
+def run_starts(*keys: np.ndarray, order: np.ndarray | None = None) -> np.ndarray:
+    """True at the first row of each run of rows with equal keys, each key
+    taken at the rows ``order`` if given, one key at a time."""
+    starts = np.zeros(len(keys[0]) if order is None else len(order), dtype=bool)
+    starts[:1] = True
+    for key in keys:
+        key = key if order is None else key[order]
+        starts[1:] |= key[1:] != key[:-1]
     return starts
 
 
@@ -156,9 +161,11 @@ def multi_master_sync(reports: ReportColumns, topo: NetworkTopology, *, ccp_peri
     [0, 2**40) (``ticks_out_of_range``), an anchor not in ``topo``
     (``unknown_anchor_reports``), a CCP transmission not by a master about
     itself (``ccp_tx_from_non_master``), a CCP reception from a non-master
-    (``ccp_rx_unknown_master``), and repeats of a reading, the smallest
-    tick winning (``duplicate_reports``).  Both periods must be > 0 and
-    finite; ``blink_period`` is a search hint.  Only the multiset matters."""
+    (``ccp_rx_unknown_master``); the reports go on as they are when none
+    is.  ``calibrate`` and ``place`` then count repeats of a reading
+    (``duplicate_reports``), the smallest tick winning.  Both periods must
+    be > 0 and finite; ``blink_period`` is a search hint.  Only the
+    multiset matters."""
     for name, period in (("ccp_period", ccp_period), ("blink_period", blink_period)):
         if not 0 < period < math.inf:
             raise ValueError(f"{name} must be > 0 and finite, got {period!r}")
@@ -179,17 +186,23 @@ def multi_master_sync(reports: ReportColumns, topo: NetworkTopology, *, ccp_peri
         tally(diag, key, np.count_nonzero(bad))
         keep &= ~bad
 
-    # One stable sort by (anchor, source, kind, seq, ticks): the first row
-    # of a repeated reading holds its smallest tick value.
-    rows = np.flatnonzero(keep)
-    rows = rows[np.lexsort((ticks[rows], seq[rows], kind[rows], src[rows], anchor[rows]))]
-    first = run_starts(*(column[rows] for column in columns[:4]))
-    tally(diag, "duplicate_reports", len(rows) - np.count_nonzero(first))
     diag["reports"] = diag.get("reports", 0) + len(reports)
-    clean = ReportColumns(reports.ids, *(column[rows[first]] for column in columns))
-    del keep, rows, first  # only the clean columns go on
-    return place(calibrate(clean, topo, ccp_period=ccp_period, params=params, diagnostics=diag),
-                 clean, blink_period=blink_period, params=params, diagnostics=diag)
+    if not keep.all():
+        reports = ReportColumns(reports.ids, *(column[keep] for column in columns))
+    return place(calibrate(reports, topo, ccp_period=ccp_period, params=params, diagnostics=diag),
+                 reports, blink_period=blink_period, params=params, diagnostics=diag)
+
+
+def _readings(rows: np.ndarray, columns: tuple, diagnostics: dict | None) -> list[np.ndarray]:
+    """``columns`` at the ``rows`` mask, sorted by each column in turn, ticks
+    last, with one row per reading: a reading read again (``duplicate_reports``)
+    keeps its smallest tick."""
+    rows = np.flatnonzero(rows)
+    rows = rows[np.lexsort([column[rows] for column in columns[::-1]])]
+    first = run_starts(*columns[:-1], order=rows)
+    tally(diagnostics, "duplicate_reports", len(rows) - np.count_nonzero(first))
+    rows = rows[first]
+    return [column[rows] for column in columns]
 
 
 @dataclass(frozen=True, eq=False)
@@ -213,8 +226,8 @@ class SyncState:
 
 def calibrate(reports: ReportColumns, topo: NetworkTopology, *, ccp_period: float,
               params: WcsParams = WcsParams(), diagnostics: dict | None = None) -> SyncState:
-    """The epoch tracks of the CCP rows of ``reports`` (at most one per
-    reading, in any order): a master's own transmissions, and a slave's
+    """The epoch tracks of the CCP rows of ``reports``, in any order, each
+    reading once (``_readings``): a master's own transmissions, and a slave's
     receptions of each followed master's CCPs.  Windows out of the rate
     band are counted (``rejected_windows``).  A lower master's base at CCP
     s is its turnaround from its reception of its upper master's CCP s,
@@ -222,11 +235,9 @@ def calibrate(reports: ReportColumns, topo: NetworkTopology, *, ccp_period: floa
     base is NaN, the cascade link broken, is dropped: it can place no blink."""
     ids, n_ids = reports.ids, len(reports.ids)
     code = {value: i for i, value in enumerate(ids)}
-    columns = (reports.anchor, reports.kind, reports.src, reports.seq, reports.ticks)
-    # CCP rows by (anchor, kind, source, seq): epochs come track by track, by seq.
-    rows = np.flatnonzero(reports.kind != BLINK_RX)
-    rows = rows[np.lexsort([column[rows] for column in columns[3::-1]])]
-    anchor, kind, src, seq, ticks = (column[rows] for column in columns)
+    # CCP readings by (anchor, kind, source, seq): epochs come track by track, by seq.
+    anchor, kind, src, seq, ticks = _readings(reports.kind != BLINK_RX, (
+        reports.anchor, reports.kind, reports.src, reports.seq, reports.ticks), diagnostics)
     pair = anchor.astype(np.int64) * n_ids + src
     followed = np.array(sorted(code[a] * n_ids + code[m] for a in topo.slaves() if a in code
                                for m in topo.follow.get(a, ()) if m in code), np.int64)
@@ -283,13 +294,13 @@ def _rows_with_tdoa(tag, blink_seq, placed, diagnostics) -> np.ndarray:
 
 def place(state: SyncState, reports: ReportColumns, *, blink_period: float = 0.1,
           params: WcsParams = WcsParams(), diagnostics: dict | None = None) -> ArrivalTable:
-    """The blink receptions of ``reports`` (at most one per reading, over
-    ``state.ids``) on the common timescale, each through the epoch nearest
-    its stamp on the first of its receiver's tracks, in master-id order,
-    where that epoch is fresh: within ``params.stale_intervals`` CCP
-    periods of the stamp and half a counter wrap of the schedule.  Counted
-    in ``diagnostics``: a reception with no usable epoch on any track
-    (``unsynchronized_blinks``), one whose tracks are all stale
+    """The blink receptions of ``reports`` (over ``state.ids``, each reading
+    once: ``_readings``) on the common timescale, each through the epoch
+    nearest its stamp on the first of its receiver's tracks, in master-id
+    order, where that epoch is fresh: within ``params.stale_intervals``
+    CCP periods of the stamp and half a counter wrap of the schedule.
+    Counted in ``diagnostics``: a reception with no usable epoch on any
+    track (``unsynchronized_blinks``), one whose tracks are all stale
     (``stale_blinks``), and a blink left with fewer than two arrivals
     (``blinks_without_tdoa``).  A placement depends only on its own stamp
     and hint and on ``state``, so rows go ``ROW_BLOCK`` at a time and any
@@ -298,11 +309,9 @@ def place(state: SyncState, reports: ReportColumns, *, blink_period: float = 0.1
     if reports.ids != state.ids:
         raise ValueError("place takes reports over the id table of their calibration")
     s = state
-    rows = np.flatnonzero(reports.kind == BLINK_RX)
-    rows = rows[np.lexsort((reports.anchor[rows], reports.seq[rows], reports.src[rows]))]
-    tag, blink_seq, receiver, stamp = (
-        column[rows] for column in (reports.src, reports.seq, reports.anchor, reports.ticks))
-    del rows
+    tag, blink_seq, receiver, stamp = _readings(
+        reports.kind == BLINK_RX, (reports.src, reports.seq, reports.anchor, reports.ticks),
+        diagnostics)
     schedule_limit = HALF_WRAP * TICK_SECONDS  # tick distances alias beyond this
     offset, ccp_seq, rate = np.zeros(len(tag)), np.zeros(len(tag), np.int64), np.zeros(len(tag))
     placed = np.zeros(len(tag), dtype=bool)

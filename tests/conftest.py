@@ -350,14 +350,16 @@ class TdoaSet(NamedTuple):
 
 def tracker_rows(sets, anchors) -> BlinkRows:
     """The tracker's input for ``sets``, one run of rows per set in their
-    order, each row's anchor position looked up in ``anchors``."""
+    order, each row's anchor coded into the sorted ids of ``anchors``."""
     ids = tuple(sorted({s.tag_id for s in sets}))
+    names = sorted(anchors)
     size = np.array([len(s.arrivals) for s in sets], np.int64)
     rows = [row for s in sets for row in s.arrivals]
     return BlinkRows(ids, np.array([ids.index(s.tag_id) for s in sets], np.int64),
                      np.array([s.blink_seq for s in sets], np.int64), np.cumsum(size) - size,
                      size, np.array([t for _, t in rows], float),
-                     np.array([anchors[a] for a, _ in rows], float).reshape(-1, 2))
+                     np.array([names.index(a) for a, _ in rows], np.int64),
+                     np.array([anchors[a] for a in names], float).reshape(-1, 2))
 
 
 def layout(meas: TdoaSet, anchors) -> tuple[np.ndarray, np.ndarray]:

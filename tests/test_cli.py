@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +28,8 @@ from uwb_rtls.cli import (
     read_truth,
     synced_to_csv,
 )
-from uwb_rtls.config import load_config
+from uwb_rtls.config import load_config, parse_config
+from uwb_rtls.constants import ROW_BLOCK
 from uwb_rtls.engine import locate_reports
 from uwb_rtls.protocol import KIND_BLINK_RX, encode_reports
 from uwb_rtls.simnet import run_scenario
@@ -329,6 +331,41 @@ def test_a_file_with_no_rows_reads_as_empty_typed_columns(tmp_path, name, reader
     assert {n: c.dtype for n, c in columns.items()} == {
         n: np.int32 if n in ("anchor", "src", "tag") else np.int8 if n == "kind"
         else np.int64 if n.endswith("seq") else np.float64 for n in columns}
+
+
+def _read_through_a_pipe(reader, path: Path, tmp_path: Path):
+    """``reader`` of a FIFO that a thread fills with the bytes of ``path``,
+    as ``--reports <(cat reports.jsonl)`` hands a file over."""
+    fifo = tmp_path / f"fifo-{path.name}"
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_bytes, args=(path.read_bytes(),))
+    writer.start()
+    try:
+        return reader(fifo)
+    finally:
+        writer.join()
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_readers_read_a_pipe_and_lone_carriage_returns_as_the_file(hall_run, tmp_path):
+    # Columns are sized from a regular file's newline count; a pipe cannot
+    # be counted, and a file whose lines end in a lone '\r' counts none, so
+    # both grow their columns block by block, and read as the file reads.
+    cfg = parse_config(hall_config())
+    blinks = locate_reports(hall_run.reports, cfg.scenario.topology, cfg.engine_params()).blinks
+    files = {"reports.jsonl": (read_reports, encode_reports(hall_run.reports)),
+             "synced.csv": (read_synced_csv, "".join(synced_to_csv(blinks)))}
+    for name, (reader, text) in files.items():
+        path = tmp_path / name
+        path.write_text(text)
+        read, skipped = reader(path)
+        assert skipped == 0 and len(read) > 4 * ROW_BLOCK
+        piped, skipped = _read_through_a_pipe(reader, path, tmp_path)
+        assert skipped == 0 and same_columns(piped, read)
+        path.write_bytes(text.replace("\n", "\r").encode())
+        lone_cr, skipped = reader(path)
+        assert skipped == 0 and same_columns(lone_cr, read)
+    assert same_columns(read, blinks)
 
 
 def test_an_id_only_on_a_skipped_line_is_not_in_the_id_table(tmp_path):

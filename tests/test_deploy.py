@@ -15,6 +15,7 @@ from uwb_rtls.deploy import (
     STATUS_FAIL,
     STATUS_MANUAL,
     STATUS_PASS,
+    HdopGrid,
     build_deployment_report,
     check_rules,
     grid_to_csv,
@@ -32,6 +33,15 @@ UNIT_SQUARE = {
     "C": (1.0, 1.0),
     "D": (0.0, 1.0),
 }
+
+
+def _rows(grid: HdopGrid) -> list[tuple[float, float, float]]:
+    """A grid's points as (x, y, hdop) rows, in grid order."""
+    return list(zip(grid.x.tolist(), grid.y.tolist(), grid.hdop.tolist()))
+
+
+def _grid(rows) -> HdopGrid:
+    return HdopGrid(*np.array(rows, dtype=float).reshape(-1, 3).T)
 
 
 def _topology(positions: dict[str, tuple[float, ...]]) -> NetworkTopology:
@@ -116,7 +126,7 @@ def test_hdop_is_invariant_under_rotation_and_translation():
 
 
 def test_hdop_grid_covers_the_area_x_major():
-    rows = hdop_grid(((0.0, 0.0), (6.0, 4.0)), 0.5, RECT_POSITIONS, "MA1")
+    rows = _rows(hdop_grid(((0.0, 0.0), (6.0, 4.0)), 0.5, RECT_POSITIONS, "MA1"))
     assert len(rows) == 13 * 9
     assert [r[:2] for r in rows[:3]] == [(0.0, 0.0), (0.0, 0.5), (0.0, 1.0)]
     assert rows[-1][:2] == (6.0, 4.0)
@@ -128,7 +138,7 @@ def test_hdop_grid_covers_the_area_x_major():
 
 def test_hdop_grid_in_blocks_is_infinite_exactly_at_the_anchors():
     # 97 x 65 points: more than one block and not a whole number of them.
-    rows = hdop_grid(((0.0, 0.0), (6.0, 4.0)), 0.0625, RECT_POSITIONS, "MA1")
+    rows = _rows(hdop_grid(((0.0, 0.0), (6.0, 4.0)), 0.0625, RECT_POSITIONS, "MA1"))
     assert len(rows) == 97 * 65
     assert len(rows) > ROW_BLOCK and len(rows) % ROW_BLOCK
     assert {(x, y) for x, y, v in rows if not math.isfinite(v)} == set(RECT_POSITIONS.values())
@@ -140,14 +150,14 @@ def test_hdop_grid_in_blocks_is_infinite_exactly_at_the_anchors():
 
 def test_hdop_grid_along_collinear_anchors_is_infinite_everywhere():
     line = {"A0": (0.0, 0.0), "A1": (1.0, 0.0), "A2": (2.0, 0.0), "A3": (3.0, 0.0)}
-    rows = hdop_grid(((-2.0, 0.0), (5.0, 0.0)), 0.25, line, "A0")
+    rows = _rows(hdop_grid(((-2.0, 0.0), (5.0, 0.0)), 0.25, line, "A0"))
     assert len(rows) == 29
     assert all(v == math.inf for _, _, v in rows)
 
 
 @pytest.mark.parametrize("anchors", [{"A": (0.0, 0.0)}, {"A": (0.0, 0.0), "B": (6.0, 0.0)}])
 def test_hdop_grid_with_too_few_anchors_is_infinite_everywhere(anchors):
-    rows = hdop_grid(((0.0, 0.0), (6.0, 4.0)), 1.0, anchors, "A")
+    rows = _rows(hdop_grid(((0.0, 0.0), (6.0, 4.0)), 1.0, anchors, "A"))
     assert len(rows) == 7 * 5
     assert all(v == math.inf for _, _, v in rows)
 
@@ -159,8 +169,9 @@ def test_hdop_grid_rejects_a_bad_resolution(resolution):
 
 
 def test_grid_csv_has_header_and_reparses_exactly():
-    rows = hdop_grid(((0.0, 0.0), (6.0, 4.0)), 1.0, RECT_POSITIONS, "MA1")
-    text = grid_to_csv(rows)
+    # 97 x 65 points: the text goes in more than one block.
+    rows = _rows(hdop_grid(((0.0, 0.0), (6.0, 4.0)), 0.0625, RECT_POSITIONS, "MA1"))
+    text = "".join(grid_to_csv(_grid(rows)))
     lines = text.splitlines()
     assert lines[0] == "x,y,hdop"
     assert len(lines) == len(rows) + 1
@@ -169,8 +180,8 @@ def test_grid_csv_has_header_and_reparses_exactly():
 
 
 def test_worst_hdop_inside_hull_beats_far_outside():
-    rows = hdop_grid(((0.0, 0.0), (6.0, 4.0)), 0.5, RECT_POSITIONS, "MA1")
-    worst = worst_hdop_in_hull(rows, RECT_POSITIONS)
+    rows = _rows(hdop_grid(((0.0, 0.0), (6.0, 4.0)), 0.5, RECT_POSITIONS, "MA1"))
+    worst = worst_hdop_in_hull(_grid(rows), RECT_POSITIONS)
     assert math.isfinite(worst)
     assert worst < hdop_at((30.0, 20.0), RECT_POSITIONS, "MA1")
 
@@ -202,14 +213,14 @@ def test_worst_hdop_in_hull_matches_the_point_by_point_loop(anchors):
         for y in np.arange(-1.0, 5.25, 0.25).tolist()
     ]
     rows[len(rows) // 2] = rows[len(rows) // 2][:2] + (math.inf,)
-    worst = worst_hdop_in_hull(rows, anchors)
+    worst = worst_hdop_in_hull(_grid(rows), anchors)
     assert worst == _worst_in_hull_point_by_point(rows, anchors)
     assert worst < _worst_in_hull_point_by_point(rows, anchors, lambda d: d >= 0)
-    assert worst_hdop_in_hull([], anchors) == math.inf
+    assert worst_hdop_in_hull(_grid([]), anchors) == math.inf
 
 
 def test_worst_hdop_without_a_hull_is_infinite():
-    rows = [(0.5, 0.0, 1.0), (1.0, 1.0, 2.0)]
+    rows = _grid([(0.5, 0.0, 1.0), (1.0, 1.0, 2.0)])
     assert worst_hdop_in_hull(rows, {"A": (0.0, 0.0), "B": (1.0, 0.0)}) == math.inf
     assert worst_hdop_in_hull(rows, {"A": (0.0, 0.0), "B": (1.0, 0.0), "C": (2.0, 0.0)}) == math.inf
 
@@ -278,7 +289,7 @@ def test_cramped_spacing_or_area_fails():
 def test_deployment_report_bundles_rules_and_grid(rect_topology):
     report = build_deployment_report(rect_topology, resolution=0.5)
     assert len(report.rule_results) == 6
-    assert len(report.hdop_rows) == 13 * 9
+    assert len(report.grid) == 13 * 9
     assert math.isfinite(report.worst_hdop_in_hull)
     payload = report.to_dict()
     assert {r["rule"] for r in payload["rules"]} == set("abcdef")

@@ -1,9 +1,10 @@
 """Memory: the simulator's, the sync's and the HDoP grid's row-block passes
 (``constants.row_blocks``) give the bits of one pass over every row, and so
-do the blinks placed in disjoint parts against one calibration; they, the
-tracker and the report and synced.csv readers, which code each block's ids
-as they read it, keep their allocation peaks per report, row, fix or grid
-point low, and fixes are held as columns."""
+do the blinks placed in disjoint parts against one calibration; they,
+``locate_reports``, the tracker, the synced.csv writer, the report and
+synced.csv readers, which code each block's ids as they read it, and the
+deploy report with its hdop.csv keep their allocation peaks per report,
+row, fix or grid point low, and fixes are held as columns."""
 
 from __future__ import annotations
 
@@ -151,13 +152,27 @@ def test_simulator_and_sync_allocation_peaks_per_report():
     # report; row blocks and id compaction by presence brought them to
     # about 194 B and 161 B, and block-bounded clock reads and placement
     # hints, with the working columns released before the output gathers,
-    # to about 89 B and 93 B.
+    # to about 89 B and 93 B.  Dropping repeated readings on the sorts
+    # calibrate and place make anyway, not on a sorted copy of every
+    # report, took the sync to about 69 B.
     cfg = parse_config(fleet_config())
     sim, sim_peak = _peak_bytes(lambda: run_scenario(cfg.scenario))
     (table, _), sync_peak = _peak_bytes(lambda: _sync(sim.reports, cfg))
     assert len(sim.reports) > 100_000 and len(table) > 100_000
     assert sim_peak / len(sim.reports) < 110
-    assert sync_peak / len(sim.reports) < 110
+    assert sync_peak / len(sim.reports) < 80
+
+
+def test_locate_reports_allocation_peak_per_report():
+    # With the sync's sorted copy of every report and the tracker's rows
+    # holding a copied anchor position per arrival, about 103 B per
+    # report; with the sync's own sorts and anchors named by code, 87 B.
+    cfg = parse_config(fleet_config())
+    reports = run_scenario(cfg.scenario).reports
+    located, peak = _peak_bytes(lambda: engine.locate_reports(
+        reports, cfg.scenario.topology, cfg.engine_params()))
+    assert len(located.blinks) > 100_000 and len(located.fixes) > 10_000
+    assert peak / len(reports) < 95
 
 
 def test_report_reader_allocation_peak_per_line(tmp_path):
@@ -173,18 +188,32 @@ def test_report_reader_allocation_peak_per_line(tmp_path):
     assert peak / len(reports) < 64
 
 
-def test_synced_reader_allocation_peak_per_row(tmp_path):
-    # With the file's ids kept as lists of str and coded at the end, the
-    # peak was about 105 B per row; coded per block it is about 88 B, for
-    # a result of 40 B.
+@pytest.fixture(scope="module")
+def fleet_blinks():
     cfg = parse_config(fleet_config())
     reports = run_scenario(cfg.scenario).reports
-    blinks = engine.locate_reports(reports, cfg.scenario.topology, cfg.engine_params()).blinks
+    return engine.locate_reports(reports, cfg.scenario.topology, cfg.engine_params()).blinks
+
+
+def test_synced_writer_allocation_peak_per_row(fleet_blinks, tmp_path):
+    # Its distinct rates, taken over the whole table, peaked at about 41 B
+    # per row; taken per row block, at about 13 B.
+    with open(tmp_path / "synced.csv", "w") as fh:
+        _, peak = _peak_bytes(lambda: fh.writelines(synced_to_csv(fleet_blinks)))
+    assert len(fleet_blinks) > 100_000
+    assert peak / len(fleet_blinks) < 20
+
+
+def test_synced_reader_allocation_peak_per_row(fleet_blinks, tmp_path):
+    # With the file's ids kept as lists of str and coded at the end, the
+    # peak was about 105 B per row, and coded per block about 88 B; with
+    # columns sized from the file's newline count, not blocks joined, and
+    # put in key order one at a time, about 66 B, for a result of 40 B.
     path = tmp_path / "synced.csv"
-    path.write_text("".join(synced_to_csv(blinks)))
+    path.write_text("".join(synced_to_csv(fleet_blinks)))
     (read, skipped), peak = _peak_bytes(lambda: read_synced_csv(path))
-    assert skipped == 0 and same_columns(read, blinks) and len(read) > 100_000
-    assert peak / len(read) < 96
+    assert skipped == 0 and same_columns(read, fleet_blinks) and len(read) > 100_000
+    assert peak / len(read) < 80
 
 
 def test_fixes_are_held_as_columns_by_the_tracker_and_the_fix_reader(tmp_path, monkeypatch):
@@ -271,6 +300,23 @@ def test_hdop_summed_anchor_by_anchor_is_the_all_anchors_pass_bit_for_bit(monkey
     for i in range(0, px.size, px.size // 5):
         one, _ = deploy._hdop(px[i:i + 1], py[i:i + 1], anchors, reference)
         assert one.tobytes() == want[i:i + 1].tobytes()
+
+
+def test_deploy_report_and_its_hdop_csv_allocation_peak_per_grid_point(tmp_path):
+    # The grid as a tuple of (x, y, hdop) tuples, rendered as one string,
+    # peaked at about 289 B per point of the hall's 0.25 m grid; as float64
+    # columns, rendered a row block at a time, at about 58 B.
+    cfg = parse_config(hall_config())
+
+    def report_and_csv():
+        report = deploy.build_deployment_report(cfg.scenario.topology, cfg.area, 0.25)
+        with open(tmp_path / "hdop.csv", "w") as fh:
+            fh.writelines(deploy.grid_to_csv(report.grid))
+        return report
+
+    report, peak = _peak_bytes(report_and_csv)
+    assert len(report.grid) > 25_000 and math.isfinite(report.worst_hdop_in_hull)
+    assert peak / len(report.grid) < 80
 
 
 def test_hdop_allocation_peak_per_grid_point_is_a_block_not_the_anchors():

@@ -562,6 +562,81 @@ def test_a_blink_no_receiver_can_place_is_counted_without_tdoa():
     assert diag["blinks_without_tdoa"] == 1
 
 
+def _rect_faults(rows: list[tuple]) -> dict[str, list[tuple]]:
+    """The rect run's report rows with each fault of the tests above, by name."""
+    r = next(r for r in rows if r[1] == KIND_BLINK_RX)
+    late = (*r[:4], r[4] + 1e4)
+    return {"repeat": rows + [rows[5]], "late repeat first": [late] + rows,
+            "late repeat last": rows + [late],
+            "out of range": rows + [(*r[:4], ticks) for ticks in (math.nan, -1.0, float(2**40))],
+            "no SA4 ccp_rx": [row for row in rows if row[:2] != ("SA4", KIND_CCP_RX)]}
+
+
+@pytest.mark.parametrize("fault, want", [
+    ("repeat", {"reports": 137, "duplicate_reports": 1}),
+    ("late repeat first", {"reports": 137, "duplicate_reports": 1}),
+    ("late repeat last", {"reports": 137, "duplicate_reports": 1}),
+    ("out of range", {"reports": 139, "ticks_out_of_range": 3}),
+    ("no SA4 ccp_rx", {"reports": 122, "unsynchronized_blinks": 20}),
+])
+def test_fault_diagnostics_are_those_of_one_whole_run_dedupe(fault, want):
+    # Pinned from the sync that dropped repeats on one sort of every report
+    # before calibrating: calibrate and place, each dropping them on its own
+    # sort, count the same.
+    topo, reports = _rect_reports()
+    diag: dict = {}
+    multi_master_sync(report_columns(_rect_faults(report_rows(reports))[fault]), topo,
+                      ccp_period=CCP_PERIOD, diagnostics=diag)
+    assert diag == want
+
+
+def _sync_state_bytes(state) -> dict:
+    return {name: getattr(state, name).tobytes() for name in state.__dataclass_fields__
+            if name not in ("ids", "ccp_period")}
+
+
+def test_calibrate_and_place_keep_the_smallest_in_range_tick_of_each_reading():
+    # A ccp_tx, a ccp_rx and a blink_rx reading read again at larger ticks,
+    # the two CCP readings once more at a smaller tick, and the blink one
+    # at a smaller tick out of [0, 2**40), which the sync's prelude drops.
+    topo, reports = _rect_reports()
+    rows = report_rows(reports)
+    picks = [next(r for r in rows[20:] if r[1] == kind)
+             for kind in (KIND_CCP_TX, KIND_CCP_RX, KIND_BLINK_RX)]
+    again = [(*r[:4], r[4] + step) for r in picks for step in (7.0, 3e4)]
+    again += [(*picks[0][:4], picks[0][4] - 2.0), (*picks[1][:4], picks[1][4] - 1.0),
+              (*picks[2][:4], -1.0)]
+    stream = again[::2] + rows + again[1::2]
+    in_range = [r for r in stream if 0 <= r[4] < 2**40]
+    best: dict = {}  # the oracle: per reading, its smallest in-range tick
+    for r in in_range:
+        if r[:4] not in best or r[4] < best[r[:4]][4]:
+            best[r[:4]] = r
+    assert {best[r[:4]][4] for r in picks} == {picks[0][4] - 2.0, picks[1][4] - 1.0, picks[2][4]}
+    oracle = report_columns(list(best.values()))
+
+    def repeats(kinds):
+        return sum(r[1] in kinds for r in in_range) - sum(r[1] in kinds for r in best.values())
+
+    assert repeats((KIND_CCP_TX, KIND_CCP_RX)) == 6 and repeats((KIND_BLINK_RX,)) == 2
+
+    diag: dict = {}
+    state = calibrate(report_columns(in_range), topo, ccp_period=CCP_PERIOD, diagnostics=diag)
+    want = calibrate(oracle, topo, ccp_period=CCP_PERIOD)
+    assert _sync_state_bytes(state) == _sync_state_bytes(want)
+    assert diag == {"duplicate_reports": repeats((KIND_CCP_TX, KIND_CCP_RX))}
+    diag = {}
+    table = place(state, report_columns(in_range), diagnostics=diag)
+    assert same_columns(table, place(want, oracle))
+    assert diag == {"duplicate_reports": repeats((KIND_BLINK_RX,))}
+    diag = {}
+    table = multi_master_sync(report_columns(stream), topo, ccp_period=CCP_PERIOD,
+                              diagnostics=diag)
+    assert same_columns(table, multi_master_sync(oracle, topo, ccp_period=CCP_PERIOD))
+    assert diag == {"reports": len(stream), "ticks_out_of_range": 1,
+                    "duplicate_reports": len(in_range) - len(best)}
+
+
 def _hall_sync(reports, **kwargs):
     cfg = parse_config(hall_config())
     diag: dict = {}

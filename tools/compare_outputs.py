@@ -23,8 +23,12 @@ next to the byte identity; ``src_nonblank_lines_by_file`` splits that
 count by module, keyed by the path under ``src/``.  ``stage_peak_rss_mb``
 holds, per run and per tree, each CLI stage's own peak RSS in MB (its
 process's ``ru_maxrss``): unlike one process running every stage, it does
-not depend on the heap earlier stages left behind.  It gates nothing; its
-exit code is 0 whenever both trees ran.
+not depend on the heap earlier stages left behind.  ``stage_growth``
+runs ``fleet`` seed 1 again at ``LONG_SECONDS`` of simulated time (the
+config of ``workloads.fleet_config`` with ``FLEET_DURATION`` set in this
+process), and holds per tree each stage's own peak RSS at both durations
+and its growth in MB per simulated second.  It gates nothing; its exit
+code is 0 whenever both trees ran.
 """
 
 from __future__ import annotations
@@ -41,9 +45,11 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "bench"))
 
+import workloads  # noqa: E402
 from workloads import CONFIGS, stages  # noqa: E402
 
 SEEDS = range(1, 6)
+LONG_SECONDS = 54.0  # fleet seed 1 runs this long too, for each stage's growth
 EVAL_OUTPUTS = ("summary.json", "errors.csv")
 
 
@@ -100,6 +106,24 @@ def cross_eval(parent: Path, change_run: Path, out: Path) -> dict[str, bool]:
                      "--synced", str(change_run / "synced.csv")])
     return {name: (out / name).read_bytes() == (change_run / name).read_bytes()
             for name in EVAL_OUTPUTS}
+
+
+def stage_growth(trees: dict[str, Path], short: dict[str, dict[str, float]], out: Path) -> dict:
+    """Each stage's own peak RSS (MB) per tree on ``fleet`` seed 1, at its
+    standard duration (``short``, from the standard run) and at
+    ``LONG_SECONDS``, and its growth in MB per simulated second."""
+    seconds = workloads.FLEET_DURATION
+    workloads.FLEET_DURATION = LONG_SECONDS
+    try:
+        long = {side: run_tree(tree, "fleet", 1, out / side) for side, tree in trees.items()}
+    finally:
+        workloads.FLEET_DURATION = seconds
+    return {"seconds": [seconds, LONG_SECONDS],
+            "stage_peak_rss_mb": {side: {stage: [short[side][stage], peak]
+                                         for stage, peak in long[side].items()} for side in long},
+            "mb_per_simulated_s": {side: {
+                stage: round((peak - short[side][stage]) / (LONG_SECONDS - seconds), 4)
+                for stage, peak in long[side].items()} for side in long}}
 
 
 def src_nonblank_lines_by_file(tree: Path) -> dict[str, int]:
@@ -161,6 +185,9 @@ def main(argv: list[str] | None = None) -> int:
             same = sum(f["same"] for f in files.values())
             print(f"{name}: {same}/{len(files)} files the same, parent eval on the change's "
                   f"files {'the same' if all(cross.values()) else 'different'}", file=sys.stderr)
+        report["stage_growth"] = stage_growth(
+            {"parent": args.parent, "change": args.change},
+            report["stage_peak_rss_mb"]["fleet-seed1"], Path(tmp) / f"fleet-{LONG_SECONDS:g}s")
     report["all_same"] = all(f["same"] for run in report["runs"].values() for f in run.values())
     report["parent_eval_all_same"] = all(
         same for run in report["parent_eval_on_change_files"].values() for same in run.values())
