@@ -4,7 +4,8 @@ Each subcommand reads a JSON scenario config and writes flat files
 (JSON lines for radio traffic and ground truth, CSV for fixes and grids,
 JSON for summaries) so runs diff cleanly and compose through the shell.
 Every id is a plain id (``protocol.is_plain_id``), so no CSV field is ever
-quoted and the readers split CSV lines on commas.
+quoted and the readers split CSV lines on commas.  Each CSV file's fields
+are declared once; one renderer writes the four and one parser reads them.
 
 Exit codes: 0 success, 2 configuration or validation error (including an
 input CSV without its expected header), 3 empty result, 4 I/O failure.
@@ -20,16 +21,17 @@ import logging
 import math
 import sys
 from collections import defaultdict
+from functools import partial
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .config import ConfigError, ScenarioConfig, load_config
 from .constants import ROW_BLOCK, row_blocks
-from .deploy import build_deployment_report, grid_to_csv
+from .deploy import HdopGrid, build_deployment_report
 from .engine import LocateResult, locate_reports
-from .metrics import EmptyEvalError, errors_csv, evaluate
+from .metrics import EmptyEvalError, evaluate
 from .protocol import (REPORT_KINDS, ReportColumns, check_id, check_number, check_seq,
                        decode_reports, encode_reports)
 from .simnet import (ScenarioError, SimResult, TruthBlinks, decode_truths, encode_clock,
@@ -45,8 +47,14 @@ EXIT_CONFIG = 2
 EXIT_EMPTY = 3
 EXIT_IO = 4
 
-FIXES_HEADER = "tag_id,blink_seq,x,y,vx,vy,pos_std"
-SYNCED_HEADER = "anchor_id,tag_id,blink_seq,ccp_seq,offset,rate"
+# Each CSV file's fields in column order; those read back map to the check that types them.
+FIXES_FIELDS = {"tag_id": check_id, "blink_seq": check_seq,
+                **dict.fromkeys(("x", "y", "vx", "vy", "pos_std"), check_number)}
+SYNCED_FIELDS = {"anchor_id": check_id, "tag_id": check_id, "blink_seq": check_seq,
+                 "ccp_seq": check_seq, "offset": check_number, "rate": check_number}
+REPEATING = {"rate"}  # few distinct numbers: each anchor's clock rate, one per CCP
+FIXES_HEADER, SYNCED_HEADER = ",".join(FIXES_FIELDS), ",".join(SYNCED_FIELDS)
+ERRORS_HEADER, HDOP_HEADER = "tag_id,blink_seq,err_m", "x,y,hdop"
 
 
 class CsvHeaderError(ValueError):
@@ -57,13 +65,48 @@ class CsvHeaderError(ValueError):
 # File formats
 
 
+def _texts(values: np.ndarray, ids: Sequence[str]) -> Iterable[str]:
+    """A block of a column as text: int32 codes as their ids, any other value
+    by ``repr``, made once per distinct value when at least half repeat."""
+    if values.dtype == np.int32:
+        return map(ids.__getitem__, values.tolist())
+    distinct, index = np.unique(values.view(np.int64), return_inverse=True)  # by bits
+    if 2 * len(distinct) > len(values):
+        return map(repr, values.tolist())
+    return map(list(map(repr, distinct.view(values.dtype).tolist())).__getitem__, index.tolist())
+
+
+def _csv_blocks(header: str, ids: Sequence[str], *columns: np.ndarray) -> Iterator[str]:
+    """A CSV file as blocks of text: ``header``, then a row per index of ``columns``,
+    ``ROW_BLOCK`` rows at a time.  A float's ``repr`` reads back bit for bit."""
+    yield header + "\n"
+    for rows in row_blocks(len(columns[0])):
+        # Rows listed first so their values go before the join; the newline comes alone.
+        yield "\n".join(list(map(",".join, zip(*(_texts(c[rows], ids) for c in columns)))))
+        yield "\n"
+
+
 def fixes_to_csv(fixes: FixTable) -> Iterator[str]:
     """fixes.csv as blocks of text, one row per fix in table order."""
-    yield FIXES_HEADER + "\n"
-    columns = (fixes.tag, fixes.blink_seq, fixes.x, fixes.y, fixes.vx, fixes.vy, fixes.pos_std)
-    for rows in row_blocks(len(fixes)):
-        yield "".join(f"{fixes.ids[t]},{s},{x!r},{y!r},{vx!r},{vy!r},{p!r}\n"
-                      for t, s, x, y, vx, vy, p in zip(*(c[rows].tolist() for c in columns)))
+    return _csv_blocks(FIXES_HEADER, fixes.ids, fixes.tag, fixes.blink_seq, fixes.x, fixes.y,
+                       fixes.vx, fixes.vy, fixes.pos_std)
+
+
+def synced_to_csv(blinks: ArrivalTable) -> Iterator[str]:
+    """synced.csv as blocks of text: one row per arrival, in table order."""
+    return _csv_blocks(SYNCED_HEADER, blinks.ids, blinks.anchor, blinks.tag, blinks.blink_seq,
+                       blinks.ccp_seq, blinks.offset, blinks.rate)
+
+
+def errors_csv(errors: tuple[TruthBlinks, np.ndarray]) -> str:
+    """errors.csv from ``fix_errors`` columns, as ``EvalSummary.errors`` holds them."""
+    matched, err = errors
+    return "".join(_csv_blocks(ERRORS_HEADER, matched.ids, matched.tag, matched.seq, err))
+
+
+def grid_to_csv(grid: HdopGrid) -> Iterator[str]:
+    """hdop.csv as blocks of text, one row per grid point in grid order."""
+    return _csv_blocks(HDOP_HEADER, (), grid.x, grid.y, grid.hdop)
 
 
 def _check_utf8(text: str) -> None:
@@ -85,9 +128,10 @@ def _read_lines(path: Path, parse: Callable[[list[str]], Sequence], header: str 
     order, an id column as int32 codes into those ids, and the count of
     skipped lines.  Each column is sized once, from a regular file's
     newline count, and filled block by block; it grows only past that (a
-    pipe, which cannot be counted, starts at ``ROW_BLOCK`` rows).  A
-    block's ids are coded as soon as ``parse`` accepts it, so only the ids
-    of lines read go into the table; codes are ranked in place at the end.
+    pipe, which cannot be counted, starts at ``ROW_BLOCK`` rows), and is
+    then copied down to its rows at the end.  A block's ids are coded as
+    soon as ``parse`` accepts it, so only the ids of lines read go into the
+    table; codes are ranked in place at the end.
 
     With ``header``, a file whose first line is not ``header`` (another
     format, or an older one) raises ``CsvHeaderError``.  A block that is not
@@ -139,7 +183,8 @@ def _read_lines(path: Path, parse: Callable[[list[str]], Sequence], header: str 
     ids = sorted(code)
     rank = np.zeros(len(ids), np.int32)  # each code's place in the sorted ids
     rank[[code[value] for value in ids]] = np.arange(len(ids))
-    columns = [c[:filled] for c in columns]
+    for i, column in enumerate(columns):  # one at a time: a grown column's copy replaces it
+        columns[i] = column[:filled].copy() if len(column) > rows + 1 else column[:filled]
     for column in itertools.compress(columns, id_column):
         np.take(rank, column, out=column, mode="clip")  # codes are in range: no copy
     return tuple(ids), columns, skipped
@@ -150,35 +195,32 @@ def _plain_number(text: str) -> bool:
     return text.isascii() and not any(map(text.__contains__, " \t\v\f_"))
 
 
-def _csv_columns(lines: list[str], header: str, ids: int) -> list[list[str]]:
-    """The fields of CSV rows by column, named by ``header``; ValueError unless each row
-    has a field per name and its fields after the first ``ids`` are plain numbers."""
-    names = header.split(",")
-    if set(map(str.count, lines, itertools.repeat(","))) - {len(names) - 1}:
-        raise ValueError(f"a row does not have {len(names)} fields")
-    fields = ",".join(lines).split(",") if lines else []
-    columns = [fields[i::len(names)] for i in range(len(names))]
-    for name, texts in zip(names[ids:], columns[ids:]):
-        if not _plain_number("".join(texts)):
-            bad = next(itertools.filterfalse(_plain_number, texts))
-            raise ValueError(f"{name} must be a plain number, got {bad!r}")
-    return columns
-
-
-def _by_value(parse: Callable, check: Callable, name: str, texts: list[str]) -> list:
-    """``parse`` of each text of the column ``name``, parsed and checked by
-    ``check`` once per distinct text."""
+def _column(name: str, check: Callable, texts: list[str]) -> list | np.ndarray:
+    """Field ``name``'s texts as ``check`` returns them: ids a list, seqs int64, other numbers
+    float64; seqs and REPEATING numbers parsed and checked once per distinct text."""
+    if check is check_id:
+        return check(name, texts)
+    if check is check_number and name not in REPEATING:
+        return check(name, np.array(list(map(float, texts))))
+    parse = int if check is check_seq else float
     distinct = list(set(texts))
     value = dict(zip(distinct, check(name, list(map(parse, distinct)))))
-    return list(map(value.__getitem__, texts))
+    return np.array(list(map(value.__getitem__, texts)), np.int64 if parse is int else float)
 
 
-def _fix_block(lines: list[str]) -> tuple[list | np.ndarray, ...]:
-    tag_id, blink_seq, *numbers = _csv_columns(lines, FIXES_HEADER, 1)
-    return (check_id("tag_id", tag_id),
-            np.array(_by_value(int, check_seq, "blink_seq", blink_seq), np.int64),
-            *(check_number(name, np.array(list(map(float, c))))
-              for name, c in zip(FIXES_HEADER.split(",")[2:], numbers)))
+def _csv_columns(fields: Mapping[str, Callable], lines: list[str]) -> list[list | np.ndarray]:
+    """The CSV rows ``lines`` as columns, one per field (see ``_column``); ValueError unless
+    each row has a field per name, every field but an id is a plain number, and each
+    field passes its check, tested in that order."""
+    if set(map(str.count, lines, itertools.repeat(","))) - {len(fields) - 1}:
+        raise ValueError(f"a row does not have {len(fields)} fields")
+    texts = ",".join(lines).split(",") if lines else []
+    columns = [texts[i::len(fields)] for i in range(len(fields))]
+    for (name, check), column in zip(fields.items(), columns):
+        if check is not check_id and not _plain_number("".join(column)):
+            bad = next(itertools.filterfalse(_plain_number, column))
+            raise ValueError(f"{name} must be a plain number, got {bad!r}")
+    return list(map(_column, fields, fields.values(), columns))
 
 
 def _first_reads(path: Path, what: str, ids: Sequence[str], tag: np.ndarray, seq: np.ndarray,
@@ -196,42 +238,17 @@ def _first_reads(path: Path, what: str, ids: Sequence[str], tag: np.ndarray, seq
 def read_fixes_csv(path: Path) -> tuple[FixTable, int]:
     """Parse a fixes.csv file into a fix table, in file order, skipping malformed
     rows, and repeats of a (tag_id, blink_seq) fix already read, with a count."""
-    ids, (tag, seq, *numbers), skipped = _read_lines(path, _fix_block, FIXES_HEADER)
+    ids, (tag, seq, *numbers), skipped = _read_lines(
+        path, partial(_csv_columns, FIXES_FIELDS), FIXES_HEADER)
     rows = np.sort(_first_reads(path, "fix", ids, tag, seq))
     return (FixTable(ids, tag[rows], seq[rows], *(c[rows] for c in numbers), np.zeros(len(rows))),
             skipped + len(seq) - len(rows))
 
 
-def synced_to_csv(blinks: ArrivalTable) -> Iterator[str]:
-    """synced.csv as blocks of text: one row per arrival, in table order.
-    Floats are written as ``repr``, which reads back exactly, so every
-    pair's TDoA and rate ratio can be rebuilt bit for bit from the file."""
-    yield SYNCED_HEADER + "\n"
-    name = blinks.ids.__getitem__
-    for rows in row_blocks(len(blinks)):
-        rates, rate_index = np.unique(blinks.rate[rows].view(np.int64), return_inverse=True)
-        rate_text = list(map(float.__repr__, rates.view(np.float64).tolist()))
-        yield "".join(map(
-            "{},{},{},{},{!r},{}\n".format, map(name, blinks.anchor[rows].tolist()),
-            map(name, blinks.tag[rows].tolist()), blinks.blink_seq[rows].tolist(),
-            blinks.ccp_seq[rows].tolist(), blinks.offset[rows].tolist(),
-            map(rate_text.__getitem__, rate_index.tolist()),
-        ))
-
-
-def _arrival_block(lines: list[str]) -> tuple[list | np.ndarray, ...]:
-    anchor_id, tag_id, blink_seq, ccp_seq, offset, rate = _csv_columns(lines, SYNCED_HEADER, 2)
-    return (check_id("anchor_id", anchor_id), check_id("tag_id", tag_id),
-            np.array(_by_value(int, check_seq, "blink_seq", blink_seq), np.int64),
-            np.array(_by_value(int, check_seq, "ccp_seq", ccp_seq), np.int64),
-            check_number("offset", np.array(list(map(float, offset)))),
-            np.array(_by_value(float, check_number, "rate", rate)))
-
-
 def read_synced_csv(path: Path) -> tuple[ArrivalTable, int]:
     """Parse a synced.csv file back into an arrival table, skipping malformed
     rows, and repeats of an arrival already read, with a count."""
-    ids, columns, skipped = _read_lines(path, _arrival_block, SYNCED_HEADER)
+    ids, columns, skipped = _read_lines(path, partial(_csv_columns, SYNCED_FIELDS), SYNCED_HEADER)
     n, rows = len(columns[0]), _first_reads(path, "arrival", ids, *columns[1:3], columns[0])
     for i, column in enumerate(columns):  # one at a time: each copy replaces its column
         columns[i] = column[rows]
@@ -345,9 +362,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 def cmd_deploy_check(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
-    report = build_deployment_report(
-        cfg.scenario.topology, area=cfg.area, resolution=args.resolution
-    )
+    report = build_deployment_report(cfg.scenario.topology, area=cfg.area,
+                                     resolution=args.resolution)
     out = Path(args.out)
     _write(out / "deploy_report.json", [json.dumps(report.to_dict(), indent=2) + "\n"])
     _write(out / "hdop.csv", grid_to_csv(report.grid))

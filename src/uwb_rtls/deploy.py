@@ -4,15 +4,15 @@ The rule checks codify anchor placement guidance; rules that need a human
 (radio environment, wall clearance, mounting) come back as ``manual`` with
 instructions instead of a verdict.  The HDoP functions quantify how anchor
 geometry amplifies ranging noise into position noise at each point of the
-service area; their geometry matrix comes from ``solver.ranges``, the kernel
-the EKF and the least squares use.
+service area, as columns that ``cli.grid_to_csv`` writes; their geometry
+matrix comes from ``solver.ranges``, the kernel the EKF and the LS use.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -243,14 +243,6 @@ def hdop_grid(
     ys = np.arange(y0, y1 + resolution / 2, resolution)
     px, py = np.repeat(xs, ys.size), np.tile(ys, xs.size)  # x-major
     return HdopGrid(px, py, _hdop(px, py, anchors, reference)[0])
-
-
-def grid_to_csv(grid: HdopGrid) -> Iterator[str]:
-    """hdop.csv as blocks of text, one row per grid point in grid order."""
-    yield "x,y,hdop\n"
-    for rows in row_blocks(len(grid)):
-        yield "".join(f"{x!r},{y!r},{value!r}\n" for x, y, value in zip(
-            grid.x[rows].tolist(), grid.y[rows].tolist(), grid.hdop[rows].tolist()))
 
 
 def worst_hdop_in_hull(grid: HdopGrid, anchors: Mapping[str, tuple[float, float]]) -> float:

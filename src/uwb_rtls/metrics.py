@@ -1,9 +1,9 @@
 """Run evaluation: synchronization stability and position accuracy.
 
-Compares engine output against simulator ground truth.  TDoA stability is
-judged on smoothed per-pair streams (the smoother output is what a live
-system would monitor), built from the columns of the sync output's arrival
-table; position accuracy on per-blink Euclidean errors.
+Compares engine output against simulator ground truth.  TDoA stability is judged
+on smoothed per-pair streams (the smoother output is what a live system would
+monitor), built from the columns of the sync output's arrival table; position
+accuracy on per-blink Euclidean errors, which ``cli.errors_csv`` writes.
 """
 
 from __future__ import annotations
@@ -187,10 +187,3 @@ def evaluate(fixes: FixTable, truth_blinks: TruthBlinks, blinks: ArrivalTable | 
                        availability=len(errors) / len(_blink_keys(truth_blinks)[0]),
                        errors=(matched, errors))
 
-
-def errors_csv(errors: tuple[TruthBlinks, np.ndarray]) -> str:
-    """Per-fix error time series as CSV (tag_id, blink_seq, err_m) from
-    ``fix_errors`` columns, as ``EvalSummary.errors`` holds them."""
-    matched, err = errors
-    return "tag_id,blink_seq,err_m\n" + "".join(f"{matched.ids[t]},{s},{e!r}\n" for t, s, e in zip(
-        matched.tag.tolist(), matched.seq.tolist(), err.tolist()))

@@ -352,8 +352,8 @@ def run_scenario(scenario: Scenario) -> SimResult:
     # that hears it.
     j = _steps(scenario.ccp_period, scenario.duration)
     ccp_seq = j % SEQ_WRAP
-    tx = np.array([
-        [dict(schedule_ccp_cascade(topo, start, scenario.lag))[m] for m in masters]
+    tx = np.array([  # one cascade per round, each master's time read from it
+        list(map(dict(schedule_ccp_cascade(topo, start, scenario.lag)).__getitem__, masters))
         for start in (j * scenario.ccp_period).tolist()], float).reshape(len(j), len(masters))
     heard, flight = scenario._ccp_receptions()
     sender, ccp_rx = np.nonzero(heard)

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from uwb_rtls.cli import grid_to_csv
 from uwb_rtls.constants import ROW_BLOCK
 from uwb_rtls.deploy import (
     MIN_LOS_SLAVES,
@@ -18,7 +19,6 @@ from uwb_rtls.deploy import (
     HdopGrid,
     build_deployment_report,
     check_rules,
-    grid_to_csv,
     hdop_at,
     hdop_grid,
     worst_hdop_in_hull,

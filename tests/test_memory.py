@@ -1,10 +1,10 @@
 """Memory: the simulator's, the sync's and the HDoP grid's row-block passes
 (``constants.row_blocks``) give the bits of one pass over every row, and so
 do the blinks placed in disjoint parts against one calibration; they,
-``locate_reports``, the tracker, the synced.csv writer, the report and
-synced.csv readers, which code each block's ids as they read it, and the
-deploy report with its hdop.csv keep their allocation peaks per report,
-row, fix or grid point low, and fixes are held as columns."""
+``locate_reports``, the tracker, the fixes.csv and synced.csv writers, the
+report and synced.csv readers, which code each block's ids as they read it,
+and the deploy report with its hdop.csv keep their allocation peaks per
+report, row, fix or grid point low, and fixes are held as columns."""
 
 from __future__ import annotations
 
@@ -17,8 +17,8 @@ import numpy as np
 import pytest
 
 from uwb_rtls import clock, constants, deploy, engine, simnet
-from uwb_rtls.cli import (DEMO_CONFIG, fixes_to_csv, read_fixes_csv, read_reports,
-                          read_synced_csv, synced_to_csv)
+from uwb_rtls.cli import (DEMO_CONFIG, fixes_to_csv, grid_to_csv, read_fixes_csv,
+                          read_reports, read_synced_csv, synced_to_csv)
 from uwb_rtls.config import parse_config
 from uwb_rtls.constants import ROW_BLOCK, row_blocks
 from uwb_rtls.protocol import BLINK_RX, CCP_RX, ReportColumns, encode_reports
@@ -204,6 +204,20 @@ def test_synced_writer_allocation_peak_per_row(fleet_blinks, tmp_path):
     assert peak / len(fleet_blinks) < 20
 
 
+def test_fixes_writer_allocation_peak_per_row(tmp_path):
+    # Each row block's rows listed before their join, which copies them
+    # into the block's text: about 77 B per fix, as each file's own writer
+    # peaked.  Joined straight from the renderer's map, whose value lists
+    # live on until the join returns, about 99 B.
+    cfg = parse_config(fleet_config())
+    reports = run_scenario(cfg.scenario).reports
+    fixes = engine.locate_reports(reports, cfg.scenario.topology, cfg.engine_params()).fixes
+    with open(tmp_path / "fixes.csv", "w") as fh:
+        _, peak = _peak_bytes(lambda: fh.writelines(fixes_to_csv(fixes)))
+    assert len(fixes) > 10_000
+    assert peak / len(fixes) < 85
+
+
 def test_synced_reader_allocation_peak_per_row(fleet_blinks, tmp_path):
     # With the file's ids kept as lists of str and coded at the end, the
     # peak was about 105 B per row, and coded per block about 88 B; with
@@ -311,7 +325,7 @@ def test_deploy_report_and_its_hdop_csv_allocation_peak_per_grid_point(tmp_path)
     def report_and_csv():
         report = deploy.build_deployment_report(cfg.scenario.topology, cfg.area, 0.25)
         with open(tmp_path / "hdop.csv", "w") as fh:
-            fh.writelines(deploy.grid_to_csv(report.grid))
+            fh.writelines(grid_to_csv(report.grid))
         return report
 
     report, peak = _peak_bytes(report_and_csv)

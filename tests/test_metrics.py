@@ -9,10 +9,10 @@ import random
 import numpy as np
 import pytest
 
+from uwb_rtls.cli import errors_csv
 from uwb_rtls.engine import locate_reports
 from uwb_rtls.metrics import (
     EmptyEvalError,
-    errors_csv,
     evaluate,
     fix_errors,
     pair_key,

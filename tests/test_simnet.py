@@ -13,7 +13,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 
+from uwb_rtls import simnet
 from uwb_rtls.clock import TICK_SECONDS, ClockModel
+from uwb_rtls.config import parse_config
 from uwb_rtls.constants import SPEED_OF_LIGHT
 from uwb_rtls.protocol import (
     KIND_BLINK_RX,
@@ -49,6 +51,7 @@ from conftest import (
     assert_reads_among_as_alone,
     build_ideal_rect_topology,
     build_rect_topology,
+    hall_config,
     report_rows,
     same_columns,
     truth_columns,
@@ -350,6 +353,23 @@ def test_same_instant_transmissions_collide():
     )
     with pytest.raises(CollisionScheduleError):
         schedule_ccp_cascade(topo, round_start=0.0, lag=0.01)
+
+
+def test_each_round_schedules_its_cascade_once(monkeypatch):
+    # Every master's transmission of a round is read off one schedule; the
+    # hall's four masters once scheduled each round four times over.
+    scenario = parse_config(hall_config(duration=2.0)).scenario
+    rounds = []
+
+    def schedule(topo, round_start, lag):
+        rounds.append(round_start)
+        return schedule_ccp_cascade(topo, round_start, lag)
+
+    monkeypatch.setattr(simnet, "schedule_ccp_cascade", schedule)
+    reports = run_scenario(scenario).reports
+    sent = np.count_nonzero(reports.kind == REPORT_KINDS.index(KIND_CCP_TX))
+    assert len(rounds) > 10 and rounds == sorted(set(rounds))
+    assert sent == len(rounds) * len(scenario.topology.masters()) and sent > len(rounds)
 
 
 # ---------------------------------------------------------------------------

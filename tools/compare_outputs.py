@@ -24,11 +24,13 @@ count by module, keyed by the path under ``src/``.  ``stage_peak_rss_mb``
 holds, per run and per tree, each CLI stage's own peak RSS in MB (its
 process's ``ru_maxrss``): unlike one process running every stage, it does
 not depend on the heap earlier stages left behind.  ``stage_growth``
-runs ``fleet`` seed 1 again at ``LONG_SECONDS`` of simulated time (the
-config of ``workloads.fleet_config`` with ``FLEET_DURATION`` set in this
-process), and holds per tree each stage's own peak RSS at both durations
-and its growth in MB per simulated second.  It gates nothing; its exit
-code is 0 whenever both trees ran.
+runs ``fleet`` seed 1 ``GROWTH_RUNS`` more times per tree at its standard
+duration and at ``LONG_SECONDS`` of simulated time (the config of
+``workloads.fleet_config`` with ``FLEET_DURATION`` set in this process),
+the trees taking turns, and holds per tree each stage's own peak RSS at
+both durations as the median and the range (min, max) of those runs, and
+its growth in MB per simulated second between the medians.  It gates
+nothing; its exit code is 0 whenever both trees ran.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ import argparse
 import hashlib
 import json
 import os
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -50,6 +53,7 @@ from workloads import CONFIGS, stages  # noqa: E402
 
 SEEDS = range(1, 6)
 LONG_SECONDS = 54.0  # fleet seed 1 runs this long too, for each stage's growth
+GROWTH_RUNS = 3  # runs per tree and duration: one stage's peak moves by MBs run to run
 EVAL_OUTPUTS = ("summary.json", "errors.csv")
 
 
@@ -108,22 +112,33 @@ def cross_eval(parent: Path, change_run: Path, out: Path) -> dict[str, bool]:
             for name in EVAL_OUTPUTS}
 
 
-def stage_growth(trees: dict[str, Path], short: dict[str, dict[str, float]], out: Path) -> dict:
-    """Each stage's own peak RSS (MB) per tree on ``fleet`` seed 1, at its
-    standard duration (``short``, from the standard run) and at
-    ``LONG_SECONDS``, and its growth in MB per simulated second."""
-    seconds = workloads.FLEET_DURATION
-    workloads.FLEET_DURATION = LONG_SECONDS
+def stage_growth(trees: dict[str, Path], out: Path) -> dict:
+    """Each stage's own peak RSS (MB) per tree on ``fleet`` seed 1, over
+    ``GROWTH_RUNS`` runs at its standard duration and at ``LONG_SECONDS``:
+    the median and the range of each, and the growth of the median in MB
+    per simulated second."""
+    seconds = (workloads.FLEET_DURATION, LONG_SECONDS)
+    peaks: dict[str, dict[str, tuple[list, list]]] = {side: {} for side in trees}
     try:
-        long = {side: run_tree(tree, "fleet", 1, out / side) for side, tree in trees.items()}
+        for i, duration in enumerate(seconds):
+            workloads.FLEET_DURATION = duration
+            for run in range(GROWTH_RUNS):
+                for side, tree in trees.items():
+                    for stage, peak in run_tree(tree, "fleet", 1,
+                                                out / f"{side}-{duration:g}s-{run}").items():
+                        peaks[side].setdefault(stage, ([], []))[i].append(peak)
     finally:
-        workloads.FLEET_DURATION = seconds
-    return {"seconds": [seconds, LONG_SECONDS],
-            "stage_peak_rss_mb": {side: {stage: [short[side][stage], peak]
-                                         for stage, peak in long[side].items()} for side in long},
+        workloads.FLEET_DURATION = seconds[0]
+    median = {side: {stage: [statistics.median(runs) for runs in both]
+                     for stage, both in stages.items()} for side, stages in peaks.items()}
+    return {"seconds": list(seconds), "runs": GROWTH_RUNS,
+            "stage_peak_rss_mb": median,
+            "stage_peak_rss_mb_range": {side: {
+                stage: [[min(runs), max(runs)] for runs in both] for stage, both in stages.items()}
+                for side, stages in peaks.items()},
             "mb_per_simulated_s": {side: {
-                stage: round((peak - short[side][stage]) / (LONG_SECONDS - seconds), 4)
-                for stage, peak in long[side].items()} for side in long}}
+                stage: round((long - short) / (seconds[1] - seconds[0]), 4)
+                for stage, (short, long) in stages.items()} for side, stages in median.items()}}
 
 
 def src_nonblank_lines_by_file(tree: Path) -> dict[str, int]:
@@ -185,9 +200,8 @@ def main(argv: list[str] | None = None) -> int:
             same = sum(f["same"] for f in files.values())
             print(f"{name}: {same}/{len(files)} files the same, parent eval on the change's "
                   f"files {'the same' if all(cross.values()) else 'different'}", file=sys.stderr)
-        report["stage_growth"] = stage_growth(
-            {"parent": args.parent, "change": args.change},
-            report["stage_peak_rss_mb"]["fleet-seed1"], Path(tmp) / f"fleet-{LONG_SECONDS:g}s")
+        report["stage_growth"] = stage_growth({"parent": args.parent, "change": args.change},
+                                              Path(tmp) / "fleet-growth")
     report["all_same"] = all(f["same"] for run in report["runs"].values() for f in run.values())
     report["parent_eval_all_same"] = all(
         same for run in report["parent_eval_on_change_files"].values() for same in run.values())
