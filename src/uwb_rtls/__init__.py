@@ -9,7 +9,7 @@ from .clock import ClockModel, read_clock, ts_diff
 from .config import ConfigError, ScenarioConfig, load_config
 from .engine import EngineParams, LocateResult, locate_reports
 from .metrics import EvalSummary, evaluate
-from .protocol import ReportColumns, encode_reports
+from .protocol import ReportColumns
 from .simnet import Scenario, SimResult, TagSpec, run_scenario
 from .solver import BlinkRows, FixTable, TrackerConfig, ls_solve, track
 from .timebase import select_time_base
@@ -35,7 +35,6 @@ __all__ = [
     "SimResult",
     "TagSpec",
     "TrackerConfig",
-    "encode_reports",
     "evaluate",
     "load_config",
     "locate_reports",

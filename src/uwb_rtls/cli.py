@@ -4,8 +4,10 @@ Each subcommand reads a JSON scenario config and writes flat files
 (JSON lines for radio traffic and ground truth, CSV for fixes and grids,
 JSON for summaries) so runs diff cleanly and compose through the shell.
 Every id is a plain id (``protocol.is_plain_id``), so no CSV field is ever
-quoted and the readers split CSV lines on commas.  Each CSV file's fields
-are declared once; one renderer writes the four and one parser reads them.
+quoted and the readers split CSV lines on commas.  Each file's fields are
+declared once, in a field table here; one renderer (``_lines``) writes all
+six files, and one parser per format (``_jsonl_columns``, ``_csv_columns``)
+reads them back through one typed-column step (``_typed``).
 
 Exit codes: 0 success, 2 configuration or validation error (including an
 input CSV without its expected header), 3 empty result, 4 I/O failure.
@@ -19,6 +21,7 @@ import itertools
 import json
 import logging
 import math
+import operator
 import sys
 from collections import defaultdict
 from functools import partial
@@ -27,15 +30,14 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
+from .clock import TICK_WRAP
 from .config import ConfigError, ScenarioConfig, load_config
 from .constants import ROW_BLOCK, row_blocks
 from .deploy import HdopGrid, build_deployment_report
 from .engine import LocateResult, locate_reports
 from .metrics import EmptyEvalError, evaluate
-from .protocol import (REPORT_KINDS, ReportColumns, check_id, check_number, check_seq,
-                       decode_reports, encode_reports)
-from .simnet import (ScenarioError, SimResult, TruthBlinks, decode_truths, encode_clock,
-                     encode_truth, run_scenario)
+from .protocol import REPORT_KINDS, ReportColumns, check_id, check_number, check_seq
+from .simnet import ScenarioError, SimResult, TruthBlinks, TruthClock, run_scenario
 from .solver import FixTable
 from .topology import TopologyError
 from .wcs import ArrivalTable, run_starts
@@ -47,14 +49,32 @@ EXIT_CONFIG = 2
 EXIT_EMPTY = 3
 EXIT_IO = 4
 
-# Each CSV file's fields in column order; those read back map to the check that types them.
+# Ticks are numbers in [0, 2**40), written as an int when integer-valued.  REPEATING fields
+# have few distinct values in a row block, each written and parsed once: seqs (shared by a
+# blink's receivers, by tags that blink together, by the blinks between two CCPs) and
+# repeating numbers (each anchor's clock rate, a grid's coordinates, the blink times).
+check_ticks = partial(check_number, low=0, high=TICK_WRAP)
+check_repeating = partial(check_number)
+REPEATING = (check_seq, check_repeating)
+
+# Each file's fields in line order, each the check that types it as it is read back and
+# says how it is written: a str is a constant, a tuple a column of codes into its texts (a
+# report's kind), ``check_id`` of codes into the ids.  A JSON-lines file's kinds map to them.
+REPORTS_FIELDS = {"anchor_id": check_id, "kind": REPORT_KINDS, "src_id": check_id,
+                  "seq": check_seq, "ticks": check_ticks}
+TRUTH_BLINK_FIELDS = {"kind": "blink", "tag_id": check_id, "seq": check_seq,
+                      "time": check_repeating, "x": check_number, "y": check_number}
+TRUTH_CLOCK_FIELDS = {"kind": "clock", "anchor_id": check_id, **dict.fromkeys(
+    ("offset", "skew", "drift_rate", "jitter_std"), check_number)}
 FIXES_FIELDS = {"tag_id": check_id, "blink_seq": check_seq,
                 **dict.fromkeys(("x", "y", "vx", "vy", "pos_std"), check_number)}
 SYNCED_FIELDS = {"anchor_id": check_id, "tag_id": check_id, "blink_seq": check_seq,
-                 "ccp_seq": check_seq, "offset": check_number, "rate": check_number}
-REPEATING = {"rate"}  # few distinct numbers: each anchor's clock rate, one per CCP
+                 "ccp_seq": check_seq, "offset": check_number, "rate": check_repeating}
+ERRORS_FIELDS = {"tag_id": check_id, "blink_seq": check_seq, "err_m": check_number}
+HDOP_FIELDS = {"x": check_repeating, "y": check_repeating, "hdop": check_number}
+REPORTS_KINDS = dict.fromkeys(REPORT_KINDS, REPORTS_FIELDS)
+TRUTH_KINDS = {"blink": TRUTH_BLINK_FIELDS, "clock": TRUTH_CLOCK_FIELDS}
 FIXES_HEADER, SYNCED_HEADER = ",".join(FIXES_FIELDS), ",".join(SYNCED_FIELDS)
-ERRORS_HEADER, HDOP_HEADER = "tag_id,blink_seq,err_m", "x,y,hdop"
 
 
 class CsvHeaderError(ValueError):
@@ -65,48 +85,111 @@ class CsvHeaderError(ValueError):
 # File formats
 
 
-def _texts(values: np.ndarray, ids: Sequence[str]) -> Iterable[str]:
-    """A block of a column as text: int32 codes as their ids, any other value
-    by ``repr``, made once per distinct value when at least half repeat."""
-    if values.dtype == np.int32:
-        return map(ids.__getitem__, values.tolist())
-    distinct, index = np.unique(values.view(np.int64), return_inverse=True)  # by bits
-    if 2 * len(distinct) > len(values):
-        return map(repr, values.tolist())
-    return map(list(map(repr, distinct.view(values.dtype).tolist())).__getitem__, index.tolist())
+def _cells(name: str, check: Callable, values: np.ndarray, jsonl: bool) -> Iterable:
+    """A block of a seq or number column as ``_lines`` writes it: each value's ``repr``
+    (a float's reads back bit for bit), once per distinct value of a REPEATING field,
+    integer-valued ticks as ints; in JSON lines a seq as the int ``str.format`` writes."""
+    if check is check_seq:
+        if values.dtype.kind not in "iu":
+            raise TypeError(f"cannot write {name} of dtype {values.dtype} as integers")
+        if jsonl:
+            return values.tolist()
+        text, bits = int.__repr__, values
+    else:
+        if jsonl and not np.isfinite(values).all():
+            raise ValueError(f"cannot write a non-finite {name}")  # no reader here accepts it
+        text, bits = float.__repr__, values.view(np.int64)  # by bits, so -0.0 is kept
+    if check in REPEATING:
+        distinct, index = np.unique(bits, return_inverse=True)
+        return map(list(map(text, distinct.view(values.dtype).tolist())).__getitem__,
+                   index.tolist())
+    if check is not check_ticks:
+        return map(text, values.tolist())
+    cells = list(map(text, values.tolist()))
+    for i in np.flatnonzero(values == np.trunc(values)).tolist():
+        cells[i] = int.__repr__(int(values[i]))
+    return cells
 
 
-def _csv_blocks(header: str, ids: Sequence[str], *columns: np.ndarray) -> Iterator[str]:
-    """A CSV file as blocks of text: ``header``, then a row per index of ``columns``,
-    ``ROW_BLOCK`` rows at a time.  A float's ``repr`` reads back bit for bit."""
-    yield header + "\n"
+def _lines(fields: Mapping[str, object], ids: Sequence[str], *columns: np.ndarray,
+           jsonl: bool = False) -> Iterator[str]:
+    """A file as blocks of ``ROW_BLOCK`` lines, one per index of ``columns`` (one per field
+    of ``fields`` but a constant): JSON lines (``jsonl``), each the object ``json.dumps``
+    writes, or CSV after its header.  Codes are written as their texts, JSON-quoted in JSON,
+    other fields by ``_cells``; the leading constant and code fields once per distinct
+    combination in a block, whose lines are listed before they are joined.  A non-integer
+    seq column raises ``TypeError``; a non-finite number in JSON lines ``ValueError``."""
+    items = list(fields.items())
+    lead = next((i for i, (_, f) in enumerate(items) if callable(f) and f is not check_id),
+                len(items))
+    quote = json.dumps if jsonl else str
+    texts = [list(map(quote, ids if f is check_id else f)) for _, f in items[:lead]
+             if not isinstance(f, str)]
+    coded, rest = columns[:len(texts)], list(zip(items[lead:], columns[len(texts):]))
+    if jsonl:
+        head = "{{" + ",".join(f'"{name}":' + (json.dumps(f) if isinstance(f, str) else "{}")
+                              for name, f in items[:lead])
+        line = ("{}" + "".join(f',"{name}":{{}}' for (name, _), _ in rest) + "}}").format
+    else:
+        head = ",".join(["{}"] * lead)
+        yield ",".join(name for name, _ in items) + "\n"
+
+    def block(rows: slice) -> list[str]:  # its values are freed before the lines are joined
+        cells = [_cells(name, f, c[rows], jsonl) for (name, f), c in rest]
+        if lead:  # the line starts of a block, each written once
+            key = np.zeros(len(columns[0][rows]), np.int64)
+            for c, t in zip(coded, texts):
+                key = key * len(t) + c[rows]
+            distinct, index = np.unique(key, return_inverse=True)
+            first = np.empty(len(distinct), np.intp)
+            first[index] = np.arange(len(index))  # a row of each combination
+            starts = list(map(head.format, *(map(t.__getitem__, c[rows][first].tolist())
+                                             for c, t in zip(coded, texts))))
+            cells.insert(0, map(starts.__getitem__, index.tolist()))
+        return list(map(line, *cells) if jsonl else map(",".join, zip(*cells)))
+
     for rows in row_blocks(len(columns[0])):
-        # Rows listed first so their values go before the join; the newline comes alone.
-        yield "\n".join(list(map(",".join, zip(*(_texts(c[rows], ids) for c in columns)))))
+        yield "\n".join(block(rows))
         yield "\n"
+
+
+def reports_to_jsonl(reports: ReportColumns) -> Iterator[str]:
+    """reports.jsonl as blocks of text, one line per report in column order."""
+    return _lines(REPORTS_FIELDS, reports.ids, reports.anchor, reports.kind, reports.src,
+                  reports.seq, reports.ticks, jsonl=True)
+
+
+def truth_to_jsonl(blinks: TruthBlinks, clocks: Sequence[TruthClock]) -> Iterator[str]:
+    """truth.jsonl as blocks of text: a line per blink in table order, then per clock."""
+    numbers = np.array([dataclasses.astuple(c)[1:] for c in clocks], float).reshape(-1, 4).T
+    return itertools.chain(
+        _lines(TRUTH_BLINK_FIELDS, blinks.ids, blinks.tag, blinks.seq, blinks.time, blinks.x,
+               blinks.y, jsonl=True),
+        _lines(TRUTH_CLOCK_FIELDS, [c.anchor_id for c in clocks],
+               np.arange(len(clocks), dtype=np.int32), *numbers, jsonl=True))
 
 
 def fixes_to_csv(fixes: FixTable) -> Iterator[str]:
     """fixes.csv as blocks of text, one row per fix in table order."""
-    return _csv_blocks(FIXES_HEADER, fixes.ids, fixes.tag, fixes.blink_seq, fixes.x, fixes.y,
-                       fixes.vx, fixes.vy, fixes.pos_std)
+    return _lines(FIXES_FIELDS, fixes.ids, fixes.tag, fixes.blink_seq, fixes.x, fixes.y,
+                  fixes.vx, fixes.vy, fixes.pos_std)
 
 
 def synced_to_csv(blinks: ArrivalTable) -> Iterator[str]:
     """synced.csv as blocks of text: one row per arrival, in table order."""
-    return _csv_blocks(SYNCED_HEADER, blinks.ids, blinks.anchor, blinks.tag, blinks.blink_seq,
-                       blinks.ccp_seq, blinks.offset, blinks.rate)
+    return _lines(SYNCED_FIELDS, blinks.ids, blinks.anchor, blinks.tag, blinks.blink_seq,
+                  blinks.ccp_seq, blinks.offset, blinks.rate)
 
 
 def errors_csv(errors: tuple[TruthBlinks, np.ndarray]) -> str:
     """errors.csv from ``fix_errors`` columns, as ``EvalSummary.errors`` holds them."""
     matched, err = errors
-    return "".join(_csv_blocks(ERRORS_HEADER, matched.ids, matched.tag, matched.seq, err))
+    return "".join(_lines(ERRORS_FIELDS, matched.ids, matched.tag, matched.seq, err))
 
 
 def grid_to_csv(grid: HdopGrid) -> Iterator[str]:
     """hdop.csv as blocks of text, one row per grid point in grid order."""
-    return _csv_blocks(HDOP_HEADER, (), grid.x, grid.y, grid.hdop)
+    return _lines(HDOP_FIELDS, (), grid.x, grid.y, grid.hdop)
 
 
 def _check_utf8(text: str) -> None:
@@ -195,17 +278,25 @@ def _plain_number(text: str) -> bool:
     return text.isascii() and not any(map(text.__contains__, " \t\v\f_"))
 
 
+def _typed(name: str, check: Callable, values: list | np.ndarray) -> list | np.ndarray:
+    """Field ``name``'s ``values`` as ``check`` passes them (or raises ``ValueError``):
+    ids a list, seqs int64, other numbers float64."""
+    column = check(name, values)
+    return column if check is check_id else np.asarray(
+        column, np.int64 if check is check_seq else np.float64)
+
+
 def _column(name: str, check: Callable, texts: list[str]) -> list | np.ndarray:
-    """Field ``name``'s texts as ``check`` returns them: ids a list, seqs int64, other numbers
-    float64; seqs and REPEATING numbers parsed and checked once per distinct text."""
+    """Field ``name``'s CSV texts, ``_typed``: REPEATING fields parsed and checked once
+    per distinct text, other numbers as one float array."""
     if check is check_id:
-        return check(name, texts)
-    if check is check_number and name not in REPEATING:
-        return check(name, np.array(list(map(float, texts))))
-    parse = int if check is check_seq else float
+        return _typed(name, check, texts)
+    if check not in REPEATING:
+        return _typed(name, check, np.array(list(map(float, texts))))
     distinct = list(set(texts))
-    value = dict(zip(distinct, check(name, list(map(parse, distinct)))))
-    return np.array(list(map(value.__getitem__, texts)), np.int64 if parse is int else float)
+    typed = _typed(name, check, list(map(int if check is check_seq else float, distinct)))
+    index = dict(zip(distinct, range(len(distinct))))
+    return typed[np.fromiter(map(index.__getitem__, texts), np.intp, len(texts))]
 
 
 def _csv_columns(fields: Mapping[str, Callable], lines: list[str]) -> list[list | np.ndarray]:
@@ -256,30 +347,79 @@ def read_synced_csv(path: Path) -> tuple[ArrivalTable, int]:
     return ArrivalTable(ids, tag, blink_seq, anchor, offset, ccp_seq, rate), skipped + n - len(rows)
 
 
-def _report_block(lines: list[str]) -> tuple[list | np.ndarray, ...]:
-    """``decode_reports`` of a block, its kinds coded and its seqs and ticks as arrays."""
-    anchor_ids, kinds, src_ids, seqs, ticks = decode_reports(lines)
-    return (anchor_ids, np.fromiter(map(REPORT_KINDS.index, kinds), np.int8, len(kinds)),
-            src_ids, np.array(seqs, np.int64), np.array(ticks, np.float64))
+def json_records(lines: Sequence[str], kinds: Mapping[str, Mapping]) -> tuple[list, list]:
+    """The ``kind`` of each JSON object line, a key of ``kinds``, and its object.  One line
+    is read by ``json.loads`` and must hold its kind's fields (any others are dropped).
+    Several are read as one JSON array of one object per line, each line starting with
+    ``{``, and ``json_columns`` checks that each holds exactly its kind's fields: ids, kinds
+    and numbers hold no comma, so each line then reads as it would alone."""
+    kind_of = dict(zip(kinds, kinds)).__getitem__  # each kind as one str object
+    if len(lines) == 1:
+        try:
+            raw = json.loads(lines[0])
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"not valid JSON: {exc}") from exc
+        if not isinstance(raw, dict):
+            raise ValueError("line must be a JSON object")
+        kind = raw.get("kind")
+        if not isinstance(kind, str) or kind not in kinds:
+            raise ValueError(f"kind must be one of {', '.join(kinds)}, got {kind!r}")
+        if missing := [name for name in kinds[kind] if name not in raw]:
+            raise ValueError(f"missing fields: {', '.join(missing)}")
+        return [kind_of(kind)], [{name: raw[name] for name in kinds[kind]}]
+    try:
+        rows = json.loads("[" + ",".join(lines) + "]")
+        found = list(map(kind_of, map(dict.__getitem__, rows, itertools.repeat("kind"))))
+    except (json.JSONDecodeError, KeyError, TypeError):
+        found = []
+    # A block that parsed has no empty line: every line has a first character.
+    if len(found) != len(lines) or "".join(map(operator.itemgetter(0), lines)) != "{" * len(lines):
+        raise ValueError("a block must hold one JSON object of a known kind per line")
+    return found, rows
+
+
+def json_columns(rows: list[dict], fields: Mapping[str, object], kinds: Iterable[str]) -> list:
+    """Each field's column but a constant's over ``rows``, ``json_records``' objects of kinds
+    ``kinds``: a kind as int8 codes into its texts, others ``_typed``.  ``ValueError`` unless
+    each row holds its fields alone; one missing from a row that size reads as None."""
+    if rows and set(map(len, rows)) != {len(fields)}:
+        raise ValueError(f"a line must hold exactly {', '.join(fields)}")
+    columns = []
+    for name, field in fields.items():
+        if isinstance(field, tuple):
+            columns.append(np.fromiter(map(field.index, kinds), np.int8, len(rows)))
+        elif callable(field):
+            columns.append(_typed(name, field, list(map(dict.get, rows,
+                                                        itertools.repeat(name)))))
+    return columns
+
+
+def _jsonl_columns(kinds: Mapping[str, Mapping], lines: list[str]) -> list[list | np.ndarray]:
+    """JSON lines (``json_records``) as the columns (``json_columns``) of the first kind's
+    fields, over the lines of every kind that has them; a line of another kind (truth's
+    clocks) is checked by its own fields and dropped."""
+    found, rows = json_records(lines, kinds)
+    keep = next(iter(kinds.values()))
+    if dropped := {kind for kind, fields in kinds.items() if fields is not keep}:
+        for kind in dropped:
+            json_columns([row for row, k in zip(rows, found) if k == kind], kinds[kind],
+                         itertools.repeat(kind))
+        kept = [k not in dropped for k in found]
+        rows, found = list(itertools.compress(rows, kept)), list(itertools.compress(found, kept))
+    return json_columns(rows, keep, found)
 
 
 def read_reports(path: Path) -> tuple[ReportColumns, int]:
     """Parse a reports.jsonl file into columns, skipping malformed lines with a count."""
-    ids, columns, skipped = _read_lines(path, _report_block)
+    ids, columns, skipped = _read_lines(path, partial(_jsonl_columns, REPORTS_KINDS))
     return ReportColumns(ids, *columns), skipped
-
-
-def _truth_block(lines: list[str]) -> tuple[list | np.ndarray, ...]:
-    """``decode_truths``' blink columns of a block, its seqs and numbers as arrays."""
-    tag_ids, seqs, *numbers, _ = decode_truths(lines)
-    return tag_ids, np.array(seqs, np.int64), *(np.array(c, float) for c in numbers)
 
 
 def read_truth(path: Path) -> tuple[TruthBlinks, int]:
     """Parse the blinks of a truth.jsonl file into columns, in file order,
     skipping malformed lines, and repeats of a (tag_id, seq) blink already
     read, with a count."""
-    ids, (tag, seq, *numbers), skipped = _read_lines(path, _truth_block)
+    ids, (tag, seq, *numbers), skipped = _read_lines(path, partial(_jsonl_columns, TRUTH_KINDS))
     rows = np.sort(_first_reads(path, "truth blink", ids, tag, seq))
     return (TruthBlinks(ids, tag[rows], seq[rows], *(c[rows] for c in numbers)),
             skipped + len(seq) - len(rows))
@@ -301,11 +441,8 @@ def _simulate(cfg: ScenarioConfig, out: Path, seed: int | None) -> SimResult:
     if seed is not None:
         scenario = dataclasses.replace(scenario, seed=seed)
     result = run_scenario(scenario)
-    _write(out / "reports.jsonl", (encode_reports(result.reports, rows)
-                                   for rows in row_blocks(len(result.reports))))
-    _write(out / "truth.jsonl", itertools.chain(
-        (encode_truth(result.truth_blinks, rows) for rows in row_blocks(len(result.truth_blinks))),
-        map(encode_clock, result.truth_clocks)))
+    _write(out / "reports.jsonl", reports_to_jsonl(result.reports))
+    _write(out / "truth.jsonl", truth_to_jsonl(result.truth_blinks, result.truth_clocks))
     return result
 
 

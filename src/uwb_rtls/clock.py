@@ -55,6 +55,7 @@ class ClockModel:
         for name, value in vars(self).items():
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
+            object.__setattr__(self, name, float(value))  # a float, as a config gives it
         if abs(self.skew) > MAX_ABS_SKEW:
             raise ValueError(f"skew {self.skew!r} exceeds +/-{MAX_ABS_SKEW} sanity bound")
         if self.jitter_std < 0:

@@ -8,37 +8,22 @@ and cascade down the master levels), receptions happen one propagation
 delay later, and all randomness comes from the scenario seed.
 
 Reports and ground-truth blinks are built as columns, one array pass per
-kind of traffic.  Ground truth is written as JSON lines too, one blink
-(``encode_truth``, a block at a time) or clock (``encode_clock``) per line,
-and read back as report lines are: one ``json.loads`` per block and
-``protocol``'s column checks (``decode_truths``).
+kind of traffic; ``cli`` writes and reads them as text.  A scenario whose
+positions or clock readings overflow to a non-finite value raises
+``ScenarioError`` before anything is returned.
 """
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import asdict, astuple, dataclass
+from dataclasses import astuple, dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .clock import ClockArrays, read_clock
 from .constants import SPEED_OF_LIGHT, row_blocks
-from .protocol import (
-    BLINK_RX,
-    CCP_RX,
-    CCP_TX,
-    SEQ_WRAP,
-    ReportColumns,
-    check_id,
-    check_number,
-    check_seq,
-    json_columns,
-    json_records,
-    json_string,
-    present_codes,
-)
+from .protocol import BLINK_RX, CCP_RX, CCP_TX, SEQ_WRAP, ReportColumns, present_codes
 from .topology import NetworkTopology
 
 
@@ -187,6 +172,10 @@ class Scenario:
             dx, dy = (ax - x[block, None]).ravel(), (ay - y[block, None]).ravel()
             ranges[block] = np.fromiter(map(math.hypot, dx.tolist(), dy.tolist()), float,
                                         dx.size).reshape(-1, len(ax))
+            if not (finite := np.isfinite(ranges[block]).all(axis=1)).all():
+                i = block.start + int(np.argmin(finite))
+                raise ScenarioError(f"{senders[sender[i]]!r} at ({float(x[i])!r}, {float(y[i])!r})"
+                                    " is out of range: a range to an anchor is not finite")
         if links is None:
             return ranges, ranges <= (self.reception_radius or math.inf)
         linked = [[a in links.get(s, ()) for a in self.topology.ids()] for s in senders]
@@ -238,50 +227,6 @@ class SimResult:
     truth_clocks: tuple[TruthClock, ...]
 
 
-_TRUTH_FIELDS = {  # each kind's fields, in line order, and the check of each
-    "blink": {"tag_id": check_id, "seq": check_seq,
-              **dict.fromkeys(("time", "x", "y"), check_number)},
-    "clock": {"anchor_id": check_id,
-              **dict.fromkeys(("offset", "skew", "drift_rate", "jitter_std"), check_number)},
-}
-_BLINK_LINE = '{{"kind":"blink","tag_id":{},"seq":{},"time":{},"x":{},"y":{}}}\n'.format
-
-
-def encode_truth(blinks: TruthBlinks, rows: slice = slice(None)) -> str:
-    """Rows ``rows`` of ``blinks`` as truth lines, each ending in a newline:
-    its kind, then its fields, as ``json.dumps`` writes them.  A non-finite
-    number raises ``ValueError``: no reader here accepts the JSON for it."""
-    time, x, y = blinks.time[rows], blinks.x[rows], blinks.y[rows]
-    if not np.isfinite([time, x, y]).all():
-        raise ValueError("cannot write a non-finite truth blink")
-    # Tags blink together: each distinct time (by its bits, so -0.0 is kept) is written once.
-    times, time_index = np.unique(time.view(np.int64), return_inverse=True)
-    time_text = list(map(float.__repr__, times.view(np.float64).tolist()))
-    ids = list(map(json_string, blinks.ids))
-    return "".join(map(
-        _BLINK_LINE, map(ids.__getitem__, blinks.tag[rows].tolist()), blinks.seq[rows].tolist(),
-        map(time_text.__getitem__, time_index.tolist()),
-        map(float.__repr__, x.tolist()), map(float.__repr__, y.tolist()),
-    ))
-
-
-def encode_clock(clock: TruthClock) -> str:
-    """A clock's truth line, ending in a newline, as ``json.dumps`` writes it; NaN raises."""
-    return json.dumps({"kind": "clock", **asdict(clock)}, separators=(",", ":"),
-                      allow_nan=False) + "\n"
-
-
-def decode_truths(lines: Sequence[str]) -> tuple[list, list, list, list, list, list]:
-    """Parse truth lines with ``json_records`` and each kind's ``json_columns``
-    into a column per blink field and the clocks' ``TruthClock`` records, in
-    line order.  Ids must be plain ids, ``seq`` an int in [0, 2**32) and
-    every other field a finite number; ``ValueError`` if not."""
-    kinds, rows = json_records(lines, _TRUTH_FIELDS)
-    blinks, clocks = (json_columns([row for row, k in zip(rows, kinds) if k == kind], checks)
-                      for kind, checks in _TRUTH_FIELDS.items())
-    return (*blinks, list(map(TruthClock, *clocks)))
-
-
 # ---------------------------------------------------------------------------
 # Simulation
 
@@ -321,6 +266,7 @@ def _steps(period: float, duration: float) -> np.ndarray:
     return k[k * period < duration]
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a value that overflows raises ScenarioError
 def run_scenario(scenario: Scenario) -> SimResult:
     """Simulate one scenario into report columns plus ground truth.
 
@@ -328,7 +274,9 @@ def run_scenario(scenario: Scenario) -> SimResult:
     are sorted by (true time, anchor id, kind, source id, seq), a key no two
     share, and clock jitter is drawn from one seeded generator in that
     order.  Ids are coded in sorted order and kind codes follow the kinds'
-    string order, so sorting the codes sorts the ids.
+    string order, so sorting the codes sorts the ids.  A range to an anchor
+    (and so a position and a true time) or a clock reading that overflows
+    raises ``ScenarioError`` in the pass that makes it.
     """
     topo = scenario.topology
     rng = np.random.default_rng(scenario.seed)
@@ -382,6 +330,10 @@ def run_scenario(scenario: Scenario) -> SimResult:
     for block in row_blocks(len(order)):
         rows = order[block]
         ticks[block] = read_clock(ClockArrays.gather(models, receiver[rows]), time[rows], rng)
+        if not (finite := np.isfinite(ticks[block])).all():
+            i = rows[np.argmin(finite)]
+            raise ScenarioError(f"the clock of {anchor_ids[receiver[i]]!r} reads a non-finite "
+                                f"value at true time {float(time[i])!r} s")
     # Only the ids some report holds stay in the id table.
     used, (anchor_code, src_code) = present_codes(len(ids), anchor, src)
     reports = ReportColumns(tuple(ids[i] for i in used.tolist()), anchor_code[order],

@@ -7,6 +7,7 @@ with a large multi-master hall for the tests that want much varied traffic.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import logging
 import math
@@ -20,13 +21,14 @@ from typing import Iterable, NamedTuple
 import numpy as np
 import pytest
 
-from uwb_rtls.cli import (FIXES_HEADER, SYNCED_HEADER, fixes_to_csv, read_fixes_csv, read_reports,
-                          read_synced_csv, read_truth, synced_to_csv)
+from uwb_rtls.cli import (FIXES_HEADER, REPORTS_KINDS, SYNCED_HEADER, TRUTH_KINDS, _jsonl_columns,
+                          fixes_to_csv, read_fixes_csv, read_reports, read_synced_csv, read_truth,
+                          reports_to_jsonl, synced_to_csv, truth_to_jsonl)
 from uwb_rtls.clock import ClockModel, IDEAL_CLOCK
 from uwb_rtls.config import parse_config
 from uwb_rtls.engine import locate_reports
-from uwb_rtls.protocol import REPORT_KINDS, ReportColumns, encode_reports
-from uwb_rtls.simnet import SimResult, TruthBlinks, encode_truth, run_scenario
+from uwb_rtls.protocol import REPORT_KINDS, ReportColumns
+from uwb_rtls.simnet import SimResult, TruthBlinks, run_scenario
 from uwb_rtls.solver import BlinkRows, FixTable
 from uwb_rtls.topology import AnchorConfig, NetworkTopology
 from uwb_rtls.wcs import ArrivalTable
@@ -186,6 +188,37 @@ def fixes_of(fixes: FixTable, tag_id: str) -> FixTable:
                                                 "residual_norm")))
 
 
+def first_rows(table, n: int):
+    """The first ``n`` rows of a column table (reports, truth, fixes or arrivals)."""
+    return dataclasses.replace(table, **{name: getattr(table, name)[:n]
+                                         for name in table.__dataclass_fields__ if name != "ids"})
+
+
+def report_lines(reports: ReportColumns) -> list[str]:
+    """The lines ``reports_to_jsonl`` writes for ``reports``, less their newlines."""
+    return "".join(reports_to_jsonl(reports)).splitlines()
+
+
+def truth_lines(truth: TruthBlinks, clocks=()) -> list[str]:
+    """The lines ``truth_to_jsonl`` writes for ``truth`` and ``clocks``, less their newlines."""
+    return "".join(truth_to_jsonl(truth, clocks)).splitlines()
+
+
+def parsed_reports(lines: list[str]) -> list[tuple]:
+    """The rows cli's JSON-lines parser reads from a block of report lines, as plain
+    ``(anchor_id, kind, src_id, seq, ticks)`` tuples; ValueError if it rejects them."""
+    anchor, kind, src, seq, ticks = _jsonl_columns(REPORTS_KINDS, lines)
+    return list(zip(anchor, map(REPORT_KINDS.__getitem__, kind.tolist()), src, seq.tolist(),
+                    ticks.tolist()))
+
+
+def parsed_truth(lines: list[str]) -> list[tuple]:
+    """The blink rows cli's JSON-lines parser reads from a block of truth lines, as plain
+    ``(tag_id, seq, time, x, y)`` tuples; clock lines are checked and read no row."""
+    tag, seq, *numbers = _jsonl_columns(TRUTH_KINDS, lines)
+    return list(zip(tag, seq.tolist(), *(c.tolist() for c in numbers)))
+
+
 def truth_rows(truth: TruthBlinks) -> list[tuple]:
     """The rows of truth columns as plain ``(tag_id, seq, time, x, y)``
     tuples, in row order: what ``truth_columns`` reads back."""
@@ -255,8 +288,8 @@ def simulated_lines(hall_run) -> dict[str, list[str]]:
     arrivals."""
     cfg = parse_config(hall_config())
     located = locate_reports(hall_run.reports, cfg.scenario.topology, cfg.engine_params())
-    return {"reports.jsonl": encode_reports(hall_run.reports, slice(40)).splitlines(),
-            "truth.jsonl": encode_truth(hall_run.truth_blinks, slice(40)).splitlines(),
+    return {"reports.jsonl": report_lines(first_rows(hall_run.reports, 40)),
+            "truth.jsonl": truth_lines(first_rows(hall_run.truth_blinks, 40)),
             "fixes.csv": "".join(fixes_to_csv(located.fixes)).splitlines()[1:41],
             "synced.csv": "".join(synced_to_csv(located.blinks)).splitlines()[1:41]}
 

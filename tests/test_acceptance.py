@@ -16,14 +16,13 @@ import time
 import numpy as np
 import pytest
 
-from uwb_rtls.cli import fixes_to_csv
+from uwb_rtls.cli import fixes_to_csv, reports_to_jsonl
 from uwb_rtls.clock import ClockModel
 from uwb_rtls.config import parse_config
 from uwb_rtls.constants import SPEED_OF_LIGHT
 from uwb_rtls.deploy import hdop_at
 from uwb_rtls.engine import EngineParams, locate_reports
 from uwb_rtls.metrics import evaluate
-from uwb_rtls.protocol import encode_reports
 from uwb_rtls.simnet import (
     Scenario,
     StaticTrajectory,
@@ -500,7 +499,7 @@ def test_criterion_9_bitwise_determinism(verdict):
         res = locate_reports(sim.reports, cfg.scenario.topology)
         summary = evaluate(res.fixes, sim.truth_blinks, res.blinks, CCP_PERIOD,
                            warmup=cfg.warmup)
-        reports_text = encode_reports(sim.reports)
+        reports_text = "".join(reports_to_jsonl(sim.reports))
         return reports_text, "".join(fixes_to_csv(res.fixes)), summary.to_json()
 
     first = one_run()

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from uwb_rtls.cli import (
+    DEMO_CONFIG,
     EXIT_CONFIG,
     EXIT_EMPTY,
     EXIT_IO,
@@ -27,12 +28,13 @@ from uwb_rtls.cli import (
     read_reports,
     read_synced_csv,
     read_truth,
+    reports_to_jsonl,
     synced_to_csv,
 )
 from uwb_rtls.config import load_config, parse_config
 from uwb_rtls.constants import ROW_BLOCK
 from uwb_rtls.engine import locate_reports
-from uwb_rtls.protocol import KIND_BLINK_RX, encode_reports
+from uwb_rtls.protocol import KIND_BLINK_RX
 from uwb_rtls.simnet import run_scenario
 
 from conftest import (arrival_table, assert_reads_among_as_alone, fix_table, hall_config,
@@ -371,7 +373,7 @@ def test_readers_read_a_pipe_and_lone_carriage_returns_as_the_file(hall_run, tmp
     # held about 28.0 B per line through a pipe against 25.8 B from the file.
     cfg = parse_config(hall_config())
     blinks = locate_reports(hall_run.reports, cfg.scenario.topology, cfg.engine_params()).blinks
-    files = {"reports.jsonl": (read_reports, encode_reports(hall_run.reports)),
+    files = {"reports.jsonl": (read_reports, "".join(reports_to_jsonl(hall_run.reports))),
              "synced.csv": (read_synced_csv, "".join(synced_to_csv(blinks)))}
     for name, (reader, text) in files.items():
         path = tmp_path / name
@@ -393,7 +395,7 @@ def test_an_id_only_on_a_skipped_line_is_not_in_the_id_table(tmp_path):
     reports = report_columns([("MA1", "ccp_tx", "MA1", 4, 10.0),
                               ("SA2", "blink_rx", "T1", 9, 12.5)])
     path = tmp_path / "reports.jsonl"
-    path.write_text(encode_reports(reports)
+    path.write_text("".join(reports_to_jsonl(reports))
                     + '{"anchor_id":"SA9","kind":"blink_rx","src_id":"T9","seq":-1,"ticks":3}\n')
     read, skipped = read_reports(path)
     assert skipped == 1 and read.ids == ("MA1", "SA2", "T1") and same_columns(read, reports)
@@ -491,10 +493,10 @@ def test_a_number_python_reads_but_no_writer_writes_is_skipped(simulated_lines, 
 
 @pytest.mark.parametrize("canonical", [True, False])
 def test_a_report_whose_src_id_is_not_plain_is_skipped_and_counted(tmp_path, caplog, canonical):
-    # The same line in the form encode_reports writes and with spaces after
-    # its separators, which decode_reports reads through json.loads.
+    # The same line in the form reports_to_jsonl writes and with spaces after
+    # its separators, which the parser reads through json.loads.
     one = report_columns([("SA2", KIND_BLINK_RX, "T1", 7, 12345.0)])
-    good = encode_reports(one).rstrip("\n")
+    good = "".join(reports_to_jsonl(one)).rstrip("\n")
     bad = good.replace('"T1"', '"T,1"')
     if not canonical:
         good, bad = (line.replace(":", ": ").replace(",\"", ", \"") for line in (good, bad))
@@ -691,6 +693,36 @@ def test_non_finite_config_exits_2_with_one_error_line(tmp_path, capsys, config,
     err = capsys.readouterr().err.splitlines()
     assert code == EXIT_CONFIG
     assert len(err) == 1 and err[0].startswith("error: ") and key in err[0]
+
+
+def _demo_with(change) -> dict:
+    config = json.loads(json.dumps(DEMO_CONFIG))
+    change(config)
+    return config
+
+
+@pytest.mark.parametrize("config, message", [
+    (_demo_with(lambda c: c["anchors"][1]["clock"].update(offset=1e300)),
+     "the clock of 'SA2' reads a non-finite value"),
+    (_demo_with(lambda c: c["anchors"][2]["clock"].update(drift_rate=1e300)),
+     "the clock of 'SA3' reads a non-finite value"),
+    (_demo_with(lambda c: c["tags"][0].update(trajectory={
+        "kind": "waypoints", "points": [[0.0, 2.0, 1.5], [30.0, 1e308, 1.5]]})),
+     "the clock of 'MA1' reads a non-finite value"),
+    (_demo_with(lambda c: c["tags"][0].update(trajectory={
+        "kind": "constant_velocity", "start": [2.0, 1.5], "velocity": [1e308, 0.0]})),
+     "'T1' at (inf, 1.5) is out of range: a range to an anchor is not finite"),
+], ids=["offset", "drift_rate", "waypoint", "velocity"])
+def test_finite_but_huge_scenario_values_exit_2_and_write_nothing(tmp_path, capsys, config,
+                                                                  message):
+    # Each overflows a position or a clock reading; simulate names it and
+    # exits before writing a file, where it once failed mid-write.
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "run"
+    assert main(["simulate", "--config", str(path), "--out", str(out)]) == EXIT_CONFIG
+    assert not out.exists()
+    assert capsys.readouterr().err.startswith(f"error: {message}")
 
 
 def test_reports_without_blinks_exit_3(tmp_path, config_path, capsys):

@@ -31,6 +31,13 @@ def test_counter_wraps_after_about_17_seconds():
     assert TICK_WRAP * TICK_SECONDS == pytest.approx(17.2, abs=0.01)
 
 
+def test_a_clock_model_holds_each_field_as_a_float():
+    # So a truth clock line writes an int it was given as json.dumps writes a float.
+    fields = vars(ClockModel(offset=1, skew=0, drift_rate=-0.0, jitter_std=1e-10))
+    assert fields == {"offset": 1.0, "skew": 0.0, "drift_rate": 0.0, "jitter_std": 1e-10}
+    assert [type(value) for value in fields.values()] == [float] * 4
+
+
 def test_ideal_clock_reads_true_time():
     ts = read_clock(IDEAL_CLOCK, 1.0)
     assert ts == pytest.approx(1.0 / TICK_SECONDS, rel=1e-15)

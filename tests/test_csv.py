@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from uwb_rtls.cli import (ERRORS_HEADER, FIXES_FIELDS, FIXES_HEADER, HDOP_HEADER, SYNCED_FIELDS,
+from uwb_rtls.cli import (ERRORS_FIELDS, FIXES_FIELDS, FIXES_HEADER, HDOP_FIELDS, SYNCED_FIELDS,
                           SYNCED_HEADER, CsvHeaderError, errors_csv, fixes_to_csv, grid_to_csv,
                           read_fixes_csv, read_synced_csv, synced_to_csv)
 from uwb_rtls.constants import ROW_BLOCK, row_blocks
@@ -152,7 +152,8 @@ def test_each_header_is_its_field_list_and_the_one_its_reader_requires(tmp_path)
     assert FIXES_HEADER == ",".join(FIXES_FIELDS) == "tag_id,blink_seq,x,y,vx,vy,pos_std"
     assert (SYNCED_HEADER == ",".join(SYNCED_FIELDS)
             == "anchor_id,tag_id,blink_seq,ccp_seq,offset,rate")
-    assert ERRORS_HEADER == "tag_id,blink_seq,err_m" and HDOP_HEADER == "x,y,hdop"
+    assert ",".join(ERRORS_FIELDS) == "tag_id,blink_seq,err_m"
+    assert ",".join(HDOP_FIELDS) == "x,y,hdop"
     for writer, reader, table in ((fixes_to_csv, read_fixes_csv, fix_columns(1, "distinct")),
                                   (synced_to_csv, read_synced_csv, arrival_columns(1, "half"))):
         header, *rows = "".join(writer(table)).splitlines(keepends=True)

@@ -1,10 +1,11 @@
 """Memory: the simulator's, the sync's and the HDoP grid's row-block passes
 (``constants.row_blocks``) give the bits of one pass over every row, and so
 do the blinks placed in disjoint parts against one calibration; they,
-``locate_reports``, the tracker, the fixes.csv and synced.csv writers, the
-report and synced.csv readers, which code each block's ids as they read it,
-and the deploy report with its hdop.csv keep their allocation peaks per
-report, row, fix or grid point low, and fixes are held as columns."""
+``locate_reports``, the tracker, the writers of reports.jsonl, truth.jsonl,
+fixes.csv and synced.csv, the report, truth and synced.csv readers, which
+code each block's ids as they read it, and the deploy report with its
+hdop.csv keep their allocation peaks per report, row, fix or grid point
+low, and fixes are held as columns."""
 
 from __future__ import annotations
 
@@ -18,10 +19,11 @@ import pytest
 
 from uwb_rtls import clock, constants, deploy, engine, simnet
 from uwb_rtls.cli import (DEMO_CONFIG, fixes_to_csv, grid_to_csv, read_fixes_csv,
-                          read_reports, read_synced_csv, synced_to_csv)
+                          read_reports, read_synced_csv, read_truth, reports_to_jsonl,
+                          synced_to_csv, truth_to_jsonl)
 from uwb_rtls.config import parse_config
-from uwb_rtls.constants import ROW_BLOCK, row_blocks
-from uwb_rtls.protocol import BLINK_RX, CCP_RX, ReportColumns, encode_reports
+from uwb_rtls.constants import ROW_BLOCK
+from uwb_rtls.protocol import BLINK_RX, CCP_RX, ReportColumns
 from uwb_rtls.simnet import run_scenario
 from uwb_rtls.solver import ranges, sum_over_anchors, track
 from uwb_rtls.wcs import calibrate, multi_master_sync, place
@@ -182,10 +184,41 @@ def test_report_reader_allocation_peak_per_line(tmp_path):
     # whole file is read: about 84 B -> 54 B, for a result of 25 B.
     reports = run_scenario(parse_config(fleet_config()).scenario).reports
     path = tmp_path / "reports.jsonl"
-    path.write_text("".join(encode_reports(reports, rows) for rows in row_blocks(len(reports))))
+    path.write_text("".join(reports_to_jsonl(reports)))
     (read, skipped), peak = _peak_bytes(lambda: read_reports(path))
     assert skipped == 0 and len(read) == len(reports) > 100_000
     assert peak / len(reports) < 64
+
+
+@pytest.fixture(scope="module")
+def fleet_run():
+    return run_scenario(parse_config(fleet_config()).scenario)
+
+
+def test_report_and_truth_writers_allocation_peaks_per_row(fleet_run, tmp_path):
+    # Written a row block at a time by per-file template encoders, reports.jsonl
+    # peaked at about 13.4 B per report and truth.jsonl at about 81.0 B per
+    # blink; by the one renderer, at about 11.1 B and 61.7 B.
+    with open(tmp_path / "reports.jsonl", "w") as fh:
+        _, peak = _peak_bytes(lambda: fh.writelines(reports_to_jsonl(fleet_run.reports)))
+    assert len(fleet_run.reports) > 100_000
+    assert peak / len(fleet_run.reports) < 14
+    truth = fleet_run.truth_blinks
+    with open(tmp_path / "truth.jsonl", "w") as fh:
+        _, peak = _peak_bytes(lambda: fh.writelines(truth_to_jsonl(truth,
+                                                                   fleet_run.truth_clocks)))
+    assert len(truth) > 10_000
+    assert peak / len(truth) < 85
+
+
+def test_truth_reader_allocation_peak_per_blink(fleet_run, tmp_path):
+    # About 239 B per blink, for a result of about 37 B: the peak is one
+    # block of json.loads dicts and their field lists, about 880 B per line.
+    path = tmp_path / "truth.jsonl"
+    path.write_text("".join(truth_to_jsonl(fleet_run.truth_blinks, fleet_run.truth_clocks)))
+    (read, skipped), peak = _peak_bytes(lambda: read_truth(path))
+    assert skipped == 0 and same_columns(read, fleet_run.truth_blinks) and len(read) > 10_000
+    assert peak / len(read) < 250
 
 
 @pytest.fixture(scope="module")

@@ -1,5 +1,6 @@
-"""Report line encoding and strict decoding, and the field checks that
-the report and truth readers share."""
+"""Report lines as cli's renderer writes them and its JSON-lines parser
+reads them, strictly, and the field checks that the report and truth
+readers share."""
 
 from __future__ import annotations
 
@@ -20,11 +21,8 @@ from uwb_rtls.protocol import (
     REPORT_KINDS,
     SEQ_WRAP,
     check_number,
-    decode_reports,
-    encode_reports,
     present_codes,
 )
-from uwb_rtls.simnet import decode_truths
 
 from conftest import (
     BAD_FIELDS,
@@ -34,29 +32,32 @@ from conftest import (
     REPORT_FIELDS,
     TRUTH_FIELDS,
     assert_reads_among_as_alone,
+    parsed_reports,
+    parsed_truth,
     read_file,
     report_columns,
+    report_lines,
     report_rows,
     with_field,
 )
 
 
 def report_line(row: tuple) -> str:
-    """The line ``encode_reports`` writes for one ``(anchor_id, kind,
+    """The line ``cli.reports_to_jsonl`` writes for one ``(anchor_id, kind,
     src_id, seq, ticks)`` row, less its newline."""
-    text = encode_reports(report_columns([row]))
-    assert text.count("\n") == 1 and text.endswith("\n")
-    return text[:-1]
+    (line,) = report_lines(report_columns([row]))
+    return line
 
 
 def decode_row(line: str) -> tuple:
-    """The one row ``decode_reports`` reads from ``line``."""
-    return tuple(column[0] for column in decode_reports([line]))
+    """The one row cli's JSON-lines parser reads from ``line``."""
+    (row,) = parsed_reports([line])
+    return row
 
 
-def decode_truth(line: str) -> tuple:
-    """The columns ``decode_truths`` reads from one truth line."""
-    return decode_truths([line])
+def decode_truth(line: str) -> list:
+    """The blink rows cli's JSON-lines parser reads from one truth line."""
+    return parsed_truth([line])
 
 
 def test_blink_rx_line_format():
@@ -230,7 +231,7 @@ def test_a_non_finite_or_huge_number_in_a_block_is_skipped(simulated_lines, name
 
 
 # ---------------------------------------------------------------------------
-# The template encoder and the block reader against json itself
+# The renderer and the parser against json itself
 
 
 def _json_line(r: tuple) -> str:
@@ -247,7 +248,7 @@ def _json_report(line: str) -> tuple:
 
 
 def _outcome(line: str) -> str:
-    """What decode_reports makes of a line: the row's repr (which tells
+    """What the parser makes of a line: the row's repr (which tells
     -0.0 from 0.0) or the error's message."""
     try:
         return repr(decode_row(line))
@@ -256,11 +257,11 @@ def _outcome(line: str) -> str:
 
 
 def test_hall_run_lines_are_json_dumps_and_decode_as_json_loads(hall_run):
-    lines = encode_reports(hall_run.reports).splitlines()
+    lines = report_lines(hall_run.reports)
     for r, line in zip(report_rows(hall_run.reports), lines, strict=True):
         assert line == _json_line(r)
         assert _outcome(line) == repr(_json_report(line)) == repr(r)
-    assert list(zip(*decode_reports(lines))) == report_rows(hall_run.reports)
+    assert parsed_reports(lines) == report_rows(hall_run.reports)
 
 
 JUST_BELOW_WRAP = float(np.nextafter(float(TICK_WRAP), 0.0))
@@ -291,8 +292,8 @@ def test_a_block_of_edge_case_rows_is_the_lines_json_dumps_writes():
                for ticks in EDGE_TICKS]
     records = [records[i] for i in np.random.default_rng(2).permutation(len(records))]
     reports = report_columns(records)
-    assert encode_reports(reports).splitlines() == list(map(_json_line, records))
-    assert encode_reports(reports, slice(5, 9)) == encode_reports(report_columns(records[5:9]))
+    assert report_lines(reports) == list(map(_json_line, records))
+    assert report_lines(reports)[5:9] == report_lines(report_columns(records[5:9]))
 
 
 # Not plain ids: a quote, a control character, empty, trailing or leading
@@ -333,7 +334,7 @@ def test_numpy_scalars_are_written_as_their_values():
 def test_a_seq_that_is_not_an_integer_is_not_written(seq):
     reports = report_columns([("SA2", KIND_BLINK_RX, "T1", 7, 12345.5)])
     with pytest.raises(TypeError):
-        encode_reports(dataclasses.replace(reports, seq=np.array([seq])))
+        report_lines(dataclasses.replace(reports, seq=np.array([seq])))
 
 
 def test_non_finite_ticks_are_not_written():

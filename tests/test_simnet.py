@@ -23,7 +23,6 @@ from uwb_rtls.protocol import (
     KIND_CCP_TX,
     REPORT_KINDS,
     ReportColumns,
-    encode_reports,
 )
 from uwb_rtls.simnet import (
     CollisionScheduleError,
@@ -34,9 +33,6 @@ from uwb_rtls.simnet import (
     TagSpec,
     TruthClock,
     WaypointTrajectory,
-    decode_truths,
-    encode_clock,
-    encode_truth,
     run_scenario,
     schedule_ccp_cascade,
 )
@@ -52,9 +48,12 @@ from conftest import (
     build_ideal_rect_topology,
     build_rect_topology,
     hall_config,
+    parsed_truth,
+    report_lines,
     report_rows,
     same_columns,
     truth_columns,
+    truth_lines,
     truth_rows,
     with_field,
 )
@@ -379,7 +378,7 @@ def test_each_round_schedules_its_cascade_once(monkeypatch):
 def test_same_seed_gives_identical_bytes():
     a = run_scenario(_scenario(duration=3.0, seed=21))
     b = run_scenario(_scenario(duration=3.0, seed=21))
-    assert encode_reports(a.reports) == encode_reports(b.reports)
+    assert report_lines(a.reports) == report_lines(b.reports)
     assert same_columns(a.truth_blinks, b.truth_blinks)
     assert a.truth_clocks == b.truth_clocks
 
@@ -422,17 +421,19 @@ def test_truth_blinks_are_time_major_in_tag_order():
 
 def test_truth_records_round_trip():
     truth = truth_columns([("T1", 12, 1.2, 3.25, -0.5), ("T0", 0, 0.0, -0.0, 5e-324)])
-    assert same_columns(truth_columns(zip(*decode_truths(encode_truth(truth).splitlines())[:5])),
-                        truth)
+    assert same_columns(truth_columns(parsed_truth(truth_lines(truth))), truth)
     clock = TruthClock(anchor_id="SA2", offset=-0.0034, skew=-1.2e-5,
                        drift_rate=0.0, jitter_std=1e-10)
-    assert decode_truths([encode_clock(clock)])[5] == [clock]
+    (line,) = truth_lines(truth_columns([]), [clock])
+    assert line == CLOCK and parsed_truth([line]) == []  # a clock line is checked, not kept
 
 
-def test_a_non_finite_truth_blink_is_not_written():
+def test_a_non_finite_truth_blink_or_clock_is_not_written():
     for bad in (math.nan, math.inf):
         with pytest.raises(ValueError, match="non-finite"):
-            encode_truth(truth_columns([("T1", 0, 0.0, 1.0, bad)]))
+            truth_lines(truth_columns([("T1", 0, 0.0, 1.0, bad)]))
+        with pytest.raises(ValueError, match="non-finite"):
+            truth_lines(truth_columns([]), [TruthClock("SA2", 0.0, bad, 0.0, 0.0)])
 
 
 def test_truth_clock_records_match_the_scenario():
@@ -455,16 +456,18 @@ def _json_truth_line(kind: str, values) -> str:
 
 
 def _decoded_lines(line: str) -> list[str]:
-    """The lines ``encode_truth`` and ``encode_clock`` write for what
-    ``decode_truths`` reads from ``line``."""
-    *blinks, clocks = decode_truths([line])
-    return [*encode_truth(truth_columns(zip(*blinks))).splitlines(),
-            *(encode_clock(c).rstrip("\n") for c in clocks)]
+    """The lines ``cli.truth_to_jsonl`` writes for what the parser reads from
+    ``line``: its blink, or the clock of a clock line the parser accepts, as
+    json reads it from the line."""
+    if blinks := parsed_truth([line]):
+        return truth_lines(truth_columns(blinks))
+    raw = json.loads(line)
+    return truth_lines(truth_columns([]), [TruthClock(*map(raw.__getitem__, CLOCK_FIELDS))])
 
 
 def _decodes_like_json(line: str) -> None:
-    """``decode_truths`` either raises ValueError or reads a record whose
-    line json reads back as the input line's object, its numbers as floats."""
+    """The parser either raises ValueError or reads a record whose line
+    json reads back as the input line's object, its numbers as floats."""
     try:
         (decoded,) = _decoded_lines(line)
     except ValueError:
@@ -476,31 +479,31 @@ def _decodes_like_json(line: str) -> None:
 
 
 def test_hall_truth_lines_are_json_dumps_and_round_trip(hall_run):
-    lines = encode_truth(hall_run.truth_blinks).splitlines()
+    lines = truth_lines(hall_run.truth_blinks)
     rows = truth_rows(hall_run.truth_blinks)
     assert lines == [_json_truth_line("blink", row) for row in rows]
-    *blinks, clocks = decode_truths(lines)
-    assert list(zip(*blinks)) == rows and clocks == []
+    assert parsed_truth(lines) == rows
     for clock in hall_run.truth_clocks:
-        line = encode_clock(clock)
-        assert line == _json_truth_line("clock", dataclasses.astuple(clock)) + "\n"
-        assert decode_truths([line])[5] == [clock]
+        (line,) = truth_lines(truth_columns([]), [clock])
+        assert line == _json_truth_line("clock", dataclasses.astuple(clock))
+        assert _decoded_lines(line) == [line]
 
 
 @pytest.mark.parametrize("kind, values", [
     ("blink", ("T\\1", 0, 0.0, 5e-324, -0.0)),
     ("blink", ("T/1", 2**32 - 1, 1e-05, -3.0, 2.0)),
     ("blink", ("Tü1", 7, 0.30000000000000004, 1e300, -1e-300)),
-    ("clock", ("SAü", -0.0034, 0, -1e-9, 1e-10)),
+    # A clock's fields are floats: ClockModel holds an int it is given as a float.
+    ("clock", ("SAü", *dataclasses.astuple(ClockModel(-0.0034, 0, -1e-9, 1e-10)))),
 ])
 def test_edge_case_truth_lines_are_json_dumps_and_round_trip(kind, values):
     line = _json_truth_line(kind, values)
     if kind == "blink":
-        assert encode_truth(truth_columns([values])) == line + "\n"
-        assert repr(list(zip(*decode_truths([line])[:5]))) == repr([values])
+        assert truth_lines(truth_columns([values])) == [line]
+        assert repr(parsed_truth([line])) == repr([values])
     else:
-        assert encode_clock(TruthClock(*values)) == line + "\n"
-        assert repr(decode_truths([line])[5]) == repr([TruthClock(*values)])
+        assert truth_lines(truth_columns([]), [TruthClock(*values)]) == [line]
+        assert _decoded_lines(line) == [line]
 
 
 NEAR_CANONICAL_TRUTH = [
@@ -592,11 +595,12 @@ def test_a_truth_line_reads_among_simulated_lines_as_alone(simulated_lines, line
 
 
 def test_a_truth_block_decodes_to_the_simulated_records(hall_run):
-    lines = [*encode_truth(hall_run.truth_blinks).splitlines(),
-             *(encode_clock(clock).rstrip("\n") for clock in hall_run.truth_clocks)]
-    *blinks, clocks = decode_truths(lines)
-    assert same_columns(truth_columns(zip(*blinks)), hall_run.truth_blinks)
-    assert clocks == list(hall_run.truth_clocks)
+    # The clock lines are checked with the block and dropped.
+    lines = truth_lines(hall_run.truth_blinks, hall_run.truth_clocks)
+    assert len(lines) == len(hall_run.truth_blinks) + len(hall_run.truth_clocks)
+    assert same_columns(truth_columns(parsed_truth(lines)), hall_run.truth_blinks)
+    with pytest.raises(ValueError):
+        parsed_truth([*lines, with_field(lines[-1], "skew", "NaN")])
 
 
 @given(kind=st.sampled_from(["blink", "clock"]), record_id=truth_ids, seq=truth_seqs,

@@ -29,8 +29,14 @@ duration and at ``LONG_SECONDS`` of simulated time (the config of
 ``workloads.fleet_config`` with ``FLEET_DURATION`` set in this process),
 the trees taking turns, and holds per tree each stage's own peak RSS at
 both durations as the median and the range (min, max) of those runs, and
-its growth in MB per simulated second between the medians.  It gates
-nothing; its exit code is 0 whenever both trees ran.
+its growth in MB per simulated second between the medians.  ``codec_s``
+times, per workload and tree, each of the six text files' writer (the
+``cli._write`` call that renders and writes it, plus ``errors_csv``'s
+render, which comes before its write) and each read-back file's reader,
+in the process that runs the stages, on ``fleet`` and ``hall`` seed 1:
+the min of ``CODEC_RUNS`` runs per tree, the trees taking turns, and the
+change's time over the parent's.  It gates nothing; its exit code is 0
+whenever both trees ran.
 """
 
 from __future__ import annotations
@@ -55,6 +61,7 @@ SEEDS = range(1, 6)
 LONG_SECONDS = 54.0  # fleet seed 1 runs this long too, for each stage's growth
 GROWTH_RUNS = 3  # runs per tree and duration: one stage's peak moves by MBs run to run
 EVAL_OUTPUTS = ("summary.json", "errors.csv")
+CODEC_RUNS = 7  # runs per tree and workload; codec_s keeps each timing's min
 
 
 # A process's ru_maxrss starts at the RSS of the process it was forked
@@ -73,6 +80,37 @@ sys.exit(os.waitstatus_to_exitcode(status))
 """
 
 
+# One run of ``codec_s`` in a tree's own process: the CLI stages in turn, each text
+# file's writer timed as its ``cli._write`` call (errors.csv's render added, as it comes
+# first), then each read-back file's reader; the timings in s go to stdout as JSON.
+_CODEC = """\
+import contextlib, io, json, sys
+from pathlib import Path
+from time import perf_counter
+from uwb_rtls import cli
+out, argvs, times = Path(sys.argv[1]), json.loads(sys.argv[2]), {}
+def timed(name, call):
+    def run(*args):
+        start = perf_counter()
+        try:
+            return call(*args)
+        finally:
+            times[name] = times.get(name, 0.0) + perf_counter() - start
+    return run
+write = cli._write
+cli._write = lambda path, blocks: timed("write " + path.name, write)(path, blocks)
+cli.errors_csv = timed("write errors.csv", cli.errors_csv)
+with contextlib.redirect_stdout(io.StringIO()):
+    for argv in argvs:
+        assert cli.main(argv) == 0
+for name, reader in (("reports.jsonl", cli.read_reports), ("truth.jsonl", cli.read_truth),
+                     ("fixes.csv", cli.read_fixes_csv), ("synced.csv", cli.read_synced_csv)):
+    timed("read " + name, reader)(out / name)
+files = ("reports.jsonl", "truth.jsonl", "fixes.csv", "synced.csv", "errors.csv", "hdop.csv")
+print(json.dumps({k: v for k, v in times.items() if k.split()[1] in files}))
+"""
+
+
 def run_cli(tree: Path, argv: list[str]) -> float:
     """One CLI command from ``tree``'s sources, in a fresh process; its peak RSS in MB."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
@@ -81,11 +119,10 @@ def run_cli(tree: Path, argv: list[str]) -> float:
     return int(proc.stdout) / 1024.0
 
 
-def run_tree(tree: Path, workload: str, seed: int, out: Path) -> dict[str, float]:
-    """One run of ``workload`` from ``tree``'s sources, outputs in ``out``;
-    each stage's peak RSS in MB.  A run whose stages hold no
-    ``deploy-check`` (demo, ``fleet``) ends with one on its own config at
-    the default resolution."""
+def run_stages(workload: str, seed: int, out: Path) -> list[tuple[str, list[str]]]:
+    """The CLI stages of one run of ``workload``, outputs in ``out``, as
+    (stage, argv) pairs.  A run whose stages hold no ``deploy-check`` (demo,
+    ``fleet``) ends with one on its own config at the default resolution."""
     if workload == "demo":
         config = out / "demo_config.json"
         argvs = [("demo", ["demo", "--out", str(out), "--seed", str(seed)])]
@@ -96,7 +133,38 @@ def run_tree(tree: Path, workload: str, seed: int, out: Path) -> dict[str, float
         argvs = stages(workload, str(config), str(out))
     if not any(argv[0] == "deploy-check" for _, argv in argvs):
         argvs.append(("deploy-check", ["deploy-check", "--config", str(config), "--out", str(out)]))
-    return {stage: round(run_cli(tree, argv), 2) for stage, argv in argvs}
+    return argvs
+
+
+def run_tree(tree: Path, workload: str, seed: int, out: Path) -> dict[str, float]:
+    """One run of ``workload`` from ``tree``'s sources, outputs in ``out``;
+    each stage's peak RSS in MB."""
+    return {stage: round(run_cli(tree, argv), 2)
+            for stage, argv in run_stages(workload, seed, out)}
+
+
+def codec_times(trees: dict[str, Path], out: Path) -> dict:
+    """Each text file's writer and reader time (s) per workload and tree, on
+    seed 1: the min of ``CODEC_RUNS`` runs, the trees taking turns, and the
+    change's over the parent's."""
+    runs: dict[str, dict[str, dict[str, list[float]]]] = {}
+    for run in range(CODEC_RUNS):
+        for workload in sorted(CONFIGS):
+            for side, tree in trees.items():
+                where = out / f"{side}-{workload}-{run}"
+                argvs = [argv for _, argv in run_stages(workload, 1, where)]
+                env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
+                proc = subprocess.run(
+                    [sys.executable, "-c", _CODEC, str(where), json.dumps(argvs)],
+                    env=env, check=True, stdout=subprocess.PIPE, text=True)
+                for name, seconds in json.loads(proc.stdout).items():
+                    runs.setdefault(workload, {}).setdefault(name, {}).setdefault(
+                        side, []).append(seconds)
+    return {workload: {name: {**(best := {side: round(min(times), 5)
+                                          for side, times in sides.items()}),
+                              "ratio": round(best["change"] / best["parent"], 3)}
+                       for name, sides in sorted(names.items())}
+            for workload, names in runs.items()}
 
 
 def cross_eval(parent: Path, change_run: Path, out: Path) -> dict[str, bool]:
@@ -200,8 +268,10 @@ def main(argv: list[str] | None = None) -> int:
             same = sum(f["same"] for f in files.values())
             print(f"{name}: {same}/{len(files)} files the same, parent eval on the change's "
                   f"files {'the same' if all(cross.values()) else 'different'}", file=sys.stderr)
-        report["stage_growth"] = stage_growth({"parent": args.parent, "change": args.change},
-                                              Path(tmp) / "fleet-growth")
+        trees = {"parent": args.parent, "change": args.change}
+        report["stage_growth"] = stage_growth(trees, Path(tmp) / "fleet-growth")
+        report["codec_s"] = codec_times(trees, Path(tmp) / "codec")
+        report["codec_runs"] = CODEC_RUNS
     report["all_same"] = all(f["same"] for run in report["runs"].values() for f in run.values())
     report["parent_eval_all_same"] = all(
         same for run in report["parent_eval_on_change_files"].values() for same in run.values())
